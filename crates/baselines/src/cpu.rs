@@ -49,7 +49,7 @@ pub fn fit_affine(points: &[(f64, f64)]) -> (f64, f64) {
 
 /// Measure a real forward pass of `n_layers` encoder layers at sequence
 /// length `s` on this machine's rayon pool, returning seconds. This is the
-/// honest, executable CPU baseline for the Criterion benches.
+/// honest, executable CPU baseline.
 pub fn run_real_forward(cfg: &TransformerConfig, s: usize, n_layers: usize, seed: u64) -> f64 {
     let model = Model::seeded(*cfg, seed);
     let x = init::uniform(s, cfg.d_model, -1.0, 1.0, seed + 1);

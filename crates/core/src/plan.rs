@@ -1400,8 +1400,9 @@ pub fn walk_cost(cfg: &AccelConfig, plan: &ExecPlan) -> PlanCost {
 }
 
 /// The analytic shape of a decode session — what `asrsim plan --decode` and
-/// the bench decode entries report: cold-step vs steady-state traffic and
-/// latency, and the resident-reuse accounting that separates them.
+/// the benchmark's `plan.decode_*` and `plan.modeled_ms_per_token` metrics
+/// report: cold-step vs steady-state traffic and latency, and the
+/// resident-reuse accounting that separates them.
 #[derive(Debug, Clone)]
 pub struct DecodeAnalytics {
     /// Priced cold step (step 0, nothing resident).

@@ -416,7 +416,8 @@ impl StreamReport {
 
 /// Analytic per-chunk numbers off the plan walker — the third IR consumer:
 /// the same chunk plans the runtime executes are priced by
-/// [`crate::plan::walk_cost`] for the bench trajectory.
+/// [`crate::plan::walk_cost`]. The benchmark (`perfbench/`) reports them
+/// as `stream.cold_chunk_ms` and `stream.warm_chunk_ms`.
 #[derive(Debug, Clone, Copy, serde::Serialize)]
 pub struct StreamAnalytics {
     /// Analytic latency of a cold chunk (nothing resident), seconds.

@@ -1,11 +1,12 @@
-//! Design-space exploration: Table 5.3 plus the PSA-shape sweep of §5.1.4,
-//! with resource-fit checking against the Alveo U50.
+//! Design-space exploration: Table 5.3 plus the PSA-shape and unroll-penalty
+//! (II) sweeps of §5.1.4, with resource-fit checking against the Alveo U50.
 //!
 //! ```text
 //! cargo run --release --example design_space
 //! ```
 
 use transformer_asr_accel::accel::{dse, resources, AccelConfig};
+use transformer_asr_accel::systolic::psa::{Psa, PsaConfig};
 
 fn main() {
     let base = AccelConfig::paper_default();
@@ -27,9 +28,15 @@ fn main() {
 
     println!("\nPSA shape sweep (rows × cols):");
     println!("{:>8} {:>12} {:>6}", "shape", "latency(ms)", "fits");
-    let shapes = [(2usize, 64usize), (2, 32), (2, 128), (4, 64), (8, 64), (4, 128)];
+    let shapes = [(2usize, 64usize), (2, 32), (2, 128), (4, 64), (4, 32), (8, 64), (4, 128)];
     for (rows, cols, ms, fits) in dse::explore_psa_shapes(&base, &shapes) {
         println!("{:>5}x{:<3} {:>11.2} {:>6}", rows, cols, ms, if fits { "yes" } else { "NO" });
+    }
+
+    println!("\nUnroll penalty (II) sweep, one MM1 stripe (32x64 by 64x64):");
+    for ii in [1u64, 4, 8, 12, 16] {
+        let psa = Psa::new(PsaConfig { ii, ..base.psa });
+        println!("  II={:<2}  {:>6} cycles", ii, psa.cycles(32, 64, 64).get());
     }
 
     println!("\nResource estimate of the shipped design:");

@@ -67,27 +67,12 @@
 //!                                      session-affinity router; node-granular
 //!                                      faults, cross-node checkpointed
 //!                                      failover, rolling weight upgrades
-//! asrsim bench --check [--out FILE] [--tolerance F]
-//!                                      regression gate: compare the last two
-//!                                      trajectory entries and exit nonzero
-//!                                      on a >10% slide in sustainable rps,
-//!                                      analytic E2E latency, decode steady
-//!                                      ms/token, or the steady-state elided
-//!                                      load fraction
-//! asrsim bench [--out FILE] [--label L] benchmark trajectory: appends one
-//!                                      entry (tagged with the git rev and a
-//!                                      PR label) of plan lowering time,
-//!                                      analytic E2E latency, sustainable
-//!                                      serve/cluster rps, replayed-work
-//!                                      with/without checkpointing, streaming
-//!                                      latency, upgrade downtime, and
-//!                                      failover-added p99
-//!                                      (default BENCH_serve.json)
 //! ```
 //!
 //! Failures are one-line typed errors with distinct exit codes so scripts
-//! can tell them apart: 2 = usage, 3 = bad flag value, 4 = contradictory
-//! flags, 5 = configuration the simulator refused, 6 = filesystem error.
+//! can tell them apart: 2 = usage (unknown command or missing argument),
+//! 3 = bad value, 4 = contradictory flags, 5 = configuration or run the
+//! simulator refused, 6 = filesystem error.
 
 use std::process::ExitCode;
 use transformer_asr_accel::accel::arch::{simulate, Architecture};
@@ -95,10 +80,10 @@ use transformer_asr_accel::accel::cluster::{
     Cluster, ClusterConfig, NodeFault, TrafficTrace, UpgradeConfig,
 };
 use transformer_asr_accel::accel::serve::{pool_fault_plans, ServeConfig, ServePool, ServeReport};
-use transformer_asr_accel::accel::stream::{stream_analytics, StreamConfig, StreamPool};
+use transformer_asr_accel::accel::stream::{StreamConfig, StreamPool};
 use transformer_asr_accel::accel::{
     decode_analytics, dse, latency, pipeline, quant, resume_batch, run_batch_with_recovery,
-    run_functional_decode, run_with_recovery, sweep, walk_cost, AccelConfig, ExecPlan,
+    run_functional_decode, run_with_recovery, sweep, walk_cost, AccelConfig, AccelError, ExecPlan,
     FunctionalFaults, HostController, RecoveryPolicy,
 };
 use transformer_asr_accel::fpga::trace::to_chrome_trace;
@@ -113,11 +98,12 @@ use transformer_asr_accel::tensor::WeightEncoding;
 enum CliError {
     /// Unknown command or missing required argument (exit 2).
     Usage(String),
-    /// A flag's value failed to parse or is out of range (exit 3).
+    /// A value failed to parse or is out of range (exit 3).
     BadValue(String),
     /// Flags that are valid alone but contradictory together (exit 4).
     BadCombo(String),
-    /// The simulator rejected the configuration with a typed error (exit 5).
+    /// The simulator rejected the configuration or run with a typed error
+    /// (exit 5).
     Rejected(String),
     /// Filesystem failure (exit 6).
     Io(String),
@@ -137,6 +123,14 @@ impl CliError {
     }
 }
 
+/// Every simulator error is a typed refusal of the requested configuration
+/// or run.
+impl From<AccelError> for CliError {
+    fn from(e: AccelError) -> Self {
+        CliError::Rejected(e.to_string())
+    }
+}
+
 fn finish(r: Result<(), CliError>) -> ExitCode {
     match r {
         Ok(()) => ExitCode::SUCCESS,
@@ -144,27 +138,40 @@ fn finish(r: Result<(), CliError>) -> ExitCode {
     }
 }
 
-/// Like [`parse_flag`], but a present flag with a missing or unparsable
-/// value is a typed error instead of silently becoming the default.
-fn parse_usize_strict(args: &[String], flag: &str, default: usize) -> Result<usize, CliError> {
+/// `flag`'s value through `parse`, or `default` when the flag is absent. A
+/// present flag with a missing or unparsable value is a typed error saying
+/// what the flag `expects`.
+fn parse_flag_value<T>(
+    args: &[String],
+    flag: &str,
+    default: T,
+    expects: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, CliError> {
     let Some(i) = args.iter().position(|a| a == flag) else {
         return Ok(default);
     };
     let v = args.get(i + 1).map(String::as_str).unwrap_or("");
-    v.parse().map_err(|_| {
-        CliError::BadValue(format!("{} expects an unsigned integer, got '{}'", flag, v))
-    })
+    parse(v).ok_or_else(|| CliError::BadValue(format!("{} expects {}, got '{}'", flag, expects, v)))
+}
+
+fn parse_usize_strict(args: &[String], flag: &str, default: usize) -> Result<usize, CliError> {
+    parse_flag_value(args, flag, default, "an unsigned integer", |v| v.parse().ok())
 }
 
 fn parse_f64_strict(args: &[String], flag: &str, default: f64) -> Result<f64, CliError> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(default);
-    };
-    let v = args.get(i + 1).map(String::as_str).unwrap_or("");
-    match v.parse::<f64>() {
-        Ok(x) if x.is_finite() => Ok(x),
-        _ => Err(CliError::BadValue(format!("{} expects a finite number, got '{}'", flag, v))),
-    }
+    parse_flag_value(args, flag, default, "a finite number", |v| {
+        v.parse::<f64>().ok().filter(|x| x.is_finite())
+    })
+}
+
+/// The positional argument after the command. Missing, or a flag in its
+/// place, is a usage error.
+fn positional<'a>(args: &'a [String], usage: &str) -> Result<&'a str, CliError> {
+    args.get(1)
+        .map(String::as_str)
+        .filter(|a| !a.starts_with("--"))
+        .ok_or_else(|| CliError::Usage(usage.to_string()))
 }
 
 /// Every value of a repeatable flag, in order.
@@ -194,14 +201,6 @@ fn parse_fault_spec(flag: &str, v: &str, duration: bool) -> Result<(usize, f64, 
     Ok((node, at_s, dur_s))
 }
 
-fn parse_flag(args: &[String], flag: &str, default: usize) -> usize {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn parse_str_flag(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).cloned()
 }
@@ -210,32 +209,26 @@ fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
-fn parse_f64_flag(args: &[String], flag: &str, default: f64) -> f64 {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// `--integrity off|detect|detect-recompute` (default off).
+fn parse_integrity_flag(args: &[String]) -> Result<IntegrityLevel, CliError> {
+    parse_flag_value(
+        args,
+        "--integrity",
+        IntegrityLevel::Off,
+        "off, detect, or detect-recompute",
+        |v| IntegrityLevel::parse(&v.to_ascii_lowercase()),
+    )
 }
 
-/// `--integrity off|detect|detect-recompute` (default off). `Err` carries
-/// the bad value.
-fn parse_integrity_flag(args: &[String]) -> Result<IntegrityLevel, String> {
-    let Some(i) = args.iter().position(|a| a == "--integrity") else {
-        return Ok(IntegrityLevel::Off);
-    };
-    let v = args.get(i + 1).map(String::as_str).unwrap_or("");
-    IntegrityLevel::parse(&v.to_ascii_lowercase()).ok_or_else(|| v.to_string())
-}
-
-/// `--encoding dense|int8|bc:<B>|sparse:<T>[@OCC]` (default dense). `Err`
-/// carries the bad value.
-fn parse_encoding_flag(args: &[String]) -> Result<WeightEncoding, String> {
-    let Some(i) = args.iter().position(|a| a == "--encoding") else {
-        return Ok(WeightEncoding::Dense);
-    };
-    let v = args.get(i + 1).map(String::as_str).unwrap_or("");
-    parse_encoding(&v.to_ascii_lowercase()).ok_or_else(|| v.to_string())
+/// `--encoding dense|int8|bc:<B>|sparse:<T>[@OCC]` (default dense).
+fn parse_encoding_flag(args: &[String]) -> Result<WeightEncoding, CliError> {
+    parse_flag_value(
+        args,
+        "--encoding",
+        WeightEncoding::Dense,
+        "dense, int8, bc:<B>, or sparse:<T>[@OCC]",
+        |v| parse_encoding(&v.to_ascii_lowercase()),
+    )
 }
 
 fn parse_encoding(v: &str) -> Option<WeightEncoding> {
@@ -256,80 +249,64 @@ fn parse_encoding(v: &str) -> Option<WeightEncoding> {
     }
 }
 
-/// `--arch a1|a2|a3` (default A3). `Err` carries the bad value.
-fn parse_arch_flag(args: &[String]) -> Result<Architecture, String> {
-    let Some(i) = args.iter().position(|a| a == "--arch") else {
-        return Ok(Architecture::A3);
-    };
-    let v = args.get(i + 1).map(String::as_str).unwrap_or("");
-    match v.to_ascii_lowercase().as_str() {
-        "a1" => Ok(Architecture::A1),
-        "a2" => Ok(Architecture::A2),
-        "a3" => Ok(Architecture::A3),
-        other => Err(other.to_string()),
-    }
+/// `--arch a1|a2|a3` (default A3).
+fn parse_arch_flag(args: &[String]) -> Result<Architecture, CliError> {
+    parse_flag_value(args, "--arch", Architecture::A3, "a1, a2, or a3", |v| {
+        match v.to_ascii_lowercase().as_str() {
+            "a1" => Some(Architecture::A1),
+            "a2" => Some(Architecture::A2),
+            "a3" => Some(Architecture::A3),
+            _ => None,
+        }
+    })
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    const COMMANDS: &str =
-        "latency|report|arch|dse|quant|breakdown|pipeline|trace|plan|decode|csv|faults|serve|stream|cluster|bench";
-    let Some(cmd) = args.first().cloned() else {
-        return CliError::Usage(format!("asrsim <{}> [options]", COMMANDS)).exit();
-    };
-    let s = parse_flag(&args, "--s", 32);
+    finish(run(&args))
+}
 
-    // `asrsim --faults <seed>` — the flag form of the `faults` subcommand.
-    // Only when it leads: `serve` owns its own `--faults` option.
-    if cmd == "--faults" {
-        let Some(seed) = args.get(1).and_then(|v| v.parse::<u64>().ok()) else {
-            eprintln!("usage: asrsim --faults <seed> [--s N] [--arch a1|a2|a3]");
-            return ExitCode::FAILURE;
-        };
-        return cmd_faults(seed, s, &args);
-    }
+fn run(args: &[String]) -> Result<(), CliError> {
+    const COMMANDS: &str =
+        "latency|report|arch|dse|quant|breakdown|pipeline|trace|plan|decode|csv|faults|serve|stream|cluster";
+    let Some(cmd) = args.first() else {
+        return Err(CliError::Usage(format!("asrsim <{}> [options]", COMMANDS)));
+    };
+    let s = || parse_usize_strict(args, "--s", 32);
 
     match cmd.as_str() {
-        "latency" => cmd_latency(s),
-        "report" => cmd_report(s),
-        "arch" => cmd_arch(s),
+        "latency" => cmd_latency(s()?),
+        "report" => cmd_report(s()?),
+        "arch" => cmd_arch(s()?),
         "dse" => cmd_dse(),
         "quant" => cmd_quant(),
-        "breakdown" => cmd_breakdown(s),
-        "pipeline" => cmd_pipeline(s, parse_flag(&args, "--n", 10)),
-        "trace" => {
-            let Some(path) = args.get(1).filter(|a| !a.starts_with("--")) else {
-                eprintln!("usage: asrsim trace <out.json> [--s N]");
-                return ExitCode::FAILURE;
-            };
-            return cmd_trace(path, s);
+        "breakdown" => cmd_breakdown(s()?),
+        "pipeline" => cmd_pipeline(s()?, parse_usize_strict(args, "--n", 10)?),
+        "trace" => return cmd_trace(positional(args, "asrsim trace <out.json> [--s N]")?, s()?),
+        "csv" => return cmd_csv(positional(args, "asrsim csv <fig5.2|table5.1|ii>")?),
+        // `asrsim --faults <seed>` is the flag form of the `faults`
+        // subcommand. Only when it leads: `serve` owns its own `--faults`.
+        "faults" | "--faults" => {
+            let usage = format!("asrsim {} <seed> [--s N] [--arch a1|a2|a3]", cmd);
+            let v = positional(args, &usage)?;
+            let seed = v.parse().map_err(|_| {
+                CliError::BadValue(format!("{} expects an unsigned integer seed, got '{}'", cmd, v))
+            })?;
+            return cmd_faults(seed, s()?, args);
         }
-        "csv" => {
-            let Some(which) = args.get(1) else {
-                eprintln!("usage: asrsim csv <fig5.2|table5.1|ii>");
-                return ExitCode::FAILURE;
-            };
-            return cmd_csv(which);
-        }
-        "faults" => {
-            let Some(seed) = args.get(1).and_then(|v| v.parse::<u64>().ok()) else {
-                eprintln!("usage: asrsim faults <seed> [--s N] [--arch a1|a2|a3]");
-                return ExitCode::FAILURE;
-            };
-            return cmd_faults(seed, s, &args);
-        }
-        "plan" => return cmd_plan(s, &args),
-        "decode" => return finish(cmd_decode(&args)),
-        "serve" => return finish(cmd_serve(&args)),
-        "stream" => return cmd_stream(&args),
-        "cluster" => return finish(cmd_cluster(&args)),
-        "bench" => return finish(cmd_bench(&args)),
+        "plan" => return cmd_plan(s()?, args),
+        "decode" => return cmd_decode(args),
+        "serve" => return cmd_serve(args),
+        "stream" => return cmd_stream(args),
+        "cluster" => return cmd_cluster(args),
         other => {
-            return CliError::Usage(format!("unknown command '{}' (expected {})", other, COMMANDS))
-                .exit();
+            return Err(CliError::Usage(format!(
+                "unknown command '{}' (expected {})",
+                other, COMMANDS
+            )));
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn unpadded(s: usize) -> AccelConfig {
@@ -423,39 +400,18 @@ fn cmd_pipeline(s: usize, n: usize) {
     println!("accelerator busy     : {:8.2} ms", r.accel_busy_s * 1e3);
 }
 
-fn cmd_trace(path: &str, s: usize) -> ExitCode {
+fn cmd_trace(path: &str, s: usize) -> Result<(), CliError> {
     let cfg = unpadded(s);
     let r = simulate(&cfg, Architecture::A3, s);
-    match std::fs::write(path, to_chrome_trace(&r.timeline)) {
-        Ok(()) => {
-            println!("wrote {} spans to {}", r.timeline.spans().len(), path);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("failed to write {}: {}", path, e);
-            ExitCode::FAILURE
-        }
-    }
+    std::fs::write(path, to_chrome_trace(&r.timeline))
+        .map_err(|e| CliError::Io(format!("{}: {}", path, e)))?;
+    println!("wrote {} spans to {}", r.timeline.spans().len(), path);
+    Ok(())
 }
 
-fn cmd_faults(seed: u64, s: usize, args: &[String]) -> ExitCode {
-    let arch = match parse_arch_flag(args) {
-        Ok(a) => a,
-        Err(bad) => {
-            eprintln!("unknown architecture '{}': expected a1, a2, or a3", bad);
-            return ExitCode::FAILURE;
-        }
-    };
-    let level = match parse_integrity_flag(args) {
-        Ok(l) => l,
-        Err(bad) => {
-            eprintln!(
-                "unknown integrity level '{}': expected off, detect, or detect-recompute",
-                bad
-            );
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_faults(seed: u64, s: usize, args: &[String]) -> Result<(), CliError> {
+    let arch = parse_arch_flag(args)?;
+    let level = parse_integrity_flag(args)?;
     let mut cfg = unpadded(s);
     cfg.integrity = level;
     let s = cfg.max_seq_len;
@@ -470,13 +426,7 @@ fn cmd_faults(seed: u64, s: usize, args: &[String]) -> ExitCode {
     for f in plan.faults() {
         println!("  - {:?}", f);
     }
-    let run = match run_with_recovery(&cfg, arch, s, plan, &RecoveryPolicy::default()) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("unrecoverable: {}", e);
-            return ExitCode::FAILURE;
-        }
-    };
+    let run = run_with_recovery(&cfg, arch, s, plan, &RecoveryPolicy::default())?;
     println!("nominal latency      : {:8.2} ms ({})", run.nominal_s * 1e3, run.entry_arch.name());
     println!("degraded latency     : {:8.2} ms ({})", run.makespan_s * 1e3, run.final_arch.name());
     println!("fault overhead       : {:8.2} %", run.slowdown() * 100.0);
@@ -502,7 +452,7 @@ fn cmd_faults(seed: u64, s: usize, args: &[String]) -> ExitCode {
             println!("  [{:9.3} ms] {:<16} {}", e.time_s * 1e3, e.phase, e.detail);
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `asrsim faults <seed> --checkpoint`: kill a batched run with a persistent
@@ -514,8 +464,8 @@ fn cmd_faults_checkpoint(
     cfg: &AccelConfig,
     arch: Architecture,
     args: &[String],
-) -> ExitCode {
-    let batch = parse_flag(args, "--batch", 2).max(1);
+) -> Result<(), CliError> {
+    let batch = parse_usize_strict(args, "--batch", 2)?.max(1);
     let kill = parse_str_flag(args, "--kill").unwrap_or_else(|| "LWD4".to_string());
     let s = cfg.max_seq_len;
     let policy = RecoveryPolicy::default();
@@ -537,14 +487,15 @@ fn cmd_faults_checkpoint(
                 run.makespan_s * 1e3,
                 kill
             );
-            return ExitCode::SUCCESS;
+            return Ok(());
         }
         Err(f) => f,
     };
     println!("hard fault           : {}", failure.error);
     let Some(ckpt) = failure.checkpoint else {
-        eprintln!("no checkpoint captured (the run died before any dispatch state existed)");
-        return ExitCode::FAILURE;
+        return Err(CliError::Rejected(
+            "no checkpoint captured (the run died before any dispatch state existed)".into(),
+        ));
     };
     println!(
         "checkpoint frontier  : {}/{} phases computed, {} loaded",
@@ -588,84 +539,42 @@ fn cmd_faults_checkpoint(
                 "  replayed by resume : {} loads, {} bytes",
                 res.replayed_loads, res.replayed_load_bytes
             );
-            match run_batch_with_recovery(cfg, arch, s, batch, FaultPlan::none(), &policy) {
-                Ok(full) => println!(
-                    "  full restart       : {:8.2} ms, {} loads — resume saves {:8.2} ms",
-                    full.makespan_s * 1e3,
-                    full.loads_issued,
-                    (full.makespan_s - run.makespan_s) * 1e3
-                ),
-                Err(f) => {
-                    eprintln!("full-restart baseline failed: {}", f.error);
-                    return ExitCode::FAILURE;
-                }
-            }
-            ExitCode::SUCCESS
+            let full = run_batch_with_recovery(cfg, arch, s, batch, FaultPlan::none(), &policy)
+                .map_err(|f| {
+                    CliError::Rejected(format!("full-restart baseline failed: {}", f.error))
+                })?;
+            println!(
+                "  full restart       : {:8.2} ms, {} loads — resume saves {:8.2} ms",
+                full.makespan_s * 1e3,
+                full.loads_issued,
+                (full.makespan_s - run.makespan_s) * 1e3
+            );
         }
         Err(f) => {
             // Typed rejection (or a second hard fault): never reuse the
             // state silently — fall back to a clean full restart.
             println!("resume failed        : {}", f.error);
-            match run_batch_with_recovery(cfg, arch, s, batch, FaultPlan::none(), &policy) {
-                Ok(full) => {
-                    println!("full restart         : {:8.2} ms", full.makespan_s * 1e3);
-                    ExitCode::SUCCESS
-                }
-                Err(f2) => {
-                    eprintln!("full restart failed: {}", f2.error);
-                    ExitCode::FAILURE
-                }
-            }
+            let full = run_batch_with_recovery(cfg, arch, s, batch, FaultPlan::none(), &policy)
+                .map_err(|f| CliError::Rejected(format!("full restart failed: {}", f.error)))?;
+            println!("full restart         : {:8.2} ms", full.makespan_s * 1e3);
         }
     }
+    Ok(())
 }
 
-fn cmd_plan(s: usize, args: &[String]) -> ExitCode {
-    let arch = match parse_arch_flag(args) {
-        Ok(a) => a,
-        Err(bad) => {
-            eprintln!("unknown architecture '{}': expected a1, a2, or a3", bad);
-            return ExitCode::FAILURE;
-        }
-    };
-    let level = match parse_integrity_flag(args) {
-        Ok(l) => l,
-        Err(bad) => {
-            eprintln!(
-                "unknown integrity level '{}': expected off, detect, or detect-recompute",
-                bad
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    let enc = match parse_encoding_flag(args) {
-        Ok(e) => e,
-        Err(bad) => {
-            eprintln!(
-                "unknown encoding '{}': expected dense, int8, bc:<B>, or sparse:<T>[@OCC]",
-                bad
-            );
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_plan(s: usize, args: &[String]) -> Result<(), CliError> {
+    let arch = parse_arch_flag(args)?;
+    let level = parse_integrity_flag(args)?;
+    let enc = parse_encoding_flag(args)?;
     if has_flag(args, "--decode") {
         return cmd_plan_decode(s, arch, level, enc, args);
     }
-    let batch = parse_flag(args, "--batch", 1).max(1);
+    let batch = parse_usize_strict(args, "--batch", 1)?.max(1);
     let mut cfg = unpadded(s);
     cfg.encoding = enc;
-    if let Err(e) = cfg.validate() {
-        eprintln!("asrsim: rejected: {}", e);
-        return ExitCode::from(5);
-    }
+    cfg.validate()?;
     let s = cfg.max_seq_len;
-    let plan = match ExecPlan::lower(&cfg, arch, s, batch, level) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("lowering failed: {}", e);
-            return ExitCode::FAILURE;
-        }
-    };
+    let plan = ExecPlan::lower(&cfg, arch, s, batch, level)?;
     let counts = plan.counts();
     let (buf, ser, paired) = plan.edge_counts();
     let cost = walk_cost(&cfg, &plan);
@@ -703,7 +612,7 @@ fn cmd_plan(s: usize, args: &[String]) -> ExitCode {
     for (ch, bytes) in plan.channel_load_bytes().iter().enumerate() {
         println!("  HBM[{}]             : {:>12} B", ch, bytes);
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `asrsim plan --decode` — the analytic decode-session shape: the cold
@@ -715,24 +624,15 @@ fn cmd_plan_decode(
     level: IntegrityLevel,
     enc: WeightEncoding,
     args: &[String],
-) -> ExitCode {
-    let beam = parse_flag(args, "--beam", 1).max(1);
-    let max_steps = parse_flag(args, "--steps", 16).max(1);
-    let steady_step = parse_flag(args, "--step", (max_steps / 2).max(1));
+) -> Result<(), CliError> {
+    let beam = parse_usize_strict(args, "--beam", 1)?.max(1);
+    let max_steps = parse_usize_strict(args, "--steps", 16)?.max(1);
+    let steady_step = parse_usize_strict(args, "--step", (max_steps / 2).max(1))?;
     let mut cfg = unpadded(s);
     cfg.encoding = enc;
-    if let Err(e) = cfg.validate() {
-        eprintln!("asrsim: rejected: {}", e);
-        return ExitCode::from(5);
-    }
+    cfg.validate()?;
     let mem_len = cfg.max_seq_len;
-    let da = match decode_analytics(&cfg, arch, mem_len, beam, max_steps, steady_step, level) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("decode lowering failed: {}", e);
-            return ExitCode::FAILURE;
-        }
-    };
+    let da = decode_analytics(&cfg, arch, mem_len, beam, max_steps, steady_step, level)?;
     println!("architecture         : {}", arch.name());
     println!("encoder memory rows  : {}", mem_len);
     println!("beam / max steps     : {} / {}", beam, max_steps);
@@ -759,7 +659,7 @@ fn cmd_plan_decode(
         "resident reuse       : {} offered, {} elided ({} B), {} stale",
         da.reuse.offered, da.reuse.elided_loads, da.reuse.elided_load_bytes, da.reuse.stale
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `asrsim decode` — the functional decode smoke: run the plan-lowered beam
@@ -779,14 +679,11 @@ fn cmd_decode(args: &[String]) -> Result<(), CliError> {
             mem, cfg.max_seq_len
         )));
     }
-    let rejected = |e: transformer_asr_accel::accel::AccelError| CliError::Rejected(e.to_string());
-    let clean = run_functional_decode(&cfg, 7, 11, mem, steps, beam, &FunctionalFaults::none())
-        .map_err(rejected)?;
+    let clean = run_functional_decode(&cfg, 7, 11, mem, steps, beam, &FunctionalFaults::none())?;
     let n_stripes =
         transformer_asr_accel::transformer::ModelWeights::seeded(&cfg.model, 7).matrices().len();
     let faults = FunctionalFaults::seeded(fault_seed, n_stripes, cfg.psa.cols);
-    let faulted =
-        run_functional_decode(&cfg, 7, 11, mem, steps, beam, &faults).map_err(rejected)?;
+    let faulted = run_functional_decode(&cfg, 7, 11, mem, steps, beam, &faults)?;
     if faulted.tokens != clean.tokens {
         return Err(CliError::Rejected(format!(
             "transcript diverged under faults: clean {:?} vs faulted {:?}",
@@ -819,12 +716,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let seed = parse_usize_strict(args, "--faults", 0)? as u64;
     let rps = parse_f64_strict(args, "--rps", 50.0)?;
     let deadline_s = parse_f64_strict(args, "--deadline-ms", 200.0)? / 1e3;
-    let level = parse_integrity_flag(args).map_err(|bad| {
-        CliError::BadValue(format!(
-            "unknown integrity level '{}': expected off, detect, or detect-recompute",
-            bad
-        ))
-    })?;
+    let level = parse_integrity_flag(args)?;
     let checkpoint = has_flag(args, "--checkpoint");
     let batch = parse_usize_strict(args, "--batch", 0)?;
     if has_flag(args, "--batch") && batch == 0 {
@@ -862,7 +754,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     if let Some(label) = &kill {
         println!("killed load label    : '{}' (card 0, persistent)", label);
     }
-    let report = run_serve_pool(cfg, kill).map_err(|e| CliError::Rejected(e.to_string()))?;
+    let report = run_serve_pool(cfg, kill)?;
     print!("{}", report.render());
     Ok(())
 }
@@ -948,7 +840,7 @@ fn cmd_cluster(args: &[String]) -> Result<(), CliError> {
             cfg.serve.accel.weight_version, u.to_version, u.start_s
         );
     }
-    let report = Cluster::run(cfg).map_err(|e| CliError::Rejected(e.to_string()))?;
+    let report = Cluster::run(cfg)?;
     print!("{}", report.render());
     Ok(())
 }
@@ -956,28 +848,19 @@ fn cmd_cluster(args: &[String]) -> Result<(), CliError> {
 /// `asrsim stream` — the fault-tolerant streaming session pool: N concurrent
 /// streams of fixed-cadence audio chunks over a shared card pool, per-chunk
 /// deadlines, resident-weight reuse across chunks, and mid-stream failover.
-fn cmd_stream(args: &[String]) -> ExitCode {
-    let devices = parse_flag(args, "--devices", 2);
-    let seed = parse_flag(args, "--faults", 0) as u64;
-    let streams = parse_flag(args, "--streams", 4);
-    let chunk_ms = parse_f64_flag(args, "--chunk-ms", 40.0);
-    let deadline_ms = parse_f64_flag(args, "--deadline-ms", 60.0);
-    let jitter_ms = parse_f64_flag(args, "--jitter-ms", 0.0);
-    let level = match parse_integrity_flag(args) {
-        Ok(l) => l,
-        Err(bad) => {
-            eprintln!(
-                "unknown integrity level '{}': expected off, detect, or detect-recompute",
-                bad
-            );
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_stream(args: &[String]) -> Result<(), CliError> {
+    let devices = parse_usize_strict(args, "--devices", 2)?;
+    let seed = parse_usize_strict(args, "--faults", 0)? as u64;
+    let streams = parse_usize_strict(args, "--streams", 4)?;
+    let chunk_ms = parse_f64_strict(args, "--chunk-ms", 40.0)?;
+    let deadline_ms = parse_f64_strict(args, "--deadline-ms", 60.0)?;
+    let jitter_ms = parse_f64_strict(args, "--jitter-ms", 0.0)?;
+    let level = parse_integrity_flag(args)?;
     let mut cfg = StreamConfig::new(devices, seed, streams, deadline_ms / 1e3);
     cfg.accel.integrity = level;
     cfg.chunk_interval_s = chunk_ms / 1e3;
     cfg.jitter_s = jitter_ms / 1e3;
-    cfg.chunks_per_stream = parse_flag(args, "--chunks", cfg.chunks_per_stream);
+    cfg.chunks_per_stream = parse_usize_strict(args, "--chunks", cfg.chunks_per_stream)?;
     println!("devices              : {}", cfg.devices);
     println!("pool fault seed      : {}", cfg.fault_seed);
     println!("integrity level      : {}", level.name());
@@ -992,24 +875,15 @@ fn cmd_stream(args: &[String]) -> ExitCode {
     println!("arrival jitter       : {:8.2} ms", cfg.jitter_s * 1e3);
     println!("chunks per stream    : {}", cfg.chunks_per_stream);
     println!("session queue        : {}", cfg.session_queue);
-    let report = match StreamPool::run(cfg) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("stream failed: {}", e);
-            return ExitCode::FAILURE;
-        }
-    };
+    let report = StreamPool::run(cfg)?;
     print!("{}", report.render());
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Run the configured serve workload; with `kill`, card 0's fault plan is
 /// replaced by a persistent load fault on the given label (the other cards
 /// keep their seeded pool plans) to exercise failover paths on demand.
-fn run_serve_pool(
-    cfg: ServeConfig,
-    kill: Option<String>,
-) -> Result<ServeReport, transformer_asr_accel::accel::AccelError> {
+fn run_serve_pool(cfg: ServeConfig, kill: Option<String>) -> Result<ServeReport, AccelError> {
     let Some(label) = kill else {
         return ServePool::run(cfg);
     };
@@ -1024,504 +898,19 @@ fn run_serve_pool(
     Ok(pool.drain())
 }
 
-/// Short git revision of the working tree, or `"unknown"` outside a repo.
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Append one entry to the trajectory array at `path`. A missing file
-/// starts a fresh array; a legacy single-object `BENCH_serve.json` is
-/// wrapped in place as the first (pre-trajectory) point — nothing is ever
-/// overwritten.
-fn append_trajectory(path: &str, entry: &str) -> Result<(), CliError> {
-    let io = |e: std::io::Error| CliError::Io(format!("{}: {}", path, e));
-    let existing = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(io(e)),
-    };
-    let trimmed = existing.trim();
-    let body = if trimmed.is_empty() {
-        format!("[\n{}\n]\n", entry)
-    } else if let Some(head) = trimmed.strip_suffix(']') {
-        let head = head.trim_end().trim_end_matches(',');
-        if head == "[" {
-            format!("[\n{}\n]\n", entry)
-        } else {
-            format!("{},\n{}\n]\n", head, entry)
-        }
-    } else if trimmed.starts_with('{') {
-        format!(
-            "[\n{{ \"label\": \"pre-trajectory\", \"rev\": \"unknown\", \"bench\": {} }},\n{}\n]\n",
-            trimmed, entry
-        )
-    } else {
-        return Err(CliError::Io(format!(
-            "{}: neither a trajectory array nor a legacy bench object",
-            path
-        )));
-    };
-    std::fs::write(path, body).map_err(io)
-}
-
-/// The top-level objects of the trajectory array, in order, ignoring braces
-/// inside strings. Also accepts a legacy single-object file (one entry).
-fn trajectory_entries(body: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let (mut depth, mut in_str, mut esc) = (0i32, false, false);
-    let mut start = None;
-    for (i, &b) in body.as_bytes().iter().enumerate() {
-        if esc {
-            esc = false;
-            continue;
-        }
-        match b {
-            b'\\' if in_str => esc = true,
-            b'"' => in_str = !in_str,
-            b'{' if !in_str => {
-                if depth == 0 {
-                    start = Some(i);
-                }
-                depth += 1;
-            }
-            b'}' if !in_str => {
-                depth -= 1;
-                if depth == 0 {
-                    if let Some(s) = start.take() {
-                        out.push(&body[s..=i]);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// The balanced `{...}` object that follows `"key":` in `src`, ignoring
-/// braces inside strings. Hand-rolled: the workspace deliberately carries
-/// no JSON dependency.
-fn json_object_after<'a>(src: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{}\"", key);
-    let rest = &src[src.find(&needle)? + needle.len()..];
-    let open = rest.find('{')?;
-    let (mut depth, mut in_str, mut esc) = (0i32, false, false);
-    for (i, &b) in rest.as_bytes()[open..].iter().enumerate() {
-        if esc {
-            esc = false;
-            continue;
-        }
-        match b {
-            b'\\' if in_str => esc = true,
-            b'"' => in_str = !in_str,
-            b'{' if !in_str => depth += 1,
-            b'}' if !in_str => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&rest[open..open + i + 1]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// The scalar number that follows the first `"key":` in `src`. Returns
-/// `None` when the key is missing or its value is not a plain number (an
-/// array or object — the caller is expected to have scoped `src` first).
-fn json_number_after(src: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{}\"", key);
-    let rest = src[src.find(&needle)? + needle.len()..].trim_start();
-    let rest = rest.strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// `asrsim bench --check` — the regression gate: compare the last two
-/// trajectory entries' headline numbers and fail typed (exit 5) when the
-/// newest slid more than `tol` relative to its predecessor. The gated
-/// metrics are the pool's `sustainable_rps_at_99pct` (the scalar inside the
-/// `bench` object — NOT the cluster section's per-node array of the same
-/// name) and `analytic_e2e_ms`.
-fn bench_check(path: &str, tol: f64) -> Result<(), CliError> {
-    let body =
-        std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("{}: {}", path, e)))?;
-    let entries = trajectory_entries(&body);
-    if entries.len() < 2 {
-        println!(
-            "{}: only {} trajectory entr{} — nothing to compare yet",
-            path,
-            entries.len(),
-            if entries.len() == 1 { "y" } else { "ies" }
-        );
-        return Ok(());
-    }
-    let take = |entry: &str, which: &str| -> Result<(f64, f64), CliError> {
-        let bench = json_object_after(entry, "bench").ok_or_else(|| {
-            CliError::Rejected(format!("{}: {} entry has no \"bench\" object", path, which))
-        })?;
-        let rps = json_number_after(bench, "sustainable_rps_at_99pct").ok_or_else(|| {
-            CliError::Rejected(format!("{}: {} entry lacks sustainable_rps_at_99pct", path, which))
-        })?;
-        let e2e = json_number_after(bench, "analytic_e2e_ms").ok_or_else(|| {
-            CliError::Rejected(format!("{}: {} entry lacks analytic_e2e_ms", path, which))
-        })?;
-        Ok((rps, e2e))
-    };
-    let (rps0, e2e0) = take(entries[entries.len() - 2], "previous")?;
-    let (rps1, e2e1) = take(entries[entries.len() - 1], "latest")?;
-    println!(
-        "sustainable rps      : {:8.1} -> {:8.1} ({:+6.1} %)",
-        rps0,
-        rps1,
-        if rps0 > 0.0 { (rps1 / rps0 - 1.0) * 100.0 } else { 0.0 }
-    );
-    println!(
-        "analytic E2E         : {:8.3} -> {:8.3} ms ({:+6.1} %)",
-        e2e0,
-        e2e1,
-        if e2e0 > 0.0 { (e2e1 / e2e0 - 1.0) * 100.0 } else { 0.0 }
-    );
-    let mut slid = Vec::new();
-    if rps1 < rps0 * (1.0 - tol) {
-        slid.push(format!("sustainable_rps_at_99pct slid {:.1} -> {:.1}", rps0, rps1));
-    }
-    if e2e1 > e2e0 * (1.0 + tol) {
-        slid.push(format!("analytic_e2e_ms slid {:.3} -> {:.3}", e2e0, e2e1));
-    }
-    // Decode gates: steady ms/token must not grow, and the elided fraction
-    // (what KV residency saves every steady step) must not shrink, past the
-    // same tolerance. Entries written before the decode section existed are
-    // skipped rather than failed so the gate stays usable across history.
-    let take_decode = |entry: &str| -> Option<(f64, f64)> {
-        let decode = json_object_after(json_object_after(entry, "bench")?, "decode")?;
-        Some((
-            json_number_after(decode, "steady_ms_per_token")?,
-            json_number_after(decode, "elided_load_fraction")?,
-        ))
-    };
-    match (take_decode(entries[entries.len() - 2]), take_decode(entries[entries.len() - 1])) {
-        (Some((ms0, el0)), Some((ms1, el1))) => {
-            println!(
-                "decode ms/token      : {:8.3} -> {:8.3} ({:+6.1} %)",
-                ms0,
-                ms1,
-                if ms0 > 0.0 { (ms1 / ms0 - 1.0) * 100.0 } else { 0.0 }
-            );
-            println!(
-                "decode elision       : {:8.4} -> {:8.4} ({:+6.1} %)",
-                el0,
-                el1,
-                if el0 > 0.0 { (el1 / el0 - 1.0) * 100.0 } else { 0.0 }
-            );
-            if ms1 > ms0 * (1.0 + tol) {
-                slid.push(format!("decode steady_ms_per_token slid {:.3} -> {:.3}", ms0, ms1));
-            }
-            if el1 < el0 * (1.0 - tol) {
-                slid.push(format!("decode elided_load_fraction slid {:.4} -> {:.4}", el0, el1));
-            }
-        }
-        _ => println!("decode metrics       : absent in an entry — gate skipped"),
-    }
-    if !slid.is_empty() {
-        return Err(CliError::Rejected(format!(
-            "regression past the {:.0}% gate: {}",
-            tol * 100.0,
-            slid.join("; ")
-        )));
-    }
-    println!("bench check          : ok (within the {:.0}% gate)", tol * 100.0);
-    Ok(())
-}
-
-/// `asrsim bench [--out FILE] [--label L]` — append one point to the
-/// `BENCH_serve.json` trajectory: plan-lowering wall time, the analytic E2E
-/// latency, the highest offered load the 2-card pool (and 1/2/3-node
-/// cluster) sustains at ≥99% completion, the replayed-work cost of failover
-/// with and without checkpointing, rolling-upgrade downtime, and the p99 a
-/// mid-trace node kill adds over the fault-free run.
-fn cmd_bench(args: &[String]) -> Result<(), CliError> {
-    let out = parse_str_flag(args, "--out").unwrap_or_else(|| "BENCH_serve.json".to_string());
-    if has_flag(args, "--check") {
-        let tol = parse_f64_strict(args, "--tolerance", 0.10)?;
-        if !(0.0..1.0).contains(&tol) {
-            return Err(CliError::BadValue(format!("--tolerance must be in [0, 1), got {}", tol)));
-        }
-        return bench_check(&out, tol);
-    }
-    let label = parse_str_flag(args, "--label").unwrap_or_else(|| "dev".to_string());
-    let cfg = AccelConfig::paper_default();
-
-    // Plan lowering wall time, best of 5 (real time, not simulated).
-    let mut lower_us = f64::INFINITY;
-    for _ in 0..5 {
-        let t0 = std::time::Instant::now();
-        let plan = ExecPlan::lower(&cfg, Architecture::A3, 32, 8, cfg.integrity)
-            .expect("paper default lowers");
-        lower_us = lower_us.min(t0.elapsed().as_secs_f64() * 1e6);
-        std::hint::black_box(&plan);
-    }
-    println!("plan lowering        : {:8.1} us (batch 8, best of 5)", lower_us);
-
-    // Analytic E2E latency at the paper's headline length.
-    let host = HostController::new(cfg).expect("paper default config is valid");
-    let e2e_ms = host.latency_report(32).total_s * 1e3;
-    println!("analytic E2E         : {:8.2} ms (s = 32)", e2e_ms);
-
-    // Highest offered load a clean 2-card pool serves with ≥99% of requests
-    // completing inside a 200 ms deadline: coarse doubling, then bisection.
-    let sustains = |rps: f64| -> Option<(bool, f64)> {
-        let mut c = ServeConfig::new(2, 0, rps, 0.2);
-        c.requests = 60;
-        let r = ServePool::run(c).ok()?;
-        let ratio = r.completed as f64 / r.submitted.max(1) as f64;
-        Some((ratio >= 0.99, r.throughput_rps))
-    };
-    let (mut lo, mut hi, mut thr_at_lo) = (0.0_f64, 25.0_f64, 0.0_f64);
-    loop {
-        match sustains(hi) {
-            Some((true, thr)) => {
-                (lo, thr_at_lo) = (hi, thr);
-                if hi >= 1600.0 {
-                    break;
-                }
-                hi *= 2.0;
-            }
-            Some((false, _)) => break,
-            None => {
-                return Err(CliError::Rejected(format!("serve sweep failed at {:.0} rps", hi)));
-            }
-        }
-    }
-    for _ in 0..6 {
-        let mid = 0.5 * (lo + hi);
-        match sustains(mid) {
-            Some((true, thr)) => (lo, thr_at_lo) = (mid, thr),
-            Some((false, _)) => hi = mid,
-            None => break,
-        }
-    }
-    println!("sustainable load     : {:8.1} req/s at >=99% completion", lo);
-    println!("throughput there     : {:8.1} req/s completed", thr_at_lo);
-
-    // Replayed work on failover: card 0 dies mid-plan on every dispatch
-    // (decoder-4 load), card 1 is clean. Without checkpointing the failover
-    // re-pays the banked frontier; with it, only the suffix runs.
-    let replay = |checkpoint: bool| -> Option<ServeReport> {
-        let mut c = ServeConfig::new(2, 0, 20.0, 0.5);
-        c.requests = 4;
-        c.checkpoint = checkpoint;
-        run_serve_pool(c, Some("LWD4".to_string())).ok()
-    };
-    let (Some(off), Some(on)) = (replay(false), replay(true)) else {
-        return Err(CliError::Rejected("replay benchmark failed".into()));
-    };
-    println!(
-        "replayed (restart)   : {:8.3} ms compute, {} load bytes",
-        off.replayed_compute_s * 1e3,
-        off.replayed_load_bytes
-    );
-    println!(
-        "replayed (resume)    : {:8.3} ms compute, {} load bytes ({} resumed, {} skipped bytes)",
-        on.replayed_compute_s * 1e3,
-        on.replayed_load_bytes,
-        on.resumed_dispatches,
-        on.skipped_load_bytes
-    );
-
-    // Streaming trajectory: analytic per-chunk latency of the streaming
-    // deployment, the elided-load fraction resident reuse buys a warm card,
-    // and the concurrent streams the default pool sustains.
-    let stream_cfg = StreamConfig::new(2, 0, 4, 0.060);
-    let sa = stream_analytics(&stream_cfg)
-        .map_err(|e| CliError::Rejected(format!("stream analytics failed: {}", e)))?;
-    println!(
-        "stream chunk         : {:8.2} ms cold, {:.2} ms warm (analytic, window {})",
-        sa.cold_chunk_s * 1e3,
-        sa.warm_chunk_s * 1e3,
-        stream_cfg.window()
-    );
-    println!(
-        "stream elision       : {:8.1} % of scheduled load bytes on a warm card",
-        sa.elided_fraction * 100.0
-    );
-    println!(
-        "sustainable streams  : {:8} at {:.0} ms cadence",
-        sa.sustainable_streams,
-        stream_cfg.chunk_interval_s * 1e3
-    );
-
-    // Decode trajectory: per-token steady-state latency of the plan-lowered
-    // beam decode and the load-byte elision KV residency buys a warm step.
-    let dcfg = AccelConfig::paper_default();
-    let mem = dcfg.max_seq_len.min(32);
-    let da = decode_analytics(&dcfg, Architecture::A2, mem, 4, 64, 32, dcfg.integrity)
-        .map_err(|e| CliError::Rejected(format!("decode analytics failed: {}", e)))?;
-    println!(
-        "decode cold step     : {:8.3} ms, {:>12} B fetched (beam 4, memory {})",
-        da.cold.latency_s * 1e3,
-        da.cold_step_bytes,
-        mem
-    );
-    println!(
-        "decode steady step   : {:8.3} ms/token, {:>12} B fetched",
-        da.steady_ms_per_token, da.steady_step_bytes
-    );
-    println!(
-        "decode elision       : {:8.1} % of scheduled load bytes once resident",
-        da.elided_fraction * 100.0
-    );
-
-    // Weight traffic under compression: the same A3 utterance plan priced
-    // dense vs int8 — the encoded bytes the wire actually moves.
-    let traffic = |c: &AccelConfig| -> Result<u64, CliError> {
-        Ok(ExecPlan::lower(c, Architecture::A3, 32, 1, IntegrityLevel::Off)
-            .map_err(|e| CliError::Rejected(format!("traffic lowering failed: {}", e)))?
-            .scheduled_load_bytes())
-    };
-    let base = AccelConfig::paper_default();
-    let dense_wire_bytes = traffic(&base)?;
-    let int8_wire_bytes = traffic(&quant::int8_config(&base))?;
-    println!(
-        "weight traffic       : {:>12} B dense -> {} B int8 per utterance",
-        dense_wire_bytes, int8_wire_bytes
-    );
-
-    // Cluster scaling: the highest offered load an N-node × 1-card cluster
-    // serves with ≥99% of requests completing — same bisection as the pool.
-    let cluster_sustains = |nodes: usize, rps: f64| -> Option<(bool, f64)> {
-        let mut c = ClusterConfig::new(nodes, 1, rps, 0.2);
-        c.requests = 80;
-        let r = Cluster::run(c).ok()?;
-        Some((r.success_ratio() >= 0.99, r.throughput_rps))
-    };
-    let mut cluster_rps = Vec::new();
-    for nodes in 1..=3usize {
-        let (mut lo, mut hi) = (0.0_f64, 25.0_f64);
-        loop {
-            match cluster_sustains(nodes, hi) {
-                Some((true, _)) => {
-                    lo = hi;
-                    if hi >= 1600.0 {
-                        break;
-                    }
-                    hi *= 2.0;
-                }
-                Some((false, _)) => break,
-                None => {
-                    return Err(CliError::Rejected(format!(
-                        "cluster sweep died at {} nodes",
-                        nodes
-                    )))
-                }
-            }
-        }
-        for _ in 0..6 {
-            let mid = 0.5 * (lo + hi);
-            match cluster_sustains(nodes, mid) {
-                Some((true, _)) => lo = mid,
-                Some((false, _)) => hi = mid,
-                None => break,
-            }
-        }
-        println!(
-            "cluster sustainable  : {:8.1} req/s at >=99% ({} node{})",
-            lo,
-            nodes,
-            if nodes == 1 { "" } else { "s" }
-        );
-        cluster_rps.push(lo);
-    }
-
-    // Rolling-upgrade downtime on a 3-node cluster at moderate load, and
-    // the p99 a mid-trace node kill adds over the fault-free run.
-    let chaos = |faults: Vec<NodeFault>, upgrade: Option<UpgradeConfig>| -> Result<_, CliError> {
-        let mut c = ClusterConfig::new(3, 1, 60.0, 0.5);
-        c.requests = 200;
-        c.faults = faults;
-        c.upgrade = upgrade;
-        Cluster::run(c).map_err(|e| CliError::Rejected(e.to_string()))
-    };
-    let upgraded = chaos(Vec::new(), Some(UpgradeConfig::new(1, 0.3)))?;
-    let clean = chaos(Vec::new(), None)?;
-    let killed = chaos(vec![NodeFault::Kill { node: 1, at_s: 1.0 }], None)?;
-    let added_p99_ms = (killed.p99_latency_s - clean.p99_latency_s) * 1e3;
-    println!(
-        "upgrade downtime     : {:8.2} ms ({} over 3 nodes)",
-        upgraded.upgrade_downtime_s * 1e3,
-        upgraded.upgrade.name()
-    );
-    println!(
-        "failover-added p99   : {:8.2} ms (clean {:.2} -> node-kill {:.2}, {} lost)",
-        added_p99_ms,
-        clean.p99_latency_s * 1e3,
-        killed.p99_latency_s * 1e3,
-        killed.lost
-    );
-
-    let entry = format!(
-        "  {{\n    \"label\": \"{}\",\n    \"rev\": \"{}\",\n    \"bench\": {{\n      \"plan_lowering_us\": {:.1},\n      \"analytic_e2e_ms\": {:.3},\n      \"sustainable_rps_at_99pct\": {:.1},\n      \"throughput_rps_at_sustainable\": {:.1},\n      \"streaming\": {{\n        \"cold_chunk_ms\": {:.3},\n        \"warm_chunk_ms\": {:.3},\n        \"elided_load_fraction\": {:.4},\n        \"sustainable_streams\": {}\n      }},\n      \"decode\": {{\n        \"beam\": 4,\n        \"cold_step_ms\": {:.3},\n        \"steady_ms_per_token\": {:.3},\n        \"cold_step_bytes\": {},\n        \"steady_step_bytes\": {},\n        \"elided_load_fraction\": {:.4}\n      }},\n      \"weight_traffic\": {{\n        \"dense_scheduled_bytes\": {},\n        \"int8_scheduled_bytes\": {}\n      }},\n      \"replay\": {{\n        \"checkpoint_off\": {{\n          \"replayed_compute_ms\": {:.3},\n          \"replayed_load_bytes\": {},\n          \"resumed_dispatches\": {}\n        }},\n        \"checkpoint_on\": {{\n          \"replayed_compute_ms\": {:.3},\n          \"replayed_load_bytes\": {},\n          \"resumed_dispatches\": {},\n          \"skipped_compute_ms\": {:.3},\n          \"skipped_load_bytes\": {}\n        }}\n      }}\n    }},\n    \"cluster\": {{\n      \"sustainable_rps_at_99pct\": [{:.1}, {:.1}, {:.1}],\n      \"upgrade_downtime_ms\": {:.3},\n      \"upgrade_outcome\": \"{}\",\n      \"clean_p99_ms\": {:.3},\n      \"node_kill_p99_ms\": {:.3},\n      \"failover_added_p99_ms\": {:.3},\n      \"node_kill_lost\": {}\n    }}\n  }}",
-        label.replace('"', ""),
-        git_rev(),
-        lower_us,
-        e2e_ms,
-        lo,
-        thr_at_lo,
-        sa.cold_chunk_s * 1e3,
-        sa.warm_chunk_s * 1e3,
-        sa.elided_fraction,
-        sa.sustainable_streams,
-        da.cold.latency_s * 1e3,
-        da.steady_ms_per_token,
-        da.cold_step_bytes,
-        da.steady_step_bytes,
-        da.elided_fraction,
-        dense_wire_bytes,
-        int8_wire_bytes,
-        off.replayed_compute_s * 1e3,
-        off.replayed_load_bytes,
-        off.resumed_dispatches,
-        on.replayed_compute_s * 1e3,
-        on.replayed_load_bytes,
-        on.resumed_dispatches,
-        on.skipped_compute_s * 1e3,
-        on.skipped_load_bytes,
-        cluster_rps[0],
-        cluster_rps[1],
-        cluster_rps[2],
-        upgraded.upgrade_downtime_s * 1e3,
-        upgraded.upgrade.name(),
-        clean.p99_latency_s * 1e3,
-        killed.p99_latency_s * 1e3,
-        added_p99_ms,
-        killed.lost
-    );
-    append_trajectory(&out, &entry)?;
-    println!("appended '{}' ({}) to {}", label, git_rev(), out);
-    Ok(())
-}
-
-fn cmd_csv(which: &str) -> ExitCode {
+fn cmd_csv(which: &str) -> Result<(), CliError> {
     let cfg = AccelConfig::paper_default();
     let rows = match which {
         "fig5.2" => sweep::sweep_load_compute(&cfg, &(2..=40).step_by(2).collect::<Vec<_>>()),
         "table5.1" => sweep::sweep_architectures(&cfg, &[4, 8, 16, 32]),
         "ii" => sweep::sweep_ii(&cfg, &[1, 2, 4, 8, 12, 16, 24]),
         other => {
-            eprintln!("unknown csv sweep '{}'", other);
-            return ExitCode::FAILURE;
+            return Err(CliError::BadValue(format!(
+                "unknown csv sweep '{}': expected fig5.2, table5.1, or ii",
+                other
+            )));
         }
     };
     print!("{}", sweep::to_csv(&rows));
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -118,8 +118,9 @@ fn plan_subcommand_emits_verify_nodes_at_detect() {
 
 #[test]
 fn plan_subcommand_rejects_a_bad_arch() {
-    let (ok, _) = run(&["plan", "--arch", "a9"]);
-    assert!(!ok, "an unknown architecture must be rejected");
+    let (code, err) = run_code(&["plan", "--arch", "a9"]);
+    assert_eq!(code, 3, "an unknown architecture is a bad value: {}", err);
+    assert!(err.starts_with("asrsim: bad value:"), "{}", err);
 }
 
 #[test]
@@ -145,8 +146,10 @@ fn faults_flag_form_matches_subcommand() {
 
 #[test]
 fn faults_without_seed_fails() {
-    let (ok, _) = run(&["faults"]);
-    assert!(!ok);
+    let (code, err) = run_code(&["faults"]);
+    assert_eq!(code, 2, "a missing seed is a usage error: {}", err);
+    let (code, err) = run_code(&["faults", "x"]);
+    assert_eq!(code, 3, "an unparsable seed is a bad value: {}", err);
 }
 
 #[test]
@@ -161,8 +164,8 @@ fn faults_arch_flag_selects_the_architecture() {
     assert!(ok_a2);
     assert!(out_a2.contains("architecture         : A2"));
 
-    let (ok_bad, _) = run(&["faults", "0", "--arch", "a9"]);
-    assert!(!ok_bad, "an unknown architecture must be rejected");
+    let (code, err) = run_code(&["faults", "0", "--arch", "a9"]);
+    assert_eq!(code, 3, "an unknown architecture is a bad value: {}", err);
 }
 
 #[test]
@@ -301,8 +304,8 @@ fn stream_same_seed_is_bit_identical_across_runs() {
 
 #[test]
 fn stream_rejects_an_impossible_deadline() {
-    let (ok, _) = run(&["stream", "--deadline-ms", "0.001"]);
-    assert!(!ok, "a deadline below the warm nominal chunk time must be refused");
+    let (code, err) = run_code(&["stream", "--deadline-ms", "0.001"]);
+    assert_eq!(code, 5, "a deadline below the warm nominal chunk time is refused: {}", err);
 }
 
 #[test]
@@ -405,20 +408,65 @@ fn unparsable_fault_spec_is_a_bad_value() {
 
 #[test]
 fn rejected_configuration_exits_5() {
-    let (code, err) = run_code(&["serve", "--deadline-ms", "0.001"]);
-    assert_eq!(code, 5, "a config the simulator refuses exits 5: {}", err);
-    assert!(err.starts_with("asrsim: rejected:"), "{}", err);
+    for args in [&["serve", "--deadline-ms", "0.001"][..], &["stream", "--devices", "0"]] {
+        let (code, err) = run_code(args);
+        assert_eq!(code, 5, "a config the simulator refuses exits 5: {}", err);
+        assert!(err.starts_with("asrsim: rejected:"), "{}", err);
+    }
 }
 
 #[test]
 fn unknown_command_fails() {
-    let (code, err) = run_code(&["definitely-not-a-command"]);
-    assert_eq!(code, 2, "an unknown command is a usage error: {}", err);
+    for cmd in ["definitely-not-a-command", "bench"] {
+        let (code, err) = run_code(&[cmd]);
+        assert_eq!(code, 2, "'{}' is an unknown command, a usage error: {}", cmd, err);
+    }
 }
 
 #[test]
 fn no_args_fails_with_usage() {
-    let out = Command::new(env!("CARGO_BIN_EXE_asrsim")).output().unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
+    let (code, err) = run_code(&[]);
+    assert_eq!(code, 2, "{}", err);
+    assert!(err.contains("usage"), "{}", err);
+}
+
+#[test]
+fn malformed_numeric_flags_are_bad_values() {
+    for args in
+        [&["latency", "--s", "x"][..], &["plan", "--batch", "x"], &["stream", "--streams", "x"]]
+    {
+        let (code, err) = run_code(args);
+        assert_eq!(code, 3, "{:?} must not fall back to the default: {}", args, err);
+        assert!(err.starts_with("asrsim: bad value:"), "{}", err);
+    }
+}
+
+#[test]
+fn missing_positional_arguments_are_usage_errors() {
+    for args in [&["trace"][..], &["csv"], &["--faults"]] {
+        let (code, err) = run_code(args);
+        assert_eq!(code, 2, "{:?}: {}", args, err);
+        assert!(err.starts_with("asrsim: usage:"), "{}", err);
+    }
+}
+
+#[test]
+fn unknown_values_are_bad_values() {
+    for args in [
+        &["csv", "bogus"][..],
+        &["faults", "0", "--integrity", "bogus"],
+        &["plan", "--encoding", "bogus"],
+    ] {
+        let (code, err) = run_code(args);
+        assert_eq!(code, 3, "{:?}: {}", args, err);
+    }
+}
+
+#[test]
+fn trace_write_failure_is_an_io_error() {
+    // The binary is a file, so no path under it can be created.
+    let path = format!("{}/out.json", env!("CARGO_BIN_EXE_asrsim"));
+    let (code, err) = run_code(&["trace", &path, "--s", "4"]);
+    assert_eq!(code, 6, "{}", err);
+    assert!(err.starts_with("asrsim: io error:"), "{}", err);
 }

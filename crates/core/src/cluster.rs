@@ -1365,4 +1365,35 @@ mod tests {
         assert!(text.contains("upgrade              : not requested"));
         assert!(text.contains("cluster nodes        : 2"));
     }
+
+    #[test]
+    fn cluster_scaling_is_never_superlinear() {
+        // Offered well past what three one-card nodes serve, so every node
+        // count runs at its capacity: N fault domains can finish at most N
+        // times what one does, whatever the arrival shape.
+        let throughput = |nodes: usize, trace: TrafficTrace| {
+            let mut c = ClusterConfig::new(nodes, 1, 600.0, 0.2);
+            c.requests = 3000;
+            c.sessions = 64;
+            c.seed = 5;
+            c.trace = trace;
+            Cluster::run(c).unwrap().throughput_rps
+        };
+        for trace in [TrafficTrace::Steady, TrafficTrace::Diurnal, TrafficTrace::Bursty] {
+            let one = throughput(1, trace);
+            assert!(one > 0.0, "{:?}: one node served nothing", trace);
+            for nodes in [2usize, 3] {
+                let n = throughput(nodes, trace);
+                assert!(
+                    n <= nodes as f64 * one,
+                    "{:?}: {} nodes serve {:.2} rps, more than {} x the one-node {:.2} rps",
+                    trace,
+                    nodes,
+                    n,
+                    nodes,
+                    one
+                );
+            }
+        }
+    }
 }

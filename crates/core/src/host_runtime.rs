@@ -904,11 +904,12 @@ pub struct StreamChunkRun {
     pub scheduled_load_bytes: u64,
 }
 
-/// Execute one chunk of a streaming session through the runtime: lower a
-/// batch-of-one plan for the `window_len`-step attention window — eliding
-/// every `LoadStripe` whose CRC-matching stripe is already pinned in the
-/// device's stream weight cache from the previous chunk — and replay it
-/// under the device's fault plan with the full retry/degradation ladder.
+/// Execute one chunk of a streaming session through the runtime: lower the
+/// chunk's encoder phases over the `window_len`-step attention window
+/// ([`ExecPlan::lower_stream_chunk`]) — eliding every `LoadStripe` whose
+/// CRC-matching stripe is already pinned in the device's stream weight
+/// cache from the previous chunk — and replay it under the device's fault
+/// plan with the full retry/degradation ladder.
 /// On success the returned [`StreamChunkRun::pinned`] is what the device
 /// keeps resident for chunk *k+1*; on failure the [`BatchFailure`] carries
 /// the barrier-granular checkpoint exactly as a batch run's would, and the
@@ -927,12 +928,8 @@ pub fn run_stream_chunk(
     faults: FaultPlan,
     policy: &RecoveryPolicy,
 ) -> std::result::Result<StreamChunkRun, BatchFailure> {
-    let mut builder =
-        crate::plan::PlanBuilder::new(cfg, arch).utterances(&[window_len]).integrity(cfg.integrity);
-    if !resident.is_empty() {
-        builder = builder.reuse_resident(resident);
-    }
-    let plan = builder.build().map_err(|e| BatchFailure::from_error(e, Vec::new()))?;
+    let plan = ExecPlan::lower_stream_chunk(cfg, arch, window_len, resident)
+        .map_err(|e| BatchFailure::from_error(e, Vec::new()))?;
     let pinned = plan.pinned_stripes(pin_slots);
     let scheduled_load_bytes = plan.scheduled_load_bytes();
     let reuse = plan.reuse;

@@ -900,40 +900,23 @@ impl FunctionalStreamState {
         }
         Ok(())
     }
-}
 
-/// Lower the per-chunk [`ExecPlan`] a streaming session executes: a
-/// batch-of-one window of `chunk + left_context` steps at full-decoder
-/// phase granularity. Degenerate windows are rejected typed — a window the
-/// bitstream cannot hold is an [`AccelError::InvalidStream`] at session
-/// open, not an obscure lowering error three chunks in.
-pub fn lower_stream_chunk_plan(
-    cfg: &AccelConfig,
-    chunk: usize,
-    left_context: usize,
-) -> Result<ExecPlan> {
-    if chunk == 0 {
-        return Err(AccelError::InvalidStream {
-            reason: "chunk must cover >= 1 encoder step".into(),
-        });
+    /// The chunk plan this session executes on `arch`: its
+    /// `chunk + left_context` window lowered as a stream chunk
+    /// ([`ExecPlan::lower_stream_chunk`]), the same encoder phases the
+    /// stream pool, the runtime and the walker lower for that window. A
+    /// window the bitstream cannot hold is refused typed
+    /// ([`AccelError::InvalidStream`]) before any chunk runs.
+    pub fn chunk_plan(&self, cfg: &AccelConfig, arch: Architecture) -> Result<ExecPlan> {
+        ExecPlan::lower_stream_chunk(cfg, arch, self.chunk + self.left_context, &[])
     }
-    let window = chunk + left_context;
-    if window > cfg.max_seq_len {
-        return Err(AccelError::InvalidStream {
-            reason: format!(
-                "attention window {} (chunk {} + left context {}) exceeds \
-                 the built sequence length {}",
-                window, chunk, left_context, cfg.max_seq_len
-            ),
-        });
-    }
-    ExecPlan::lower(cfg, Architecture::A2, window, 1, cfg.integrity)
 }
 
 /// One chunk through the checked schemes: verify the carryover state's CRC,
-/// re-encode the `[ctx | chunk]` window through the plan's encoder phases
+/// re-encode the `[ctx | chunk]` window through exactly the plan's phases
 /// (each one an encoder layer, exactly as `advance_phases` maps them),
-/// emit the chunk's rows, and roll the raw-feature tail forward. The
+/// emit the chunk's rows, and roll the raw-feature tail forward. A plan
+/// holding any non-encoder phase is refused typed before any compute. The
 /// emitted rows are bit-identical to an offline encode of the same window —
 /// the chunk boundary is a scheduling seam, never a numeric one.
 pub fn push_functional_chunk(
@@ -967,23 +950,25 @@ pub fn push_functional_chunk(
     }
     let window =
         if state.ctx.rows() == 0 { chunk.clone() } else { Matrix::vconcat(&[&state.ctx, chunk]) };
-    // The chunk plan's encoder phases map 1:1 onto encoder layers, exactly
-    // as `advance_phases` maps them for the batch interpreter.
-    let encoder_phases = plan.phases.iter().filter(|p| p.kind == PhaseKind::Encoder).count();
-    if encoder_phases != w.encoders.len() {
+    // The chunk plan's phases map 1:1 onto encoder layers, exactly as
+    // `advance_phases` maps them for the batch interpreter.
+    if let Some(p) = plan.phases.iter().find(|p| p.kind != PhaseKind::Encoder) {
+        return Err(AccelError::Config(format!(
+            "a stream chunk runs encoder phases only, but the plan's phase {} is {:?}",
+            p.label, p.kind
+        )));
+    }
+    if plan.phases.len() != w.encoders.len() {
         return Err(AccelError::ModelMismatch(format!(
             "chunk plan schedules {} encoder phases but the model has {} encoder layers",
-            encoder_phases,
+            plan.phases.len(),
             w.encoders.len()
         )));
     }
     let mut x = window.clone();
-    for (enc_idx, enc) in w.encoders.iter().enumerate() {
+    for (p, enc) in plan.phases.iter().zip(&w.encoders) {
         x = encoder_forward_via_schemes_with(cfg, engine, &x, enc);
-        guard_activations(
-            &x,
-            &format!("stream chunk {} encoder {} output", state.chunk_idx, enc_idx),
-        )?;
+        guard_activations(&x, &format!("stream chunk {} {} output", state.chunk_idx, p.label))?;
     }
     let out = x.submatrix(state.ctx.rows(), 0, chunk.rows(), x.cols());
 
@@ -1124,8 +1109,10 @@ pub fn resume_functional_stream(
     faults: &FunctionalFaults,
 ) -> Result<FunctionalStreamRun> {
     state.verify()?;
-    cfg.validate()?;
-    let plan = lower_stream_chunk_plan(cfg, state.chunk, state.left_context)?;
+    // A3, the streaming deployment's architecture. A chunk's phase table is
+    // the same under every architecture; the architecture only sets load
+    // edges, which the twin does not time.
+    let plan = state.chunk_plan(cfg, Architecture::A3)?;
     let mut counters = CorruptionCounters::default();
     let clean = ModelWeights::seeded(&cfg.model, model_seed);
     let w =

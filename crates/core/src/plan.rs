@@ -519,6 +519,20 @@ impl ExecPlan {
         PlanBuilder::new(cfg, arch).utterances(&vec![input_len; batch]).integrity(integrity).build()
     }
 
+    /// Lower one streaming chunk over a `window`-step attention window
+    /// ([`PlanBuilder::stream_chunk`]: the encoder phases only), reusing
+    /// whatever stripes the stream's previous chunk left pinned. Pass an
+    /// empty `resident` slice for a cold chunk. The walker, the stream
+    /// pool, the runtime and the functional twin all lower chunks here.
+    pub fn lower_stream_chunk(
+        cfg: &AccelConfig,
+        arch: Architecture,
+        window: usize,
+        resident: &[ResidentStripe],
+    ) -> Result<ExecPlan> {
+        PlanBuilder::new(cfg, arch).stream_chunk(window).reuse_resident(resident).build()
+    }
+
     /// Lower one autoregressive decode step, reusing whatever stripes a
     /// previous step (or session warm-up) left pinned. Pass an empty
     /// `resident` slice for the cold step.
@@ -724,6 +738,7 @@ pub struct PlanBuilder<'a> {
     resume: Option<(PlanCheckpoint, bool)>,
     resident: Vec<ResidentStripe>,
     decode: Option<DecodeStepSpec>,
+    stream_window: Option<usize>,
 }
 
 impl<'a> PlanBuilder<'a> {
@@ -738,6 +753,7 @@ impl<'a> PlanBuilder<'a> {
             resume: None,
             resident: Vec::new(),
             decode: None,
+            stream_window: None,
         }
     }
 
@@ -797,10 +813,57 @@ impl<'a> PlanBuilder<'a> {
         self
     }
 
+    /// Lower one streaming chunk instead of the eager full-sequence
+    /// schedule: a batch-of-one plan over a `window`-step attention window
+    /// (chunk plus left context) whose phase list is the encoder layers
+    /// only. A chunk's product is its encoder rows; nothing reads a decoder
+    /// pass over a partial window, so the chunk never loads or computes
+    /// one. Decoding a partial transcript would add
+    /// [`decode_step`](Self::decode_step) plans, not an eager decoder stack.
+    /// A window of zero steps or past the built sequence length is an
+    /// [`AccelError::InvalidStream`]. Combine with
+    /// [`reuse_resident`](Self::reuse_resident) (feeding back
+    /// [`ExecPlan::pinned_stripes`]) for warm chunks; mutually exclusive with
+    /// [`utterances`](Self::utterances), [`decode_step`](Self::decode_step)
+    /// and [`resume_from`](Self::resume_from) — a failed chunk replays
+    /// whole.
+    pub fn stream_chunk(mut self, window: usize) -> Self {
+        self.stream_window = Some(window);
+        self
+    }
+
     /// Lower the schedule into the command DAG.
     pub fn build(mut self) -> Result<ExecPlan> {
         let cfg = self.cfg;
         cfg.validate()?;
+        if let Some(window) = self.stream_window {
+            for (set, other) in [
+                (!self.input_lens.is_empty(), "utterances"),
+                (self.decode.is_some(), "decode_step"),
+                (self.resume.is_some(), "resume_from"),
+            ] {
+                if set {
+                    return Err(AccelError::Config(format!(
+                        "stream_chunk and {} are mutually exclusive",
+                        other
+                    )));
+                }
+            }
+            if window == 0 {
+                return Err(AccelError::InvalidStream {
+                    reason: "chunk window must cover >= 1 encoder step".into(),
+                });
+            }
+            if window > cfg.max_seq_len {
+                return Err(AccelError::InvalidStream {
+                    reason: format!(
+                        "attention window {} exceeds the built sequence length {}",
+                        window, cfg.max_seq_len
+                    ),
+                });
+            }
+            self.input_lens = vec![window];
+        }
         if let Some(spec) = self.decode {
             if self.resume.is_some() {
                 return Err(AccelError::Config(
@@ -834,9 +897,10 @@ impl<'a> PlanBuilder<'a> {
         for &len in &self.input_lens {
             seq_len = seq_len.max(cfg.checked_padded_seq_len(len)?);
         }
-        let phases = match self.decode {
-            Some(spec) => decode_phase_list(cfg, &spec),
-            None => phase_list(cfg, self.arch),
+        let phases = match (self.decode, self.stream_window) {
+            (Some(spec), _) => decode_phase_list(cfg, &spec),
+            (None, Some(_)) => encoder_phase_list(cfg),
+            (None, None) => phase_list(cfg, self.arch),
         };
         let engines = match self.arch {
             Architecture::A3 => 2,
@@ -1157,18 +1221,25 @@ fn validate_checkpoint(
     Ok((ckpt.completed_phases, trusted, ckpt.clone()))
 }
 
+/// The encoder layers `E1..E{n}`: the whole phase list of a stream chunk
+/// ([`PlanBuilder::stream_chunk`]) and the head of every eager schedule.
+/// Architecture-independent — only the decoder phases split at A3.
+fn encoder_phase_list(cfg: &AccelConfig) -> Vec<PlanPhase> {
+    let bytes = layer_bytes(cfg).encoder;
+    (0..cfg.model.n_encoders)
+        .map(|i| PlanPhase {
+            label: format!("E{}", i + 1),
+            bytes,
+            kind: PhaseKind::Encoder,
+            encoding: cfg.encoding,
+        })
+        .collect()
+}
+
 /// The 18-layer (24-phase at A3 granularity) schedule skeleton.
 pub fn phase_list(cfg: &AccelConfig, arch: Architecture) -> Vec<PlanPhase> {
     let bytes = layer_bytes(cfg);
-    let mut phases: Vec<PlanPhase> = Vec::new();
-    for i in 0..cfg.model.n_encoders {
-        phases.push(PlanPhase {
-            label: format!("E{}", i + 1),
-            bytes: bytes.encoder,
-            kind: PhaseKind::Encoder,
-            encoding: cfg.encoding,
-        });
-    }
+    let mut phases = encoder_phase_list(cfg);
     for i in 0..cfg.model.n_decoders {
         if arch == Architecture::A3 {
             // Fig 4.11: LWi_m ∥ LWi_f on the two engines; Ci_m then Ci_f.
@@ -1595,6 +1666,54 @@ mod tests {
             .decode_step(DecodeStepSpec::greedy(0, 8, 16))
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn stream_chunk_lowers_the_encoder_phases_only() {
+        let cfg = unpadded(8);
+        let n_enc = cfg.model.n_encoders;
+        for arch in Architecture::ALL {
+            let chunk = ExecPlan::lower_stream_chunk(&cfg, arch, 6, &[]).unwrap();
+            let eager = ExecPlan::lower(&cfg, arch, 6, 1, cfg.integrity).unwrap();
+            assert_eq!(chunk.phases[..], eager.phases[..n_enc], "{:?}", arch);
+            assert!(chunk.phases.iter().all(|p| p.kind == PhaseKind::Encoder));
+            assert_eq!((chunk.batch, chunk.input_lens.clone()), (1, vec![6]));
+            let c = chunk.counts();
+            assert_eq!((c.loads, c.computes, c.barriers), (n_enc, n_enc, 1), "{:?}", arch);
+            // The encoder prefix prices exactly as it does inside the eager
+            // schedule: the dropped decoders only ever ran after it.
+            let (chunk_cost, eager_cost) = (walk_cost(&cfg, &chunk), walk_cost(&cfg, &eager));
+            assert_eq!(chunk_cost.phase_compute_end_s[..], eager_cost.phase_compute_end_s[..n_enc]);
+            assert_eq!(chunk_cost.latency_s, chunk_cost.phase_compute_end_s[n_enc - 1]);
+        }
+    }
+
+    #[test]
+    fn stream_chunk_rejects_bad_windows_and_other_plan_kinds() {
+        let cfg = unpadded(8);
+        let chunk = || PlanBuilder::new(&cfg, Architecture::A3).stream_chunk(8);
+        for (err, clash) in [
+            (chunk().utterances(&[8]).build(), "utterances"),
+            (chunk().decode_step(DecodeStepSpec::greedy(0, 8, 16)).build(), "decode_step"),
+        ] {
+            match err {
+                Err(AccelError::Config(reason)) => assert!(reason.contains(clash), "{}", reason),
+                other => panic!("{}: expected Config, got {:?}", clash, other),
+            }
+        }
+        let full = ExecPlan::lower(&cfg, Architecture::A3, 8, 1, cfg.integrity).unwrap();
+        let ckpt = PlanCheckpoint::at(&full, 1, 1, &[], 0.0);
+        match chunk().resume_from(&ckpt, false).build() {
+            Err(AccelError::Config(reason)) => {
+                assert!(reason.contains("resume_from"), "{}", reason)
+            }
+            other => panic!("expected Config, got {:?}", other),
+        }
+        for window in [0usize, 9] {
+            let err =
+                ExecPlan::lower_stream_chunk(&cfg, Architecture::A2, window, &[]).unwrap_err();
+            assert!(matches!(err, AccelError::InvalidStream { .. }), "window {}: {}", window, err);
+        }
     }
 
     #[test]

@@ -8,10 +8,13 @@
 //! first-class serve workload on top of the ExecPlan + checkpoint
 //! foundation:
 //!
-//! * **Chunked plans with resident-weight reuse** — every chunk lowers a
-//!   batch-of-one [`crate::plan::ExecPlan`] over the `chunk + left_context`
-//!   attention window. The first chunk a device serves pins the leading
-//!   `pin_slots` phases' stripes in its stream weight cache
+//! * **Chunked plans with resident-weight reuse** — every chunk lowers the
+//!   encoder phases of a batch-of-one [`crate::plan::ExecPlan`] over the
+//!   `chunk + left_context` attention window
+//!   ([`crate::plan::ExecPlan::lower_stream_chunk`]: a chunk's product is
+//!   encoder rows, so it never runs a decoder). The first chunk a device
+//!   serves pins the leading `pin_slots` phases' stripes in its stream
+//!   weight cache
 //!   ([`crate::plan::ExecPlan::pinned_stripes`]); every later chunk offers
 //!   them back ([`crate::plan::PlanBuilder::reuse_resident`]) and elides the
 //!   CRC-matching `LoadStripe`s — FTRANS's keep-weights-resident win,
@@ -53,7 +56,7 @@ use crate::arch::Architecture;
 use crate::config::AccelConfig;
 use crate::error::{AccelError, Result};
 use crate::host_runtime::{run_stream_chunk, RecoveryPolicy, StreamChunkRun};
-use crate::plan::{walk_cost, PlanBuilder, PlanReuse, ResidentStripe};
+use crate::plan::{walk_cost, ExecPlan, PlanReuse, ResidentStripe};
 use crate::serve::{pool_fault_plans, Breaker, BreakerConfig, BreakerState};
 use asr_fpga_sim::device::DeviceId;
 use asr_fpga_sim::faults::FaultPlan;
@@ -136,24 +139,15 @@ impl StreamConfig {
 
     /// Reject degenerate session parameters typed
     /// ([`AccelError::InvalidStream`]) at pool construction — never
-    /// mid-stream, never by panicking.
+    /// mid-stream, never by panicking. An attention window past the built
+    /// sequence length is refused by the chunk lowering
+    /// ([`crate::plan::PlanBuilder::stream_chunk`]), which the pool runs at
+    /// construction too.
     pub fn validate(&self) -> Result<()> {
         self.accel.validate()?;
         if self.chunk_steps == 0 {
             return Err(AccelError::InvalidStream {
                 reason: "chunk must cover >= 1 encoder step".into(),
-            });
-        }
-        if self.window() > self.accel.max_seq_len {
-            return Err(AccelError::InvalidStream {
-                reason: format!(
-                    "attention window {} (chunk {} + left context {}) exceeds \
-                     the built sequence length {}",
-                    self.window(),
-                    self.chunk_steps,
-                    self.left_context,
-                    self.accel.max_seq_len
-                ),
             });
         }
         if self.streams == 0 || self.chunks_per_stream == 0 {
@@ -435,17 +429,9 @@ pub struct StreamAnalytics {
 /// Price one cold and one warm chunk plan through the analytic walker.
 pub fn stream_analytics(cfg: &StreamConfig) -> Result<StreamAnalytics> {
     cfg.validate()?;
-    let window = cfg.window();
-    let cold = PlanBuilder::new(&cfg.accel, cfg.arch)
-        .utterances(&[window])
-        .integrity(cfg.accel.integrity)
-        .build()?;
+    let cold = ExecPlan::lower_stream_chunk(&cfg.accel, cfg.arch, cfg.window(), &[])?;
     let pinned = cold.pinned_stripes(cfg.pin_slots);
-    let warm = PlanBuilder::new(&cfg.accel, cfg.arch)
-        .utterances(&[window])
-        .integrity(cfg.accel.integrity)
-        .reuse_resident(&pinned)
-        .build()?;
+    let warm = ExecPlan::lower_stream_chunk(&cfg.accel, cfg.arch, cfg.window(), &pinned)?;
     let cold_chunk_s = walk_cost(&cfg.accel, &cold).latency_s;
     let warm_chunk_s = walk_cost(&cfg.accel, &warm).latency_s;
     let reuse = warm.reuse.unwrap_or_default();
@@ -588,10 +574,7 @@ impl StreamPool {
         // Derive the pinned stripe set and the warm nominal once — the
         // schedule is device-neutral and deterministic.
         let window = cfg.window();
-        let cold_plan = PlanBuilder::new(&cfg.accel, cfg.arch)
-            .utterances(&[window])
-            .integrity(cfg.accel.integrity)
-            .build()?;
+        let cold_plan = ExecPlan::lower_stream_chunk(&cfg.accel, cfg.arch, window, &[])?;
         let pinned = cold_plan.pinned_stripes(cfg.pin_slots);
         let scheduled_bytes_per_chunk = cold_plan.scheduled_load_bytes();
         let nominal = run_stream_chunk(
@@ -1107,10 +1090,8 @@ mod tests {
         // Every chunk after each device's first runs warm.
         let warm_chunks = report.chunks_served - report.per_device.len();
         assert!(report.elided_loads > 0);
-        let plan = PlanBuilder::new(&cfg(2, 0, 4).accel, Architecture::A3)
-            .utterances(&[8])
-            .build()
-            .unwrap();
+        let c = cfg(2, 0, 4);
+        let plan = ExecPlan::lower_stream_chunk(&c.accel, c.arch, c.window(), &[]).unwrap();
         let double_buffered: u64 = plan.phases.iter().take(2).map(|p| p.bytes).sum();
         assert!(
             report.elided_load_bytes >= warm_chunks as u64 * double_buffered,

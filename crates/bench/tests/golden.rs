@@ -1,8 +1,28 @@
 //! Golden tests on the formatted repro output: the rendered tables must
-//! contain the exact cells the paper pins down.
+//! contain the exact cells the paper pins down, and `repro all` must print
+//! `tests/golden/repro_all.txt` byte for byte (`GOLDEN_BLESS=1` rewrites
+//! it).
+
+#[path = "../../../tests/support/golden.rs"]
+mod golden;
 
 use asr_bench::format::render_table;
 use asr_bench::tables;
+use std::path::Path;
+use std::process::Command;
+
+#[test]
+fn repro_all_matches_its_golden_file() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("all")
+        .output()
+        .expect("failed to launch repro");
+    assert!(out.status.success(), "repro all exited {:?}", out.status.code());
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/repro_all.txt");
+    if let Err(diff) = golden::check(&path, &String::from_utf8_lossy(&out.stdout)) {
+        panic!("repro all differs from golden:\n{diff}");
+    }
+}
 
 #[test]
 fn table4_1_renders_the_paper_counts() {

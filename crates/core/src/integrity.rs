@@ -30,12 +30,12 @@ use crate::config::AccelConfig;
 use crate::error::{AccelError, Result};
 use crate::plan::{DecodeStepSpec, ExecPlan, PhaseKind, PlanReuse, ResidentStripe};
 use asr_fpga_sim::faults::{FaultKind, FaultPlan};
-use asr_frontend::vocab::{self, TokenId};
+use asr_frontend::vocab::TokenId;
 use asr_systolic::abft::{AbftStats, CheckedPsa, IntegrityLevel, LaneFault};
 use asr_tensor::{crc32, init, Matrix, WeightEncoding};
-use asr_transformer::beam::{log_softmax, Hypothesis};
-use asr_transformer::cache::{self, KvCache};
+use asr_transformer::beam::{beam_search_cached_with, BeamConfig, Hypothesis};
 use asr_transformer::decoder::decoder_forward;
+use asr_transformer::streaming::{StreamState, StreamingConfig};
 use asr_transformer::weights::{ModelWeights, WeightStripe};
 use asr_transformer::Model;
 use serde::Serialize;
@@ -699,24 +699,7 @@ fn functional_epilogue(
         })
         .collect::<Vec<_>>();
 
-    let abft = engine.stats();
-    counters.injected += abft.corrupted_tiles;
-    match plan.integrity {
-        IntegrityLevel::Off => counters.escaped += abft.corrupted_tiles,
-        IntegrityLevel::Detect => {
-            counters.detected += abft.detected;
-            if abft.detected > 0 {
-                return Err(AccelError::CorruptCompute {
-                    phase: "forward".into(),
-                    tiles: abft.detected,
-                });
-            }
-        }
-        IntegrityLevel::DetectAndRecompute => {
-            counters.detected += abft.detected;
-            counters.recomputed += abft.recomputed;
-        }
-    }
+    let abft = fold_abft(plan.integrity, engine, counters, "forward")?;
     Ok(BatchIntegrityRun { counters: *counters, abft, utterances })
 }
 
@@ -821,135 +804,34 @@ pub fn resume_functional_plan(
     functional_epilogue(plan, &w, &engine, cursor, &mut counters, steps)
 }
 
-/// Carryover state of the *functional* streaming encoder — the integrity
-/// layer's mirror of `asr_transformer::streaming::StreamState`, carried
-/// between chunks of one live-dictation session. Holds the raw-feature
-/// left-context tail (never encoded activations: limited-context attention
-/// re-encodes the window, so raw rows are the only honest carryover), the
-/// stream cursors, and a CRC-32 envelope over all of it. A poisoned or
-/// hand-edited state is rejected typed ([`AccelError::CheckpointRejected`])
-/// before any compute — mid-stream failover must never resume from bytes
-/// it cannot vouch for.
-#[derive(Debug, Clone)]
-pub struct FunctionalStreamState {
-    /// Encoder steps consumed per chunk (the session's fixed chunk size).
-    pub chunk: usize,
-    /// Raw feature rows of left context carried between chunks.
-    pub left_context: usize,
-    /// Chunks already pushed through this stream.
-    pub chunk_idx: usize,
-    /// Feature rows already emitted — the resume cursor.
-    pub emitted_rows: usize,
-    /// The raw-feature left-context tail (empty before the first chunk).
-    pub ctx: Matrix,
-    /// CRC-32 over the cursors and context bytes; [`Self::verify`] checks it.
-    pub state_crc: u32,
+/// The chunk plan a functional stream session executes on `arch`: its
+/// `chunk + left_context` window lowered as a stream chunk
+/// ([`ExecPlan::lower_stream_chunk`]), the same encoder phases the stream
+/// pool, the runtime and the walker lower for that window. A window the
+/// bitstream cannot hold is refused typed ([`AccelError::InvalidStream`])
+/// before any chunk runs.
+pub fn chunk_plan(state: &StreamState, cfg: &AccelConfig, arch: Architecture) -> Result<ExecPlan> {
+    ExecPlan::lower_stream_chunk(cfg, arch, state.chunk + state.left_context, &[])
 }
 
-impl FunctionalStreamState {
-    fn crc_of(chunk: usize, left: usize, idx: usize, emitted: usize, ctx: &Matrix) -> u32 {
-        let mut bytes = Vec::new();
-        for c in [chunk, left, idx, emitted, ctx.rows()] {
-            bytes.extend_from_slice(&(c as u64).to_le_bytes());
-        }
-        for v in ctx.as_slice() {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        crc32(&bytes)
-    }
-
-    /// Open a fresh stream. Degenerate session parameters are rejected
-    /// typed at open ([`AccelError::InvalidStream`]), never mid-stream.
-    pub fn open(chunk: usize, left_context: usize) -> Result<Self> {
-        if chunk == 0 {
-            return Err(AccelError::InvalidStream {
-                reason: "chunk must cover >= 1 encoder step".into(),
-            });
-        }
-        let ctx = Matrix::zeros(0, 0);
-        let state_crc = Self::crc_of(chunk, left_context, 0, 0, &ctx);
-        Ok(FunctionalStreamState {
-            chunk,
-            left_context,
-            chunk_idx: 0,
-            emitted_rows: 0,
-            ctx,
-            state_crc,
-        })
-    }
-
-    /// Check the stored CRC against the state actually held; a mismatch is
-    /// the same contract as a poisoned [`FunctionalCheckpoint`]: reject
-    /// typed, restart the stream clean.
-    pub fn verify(&self) -> Result<()> {
-        let crc = Self::crc_of(
-            self.chunk,
-            self.left_context,
-            self.chunk_idx,
-            self.emitted_rows,
-            &self.ctx,
-        );
-        if crc != self.state_crc {
-            return Err(AccelError::CheckpointRejected {
-                reason: format!(
-                    "stale CRC on stream carryover state \
-                     (stored {:#010x}, computed {:#010x})",
-                    self.state_crc, crc
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    /// The chunk plan this session executes on `arch`: its
-    /// `chunk + left_context` window lowered as a stream chunk
-    /// ([`ExecPlan::lower_stream_chunk`]), the same encoder phases the
-    /// stream pool, the runtime and the walker lower for that window. A
-    /// window the bitstream cannot hold is refused typed
-    /// ([`AccelError::InvalidStream`]) before any chunk runs.
-    pub fn chunk_plan(&self, cfg: &AccelConfig, arch: Architecture) -> Result<ExecPlan> {
-        ExecPlan::lower_stream_chunk(cfg, arch, self.chunk + self.left_context, &[])
-    }
-}
-
-/// One chunk through the checked schemes: verify the carryover state's CRC,
-/// re-encode the `[ctx | chunk]` window through exactly the plan's phases
-/// (each one an encoder layer, exactly as `advance_phases` maps them),
-/// emit the chunk's rows, and roll the raw-feature tail forward. A plan
-/// holding any non-encoder phase is refused typed before any compute. The
-/// emitted rows are bit-identical to an offline encode of the same window —
-/// the chunk boundary is a scheduling seam, never a numeric one.
+/// One chunk through the checked schemes: admit the chunk against the
+/// carryover state ([`StreamState::check_chunk`]: CRC, then shape),
+/// re-encode its `[ctx | chunk]` window through exactly the plan's phases
+/// (each one an encoder layer, exactly as `advance_phases` maps them), emit
+/// the chunk's rows, and roll the state forward ([`StreamState::advance`]).
+/// A plan holding any non-encoder phase is refused typed before any
+/// compute. The emitted rows are bit-identical to an offline encode of the
+/// same window — the chunk boundary is a scheduling seam, never a numeric
+/// one.
 pub fn push_functional_chunk(
     cfg: &AccelConfig,
     plan: &ExecPlan,
     w: &ModelWeights,
     engine: &CheckedPsa,
-    state: &FunctionalStreamState,
+    state: &StreamState,
     chunk: &Matrix,
-) -> Result<(Matrix, FunctionalStreamState)> {
-    state.verify()?;
-    if chunk.rows() == 0 || chunk.rows() > state.chunk {
-        return Err(AccelError::InvalidStream {
-            reason: format!(
-                "chunk {} carries {} rows; a {}-step stream accepts 1..={}",
-                state.chunk_idx,
-                chunk.rows(),
-                state.chunk,
-                state.chunk
-            ),
-        });
-    }
-    if chunk.cols() != cfg.model.d_model {
-        return Err(AccelError::InvalidStream {
-            reason: format!(
-                "chunk is {} wide but the model expects d_model {}",
-                chunk.cols(),
-                cfg.model.d_model
-            ),
-        });
-    }
-    let window =
-        if state.ctx.rows() == 0 { chunk.clone() } else { Matrix::vconcat(&[&state.ctx, chunk]) };
+) -> Result<(Matrix, StreamState)> {
+    state.check_chunk(chunk, cfg.model.d_model)?;
     // The chunk plan's phases map 1:1 onto encoder layers, exactly as
     // `advance_phases` maps them for the batch interpreter.
     if let Some(p) = plan.phases.iter().find(|p| p.kind != PhaseKind::Encoder) {
@@ -965,37 +847,14 @@ pub fn push_functional_chunk(
             w.encoders.len()
         )));
     }
+    let window = state.window(chunk);
     let mut x = window.clone();
     for (p, enc) in plan.phases.iter().zip(&w.encoders) {
         x = encoder_forward_via_schemes_with(cfg, engine, &x, enc);
         guard_activations(&x, &format!("stream chunk {} {} output", state.chunk_idx, p.label))?;
     }
     let out = x.submatrix(state.ctx.rows(), 0, chunk.rows(), x.cols());
-
-    let keep = state.left_context.min(window.rows());
-    let ctx = if keep == 0 {
-        Matrix::zeros(0, 0)
-    } else {
-        window.submatrix(window.rows() - keep, 0, keep, window.cols())
-    };
-    let chunk_idx = state.chunk_idx + 1;
-    let emitted_rows = state.emitted_rows + chunk.rows();
-    let state_crc = FunctionalStreamState::crc_of(
-        state.chunk,
-        state.left_context,
-        chunk_idx,
-        emitted_rows,
-        &ctx,
-    );
-    let next = FunctionalStreamState {
-        chunk: state.chunk,
-        left_context: state.left_context,
-        chunk_idx,
-        emitted_rows,
-        ctx,
-        state_crc,
-    };
-    Ok((out, next))
+    Ok((out, state.advance(&window)))
 }
 
 /// A functional stream driven to the end of its features.
@@ -1013,7 +872,7 @@ pub struct FunctionalStreamRun {
     /// ABFT statistics across the run's chunks.
     pub abft: AbftStats,
     /// Carryover state after the last chunk — what a failover would ship.
-    pub final_state: FunctionalStreamState,
+    pub final_state: StreamState,
 }
 
 /// Advance a stream over the features past `state.emitted_rows`, one chunk
@@ -1023,9 +882,9 @@ fn drive_functional_stream(
     plan: &ExecPlan,
     w: &ModelWeights,
     engine: &CheckedPsa,
-    mut state: FunctionalStreamState,
+    mut state: StreamState,
     features: &Matrix,
-) -> Result<(Matrix, FunctionalStreamState, usize)> {
+) -> Result<(Matrix, StreamState, usize)> {
     let s = features.rows();
     let start = state.emitted_rows;
     if start > s {
@@ -1048,10 +907,11 @@ fn drive_functional_stream(
     Ok((out, state, chunks))
 }
 
-/// Fold the engine's ABFT statistics into the counters under `level`,
-/// mirroring the batch path's epilogue semantics (typed failure at
-/// `Detect`, recompute accounting at `DetectAndRecompute`).
-fn fold_stream_abft(
+/// Fold the engine's ABFT statistics into the counters under `level`: every
+/// corrupted tile escapes at `Off`, fails the run typed at `Detect`
+/// (nothing can repair it), and counts as recomputed at
+/// `DetectAndRecompute`.
+fn fold_abft(
     level: IntegrityLevel,
     engine: &CheckedPsa,
     counters: &mut CorruptionCounters,
@@ -1091,7 +951,7 @@ pub fn run_functional_stream(
     left_context: usize,
     faults: &FunctionalFaults,
 ) -> Result<FunctionalStreamRun> {
-    let state = FunctionalStreamState::open(chunk, left_context)?;
+    let state = StreamState::open(&StreamingConfig { chunk, left_context })?;
     resume_functional_stream(cfg, model_seed, &state, features, faults)
 }
 
@@ -1104,7 +964,7 @@ pub fn run_functional_stream(
 pub fn resume_functional_stream(
     cfg: &AccelConfig,
     model_seed: u64,
-    state: &FunctionalStreamState,
+    state: &StreamState,
     features: &Matrix,
     faults: &FunctionalFaults,
 ) -> Result<FunctionalStreamRun> {
@@ -1112,7 +972,7 @@ pub fn resume_functional_stream(
     // A3, the streaming deployment's architecture. A chunk's phase table is
     // the same under every architecture; the architecture only sets load
     // edges, which the twin does not time.
-    let plan = state.chunk_plan(cfg, Architecture::A3)?;
+    let plan = chunk_plan(state, cfg, Architecture::A3)?;
     let mut counters = CorruptionCounters::default();
     let clean = ModelWeights::seeded(&cfg.model, model_seed);
     let w =
@@ -1121,7 +981,7 @@ pub fn resume_functional_stream(
     let start_row = state.emitted_rows;
     let (encoder_out, final_state, chunks) =
         drive_functional_stream(cfg, &plan, &w, &engine, state.clone(), features)?;
-    let abft = fold_stream_abft(cfg.integrity, &engine, &mut counters, "stream")?;
+    let abft = fold_abft(cfg.integrity, &engine, &mut counters, "stream")?;
     Ok(FunctionalStreamRun { encoder_out, start_row, chunks, counters, abft, final_state })
 }
 
@@ -1171,17 +1031,16 @@ impl FunctionalDecodeRun {
 }
 
 /// The plan-lowered functional decode twin: load the model through the CRC
-/// envelope, encode a seeded `mem_len`-row feature block, then run a
-/// KV-cached beam decode where EVERY step first lowers its
-/// [`DecodeStepSpec`] plan against the previous step's pinned stripes
+/// envelope, encode a seeded `mem_len`-row feature block, then run the
+/// KV-cached beam search ([`beam_search_cached_with`]) on the checked
+/// engine. Its per-step hook lowers EVERY step's [`DecodeStepSpec`] plan
+/// against the previous step's pinned stripes
 /// ([`ExecPlan::decode_pinned_stripes`]) — recording exactly which bytes
-/// the accelerator would fetch versus elide — and then scores all live
-/// hypotheses through one coalesced [`cache::step_beam`] on the checked
-/// engine.
+/// the accelerator would fetch versus elide — and guards the step's logits.
 ///
 /// At `beam = 1` the continuation choice ties-to-last like
-/// [`cache::greedy_decode_with`]'s argmax, so the twin's tokens are
-/// bit-identical to the cached greedy path — including under silent faults
+/// [`asr_transformer::cache::greedy_decode_with`]'s argmax, so the twin's
+/// tokens are bit-identical to the cached greedy path — including under silent faults
 /// at `DetectAndRecompute`, where the CRC envelope and the ABFT recompute
 /// restore the clean bits before they reach the beam. Pinned by tests and
 /// `decode_proptests`.
@@ -1211,84 +1070,38 @@ pub fn run_functional_decode(
     let memory = model.encode(&features, &engine);
     guard_activations(&memory, "decode encoder memory")?;
 
-    let root = KvCache::new(&model, &memory, &engine);
-    let mut beams =
-        vec![(Hypothesis { tokens: vec![vocab::SOS], log_prob: 0.0, finished: false }, root)];
     let mut resident: Vec<ResidentStripe> = Vec::new();
     let mut reuse = PlanReuse::default();
     let (mut cold, mut steady, mut fetched, mut elided) = (0u64, 0u64, 0u64, 0u64);
     let mut steps = 0usize;
-
-    for step in 0..max_steps {
-        if beams.iter().all(|(h, _)| h.finished) {
-            break;
-        }
-        // Lower this step's plan against whatever the previous step left
-        // pinned; the ledger records what the accelerator would move.
-        let spec = DecodeStepSpec { step, mem_len, beam, max_steps };
-        let plan =
-            ExecPlan::lower_decode_step(cfg, Architecture::A2, spec, &resident, cfg.integrity)?;
-        fetched += plan.fetched_load_bytes();
-        if let Some(r) = plan.reuse {
-            elided += r.elided_load_bytes;
-            reuse.offered += r.offered;
-            reuse.elided_loads += r.elided_loads;
-            reuse.elided_load_bytes += r.elided_load_bytes;
-            reuse.stale += r.stale;
-            reuse.stale_version += r.stale_version;
-        }
-        if step == 0 {
-            cold = plan.scheduled_load_bytes();
-        } else {
-            steady = plan.scheduled_load_bytes();
-        }
-        resident = plan.decode_pinned_stripes();
-        steps += 1;
-
-        // One coalesced batch-of-B step over every live hypothesis — the
-        // same arithmetic `beam_search_cached` runs, on the checked engine.
-        let live: Vec<usize> =
-            beams.iter().enumerate().filter(|(_, (h, _))| !h.finished).map(|(i, _)| i).collect();
-        let fronts: Vec<TokenId> =
-            live.iter().map(|&i| *beams[i].0.tokens.last().expect("non-empty")).collect();
-        let mut caches: Vec<KvCache> = live.iter().map(|&i| beams[i].1.clone()).collect();
-        let logits = cache::step_beam(&model, &fronts, &mut caches, &engine);
-        guard_activations(&logits, "decode logits")?;
-
-        let mut candidates: Vec<(Hypothesis, KvCache)> = Vec::with_capacity(beams.len() * beam);
-        let mut row = 0usize;
-        for (hyp, kv) in &beams {
-            if hyp.finished {
-                candidates.push((hyp.clone(), kv.clone()));
-                continue;
+    let beam_cfg = BeamConfig { beam, max_len: max_steps, length_penalty: 0.0 };
+    let hypotheses =
+        beam_search_cached_with(&model, &memory, &beam_cfg, &engine, |step, logits| {
+            // Lower this step's plan against whatever the previous step left
+            // pinned; the ledger records what the accelerator would move.
+            let spec = DecodeStepSpec { step, mem_len, beam, max_steps };
+            let plan =
+                ExecPlan::lower_decode_step(cfg, Architecture::A2, spec, &resident, cfg.integrity)?;
+            fetched += plan.fetched_load_bytes();
+            if let Some(r) = plan.reuse {
+                elided += r.elided_load_bytes;
+                reuse.offered += r.offered;
+                reuse.elided_loads += r.elided_loads;
+                reuse.elided_load_bytes += r.elided_load_bytes;
+                reuse.stale += r.stale;
+                reuse.stale_version += r.stale_version;
             }
-            let lp = log_softmax(logits.row(row));
-            // Descending log-prob, ties to the higher token id — the same
-            // order `beam_search_cached` uses, so beam 1 == greedy.
-            let mut idx: Vec<usize> = (0..lp.len()).collect();
-            idx.sort_by(|&a, &b| lp[b].partial_cmp(&lp[a]).unwrap().then(b.cmp(&a)));
-            for &t in idx.iter().take(beam) {
-                let mut tokens = hyp.tokens.clone();
-                tokens.push(t);
-                candidates.push((
-                    Hypothesis {
-                        tokens,
-                        log_prob: hyp.log_prob + lp[t],
-                        finished: t == vocab::EOS,
-                    },
-                    caches[row].clone(),
-                ));
+            if step == 0 {
+                cold = plan.scheduled_load_bytes();
+            } else {
+                steady = plan.scheduled_load_bytes();
             }
-            row += 1;
-        }
-        candidates.sort_by(|a, b| b.0.score(0.0).partial_cmp(&a.0.score(0.0)).unwrap());
-        candidates.truncate(beam);
-        beams = candidates;
-    }
-    beams.sort_by(|a, b| b.0.score(0.0).partial_cmp(&a.0.score(0.0)).unwrap());
+            resident = plan.decode_pinned_stripes();
+            steps += 1;
+            guard_activations(logits, "decode logits")
+        })?;
 
-    let abft = fold_stream_abft(cfg.integrity, &engine, &mut counters, "decode")?;
-    let hypotheses: Vec<Hypothesis> = beams.into_iter().map(|(h, _)| h).collect();
+    let abft = fold_abft(cfg.integrity, &engine, &mut counters, "decode")?;
     let tokens = hypotheses[0].tokens.clone();
     Ok(FunctionalDecodeRun {
         tokens,
@@ -1324,6 +1137,7 @@ pub fn small_config() -> AccelConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asr_transformer::cache::{self, KvCache};
 
     fn cfg_at(level: IntegrityLevel) -> AccelConfig {
         let mut c = small_config();
@@ -1710,7 +1524,7 @@ mod tests {
         assert_eq!(resumed.chunks, 2, "only the unfinished rows replay");
         let suffix = full.encoder_out.submatrix(4, 0, 4, full.encoder_out.cols());
         assert_eq!(resumed.encoder_out, suffix);
-        assert_eq!(resumed.final_state.state_crc, full.final_state.state_crc);
+        assert_eq!(resumed.final_state.crc, full.final_state.crc);
     }
 
     #[test]

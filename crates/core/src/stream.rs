@@ -24,11 +24,12 @@
 //! * **Mid-stream failover** — a device that dies mid-chunk fails the
 //!   session over to a healthy card and replays **only the unfinished
 //!   chunk**: the encoder carryover state (the CRC-enveloped
-//!   `StreamState` / [`crate::integrity::FunctionalStreamState`]) lives
-//!   above the device, so served chunks are never re-run. The functional
-//!   bit-identity of that handoff is pinned by the integrity layer
-//!   ([`crate::integrity::resume_functional_stream`]) and the transformer
-//!   proptests; this pool simulates its scheduling and accounting.
+//!   [`asr_transformer::streaming::StreamState`], which the functional twin
+//!   carries too) lives above the device, so served chunks are never
+//!   re-run. The functional bit-identity of that handoff is pinned by the
+//!   integrity layer ([`crate::integrity::resume_functional_stream`]) and
+//!   the transformer proptests; this pool simulates its scheduling and
+//!   accounting.
 //! * **Per-chunk deadlines with stale-chunk shedding** — a queued chunk
 //!   that can no longer meet its deadline even if dispatched immediately is
 //!   shed typed ([`crate::error::AccelError::StaleChunk`]) without wasting

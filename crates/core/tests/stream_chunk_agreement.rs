@@ -10,8 +10,7 @@
 
 use asr_accel::host_runtime::{run_plan, run_stream_chunk, RecoveryPolicy};
 use asr_accel::integrity::{
-    push_functional_chunk, run_functional_stream, small_config, FunctionalFaults,
-    FunctionalStreamState,
+    chunk_plan, push_functional_chunk, run_functional_stream, small_config, FunctionalFaults,
 };
 use asr_accel::plan::{walk_cost, DecodeStepSpec, ExecPlan, PhaseKind};
 use asr_accel::stream::{stream_analytics, StreamConfig, StreamPool};
@@ -19,6 +18,7 @@ use asr_accel::{AccelError, Architecture};
 use asr_fpga_sim::faults::{FaultKind, FaultPlan};
 use asr_systolic::abft::CheckedPsa;
 use asr_tensor::init;
+use asr_transformer::streaming::{StreamState, StreamingConfig};
 use asr_transformer::weights::ModelWeights;
 
 /// The streaming deployment (`StreamConfig::new`) on `arch`, on a clean
@@ -128,8 +128,12 @@ fn every_chunk_consumer_lowers_the_same_encoder_phase_table() {
         assert!((report.nominal_chunk_s - nominal).abs() <= 1e-12, "{:?}", arch);
 
         // Twin: the session's chunk plan is the same table.
-        let state = FunctionalStreamState::open(cfg.chunk_steps, cfg.left_context).unwrap();
-        assert_eq!(table(&state.chunk_plan(&cfg.accel, arch).unwrap()), one, "{:?}", arch);
+        let state = StreamState::open(&StreamingConfig {
+            chunk: cfg.chunk_steps,
+            left_context: cfg.left_context,
+        })
+        .unwrap();
+        assert_eq!(table(&chunk_plan(&state, &cfg.accel, arch).unwrap()), one, "{:?}", arch);
     }
 }
 
@@ -187,7 +191,7 @@ fn the_twin_runs_exactly_the_chunk_plans_phases() {
     let engine = CheckedPsa::with_fault(cfg.psa_engine(), cfg.integrity, None);
     let features = init::uniform(4, cfg.model.d_model, -0.5, 0.5, 11);
     let first = features.submatrix(0, 0, chunk, features.cols());
-    let state = FunctionalStreamState::open(chunk, left_context).unwrap();
+    let state = StreamState::open(&StreamingConfig { chunk, left_context }).unwrap();
 
     // The twin's own run emits the rows every architecture's chunk plan,
     // cold or warm, emits: the phases are the same, only the edges differ.
@@ -196,7 +200,7 @@ fn the_twin_runs_exactly_the_chunk_plans_phases() {
             .unwrap();
     let rows = twin.encoder_out.submatrix(0, 0, chunk, twin.encoder_out.cols());
     for arch in Architecture::ALL {
-        let cold = state.chunk_plan(&cfg, arch).unwrap();
+        let cold = chunk_plan(&state, &cfg, arch).unwrap();
         assert_eq!(cold.phases.len(), cfg.model.n_encoders);
         let pinned = cold.pinned_stripes(1);
         let warm = ExecPlan::lower_stream_chunk(&cfg, arch, window, &pinned).unwrap();

@@ -14,7 +14,7 @@ use asr_accel::{AccelConfig, AccelError, Architecture};
 use asr_systolic::abft::IntegrityLevel;
 use asr_tensor::backend::ReferenceBackend;
 use asr_tensor::init;
-use asr_transformer::streaming::{encode_streaming, StreamingConfig};
+use asr_transformer::streaming::{encode_streaming, StreamState, StreamingConfig};
 use asr_transformer::weights::ModelWeights;
 use asr_transformer::{Model, TransformerConfig};
 use proptest::prelude::*;
@@ -72,7 +72,7 @@ proptest! {
         let prefix_rows = (cut_pick % max_chunks) * chunk;
 
         let state = if prefix_rows == 0 {
-            asr_accel::integrity::FunctionalStreamState::open(chunk, left_context).unwrap()
+            StreamState::open(&StreamingConfig { chunk, left_context }).unwrap()
         } else {
             let prefix = features.submatrix(0, 0, prefix_rows, features.cols());
             run_functional_stream(&cfg, model_seed, &prefix, chunk, left_context, &faults)
@@ -89,7 +89,7 @@ proptest! {
             full.encoder_out.cols(),
         );
         prop_assert_eq!(&resumed.encoder_out, &suffix, "resumed suffix must match");
-        prop_assert_eq!(resumed.final_state.state_crc, full.final_state.state_crc);
+        prop_assert_eq!(resumed.final_state.crc, full.final_state.crc);
     }
 
     // Chunked-vs-offline identity: a chunk that spans the whole input is
@@ -128,7 +128,7 @@ proptest! {
             0 => state.emitted_rows = state.emitted_rows.wrapping_sub(1),
             1 => state.chunk_idx += 1,
             2 => state.ctx[(0, 0)] += 1.0,
-            _ => state.state_crc ^= 0xdead_beef,
+            _ => state.crc ^= 0xdead_beef,
         }
         let err = resume_functional_stream(&cfg, model_seed, &state, &features, &FunctionalFaults::none())
             .unwrap_err();

@@ -48,9 +48,8 @@ impl Hypothesis {
     }
 }
 
-/// Log-softmax of a logits row (shared with the plan-lowered decode twin,
-/// which must score hypotheses with bit-identical arithmetic).
-pub fn log_softmax(row: &[f32]) -> Vec<f32> {
+/// Log-softmax of a logits row.
+fn log_softmax(row: &[f32]) -> Vec<f32> {
     let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
     let log_sum: f32 = row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln();
     row.iter().map(|&x| x - max - log_sum).collect()
@@ -122,13 +121,29 @@ pub fn beam_search_cached(
     cfg: &BeamConfig,
     backend: &dyn MatMul,
 ) -> Vec<Hypothesis> {
+    let no_hook = |_: usize, _: &Matrix| Ok::<(), std::convert::Infallible>(());
+    beam_search_cached_with(model, memory, cfg, backend, no_hook).unwrap_or_else(|e| match e {})
+}
+
+/// [`beam_search_cached`] with a hook on every step: `on_step(step,
+/// logits)` sees the step's logits, one row per live hypothesis, before the
+/// beam expands them. The accelerator's functional twin lowers each step's
+/// plan and guards the logits there. An `Err` from the hook ends the search
+/// with that error.
+pub fn beam_search_cached_with<E>(
+    model: &Model,
+    memory: &Matrix,
+    cfg: &BeamConfig,
+    backend: &dyn MatMul,
+    mut on_step: impl FnMut(usize, &Matrix) -> Result<(), E>,
+) -> Result<Vec<Hypothesis>, E> {
     assert!(cfg.beam >= 1, "beam width must be >= 1");
     assert!(cfg.max_len >= 1, "max_len must be >= 1");
     let root = KvCache::new(model, memory, backend);
     let mut beams =
         vec![(Hypothesis { tokens: vec![vocab::SOS], log_prob: 0.0, finished: false }, root)];
 
-    for _ in 0..cfg.max_len {
+    for step in 0..cfg.max_len {
         if beams.iter().all(|(h, _)| h.finished) {
             break;
         }
@@ -139,6 +154,7 @@ pub fn beam_search_cached(
             live.iter().map(|&i| *beams[i].0.tokens.last().expect("non-empty")).collect();
         let mut caches: Vec<KvCache> = live.iter().map(|&i| beams[i].1.clone()).collect();
         let logits = cache::step_beam(model, &fronts, &mut caches, backend);
+        on_step(step, &logits)?;
 
         let mut candidates: Vec<(Hypothesis, KvCache)> = Vec::with_capacity(beams.len() * cfg.beam);
         let mut row = 0usize;
@@ -176,7 +192,7 @@ pub fn beam_search_cached(
     beams.sort_by(|a, b| {
         b.0.score(cfg.length_penalty).partial_cmp(&a.0.score(cfg.length_penalty)).unwrap()
     });
-    beams.into_iter().map(|(h, _)| h).collect()
+    Ok(beams.into_iter().map(|(h, _)| h).collect())
 }
 
 #[cfg(test)]

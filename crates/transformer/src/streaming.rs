@@ -14,7 +14,10 @@
 //!   [`StreamState`]. The two are bit-identical chunk for chunk, and a
 //!   `StreamState` captured after chunk *k* resumes on any host (after a
 //!   device failover, say) with outputs bit-identical to the uninterrupted
-//!   stream — the serving tier's mid-stream failover rests on this.
+//!   stream — the serving tier's mid-stream failover rests on this. The
+//!   accelerator's functional twin carries the same `StreamState` through
+//!   its checked schemes, with the same chunk checks, window and
+//!   roll-forward.
 //!
 //! Degenerate configurations are rejected with a typed [`StreamingError`]
 //! instead of panicking; a poisoned or hand-edited `StreamState` fails its
@@ -177,6 +180,57 @@ impl StreamState {
         }
         Ok(())
     }
+
+    /// Admit an arriving chunk before any compute: the state must pass its
+    /// CRC, and the chunk must carry `1..=chunk` rows of `d_model` features.
+    pub fn check_chunk(&self, chunk: &Matrix, d_model: usize) -> Result<(), StreamingError> {
+        self.verify()?;
+        if chunk.rows() == 0 {
+            return Err(StreamingError::EmptyInput);
+        }
+        if chunk.rows() > self.chunk {
+            return Err(StreamingError::OversizedChunk { chunk: self.chunk, got: chunk.rows() });
+        }
+        if chunk.cols() != d_model {
+            return Err(StreamingError::FeatureWidth { expected: d_model, got: chunk.cols() });
+        }
+        Ok(())
+    }
+
+    /// The chunk's attention window: the carried context rows, then the
+    /// chunk. The chunk's encoder rows are the window's rows past
+    /// `ctx.rows()`.
+    pub fn window(&self, chunk: &Matrix) -> Matrix {
+        if self.ctx.rows() == 0 {
+            chunk.clone()
+        } else {
+            Matrix::vconcat(&[&self.ctx, chunk])
+        }
+    }
+
+    /// The state after this state's `window` ([`StreamState::window`]) is
+    /// encoded: the window's trailing `left_context` rows become the next
+    /// context, the cursors move one chunk on, and the CRC covers the
+    /// result.
+    pub fn advance(&self, window: &Matrix) -> StreamState {
+        let keep = self.left_context.min(window.rows());
+        let ctx = if keep == 0 {
+            Matrix::zeros(0, 0)
+        } else {
+            window.submatrix(window.rows() - keep, 0, keep, window.cols())
+        };
+        let chunk_idx = self.chunk_idx + 1;
+        let emitted_rows = self.emitted_rows + (window.rows() - self.ctx.rows());
+        let crc = Self::crc_of(self.chunk, self.left_context, chunk_idx, emitted_rows, &ctx);
+        StreamState {
+            chunk: self.chunk,
+            left_context: self.left_context,
+            chunk_idx,
+            emitted_rows,
+            ctx,
+            crc,
+        }
+    }
 }
 
 /// Encode one arriving chunk under the state's carried left context,
@@ -190,42 +244,11 @@ pub fn push_chunk(
     chunk: &Matrix,
     backend: &dyn MatMul,
 ) -> Result<(Matrix, StreamState), StreamingError> {
-    state.verify()?;
-    if chunk.rows() == 0 {
-        return Err(StreamingError::EmptyInput);
-    }
-    if chunk.rows() > state.chunk {
-        return Err(StreamingError::OversizedChunk { chunk: state.chunk, got: chunk.rows() });
-    }
-    if chunk.cols() != model.config.d_model {
-        return Err(StreamingError::FeatureWidth {
-            expected: model.config.d_model,
-            got: chunk.cols(),
-        });
-    }
-    let window =
-        if state.ctx.rows() == 0 { chunk.clone() } else { Matrix::vconcat(&[&state.ctx, chunk]) };
+    state.check_chunk(chunk, model.config.d_model)?;
+    let window = state.window(chunk);
     let encoded = model.encode(&window, backend);
     let out = encoded.submatrix(state.ctx.rows(), 0, chunk.rows(), encoded.cols());
-
-    let keep = state.left_context.min(window.rows());
-    let ctx = if keep == 0 {
-        Matrix::zeros(0, 0)
-    } else {
-        window.submatrix(window.rows() - keep, 0, keep, window.cols())
-    };
-    let chunk_idx = state.chunk_idx + 1;
-    let emitted_rows = state.emitted_rows + chunk.rows();
-    let crc = StreamState::crc_of(state.chunk, state.left_context, chunk_idx, emitted_rows, &ctx);
-    let next = StreamState {
-        chunk: state.chunk,
-        left_context: state.left_context,
-        chunk_idx,
-        emitted_rows,
-        ctx,
-        crc,
-    };
-    Ok((out, next))
+    Ok((out, state.advance(&window)))
 }
 
 /// Encode features chunk by chunk. Each chunk attends over

@@ -30,7 +30,9 @@ use std::collections::BinaryHeap;
 
 use crate::error::{AccelError, Result};
 use crate::plan::PlanCheckpoint;
-use crate::serve::{BreakerState, Evicted, RequestOutcome, ServeConfig, ServePool, ServeReport};
+use crate::serve::{
+    percentile, BreakerState, Evicted, RequestOutcome, ServeConfig, ServePool, ServeReport,
+};
 use crate::stream::jitter;
 use asr_fpga_sim::faults::correlated_hbm_burst;
 
@@ -1064,13 +1066,6 @@ impl Cluster {
         let lost = (evicted_total - self.handoffs) + self.lost_unplaced;
         debug_assert_eq!(accounted + evicted_total, submitted_total);
         latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let pct = |p: f64| {
-            if latencies.is_empty() {
-                0.0
-            } else {
-                latencies[((latencies.len() - 1) as f64 * p).round() as usize]
-            }
-        };
         ClusterReport {
             nodes: per_node.len(),
             offered,
@@ -1085,8 +1080,8 @@ impl Cluster {
             resumed_dispatches: resumed,
             checkpoint_rejects: rejects,
             version_rejects: vrejects,
-            p50_latency_s: pct(0.50),
-            p99_latency_s: pct(0.99),
+            p50_latency_s: percentile(&latencies, 0.50),
+            p99_latency_s: percentile(&latencies, 0.99),
             wall_s: wall,
             throughput_rps: if wall > 0.0 { completed as f64 / wall } else { 0.0 },
             upgrade: upgrade_outcome,

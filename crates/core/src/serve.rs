@@ -44,13 +44,15 @@
 //! when it ultimately succeeds).
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::Hash;
 use std::rc::Rc;
 
 use crate::arch::Architecture;
 use crate::config::AccelConfig;
 use crate::error::{AccelError, Result};
 use crate::host_runtime::{
-    resume_batch, run_batch_through_runtime, run_batch_with_recovery, RecoveryPolicy,
+    resume_batch, run_batch_through_runtime, run_batch_with_recovery, BatchFailure, BatchedRun,
+    RecoveryPolicy,
 };
 use crate::integrity::CorruptionCounters;
 use crate::plan::{walk_cost, ExecPlan, PlanCheckpoint};
@@ -160,6 +162,190 @@ impl Breaker {
             self.open_until_s = now + self.cfg.cooldown_s;
             self.opens += 1;
         }
+    }
+}
+
+/// What one dispatch on a card does, read off the runtime's run. The
+/// simulation is deterministic, so [`Card::outcome`] memoises it: every
+/// like dispatch on a card behaves alike.
+#[derive(Debug, Clone)]
+pub(crate) enum CardOutcome {
+    /// The whole dispatch completes after `service_s`, utterance `u`
+    /// finishing at `utt_finish_s[u]`, with run quality `quality` (the
+    /// `CommandStats` success ratio: degraded/retry-heavy runs score lower).
+    Ok {
+        service_s: f64,
+        utt_finish_s: Vec<f64>,
+        quality: f64,
+        corruption: CorruptionCounters,
+        load_busy_s: f64,
+        timed_out: usize,
+    },
+    /// The run dies `fail_after_s` into the dispatch; utterances that
+    /// already produced their last kernel (`finished_s[u]`, front of the
+    /// batch) still count as served. Carries the barrier-granular frontier
+    /// the run banked (`checkpoint`), the dead run's command quality for the
+    /// health EWMA, and its watchdog-kill count.
+    Fail {
+        fail_after_s: f64,
+        finished_s: Vec<f64>,
+        checkpoint: Option<Rc<PlanCheckpoint>>,
+        quality: f64,
+        timed_out: usize,
+    },
+}
+
+impl CardOutcome {
+    /// The outcome of a run. A run that dies — loudly (`Unrecoverable`) or
+    /// via an exhausted CRC budget (`CorruptWeights`) — fails the still
+    /// unfinished members at the recorded fault time; utterances already
+    /// past their last kernel are carried in `finished_s`.
+    pub(crate) fn of(run: std::result::Result<BatchedRun, BatchFailure>) -> Self {
+        match run {
+            Ok(run) => {
+                let stats = run.runtime.command_stats();
+                CardOutcome::Ok {
+                    service_s: run.makespan_s,
+                    utt_finish_s: run.utterance_finish_s,
+                    quality: stats.success_ratio(),
+                    corruption: run.corruption,
+                    load_busy_s: run.load_busy_s,
+                    timed_out: stats.timed_out,
+                }
+            }
+            Err(fail) => CardOutcome::Fail {
+                fail_after_s: fail.at_s,
+                finished_s: fail.finished_s,
+                checkpoint: fail.checkpoint.map(Rc::new),
+                quality: fail.stats.success_ratio(),
+                timed_out: fail.stats.timed_out,
+            },
+        }
+    }
+}
+
+/// Work on a card, from dispatch to settle.
+#[derive(Debug, Clone)]
+pub(crate) struct Flight<W> {
+    pub(crate) work: W,
+    pub(crate) started_s: f64,
+    /// When the card frees up.
+    pub(crate) finish_s: f64,
+}
+
+/// One card of a pool, as both [`ServePool`] and the streaming pool
+/// ([`crate::stream`]) hold it: its fault plan, breaker, routing health,
+/// in-flight slot, busy time and dispatch counters, and the memo of what a
+/// dispatch on it does. `K` keys the memo; `W` is the work in flight. Each
+/// pool decides *when* a dispatch moves the health score; the card owns
+/// the three rules that move it.
+#[derive(Debug)]
+pub(crate) struct Card<K, W> {
+    pub(crate) id: DeviceId,
+    pub(crate) plan: FaultPlan,
+    pub(crate) breaker: Breaker,
+    /// Routing health in [0, 1]: an EWMA over dispatch quality.
+    pub(crate) health: f64,
+    pub(crate) in_flight: Option<Flight<W>>,
+    outcomes: HashMap<K, CardOutcome>,
+    /// Requests (or chunks) dispatched to this card.
+    pub(crate) served: usize,
+    pub(crate) completed: usize,
+    pub(crate) failed: usize,
+    /// Watchdog-timeout kills summed over this card's dispatches — the
+    /// hang-prone signal behind the health penalty.
+    pub(crate) timed_out: usize,
+    pub(crate) busy_s: f64,
+}
+
+impl<K: Eq + Hash, W> Card<K, W> {
+    pub(crate) fn new(index: usize, plan: FaultPlan, breaker: &BreakerConfig) -> Self {
+        Card {
+            id: DeviceId::new(index),
+            plan,
+            breaker: Breaker::new(breaker.clone()),
+            health: 1.0,
+            in_flight: None,
+            outcomes: HashMap::new(),
+            served: 0,
+            completed: 0,
+            failed: 0,
+            timed_out: 0,
+            busy_s: 0.0,
+        }
+    }
+
+    /// What a dispatch keyed `key` does on this card: `run` executes it
+    /// under the card's fault plan the first time, the memo answers after.
+    pub(crate) fn outcome(
+        &mut self,
+        key: K,
+        run: impl FnOnce(FaultPlan) -> CardOutcome,
+    ) -> CardOutcome {
+        if let Some(o) = self.outcomes.get(&key) {
+            return o.clone();
+        }
+        let o = run(self.plan.clone());
+        self.outcomes.insert(key, o.clone());
+        o
+    }
+
+    /// Drop the memo: the card's fault plan or weights changed.
+    pub(crate) fn forget_outcomes(&mut self) {
+        self.outcomes.clear();
+    }
+
+    /// Put `work` on the idle card from `now` until `finish_s`. An open
+    /// breaker past its cooldown lets it through as the half-open probe.
+    pub(crate) fn start(&mut self, now: f64, finish_s: f64, work: W) {
+        self.breaker.on_dispatch(now);
+        self.in_flight = Some(Flight { work, started_s: now, finish_s });
+    }
+
+    /// Take the flight that has settled by `now`, booking its busy time.
+    pub(crate) fn settle(&mut self, now: f64) -> Option<Flight<W>> {
+        if !self.in_flight.as_ref().is_some_and(|fl| fl.finish_s <= now + 1e-15) {
+            return None;
+        }
+        let fl = self.in_flight.take()?;
+        self.busy_s += fl.finish_s - fl.started_s;
+        Some(fl)
+    }
+
+    /// Take the flight cut off at `now` (the card died under it), booking
+    /// the busy time it got to.
+    pub(crate) fn kill(&mut self, now: f64) -> Option<Flight<W>> {
+        let fl = self.in_flight.take()?;
+        self.busy_s += (now - fl.started_s).max(0.0);
+        Some(fl)
+    }
+
+    /// Health rule 1: a dispatch that succeeded scores its run's quality.
+    pub(crate) fn credit(&mut self, quality: f64) {
+        self.health = 0.8 * self.health + 0.2 * quality;
+    }
+
+    /// Health rule 2: a run that died scores half its quality, so the
+    /// watchdog kills and retries it accumulated drag the card down faster
+    /// than the flat penalty.
+    pub(crate) fn debit_dead_run(&mut self, quality: f64) {
+        self.health = 0.8 * self.health + 0.2 * (0.5 * quality);
+    }
+
+    /// Health rule 3: a failure with no run quality to score decays the
+    /// health flatly.
+    pub(crate) fn decay(&mut self) {
+        self.health *= 0.8;
+    }
+}
+
+/// Nearest-rank percentile `p` (in [0, 1]) of ascending `sorted` values;
+/// 0 when there are none.
+pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        0.0
+    } else {
+        sorted[((sorted.len() - 1) as f64 * p).round() as usize]
     }
 }
 
@@ -532,36 +718,6 @@ impl ServeReport {
     }
 }
 
-/// What one batched dispatch on one card does, memoised per card and batch
-/// size (the simulation is deterministic, so every size-`b` dispatch on a
-/// card behaves alike).
-#[derive(Debug, Clone)]
-enum BatchOutcome {
-    /// The whole batch completes after `service_s`, utterance `u` finishing
-    /// at `utt_finish_s[u]`, with run quality `quality` (the `CommandStats`
-    /// success ratio: degraded/retry-heavy runs score lower).
-    Ok {
-        service_s: f64,
-        utt_finish_s: Vec<f64>,
-        quality: f64,
-        corruption: CorruptionCounters,
-        load_busy_s: f64,
-        timed_out: usize,
-    },
-    /// The run dies `fail_after_s` into the dispatch; utterances that
-    /// already produced their last kernel (`finished_s[u]`, front of the
-    /// batch) still count as served. Carries the barrier-granular frontier
-    /// the run banked (`checkpoint`), the dead run's command quality for the
-    /// health EWMA, and its watchdog-kill count.
-    Fail {
-        fail_after_s: f64,
-        finished_s: Vec<f64>,
-        checkpoint: Option<Rc<PlanCheckpoint>>,
-        quality: f64,
-        timed_out: usize,
-    },
-}
-
 #[derive(Debug, Clone)]
 struct Request {
     id: usize,
@@ -606,13 +762,11 @@ enum MemberEnd {
     DeadlineCancel,
 }
 
+/// A batch on a card.
 #[derive(Debug, Clone)]
-struct InFlight {
+struct Batch {
     /// Batch members with their individual settle times and ends.
     members: Vec<(Request, f64, MemberEnd)>,
-    started_s: f64,
-    /// When the card frees up (last member settle, capped by any cutoff).
-    finish_s: f64,
     /// Run quality when the whole batch succeeded; `None` on any cancel
     /// or failure (those score the card down instead).
     batch_quality: Option<f64>,
@@ -627,26 +781,15 @@ struct InFlight {
     fail_quality: Option<f64>,
 }
 
+/// A serving card: the pool card, its dispatch memo keyed by batch size,
+/// plus what only the serving pool counts.
 #[derive(Debug)]
 struct Device {
-    id: DeviceId,
-    plan: FaultPlan,
-    breaker: Breaker,
-    health: f64,
-    in_flight: Option<InFlight>,
-    /// Memoised dispatch behaviour, keyed by batch size.
-    outcomes: HashMap<usize, BatchOutcome>,
+    card: Card<usize, Batch>,
     /// Counters summed over every batch run dispatched to this card.
     corruption: CorruptionCounters,
-    served: usize,
     batches: usize,
-    completed: usize,
-    failed: usize,
     cancelled: usize,
-    /// Watchdog-timeout kills summed over this card's dispatches — the
-    /// hang-prone signal behind the health penalty.
-    timed_out: usize,
-    busy_s: f64,
 }
 
 /// The serving pool: bounded queue + health-tracked devices, advanced in
@@ -741,20 +884,10 @@ impl ServePool {
             .into_iter()
             .enumerate()
             .map(|(i, plan)| Device {
-                id: DeviceId::new(i),
-                plan,
-                breaker: Breaker::new(cfg.breaker.clone()),
-                health: 1.0,
-                in_flight: None,
-                outcomes: HashMap::new(),
+                card: Card::new(i, plan, &cfg.breaker),
                 corruption: CorruptionCounters::default(),
-                served: 0,
                 batches: 0,
-                completed: 0,
-                failed: 0,
                 cancelled: 0,
-                timed_out: 0,
-                busy_s: 0.0,
             })
             .collect();
         Ok(ServePool {
@@ -884,7 +1017,7 @@ impl ServePool {
 
     /// No queued work and no card busy.
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.devices.iter().all(|d| d.in_flight.is_none())
+        self.queue.is_empty() && self.devices.iter().all(|d| d.card.in_flight.is_none())
     }
 
     /// Whether [`ServePool::fail_stop`] has killed this pool.
@@ -904,7 +1037,11 @@ impl ServePool {
 
     /// Requests currently on a card.
     pub fn in_flight(&self) -> usize {
-        self.devices.iter().filter_map(|d| d.in_flight.as_ref()).map(|f| f.members.len()).sum()
+        self.devices
+            .iter()
+            .filter_map(|d| d.card.in_flight.as_ref())
+            .map(|f| f.work.members.len())
+            .sum()
     }
 
     /// Requests submitted so far (shed included).
@@ -955,14 +1092,14 @@ impl ServePool {
         }
         self.cfg.accel.weight_version = v;
         for d in &mut self.devices {
-            d.outcomes.clear();
+            d.card.forget_outcomes();
         }
         Ok(())
     }
 
     /// Final breaker state and lifetime open count per card.
     pub fn breaker_summary(&self) -> Vec<(BreakerState, u32)> {
-        self.devices.iter().map(|d| (d.breaker.state, d.breaker.opens)).collect()
+        self.devices.iter().map(|d| (d.card.breaker.state, d.card.breaker.opens)).collect()
     }
 
     /// Merge extra fault plans (one per card) into the pool — the node-wide
@@ -977,8 +1114,8 @@ impl ServePool {
             )));
         }
         for (d, plan) in self.devices.iter_mut().zip(extra) {
-            d.plan = d.plan.clone().merged(plan);
-            d.outcomes.clear();
+            d.card.plan = d.card.plan.clone().merged(plan);
+            d.card.forget_outcomes();
         }
         Ok(())
     }
@@ -996,19 +1133,18 @@ impl ServePool {
         self.draining = true;
         let mut out: Vec<Evicted> = Vec::new();
         for i in 0..self.devices.len() {
-            let Some(fl) = self.devices[i].in_flight.take() else { continue };
-            self.devices[i].busy_s += (now - fl.started_s).max(0.0);
-            let batch = fl.members.len();
-            let device = self.devices[i].id;
+            let Some(fl) = self.devices[i].card.kill(now) else { continue };
+            let batch = fl.work.members.len();
+            let device = self.devices[i].card.id;
             // Finished prefix: members whose final kernel retired at or
             // before the kill instant are served, not lost.
             let mut finished_local: Vec<f64> = Vec::new();
             let mut unfinished: Vec<Request> = Vec::new();
-            for (r, t, end) in fl.members {
+            for (r, t, end) in fl.work.members {
                 match end {
                     MemberEnd::Success { service_s } if t <= now + 1e-15 => {
                         finished_local.push(service_s);
-                        self.devices[i].completed += 1;
+                        self.devices[i].card.completed += 1;
                         self.finish_request(
                             r.clone(),
                             RequestOutcome::Completed {
@@ -1016,7 +1152,7 @@ impl ServePool {
                                 latency_s: t - r.arrival_s,
                                 service_s,
                                 batch,
-                                corruption: fl.run_corruption,
+                                corruption: fl.work.run_corruption,
                                 version: self.cfg.accel.weight_version,
                             },
                         );
@@ -1124,10 +1260,10 @@ impl ServePool {
             }
         };
         for d in &self.devices {
-            if let Some(fl) = &d.in_flight {
+            if let Some(fl) = &d.card.in_flight {
                 fold(fl.finish_s);
             } else if !self.queue.is_empty() {
-                if let Some(reopen) = d.breaker.reopen_time() {
+                if let Some(reopen) = d.card.breaker.reopen_time() {
                     fold(reopen);
                 }
             }
@@ -1170,49 +1306,45 @@ impl ServePool {
     fn complete_finished(&mut self) {
         let now = self.now_s;
         for i in 0..self.devices.len() {
-            let due = matches!(&self.devices[i].in_flight, Some(fl) if fl.finish_s <= now + 1e-15);
-            if !due {
-                continue;
-            }
-            let fl = self.devices[i].in_flight.take().expect("checked above");
-            self.devices[i].busy_s += fl.finish_s - fl.started_s;
-            let hard = fl.members.iter().any(|(_, _, e)| matches!(e, MemberEnd::Failure));
-            let soft = fl.members.iter().any(|(_, _, e)| {
+            let Some(fl) = self.devices[i].card.settle(now) else { continue };
+            let batch = fl.work;
+            let hard = batch.members.iter().any(|(_, _, e)| matches!(e, MemberEnd::Failure));
+            let soft = batch.members.iter().any(|(_, _, e)| {
                 matches!(e, MemberEnd::AttemptTimeout | MemberEnd::DeadlineCancel)
             });
             if hard || soft {
                 self.note_attempt_failure(
                     i,
                     fl.finish_s,
-                    if hard { fl.fail_quality } else { None },
+                    if hard { batch.fail_quality } else { None },
                 );
-            } else if let Some(quality) = fl.batch_quality {
-                let d = &mut self.devices[i];
-                d.breaker.on_success();
-                d.health = 0.8 * d.health + 0.2 * quality;
+            } else if let Some(quality) = batch.batch_quality {
+                let card = &mut self.devices[i].card;
+                card.breaker.on_success();
+                card.credit(quality);
             }
-            let batch = fl.members.len();
-            let device = self.devices[i].id;
+            let size = batch.members.len();
+            let device = self.devices[i].card.id;
             // Reverse order so failover push_fronts leave the queue in
             // request-id order.
-            for (r, t, end) in fl.members.into_iter().rev() {
+            for (r, t, end) in batch.members.into_iter().rev() {
                 match end {
                     MemberEnd::Success { service_s } => {
-                        self.devices[i].completed += 1;
+                        self.devices[i].card.completed += 1;
                         self.finish_request(
                             r.clone(),
                             RequestOutcome::Completed {
                                 device,
                                 latency_s: t - r.arrival_s,
                                 service_s,
-                                batch,
-                                corruption: fl.run_corruption,
+                                batch: size,
+                                corruption: batch.run_corruption,
                                 version: self.cfg.accel.weight_version,
                             },
                         );
                     }
                     MemberEnd::Failure => {
-                        self.devices[i].failed += 1;
+                        self.devices[i].card.failed += 1;
                         let err = AccelError::Unrecoverable {
                             phase: "serve".into(),
                             label: format!("request#{} on {}", r.id, device),
@@ -1223,7 +1355,7 @@ impl ServePool {
                         // failover member; whether it is resumed or re-paid
                         // from scratch is decided at re-dispatch.
                         let mut r = r;
-                        r.ckpt = fl.checkpoint.clone();
+                        r.ckpt = batch.checkpoint.clone();
                         self.failover_or(r, i, RequestOutcome::Failed(err));
                     }
                     MemberEnd::AttemptTimeout => {
@@ -1233,7 +1365,7 @@ impl ServePool {
                             waited_s: t - r.arrival_s,
                         };
                         let mut r = r;
-                        r.ckpt = fl.checkpoint.clone();
+                        r.ckpt = batch.checkpoint.clone();
                         self.failover_or(r, i, RequestOutcome::DeadlineMissed(err));
                     }
                     MemberEnd::DeadlineCancel => {
@@ -1250,16 +1382,14 @@ impl ServePool {
     }
 
     /// A dispatch that ended in any failure or cancel counts once against
-    /// the card's breaker and health. A hard failure feeds half the dead
-    /// run's command quality into the EWMA — watchdog kills and retries the
-    /// run accumulated before dying drag a hang-prone card down faster than
-    /// the flat cancel penalty.
+    /// the card's breaker and health: a hard failure scores the dead run's
+    /// quality, a cancel takes the flat penalty.
     fn note_attempt_failure(&mut self, device: usize, at_s: f64, fail_quality: Option<f64>) {
-        let d = &mut self.devices[device];
-        d.breaker.on_failure(at_s);
+        let card = &mut self.devices[device].card;
+        card.breaker.on_failure(at_s);
         match fail_quality {
-            Some(q) => d.health = 0.8 * d.health + 0.2 * (0.5 * q),
-            None => d.health *= 0.8,
+            Some(q) => card.debit_dead_run(q),
+            None => card.decay(),
         }
     }
 
@@ -1319,10 +1449,14 @@ impl ServePool {
             // bulk. Ties go to the lowest index — fully deterministic.
             let mut best: Option<(usize, f64)> = None;
             for (i, d) in self.devices.iter().enumerate() {
-                if d.in_flight.is_some() || Some(i) == head.exclude || !d.breaker.would_admit(now) {
+                let card = &d.card;
+                if card.in_flight.is_some()
+                    || Some(i) == head.exclude
+                    || !card.breaker.would_admit(now)
+                {
                     continue;
                 }
-                let cost = d.served as f64 / d.health;
+                let cost = card.served as f64 / card.health;
                 best = match best {
                     Some((_, b_cost)) if b_cost <= cost => best,
                     _ => Some((i, cost)),
@@ -1421,7 +1555,7 @@ impl ServePool {
             fail_quality,
             run_timeouts,
         ) = match outcome {
-            BatchOutcome::Ok {
+            CardOutcome::Ok {
                 service_s,
                 utt_finish_s,
                 quality,
@@ -1452,7 +1586,7 @@ impl ServePool {
                 let finish_s = (now + service_s).min(cutoff);
                 (settled, finish_s, all_ok.then_some(quality), corruption, None, None, timed_out)
             }
-            BatchOutcome::Fail { fail_after_s, finished_s, checkpoint, quality, timed_out } => {
+            CardOutcome::Fail { fail_after_s, finished_s, checkpoint, quality, timed_out } => {
                 // A mid-batch fault: members whose last kernel already
                 // landed are served; the rest fail at the fault instant.
                 let fail_t = now + fail_after_s;
@@ -1493,64 +1627,39 @@ impl ServePool {
             }
         };
         let d = &mut self.devices[device];
-        d.breaker.on_dispatch(now);
-        d.served += b;
-        d.batches += 1;
-        d.timed_out += run_timeouts;
-        d.corruption.merge(&run_corruption);
-        d.in_flight = Some(InFlight {
-            members: settled,
-            started_s: now,
+        d.card.start(
+            now,
             finish_s,
-            batch_quality,
-            run_corruption,
-            checkpoint: fail_ckpt,
-            fail_quality,
-        });
+            Batch {
+                members: settled,
+                batch_quality,
+                run_corruption,
+                checkpoint: fail_ckpt,
+                fail_quality,
+            },
+        );
+        d.card.served += b;
+        d.card.timed_out += run_timeouts;
+        d.batches += 1;
+        d.corruption.merge(&run_corruption);
     }
 
-    /// What a size-`batch` dispatch on this card does — computed once per
-    /// (card, batch size) by running the card's fault plan through the
-    /// batched recovery runtime (deterministic, so every size-`batch`
-    /// dispatch on the card behaves identically).
-    fn device_outcome(&mut self, device: usize, batch: usize) -> BatchOutcome {
-        if let Some(o) = self.devices[device].outcomes.get(&batch) {
-            return o.clone();
-        }
-        let s = self.cfg.accel.max_seq_len;
-        let o = match run_batch_with_recovery(
-            &self.cfg.accel,
-            self.cfg.arch,
-            s,
-            batch,
-            self.devices[device].plan.clone(),
-            &self.cfg.policy,
-        ) {
-            Ok(run) => {
-                let stats = run.runtime.command_stats();
-                BatchOutcome::Ok {
-                    service_s: run.makespan_s,
-                    quality: stats.success_ratio(),
-                    corruption: run.corruption,
-                    load_busy_s: run.load_busy_s,
-                    utt_finish_s: run.utterance_finish_s,
-                    timed_out: stats.timed_out,
-                }
-            }
-            // A card whose run dies — loudly (`Unrecoverable`) or via an
-            // exhausted CRC budget (`CorruptWeights`) — fails the still
-            // unfinished members at the recorded fault time; utterances
-            // already past their last kernel are carried in `finished_s`.
-            Err(fail) => BatchOutcome::Fail {
-                fail_after_s: fail.at_s,
-                finished_s: fail.finished_s,
-                checkpoint: fail.checkpoint.map(Rc::new),
-                quality: fail.stats.success_ratio(),
-                timed_out: fail.stats.timed_out,
-            },
-        };
-        self.devices[device].outcomes.insert(batch, o.clone());
-        o
+    /// What a size-`batch` dispatch on this card does: the card's fault
+    /// plan through the batched recovery runtime, once per (card, batch
+    /// size).
+    fn device_outcome(&mut self, device: usize, batch: usize) -> CardOutcome {
+        let cfg = &self.cfg;
+        self.devices[device].card.outcome(batch, |plan| {
+            let s = cfg.accel.max_seq_len;
+            CardOutcome::of(run_batch_with_recovery(
+                &cfg.accel,
+                cfg.arch,
+                s,
+                batch,
+                plan,
+                &cfg.policy,
+            ))
+        })
     }
 
     /// What resuming `ck` on this card does — *not* memoised: each
@@ -1559,7 +1668,7 @@ impl ServePool {
     /// (failover is cross-device); a checkpoint that fails validation is
     /// rejected typed and the dispatch falls back to a clean full restart,
     /// re-paying the banked work.
-    fn resumed_outcome(&mut self, device: usize, ck: &PlanCheckpoint) -> BatchOutcome {
+    fn resumed_outcome(&mut self, device: usize, ck: &PlanCheckpoint) -> CardOutcome {
         // Cross-version refusal, typed and counted separately: a checkpoint
         // cut under one weight set never completes under another (plan
         // validation would reject it too; gating here types the counter the
@@ -1571,52 +1680,30 @@ impl ServePool {
             self.replayed_compute_s += ck.captured_at_s;
             return self.device_outcome(device, ck.remaining_lens().len());
         }
-        match resume_batch(
-            &self.cfg.accel,
-            ck,
-            false,
-            self.devices[device].plan.clone(),
-            &self.cfg.policy,
-        ) {
+        let plan = self.devices[device].card.plan.clone();
+        let run = resume_batch(&self.cfg.accel, ck, false, plan, &self.cfg.policy);
+        match &run {
             Ok(run) => {
-                self.resumed_dispatches += 1;
                 if let Some(res) = &run.resume {
                     self.skipped_load_bytes += res.skipped_load_bytes;
                     self.replayed_load_bytes += res.replayed_load_bytes;
                 }
                 self.skipped_compute_s += ck.captured_at_s;
-                let stats = run.runtime.command_stats();
-                BatchOutcome::Ok {
-                    service_s: run.makespan_s,
-                    quality: stats.success_ratio(),
-                    corruption: run.corruption,
-                    load_busy_s: run.load_busy_s,
-                    utt_finish_s: run.utterance_finish_s,
-                    timed_out: stats.timed_out,
-                }
             }
-            Err(fail) => {
-                if matches!(fail.error, AccelError::CheckpointRejected { .. }) {
-                    self.checkpoint_rejects += 1;
-                    self.replayed_load_bytes += ck.loaded_bytes();
-                    self.replayed_compute_s += ck.captured_at_s;
-                    return self.device_outcome(device, ck.remaining_lens().len());
-                }
-                // Double fault mid-resume: the failure banks a *newer*
-                // frontier (its completed prefix includes the resumed
-                // suffix's progress), so the next failover resumes from
-                // there — utterances are partitioned, never replayed from
-                // scratch or dropped.
-                self.resumed_dispatches += 1;
-                BatchOutcome::Fail {
-                    fail_after_s: fail.at_s,
-                    finished_s: fail.finished_s,
-                    checkpoint: fail.checkpoint.map(Rc::new),
-                    quality: fail.stats.success_ratio(),
-                    timed_out: fail.stats.timed_out,
-                }
+            Err(fail) if matches!(fail.error, AccelError::CheckpointRejected { .. }) => {
+                self.checkpoint_rejects += 1;
+                self.replayed_load_bytes += ck.loaded_bytes();
+                self.replayed_compute_s += ck.captured_at_s;
+                return self.device_outcome(device, ck.remaining_lens().len());
             }
+            // Double fault mid-resume: the failure banks a *newer* frontier
+            // (its completed prefix includes the resumed suffix's progress),
+            // so the next failover resumes from there — utterances are
+            // partitioned, never replayed from scratch or dropped.
+            Err(_) => {}
         }
+        self.resumed_dispatches += 1;
+        CardOutcome::of(run)
     }
 
     fn finish_request(&mut self, r: Request, outcome: RequestOutcome) {
@@ -1652,20 +1739,13 @@ impl ServePool {
             })
             .collect();
         latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let pct = |p: f64| {
-            if latencies.is_empty() {
-                0.0
-            } else {
-                latencies[((latencies.len() - 1) as f64 * p).round() as usize]
-            }
-        };
         let wall_s = self.last_finish_s;
         let mut corruption = CorruptionCounters::default();
         for d in &self.devices {
             corruption.merge(&d.corruption);
         }
         let batches: usize = self.devices.iter().map(|d| d.batches).sum();
-        let served: usize = self.devices.iter().map(|d| d.served).sum();
+        let served: usize = self.devices.iter().map(|d| d.card.served).sum();
         let mean_batch = if batches > 0 { served as f64 / batches as f64 } else { 0.0 };
         let amortized_load_s = if self.ok_batch_utts > 0 {
             self.load_busy_total_s / self.ok_batch_utts as f64
@@ -1682,22 +1762,22 @@ impl ServePool {
             failed_over: self.failed_over,
             wall_s,
             throughput_rps: if wall_s > 0.0 { completed as f64 / wall_s } else { 0.0 },
-            p50_latency_s: pct(0.50),
-            p99_latency_s: pct(0.99),
+            p50_latency_s: percentile(&latencies, 0.50),
+            p99_latency_s: percentile(&latencies, 0.99),
             per_device: self
                 .devices
                 .iter()
                 .map(|d| DeviceReport {
-                    id: d.id,
-                    served: d.served,
-                    completed: d.completed,
-                    failed: d.failed,
+                    id: d.card.id,
+                    served: d.card.served,
+                    completed: d.card.completed,
+                    failed: d.card.failed,
                     cancelled: d.cancelled,
-                    timed_out: d.timed_out,
-                    breaker_opens: d.breaker.opens,
-                    breaker_final: d.breaker.state,
-                    health: d.health,
-                    busy_s: d.busy_s,
+                    timed_out: d.card.timed_out,
+                    breaker_opens: d.card.breaker.opens,
+                    breaker_final: d.card.breaker.state,
+                    health: d.card.health,
+                    busy_s: d.card.busy_s,
                     corruption: d.corruption,
                 })
                 .collect(),

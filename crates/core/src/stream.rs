@@ -51,14 +51,14 @@
 //! Everything runs in deterministic virtual time, exactly like
 //! [`crate::serve::ServePool`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::arch::Architecture;
 use crate::config::AccelConfig;
 use crate::error::{AccelError, Result};
-use crate::host_runtime::{run_stream_chunk, RecoveryPolicy, StreamChunkRun};
+use crate::host_runtime::{run_stream_chunk, RecoveryPolicy};
 use crate::plan::{walk_cost, ExecPlan, PlanReuse, ResidentStripe};
-use crate::serve::{pool_fault_plans, Breaker, BreakerConfig, BreakerState};
+use crate::serve::{percentile, pool_fault_plans, BreakerConfig, BreakerState, Card, CardOutcome};
 use asr_fpga_sim::device::DeviceId;
 use asr_fpga_sim::faults::FaultPlan;
 use asr_tensor::WeightEncoding;
@@ -446,14 +446,6 @@ pub fn stream_analytics(cfg: &StreamConfig) -> Result<StreamAnalytics> {
     })
 }
 
-/// Memoised behaviour of one chunk dispatch on one card, keyed by whether
-/// the card's stream weight cache is warm.
-#[derive(Debug, Clone)]
-enum DispatchOutcome {
-    Ok { service_s: f64, quality: f64, timed_out: usize, reuse: Option<PlanReuse> },
-    Fail { fail_after_s: f64, quality: f64, timed_out: usize },
-}
-
 #[derive(Debug, Clone)]
 struct ArrivedChunk {
     idx: usize,
@@ -461,31 +453,22 @@ struct ArrivedChunk {
     attempts: u32,
 }
 
+/// A session's chunk on a card.
 #[derive(Debug, Clone)]
-struct Flight {
+struct ChunkWork {
     session: usize,
     chunk: ArrivedChunk,
-    started_s: f64,
-    finish_s: f64,
     ok: bool,
     reuse: Option<PlanReuse>,
 }
 
+/// A streaming card: the pool card, its dispatch memo keyed by whether its
+/// stream weight cache is warm, plus what only the streaming pool tracks.
 #[derive(Debug)]
 struct StreamDevice {
-    id: DeviceId,
-    plan: FaultPlan,
-    breaker: Breaker,
-    health: f64,
+    card: Card<bool, ChunkWork>,
     warm: bool,
-    in_flight: Option<Flight>,
-    outcomes: HashMap<bool, DispatchOutcome>,
-    served: usize,
-    completed: usize,
-    failed: usize,
-    timed_out: usize,
     streams_killed: usize,
-    busy_s: f64,
 }
 
 #[derive(Debug)]
@@ -534,6 +517,8 @@ pub struct StreamPool {
     nominal_s: f64,
     /// The stripe set a cold chunk pins (schedule-derived, device-neutral).
     pinned: Vec<ResidentStripe>,
+    /// Elision accounting of a warm chunk's lowering (device-neutral too).
+    warm_reuse: Option<PlanReuse>,
     scheduled_bytes_per_chunk: u64,
     elided_loads: usize,
     elided_load_bytes: u64,
@@ -603,19 +588,9 @@ impl StreamPool {
             .into_iter()
             .enumerate()
             .map(|(i, plan)| StreamDevice {
-                id: DeviceId::new(i),
-                plan,
-                breaker: Breaker::new(cfg.breaker.clone()),
-                health: 1.0,
+                card: Card::new(i, plan, &cfg.breaker),
                 warm: false,
-                in_flight: None,
-                outcomes: HashMap::new(),
-                served: 0,
-                completed: 0,
-                failed: 0,
-                timed_out: 0,
                 streams_killed: 0,
-                busy_s: 0.0,
             })
             .collect();
         let n_devices = cfg.devices;
@@ -628,6 +603,7 @@ impl StreamPool {
             now_s: 0.0,
             nominal_s,
             pinned,
+            warm_reuse: nominal.reuse,
             scheduled_bytes_per_chunk,
             elided_loads: 0,
             elided_load_bytes: 0,
@@ -684,9 +660,9 @@ impl StreamPool {
             }
         }
         for d in &self.devices {
-            if let Some(fl) = &d.in_flight {
+            if let Some(fl) = &d.card.in_flight {
                 fold(fl.finish_s);
-            } else if let Some(reopen) = d.breaker.reopen_time() {
+            } else if let Some(reopen) = d.card.breaker.reopen_time() {
                 fold(reopen);
             }
         }
@@ -739,34 +715,28 @@ impl StreamPool {
     fn complete_finished(&mut self) {
         let now = self.now_s;
         for d_idx in 0..self.devices.len() {
-            let due =
-                matches!(&self.devices[d_idx].in_flight, Some(fl) if fl.finish_s <= now + 1e-15);
-            if !due {
-                continue;
-            }
-            let fl = self.devices[d_idx].in_flight.take().expect("checked above");
-            self.devices[d_idx].busy_s += fl.finish_s - fl.started_s;
+            let Some(fl) = self.devices[d_idx].card.settle(now) else { continue };
             self.last_settle_s = self.last_settle_s.max(fl.finish_s);
-            let s_idx = fl.session;
+            let ChunkWork { session: s_idx, chunk, ok, reuse } = fl.work;
             self.sessions[s_idx].in_flight = false;
-            if fl.ok {
+            if ok {
                 let d = &mut self.devices[d_idx];
-                d.breaker.on_success();
-                d.completed += 1;
+                d.card.breaker.on_success();
+                d.card.completed += 1;
                 d.warm = true;
-                if let Some(r) = fl.reuse {
+                if let Some(r) = reuse {
                     self.elided_loads += r.elided_loads;
                     self.elided_load_bytes += r.elided_load_bytes;
                 }
-                let deadline = fl.chunk.arrival_s + self.cfg.deadline_s;
+                let deadline = chunk.arrival_s + self.cfg.deadline_s;
                 self.records.push(ChunkRecord {
                     stream: s_idx,
-                    chunk: fl.chunk.idx,
-                    arrival_s: fl.chunk.arrival_s,
-                    attempts: fl.chunk.attempts,
+                    chunk: chunk.idx,
+                    arrival_s: chunk.arrival_s,
+                    attempts: chunk.attempts,
                     outcome: ChunkOutcome::Served {
-                        device: self.devices[d_idx].id,
-                        latency_s: fl.finish_s - fl.chunk.arrival_s,
+                        device: self.devices[d_idx].card.id,
+                        latency_s: fl.finish_s - chunk.arrival_s,
                         late: fl.finish_s > deadline + 1e-15,
                     },
                 });
@@ -777,13 +747,10 @@ impl StreamPool {
             // health accounting, then fail the *session* over — the
             // carryover state lives above the device, so only this chunk
             // replays.
-            {
-                let d = &mut self.devices[d_idx];
-                d.breaker.on_failure(fl.finish_s);
-                d.failed += 1;
-                d.health *= 0.8;
-            }
-            let chunk = fl.chunk;
+            let card = &mut self.devices[d_idx].card;
+            card.breaker.on_failure(fl.finish_s);
+            card.failed += 1;
+            card.decay();
             if (chunk.attempts as usize) < self.devices.len().max(2) {
                 self.failovers += 1;
                 self.chunks_replayed += 1;
@@ -880,18 +847,19 @@ impl StreamPool {
     fn route(&mut self, s_idx: usize, now: f64) -> Option<usize> {
         let s = &self.sessions[s_idx];
         let home = s.home;
-        let home_ok = s.exclude != Some(home) && self.devices[home].breaker.would_admit(now);
+        let home_ok = s.exclude != Some(home) && self.devices[home].card.breaker.would_admit(now);
         if home_ok {
-            return if self.devices[home].in_flight.is_none() { Some(home) } else { None };
+            return if self.devices[home].card.in_flight.is_none() { Some(home) } else { None };
         }
         let mut best: Option<(usize, f64)> = None;
         for (i, d) in self.devices.iter().enumerate() {
-            if Some(i) == s.exclude || d.in_flight.is_some() || !d.breaker.would_admit(now) {
+            let card = &d.card;
+            if Some(i) == s.exclude || card.in_flight.is_some() || !card.breaker.would_admit(now) {
                 continue;
             }
             best = match best {
-                Some((_, h)) if h >= d.health => best,
-                _ => Some((i, d.health)),
+                Some((_, h)) if h >= card.health => best,
+                _ => Some((i, card.health)),
             };
         }
         best.map(|(i, _)| i)
@@ -906,75 +874,32 @@ impl StreamPool {
         self.sessions[s_idx].last_dispatch_s = now;
         self.sessions[s_idx].home = d_idx;
         let warm = self.devices[d_idx].warm;
-        let outcome = self.device_outcome(d_idx, warm);
-        self.scheduled_load_bytes += self.scheduled_bytes_per_chunk;
-        let d = &mut self.devices[d_idx];
-        d.breaker.on_dispatch(now);
-        d.served += 1;
-        let flight = match outcome {
-            DispatchOutcome::Ok { service_s, quality, timed_out, reuse } => {
-                d.timed_out += timed_out;
-                d.health = 0.8 * d.health + 0.2 * quality;
-                Flight {
-                    session: s_idx,
-                    chunk,
-                    started_s: now,
-                    finish_s: now + service_s,
-                    ok: true,
-                    reuse,
-                }
-            }
-            DispatchOutcome::Fail { fail_after_s, quality, timed_out } => {
-                d.timed_out += timed_out;
-                d.health = 0.8 * d.health + 0.2 * (0.5 * quality);
-                Flight {
-                    session: s_idx,
-                    chunk,
-                    started_s: now,
-                    finish_s: now + fail_after_s.max(1e-9),
-                    ok: false,
-                    reuse: None,
-                }
-            }
-        };
-        self.devices[d_idx].in_flight = Some(flight);
-    }
-
-    /// What one chunk dispatch on this card does — computed once per
-    /// (card, warm/cold) by running the chunk plan through the
-    /// fault-tolerant executor (deterministic, so every like dispatch
-    /// behaves identically).
-    fn device_outcome(&mut self, d_idx: usize, warm: bool) -> DispatchOutcome {
-        if let Some(o) = self.devices[d_idx].outcomes.get(&warm) {
-            return o.clone();
-        }
+        let cfg = &self.cfg;
         let resident: &[ResidentStripe] = if warm { &self.pinned } else { &[] };
-        let o = match run_stream_chunk(
-            &self.cfg.accel,
-            self.cfg.arch,
-            self.cfg.window(),
-            resident,
-            self.cfg.pin_slots,
-            self.devices[d_idx].plan.clone(),
-            &self.cfg.policy,
-        ) {
-            Ok(StreamChunkRun { run, reuse, .. }) => {
-                let stats = run.runtime.command_stats();
-                DispatchOutcome::Ok {
-                    service_s: run.makespan_s,
-                    quality: stats.success_ratio(),
-                    timed_out: stats.timed_out,
-                    reuse,
-                }
+        let card = &mut self.devices[d_idx].card;
+        // What one chunk dispatch on this card does: the chunk plan through
+        // the fault-tolerant executor, once per (card, warm/cold).
+        let outcome = card.outcome(warm, |plan| {
+            let (window, slots) = (cfg.window(), cfg.pin_slots);
+            let run =
+                run_stream_chunk(&cfg.accel, cfg.arch, window, resident, slots, plan, &cfg.policy);
+            CardOutcome::of(run.map(|c| c.run))
+        });
+        card.served += 1;
+        let (finish_s, ok, reuse) = match outcome {
+            CardOutcome::Ok { service_s, quality, timed_out, .. } => {
+                card.timed_out += timed_out;
+                card.credit(quality);
+                (now + service_s, true, if warm { self.warm_reuse } else { None })
             }
-            Err(fail) => DispatchOutcome::Fail {
-                fail_after_s: fail.at_s,
-                quality: fail.stats.success_ratio(),
-                timed_out: fail.stats.timed_out,
-            },
+            CardOutcome::Fail { fail_after_s, quality, timed_out, .. } => {
+                card.timed_out += timed_out;
+                card.debit_dead_run(quality);
+                (now + fail_after_s.max(1e-9), false, None)
+            }
         };
-        self.devices[d_idx].outcomes.insert(warm, o.clone());
-        o
+        card.start(now, finish_s, ChunkWork { session: s_idx, chunk, ok, reuse });
+        self.scheduled_load_bytes += self.scheduled_bytes_per_chunk;
     }
 
     fn into_report(mut self) -> StreamReport {
@@ -999,13 +924,6 @@ impl StreamPool {
             })
             .collect();
         latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let pct = |p: f64| {
-            if latencies.is_empty() {
-                0.0
-            } else {
-                latencies[((latencies.len() - 1) as f64 * p).round() as usize]
-            }
-        };
         let streams_dropped = self.sessions.iter().filter(|s| s.dropped).count();
         let chunks_served = served.len();
         StreamReport {
@@ -1019,8 +937,8 @@ impl StreamPool {
             late,
             failovers: self.failovers,
             chunks_replayed: self.chunks_replayed,
-            p50_chunk_latency_s: pct(0.50),
-            p99_chunk_latency_s: pct(0.99),
+            p50_chunk_latency_s: percentile(&latencies, 0.50),
+            p99_chunk_latency_s: percentile(&latencies, 0.99),
             deadline_miss_rate: if chunks_total == 0 {
                 0.0
             } else {
@@ -1040,16 +958,16 @@ impl StreamPool {
                 .devices
                 .iter()
                 .map(|d| StreamDeviceReport {
-                    id: d.id,
-                    served: d.served,
-                    completed: d.completed,
-                    failed: d.failed,
-                    timed_out: d.timed_out,
+                    id: d.card.id,
+                    served: d.card.served,
+                    completed: d.card.completed,
+                    failed: d.card.failed,
+                    timed_out: d.card.timed_out,
                     streams_killed: d.streams_killed,
-                    breaker_opens: d.breaker.opens,
-                    breaker_final: d.breaker.state,
-                    health: d.health,
-                    busy_s: d.busy_s,
+                    breaker_opens: d.card.breaker.opens,
+                    breaker_final: d.card.breaker.state,
+                    health: d.card.health,
+                    busy_s: d.card.busy_s,
                     warm: d.warm,
                 })
                 .collect(),

@@ -315,7 +315,9 @@ pub struct StreamReport {
     pub p50_chunk_latency_s: f64,
     /// 99th-percentile chunk latency, seconds.
     pub p99_chunk_latency_s: f64,
-    /// Missed fraction: (stale + backpressure + late) / chunks_total.
+    /// Missed fraction: (stale + backpressure + late + dropped) /
+    /// chunks_total. A chunk that was shed, served late or dropped with
+    /// its session missed its deadline.
     pub deadline_miss_rate: f64,
     /// `LoadStripe`s elided by resident-weight reuse across the run.
     pub elided_loads: usize,
@@ -681,16 +683,6 @@ impl StreamPool {
                 let idx = s.arrived;
                 let arrival_s = s.arrivals[idx];
                 s.arrived += 1;
-                if s.dropped {
-                    self.records.push(ChunkRecord {
-                        stream: i,
-                        chunk: idx,
-                        arrival_s,
-                        attempts: 0,
-                        outcome: ChunkOutcome::SessionDropped,
-                    });
-                    continue;
-                }
                 if s.queue.len() >= self.cfg.session_queue {
                     let err = AccelError::StreamBackpressure {
                         stream: i,
@@ -746,30 +738,33 @@ impl StreamPool {
             // The device died under this chunk: session-aware breaker and
             // health accounting, then fail the *session* over — the
             // carryover state lives above the device, so only this chunk
-            // replays.
+            // replays. As in the serving pool, a failover needs another
+            // card to go to.
             let card = &mut self.devices[d_idx].card;
             card.breaker.on_failure(fl.finish_s);
             card.failed += 1;
             card.decay();
-            if (chunk.attempts as usize) < self.devices.len().max(2) {
+            let cards = self.devices.len();
+            if cards > 1 && (chunk.attempts as usize) < cards {
                 self.failovers += 1;
                 self.chunks_replayed += 1;
                 self.sessions[s_idx].exclude = Some(d_idx);
                 self.sessions[s_idx].queue.push_front(chunk);
             } else {
                 // No card can make progress on this stream: drop the
-                // session, recording every chunk it still owed.
+                // session, recording every chunk it still owed — this one,
+                // the queued ones and those yet to arrive.
                 self.devices[d_idx].streams_killed += 1;
                 let s = &mut self.sessions[s_idx];
                 s.dropped = true;
-                self.records.push(ChunkRecord {
-                    stream: s_idx,
-                    chunk: chunk.idx,
-                    arrival_s: chunk.arrival_s,
-                    attempts: chunk.attempts,
-                    outcome: ChunkOutcome::SessionDropped,
-                });
-                let owed: Vec<ArrivedChunk> = s.queue.drain(..).collect();
+                let mut owed: Vec<ArrivedChunk> =
+                    std::iter::once(chunk).chain(s.queue.drain(..)).collect();
+                owed.extend((s.arrived..s.arrivals.len()).map(|idx| ArrivedChunk {
+                    idx,
+                    arrival_s: s.arrivals[idx],
+                    attempts: 0,
+                }));
+                s.arrived = s.arrivals.len();
                 for c in owed {
                     self.records.push(ChunkRecord {
                         stream: s_idx,
@@ -916,6 +911,8 @@ impl StreamPool {
             records.iter().filter(|r| matches!(r.outcome, ChunkOutcome::Stale(_))).count();
         let backpressure_shed =
             records.iter().filter(|r| matches!(r.outcome, ChunkOutcome::Backpressure(_))).count();
+        let dropped =
+            records.iter().filter(|r| matches!(r.outcome, ChunkOutcome::SessionDropped)).count();
         let mut latencies: Vec<f64> = served
             .iter()
             .filter_map(|r| match r.outcome {
@@ -942,7 +939,7 @@ impl StreamPool {
             deadline_miss_rate: if chunks_total == 0 {
                 0.0
             } else {
-                (stale_shed + backpressure_shed + late) as f64 / chunks_total as f64
+                (stale_shed + backpressure_shed + late + dropped) as f64 / chunks_total as f64
             },
             elided_loads: self.elided_loads,
             elided_load_bytes: self.elided_load_bytes,
@@ -1154,5 +1151,19 @@ mod tests {
         assert_eq!(report.streams_dropped, report.streams);
         assert_eq!(report.chunks_served, 0);
         assert!(report.per_device.iter().map(|d| d.streams_killed).sum::<usize>() >= 2);
+        assert_eq!(report.deadline_miss_rate, 1.0, "a dropped chunk missed its deadline");
+    }
+
+    #[test]
+    fn a_single_broken_card_drops_every_stream_without_failing_over_onto_itself() {
+        // Seed 1 breaks the only card: there is no other card to fail a
+        // session over to, so each stream drops on its first failed chunk.
+        let report = StreamPool::run(cfg(1, 1, 2)).unwrap();
+        assert_eq!(report.streams_dropped, 2);
+        assert_eq!(report.chunks_served, 0);
+        assert_eq!(report.failovers, 0);
+        assert_eq!(report.chunks_replayed, report.failovers);
+        assert_eq!(report.per_device[0].streams_killed, 2);
+        assert_eq!(report.deadline_miss_rate, 1.0);
     }
 }

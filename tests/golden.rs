@@ -29,6 +29,7 @@ const REPORTS: &[(&str, &str)] = &[
         "stream_failover",
         "stream --streams 4 --devices 4 --faults 1 --chunk-ms 40 --deadline-ms 60 --chunks 8",
     ),
+    ("stream_one_card", "stream --devices 1 --faults 1 --streams 2 --chunks 8"),
     (
         "cluster_chaos",
         "cluster --nodes 3 --rps 80 --n 200 --upgrade 2 --upgrade-at 0.4 --kill-node 2@1.0",

@@ -225,7 +225,7 @@ impl CardOutcome {
 }
 
 /// Work on a card, from dispatch to settle.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Flight<W> {
     pub(crate) work: W,
     pub(crate) started_s: f64,

@@ -304,10 +304,7 @@ impl<K: Eq + Hash, W> Card<K, W> {
 
     /// Take the flight that has settled by `now`, booking its busy time.
     pub(crate) fn settle(&mut self, now: f64) -> Option<Flight<W>> {
-        if !self.in_flight.as_ref().is_some_and(|fl| fl.finish_s <= now + 1e-15) {
-            return None;
-        }
-        let fl = self.in_flight.take()?;
+        let fl = self.in_flight.take_if(|fl| fl.finish_s <= now + 1e-15)?;
         self.busy_s += fl.finish_s - fl.started_s;
         Some(fl)
     }

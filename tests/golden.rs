@@ -1,5 +1,6 @@
 //! Golden reports: every `asrsim` invocation that CI and the verify notes
-//! run, with its stdout and exit code compared byte for byte against
+//! run, plus each report, table and CSV subcommand, with its stdout and
+//! exit code compared byte for byte against
 //! `tests/golden/<name>.txt`. A refactor that must not change behaviour
 //! passes here unchanged; a report that changes on purpose is re-blessed
 //! with `GOLDEN_BLESS=1 cargo test --test golden`, and the diff of the
@@ -14,8 +15,15 @@ use std::process::Command;
 /// Report invocations: golden file name and arguments.
 const REPORTS: &[(&str, &str)] = &[
     ("latency", "latency --s 32"),
+    ("report", "report --s 32"),
     ("arch", "arch --s 32"),
+    ("dse", "dse"),
     ("quant", "quant"),
+    ("breakdown", "breakdown --s 32"),
+    ("pipeline", "pipeline --s 32 --n 12"),
+    ("csv_table5_1", "csv table5.1"),
+    ("csv_fig5_2", "csv fig5.2"),
+    ("csv_ii", "csv ii"),
     ("faults_demo", "faults 0 --s 8"),
     ("faults_flag_form", "--faults 0 --s 8"),
     ("faults_a1", "faults 0 --arch a1"),
@@ -34,6 +42,8 @@ const REPORTS: &[(&str, &str)] = &[
         "cluster_chaos",
         "cluster --nodes 3 --rps 80 --n 200 --upgrade 2 --upgrade-at 0.4 --kill-node 2@1.0",
     ),
+    ("plan_batch", "plan --s 8 --arch a3 --batch 4"),
+    ("plan_detect_a1", "plan --s 8 --arch a1 --integrity detect"),
     ("plan_decode", "plan --decode --s 32 --beam 4 --steps 64"),
     ("plan_decode_a2", "plan --decode --arch a2 --s 32 --beam 4 --steps 64 --step 32"),
     ("plan_decode_beam0", "plan --decode --beam 0"),
@@ -118,4 +128,36 @@ fn exit_codes_match_their_golden_file() {
     if let Err(diff) = golden::check(&golden_path("exit_codes"), &actual) {
         panic!("exit codes differ from golden:\n{diff}");
     }
+}
+
+/// CI's "Typed CLI exit codes" step checks a subset of `EXITS`. Every
+/// `expect CODE ARGS` line there must name an invocation pinned here, with
+/// the code `exit_codes.txt` records for it, so the two lists cannot drift.
+#[test]
+fn ci_exit_code_checks_are_pinned_by_the_golden_list() {
+    let ci = Path::new(env!("CARGO_MANIFEST_DIR")).join(".github/workflows/ci.yml");
+    let ci = std::fs::read_to_string(&ci).unwrap_or_else(|e| panic!("{}: {e}", ci.display()));
+    let golden = std::fs::read_to_string(golden_path("exit_codes")).expect("exit_codes.txt");
+    let golden: Vec<&str> = golden.lines().collect();
+    let mut checked = 0;
+    for line in ci.lines() {
+        let mut words = line.split_whitespace();
+        if words.next() != Some("expect") {
+            continue;
+        }
+        let Some(code) = words.next().filter(|w| w.parse::<u8>().is_ok()) else {
+            continue;
+        };
+        let args = words.collect::<Vec<_>>().join(" ");
+        assert!(EXITS.contains(&args.as_str()), "CI checks `asrsim {args}`, which EXITS lacks");
+        let header = format!("$ asrsim {args}");
+        let at = golden.iter().position(|l| *l == header).expect("EXITS entries are in the file");
+        assert_eq!(
+            golden.get(at + 1).copied(),
+            Some(format!("exit {code}").as_str()),
+            "CI expects `asrsim {args}` to exit {code}"
+        );
+        checked += 1;
+    }
+    assert!(checked > 0, "no `expect CODE ARGS` line found in ci.yml");
 }

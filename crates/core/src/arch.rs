@@ -128,6 +128,12 @@ impl ArchResult {
 ///
 /// The input is padded to the built sequence length (§5.1.5); compute and
 /// load times are those of the padded length.
+///
+/// # Panics
+///
+/// If `input_len` exceeds `cfg.max_seq_len` or `cfg` is invalid. A caller
+/// holding unchecked input lowers with [`ExecPlan::lower`], which returns
+/// the typed error, and prices the plan with [`walk_cost`].
 pub fn simulate(cfg: &AccelConfig, arch: Architecture, input_len: usize) -> ArchResult {
     simulate_batch(cfg, arch, input_len, 1)
 }

@@ -147,6 +147,10 @@ impl AccelConfig {
     /// Effective sequence length after padding (the bitstream computes at the
     /// fixed built length, §5.1.5: "For a given input sequence of length i,
     /// where i < s, the input is padded up to s").
+    ///
+    /// # Panics
+    ///
+    /// If `input_len` exceeds `max_seq_len`.
     pub fn padded_seq_len(&self, input_len: usize) -> usize {
         assert!(
             input_len <= self.max_seq_len,

@@ -261,6 +261,10 @@ fn parse_arch_flag(args: &[String]) -> Result<Architecture, CliError> {
     })
 }
 
+/// Longest sequence length `--s` accepts: every subcommand that reads it
+/// builds the bitstream at exactly that length.
+const MAX_SEQ_LEN: usize = 512;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     finish(run(&args))
@@ -272,7 +276,11 @@ fn run(args: &[String]) -> Result<(), CliError> {
     let Some(cmd) = args.first() else {
         return Err(CliError::Usage(format!("asrsim <{}> [options]", COMMANDS)));
     };
-    let s = || parse_usize_strict(args, "--s", 32);
+    let s = || {
+        parse_flag_value(args, "--s", 32, "a sequence length in 1..=512", |v| {
+            v.parse().ok().filter(|s| (1..=MAX_SEQ_LEN).contains(s))
+        })
+    };
 
     match cmd.as_str() {
         "latency" => cmd_latency(s()?),
@@ -311,7 +319,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
 
 fn unpadded(s: usize) -> AccelConfig {
     let mut c = AccelConfig::paper_default();
-    c.max_seq_len = s.clamp(1, 512);
+    c.max_seq_len = s;
     c
 }
 
@@ -414,7 +422,6 @@ fn cmd_faults(seed: u64, s: usize, args: &[String]) -> Result<(), CliError> {
     let level = parse_integrity_flag(args)?;
     let mut cfg = unpadded(s);
     cfg.integrity = level;
-    let s = cfg.max_seq_len;
     if has_flag(args, "--checkpoint") {
         return cmd_faults_checkpoint(seed, &cfg, arch, args);
     }
@@ -573,7 +580,6 @@ fn cmd_plan(s: usize, args: &[String]) -> Result<(), CliError> {
     let mut cfg = unpadded(s);
     cfg.encoding = enc;
     cfg.validate()?;
-    let s = cfg.max_seq_len;
     let plan = ExecPlan::lower(&cfg, arch, s, batch, level)?;
     let counts = plan.counts();
     let (buf, ser, paired) = plan.edge_counts();

@@ -442,6 +442,22 @@ fn malformed_numeric_flags_are_bad_values() {
 }
 
 #[test]
+fn out_of_range_sequence_lengths_are_one_line_bad_values() {
+    for args in [
+        &["latency", "--s", "513"][..],
+        &["arch", "--s", "513"],
+        &["pipeline", "--s", "513"],
+        &["trace", "unwritten.json", "--s", "513"],
+        &["report", "--s", "0"],
+    ] {
+        let (code, err) = run_code(args);
+        assert_eq!(code, 3, "{:?}: {}", args, err);
+        assert!(err.starts_with("asrsim: bad value: --s"), "{}", err);
+        assert_eq!(err.trim_end().lines().count(), 1, "{:?}: {}", args, err);
+    }
+}
+
+#[test]
 fn missing_positional_arguments_are_usage_errors() {
     for args in [&["trace"][..], &["csv"], &["--faults"]] {
         let (code, err) = run_code(args);

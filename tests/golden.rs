@@ -63,12 +63,17 @@ const EXITS: &[&str] = &[
     "",
     "bench",
     "latency --s x",
+    "latency --s 513",
     "report --s x",
+    "report --s 0",
     "arch --s x",
+    "arch --s 513",
     "breakdown --s x",
     "pipeline --n x",
+    "pipeline --s 513",
     "trace",
     "trace /nonexistent/dir/out.json",
+    "trace golden_trace.json --s 513",
     "plan --encoding bogus",
     "plan --arch a9",
     "plan --batch x",

@@ -11,7 +11,7 @@
 //!   the FFN phase, loaded concurrently on the two engines (Fig 4.11).
 //!
 //! Since the `core::plan` refactor the three architectures are not three
-//! simulators: [`simulate_batch`] lowers the request into one
+//! simulators: [`simulate`] lowers the request into one
 //! [`crate::plan::ExecPlan`] (where A1/A2/A3 differ only in the prefetch
 //! edges the lowering emits) and prices it with the analytic walker
 //! [`crate::plan::walk_cost`]. The walker builds an explicit [`Timeline`],
@@ -20,7 +20,7 @@
 
 use crate::calib;
 use crate::config::AccelConfig;
-use crate::plan::{walk_cost, ExecPlan, PlanCost};
+use crate::plan::{walk_cost, ExecPlan};
 use crate::schedule::encoder;
 use asr_fpga_sim::Timeline;
 use asr_systolic::abft::IntegrityLevel;
@@ -94,8 +94,6 @@ pub struct ArchResult {
     pub arch: Architecture,
     /// Padded sequence length.
     pub seq_len: usize,
-    /// Utterances sharing the schedule (1 = the paper's solo run).
-    pub batch: usize,
     /// End-to-end accelerator latency (all 18 layers), seconds.
     pub latency_s: f64,
     /// Sum of load-phase durations, seconds.
@@ -108,23 +106,9 @@ pub struct ArchResult {
     pub timeline: Timeline,
 }
 
-impl ArchResult {
-    /// Assemble the public result from a plan and its analytic pricing.
-    fn from_cost(plan: &ExecPlan, cost: PlanCost) -> ArchResult {
-        ArchResult {
-            arch: plan.arch,
-            seq_len: plan.seq_len,
-            batch: plan.batch,
-            latency_s: cost.latency_s,
-            load_total_s: cost.load_total_s,
-            compute_total_s: cost.compute_total_s,
-            compute_stall_s: cost.compute_stall_s,
-            timeline: cost.timeline,
-        }
-    }
-}
-
-/// Simulate an architecture for an input of (unpadded) length `input_len`.
+/// Simulate an architecture for an input of (unpadded) length `input_len`:
+/// the paper's solo run, lowered into a batch-of-one plan and priced by the
+/// analytic walker.
 ///
 /// The input is padded to the built sequence length (§5.1.5); compute and
 /// load times are those of the padded length.
@@ -135,32 +119,18 @@ impl ArchResult {
 /// holding unchecked input lowers with [`ExecPlan::lower`], which returns
 /// the typed error, and prices the plan with [`walk_cost`].
 pub fn simulate(cfg: &AccelConfig, arch: Architecture, input_len: usize) -> ArchResult {
-    simulate_batch(cfg, arch, input_len, 1)
-}
-
-/// Simulate an architecture serving a *batch* of `batch` equal-length
-/// utterances through one pass over the 18 layers: every phase's weights
-/// are loaded once, and its compute block lasts `batch ×` the solo compute
-/// (the utterances run back-to-back under the resident layer). On A2/A3 the
-/// next phase's prefetch overlaps the whole batch's compute, so the
-/// residual per-utterance stall shrinks with `batch`; A1 stays strictly
-/// sequential — loads still never overlap compute.
-///
-/// `batch == 1` reproduces [`simulate`] bit-for-bit (same spans, same
-/// labels: the compute scale factor is exactly 1.0).
-///
-/// Since the plan refactor this is a thin wrapper: lower once, price with
-/// the shared analytic walker. The A1/A2/A3 recurrences live in the plan's
-/// edges, not here.
-pub fn simulate_batch(
-    cfg: &AccelConfig,
-    arch: Architecture,
-    input_len: usize,
-    batch: usize,
-) -> ArchResult {
-    let plan = ExecPlan::lower(cfg, arch, input_len, batch, IntegrityLevel::Off)
-        .expect("valid simulation request");
-    ArchResult::from_cost(&plan, walk_cost(cfg, &plan))
+    let plan = ExecPlan::lower(cfg, arch, input_len, 1, IntegrityLevel::Off)
+        .expect("input fits the built sequence length");
+    let cost = walk_cost(cfg, &plan);
+    ArchResult {
+        arch,
+        seq_len: plan.seq_len,
+        latency_s: cost.latency_s,
+        load_total_s: cost.load_total_s,
+        compute_total_s: cost.compute_total_s,
+        compute_stall_s: cost.compute_stall_s,
+        timeline: cost.timeline,
+    }
 }
 
 /// Load time of one encoder layer's weights (Fig 5.2's "Load" series), seconds.

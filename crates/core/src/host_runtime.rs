@@ -8,10 +8,12 @@
 //! [`run_plan_with_recovery`] replays them under a fault plan with the full
 //! retry/degradation machinery. The analytic walker and this executor are
 //! independent consumers of one IR, and the tests pin them to each other: a
-//! disagreement means one of them mis-models the overlap structure.
+//! disagreement means one of them mis-models the overlap structure. Both
+//! executors take a plan the caller lowered ([`ExecPlan::lower`],
+//! [`ExecPlan::resume`], [`ExecPlan::lower_stream_chunk`] or
+//! [`ExecPlan::lower_decode_step`]); neither lowers one itself.
 //!
-//! On top of the fault-free path ([`run_through_runtime`]) sits the
-//! fault-tolerant host ([`run_with_recovery`]): every command's
+//! In the fault-tolerant executor every command's
 //! [`CommandStatus`] is checked, transient failures are retried with
 //! exponential backoff, hangs are reaped by the watchdog and relaunched, and
 //! permanent faults walk the **degradation ladder**:
@@ -99,45 +101,6 @@ pub struct BatchRun {
     pub loads_issued: usize,
     /// Seconds the prefetch engines spent moving weights.
     pub load_busy_s: f64,
-}
-
-/// Drive an architecture's schedule through the runtime; returns the
-/// runtime (for its timeline) and the makespan in seconds.
-///
-/// A2/A3 run their prefetch pipelines; A1 runs the same command stream with
-/// every load additionally gated on the previous layer's compute, which is
-/// exactly the Fig 4.8 no-overlap recurrence.
-pub fn run_through_runtime(
-    cfg: &AccelConfig,
-    arch: Architecture,
-    input_len: usize,
-) -> Result<(Runtime, f64)> {
-    let run = run_batch_through_runtime(cfg, arch, input_len, 1)?;
-    Ok((run.runtime, run.makespan_s))
-}
-
-/// Drive a *batched* schedule through the runtime: each phase's weight
-/// stripes are loaded **once** for the whole batch, and the `batch`
-/// per-utterance computes run back-to-back under the resident layer. On
-/// A2/A3 the prefetch of phase `l+1` therefore overlaps the entire batch's
-/// compute on phase `l`, amortizing the load cost over `batch` utterances;
-/// on A1 every load still waits out the previous phase's *last* compute, so
-/// the no-overlap baseline keeps its shape.
-///
-/// At `batch == 1` the emitted command stream is identical — labels,
-/// dependency sets, order — to [`run_through_runtime`]'s, which is what the
-/// batch-vs-solo bit-identity tests pin.
-///
-/// Since the plan refactor this is a thin wrapper: lower once, replay with
-/// the shared executor [`run_plan`].
-pub fn run_batch_through_runtime(
-    cfg: &AccelConfig,
-    arch: Architecture,
-    input_len: usize,
-    batch: usize,
-) -> Result<BatchRun> {
-    let plan = ExecPlan::lower(cfg, arch, input_len, batch, cfg.integrity)?;
-    Ok(run_plan(cfg, &plan))
 }
 
 /// The fault-free plan executor: replay an [`ExecPlan`]'s command DAG
@@ -262,50 +225,16 @@ pub struct RecoveryEvent {
     pub detail: String,
 }
 
-/// Outcome of a fault-injected run that survived to completion.
-#[derive(Debug, Clone)]
-pub struct FaultedRun {
-    /// The runtime (its timeline holds work spans, fault markers, and
-    /// recovery annotations).
-    pub runtime: Runtime,
-    /// Makespan with faults and recovery, seconds.
-    pub makespan_s: f64,
-    /// Fault-free makespan of the same schedule, seconds.
-    pub nominal_s: f64,
-    /// Architecture the run started at.
-    pub entry_arch: Architecture,
-    /// Architecture the run finished at (after any ladder descent).
-    pub final_arch: Architecture,
-    /// SLR that dropped out, if one did.
-    pub dead_slr: Option<usize>,
-    /// Total retries spent on transient faults.
-    pub retries: u32,
-    /// Every recovery decision, in order.
-    pub events: Vec<RecoveryEvent>,
-    /// Silent-corruption accounting (CRC + ABFT), per DESIGN.md §9.
-    pub corruption: CorruptionCounters,
-}
-
-impl FaultedRun {
-    /// Latency penalty of the faults, as a fraction of nominal (0 = clean).
-    pub fn slowdown(&self) -> f64 {
-        if self.nominal_s > 0.0 {
-            self.makespan_s / self.nominal_s - 1.0
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Outcome of a fault-injected *batched* run that survived to completion.
-/// The non-batch fields mean exactly what they do on [`FaultedRun`].
+/// Outcome of a fault-injected plan run that survived to completion: a
+/// solo, batched, resumed, stream-chunk or decode-step plan alike.
 #[derive(Debug, Clone)]
 pub struct BatchedRun {
     /// The runtime (work spans, fault markers, recovery annotations).
     pub runtime: Runtime,
     /// Makespan of the whole batch with faults and recovery, seconds.
     pub makespan_s: f64,
-    /// Fault-free makespan of the same *batched* schedule, seconds.
+    /// Fault-free makespan of the same plan, seconds. The fault overhead
+    /// is `makespan_s / nominal_s - 1.0`.
     pub nominal_s: f64,
     /// Utterances in the batch.
     pub batch: usize,
@@ -360,75 +289,25 @@ pub struct BatchFailure {
     pub stats: CommandStats,
 }
 
-impl BatchFailure {
-    fn from_error(error: AccelError, finished_s: Vec<f64>) -> Self {
+/// A failure with nothing finished, no checkpoint and no command stats —
+/// what a lowering error is. The failure time is read off the error: the
+/// detection time of an `Unrecoverable` or `CorruptWeights`, else 0.
+impl From<AccelError> for BatchFailure {
+    fn from(error: AccelError) -> Self {
         let at_s = match &error {
             AccelError::Unrecoverable { at_s, .. } | AccelError::CorruptWeights { at_s, .. } => {
                 *at_s
             }
             _ => 0.0,
         };
-        BatchFailure { error, at_s, finished_s, checkpoint: None, stats: CommandStats::default() }
+        BatchFailure {
+            error,
+            at_s,
+            finished_s: Vec::new(),
+            checkpoint: None,
+            stats: CommandStats::default(),
+        }
     }
-}
-
-/// Run an architecture's schedule through the runtime with a fault plan
-/// attached, retrying transient failures and walking the degradation ladder
-/// on permanent ones. A run entered at A1 has no engine rung left below it,
-/// but still retries transients and survives an SLR loss.
-///
-/// Returns `Ok` whenever the policy leaves a path to completion — possibly
-/// at a lower architecture rung and a larger makespan — and
-/// [`AccelError::Unrecoverable`] when retries are exhausted or degradation
-/// is disallowed/impossible.
-pub fn run_with_recovery(
-    cfg: &AccelConfig,
-    arch: Architecture,
-    input_len: usize,
-    plan: FaultPlan,
-    policy: &RecoveryPolicy,
-) -> Result<FaultedRun> {
-    match run_batch_with_recovery(cfg, arch, input_len, 1, plan, policy) {
-        Ok(b) => Ok(FaultedRun {
-            runtime: b.runtime,
-            makespan_s: b.makespan_s,
-            nominal_s: b.nominal_s,
-            entry_arch: b.entry_arch,
-            final_arch: b.final_arch,
-            dead_slr: b.dead_slr,
-            retries: b.retries,
-            events: b.events,
-            corruption: b.corruption,
-        }),
-        Err(f) => Err(f.error),
-    }
-}
-
-/// [`run_with_recovery`] generalized to a batch: one CRC-verified weight
-/// load per phase for the whole batch, per-utterance computes back-to-back
-/// under the resident layer, and the same retry/degradation ladder. A
-/// mid-batch fault reports which utterances already finished
-/// ([`BatchFailure::finished_s`]) so callers can fail over only the rest.
-///
-/// `run_with_recovery` delegates here with `batch == 1`, so the solo path
-/// and the batched path cannot drift apart.
-///
-/// Since the plan refactor this is a thin wrapper: lower once, replay with
-/// the shared fault-tolerant executor [`run_plan_with_recovery`].
-// The failure path is cold and consumed immediately; a boxed error
-// would just push the indirection onto every caller.
-#[allow(clippy::result_large_err)]
-pub fn run_batch_with_recovery(
-    cfg: &AccelConfig,
-    arch: Architecture,
-    input_len: usize,
-    batch: usize,
-    plan: FaultPlan,
-    policy: &RecoveryPolicy,
-) -> std::result::Result<BatchedRun, BatchFailure> {
-    let exec = ExecPlan::lower(cfg, arch, input_len, batch, cfg.integrity)
-        .map_err(|e| BatchFailure::from_error(e, Vec::new()))?;
-    run_plan_with_recovery(cfg, &exec, plan, policy)
 }
 
 /// The fault-tolerant plan executor: replay an [`ExecPlan`] under a
@@ -491,14 +370,9 @@ pub fn run_plan_with_recovery(
                 loaded: usize,
                 rt: &Runtime|
      -> BatchFailure {
-        let at_s = match &error {
-            AccelError::Unrecoverable { at_s, .. } | AccelError::CorruptWeights { at_s, .. } => {
-                *at_s
-            }
-            _ => 0.0,
-        };
-        let checkpoint = Some(PlanCheckpoint::at(plan, completed, loaded, &finished, at_s));
-        BatchFailure { error, at_s, finished_s: finished, checkpoint, stats: rt.command_stats() }
+        let failure = BatchFailure::from(error);
+        let checkpoint = Some(PlanCheckpoint::at(plan, completed, loaded, &finished, failure.at_s));
+        BatchFailure { finished_s: finished, checkpoint, stats: rt.command_stats(), ..failure }
     };
 
     // A sticky PSA lane corrupts tiles in every phase; what happens next is
@@ -867,125 +741,6 @@ pub fn run_plan_with_recovery(
     })
 }
 
-/// Resume a checkpointed batch: lower the uncompleted suffix against this
-/// device's config — trusting resident stripes only on a same-device
-/// resume — and execute it under the device's fault plan. A poisoned or
-/// mismatched checkpoint surfaces as [`AccelError::CheckpointRejected`]
-/// inside the [`BatchFailure`] (with no checkpoint attached): the caller's
-/// clean fallback is a full restart, never silent reuse.
-// The failure path is cold and consumed immediately; a boxed error
-// would just push the indirection onto every caller.
-#[allow(clippy::result_large_err)]
-pub fn resume_batch(
-    cfg: &AccelConfig,
-    ckpt: &PlanCheckpoint,
-    trust_resident: bool,
-    faults: FaultPlan,
-    policy: &RecoveryPolicy,
-) -> std::result::Result<BatchedRun, BatchFailure> {
-    let plan = ExecPlan::resume(cfg, ckpt, trust_resident)
-        .map_err(|e| BatchFailure::from_error(e, Vec::new()))?;
-    run_plan_with_recovery(cfg, &plan, faults, policy)
-}
-
-/// One streaming chunk executed through the fault-tolerant plan executor,
-/// plus the stripe set the device pins for the stream's next chunk.
-#[derive(Debug, Clone)]
-pub struct StreamChunkRun {
-    /// The chunk's run (timeline, makespan, recovery events, checkpoints).
-    pub run: BatchedRun,
-    /// Elision accounting of the lowering (`None` on a cold first chunk).
-    pub reuse: Option<crate::plan::PlanReuse>,
-    /// Stripes now pinned in the device's stream weight cache — feed these
-    /// to the stream's next chunk.
-    pub pinned: Vec<crate::plan::ResidentStripe>,
-    /// Bytes the schedule would stream with nothing resident (the elision
-    /// fraction's denominator).
-    pub scheduled_load_bytes: u64,
-}
-
-/// Execute one chunk of a streaming session through the runtime: lower the
-/// chunk's encoder phases over the `window_len`-step attention window
-/// ([`ExecPlan::lower_stream_chunk`]) — eliding every `LoadStripe` whose
-/// CRC-matching stripe is already pinned in the device's stream weight
-/// cache from the previous chunk — and replay it under the device's fault
-/// plan with the full retry/degradation ladder.
-/// On success the returned [`StreamChunkRun::pinned`] is what the device
-/// keeps resident for chunk *k+1*; on failure the [`BatchFailure`] carries
-/// the barrier-granular checkpoint exactly as a batch run's would, and the
-/// serving layer replays **only this chunk** on the failover target (the
-/// stream's carryover state lives above this layer, untouched by the
-/// device death).
-// The failure path is cold and consumed immediately; a boxed error
-// would just push the indirection onto every caller.
-#[allow(clippy::result_large_err)]
-pub fn run_stream_chunk(
-    cfg: &AccelConfig,
-    arch: Architecture,
-    window_len: usize,
-    resident: &[crate::plan::ResidentStripe],
-    pin_slots: usize,
-    faults: FaultPlan,
-    policy: &RecoveryPolicy,
-) -> std::result::Result<StreamChunkRun, BatchFailure> {
-    let plan = ExecPlan::lower_stream_chunk(cfg, arch, window_len, resident)
-        .map_err(|e| BatchFailure::from_error(e, Vec::new()))?;
-    let pinned = plan.pinned_stripes(pin_slots);
-    let scheduled_load_bytes = plan.scheduled_load_bytes();
-    let reuse = plan.reuse;
-    let run = run_plan_with_recovery(cfg, &plan, faults, policy)?;
-    Ok(StreamChunkRun { run, reuse, pinned, scheduled_load_bytes })
-}
-
-/// One autoregressive decode step executed through the fault-tolerant plan
-/// executor, plus the stripe set the device pins for the session's next
-/// step.
-#[derive(Debug, Clone)]
-pub struct DecodeStepRun {
-    /// The step's run (timeline, makespan, recovery events, checkpoints).
-    pub run: BatchedRun,
-    /// Elision accounting of the lowering (`None` on the cold first step).
-    pub reuse: Option<crate::plan::PlanReuse>,
-    /// Stripes now pinned in the device's decode weight cache — feed these
-    /// to the session's next step.
-    pub pinned: Vec<crate::plan::ResidentStripe>,
-    /// Bytes the step's schedule would stream with nothing resident.
-    pub scheduled_load_bytes: u64,
-    /// Bytes the lowered plan actually fetches after elision.
-    pub fetched_load_bytes: u64,
-}
-
-/// Execute one autoregressive decode step through the runtime: lower the
-/// step's [`crate::plan::DecodeStepSpec`] plan — eliding every `LoadStripe`
-/// whose CRC-matching stripe the previous step left pinned (steady-state
-/// steps fetch only the front-token embedding rows) — and replay it under
-/// the device's fault plan with the full retry/degradation ladder. On
-/// success the returned [`DecodeStepRun::pinned`] is what the device keeps
-/// resident for step `t + 1`; on failure the [`BatchFailure`] carries the
-/// barrier-granular checkpoint exactly as a batch run's would, and the
-/// serving layer replays **only this step** on the failover target (the
-/// beam state and KV cache ship with the session, above this layer).
-// The failure path is cold and consumed immediately; a boxed error
-// would just push the indirection onto every caller.
-#[allow(clippy::result_large_err)]
-pub fn run_decode_step(
-    cfg: &AccelConfig,
-    arch: Architecture,
-    spec: crate::plan::DecodeStepSpec,
-    resident: &[crate::plan::ResidentStripe],
-    faults: FaultPlan,
-    policy: &RecoveryPolicy,
-) -> std::result::Result<DecodeStepRun, BatchFailure> {
-    let plan = ExecPlan::lower_decode_step(cfg, arch, spec, resident, cfg.integrity)
-        .map_err(|e| BatchFailure::from_error(e, Vec::new()))?;
-    let pinned = plan.decode_pinned_stripes();
-    let scheduled_load_bytes = plan.scheduled_load_bytes();
-    let fetched_load_bytes = plan.fetched_load_bytes();
-    let reuse = plan.reuse;
-    let run = run_plan_with_recovery(cfg, &plan, faults, policy)?;
-    Ok(DecodeStepRun { run, reuse, pinned, scheduled_load_bytes, fetched_load_bytes })
-}
-
 /// The configuration after losing one SLR: half the PSA pool, head split
 /// re-balanced so `parallel_heads × psas_per_head == n_psas` still holds.
 ///
@@ -1016,6 +771,7 @@ pub fn slr_degraded_config(cfg: &AccelConfig) -> Result<AccelConfig> {
 mod tests {
     use super::*;
     use crate::arch::simulate;
+    use crate::plan::DecodeStepSpec;
     use asr_fpga_sim::faults::FaultKind;
 
     fn unpadded(s: usize) -> AccelConfig {
@@ -1024,12 +780,17 @@ mod tests {
         c
     }
 
+    /// `batch` utterances of length `s`, lowered at the config's integrity.
+    fn lower(cfg: &AccelConfig, arch: Architecture, s: usize, batch: usize) -> ExecPlan {
+        ExecPlan::lower(cfg, arch, s, batch, cfg.integrity).unwrap()
+    }
+
     #[test]
     fn runtime_and_arch_simulators_agree_on_a3() {
         for s in [4usize, 8, 16, 32] {
             let cfg = unpadded(s);
             let bespoke = simulate(&cfg, Architecture::A3, s).latency_s;
-            let (_, via_runtime) = run_through_runtime(&cfg, Architecture::A3, s).unwrap();
+            let via_runtime = run_plan(&cfg, &lower(&cfg, Architecture::A3, s, 1)).makespan_s;
             assert!(
                 (bespoke - via_runtime).abs() / bespoke < 0.01,
                 "s={}: arch {} vs runtime {}",
@@ -1045,7 +806,7 @@ mod tests {
         for s in [4usize, 16, 32] {
             let cfg = unpadded(s);
             let bespoke = simulate(&cfg, Architecture::A2, s).latency_s;
-            let (_, via_runtime) = run_through_runtime(&cfg, Architecture::A2, s).unwrap();
+            let via_runtime = run_plan(&cfg, &lower(&cfg, Architecture::A2, s, 1)).makespan_s;
             assert!(
                 (bespoke - via_runtime).abs() / bespoke < 0.01,
                 "s={}: arch {} vs runtime {}",
@@ -1059,7 +820,7 @@ mod tests {
     #[test]
     fn runtime_timeline_has_load_and_kernel_tracks() {
         let cfg = unpadded(8);
-        let (rt, _) = run_through_runtime(&cfg, Architecture::A3, 8).unwrap();
+        let rt = run_plan(&cfg, &lower(&cfg, Architecture::A3, 8, 1)).runtime;
         let units = rt.timeline().units();
         assert!(units.contains(&"maxi-0"));
         assert!(units.contains(&"maxi-1"));
@@ -1073,7 +834,7 @@ mod tests {
         for s in [4usize, 8, 16, 32] {
             let cfg = unpadded(s);
             let bespoke = simulate(&cfg, Architecture::A1, s).latency_s;
-            let (_, via_runtime) = run_through_runtime(&cfg, Architecture::A1, s).unwrap();
+            let via_runtime = run_plan(&cfg, &lower(&cfg, Architecture::A1, s, 1)).makespan_s;
             assert!(
                 (bespoke - via_runtime).abs() / bespoke < 0.01,
                 "s={}: arch {} vs runtime {}",
@@ -1085,35 +846,17 @@ mod tests {
     }
 
     #[test]
-    fn oversized_input_is_a_typed_error() {
-        let cfg = unpadded(4);
-        let err = run_through_runtime(&cfg, Architecture::A3, 5).unwrap_err();
-        assert!(matches!(err, AccelError::InvalidInput { .. }), "{}", err);
-    }
-
-    #[test]
-    fn zero_fault_recovery_is_bit_identical_to_fault_free() {
-        for arch in [Architecture::A1, Architecture::A2, Architecture::A3] {
-            let cfg = unpadded(8);
-            let (rt, total) = run_through_runtime(&cfg, arch, 8).unwrap();
-            let run =
-                run_with_recovery(&cfg, arch, 8, FaultPlan::none(), &RecoveryPolicy::default())
-                    .unwrap();
-            assert_eq!(rt.timeline().spans(), run.runtime.timeline().spans());
-            assert_eq!(total.to_bits(), run.makespan_s.to_bits());
-            assert_eq!(run.final_arch, arch);
-            assert_eq!(run.retries, 0);
-            assert!(run.events.is_empty());
-        }
-    }
-
-    #[test]
     fn transient_load_error_is_retried_to_completion() {
         let cfg = unpadded(8);
         let plan = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "LWE3".into(), failing_attempts: 2 });
-        let run =
-            run_with_recovery(&cfg, Architecture::A3, 8, plan, &RecoveryPolicy::default()).unwrap();
+        let run = run_plan_with_recovery(
+            &cfg,
+            &lower(&cfg, Architecture::A3, 8, 1),
+            plan,
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
         assert_eq!(run.retries, 2);
         assert!(run.makespan_s.is_finite());
         assert!(run.makespan_s >= run.nominal_s, "faults cannot speed a run up");
@@ -1126,8 +869,14 @@ mod tests {
         let cfg = unpadded(8);
         let plan = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "LWE3".into(), failing_attempts: 99 });
-        let err = run_with_recovery(&cfg, Architecture::A3, 8, plan, &RecoveryPolicy::default())
-            .unwrap_err();
+        let err = run_plan_with_recovery(
+            &cfg,
+            &lower(&cfg, Architecture::A3, 8, 1),
+            plan,
+            &RecoveryPolicy::default(),
+        )
+        .unwrap_err()
+        .error;
         assert!(matches!(err, AccelError::Unrecoverable { .. }), "{}", err);
     }
 
@@ -1140,9 +889,14 @@ mod tests {
         let cfg = unpadded(4);
         let plan = FaultPlan::none()
             .with(FaultKind::EngineDropout { queue: "maxi-1".into(), from_command: 0 });
-        let run =
-            run_with_recovery(&cfg, Architecture::A3, 4, plan, &RecoveryPolicy::default()).unwrap();
-        let (_, a2) = run_through_runtime(&cfg, Architecture::A2, 4).unwrap();
+        let run = run_plan_with_recovery(
+            &cfg,
+            &lower(&cfg, Architecture::A3, 4, 1),
+            plan,
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
+        let a2 = run_plan(&cfg, &lower(&cfg, Architecture::A2, 4, 1)).makespan_s;
         assert_eq!(run.final_arch, Architecture::A2);
         assert!(
             (run.makespan_s - a2).abs() / a2 < 0.01,
@@ -1161,10 +915,15 @@ mod tests {
         let cfg = unpadded(4);
         let plan = FaultPlan::none()
             .with(FaultKind::EngineDropout { queue: "maxi-1".into(), from_command: 4 });
-        let run =
-            run_with_recovery(&cfg, Architecture::A3, 4, plan, &RecoveryPolicy::default()).unwrap();
-        let (_, a2) = run_through_runtime(&cfg, Architecture::A2, 4).unwrap();
-        let (_, a3) = run_through_runtime(&cfg, Architecture::A3, 4).unwrap();
+        let run = run_plan_with_recovery(
+            &cfg,
+            &lower(&cfg, Architecture::A3, 4, 1),
+            plan,
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
+        let a2 = run_plan(&cfg, &lower(&cfg, Architecture::A2, 4, 1)).makespan_s;
+        let a3 = run_plan(&cfg, &lower(&cfg, Architecture::A3, 4, 1)).makespan_s;
         assert_eq!(run.final_arch, Architecture::A2);
         assert!(run.makespan_s >= a3 - 1e-12, "{} vs A3 {}", run.makespan_s, a3);
         assert!(run.makespan_s <= a2 * 1.01, "{} vs A2 {}", run.makespan_s, a2);
@@ -1176,13 +935,18 @@ mod tests {
         let plan = FaultPlan::none()
             .with(FaultKind::EngineDropout { queue: "maxi-0".into(), from_command: 2 })
             .with(FaultKind::EngineDropout { queue: "maxi-1".into(), from_command: 2 });
-        let run =
-            run_with_recovery(&cfg, Architecture::A3, 4, plan, &RecoveryPolicy::default()).unwrap();
+        let run = run_plan_with_recovery(
+            &cfg,
+            &lower(&cfg, Architecture::A3, 4, 1),
+            plan,
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
         assert_eq!(run.final_arch, Architecture::A1);
         // A1 without overlap is no faster than the bespoke A1 simulation
         // minus its first-fill (loose sanity bound), and certainly slower
         // than fault-free A3.
-        let (_, a3) = run_through_runtime(&cfg, Architecture::A3, 4).unwrap();
+        let a3 = run_plan(&cfg, &lower(&cfg, Architecture::A3, 4, 1)).makespan_s;
         assert!(
             run.makespan_s > a3,
             "A1 fallback {} must cost more than A3 {}",
@@ -1195,8 +959,13 @@ mod tests {
     fn slr_loss_halves_the_pool_and_relaunches() {
         let cfg = unpadded(8);
         let plan = FaultPlan::none().with(FaultKind::SlrDropout { slr: 1, from_command: 3 });
-        let run =
-            run_with_recovery(&cfg, Architecture::A3, 8, plan, &RecoveryPolicy::default()).unwrap();
+        let run = run_plan_with_recovery(
+            &cfg,
+            &lower(&cfg, Architecture::A3, 8, 1),
+            plan,
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
         assert_eq!(run.dead_slr, Some(1));
         assert!(run.makespan_s > run.nominal_s, "halved pool must cost latency");
         // every kernel from the dropout onward runs on SLR0
@@ -1213,7 +982,9 @@ mod tests {
         let plan = FaultPlan::none()
             .with(FaultKind::EngineDropout { queue: "maxi-1".into(), from_command: 0 });
         let policy = RecoveryPolicy { allow_degradation: false, ..RecoveryPolicy::default() };
-        let err = run_with_recovery(&cfg, Architecture::A3, 4, plan, &policy).unwrap_err();
+        let err = run_plan_with_recovery(&cfg, &lower(&cfg, Architecture::A3, 4, 1), plan, &policy)
+            .unwrap_err()
+            .error;
         assert!(matches!(err, AccelError::Unrecoverable { .. }), "{}", err);
     }
 
@@ -1243,9 +1014,14 @@ mod tests {
             let plan = FaultPlan::none()
                 .with(FaultKind::SlrDropout { slr: a, from_command: 0 })
                 .with(FaultKind::SlrDropout { slr: b, from_command: 2 });
-            let err =
-                run_with_recovery(&cfg, Architecture::A3, 8, plan, &RecoveryPolicy::default())
-                    .unwrap_err();
+            let err = run_plan_with_recovery(
+                &cfg,
+                &lower(&cfg, Architecture::A3, 8, 1),
+                plan,
+                &RecoveryPolicy::default(),
+            )
+            .unwrap_err()
+            .error;
             assert!(
                 matches!(err, AccelError::Unrecoverable { .. }),
                 "slr order {}/{}: {}",
@@ -1284,8 +1060,14 @@ mod tests {
         let cfg = unpadded(8);
         let plan = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "LWE1".into(), failing_attempts: u32::MAX });
-        let err = run_with_recovery(&cfg, Architecture::A3, 8, plan, &RecoveryPolicy::default())
-            .unwrap_err();
+        let err = run_plan_with_recovery(
+            &cfg,
+            &lower(&cfg, Architecture::A3, 8, 1),
+            plan,
+            &RecoveryPolicy::default(),
+        )
+        .unwrap_err()
+        .error;
         match err {
             AccelError::Unrecoverable { at_s, attempts, .. } => {
                 assert!(at_s.is_finite() && at_s > 0.0, "failure time {}", at_s);
@@ -1300,14 +1082,13 @@ mod tests {
         let cfg = unpadded(8);
         for arch in [Architecture::A1, Architecture::A2, Architecture::A3] {
             for seed in 0..12u64 {
-                let run = run_with_recovery(
+                let run = run_plan_with_recovery(
                     &cfg,
-                    arch,
-                    8,
+                    &lower(&cfg, arch, 8, 1),
                     FaultPlan::seeded(seed),
                     &RecoveryPolicy::default(),
                 )
-                .unwrap_or_else(|e| panic!("{} seed {}: {}", arch.name(), seed, e));
+                .unwrap_or_else(|f| panic!("{} seed {}: {}", arch.name(), seed, f.error));
                 assert!(run.makespan_s.is_finite());
                 assert!(run.makespan_s >= run.nominal_s - 1e-12);
             }
@@ -1326,8 +1107,13 @@ mod tests {
         let cfg = unpadded(8); // integrity off by default
         let plan = FaultPlan::seeded_with(3, &FaultProfile::silent_only());
         assert!(plan.has_silent_faults());
-        let run =
-            run_with_recovery(&cfg, Architecture::A3, 8, plan, &RecoveryPolicy::default()).unwrap();
+        let run = run_plan_with_recovery(
+            &cfg,
+            &lower(&cfg, Architecture::A3, 8, 1),
+            plan,
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
         // Nobody asks, nobody pays: timing is exactly nominal, but the
         // corruption went straight into compute.
         assert!((run.makespan_s - run.nominal_s).abs() < 1e-12);
@@ -1346,8 +1132,13 @@ mod tests {
             bit: 7,
             failing_attempts: 2,
         });
-        let run =
-            run_with_recovery(&cfg, Architecture::A3, 8, plan, &RecoveryPolicy::default()).unwrap();
+        let run = run_plan_with_recovery(
+            &cfg,
+            &lower(&cfg, Architecture::A3, 8, 1),
+            plan,
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
         assert_eq!(run.corruption.injected, 2);
         assert_eq!(run.corruption.detected, 2);
         assert_eq!(run.corruption.refetched, 2);
@@ -1367,8 +1158,14 @@ mod tests {
             bit: 0,
             failing_attempts: u32::MAX,
         });
-        let err = run_with_recovery(&cfg, Architecture::A3, 8, plan, &RecoveryPolicy::default())
-            .unwrap_err();
+        let err = run_plan_with_recovery(
+            &cfg,
+            &lower(&cfg, Architecture::A3, 8, 1),
+            plan,
+            &RecoveryPolicy::default(),
+        )
+        .unwrap_err()
+        .error;
         match err {
             AccelError::CorruptWeights { attempts, at_s, .. } => {
                 assert_eq!(attempts, RecoveryPolicy::default().max_attempts);
@@ -1383,15 +1180,24 @@ mod tests {
         use asr_systolic::abft::IntegrityLevel;
         let plan = || FaultPlan::none().with(FaultKind::PsaStickyLane { lane: 9, delta: 1.0 });
         let detect = unpadded_at(8, IntegrityLevel::Detect);
-        let err =
-            run_with_recovery(&detect, Architecture::A3, 8, plan(), &RecoveryPolicy::default())
-                .unwrap_err();
+        let err = run_plan_with_recovery(
+            &detect,
+            &lower(&detect, Architecture::A3, 8, 1),
+            plan(),
+            &RecoveryPolicy::default(),
+        )
+        .unwrap_err()
+        .error;
         assert!(matches!(err, AccelError::CorruptCompute { .. }), "{}", err);
 
         let recompute = unpadded_at(8, IntegrityLevel::DetectAndRecompute);
-        let run =
-            run_with_recovery(&recompute, Architecture::A3, 8, plan(), &RecoveryPolicy::default())
-                .unwrap();
+        let run = run_plan_with_recovery(
+            &recompute,
+            &lower(&recompute, Architecture::A3, 8, 1),
+            plan(),
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
         assert_eq!(run.corruption.recomputed, 1);
         assert_eq!(run.corruption.escaped, 0);
         assert!(run.makespan_s > run.nominal_s, "recomputed tiles must cost PSA cycles");
@@ -1410,19 +1216,20 @@ mod tests {
             [IntegrityLevel::Off, IntegrityLevel::Detect, IntegrityLevel::DetectAndRecompute]
         {
             let cfg = unpadded_at(8, level);
-            let (rt, total) = run_through_runtime(&cfg, Architecture::A3, 8).unwrap();
-            let run = run_with_recovery(
-                &cfg,
-                Architecture::A3,
-                8,
-                FaultPlan::none(),
-                &RecoveryPolicy::default(),
-            )
-            .unwrap();
-            assert_eq!(rt.timeline().spans(), run.runtime.timeline().spans(), "{:?}", level);
-            assert_eq!(total.to_bits(), run.makespan_s.to_bits(), "{:?}", level);
+            let plan = lower(&cfg, Architecture::A3, 8, 1);
+            let base = run_plan(&cfg, &plan);
+            let run =
+                run_plan_with_recovery(&cfg, &plan, FaultPlan::none(), &RecoveryPolicy::default())
+                    .unwrap();
+            assert_eq!(
+                base.runtime.timeline().spans(),
+                run.runtime.timeline().spans(),
+                "{:?}",
+                level
+            );
+            assert_eq!(base.makespan_s.to_bits(), run.makespan_s.to_bits(), "{:?}", level);
             assert_eq!(run.corruption, CorruptionCounters::default(), "{:?}", level);
-            makespans.push(total);
+            makespans.push(base.makespan_s);
         }
         assert!(makespans[1] > makespans[0], "ABFT checksum passes must cost cycles");
         assert_eq!(
@@ -1439,9 +1246,13 @@ mod tests {
         let cfg = unpadded_at(8, IntegrityLevel::DetectAndRecompute);
         for seed in 0..12u64 {
             let plan = FaultPlan::seeded_with(seed, &FaultProfile::silent_only());
-            let run =
-                run_with_recovery(&cfg, Architecture::A3, 8, plan, &RecoveryPolicy::default())
-                    .unwrap_or_else(|e| panic!("seed {}: {}", seed, e));
+            let run = run_plan_with_recovery(
+                &cfg,
+                &lower(&cfg, Architecture::A3, 8, 1),
+                plan,
+                &RecoveryPolicy::default(),
+            )
+            .unwrap_or_else(|f| panic!("seed {}: {}", seed, f.error));
             assert!(run.corruption.injected > 0, "seed {}", seed);
             assert_eq!(run.corruption.escaped, 0, "seed {}: nothing may escape", seed);
             assert_eq!(run.corruption.detected, run.corruption.injected, "seed {}", seed);
@@ -1459,11 +1270,9 @@ mod tests {
         let cfg = unpadded(8);
         let faults = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "LWD1".into(), failing_attempts: u32::MAX });
-        let failure = run_batch_with_recovery(
+        let failure = run_plan_with_recovery(
             &cfg,
-            Architecture::A2,
-            8,
-            2,
+            &lower(&cfg, Architecture::A2, 8, 2),
             faults,
             &RecoveryPolicy::default(),
         )
@@ -1474,15 +1283,18 @@ mod tests {
         assert!(failure.stats.failed > 0, "dead attempts feed the health stats");
 
         // Failover target: resume cross-device (no trust), clean card.
-        let resumed =
-            resume_batch(&cfg, ckpt, false, FaultPlan::none(), &RecoveryPolicy::default()).unwrap();
+        let resumed = run_plan_with_recovery(
+            &cfg,
+            &ExecPlan::resume(&cfg, ckpt, false).unwrap(),
+            FaultPlan::none(),
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
         assert_eq!(resumed.utterance_finish_s.len(), 2, "both utterances served, exactly once");
         assert_eq!(resumed.checkpoints, 6, "only the six decoder phases replay");
-        let full = run_batch_with_recovery(
+        let full = run_plan_with_recovery(
             &cfg,
-            Architecture::A2,
-            8,
-            2,
+            &lower(&cfg, Architecture::A2, 8, 2),
             FaultPlan::none(),
             &RecoveryPolicy::default(),
         )
@@ -1499,11 +1311,9 @@ mod tests {
         let cfg = unpadded(8);
         let first = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "LWD1".into(), failing_attempts: u32::MAX });
-        let f1 = run_batch_with_recovery(
+        let f1 = run_plan_with_recovery(
             &cfg,
-            Architecture::A2,
-            8,
-            2,
+            &lower(&cfg, Architecture::A2, 8, 2),
             first,
             &RecoveryPolicy::default(),
         )
@@ -1512,7 +1322,13 @@ mod tests {
 
         let second = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "LWD4".into(), failing_attempts: u32::MAX });
-        let f2 = resume_batch(&cfg, &c1, false, second, &RecoveryPolicy::default()).unwrap_err();
+        let f2 = run_plan_with_recovery(
+            &cfg,
+            &ExecPlan::resume(&cfg, &c1, false).unwrap(),
+            second,
+            &RecoveryPolicy::default(),
+        )
+        .unwrap_err();
         let c2 = f2.checkpoint.unwrap();
         assert!(
             c2.completed_phases > c1.completed_phases,
@@ -1522,8 +1338,13 @@ mod tests {
         );
         assert_eq!(c2.remaining_lens().len() + f2.finished_s.len(), 2, "no utterance dropped");
 
-        let done =
-            resume_batch(&cfg, &c2, false, FaultPlan::none(), &RecoveryPolicy::default()).unwrap();
+        let done = run_plan_with_recovery(
+            &cfg,
+            &ExecPlan::resume(&cfg, &c2, false).unwrap(),
+            FaultPlan::none(),
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
         assert_eq!(
             done.utterance_finish_s.len() + f2.finished_s.len() + f1.finished_s.len(),
             2,
@@ -1536,21 +1357,29 @@ mod tests {
         let cfg = unpadded(8);
         let faults = FaultPlan::none()
             .with(FaultKind::KernelHang { label: "CD2".into(), failing_attempts: u32::MAX });
-        let failure = run_batch_with_recovery(
+        let failure = run_plan_with_recovery(
             &cfg,
-            Architecture::A2,
-            8,
-            1,
+            &lower(&cfg, Architecture::A2, 8, 1),
             faults,
             &RecoveryPolicy::default(),
         )
         .unwrap_err();
         let ckpt = failure.checkpoint.unwrap();
         assert!(failure.stats.timed_out > 0, "watchdog kills are recorded in the stats");
-        let same =
-            resume_batch(&cfg, &ckpt, true, FaultPlan::none(), &RecoveryPolicy::default()).unwrap();
-        let other = resume_batch(&cfg, &ckpt, false, FaultPlan::none(), &RecoveryPolicy::default())
-            .unwrap();
+        let same = run_plan_with_recovery(
+            &cfg,
+            &ExecPlan::resume(&cfg, &ckpt, true).unwrap(),
+            FaultPlan::none(),
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
+        let other = run_plan_with_recovery(
+            &cfg,
+            &ExecPlan::resume(&cfg, &ckpt, false).unwrap(),
+            FaultPlan::none(),
+            &RecoveryPolicy::default(),
+        )
+        .unwrap();
         assert!(
             same.loads_issued < other.loads_issued,
             "same-device trust re-fetches strictly fewer stripes ({} vs {})",
@@ -1574,8 +1403,11 @@ mod tests {
             ..RecoveryPolicy::default()
         };
         let capped = RecoveryPolicy { max_backoff_s: 2e-3, ..slow.clone() };
-        let a = run_with_recovery(&cfg, Architecture::A3, 8, faults(), &slow).unwrap();
-        let b = run_with_recovery(&cfg, Architecture::A3, 8, faults(), &capped).unwrap();
+        let a = run_plan_with_recovery(&cfg, &lower(&cfg, Architecture::A3, 8, 1), faults(), &slow)
+            .unwrap();
+        let b =
+            run_plan_with_recovery(&cfg, &lower(&cfg, Architecture::A3, 8, 1), faults(), &capped)
+                .unwrap();
         assert!(
             b.makespan_s < a.makespan_s,
             "capped backoff must finish sooner: {} vs {}",
@@ -1589,14 +1421,13 @@ mod tests {
     fn seeded_plans_always_complete() {
         let cfg = unpadded(8);
         for seed in 0..24u64 {
-            let run = run_with_recovery(
+            let run = run_plan_with_recovery(
                 &cfg,
-                Architecture::A3,
-                8,
+                &lower(&cfg, Architecture::A3, 8, 1),
                 FaultPlan::seeded(seed),
                 &RecoveryPolicy::default(),
             )
-            .unwrap_or_else(|e| panic!("seed {}: {}", seed, e));
+            .unwrap_or_else(|f| panic!("seed {}: {}", seed, f.error));
             assert!(run.makespan_s.is_finite(), "seed {}", seed);
             assert!(run.makespan_s >= run.nominal_s - 1e-12, "seed {}", seed);
         }
@@ -1607,18 +1438,18 @@ mod tests {
         let cfg = unpadded(8);
         let policy = RecoveryPolicy::default();
         for arch in [Architecture::A2, Architecture::A3] {
-            let cold = run_stream_chunk(&cfg, arch, 8, &[], 4, FaultPlan::none(), &policy).unwrap();
+            let cold = ExecPlan::lower_stream_chunk(&cfg, arch, 8, &[]).unwrap();
             assert_eq!(cold.reuse, None, "a cold first chunk has nothing to elide");
-            assert_eq!(cold.pinned.len(), 4);
+            let pinned = cold.pinned_stripes(4);
+            assert_eq!(pinned.len(), 4);
 
-            let warm = run_stream_chunk(&cfg, arch, 8, &cold.pinned, 4, FaultPlan::none(), &policy)
-                .unwrap();
+            let warm = ExecPlan::lower_stream_chunk(&cfg, arch, 8, &pinned).unwrap();
             let reuse = warm.reuse.expect("warm chunk carries reuse accounting");
             assert_eq!(reuse.elided_loads, 4, "{:?}", arch);
             assert_eq!(reuse.stale, 0);
             // The acceptance floor: a warm chunk elides at least the
             // double-buffered stripe set's bytes (two phases deep).
-            let double_buffered: u64 = cold.pinned.iter().take(2).map(|p| p.bytes).sum();
+            let double_buffered: u64 = pinned.iter().take(2).map(|p| p.bytes).sum();
             assert!(
                 reuse.elided_load_bytes >= double_buffered,
                 "{:?}: elided {} < double-buffered set {}",
@@ -1626,15 +1457,17 @@ mod tests {
                 reuse.elided_load_bytes,
                 double_buffered
             );
+            let cold_run = run_plan_with_recovery(&cfg, &cold, FaultPlan::none(), &policy).unwrap();
+            let warm_run = run_plan_with_recovery(&cfg, &warm, FaultPlan::none(), &policy).unwrap();
             assert!(
-                warm.run.makespan_s <= cold.run.makespan_s + 1e-12,
+                warm_run.makespan_s <= cold_run.makespan_s + 1e-12,
                 "{:?}: warm {} > cold {}",
                 arch,
-                warm.run.makespan_s,
-                cold.run.makespan_s
+                warm_run.makespan_s,
+                cold_run.makespan_s
             );
-            assert!(warm.run.loads_issued < cold.run.loads_issued);
-            assert_eq!(warm.scheduled_load_bytes, cold.scheduled_load_bytes);
+            assert!(warm_run.loads_issued < cold_run.loads_issued);
+            assert_eq!(warm.scheduled_load_bytes(), cold.scheduled_load_bytes());
         }
     }
 
@@ -1644,33 +1477,19 @@ mod tests {
         // serving layer replays only this chunk on the failover target and
         // gets the same makespan a clean run would have.
         let cfg = unpadded(8);
+        let chunk = ExecPlan::lower_stream_chunk(&cfg, Architecture::A2, 8, &[]).unwrap();
         let policy = RecoveryPolicy { allow_degradation: false, ..RecoveryPolicy::default() };
-        let fail = run_stream_chunk(
-            &cfg,
-            Architecture::A2,
-            8,
-            &[],
-            4,
-            FaultPlan::none()
-                .with(FaultKind::EngineDropout { queue: "maxi-0".into(), from_command: 6 }),
-            &policy,
-        )
-        .unwrap_err();
+        let dead_engine = FaultPlan::none()
+            .with(FaultKind::EngineDropout { queue: "maxi-0".into(), from_command: 6 });
+        let fail = run_plan_with_recovery(&cfg, &chunk, dead_engine, &policy).unwrap_err();
         assert!(fail.checkpoint.is_some(), "{}", fail.error);
         // Replay the whole chunk cold on a healthy device — the stream's
         // carryover state lives above this layer, so a full chunk replay
         // is always safe.
-        let replay = run_stream_chunk(
-            &cfg,
-            Architecture::A2,
-            8,
-            &[],
-            4,
-            FaultPlan::none(),
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
-        assert_eq!(replay.run.retries, 0);
+        let replay =
+            run_plan_with_recovery(&cfg, &chunk, FaultPlan::none(), &RecoveryPolicy::default())
+                .unwrap();
+        assert_eq!(replay.retries, 0);
     }
 
     // -- decode-step execution ---------------------------------------------
@@ -1678,55 +1497,46 @@ mod tests {
     #[test]
     fn steady_decode_step_executes_faster_and_fetches_less_than_the_cold_step() {
         let cfg = unpadded(8);
-        let spec0 = crate::plan::DecodeStepSpec::greedy(0, 8, 8);
-        let cold = run_decode_step(
-            &cfg,
-            Architecture::A2,
-            spec0,
-            &[],
-            FaultPlan::none(),
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
-        assert!(cold.run.makespan_s > 0.0);
-        assert!(!cold.pinned.is_empty(), "the cold step must pin its stripes");
-        assert_eq!(cold.fetched_load_bytes, cold.scheduled_load_bytes);
+        let policy = RecoveryPolicy::default();
+        let spec0 = DecodeStepSpec::greedy(0, 8, 8);
+        let cold =
+            ExecPlan::lower_decode_step(&cfg, Architecture::A2, spec0, &[], cfg.integrity).unwrap();
+        let cold_run = run_plan_with_recovery(&cfg, &cold, FaultPlan::none(), &policy).unwrap();
+        assert!(cold_run.makespan_s > 0.0);
+        let pinned = cold.decode_pinned_stripes();
+        assert!(!pinned.is_empty(), "the cold step must pin its stripes");
+        assert_eq!(cold.fetched_load_bytes(), cold.scheduled_load_bytes());
 
-        let spec1 = crate::plan::DecodeStepSpec::greedy(1, 8, 8);
-        let steady = run_decode_step(
-            &cfg,
-            Architecture::A2,
-            spec1,
-            &cold.pinned,
-            FaultPlan::none(),
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
+        let spec1 = DecodeStepSpec::greedy(1, 8, 8);
+        let steady =
+            ExecPlan::lower_decode_step(&cfg, Architecture::A2, spec1, &pinned, cfg.integrity)
+                .unwrap();
+        let steady_run = run_plan_with_recovery(&cfg, &steady, FaultPlan::none(), &policy).unwrap();
         let reuse = steady.reuse.expect("steady step lowers against residents");
         assert!(reuse.elided_loads > 0, "steady step must elide pinned loads");
         assert!(
-            steady.fetched_load_bytes * 2 < steady.scheduled_load_bytes,
+            steady.fetched_load_bytes() * 2 < steady.scheduled_load_bytes(),
             "steady fetch {} vs scheduled {}",
-            steady.fetched_load_bytes,
-            steady.scheduled_load_bytes
+            steady.fetched_load_bytes(),
+            steady.scheduled_load_bytes()
         );
         assert!(
-            steady.run.makespan_s < cold.run.makespan_s,
+            steady_run.makespan_s < cold_run.makespan_s,
             "steady {} vs cold {}",
-            steady.run.makespan_s,
-            cold.run.makespan_s
+            steady_run.makespan_s,
+            cold_run.makespan_s
         );
     }
 
     #[test]
     fn faulted_decode_step_recovers_with_the_batch_ladder() {
         let cfg = unpadded(8);
-        let spec = crate::plan::DecodeStepSpec::greedy(0, 8, 8);
+        let spec = DecodeStepSpec::greedy(0, 8, 8);
+        let step =
+            ExecPlan::lower_decode_step(&cfg, Architecture::A2, spec, &[], cfg.integrity).unwrap();
         let faults = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "KV".into(), failing_attempts: 1 });
-        let run =
-            run_decode_step(&cfg, Architecture::A2, spec, &[], faults, &RecoveryPolicy::default())
-                .unwrap();
-        assert!(run.run.retries >= 1, "the transient fault must be retried");
+        let run = run_plan_with_recovery(&cfg, &step, faults, &RecoveryPolicy::default()).unwrap();
+        assert!(run.retries >= 1, "the transient fault must be retried");
     }
 }

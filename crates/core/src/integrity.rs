@@ -1,6 +1,6 @@
 //! Silent-data-corruption defense: the functional half of DESIGN.md §9.
 //!
-//! The timing path ([`crate::host_runtime::run_with_recovery`]) charges the
+//! The timing path ([`crate::host_runtime::run_plan_with_recovery`]) charges the
 //! latency of CRC refetches and ABFT recomputes; this module carries the
 //! *data*. It loads a model stripe by stripe through the CRC envelope
 //! ([`asr_transformer::weights::WeightStripe`]), applies a fault plan's
@@ -337,22 +337,6 @@ pub fn load_model_with_faults_encoded(
     Ok(loaded)
 }
 
-/// Outcome of a functional integrity run.
-#[derive(Debug, Clone)]
-pub struct IntegrityRun {
-    /// Corruption accounting (stripe fetches + PSA tiles).
-    pub counters: CorruptionCounters,
-    /// The ABFT engine's tile-level statistics.
-    pub abft: AbftStats,
-    /// Final encoder-stack output.
-    pub encoder_out: Matrix,
-    /// Final decoder-stack output.
-    pub decoder_out: Matrix,
-    /// Greedy per-step transcript: argmax token of each decoder row through
-    /// the host-side classifier head (`out_proj` + `out_bias`).
-    pub transcript: Vec<usize>,
-}
-
 /// Per-utterance outputs of a batched functional run.
 #[derive(Debug, Clone)]
 pub struct UtteranceRun {
@@ -397,72 +381,6 @@ fn transcript_of(w: &ModelWeights, decoder_out: &Matrix) -> Vec<usize> {
             best
         })
         .collect()
-}
-
-/// Run the full functional pipeline — CRC-enveloped weight load, encoder
-/// stack through the MM1–MM6 schemes, decoder stack — on an ABFT-checked
-/// PSA, at the config's [`IntegrityLevel`].
-///
-/// Deterministic in `(cfg, model_seed, input_len, faults)`: two calls with
-/// equal inputs produce bit-identical outputs, which is what the
-/// bit-identity acceptance tests compare across levels.
-pub fn run_functional(
-    cfg: &AccelConfig,
-    model_seed: u64,
-    input_len: usize,
-    faults: &FunctionalFaults,
-) -> Result<IntegrityRun> {
-    run_functional_with_input(cfg, model_seed, model_seed ^ 0x5eed, input_len, faults)
-}
-
-/// [`run_functional`] with the input features seeded independently of the
-/// model — the solo half of the batch-vs-solo bit-identity tests, where the
-/// same `input_seed` must transcribe identically alone and inside a batch.
-pub fn run_functional_with_input(
-    cfg: &AccelConfig,
-    model_seed: u64,
-    input_seed: u64,
-    input_len: usize,
-    faults: &FunctionalFaults,
-) -> Result<IntegrityRun> {
-    let batch = run_functional_batch(cfg, model_seed, &[input_seed], input_len, faults)?;
-    let BatchIntegrityRun { counters, abft, mut utterances } = batch;
-    let u = utterances.pop().expect("batch of one");
-    Ok(IntegrityRun {
-        counters,
-        abft,
-        encoder_out: u.encoder_out,
-        decoder_out: u.decoder_out,
-        transcript: u.transcript,
-    })
-}
-
-/// The batched functional pipeline: load the model **once** through the CRC
-/// envelope, then run every utterance through the encoder stack layer-major
-/// (all utterances finish layer `l` before any starts `l+1` — the
-/// functional mirror of the timing path's one-`LW`-load-per-batch schedule)
-/// and through the decoder stack per utterance, all on one shared
-/// ABFT-checked PSA.
-///
-/// Each utterance's outputs are bit-identical to a solo
-/// [`run_functional_with_input`] with the same `input_seed`: weights are
-/// read-only, and the checked PSA applies its fault statelessly per matmul,
-/// so batching cannot change any utterance's bits. The *counters* are one
-/// batch's worth: stripe corruptions are injected (and scrubbed) once per
-/// batch, not once per utterance — that is the amortization this PR pins.
-pub fn run_functional_batch(
-    cfg: &AccelConfig,
-    model_seed: u64,
-    input_seeds: &[u64],
-    input_len: usize,
-    faults: &FunctionalFaults,
-) -> Result<BatchIntegrityRun> {
-    cfg.validate()?;
-    if input_seeds.is_empty() {
-        return Err(AccelError::Config("batch needs >= 1 utterance".into()));
-    }
-    let plan = ExecPlan::lower(cfg, Architecture::A2, input_len, input_seeds.len(), cfg.integrity)?;
-    run_functional_plan(cfg, &plan, model_seed, input_seeds, faults)
 }
 
 /// Mid-run state of the functional interpreter, cut at a phase barrier —
@@ -607,7 +525,15 @@ fn advance_phases(
 /// The interpreter needs full decoder phases ([`PhaseKind::DecoderFull`]) —
 /// the A3 M-MHA/FFN half-phases are a *timing* split with no functional
 /// seam — so lower the plan at [`Architecture::A1`]/[`Architecture::A2`]
-/// granularity (as [`run_functional_batch`] does); half-phases fail typed.
+/// granularity; half-phases fail typed.
+///
+/// Each utterance's outputs are bit-identical to a batch-of-one run with
+/// the same input seed: weights are read-only, and the checked PSA applies
+/// its fault statelessly per matmul, so batching cannot change any
+/// utterance's bits. The *counters* are one batch's worth: stripe
+/// corruptions are injected (and scrubbed) once per batch, not once per
+/// utterance. Deterministic in its arguments, which is what the
+/// bit-identity tests compare across integrity levels.
 pub fn run_functional_plan(
     cfg: &AccelConfig,
     plan: &ExecPlan,
@@ -1145,6 +1071,12 @@ mod tests {
         c
     }
 
+    /// One utterance of `input_len` rows, lowered at A2 (the interpreter's
+    /// granularity) and the config's integrity level.
+    fn solo_plan(cfg: &AccelConfig, input_len: usize) -> ExecPlan {
+        ExecPlan::lower(cfg, Architecture::A2, input_len, 1, cfg.integrity).unwrap()
+    }
+
     #[test]
     fn small_config_is_valid() {
         small_config().validate().unwrap();
@@ -1222,11 +1154,16 @@ mod tests {
             }],
             lane: None,
         };
-        let dense = run_functional(&dense_cfg, 11, 6, &faults).unwrap();
-        let sparse = run_functional(&sparse_cfg, 11, 6, &faults).unwrap();
-        assert_eq!(dense.encoder_out, sparse.encoder_out);
-        assert_eq!(dense.decoder_out, sparse.decoder_out);
-        assert_eq!(dense.transcript, sparse.transcript);
+        let input = [11 ^ 0x5eed];
+        let dense = run_functional_plan(&dense_cfg, &solo_plan(&dense_cfg, 6), 11, &input, &faults)
+            .unwrap();
+        let sparse =
+            run_functional_plan(&sparse_cfg, &solo_plan(&sparse_cfg, 6), 11, &input, &faults)
+                .unwrap();
+        let (d, sp) = (&dense.utterances[0], &sparse.utterances[0]);
+        assert_eq!(d.encoder_out, sp.encoder_out);
+        assert_eq!(d.decoder_out, sp.decoder_out);
+        assert_eq!(d.transcript, sp.transcript);
         assert_eq!(sparse.counters.injected, 1);
         assert_eq!(sparse.counters.refetched, 1);
     }
@@ -1364,12 +1301,16 @@ mod tests {
     fn zero_fault_runs_are_bit_identical_across_all_levels() {
         // Satellite (c): Detect and DetectAndRecompute under an empty fault
         // plan are bit-identical to Off — the checks are pure observers.
-        let base =
-            run_functional(&cfg_at(IntegrityLevel::Off), 11, 4, &FunctionalFaults::none()).unwrap();
+        let input = [11 ^ 0x5eed];
+        let none = FunctionalFaults::none();
+        let off = cfg_at(IntegrityLevel::Off);
+        let base = run_functional_plan(&off, &solo_plan(&off, 4), 11, &input, &none).unwrap();
         for level in [IntegrityLevel::Detect, IntegrityLevel::DetectAndRecompute] {
-            let run = run_functional(&cfg_at(level), 11, 4, &FunctionalFaults::none()).unwrap();
-            assert_eq!(run.encoder_out, base.encoder_out, "{:?}", level);
-            assert_eq!(run.decoder_out, base.decoder_out, "{:?}", level);
+            let cfg = cfg_at(level);
+            let run = run_functional_plan(&cfg, &solo_plan(&cfg, 4), 11, &input, &none).unwrap();
+            let (u, b) = (&run.utterances[0], &base.utterances[0]);
+            assert_eq!(u.encoder_out, b.encoder_out, "{:?}", level);
+            assert_eq!(u.decoder_out, b.decoder_out, "{:?}", level);
             assert_eq!(run.counters, CorruptionCounters::default(), "{:?}", level);
             assert!(run.abft.checked_tiles > 0, "{:?} must actually check", level);
         }
@@ -1381,17 +1322,23 @@ mod tests {
         // The PR's acceptance criterion, end to end: a seeded plan with all
         // three silent-fault classes; DetectAndRecompute restores the
         // zero-fault bits with nothing escaped, Off silently diverges.
+        let input = [11 ^ 0x5eed];
+        let off = cfg_at(IntegrityLevel::Off);
+        let off_plan = solo_plan(&off, 4);
         let clean =
-            run_functional(&cfg_at(IntegrityLevel::Off), 11, 4, &FunctionalFaults::none()).unwrap();
+            run_functional_plan(&off, &off_plan, 11, &input, &FunctionalFaults::none()).unwrap();
+        let clean = &clean.utterances[0];
         let seed = 7u64;
         let n_stripes = ModelWeights::seeded(&small_config().model, 11).matrices().len();
         let faults = FunctionalFaults::seeded(seed, n_stripes, small_config().psa.cols);
         assert!(!faults.is_empty(), "seed must draw silent faults");
 
+        let full = cfg_at(IntegrityLevel::DetectAndRecompute);
         let protected =
-            run_functional(&cfg_at(IntegrityLevel::DetectAndRecompute), 11, 4, &faults).unwrap();
-        assert_eq!(protected.encoder_out, clean.encoder_out, "encoder bits must match");
-        assert_eq!(protected.decoder_out, clean.decoder_out, "decoder bits must match");
+            run_functional_plan(&full, &solo_plan(&full, 4), 11, &input, &faults).unwrap();
+        let repaired = &protected.utterances[0];
+        assert_eq!(repaired.encoder_out, clean.encoder_out, "encoder bits must match");
+        assert_eq!(repaired.decoder_out, clean.decoder_out, "decoder bits must match");
         assert!(protected.counters.any_injected());
         assert_eq!(protected.counters.escaped, 0, "nothing may escape at DetectAndRecompute");
         assert_eq!(
@@ -1400,11 +1347,11 @@ mod tests {
             "every detection is answered by a refetch or a recompute"
         );
 
-        let unprotected = run_functional(&cfg_at(IntegrityLevel::Off), 11, 4, &faults).unwrap();
+        let unprotected = run_functional_plan(&off, &off_plan, 11, &input, &faults).unwrap();
         assert!(unprotected.counters.escaped > 0);
+        let diverged = &unprotected.utterances[0];
         assert!(
-            unprotected.encoder_out != clean.encoder_out
-                || unprotected.decoder_out != clean.decoder_out,
+            diverged.encoder_out != clean.encoder_out || diverged.decoder_out != clean.decoder_out,
             "Off must demonstrably diverge"
         );
     }
@@ -1464,14 +1411,20 @@ mod tests {
     fn detect_without_recompute_fails_typed_on_compute_corruption() {
         let faults =
             FunctionalFaults { stripes: vec![], lane: Some(LaneFault { lane: 3, delta: 1.5 }) };
-        let err = run_functional(&cfg_at(IntegrityLevel::Detect), 11, 4, &faults).unwrap_err();
+        let input = [11 ^ 0x5eed];
+        let detect = cfg_at(IntegrityLevel::Detect);
+        let err =
+            run_functional_plan(&detect, &solo_plan(&detect, 4), 11, &input, &faults).unwrap_err();
         assert!(matches!(err, AccelError::CorruptCompute { .. }), "{}", err);
         // ...while recompute survives the same fault bit-identically.
+        let off = cfg_at(IntegrityLevel::Off);
         let clean =
-            run_functional(&cfg_at(IntegrityLevel::Off), 11, 4, &FunctionalFaults::none()).unwrap();
+            run_functional_plan(&off, &solo_plan(&off, 4), 11, &input, &FunctionalFaults::none())
+                .unwrap();
+        let full = cfg_at(IntegrityLevel::DetectAndRecompute);
         let repaired =
-            run_functional(&cfg_at(IntegrityLevel::DetectAndRecompute), 11, 4, &faults).unwrap();
-        assert_eq!(repaired.decoder_out, clean.decoder_out);
+            run_functional_plan(&full, &solo_plan(&full, 4), 11, &input, &faults).unwrap();
+        assert_eq!(repaired.utterances[0].decoder_out, clean.utterances[0].decoder_out);
         assert!(repaired.abft.recomputed > 0);
     }
 
@@ -1488,9 +1441,16 @@ mod tests {
         let features = stream_features(7 ^ 0x5eed, 8);
         let stream =
             run_functional_stream(&cfg, 7, &features, 8, 0, &FunctionalFaults::none()).unwrap();
-        let offline = run_functional(&cfg, 7, 8, &FunctionalFaults::none()).unwrap();
+        let offline = run_functional_plan(
+            &cfg,
+            &solo_plan(&cfg, 8),
+            7,
+            &[7 ^ 0x5eed],
+            &FunctionalFaults::none(),
+        )
+        .unwrap();
         assert_eq!(stream.chunks, 1);
-        assert_eq!(stream.encoder_out, offline.encoder_out);
+        assert_eq!(stream.encoder_out, offline.utterances[0].encoder_out);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The lowered execution-plan IR: one program for solo, batch, and A1/A2/A3.
 //!
 //! Before this module the forward pass existed as six parallel bodies —
-//! `arch::simulate`/`simulate_batch`, the two `host_runtime` entry points and
-//! their `*_with_recovery` twins, and `integrity::run_functional_batch` —
+//! the analytic solo and batch simulators, the solo and batch runtime
+//! paths and their fault-tolerant twins, and the batched functional run —
 //! each re-deriving the A1/A2/A3 overlap structure by hand. The paper's own
 //! framing (Figs 4.8–4.11, 4.13) says these are one program: the host lowers
 //! the 18-layer schedule into an explicit stream of load/compute commands
@@ -10,7 +10,7 @@
 //! that lowering once, and every consumer walks the same [`ExecPlan`]:
 //!
 //! * the **analytic cost walker** ([`walk_cost`]) prices the DAG with the
-//!   bespoke recurrence `arch::simulate_batch` used to hand-roll;
+//!   recurrence the per-architecture simulators used to hand-roll;
 //! * the **runtime executors** (`host_runtime::run_plan` and
 //!   `host_runtime::run_plan_with_recovery`) replay the commands through the
 //!   OpenCL-style [`asr_fpga_sim::runtime::Runtime`], fault-free or with the
@@ -18,6 +18,10 @@
 //! * the **functional interpreter** (`integrity::run_functional_plan`)
 //!   executes the plan's phases on real `f32` data through the CRC envelope
 //!   and the ABFT-checked PSA.
+//!
+//! A caller lowers its plan — [`ExecPlan::lower`], [`ExecPlan::resume`],
+//! [`ExecPlan::lower_stream_chunk`] or [`ExecPlan::lower_decode_step`] —
+//! and hands it to a consumer; no consumer lowers one for it.
 //!
 //! A1/A2/A3 are not three simulators here — they are three *edge policies*
 //! applied during lowering:
@@ -507,8 +511,8 @@ pub struct ExecPlan {
 
 impl ExecPlan {
     /// Lower a uniform batch: `batch` utterances of the same `input_len`.
-    /// This is the convenience constructor every thin wrapper uses; see
-    /// [`PlanBuilder`] for per-utterance lengths.
+    /// This is the shortcut most callers lower with; see [`PlanBuilder`]
+    /// for per-utterance lengths.
     pub fn lower(
         cfg: &AccelConfig,
         arch: Architecture,
@@ -1390,7 +1394,7 @@ impl PlanCost {
 }
 
 /// The analytic cost walker: price an [`ExecPlan`] with the closed-form
-/// recurrence, producing the same spans the bespoke `arch::simulate_batch`
+/// recurrence, producing the same spans the per-architecture simulators
 /// used to emit (one `LW{label}` span per load, one `C{label}` span per
 /// phase covering the batch's back-to-back computes).
 ///
@@ -1774,20 +1778,6 @@ mod tests {
         let cfg = unpadded(4);
         let err = ExecPlan::lower(&cfg, Architecture::A3, 5, 1, IntegrityLevel::Off).unwrap_err();
         assert!(matches!(err, AccelError::InvalidInput { .. }), "{}", err);
-    }
-
-    #[test]
-    fn walker_prices_a_batch_of_one_like_the_solo_simulation() {
-        // The tentpole invariant at the analytic layer: walk_cost on a
-        // batch-of-one plan is bitwise the solo arch::simulate result.
-        let cfg = unpadded(8);
-        for arch in Architecture::ALL {
-            let plan = ExecPlan::lower(&cfg, arch, 8, 1, IntegrityLevel::Off).unwrap();
-            let cost = walk_cost(&cfg, &plan);
-            let solo = crate::arch::simulate(&cfg, arch, 8);
-            assert_eq!(cost.timeline.spans(), solo.timeline.spans(), "{:?}", arch);
-            assert_eq!(cost.latency_s.to_bits(), solo.latency_s.to_bits(), "{:?}", arch);
-        }
     }
 
     #[test]

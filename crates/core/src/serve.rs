@@ -2,7 +2,7 @@
 //! breakers, and failover across a pool of simulated Alveo cards.
 //!
 //! PR 1 made a *single* utterance survive injected faults
-//! ([`crate::host_runtime::run_with_recovery`]). This module adds the
+//! ([`crate::host_runtime::run_plan_with_recovery`]). This module adds the
 //! robustness *between* requests that a production deployment needs (the
 //! serving-tier concerns FTRANS and AccelTran leave to the host):
 //!
@@ -51,8 +51,7 @@ use crate::arch::Architecture;
 use crate::config::AccelConfig;
 use crate::error::{AccelError, Result};
 use crate::host_runtime::{
-    resume_batch, run_batch_through_runtime, run_batch_with_recovery, BatchFailure, BatchedRun,
-    RecoveryPolicy,
+    run_plan, run_plan_with_recovery, BatchFailure, BatchedRun, RecoveryPolicy,
 };
 use crate::integrity::CorruptionCounters;
 use crate::plan::{walk_cost, ExecPlan, PlanCheckpoint};
@@ -396,7 +395,7 @@ pub struct ServeConfig {
     pub attempt_timeout_s: Option<f64>,
     /// Circuit-breaker tuning.
     pub breaker: BreakerConfig,
-    /// Single-run recovery policy handed to `run_with_recovery`.
+    /// Single-run recovery policy handed to `run_plan_with_recovery`.
     pub policy: RecoveryPolicy,
     /// Shutdown grace: queued requests that would start later than
     /// `last arrival + grace` are dropped. `None` drains everything.
@@ -473,8 +472,8 @@ pub enum RequestOutcome {
         /// Arrival-to-finish latency, seconds.
         latency_s: f64,
         /// Pure service time from batch dispatch to this utterance's last
-        /// kernel (at batch 1, bit-identical to the underlying
-        /// `run_with_recovery` makespan).
+        /// kernel (at batch 1, bit-identical to the makespan of
+        /// `run_plan_with_recovery` on the solo plan).
         service_s: f64,
         /// How many utterances shared the dispatch that served it.
         batch: usize,
@@ -868,7 +867,10 @@ impl ServePool {
             )));
         }
         let s = cfg.accel.max_seq_len;
-        let nominal = run_batch_through_runtime(&cfg.accel, cfg.arch, s, 1)?;
+        let nominal = run_plan(
+            &cfg.accel,
+            &ExecPlan::lower(&cfg.accel, cfg.arch, s, 1, cfg.accel.integrity)?,
+        );
         let nominal_s = nominal.makespan_s;
         if nominal_s > cfg.deadline_s {
             return Err(AccelError::Config(format!(
@@ -927,11 +929,12 @@ impl ServePool {
         if let Some(&t) = self.nominal_batch.get(&batch) {
             return t;
         }
-        let s = self.cfg.accel.max_seq_len;
-        let run = run_batch_through_runtime(&self.cfg.accel, self.cfg.arch, s, batch)
+        let (accel, s) = (&self.cfg.accel, self.cfg.accel.max_seq_len);
+        let plan = ExecPlan::lower(accel, self.cfg.arch, s, batch, accel.integrity)
             .expect("pool config validated at construction");
-        self.nominal_batch.insert(batch, run.makespan_s);
-        run.makespan_s
+        let makespan_s = run_plan(accel, &plan).makespan_s;
+        self.nominal_batch.insert(batch, makespan_s);
+        makespan_s
     }
 
     /// Submit one request arriving at `arrival_s` (must not decrease between
@@ -1641,21 +1644,17 @@ impl ServePool {
         d.corruption.merge(&run_corruption);
     }
 
-    /// What a size-`batch` dispatch on this card does: the card's fault
-    /// plan through the batched recovery runtime, once per (card, batch
-    /// size).
+    /// What a size-`batch` dispatch on this card does: the batch's plan
+    /// under the card's fault plan through the recovery executor, once per
+    /// (card, batch size).
     fn device_outcome(&mut self, device: usize, batch: usize) -> CardOutcome {
         let cfg = &self.cfg;
-        self.devices[device].card.outcome(batch, |plan| {
-            let s = cfg.accel.max_seq_len;
-            CardOutcome::of(run_batch_with_recovery(
-                &cfg.accel,
-                cfg.arch,
-                s,
-                batch,
-                plan,
-                &cfg.policy,
-            ))
+        self.devices[device].card.outcome(batch, |faults| {
+            let (accel, s) = (&cfg.accel, cfg.accel.max_seq_len);
+            CardOutcome::of(match ExecPlan::lower(accel, cfg.arch, s, batch, accel.integrity) {
+                Ok(plan) => run_plan_with_recovery(accel, &plan, faults, &cfg.policy),
+                Err(e) => Err(e.into()),
+            })
         })
     }
 
@@ -1677,8 +1676,11 @@ impl ServePool {
             self.replayed_compute_s += ck.captured_at_s;
             return self.device_outcome(device, ck.remaining_lens().len());
         }
-        let plan = self.devices[device].card.plan.clone();
-        let run = resume_batch(&self.cfg.accel, ck, false, plan, &self.cfg.policy);
+        let (accel, faults) = (&self.cfg.accel, self.devices[device].card.plan.clone());
+        let run = match ExecPlan::resume(accel, ck, false) {
+            Ok(plan) => run_plan_with_recovery(accel, &plan, faults, &self.cfg.policy),
+            Err(e) => Err(e.into()),
+        };
         match &run {
             Ok(run) => {
                 if let Some(res) = &run.resume {

@@ -56,8 +56,8 @@ use std::collections::VecDeque;
 use crate::arch::Architecture;
 use crate::config::AccelConfig;
 use crate::error::{AccelError, Result};
-use crate::host_runtime::{run_stream_chunk, RecoveryPolicy};
-use crate::plan::{walk_cost, ExecPlan, PlanReuse, ResidentStripe};
+use crate::host_runtime::{run_plan, run_plan_with_recovery, RecoveryPolicy};
+use crate::plan::{walk_cost, ExecPlan, PlanReuse};
 use crate::serve::{percentile, pool_fault_plans, BreakerConfig, BreakerState, Card, CardOutcome};
 use asr_fpga_sim::device::DeviceId;
 use asr_fpga_sim::faults::FaultPlan;
@@ -429,12 +429,19 @@ pub struct StreamAnalytics {
     pub sustainable_streams: usize,
 }
 
-/// Price one cold and one warm chunk plan through the analytic walker.
-pub fn stream_analytics(cfg: &StreamConfig) -> Result<StreamAnalytics> {
-    cfg.validate()?;
+/// A deployment's cold and warm chunk plans. The warm one lowers against
+/// the stripes the cold one pins; both are device-neutral.
+fn chunk_plans(cfg: &StreamConfig) -> Result<(ExecPlan, ExecPlan)> {
     let cold = ExecPlan::lower_stream_chunk(&cfg.accel, cfg.arch, cfg.window(), &[])?;
     let pinned = cold.pinned_stripes(cfg.pin_slots);
     let warm = ExecPlan::lower_stream_chunk(&cfg.accel, cfg.arch, cfg.window(), &pinned)?;
+    Ok((cold, warm))
+}
+
+/// Price one cold and one warm chunk plan through the analytic walker.
+pub fn stream_analytics(cfg: &StreamConfig) -> Result<StreamAnalytics> {
+    cfg.validate()?;
+    let (cold, warm) = chunk_plans(cfg)?;
     let cold_chunk_s = walk_cost(&cfg.accel, &cold).latency_s;
     let warm_chunk_s = walk_cost(&cfg.accel, &warm).latency_s;
     let reuse = warm.reuse.unwrap_or_default();
@@ -517,11 +524,10 @@ pub struct StreamPool {
     now_s: f64,
     /// Fault-free warm chunk service time — the stale-shed bound.
     nominal_s: f64,
-    /// The stripe set a cold chunk pins (schedule-derived, device-neutral).
-    pinned: Vec<ResidentStripe>,
-    /// Elision accounting of a warm chunk's lowering (device-neutral too).
-    warm_reuse: Option<PlanReuse>,
-    scheduled_bytes_per_chunk: u64,
+    /// The chunk plan a card runs cold, and the one it runs once the
+    /// previous chunk left its stripes pinned. Lowered once, device-neutral.
+    cold: ExecPlan,
+    warm: ExecPlan,
     elided_loads: usize,
     elided_load_bytes: u64,
     scheduled_load_bytes: u64,
@@ -559,23 +565,8 @@ impl StreamPool {
                 plans.len()
             )));
         }
-        // Derive the pinned stripe set and the warm nominal once — the
-        // schedule is device-neutral and deterministic.
-        let window = cfg.window();
-        let cold_plan = ExecPlan::lower_stream_chunk(&cfg.accel, cfg.arch, window, &[])?;
-        let pinned = cold_plan.pinned_stripes(cfg.pin_slots);
-        let scheduled_bytes_per_chunk = cold_plan.scheduled_load_bytes();
-        let nominal = run_stream_chunk(
-            &cfg.accel,
-            cfg.arch,
-            window,
-            &pinned,
-            cfg.pin_slots,
-            FaultPlan::none(),
-            &cfg.policy,
-        )
-        .map_err(|f| f.error)?;
-        let nominal_s = nominal.run.makespan_s;
+        let (cold, warm) = chunk_plans(&cfg)?;
+        let nominal_s = run_plan(&cfg.accel, &warm).makespan_s;
         if nominal_s > cfg.deadline_s {
             return Err(AccelError::InvalidStream {
                 reason: format!(
@@ -604,9 +595,8 @@ impl StreamPool {
             sessions,
             now_s: 0.0,
             nominal_s,
-            pinned,
-            warm_reuse: nominal.reuse,
-            scheduled_bytes_per_chunk,
+            cold,
+            warm,
             elided_loads: 0,
             elided_load_bytes: 0,
             scheduled_load_bytes: 0,
@@ -870,22 +860,19 @@ impl StreamPool {
         self.sessions[s_idx].home = d_idx;
         let warm = self.devices[d_idx].warm;
         let cfg = &self.cfg;
-        let resident: &[ResidentStripe] = if warm { &self.pinned } else { &[] };
+        let plan = if warm { &self.warm } else { &self.cold };
         let card = &mut self.devices[d_idx].card;
         // What one chunk dispatch on this card does: the chunk plan through
         // the fault-tolerant executor, once per (card, warm/cold).
-        let outcome = card.outcome(warm, |plan| {
-            let (window, slots) = (cfg.window(), cfg.pin_slots);
-            let run =
-                run_stream_chunk(&cfg.accel, cfg.arch, window, resident, slots, plan, &cfg.policy);
-            CardOutcome::of(run.map(|c| c.run))
+        let outcome = card.outcome(warm, |faults| {
+            CardOutcome::of(run_plan_with_recovery(&cfg.accel, plan, faults, &cfg.policy))
         });
         card.served += 1;
         let (finish_s, ok, reuse) = match outcome {
             CardOutcome::Ok { service_s, quality, timed_out, .. } => {
                 card.timed_out += timed_out;
                 card.credit(quality);
-                (now + service_s, true, if warm { self.warm_reuse } else { None })
+                (now + service_s, true, plan.reuse)
             }
             CardOutcome::Fail { fail_after_s, quality, timed_out, .. } => {
                 card.timed_out += timed_out;
@@ -894,7 +881,7 @@ impl StreamPool {
             }
         };
         card.start(now, finish_s, ChunkWork { session: s_idx, chunk, ok, reuse });
-        self.scheduled_load_bytes += self.scheduled_bytes_per_chunk;
+        self.scheduled_load_bytes += plan.scheduled_load_bytes();
     }
 
     fn into_report(mut self) -> StreamReport {

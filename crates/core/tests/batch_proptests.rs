@@ -9,14 +9,10 @@
 
 use std::collections::HashMap;
 
-use asr_accel::arch::{layer_bytes, simulate, simulate_batch};
-use asr_accel::host_runtime::{
-    run_batch_through_runtime, run_batch_with_recovery, run_through_runtime, RecoveryPolicy,
-};
-use asr_accel::integrity::{
-    run_functional_batch, run_functional_with_input, small_config, FunctionalFaults,
-};
-use asr_accel::plan::{phase_compute_s, phase_list, ExecPlan};
+use asr_accel::arch::{layer_bytes, simulate};
+use asr_accel::host_runtime::run_plan;
+use asr_accel::integrity::{run_functional_plan, small_config, FunctionalFaults};
+use asr_accel::plan::{phase_compute_s, phase_list, walk_cost, ExecPlan};
 use asr_accel::{calib, schedule, serve};
 use asr_accel::{AccelConfig, Architecture, CorruptionCounters};
 use asr_fpga_sim::device::SlrId;
@@ -41,6 +37,11 @@ fn unpadded(len: usize) -> AccelConfig {
     c
 }
 
+/// `batch` utterances of length `s`, lowered at the config's integrity.
+fn lower(cfg: &AccelConfig, arch: Architecture, s: usize, batch: usize) -> ExecPlan {
+    ExecPlan::lower(cfg, arch, s, batch, cfg.integrity).unwrap()
+}
+
 fn any_arch() -> impl Strategy<Value = Architecture> {
     prop::sample::select(vec![Architecture::A1, Architecture::A2, Architecture::A3])
 }
@@ -54,10 +55,11 @@ proptest! {
     #![proptest_config(env_cases(8))]
 
     // For random batch sizes, model/input seeds, stripe-fault seeds and
-    // integrity levels: every utterance of `run_functional_batch` is
-    // bit-for-bit (encoder, decoder, transcript) what the solo path computes
-    // for it, and the batch's corruption counters equal ONE solo run's —
-    // the model is loaded once per batch, so injections do not scale with B.
+    // integrity levels: every utterance of a batched functional run is
+    // bit-for-bit (encoder, decoder, transcript) what a batch-of-one plan
+    // computes for it, and the batch's corruption counters equal ONE solo
+    // run's — the model is loaded once per batch, so injections do not
+    // scale with B.
     #[test]
     fn batched_functional_run_is_bit_identical_to_solo_runs(
         model_seed in 1u64..1000,
@@ -78,23 +80,25 @@ proptest! {
         // are pinned by the dedicated test below; keep this one stripe-only.
         faults.lane = None;
         let seeds: Vec<u64> = (0..batch as u64).map(|u| input_base + u).collect();
+        let solo_plan = lower(&cfg, Architecture::A2, 4, 1);
 
-        match run_functional_batch(&cfg, model_seed, &seeds, 4, &faults) {
+        match run_functional_plan(&cfg, &lower(&cfg, Architecture::A2, 4, batch), model_seed, &seeds, &faults) {
             Ok(b) => {
                 prop_assert_eq!(b.utterances.len(), batch);
                 for (u, &seed) in seeds.iter().enumerate() {
-                    let solo = run_functional_with_input(&cfg, model_seed, seed, 4, &faults)
+                    let solo = run_functional_plan(&cfg, &solo_plan, model_seed, &[seed], &faults)
                         .expect("solo run must succeed when the batched run does");
+                    let one = &solo.utterances[0];
                     prop_assert_eq!(
-                        &b.utterances[u].encoder_out, &solo.encoder_out,
+                        &b.utterances[u].encoder_out, &one.encoder_out,
                         "utterance {} encoder diverged", u
                     );
                     prop_assert_eq!(
-                        &b.utterances[u].decoder_out, &solo.decoder_out,
+                        &b.utterances[u].decoder_out, &one.decoder_out,
                         "utterance {} decoder diverged", u
                     );
                     prop_assert_eq!(
-                        &b.utterances[u].transcript, &solo.transcript,
+                        &b.utterances[u].transcript, &one.transcript,
                         "utterance {} transcript diverged", u
                     );
                     // One load's worth of accounting, not B×.
@@ -107,7 +111,7 @@ proptest! {
                 // the solo path must fail for at least one of the same
                 // utterances.
                 let any_solo_err = seeds.iter().any(|&seed| {
-                    run_functional_with_input(&cfg, model_seed, seed, 4, &faults).is_err()
+                    run_functional_plan(&cfg, &solo_plan, model_seed, &[seed], &faults).is_err()
                 });
                 prop_assert!(any_solo_err, "batch failed ({}) but every solo run passed", e);
             }
@@ -130,7 +134,8 @@ proptest! {
         let faults = FunctionalFaults { stripes: vec![], lane: Some(LaneFault { lane, delta }) };
         let seeds: Vec<u64> = (0..batch as u64).map(|u| input_base + 7 * u).collect();
 
-        let run = run_functional_batch(&cfg, model_seed, &seeds, 4, &faults).unwrap();
+        let plan = lower(&cfg, Architecture::A2, 4, batch);
+        let run = run_functional_plan(&cfg, &plan, model_seed, &seeds, &faults).unwrap();
         prop_assert_eq!(run.counters.escaped, 0);
         prop_assert!(run.abft.recomputed > 0, "the sticky lane must trip the ABFT check");
         let clean_cfg = {
@@ -138,11 +143,13 @@ proptest! {
             c.integrity = IntegrityLevel::Off;
             c
         };
+        let clean_plan = lower(&clean_cfg, Architecture::A2, 4, 1);
         for (u, &seed) in seeds.iter().enumerate() {
-            let clean = run_functional_with_input(
-                &clean_cfg, model_seed, seed, 4, &FunctionalFaults::none(),
+            let clean = run_functional_plan(
+                &clean_cfg, &clean_plan, model_seed, &[seed], &FunctionalFaults::none(),
             )
             .unwrap();
+            let clean = &clean.utterances[0];
             prop_assert_eq!(
                 &run.utterances[u].decoder_out, &clean.decoder_out,
                 "utterance {} not repaired to the clean bits", u
@@ -159,47 +166,20 @@ proptest! {
 proptest! {
     #![proptest_config(env_cases(32))]
 
-    // With an empty fault plan the batched recovery harness is a no-op
-    // wrapper: spans, makespan, per-utterance finishes and load accounting
-    // are all bit-identical to the plain batched runtime schedule.
-    #[test]
-    fn zero_fault_batched_recovery_is_timeline_identical_to_baseline(
-        arch in any_arch(),
-        batch in 1usize..=8,
-        s in prop::sample::select(vec![2usize, 4, 8]),
-    ) {
-        let cfg = unpadded(s);
-        let base = run_batch_through_runtime(&cfg, arch, s, batch).unwrap();
-        let run = run_batch_with_recovery(
-            &cfg, arch, s, batch, FaultPlan::none(), &RecoveryPolicy::default(),
-        )
-        .unwrap_or_else(|f| panic!("clean batch failed: {}", f.error));
-        prop_assert_eq!(base.runtime.timeline().spans(), run.runtime.timeline().spans());
-        prop_assert_eq!(base.makespan_s.to_bits(), run.makespan_s.to_bits());
-        prop_assert_eq!(run.utterance_finish_s.len(), batch);
-        for (a, b) in base.utterance_finish_s.iter().zip(&run.utterance_finish_s) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-        prop_assert_eq!(base.loads_issued, run.loads_issued);
-        prop_assert_eq!(base.load_busy_s.to_bits(), run.load_busy_s.to_bits());
-        prop_assert_eq!(run.final_arch, arch);
-        prop_assert_eq!(run.corruption, CorruptionCounters::default());
-    }
-
-    // `--batch 1` IS the solo path: the batch-of-one command stream is
-    // span-for-span the existing solo schedule, on every architecture.
+    // `--batch 1` IS the solo path: a batch-of-one plan runs under the
+    // solo labels (no `[u0]` kernel slices, no batch tag), and its one
+    // utterance finishes exactly at the makespan, on every architecture.
     #[test]
     fn batch_of_one_is_bitwise_the_solo_schedule(
         arch in any_arch(),
         s in prop::sample::select(vec![2usize, 4, 8, 16]),
     ) {
         let cfg = unpadded(s);
-        let (rt, total) = run_through_runtime(&cfg, arch, s).unwrap();
-        let b1 = run_batch_through_runtime(&cfg, arch, s, 1).unwrap();
-        prop_assert_eq!(rt.timeline().spans(), b1.runtime.timeline().spans());
-        prop_assert_eq!(total.to_bits(), b1.makespan_s.to_bits());
+        let b1 = run_plan(&cfg, &lower(&cfg, arch, s, 1));
+        let spans = b1.runtime.timeline().spans();
+        prop_assert!(spans.iter().all(|sp| !sp.label.contains("[u") && !sp.label.contains('#')));
         prop_assert_eq!(b1.utterance_finish_s.len(), 1);
-        prop_assert_eq!(b1.utterance_finish_s[0].to_bits(), total.to_bits());
+        prop_assert_eq!(b1.utterance_finish_s[0].to_bits(), b1.makespan_s.to_bits());
     }
 }
 
@@ -295,10 +275,10 @@ fn batch_issues_each_layer_load_exactly_once() {
     for (arch, expected_loads) in
         [(Architecture::A1, 18), (Architecture::A2, 18), (Architecture::A3, 24)]
     {
-        let solo = run_batch_through_runtime(&cfg, arch, 4, 1).unwrap();
+        let solo = run_plan(&cfg, &lower(&cfg, arch, 4, 1));
         assert_eq!(solo.loads_issued, expected_loads, "{:?}", arch);
         for b in [2usize, 4, 8] {
-            let run = run_batch_through_runtime(&cfg, arch, 4, b).unwrap();
+            let run = run_plan(&cfg, &lower(&cfg, arch, 4, b));
             assert_eq!(
                 run.loads_issued, expected_loads,
                 "{:?} batch {} must not re-issue per-utterance loads",
@@ -339,7 +319,7 @@ fn a1_batched_makespan_is_the_hand_computed_serial_sum() {
         + n_dec * clock.to_seconds(schedule::decoder_cycles(&cfg, 4));
 
     for b in [1usize, 2, 4, 8] {
-        let r = simulate_batch(&cfg, Architecture::A1, 4, b);
+        let r = walk_cost(&cfg, &lower(&cfg, Architecture::A1, 4, b));
         let expected = load_s + b as f64 * compute_s;
         assert!(
             (r.latency_s - expected).abs() <= 1e-9 * expected,
@@ -359,22 +339,6 @@ fn a1_batched_makespan_is_the_hand_computed_serial_sum() {
     }
 }
 
-/// Analytic batch-of-one is bit-identical to the existing solo simulation —
-/// same spans, same makespan — on every architecture.
-#[test]
-fn analytic_batch_of_one_is_bitwise_the_solo_simulation() {
-    for arch in Architecture::ALL {
-        for s in [4usize, 8, 32] {
-            let cfg = unpadded(s);
-            let solo = simulate(&cfg, arch, s);
-            let b1 = simulate_batch(&cfg, arch, s, 1);
-            assert_eq!(solo.timeline.spans(), b1.timeline.spans(), "{:?} s={}", arch, s);
-            assert_eq!(solo.latency_s.to_bits(), b1.latency_s.to_bits());
-            assert_eq!(b1.batch, 1);
-        }
-    }
-}
-
 /// In the load-bound regime (s = 4) the per-utterance residual stall under
 /// A2/A3 shrinks strictly as the batch grows: each prefetch now hides behind
 /// B utterances of compute. By B = 8 the A3 stall per utterance is under 30 %
@@ -385,7 +349,7 @@ fn per_utterance_stall_shrinks_as_the_batch_grows() {
     for arch in [Architecture::A2, Architecture::A3] {
         let mut prev = f64::INFINITY;
         for b in [1usize, 2, 4, 8] {
-            let r = simulate_batch(&cfg, arch, 4, b);
+            let r = walk_cost(&cfg, &lower(&cfg, arch, 4, b));
             let per_utt = r.compute_stall_s / b as f64;
             assert!(
                 per_utt < prev,
@@ -398,21 +362,22 @@ fn per_utterance_stall_shrinks_as_the_batch_grows() {
             prev = per_utt;
         }
     }
-    let solo = simulate_batch(&cfg, Architecture::A3, 4, 1).compute_stall_s;
-    let b8 = simulate_batch(&cfg, Architecture::A3, 4, 8).compute_stall_s / 8.0;
+    let solo = walk_cost(&cfg, &lower(&cfg, Architecture::A3, 4, 1)).compute_stall_s;
+    let b8 = walk_cost(&cfg, &lower(&cfg, Architecture::A3, 4, 8)).compute_stall_s / 8.0;
     assert!(b8 < 0.3 * solo, "A3 stall/utt at batch 8 is {} vs solo {}", b8, solo);
 }
 
-/// The runtime command stream and the analytic recurrence stay in agreement
-/// on batched schedules, with the same 1 % band the solo pins use.
+/// The runtime command stream and the analytic recurrence, handed the same
+/// batched plan, stay in agreement with the same 1 % band the solo pins use.
 #[test]
 fn runtime_and_analytic_batched_makespans_agree() {
     for arch in Architecture::ALL {
         for s in [4usize, 8] {
             let cfg = unpadded(s);
             for b in [2usize, 4, 8] {
-                let analytic = simulate_batch(&cfg, arch, s, b).latency_s;
-                let run = run_batch_through_runtime(&cfg, arch, s, b).unwrap();
+                let plan = lower(&cfg, arch, s, b);
+                let analytic = walk_cost(&cfg, &plan).latency_s;
+                let run = run_plan(&cfg, &plan);
                 assert!(
                     (analytic - run.makespan_s).abs() / analytic < 0.01,
                     "{:?} s={} b={}: analytic {} vs runtime {}",
@@ -437,7 +402,7 @@ fn batched_makespan_beats_b_solo_passes_under_overlap() {
         let solo = simulate(&cfg, arch, 4).latency_s;
         let mut prev_per_utt = f64::INFINITY;
         for b in [2usize, 4, 8] {
-            let batched = simulate_batch(&cfg, arch, 4, b).latency_s;
+            let batched = walk_cost(&cfg, &lower(&cfg, arch, 4, b)).latency_s;
             assert!(
                 batched < b as f64 * solo,
                 "{:?} batch {}: {} not better than {} solo passes ({})",
@@ -458,9 +423,10 @@ fn batched_makespan_beats_b_solo_passes_under_overlap() {
 // Plan-IR equivalence: the unified ExecPlan lowering and its two timing
 // consumers reproduce the pre-refactor per-architecture bodies bit for bit.
 // The references below are verbatim copies of the deleted recurrence and
-// emission loop (the per-arch `match` in `arch::simulate_batch` and the
-// straight-line loop in `run_batch_through_runtime`), so any drift in the
-// lowering's edge policy or the executors shows up as a span diff here.
+// emission loop (the per-arch `match` of the batched analytic simulator in
+// `arch` and the straight-line loop of the batched runtime entry point in
+// `host_runtime`), so any drift in the lowering's edge policy or the
+// executors shows up as a span diff here.
 // ---------------------------------------------------------------------------
 
 struct LegacyPhase {
@@ -517,8 +483,8 @@ struct LegacyArchResult {
     timeline: Timeline,
 }
 
-/// Verbatim copy of the deleted per-architecture `match` in
-/// `arch::simulate_batch` — A1's serial walk and the A2/A3 prefetch
+/// Verbatim copy of the deleted per-architecture `match` of the batched
+/// analytic simulator — A1's serial walk and the A2/A3 prefetch
 /// recurrence as separate hand-rolled bodies.
 fn legacy_simulate_batch(
     cfg: &AccelConfig,
@@ -591,10 +557,10 @@ fn legacy_simulate_batch(
     }
 }
 
-/// Verbatim copy of the deleted straight-line emission loop in
-/// `run_batch_through_runtime` (modulo the `set_batch_tag` →
-/// `set_plan_tag` rename). Returns the runtime plus the makespan and
-/// per-utterance finishes the old entry point reported.
+/// Verbatim copy of the deleted straight-line emission loop of the batched
+/// runtime entry point (modulo the `set_batch_tag` → `set_plan_tag`
+/// rename). Returns the runtime plus the makespan and per-utterance
+/// finishes the old entry point reported.
 fn legacy_run_batch(
     cfg: &AccelConfig,
     arch: Architecture,
@@ -682,7 +648,7 @@ proptest! {
         s in prop::sample::select(vec![2usize, 4, 8, 16, 32]),
     ) {
         let cfg = unpadded(s);
-        let new = simulate_batch(&cfg, arch, s, batch);
+        let new = walk_cost(&cfg, &lower(&cfg, arch, s, batch));
         let old = legacy_simulate_batch(&cfg, arch, s, batch);
         prop_assert_eq!(old.timeline.spans(), new.timeline.spans(), "{:?} b={}", arch, batch);
         prop_assert_eq!(old.latency_s.to_bits(), new.latency_s.to_bits());
@@ -701,7 +667,7 @@ proptest! {
         s in prop::sample::select(vec![2usize, 4, 8, 16]),
     ) {
         let cfg = unpadded(s);
-        let new = run_batch_through_runtime(&cfg, arch, s, batch).unwrap();
+        let new = run_plan(&cfg, &lower(&cfg, arch, s, batch));
         let (rt, makespan_s, finishes) = legacy_run_batch(&cfg, arch, s, batch);
         prop_assert_eq!(rt.timeline().spans(), new.runtime.timeline().spans(),
             "{:?} b={}", arch, batch);

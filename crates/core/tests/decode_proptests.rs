@@ -7,7 +7,7 @@
 //! 512); tier-1 runs use the per-block defaults.
 #![recursion_limit = "1024"]
 
-use asr_accel::host_runtime::{run_decode_step, RecoveryPolicy};
+use asr_accel::host_runtime::{run_plan_with_recovery, RecoveryPolicy};
 use asr_accel::integrity::{run_functional_decode, small_config, FunctionalFaults};
 use asr_accel::plan::{DecodeStepSpec, ExecPlan};
 use asr_accel::{AccelConfig, Architecture};
@@ -194,8 +194,8 @@ proptest! {
     }
 
     // The runtime executor agrees with the lowering's ledger: a steady step
-    // run through `run_decode_step` reports the same fetched/scheduled split
-    // the plan carries, and executes faster than its cold step.
+    // fetches under half its scheduled bytes, and run through the recovery
+    // executor it finishes faster than its cold step.
     #[test]
     fn runtime_decode_step_matches_the_plan_ledger(
         mem_len in 2usize..=16,
@@ -205,17 +205,20 @@ proptest! {
         cfg.max_seq_len = 32;
         let cold_spec = DecodeStepSpec::greedy(0, mem_len, 8);
         let cold_spec = DecodeStepSpec { beam, ..cold_spec };
-        let cold = run_decode_step(
-            &cfg, Architecture::A2, cold_spec, &[], FaultPlan::none(), &RecoveryPolicy::default(),
-        ).unwrap();
-        prop_assert_eq!(cold.fetched_load_bytes, cold.scheduled_load_bytes);
+        let policy = RecoveryPolicy::default();
+        let cold =
+            ExecPlan::lower_decode_step(&cfg, Architecture::A2, cold_spec, &[], cfg.integrity)
+                .unwrap();
+        let cold_run = run_plan_with_recovery(&cfg, &cold, FaultPlan::none(), &policy).unwrap();
+        prop_assert_eq!(cold.fetched_load_bytes(), cold.scheduled_load_bytes());
 
         let spec = DecodeStepSpec { step: 1, ..cold_spec };
-        let steady = run_decode_step(
-            &cfg, Architecture::A2, spec, &cold.pinned, FaultPlan::none(),
-            &RecoveryPolicy::default(),
-        ).unwrap();
-        prop_assert!(steady.fetched_load_bytes * 2 < steady.scheduled_load_bytes);
-        prop_assert!(steady.run.makespan_s < cold.run.makespan_s);
+        let pinned = cold.decode_pinned_stripes();
+        let steady =
+            ExecPlan::lower_decode_step(&cfg, Architecture::A2, spec, &pinned, cfg.integrity)
+                .unwrap();
+        let steady_run = run_plan_with_recovery(&cfg, &steady, FaultPlan::none(), &policy).unwrap();
+        prop_assert!(steady.fetched_load_bytes() * 2 < steady.scheduled_load_bytes());
+        prop_assert!(steady_run.makespan_s < cold_run.makespan_s);
     }
 }

@@ -3,10 +3,7 @@
 #![recursion_limit = "1024"]
 
 use asr_accel::arch::{layer_bytes, simulate};
-use asr_accel::host_runtime::{
-    run_batch_with_recovery, run_plan, run_plan_with_recovery, run_through_runtime,
-    run_with_recovery, RecoveryPolicy,
-};
+use asr_accel::host_runtime::{run_plan, run_plan_with_recovery, RecoveryPolicy};
 use asr_accel::integrity::{load_model_with_faults, FunctionalFaults, StripeCorruption};
 use asr_accel::plan::ExecPlan;
 use asr_accel::schedule;
@@ -51,31 +48,13 @@ fn any_arch() -> impl Strategy<Value = Architecture> {
     prop::sample::select(vec![Architecture::A1, Architecture::A2, Architecture::A3])
 }
 
+/// One utterance at the config's built length, lowered at its integrity.
+fn solo(cfg: &AccelConfig, arch: Architecture) -> ExecPlan {
+    ExecPlan::lower(cfg, arch, cfg.max_seq_len, 1, cfg.integrity).unwrap()
+}
+
 proptest! {
     #![proptest_config(env_cases(32))]
-
-    // With an empty fault plan the recovery harness is a no-op wrapper:
-    // the timeline and the makespan must be *bit-identical* to the plain
-    // fault-free runtime schedule, with no retries and no recovery events.
-    // This holds on every architecture, A1 included (its runtime command
-    // stream gates each load on the previous compute instead of using a
-    // prefetch engine).
-    #[test]
-    fn zero_fault_plan_is_timeline_identical_to_baseline(
-        cfg in valid_config(),
-        arch in any_arch(),
-    ) {
-        let s = cfg.max_seq_len;
-        let (rt, total) = run_through_runtime(&cfg, arch, s).unwrap();
-        let run =
-            run_with_recovery(&cfg, arch, s, FaultPlan::none(), &RecoveryPolicy::default())
-                .unwrap();
-        prop_assert_eq!(rt.timeline().spans(), run.runtime.timeline().spans());
-        prop_assert_eq!(total.to_bits(), run.makespan_s.to_bits());
-        prop_assert_eq!(run.final_arch, arch);
-        prop_assert_eq!(run.retries, 0);
-        prop_assert!(run.events.is_empty());
-    }
 
     // Every seeded fault plan is recoverable by construction: the run ends
     // Ok with a finite makespan, and faults never make the run *faster*
@@ -87,14 +66,9 @@ proptest! {
     ) {
         let mut cfg = AccelConfig::paper_default();
         cfg.max_seq_len = s;
-        let run = run_with_recovery(
-            &cfg,
-            Architecture::A3,
-            s,
-            FaultPlan::seeded(seed),
-            &RecoveryPolicy::default(),
-        )
-        .unwrap_or_else(|e| panic!("seed {}: {}", seed, e));
+        let plan = solo(&cfg, Architecture::A3);
+        let run = run_plan_with_recovery(&cfg, &plan, FaultPlan::seeded(seed), &RecoveryPolicy::default())
+            .unwrap_or_else(|f| panic!("seed {}: {}", seed, f.error));
         prop_assert!(run.makespan_s.is_finite(), "seed {}", seed);
         prop_assert!(
             run.makespan_s >= run.nominal_s - 1e-12,
@@ -103,7 +77,10 @@ proptest! {
             run.makespan_s,
             run.nominal_s
         );
-        prop_assert!(run.slowdown() >= -1e-12, "slowdown is an excess fraction");
+        prop_assert!(
+            run.makespan_s / run.nominal_s - 1.0 >= -1e-12,
+            "the fault overhead is an excess fraction"
+        );
     }
 
     // Killing one A3 prefetch engine before its first command leaves a
@@ -118,13 +95,13 @@ proptest! {
     #[test]
     fn a3_with_a_dead_engine_behaves_like_a2(cfg in valid_config()) {
         let s = cfg.max_seq_len;
-        let plan = FaultPlan::none()
+        let dead_engine = FaultPlan::none()
             .with(FaultKind::EngineDropout { queue: "maxi-1".into(), from_command: 0 });
-        let run =
-            run_with_recovery(&cfg, Architecture::A3, s, plan, &RecoveryPolicy::default())
-                .unwrap();
-        let (_, a2) = run_through_runtime(&cfg, Architecture::A2, s).unwrap();
-        let (_, a3) = run_through_runtime(&cfg, Architecture::A3, s).unwrap();
+        let a3_plan = solo(&cfg, Architecture::A3);
+        let run = run_plan_with_recovery(&cfg, &a3_plan, dead_engine, &RecoveryPolicy::default())
+            .unwrap();
+        let a2 = run_plan(&cfg, &solo(&cfg, Architecture::A2)).makespan_s;
+        let a3 = run_plan(&cfg, &a3_plan).makespan_s;
         let a1 = simulate(&cfg, Architecture::A1, s).latency_s;
         let setup_slack = 40.0 * cfg.device.hbm.transfer_latency_s;
         prop_assert_eq!(run.final_arch, Architecture::A2);
@@ -159,8 +136,8 @@ proptest! {
 
     // The serving layer is pure orchestration: on a clean pool, every
     // completed request's *service* time must be bit-identical to what an
-    // independent `run_with_recovery` call produces for the same build —
-    // queuing and routing may shift latencies but never touch the compute.
+    // independent run of the build's solo plan produces — queuing and
+    // routing may shift latencies but never touch the compute.
     #[test]
     fn clean_pool_service_times_match_independent_runs(
         devices in 1usize..=3,
@@ -171,15 +148,8 @@ proptest! {
         let mut cfg = serve::ServeConfig::new(devices, 0, rps, 2.0);
         cfg.arch = arch;
         cfg.requests = requests;
-        let s = cfg.accel.max_seq_len;
-        let solo = run_with_recovery(
-            &cfg.accel,
-            arch,
-            s,
-            FaultPlan::none(),
-            &cfg.policy,
-        )
-        .unwrap();
+        let plan = solo(&cfg.accel, arch);
+        let solo = run_plan_with_recovery(&cfg.accel, &plan, FaultPlan::none(), &cfg.policy).unwrap();
         let report = serve::ServePool::run(cfg).unwrap();
         prop_assert_eq!(report.completed, requests, "clean pool serves everything");
         for r in &report.records {
@@ -253,21 +223,24 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Plan-IR recovery equivalence: executing a pre-lowered ExecPlan directly is
-// the same machine as the length/batch wrappers, fault-free and faulted.
+// Plan-IR recovery equivalence: fault-free, the recovery executor replays a
+// lowered plan exactly as the plain executor does.
 // ---------------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(env_cases(24))]
 
     // Fault-free, the recovery executor over a lowered plan is a no-op
-    // wrapper around the plain plan executor at every integrity level:
-    // identical spans, identical makespan, zero retries, empty counters.
+    // wrapper around the plain plan executor at every integrity level and
+    // on every architecture, A1 included (its loads gate on the previous
+    // compute instead of using a prefetch engine): identical spans,
+    // makespan, per-utterance finishes and load accounting; zero retries,
+    // no recovery events, empty counters.
     #[test]
     fn zero_fault_plan_recovery_matches_run_plan_at_every_level(
         cfg in valid_config(),
         arch in any_arch(),
-        batch in 1usize..=4,
+        batch in 1usize..=8,
         level_idx in 0usize..3,
     ) {
         let level = [
@@ -282,54 +255,15 @@ proptest! {
             .unwrap_or_else(|f| panic!("clean plan failed: {}", f.error));
         prop_assert_eq!(base.runtime.timeline().spans(), run.runtime.timeline().spans());
         prop_assert_eq!(base.makespan_s.to_bits(), run.makespan_s.to_bits());
+        prop_assert_eq!(run.utterance_finish_s.len(), batch);
         for (a, b) in base.utterance_finish_s.iter().zip(&run.utterance_finish_s) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
+        prop_assert_eq!(base.loads_issued, run.loads_issued);
+        prop_assert_eq!(base.load_busy_s.to_bits(), run.load_busy_s.to_bits());
         prop_assert_eq!(run.retries, 0);
+        prop_assert!(run.events.is_empty());
         prop_assert_eq!(run.final_arch, arch);
         prop_assert_eq!(run.corruption, CorruptionCounters::default());
-    }
-
-    // Under seeded faults, the batch wrapper IS lower-then-execute: running
-    // the explicitly lowered plan through `run_plan_with_recovery` gives the
-    // bit-identical outcome (success spans and metrics, or the same typed
-    // error) as `run_batch_with_recovery` on the raw request.
-    #[test]
-    fn seeded_fault_recovery_is_identical_through_the_plan_and_the_wrapper(
-        seed in 0u64..1000,
-        s in 2usize..=16,
-        batch in 1usize..=4,
-        arch in any_arch(),
-        level_idx in 0usize..3,
-    ) {
-        let mut cfg = AccelConfig::paper_default();
-        cfg.max_seq_len = s;
-        cfg.integrity = [
-            IntegrityLevel::Off,
-            IntegrityLevel::Detect,
-            IntegrityLevel::DetectAndRecompute,
-        ][level_idx];
-        let plan = ExecPlan::lower(&cfg, arch, s, batch, cfg.integrity).unwrap();
-        let policy = RecoveryPolicy::default();
-        let direct = run_plan_with_recovery(&cfg, &plan, FaultPlan::seeded(seed), &policy);
-        let wrapped = run_batch_with_recovery(&cfg, arch, s, batch, FaultPlan::seeded(seed), &policy);
-        match (direct, wrapped) {
-            (Ok(d), Ok(w)) => {
-                prop_assert_eq!(d.runtime.timeline().spans(), w.runtime.timeline().spans());
-                prop_assert_eq!(d.makespan_s.to_bits(), w.makespan_s.to_bits());
-                prop_assert_eq!(d.nominal_s.to_bits(), w.nominal_s.to_bits());
-                prop_assert_eq!(d.retries, w.retries);
-                prop_assert_eq!(d.final_arch, w.final_arch);
-                prop_assert_eq!(d.corruption, w.corruption);
-                prop_assert_eq!(d.events.len(), w.events.len());
-            }
-            (Err(d), Err(w)) => prop_assert_eq!(d.error, w.error),
-            (d, w) => prop_assert!(
-                false,
-                "plan and wrapper disagreed on success: direct {:?} vs wrapped {:?}",
-                d.map(|r| r.makespan_s),
-                w.map(|r| r.makespan_s)
-            ),
-        }
     }
 }

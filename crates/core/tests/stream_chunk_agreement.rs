@@ -3,12 +3,12 @@
 //! A streaming chunk is lowered once, by `ExecPlan::lower_stream_chunk`,
 //! as its encoder phases. These tests hold every consumer to that one
 //! phase table: the walker behind `stream_analytics`, the stream pool, the
-//! runtime executor behind `run_stream_chunk`, and the functional twin. They
+//! runtime's recovery executor, and the functional twin. They
 //! also check that the walker and the runtime finish each phase at the same
 //! time, and that a chunk's checkpoint is never resumed as a full eager
 //! schedule.
 
-use asr_accel::host_runtime::{run_plan, run_stream_chunk, RecoveryPolicy};
+use asr_accel::host_runtime::{run_plan, run_plan_with_recovery, RecoveryPolicy};
 use asr_accel::integrity::{
     chunk_plan, push_functional_chunk, run_functional_stream, small_config, FunctionalFaults,
 };
@@ -80,29 +80,21 @@ fn every_chunk_consumer_lowers_the_same_encoder_phase_table() {
         let elided = reuse.elided_load_bytes as f64 / cold.scheduled_load_bytes() as f64;
         assert_eq!(a.elided_fraction, elided, "{:?}", arch);
 
-        // Runtime: the chunk executor runs one kernel per phase of the
-        // table and loads exactly the stripes the plan does not elide.
+        // Runtime: the recovery executor runs one kernel per phase of the
+        // table and loads exactly the stripes the plan does not elide. Both
+        // plans pin the same stripes and schedule the same bytes.
         let pinned = cold.pinned_stripes(cfg.pin_slots);
-        for (plan, resident) in [(&cold, &[][..]), (&warm, &pinned[..])] {
-            let run = run_stream_chunk(
-                &cfg.accel,
-                arch,
-                cfg.window(),
-                resident,
-                cfg.pin_slots,
-                FaultPlan::none(),
-                &cfg.policy,
-            )
-            .unwrap();
-            assert_eq!(span_labels(&run.run, "C"), labels, "{:?}", arch);
+        for plan in [&cold, &warm] {
+            let run =
+                run_plan_with_recovery(&cfg.accel, plan, FaultPlan::none(), &cfg.policy).unwrap();
+            assert_eq!(span_labels(&run, "C"), labels, "{:?}", arch);
             let fetched: Vec<String> = (0..plan.phases.len())
                 .filter(|&i| plan.load_of(i).is_some())
                 .map(|i| plan.phases[i].label.clone())
                 .collect();
-            assert_eq!(span_labels(&run.run, "LW"), fetched, "{:?}", arch);
-            assert_eq!(run.reuse, plan.reuse, "{:?}", arch);
-            assert_eq!(run.pinned, pinned, "{:?}", arch);
-            assert_eq!(run.scheduled_load_bytes, cold.scheduled_load_bytes(), "{:?}", arch);
+            assert_eq!(span_labels(&run, "LW"), fetched, "{:?}", arch);
+            assert_eq!(plan.pinned_stripes(cfg.pin_slots), pinned, "{:?}", arch);
+            assert_eq!(plan.scheduled_load_bytes(), cold.scheduled_load_bytes(), "{:?}", arch);
         }
 
         // Pool: every dispatch schedules the table's bytes, every warm one
@@ -241,7 +233,8 @@ fn a_chunk_checkpoint_never_resumes_into_a_full_schedule() {
     let policy = RecoveryPolicy { allow_degradation: false, ..RecoveryPolicy::default() };
     let dead_engine = FaultPlan::none()
         .with(FaultKind::EngineDropout { queue: "maxi-0".into(), from_command: 6 });
-    let fail = run_stream_chunk(&cfg, Architecture::A2, 8, &[], 4, dead_engine, &policy)
+    let chunk = ExecPlan::lower_stream_chunk(&cfg, Architecture::A2, 8, &[]).unwrap();
+    let fail = run_plan_with_recovery(&cfg, &chunk, dead_engine, &policy)
         .expect_err("the dropped engine kills the chunk");
     let ckpt = fail.checkpoint.expect("a failed chunk carries its barrier checkpoint");
     assert_eq!(ckpt.phase_labels.len(), cfg.model.n_encoders);

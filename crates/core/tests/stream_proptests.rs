@@ -6,9 +6,10 @@
 #![recursion_limit = "1024"]
 
 use asr_accel::integrity::{
-    resume_functional_stream, run_functional, run_functional_stream, small_config, FunctionalFaults,
+    resume_functional_stream, run_functional_plan, run_functional_stream, small_config,
+    FunctionalFaults,
 };
-use asr_accel::plan::{walk_cost, PlanBuilder};
+use asr_accel::plan::{walk_cost, ExecPlan, PlanBuilder};
 use asr_accel::stream::{ChunkOutcome, StreamConfig, StreamPool};
 use asr_accel::{AccelConfig, AccelError, Architecture};
 use asr_systolic::abft::IntegrityLevel;
@@ -105,9 +106,13 @@ proptest! {
         let stream =
             run_functional_stream(&cfg, model_seed, &features, s, 0, &FunctionalFaults::none())
                 .unwrap();
-        let offline = run_functional(&cfg, model_seed, s, &FunctionalFaults::none()).unwrap();
+        let plan = ExecPlan::lower(&cfg, Architecture::A2, s, 1, cfg.integrity).unwrap();
+        let offline = run_functional_plan(
+            &cfg, &plan, model_seed, &[model_seed ^ 0x5eed], &FunctionalFaults::none(),
+        )
+        .unwrap();
         prop_assert_eq!(stream.chunks, 1);
-        prop_assert_eq!(&stream.encoder_out, &offline.encoder_out);
+        prop_assert_eq!(&stream.encoder_out, &offline.utterances[0].encoder_out);
     }
 
     // A poisoned carryover state must NEVER silently resume, whichever

@@ -22,7 +22,7 @@
 //!   [`FaultKind::ChannelDegrade`]) — permanent from their trigger point
 //!   onward: every later command on the dead unit fails instantly (or, for
 //!   channel degradation, runs slower). Retrying is pointless; the host must
-//!   degrade — see `asr-accel::host_runtime::run_with_recovery`.
+//!   degrade — see `asr-accel::host_runtime::run_plan_with_recovery`.
 //! * **Silent** ([`FaultKind::HbmBitFlip`], [`FaultKind::DmaCorruption`],
 //!   [`FaultKind::PsaStickyLane`]) — the command *completes normally* but the
 //!   data is wrong: a flipped bit in a loaded weight stripe, a corrupted DMA

@@ -82,9 +82,9 @@ use transformer_asr_accel::accel::cluster::{
 use transformer_asr_accel::accel::serve::{pool_fault_plans, ServeConfig, ServePool, ServeReport};
 use transformer_asr_accel::accel::stream::{StreamConfig, StreamPool};
 use transformer_asr_accel::accel::{
-    decode_analytics, dse, latency, pipeline, quant, resume_batch, run_batch_with_recovery,
-    run_functional_decode, run_with_recovery, sweep, walk_cost, AccelConfig, AccelError, ExecPlan,
-    FunctionalFaults, HostController, RecoveryPolicy,
+    decode_analytics, dse, latency, pipeline, quant, run_functional_decode, run_plan_with_recovery,
+    sweep, walk_cost, AccelConfig, AccelError, ExecPlan, FunctionalFaults, HostController,
+    RecoveryPolicy,
 };
 use transformer_asr_accel::fpga::trace::to_chrome_trace;
 use transformer_asr_accel::fpga::{FaultKind, FaultPlan};
@@ -433,10 +433,13 @@ fn cmd_faults(seed: u64, s: usize, args: &[String]) -> Result<(), CliError> {
     for f in plan.faults() {
         println!("  - {:?}", f);
     }
-    let run = run_with_recovery(&cfg, arch, s, plan, &RecoveryPolicy::default())?;
+    let exec = ExecPlan::lower(&cfg, arch, s, 1, cfg.integrity)?;
+    let run = run_plan_with_recovery(&cfg, &exec, plan, &RecoveryPolicy::default())
+        .map_err(|f| f.error)?;
+    let overhead = run.makespan_s / run.nominal_s - 1.0;
     println!("nominal latency      : {:8.2} ms ({})", run.nominal_s * 1e3, run.entry_arch.name());
     println!("degraded latency     : {:8.2} ms ({})", run.makespan_s * 1e3, run.final_arch.name());
-    println!("fault overhead       : {:8.2} %", run.slowdown() * 100.0);
+    println!("fault overhead       : {:8.2} %", overhead * 100.0);
     println!("retries              : {}", run.retries);
     let c = &run.corruption;
     if c.any_injected() || level.checks_enabled() {
@@ -487,7 +490,8 @@ fn cmd_faults_checkpoint(
     println!("architecture         : {}", arch.name());
     println!("integrity level      : {}", cfg.integrity.name());
     println!("batch                : {}", batch);
-    let failure = match run_batch_with_recovery(cfg, arch, s, batch, plan, &policy) {
+    let full_plan = ExecPlan::lower(cfg, arch, s, batch, cfg.integrity)?;
+    let failure = match run_plan_with_recovery(cfg, &full_plan, plan, &policy) {
         Ok(run) => {
             println!(
                 "run completed        : {:8.2} ms — '{}' matched no command, nothing to resume",
@@ -530,7 +534,10 @@ fn cmd_faults_checkpoint(
     );
     // Fail over to a clean spare. Cross-device, so the double-buffer
     // residency of the dead card is not trusted: suffix stripes re-load.
-    match resume_batch(cfg, &ckpt, false, FaultPlan::none(), &policy) {
+    let resumed = ExecPlan::resume(cfg, &ckpt, false).and_then(|suffix| {
+        run_plan_with_recovery(cfg, &suffix, FaultPlan::none(), &policy).map_err(|f| f.error)
+    });
+    match resumed {
         Ok(run) => {
             let res = run.resume.as_ref().expect("a resumed plan carries its accounting");
             println!(
@@ -546,7 +553,7 @@ fn cmd_faults_checkpoint(
                 "  replayed by resume : {} loads, {} bytes",
                 res.replayed_loads, res.replayed_load_bytes
             );
-            let full = run_batch_with_recovery(cfg, arch, s, batch, FaultPlan::none(), &policy)
+            let full = run_plan_with_recovery(cfg, &full_plan, FaultPlan::none(), &policy)
                 .map_err(|f| {
                     CliError::Rejected(format!("full-restart baseline failed: {}", f.error))
                 })?;
@@ -557,11 +564,11 @@ fn cmd_faults_checkpoint(
                 (full.makespan_s - run.makespan_s) * 1e3
             );
         }
-        Err(f) => {
+        Err(e) => {
             // Typed rejection (or a second hard fault): never reuse the
             // state silently — fall back to a clean full restart.
-            println!("resume failed        : {}", f.error);
-            let full = run_batch_with_recovery(cfg, arch, s, batch, FaultPlan::none(), &policy)
+            println!("resume failed        : {}", e);
+            let full = run_plan_with_recovery(cfg, &full_plan, FaultPlan::none(), &policy)
                 .map_err(|f| CliError::Rejected(format!("full restart failed: {}", f.error)))?;
             println!("full restart         : {:8.2} ms", full.makespan_s * 1e3);
         }

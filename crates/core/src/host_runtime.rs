@@ -850,13 +850,8 @@ mod tests {
         let cfg = unpadded(8);
         let plan = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "LWE3".into(), failing_attempts: 2 });
-        let run = run_plan_with_recovery(
-            &cfg,
-            &lower(&cfg, Architecture::A3, 8, 1),
-            plan,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
+        let solo = lower(&cfg, Architecture::A3, 8, 1);
+        let run = run_plan_with_recovery(&cfg, &solo, plan, &RecoveryPolicy::default()).unwrap();
         assert_eq!(run.retries, 2);
         assert!(run.makespan_s.is_finite());
         assert!(run.makespan_s >= run.nominal_s, "faults cannot speed a run up");
@@ -869,14 +864,10 @@ mod tests {
         let cfg = unpadded(8);
         let plan = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "LWE3".into(), failing_attempts: 99 });
-        let err = run_plan_with_recovery(
-            &cfg,
-            &lower(&cfg, Architecture::A3, 8, 1),
-            plan,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap_err()
-        .error;
+        let solo = lower(&cfg, Architecture::A3, 8, 1);
+        let err = run_plan_with_recovery(&cfg, &solo, plan, &RecoveryPolicy::default())
+            .unwrap_err()
+            .error;
         assert!(matches!(err, AccelError::Unrecoverable { .. }), "{}", err);
     }
 
@@ -889,13 +880,8 @@ mod tests {
         let cfg = unpadded(4);
         let plan = FaultPlan::none()
             .with(FaultKind::EngineDropout { queue: "maxi-1".into(), from_command: 0 });
-        let run = run_plan_with_recovery(
-            &cfg,
-            &lower(&cfg, Architecture::A3, 4, 1),
-            plan,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
+        let solo = lower(&cfg, Architecture::A3, 4, 1);
+        let run = run_plan_with_recovery(&cfg, &solo, plan, &RecoveryPolicy::default()).unwrap();
         let a2 = run_plan(&cfg, &lower(&cfg, Architecture::A2, 4, 1)).makespan_s;
         assert_eq!(run.final_arch, Architecture::A2);
         assert!(
@@ -915,15 +901,10 @@ mod tests {
         let cfg = unpadded(4);
         let plan = FaultPlan::none()
             .with(FaultKind::EngineDropout { queue: "maxi-1".into(), from_command: 4 });
-        let run = run_plan_with_recovery(
-            &cfg,
-            &lower(&cfg, Architecture::A3, 4, 1),
-            plan,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
+        let solo = lower(&cfg, Architecture::A3, 4, 1);
+        let run = run_plan_with_recovery(&cfg, &solo, plan, &RecoveryPolicy::default()).unwrap();
         let a2 = run_plan(&cfg, &lower(&cfg, Architecture::A2, 4, 1)).makespan_s;
-        let a3 = run_plan(&cfg, &lower(&cfg, Architecture::A3, 4, 1)).makespan_s;
+        let a3 = run_plan(&cfg, &solo).makespan_s;
         assert_eq!(run.final_arch, Architecture::A2);
         assert!(run.makespan_s >= a3 - 1e-12, "{} vs A3 {}", run.makespan_s, a3);
         assert!(run.makespan_s <= a2 * 1.01, "{} vs A2 {}", run.makespan_s, a2);
@@ -935,18 +916,13 @@ mod tests {
         let plan = FaultPlan::none()
             .with(FaultKind::EngineDropout { queue: "maxi-0".into(), from_command: 2 })
             .with(FaultKind::EngineDropout { queue: "maxi-1".into(), from_command: 2 });
-        let run = run_plan_with_recovery(
-            &cfg,
-            &lower(&cfg, Architecture::A3, 4, 1),
-            plan,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
+        let solo = lower(&cfg, Architecture::A3, 4, 1);
+        let run = run_plan_with_recovery(&cfg, &solo, plan, &RecoveryPolicy::default()).unwrap();
         assert_eq!(run.final_arch, Architecture::A1);
         // A1 without overlap is no faster than the bespoke A1 simulation
         // minus its first-fill (loose sanity bound), and certainly slower
         // than fault-free A3.
-        let a3 = run_plan(&cfg, &lower(&cfg, Architecture::A3, 4, 1)).makespan_s;
+        let a3 = run_plan(&cfg, &solo).makespan_s;
         assert!(
             run.makespan_s > a3,
             "A1 fallback {} must cost more than A3 {}",
@@ -959,13 +935,8 @@ mod tests {
     fn slr_loss_halves_the_pool_and_relaunches() {
         let cfg = unpadded(8);
         let plan = FaultPlan::none().with(FaultKind::SlrDropout { slr: 1, from_command: 3 });
-        let run = run_plan_with_recovery(
-            &cfg,
-            &lower(&cfg, Architecture::A3, 8, 1),
-            plan,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
+        let solo = lower(&cfg, Architecture::A3, 8, 1);
+        let run = run_plan_with_recovery(&cfg, &solo, plan, &RecoveryPolicy::default()).unwrap();
         assert_eq!(run.dead_slr, Some(1));
         assert!(run.makespan_s > run.nominal_s, "halved pool must cost latency");
         // every kernel from the dropout onward runs on SLR0
@@ -1014,14 +985,10 @@ mod tests {
             let plan = FaultPlan::none()
                 .with(FaultKind::SlrDropout { slr: a, from_command: 0 })
                 .with(FaultKind::SlrDropout { slr: b, from_command: 2 });
-            let err = run_plan_with_recovery(
-                &cfg,
-                &lower(&cfg, Architecture::A3, 8, 1),
-                plan,
-                &RecoveryPolicy::default(),
-            )
-            .unwrap_err()
-            .error;
+            let solo = lower(&cfg, Architecture::A3, 8, 1);
+            let err = run_plan_with_recovery(&cfg, &solo, plan, &RecoveryPolicy::default())
+                .unwrap_err()
+                .error;
             assert!(
                 matches!(err, AccelError::Unrecoverable { .. }),
                 "slr order {}/{}: {}",
@@ -1060,14 +1027,10 @@ mod tests {
         let cfg = unpadded(8);
         let plan = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "LWE1".into(), failing_attempts: u32::MAX });
-        let err = run_plan_with_recovery(
-            &cfg,
-            &lower(&cfg, Architecture::A3, 8, 1),
-            plan,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap_err()
-        .error;
+        let solo = lower(&cfg, Architecture::A3, 8, 1);
+        let err = run_plan_with_recovery(&cfg, &solo, plan, &RecoveryPolicy::default())
+            .unwrap_err()
+            .error;
         match err {
             AccelError::Unrecoverable { at_s, attempts, .. } => {
                 assert!(at_s.is_finite() && at_s > 0.0, "failure time {}", at_s);
@@ -1080,15 +1043,12 @@ mod tests {
     #[test]
     fn seeded_plans_complete_on_every_architecture() {
         let cfg = unpadded(8);
+        let policy = RecoveryPolicy::default();
         for arch in [Architecture::A1, Architecture::A2, Architecture::A3] {
+            let solo = lower(&cfg, arch, 8, 1);
             for seed in 0..12u64 {
-                let run = run_plan_with_recovery(
-                    &cfg,
-                    &lower(&cfg, arch, 8, 1),
-                    FaultPlan::seeded(seed),
-                    &RecoveryPolicy::default(),
-                )
-                .unwrap_or_else(|f| panic!("{} seed {}: {}", arch.name(), seed, f.error));
+                let run = run_plan_with_recovery(&cfg, &solo, FaultPlan::seeded(seed), &policy)
+                    .unwrap_or_else(|f| panic!("{} seed {}: {}", arch.name(), seed, f.error));
                 assert!(run.makespan_s.is_finite());
                 assert!(run.makespan_s >= run.nominal_s - 1e-12);
             }
@@ -1107,13 +1067,8 @@ mod tests {
         let cfg = unpadded(8); // integrity off by default
         let plan = FaultPlan::seeded_with(3, &FaultProfile::silent_only());
         assert!(plan.has_silent_faults());
-        let run = run_plan_with_recovery(
-            &cfg,
-            &lower(&cfg, Architecture::A3, 8, 1),
-            plan,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
+        let solo = lower(&cfg, Architecture::A3, 8, 1);
+        let run = run_plan_with_recovery(&cfg, &solo, plan, &RecoveryPolicy::default()).unwrap();
         // Nobody asks, nobody pays: timing is exactly nominal, but the
         // corruption went straight into compute.
         assert!((run.makespan_s - run.nominal_s).abs() < 1e-12);
@@ -1132,13 +1087,8 @@ mod tests {
             bit: 7,
             failing_attempts: 2,
         });
-        let run = run_plan_with_recovery(
-            &cfg,
-            &lower(&cfg, Architecture::A3, 8, 1),
-            plan,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
+        let solo = lower(&cfg, Architecture::A3, 8, 1);
+        let run = run_plan_with_recovery(&cfg, &solo, plan, &RecoveryPolicy::default()).unwrap();
         assert_eq!(run.corruption.injected, 2);
         assert_eq!(run.corruption.detected, 2);
         assert_eq!(run.corruption.refetched, 2);
@@ -1158,14 +1108,10 @@ mod tests {
             bit: 0,
             failing_attempts: u32::MAX,
         });
-        let err = run_plan_with_recovery(
-            &cfg,
-            &lower(&cfg, Architecture::A3, 8, 1),
-            plan,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap_err()
-        .error;
+        let solo = lower(&cfg, Architecture::A3, 8, 1);
+        let err = run_plan_with_recovery(&cfg, &solo, plan, &RecoveryPolicy::default())
+            .unwrap_err()
+            .error;
         match err {
             AccelError::CorruptWeights { attempts, at_s, .. } => {
                 assert_eq!(attempts, RecoveryPolicy::default().max_attempts);
@@ -1180,24 +1126,16 @@ mod tests {
         use asr_systolic::abft::IntegrityLevel;
         let plan = || FaultPlan::none().with(FaultKind::PsaStickyLane { lane: 9, delta: 1.0 });
         let detect = unpadded_at(8, IntegrityLevel::Detect);
-        let err = run_plan_with_recovery(
-            &detect,
-            &lower(&detect, Architecture::A3, 8, 1),
-            plan(),
-            &RecoveryPolicy::default(),
-        )
-        .unwrap_err()
-        .error;
+        let solo = lower(&detect, Architecture::A3, 8, 1);
+        let err = run_plan_with_recovery(&detect, &solo, plan(), &RecoveryPolicy::default())
+            .unwrap_err()
+            .error;
         assert!(matches!(err, AccelError::CorruptCompute { .. }), "{}", err);
 
         let recompute = unpadded_at(8, IntegrityLevel::DetectAndRecompute);
-        let run = run_plan_with_recovery(
-            &recompute,
-            &lower(&recompute, Architecture::A3, 8, 1),
-            plan(),
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
+        let solo = lower(&recompute, Architecture::A3, 8, 1);
+        let run =
+            run_plan_with_recovery(&recompute, &solo, plan(), &RecoveryPolicy::default()).unwrap();
         assert_eq!(run.corruption.recomputed, 1);
         assert_eq!(run.corruption.escaped, 0);
         assert!(run.makespan_s > run.nominal_s, "recomputed tiles must cost PSA cycles");
@@ -1244,15 +1182,11 @@ mod tests {
         use asr_fpga_sim::faults::FaultProfile;
         use asr_systolic::abft::IntegrityLevel;
         let cfg = unpadded_at(8, IntegrityLevel::DetectAndRecompute);
+        let solo = lower(&cfg, Architecture::A3, 8, 1);
         for seed in 0..12u64 {
             let plan = FaultPlan::seeded_with(seed, &FaultProfile::silent_only());
-            let run = run_plan_with_recovery(
-                &cfg,
-                &lower(&cfg, Architecture::A3, 8, 1),
-                plan,
-                &RecoveryPolicy::default(),
-            )
-            .unwrap_or_else(|f| panic!("seed {}: {}", seed, f.error));
+            let run = run_plan_with_recovery(&cfg, &solo, plan, &RecoveryPolicy::default())
+                .unwrap_or_else(|f| panic!("seed {}: {}", seed, f.error));
             assert!(run.corruption.injected > 0, "seed {}", seed);
             assert_eq!(run.corruption.escaped, 0, "seed {}: nothing may escape", seed);
             assert_eq!(run.corruption.detected, run.corruption.injected, "seed {}", seed);
@@ -1270,35 +1204,19 @@ mod tests {
         let cfg = unpadded(8);
         let faults = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "LWD1".into(), failing_attempts: u32::MAX });
-        let failure = run_plan_with_recovery(
-            &cfg,
-            &lower(&cfg, Architecture::A2, 8, 2),
-            faults,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap_err();
+        let (policy, pair) = (RecoveryPolicy::default(), lower(&cfg, Architecture::A2, 8, 2));
+        let failure = run_plan_with_recovery(&cfg, &pair, faults, &policy).unwrap_err();
         let ckpt = failure.checkpoint.as_ref().expect("mid-run failure checkpoints");
         assert_eq!(ckpt.completed_phases, 12, "all encoder phases retired before LWD1 died");
         assert!(ckpt.loaded_phases >= ckpt.completed_phases);
         assert!(failure.stats.failed > 0, "dead attempts feed the health stats");
 
         // Failover target: resume cross-device (no trust), clean card.
-        let resumed = run_plan_with_recovery(
-            &cfg,
-            &ExecPlan::resume(&cfg, ckpt, false).unwrap(),
-            FaultPlan::none(),
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
+        let suffix = ExecPlan::resume(&cfg, ckpt, false).unwrap();
+        let resumed = run_plan_with_recovery(&cfg, &suffix, FaultPlan::none(), &policy).unwrap();
         assert_eq!(resumed.utterance_finish_s.len(), 2, "both utterances served, exactly once");
         assert_eq!(resumed.checkpoints, 6, "only the six decoder phases replay");
-        let full = run_plan_with_recovery(
-            &cfg,
-            &lower(&cfg, Architecture::A2, 8, 2),
-            FaultPlan::none(),
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
+        let full = run_plan_with_recovery(&cfg, &pair, FaultPlan::none(), &policy).unwrap();
         assert!(resumed.loads_issued < full.loads_issued, "suffix loads strictly fewer");
         assert!(resumed.makespan_s < full.makespan_s, "suffix compute strictly cheaper");
     }
@@ -1311,24 +1229,15 @@ mod tests {
         let cfg = unpadded(8);
         let first = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "LWD1".into(), failing_attempts: u32::MAX });
-        let f1 = run_plan_with_recovery(
-            &cfg,
-            &lower(&cfg, Architecture::A2, 8, 2),
-            first,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap_err();
+        let policy = RecoveryPolicy::default();
+        let pair = lower(&cfg, Architecture::A2, 8, 2);
+        let f1 = run_plan_with_recovery(&cfg, &pair, first, &policy).unwrap_err();
         let c1 = f1.checkpoint.unwrap();
 
         let second = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "LWD4".into(), failing_attempts: u32::MAX });
-        let f2 = run_plan_with_recovery(
-            &cfg,
-            &ExecPlan::resume(&cfg, &c1, false).unwrap(),
-            second,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap_err();
+        let suffix = ExecPlan::resume(&cfg, &c1, false).unwrap();
+        let f2 = run_plan_with_recovery(&cfg, &suffix, second, &policy).unwrap_err();
         let c2 = f2.checkpoint.unwrap();
         assert!(
             c2.completed_phases > c1.completed_phases,
@@ -1338,13 +1247,8 @@ mod tests {
         );
         assert_eq!(c2.remaining_lens().len() + f2.finished_s.len(), 2, "no utterance dropped");
 
-        let done = run_plan_with_recovery(
-            &cfg,
-            &ExecPlan::resume(&cfg, &c2, false).unwrap(),
-            FaultPlan::none(),
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
+        let last = ExecPlan::resume(&cfg, &c2, false).unwrap();
+        let done = run_plan_with_recovery(&cfg, &last, FaultPlan::none(), &policy).unwrap();
         assert_eq!(
             done.utterance_finish_s.len() + f2.finished_s.len() + f1.finished_s.len(),
             2,
@@ -1357,29 +1261,15 @@ mod tests {
         let cfg = unpadded(8);
         let faults = FaultPlan::none()
             .with(FaultKind::KernelHang { label: "CD2".into(), failing_attempts: u32::MAX });
-        let failure = run_plan_with_recovery(
-            &cfg,
-            &lower(&cfg, Architecture::A2, 8, 1),
-            faults,
-            &RecoveryPolicy::default(),
-        )
-        .unwrap_err();
+        let (policy, solo) = (RecoveryPolicy::default(), lower(&cfg, Architecture::A2, 8, 1));
+        let failure = run_plan_with_recovery(&cfg, &solo, faults, &policy).unwrap_err();
         let ckpt = failure.checkpoint.unwrap();
         assert!(failure.stats.timed_out > 0, "watchdog kills are recorded in the stats");
-        let same = run_plan_with_recovery(
-            &cfg,
-            &ExecPlan::resume(&cfg, &ckpt, true).unwrap(),
-            FaultPlan::none(),
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
-        let other = run_plan_with_recovery(
-            &cfg,
-            &ExecPlan::resume(&cfg, &ckpt, false).unwrap(),
-            FaultPlan::none(),
-            &RecoveryPolicy::default(),
-        )
-        .unwrap();
+        let resume = |trust| {
+            let suffix = ExecPlan::resume(&cfg, &ckpt, trust).unwrap();
+            run_plan_with_recovery(&cfg, &suffix, FaultPlan::none(), &policy).unwrap()
+        };
+        let (same, other) = (resume(true), resume(false));
         assert!(
             same.loads_issued < other.loads_issued,
             "same-device trust re-fetches strictly fewer stripes ({} vs {})",
@@ -1403,11 +1293,9 @@ mod tests {
             ..RecoveryPolicy::default()
         };
         let capped = RecoveryPolicy { max_backoff_s: 2e-3, ..slow.clone() };
-        let a = run_plan_with_recovery(&cfg, &lower(&cfg, Architecture::A3, 8, 1), faults(), &slow)
-            .unwrap();
-        let b =
-            run_plan_with_recovery(&cfg, &lower(&cfg, Architecture::A3, 8, 1), faults(), &capped)
-                .unwrap();
+        let solo = lower(&cfg, Architecture::A3, 8, 1);
+        let a = run_plan_with_recovery(&cfg, &solo, faults(), &slow).unwrap();
+        let b = run_plan_with_recovery(&cfg, &solo, faults(), &capped).unwrap();
         assert!(
             b.makespan_s < a.makespan_s,
             "capped backoff must finish sooner: {} vs {}",
@@ -1420,14 +1308,10 @@ mod tests {
     #[test]
     fn seeded_plans_always_complete() {
         let cfg = unpadded(8);
+        let (policy, solo) = (RecoveryPolicy::default(), lower(&cfg, Architecture::A3, 8, 1));
         for seed in 0..24u64 {
-            let run = run_plan_with_recovery(
-                &cfg,
-                &lower(&cfg, Architecture::A3, 8, 1),
-                FaultPlan::seeded(seed),
-                &RecoveryPolicy::default(),
-            )
-            .unwrap_or_else(|f| panic!("seed {}: {}", seed, f.error));
+            let run = run_plan_with_recovery(&cfg, &solo, FaultPlan::seeded(seed), &policy)
+                .unwrap_or_else(|f| panic!("seed {}: {}", seed, f.error));
             assert!(run.makespan_s.is_finite(), "seed {}", seed);
             assert!(run.makespan_s >= run.nominal_s - 1e-12, "seed {}", seed);
         }

@@ -566,7 +566,10 @@ impl ExecPlan {
     /// remaining utterances. `trust_resident` is the same-device switch:
     /// only a resume on the device that cut the checkpoint may skip
     /// re-loading resident stripes; a failover target passes `false` and
-    /// re-fetches (and re-verifies) everything the suffix needs.
+    /// re-fetches (and re-verifies) everything the suffix needs. A poisoned
+    /// or mismatched checkpoint is refused with
+    /// [`AccelError::CheckpointRejected`]: the caller's clean fallback is a
+    /// full restart, never silent reuse.
     pub fn resume(
         cfg: &AccelConfig,
         ckpt: &PlanCheckpoint,

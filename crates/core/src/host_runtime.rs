@@ -13,10 +13,10 @@
 //! [`ExecPlan::resume`], [`ExecPlan::lower_stream_chunk`] or
 //! [`ExecPlan::lower_decode_step`]); neither lowers one itself.
 //!
-//! In the fault-tolerant executor every command's
-//! [`CommandStatus`] is checked, transient failures are retried with
-//! exponential backoff, hangs are reaped by the watchdog and relaunched, and
-//! permanent faults walk the **degradation ladder**:
+//! In the fault-tolerant executor every command's [`CommandStatus`] is
+//! checked, transient failures are retried with exponential backoff, hangs
+//! are reaped by the watchdog and relaunched, and permanent faults walk the
+//! **degradation ladder**:
 //!
 //! * losing one of A3's two prefetch engines degrades A3 → A2 (all loads on
 //!   the survivor, prefetching preserved);

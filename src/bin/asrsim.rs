@@ -895,14 +895,17 @@ fn cmd_stream(args: &[String]) -> Result<(), CliError> {
 
 /// Run the configured serve workload; with `kill`, card 0's fault plan is
 /// replaced by a persistent load fault on the given label (the other cards
-/// keep their seeded pool plans) to exercise failover paths on demand.
+/// keep their seeded pool plans) to exercise failover paths on demand. A
+/// pool with no card 0 keeps its empty plan list, which `with_plans` rejects.
 fn run_serve_pool(cfg: ServeConfig, kill: Option<String>) -> Result<ServeReport, AccelError> {
     let Some(label) = kill else {
         return ServePool::run(cfg);
     };
     let mut plans = pool_fault_plans(cfg.fault_seed, cfg.devices);
-    plans[0] =
-        FaultPlan::none().with(FaultKind::HbmLoadError { label, failing_attempts: u32::MAX });
+    if let Some(card0) = plans.first_mut() {
+        *card0 =
+            FaultPlan::none().with(FaultKind::HbmLoadError { label, failing_attempts: u32::MAX });
+    }
     let (n, rps) = (cfg.requests, cfg.rps);
     let mut pool = ServePool::with_plans(cfg, plans)?;
     for i in 0..n {

@@ -89,6 +89,7 @@ const EXITS: &[&str] = &[
     "serve --checkpoint --batch 0",
     "serve --batch 0",
     "serve --deadline-ms 0.001",
+    "serve --devices 0 --kill LWD4",
     "stream --streams x",
     "stream --devices 0",
     "stream --deadline-ms 0.001",

@@ -12,7 +12,6 @@
 pub mod cpu;
 pub mod gpu;
 pub mod refworks;
-pub mod roofline;
 
 pub use cpu::CpuModel;
 pub use gpu::GpuModel;

@@ -2,13 +2,13 @@
 
 use asr_accel::arch::{self, Architecture};
 use asr_accel::host::HostController;
-use asr_accel::{dse, energy, resources, AccelConfig, SystolicBackend};
+use asr_accel::{dse, energy, resources, AccelConfig};
 use asr_baselines::refworks::{improvement_over_cpu_ref, RefWork, REFERENCE_WORKS};
 use asr_baselines::{CpuModel, GpuModel};
 use asr_frontend::dataset::{self, Utterance};
 use asr_frontend::noise::{recognize, ErrorModel};
 use asr_frontend::wer::corpus_wer;
-use asr_frontend::{FbankExtractor, Subsampler, Vocab};
+use asr_frontend::{FbankExtractor, Subsampler};
 use asr_transformer::weights::{weight_inventory, InventoryRow};
 use asr_transformer::{flops, Model, TransformerConfig};
 
@@ -403,19 +403,6 @@ pub fn discussion() -> DiscussionResult {
     DiscussionResult { ffn_over_mha: ffn / mha, binding_constraint: name, binding_pct: pct }
 }
 
-/// Decode helper used by examples: ids → text.
-pub fn decode_tokens(ids: &[usize]) -> String {
-    Vocab::librispeech_chars().decode(ids)
-}
-
-/// A tiny-model systolic sanity run used by the benches.
-pub fn tiny_systolic_roundtrip(seed: u64) -> bool {
-    let model = Model::seeded(TransformerConfig::tiny(), seed);
-    let x = asr_tensor::init::uniform(4, model.config.d_model, -1.0, 1.0, seed);
-    let mem = model.encode(&x, &SystolicBackend::paper_default());
-    mem.as_slice().iter().all(|v| v.is_finite())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,10 +477,5 @@ mod tests {
         let d = discussion();
         assert!(d.ffn_over_mha > 1.5 && d.ffn_over_mha < 2.2);
         assert_eq!(d.binding_constraint, "LUT");
-    }
-
-    #[test]
-    fn tiny_roundtrip_is_finite() {
-        assert!(tiny_systolic_roundtrip(5));
     }
 }

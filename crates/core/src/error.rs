@@ -11,8 +11,6 @@
 //! [`crate::host::HostController`]) returns; panics are reserved for
 //! internal invariants.
 
-use asr_fpga_sim::runtime::RuntimeError;
-
 /// Anything that can go wrong between the host API and the card.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AccelError {
@@ -25,10 +23,6 @@ pub enum AccelError {
         /// The bitstream's built sequence length.
         max_seq_len: usize,
     },
-    /// The requested operation does not apply to this architecture.
-    UnsupportedArch(String),
-    /// A runtime resource operation failed (HBM exhaustion, double release).
-    Runtime(RuntimeError),
     /// A model passed to the host does not match the accelerator's shape.
     ModelMismatch(String),
     /// A command kept failing after every allowed retry and no degradation
@@ -139,8 +133,6 @@ impl std::fmt::Display for AccelError {
                 "input length {} exceeds the built sequence length {}",
                 input_len, max_seq_len
             ),
-            AccelError::UnsupportedArch(msg) => write!(f, "unsupported architecture: {}", msg),
-            AccelError::Runtime(e) => write!(f, "runtime error: {}", e),
             AccelError::ModelMismatch(msg) => write!(f, "model mismatch: {}", msg),
             AccelError::Unrecoverable { phase, label, attempts, at_s } => write!(
                 f,
@@ -198,20 +190,7 @@ impl std::fmt::Display for AccelError {
     }
 }
 
-impl std::error::Error for AccelError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            AccelError::Runtime(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<RuntimeError> for AccelError {
-    fn from(e: RuntimeError) -> Self {
-        AccelError::Runtime(e)
-    }
-}
+impl std::error::Error for AccelError {}
 
 impl From<asr_transformer::streaming::StreamingError> for AccelError {
     fn from(e: asr_transformer::streaming::StreamingError) -> Self {
@@ -276,14 +255,5 @@ mod tests {
         let e = AccelError::StreamBackpressure { stream: 2, queued: 4, capacity: 4 };
         assert!(e.to_string().contains("stream 2"));
         assert!(e.to_string().contains("capacity 4"));
-    }
-
-    #[test]
-    fn runtime_errors_convert() {
-        let e: AccelError =
-            RuntimeError::HbmExhausted { requested: 10, used: 5, capacity: 12 }.into();
-        assert!(matches!(e, AccelError::Runtime(_)));
-        use std::error::Error;
-        assert!(e.source().is_some());
     }
 }

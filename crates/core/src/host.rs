@@ -84,12 +84,6 @@ impl HostController {
         Ok(Self { cfg, arch: Architecture::A3 })
     }
 
-    /// Controller with an explicit architecture.
-    pub fn with_arch(cfg: AccelConfig, arch: Architecture) -> Result<Self> {
-        cfg.validate()?;
-        Ok(Self { cfg, arch })
-    }
-
     /// Simulate the accelerator schedule for an input length.
     pub fn schedule(&self, input_len: usize) -> ArchResult {
         simulate(&self.cfg, self.arch, input_len)

@@ -21,8 +21,8 @@
 //! * [`exec`] — the functional execution path: the real f32 model forward
 //!   pass routed through the systolic functional units
 //!   ([`exec::SystolicBackend`]), proving the dataflow is numerically faithful;
-//! * [`host`] — the top-level controller (Fig 4.12): PCIe upload, per-layer
-//!   prefetch, E2E latency/throughput/energy report (§5.1.6);
+//! * [`host`] — the top-level controller (Fig 4.12): per-layer prefetch,
+//!   E2E latency/throughput/energy report (§5.1.6);
 //! * [`resources`] — the design-level resource estimator (Table 5.2);
 //! * [`dse`] — design-space exploration over heads × PSAs-per-head (Table 5.3);
 //! * [`energy`] — GFLOPs/s and GFLOPs/J accounting (Table 5.6, §5.1.6);

@@ -2,7 +2,6 @@
 
 use crate::clock::Clock;
 use crate::hbm::HbmSpec;
-use crate::pcie::PcieSpec;
 use crate::resources::ResourceVector;
 use serde::{Deserialize, Serialize};
 
@@ -90,8 +89,6 @@ pub struct DeviceSpec {
     pub clock: Clock,
     /// HBM subsystem.
     pub hbm: HbmSpec,
-    /// Host link.
-    pub pcie: PcieSpec,
     /// Board power draw under load, in watts (for energy-efficiency accounting).
     pub board_power_w: f64,
 }
@@ -112,8 +109,7 @@ impl DeviceSpec {
 ///
 /// Totals from the thesis: 2688 BRAM_18K, 5952 DSP slices, 1,743,360 FFs (the
 /// thesis's "1743K registers"), 871,680 LUTs; split evenly between the two
-/// SLRs. 8 GB HBM2 over 32 pseudo-channels; PCIe Gen3 ×16 ("8 GT/s"); typical
-/// 75 W board power.
+/// SLRs. 8 GB HBM2 over 32 pseudo-channels; typical 75 W board power.
 pub fn alveo_u50() -> DeviceSpec {
     let half = ResourceVector::new(2688 / 2, 5952 / 2, 1_743_360 / 2, 871_680 / 2);
     DeviceSpec {
@@ -121,7 +117,6 @@ pub fn alveo_u50() -> DeviceSpec {
         slr_resources: [half, half],
         clock: Clock::u50_kernel(),
         hbm: HbmSpec::u50(),
-        pcie: PcieSpec::gen3_x16(),
         board_power_w: 75.0,
     }
 }

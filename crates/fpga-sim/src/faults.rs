@@ -1,9 +1,9 @@
 //! Deterministic fault injection for the runtime model.
 //!
 //! Real Alveo deployments fail in well-known ways: an HBM AXI burst errors
-//! out, a PCIe DMA descriptor bounces, a kernel wedges and never raises its
-//! done interrupt, a memory controller drops pseudo-channels after an ECC
-//! storm, or a whole SLR goes dark after a clock-domain upset. This module
+//! out, a kernel wedges and never raises its done interrupt, a memory
+//! controller drops pseudo-channels after an ECC storm, or a whole SLR goes
+//! dark after a clock-domain upset. This module
 //! models those events as a *plan*: a seeded, deterministic list of faults
 //! that the [`crate::runtime::Runtime`] consults every time a command is
 //! enqueued. Determinism matters — the same `(plan, schedule)` pair must
@@ -12,8 +12,8 @@
 //!
 //! Faults come in two flavours:
 //!
-//! * **Transient** ([`FaultKind::HbmLoadError`], [`FaultKind::PcieError`],
-//!   [`FaultKind::KernelHang`], [`FaultKind::HbmStall`]) — strike commands
+//! * **Transient** ([`FaultKind::HbmLoadError`], [`FaultKind::KernelHang`],
+//!   [`FaultKind::HbmStall`]) — strike commands
 //!   whose label contains a substring, for the first `failing_attempts`
 //!   attempts of that command. Re-enqueueing the same label on the same
 //!   queue counts as the next attempt, so a retry policy eventually gets a
@@ -57,14 +57,6 @@ pub enum FaultKind {
         label: String,
         /// Slowdown multiplier (> 1).
         factor: f64,
-    },
-    /// A PCIe DMA (write or read) errors out for the first
-    /// `failing_attempts` attempts; detected halfway through the transfer.
-    PcieError {
-        /// Substring matched against the command label.
-        label: String,
-        /// Attempts that fail before the command succeeds.
-        failing_attempts: u32,
     },
     /// A kernel wedges and never completes. Only the watchdog can turn this
     /// into a [`crate::runtime::CommandStatus::TimedOut`]; without one the
@@ -150,7 +142,6 @@ impl FaultKind {
         match self {
             FaultKind::HbmLoadError { .. } => "hbm-load-error",
             FaultKind::HbmStall { .. } => "hbm-stall",
-            FaultKind::PcieError { .. } => "pcie-error",
             FaultKind::KernelHang { .. } => "kernel-hang",
             FaultKind::EngineDropout { .. } => "engine-dropout",
             FaultKind::SlrDropout { .. } => "slr-dropout",
@@ -461,7 +452,6 @@ mod tests {
             for f in FaultPlan::seeded(seed).faults() {
                 match f {
                     FaultKind::HbmLoadError { failing_attempts, .. }
-                    | FaultKind::PcieError { failing_attempts, .. }
                     | FaultKind::KernelHang { failing_attempts, .. } => {
                         assert!(*failing_attempts <= 2, "seed {}: {:?}", seed, f);
                     }

@@ -10,7 +10,7 @@
 //!   (reproduces the Table 5.2 utilization accounting);
 //! * [`device`] — device presets, notably [`device::alveo_u50`];
 //! * [`clock`] — cycle/time conversion at the 300 MHz kernel clock;
-//! * [`hbm`] / [`pcie`] — transfer-time models for weight loads and host I/O;
+//! * [`hbm`] — the transfer-time model for weight loads;
 //! * [`timeline`] — a span-based discrete-event timeline used to compose the
 //!   A1/A2/A3 load–compute schedules and verify no unit is double-booked;
 //! * [`energy`] — GFLOPs/J accounting for the §5.1.6 energy comparison.
@@ -18,7 +18,6 @@
 //! Everything is deterministic: transfers and compute spans are analytic
 //! functions of sizes and bandwidths, not sampled.
 
-pub mod bitstream;
 pub mod clock;
 pub mod device;
 pub mod energy;
@@ -26,9 +25,7 @@ pub mod faults;
 pub mod floorplan;
 pub mod hbm;
 pub mod isc;
-pub mod pcie;
 pub mod power;
-pub mod pragma;
 pub mod resources;
 pub mod runtime;
 pub mod timeline;
@@ -38,5 +35,5 @@ pub use clock::{Clock, Cycles};
 pub use device::{alveo_u50, DeviceId, DeviceSpec, SlrId};
 pub use faults::{FaultKind, FaultPlan, FaultProfile};
 pub use resources::ResourceVector;
-pub use runtime::{CommandStats, CommandStatus, FailureCause, RuntimeError};
+pub use runtime::{CommandStats, CommandStatus, FailureCause};
 pub use timeline::{Span, Timeline};

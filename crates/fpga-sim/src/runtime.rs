@@ -2,10 +2,12 @@
 //!
 //! The paper's host drives the card through the OpenCL flow: create a
 //! context, allocate device buffers, enqueue writes, launch kernels with
-//! event dependencies, read results back. This module models that flow as a
-//! deterministic task graph over the platform's transfer/compute costs, and
-//! produces a [`Timeline`] of what the queues did — the §2.2.7 process flow
-//! made executable.
+//! event dependencies, read results back. This module models the part of
+//! that flow the accelerator's schedule issues — HBM weight loads, kernel
+//! launches and host-side backoffs on in-order queues, ordered by event
+//! dependencies — as a deterministic task graph over the platform's
+//! transfer/compute costs, and produces a [`Timeline`] of what the queues
+//! did.
 //!
 //! Commands can *fail*: a [`crate::faults::FaultPlan`] attached to the
 //! runtime turns enqueues into failed, stalled, or hung commands, and every
@@ -28,24 +30,11 @@ pub const FAULT_UNIT: &str = "faults";
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Event(usize);
 
-/// A device buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct BufferId(usize);
-
-#[derive(Debug, Clone)]
-struct BufferInfo {
-    size_bytes: u64,
-    label: String,
-    released: bool,
-}
-
 /// Why a command failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum FailureCause {
     /// Transient HBM burst error (retry may succeed).
     HbmLoad,
-    /// Transient PCIe DMA error (retry may succeed).
-    PcieTransfer,
     /// The DMA engine behind the queue is dead (permanent).
     EngineDead,
     /// The SLR hosting the kernel is dead (permanent).
@@ -122,60 +111,22 @@ impl CommandStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct QueueId(usize);
 
-/// Errors surfaced by runtime resource management.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RuntimeError {
-    /// A buffer allocation exceeded HBM capacity — the failure a real
-    /// `clCreateBuffer` returns as `CL_MEM_OBJECT_ALLOCATION_FAILURE`.
-    HbmExhausted {
-        /// Bytes requested.
-        requested: u64,
-        /// Bytes already allocated.
-        used: u64,
-        /// Device capacity.
-        capacity: u64,
-    },
-    /// The buffer was already released.
-    AlreadyReleased {
-        /// The buffer's label.
-        label: String,
-    },
-}
-
-impl std::fmt::Display for RuntimeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RuntimeError::HbmExhausted { requested, used, capacity } => {
-                write!(f, "HBM exhausted: {} + {} > {}", used, requested, capacity)
-            }
-            RuntimeError::AlreadyReleased { label } => {
-                write!(f, "buffer '{}' already released", label)
-            }
-        }
-    }
-}
-
-impl std::error::Error for RuntimeError {}
-
 /// Command classes the fault plan discriminates on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CmdClass {
     HbmLoad,
-    PcieTransfer,
     Kernel(usize),
     /// Host-side pause (retry backoff); never faulted.
     Backoff,
 }
 
-/// The modeled OpenCL context: device + buffers + queues + events.
+/// The modeled OpenCL context: device + queues + events.
 #[derive(Debug, Clone)]
 pub struct Runtime {
     device: DeviceSpec,
-    buffers: Vec<BufferInfo>,
     events: Vec<EventInfo>,
     queues: Vec<(String, f64)>, // (unit name, free-at time)
     timeline: Timeline,
-    hbm_used: u64,
     plan: FaultPlan,
     watchdog_s: Option<f64>,
     /// Commands dispatched per queue (dependency-failed commands never
@@ -207,11 +158,9 @@ impl Runtime {
     pub fn with_faults(device: DeviceSpec, plan: FaultPlan) -> Self {
         Runtime {
             device,
-            buffers: Vec::new(),
             events: Vec::new(),
             queues: Vec::new(),
             timeline: Timeline::new(),
-            hbm_used: 0,
             plan,
             watchdog_s: None,
             queue_cmds: Vec::new(),
@@ -242,49 +191,11 @@ impl Runtime {
         self.watchdog_s = timeout_s;
     }
 
-    /// The attached fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Create an in-order command queue (named after its engine).
     pub fn create_queue(&mut self, name: impl Into<String>) -> QueueId {
         self.queues.push((name.into(), 0.0));
         self.queue_cmds.push(0);
         QueueId(self.queues.len() - 1)
-    }
-
-    /// Allocate a device (HBM) buffer.
-    ///
-    /// Fails with [`RuntimeError::HbmExhausted`] when the allocation exceeds
-    /// HBM capacity — the same failure a real `clCreateBuffer` returns.
-    pub fn create_buffer(
-        &mut self,
-        label: impl Into<String>,
-        size_bytes: u64,
-    ) -> Result<BufferId, RuntimeError> {
-        if self.hbm_used + size_bytes > self.device.hbm.capacity_bytes {
-            return Err(RuntimeError::HbmExhausted {
-                requested: size_bytes,
-                used: self.hbm_used,
-                capacity: self.device.hbm.capacity_bytes,
-            });
-        }
-        self.hbm_used += size_bytes;
-        self.buffers.push(BufferInfo { size_bytes, label: label.into(), released: false });
-        Ok(BufferId(self.buffers.len() - 1))
-    }
-
-    /// Release a buffer, returning its bytes to the HBM pool so later
-    /// allocations can reuse the space (`clReleaseMemObject`).
-    pub fn release_buffer(&mut self, buf: BufferId) -> Result<(), RuntimeError> {
-        let info = &mut self.buffers[buf.0];
-        if info.released {
-            return Err(RuntimeError::AlreadyReleased { label: info.label.clone() });
-        }
-        info.released = true;
-        self.hbm_used -= info.size_bytes;
-        Ok(())
     }
 
     fn deps_ready(&self, deps: &[Event]) -> f64 {
@@ -334,14 +245,6 @@ impl Runtime {
                 {
                     return Some((
                         CommandStatus::Failed(FailureCause::HbmLoad),
-                        FaultOverride::Partial(0.5),
-                    ));
-                }
-                (FaultKind::PcieError { label: l, failing_attempts }, CmdClass::PcieTransfer)
-                    if label.contains(l.as_str()) && attempt <= *failing_attempts =>
-                {
-                    return Some((
-                        CommandStatus::Failed(FailureCause::PcieTransfer),
                         FaultOverride::Partial(0.5),
                     ));
                 }
@@ -450,7 +353,6 @@ impl Runtime {
                 CommandStatus::Failed(FailureCause::EngineDead) => Some("engine-dropout"),
                 CommandStatus::Failed(FailureCause::SlrDead) => Some("slr-dropout"),
                 CommandStatus::Failed(FailureCause::HbmLoad) => Some("hbm-load-error"),
-                CommandStatus::Failed(FailureCause::PcieTransfer) => Some("pcie-error"),
                 CommandStatus::TimedOut => Some("kernel-hang"),
                 _ => None,
             };
@@ -477,7 +379,7 @@ impl Runtime {
         class: CmdClass,
         attempt: u32,
     ) -> Option<&'static str> {
-        if !matches!(class, CmdClass::HbmLoad | CmdClass::PcieTransfer) {
+        if class != CmdClass::HbmLoad {
             return None;
         }
         for f in self.plan.faults() {
@@ -496,20 +398,6 @@ impl Runtime {
             }
         }
         None
-    }
-
-    /// Enqueue a host → device DMA of the whole buffer over PCIe.
-    pub fn enqueue_write(&mut self, queue: QueueId, buf: BufferId, deps: &[Event]) -> Event {
-        let info = self.buffers[buf.0].clone();
-        let t = self.device.pcie.transfer_time_s(info.size_bytes);
-        self.enqueue_cmd(queue, format!("write {}", info.label), CmdClass::PcieTransfer, t, deps)
-    }
-
-    /// Enqueue a device → host read-back of the buffer.
-    pub fn enqueue_read(&mut self, queue: QueueId, buf: BufferId, deps: &[Event]) -> Event {
-        let info = self.buffers[buf.0].clone();
-        let t = self.device.pcie.transfer_time_s(info.size_bytes);
-        self.enqueue_cmd(queue, format!("read {}", info.label), CmdClass::PcieTransfer, t, deps)
     }
 
     /// Enqueue an HBM burst load of `bytes` through `channels` channels
@@ -619,11 +507,6 @@ impl Runtime {
     pub fn annotate(&mut self, unit: &str, label: impl Into<String>, t: f64) {
         self.timeline.push(unit, label.into(), t, t).expect("zero-duration markers never overlap");
     }
-
-    /// Bytes of HBM currently allocated.
-    pub fn hbm_used(&self) -> u64 {
-        self.hbm_used
-    }
 }
 
 /// How a fault reshapes a command's duration.
@@ -643,27 +526,6 @@ enum FaultOverride {
 mod tests {
     use super::*;
     use crate::device::alveo_u50;
-
-    #[test]
-    fn write_then_kernel_then_read_is_ordered() {
-        let mut rt = Runtime::new(alveo_u50());
-        let dma = rt.create_queue("pcie-dma");
-        let k0 = rt.create_queue("kernel-slr0");
-        let buf = rt.create_buffer("weights", 12_600_000).unwrap();
-        let out = rt.create_buffer("output", 64 * 1024).unwrap();
-
-        let w = rt.enqueue_write(dma, buf, &[]);
-        let k = rt.enqueue_kernel(k0, "encoder", SlrId::Slr0, 4.2e-3, &[w]);
-        let r = rt.enqueue_read(dma, out, &[k]);
-        assert!(rt.status(r).is_ok());
-        let total = rt.finish();
-        // write (~1ms) + compute (4.2ms) + read (small)
-        assert!(total > 5e-3 && total < 7e-3, "total {}", total);
-        // kernel must start after the write ends
-        let spans = rt.timeline().unit_spans("kernel-slr0");
-        let writes = rt.timeline().unit_spans("pcie-dma");
-        assert!(spans[0].start >= writes[0].end - 1e-12);
-    }
 
     #[test]
     fn independent_queues_overlap() {
@@ -691,12 +553,10 @@ mod tests {
     #[test]
     fn in_order_queue_serialises_without_deps() {
         let mut rt = Runtime::new(alveo_u50());
-        let q = rt.create_queue("dma");
-        let b1 = rt.create_buffer("x", 1 << 20).unwrap();
-        let b2 = rt.create_buffer("y", 1 << 20).unwrap();
-        rt.enqueue_write(q, b1, &[]);
-        rt.enqueue_write(q, b2, &[]);
-        let spans = rt.timeline().unit_spans("dma");
+        let q = rt.create_queue("maxi-0");
+        rt.enqueue_hbm_load(q, "LW1", 1 << 20, 2, &[]);
+        rt.enqueue_hbm_load(q, "LW2", 1 << 20, 2, &[]);
+        let spans = rt.timeline().unit_spans("maxi-0");
         assert_eq!(spans.len(), 2);
         assert!(spans[1].start >= spans[0].end - 1e-12);
     }
@@ -708,45 +568,6 @@ mod tests {
         rt.enqueue_hbm_load(q, "LW1", 12_600_000, 2, &[]);
         let dev = alveo_u50();
         assert!((rt.finish() - dev.hbm.read_time_s(12_600_000, 2)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn over_allocation_errors() {
-        let mut rt = Runtime::new(alveo_u50());
-        let err = rt.create_buffer("huge", 9 * 1024 * 1024 * 1024).unwrap_err();
-        assert!(matches!(err, RuntimeError::HbmExhausted { .. }));
-    }
-
-    #[test]
-    fn hbm_accounting_accumulates() {
-        let mut rt = Runtime::new(alveo_u50());
-        rt.create_buffer("a", 100).unwrap();
-        rt.create_buffer("b", 200).unwrap();
-        assert_eq!(rt.hbm_used(), 300);
-    }
-
-    #[test]
-    fn release_returns_bytes_to_the_pool() {
-        let mut rt = Runtime::new(alveo_u50());
-        let cap = alveo_u50().hbm.capacity_bytes;
-        let a = rt.create_buffer("a", cap - 10).unwrap();
-        // pool is full: the next allocation fails
-        assert!(rt.create_buffer("b", 100).is_err());
-        rt.release_buffer(a).unwrap();
-        assert_eq!(rt.hbm_used(), 0);
-        // released bytes are reusable
-        let b = rt.create_buffer("b", cap - 10).unwrap();
-        let _ = b;
-        assert_eq!(rt.hbm_used(), cap - 10);
-    }
-
-    #[test]
-    fn double_release_is_an_error() {
-        let mut rt = Runtime::new(alveo_u50());
-        let a = rt.create_buffer("a", 100).unwrap();
-        rt.release_buffer(a).unwrap();
-        assert!(matches!(rt.release_buffer(a), Err(RuntimeError::AlreadyReleased { .. })));
-        assert_eq!(rt.hbm_used(), 0, "double release must not underflow");
     }
 
     #[test]
@@ -921,22 +742,22 @@ mod tests {
     }
 
     #[test]
-    fn dma_corruption_marks_pcie_transfers_too() {
+    fn dma_corruption_marks_loads_never_kernels() {
         let plan = FaultPlan::none().with(FaultKind::DmaCorruption {
-            label: "write".into(),
+            label: "E1".into(),
             word: 3,
             xor: 0x40,
             failing_attempts: 1,
         });
         let mut rt = Runtime::with_faults(alveo_u50(), plan);
-        let q = rt.create_queue("pcie-dma");
-        let buf = rt.create_buffer("weights", 1 << 20).unwrap();
-        let ev = rt.enqueue_write(q, buf, &[]);
+        let q = rt.create_queue("maxi-0");
+        let ev = rt.enqueue_hbm_load(q, "LWE1", 1 << 20, 2, &[]);
         assert!(rt.status(ev).is_ok());
         assert_eq!(rt.corruption_tag(ev), Some("dma-corruption"));
-        // Kernels are never payload-corrupted by DMA faults.
+        // The label matches the kernel too, but kernels carry no DMA payload.
         let k = rt.create_queue("kernels");
-        let ck = rt.enqueue_kernel(k, "write-back", SlrId::Slr0, 1e-3, &[ev]);
+        let ck = rt.enqueue_kernel(k, "E1", SlrId::Slr0, 1e-3, &[ev]);
+        assert!(rt.status(ck).is_ok());
         assert!(!rt.payload_corrupt(ck));
     }
 

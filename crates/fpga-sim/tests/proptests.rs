@@ -3,7 +3,6 @@
 
 use asr_fpga_sim::device::{alveo_u50, SlrId};
 use asr_fpga_sim::hbm::HbmSpec;
-use asr_fpga_sim::pcie::PcieSpec;
 use asr_fpga_sim::resources::ResourceVector;
 use asr_fpga_sim::runtime::Runtime;
 use asr_fpga_sim::timeline::Timeline;
@@ -54,12 +53,6 @@ proptest! {
         let hbm = HbmSpec::u50();
         prop_assert!(hbm.read_time_s(bytes + 1024, ch) >= hbm.read_time_s(bytes, ch));
         prop_assert!(hbm.read_time_s(bytes, ch + 1) <= hbm.read_time_s(bytes, ch));
-    }
-
-    #[test]
-    fn pcie_transfer_monotone(bytes in 0u64..1_000_000_000) {
-        let p = PcieSpec::gen3_x16();
-        prop_assert!(p.transfer_time_s(bytes + 4096) >= p.transfer_time_s(bytes));
     }
 
     #[test]

@@ -13,11 +13,9 @@
 //! and [`noise`] provides the calibrated noisy-channel recognizer used to
 //! reproduce the paper's WER measurement machinery (§5.1.1, WER ≈ 9.5 %).
 
-pub mod align;
 pub mod audio;
 pub mod cmvn;
 pub mod dataset;
-pub mod delta;
 pub mod fbank;
 pub mod fft;
 pub mod framing;

@@ -1,9 +1,7 @@
-//! Property tests for the DSP extension modules: resampling, VAD, CMVN,
-//! deltas.
+//! Property tests for the DSP extension modules: resampling, VAD, CMVN.
 
 use asr_frontend::audio::Waveform;
 use asr_frontend::cmvn::cmvn_per_utterance;
-use asr_frontend::delta::{add_deltas, delta};
 use asr_frontend::framing::FrameConfig;
 use asr_frontend::resample::resample;
 use asr_frontend::vad::{frame_decisions, VadConfig};
@@ -57,23 +55,6 @@ proptest! {
         let once = cmvn_per_utterance(&f);
         let twice = cmvn_per_utterance(&once);
         prop_assert!(asr_tensor::max_abs_diff(&twice, &once) < 1e-3);
-    }
-
-    #[test]
-    fn delta_is_linear(seed in 0u64..200, a in -2.0f32..2.0) {
-        let f = init::uniform(12, 4, -1.0, 1.0, seed);
-        let scaled = asr_tensor::ops::scale(&f, a);
-        let d_scaled = delta(&scaled, 2);
-        let scaled_d = asr_tensor::ops::scale(&delta(&f, 2), a);
-        prop_assert!(asr_tensor::max_abs_diff(&d_scaled, &scaled_d) < 1e-4);
-    }
-
-    #[test]
-    fn add_deltas_width_and_prefix(rows in 3usize..20, cols in 1usize..8, seed in 0u64..100) {
-        let f = init::uniform(rows, cols, -1.0, 1.0, seed);
-        let stacked = add_deltas(&f, 2);
-        prop_assert_eq!(stacked.shape(), (rows, 3 * cols));
-        prop_assert_eq!(stacked.submatrix(0, 0, rows, cols), f);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! costs `depth + r · ceil(c / lanes)` cycles.
 
 use asr_fpga_sim::Cycles;
-use asr_tensor::{ops, Matrix};
 use serde::{Deserialize, Serialize};
 
 /// A fixed-width pipelined adder.
@@ -31,34 +30,11 @@ impl PipelinedAdder {
         let beats = (rows * cols.div_ceil(self.lanes)) as u64;
         Cycles(self.depth + beats)
     }
-
-    /// Functional element-wise add with the cycle cost.
-    pub fn add_timed(&self, a: &Matrix, b: &Matrix) -> (Matrix, Cycles) {
-        let out = ops::add(a, b);
-        (out, self.cycles(a.rows(), a.cols()))
-    }
-
-    /// Broadcast bias add (`1 × cols` bias row onto every row) with cycles.
-    pub fn add_bias_timed(&self, a: &Matrix, bias: &Matrix) -> (Matrix, Cycles) {
-        let out = ops::add_bias(a, bias);
-        (out, self.cycles(a.rows(), a.cols()))
-    }
-
-    /// Cycles to accumulate `k` equally-sized partial products when the adder
-    /// is pipelined behind a PSA (Fig 4.3): the adds overlap the PSA passes,
-    /// so only one add latency is exposed instead of `k − 1`
-    /// ("Pipelining the adder reduces the latency from 8·t_PSA + 7·t_ADD to
-    /// 8·t_PSA + t_ADD").
-    pub fn pipelined_accumulate_cycles(&self, rows: usize, cols: usize, k: usize) -> Cycles {
-        assert!(k >= 1, "need at least one partial product");
-        self.cycles(rows, cols)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asr_tensor::init;
 
     #[test]
     fn cycles_one_beat_per_row_slice() {
@@ -73,32 +49,6 @@ mod tests {
     fn narrow_matrix_still_one_beat_per_row() {
         let add = PipelinedAdder::paper_default();
         assert_eq!(add.cycles(4, 3), Cycles(8 + 4));
-    }
-
-    #[test]
-    fn functional_add_matches_ops() {
-        let add = PipelinedAdder::paper_default();
-        let a = init::uniform(3, 5, -1.0, 1.0, 1);
-        let b = init::uniform(3, 5, -1.0, 1.0, 2);
-        let (c, cyc) = add.add_timed(&a, &b);
-        assert_eq!(c, asr_tensor::ops::add(&a, &b));
-        assert_eq!(cyc, add.cycles(3, 5));
-    }
-
-    #[test]
-    fn bias_add_timed() {
-        let add = PipelinedAdder::paper_default();
-        let a = init::uniform(4, 8, -1.0, 1.0, 3);
-        let bias = init::uniform(1, 8, -1.0, 1.0, 4);
-        let (c, _) = add.add_bias_timed(&a, &bias);
-        assert_eq!(c, asr_tensor::ops::add_bias(&a, &bias));
-    }
-
-    #[test]
-    fn pipelined_accumulation_pays_one_add() {
-        let add = PipelinedAdder::paper_default();
-        // k partial products cost the same exposed latency as one add
-        assert_eq!(add.pipelined_accumulate_cycles(32, 64, 8), add.cycles(32, 64));
     }
 
     #[test]

@@ -13,8 +13,6 @@
 //!   model (row waves × column tiles × (m·II + drain)) with the partial-unroll
 //!   initiation-interval penalty the thesis describes ("increasing the latency
 //!   by at least ~16×" in exchange for LUT/DSP savings).
-//! * [`stripes`] — block-striped matmul with a pipelined accumulation adder:
-//!   the MM1/MM4/MM5/MM6 decomposition scheme (Figs 4.3, 4.5–4.7).
 //! * [`adder`] — the `s × 64` pipelined element-wise adder blocks.
 
 //! * [`abft`] — Huang–Abraham checksum protection over the PSA tiles: the
@@ -28,10 +26,8 @@ pub mod grid;
 pub mod psa;
 pub mod psa_stepped;
 pub mod quant_psa;
-pub mod stripes;
 
 pub use abft::{AbftStats, CheckedPsa, IntegrityLevel, LaneFault, PsaMatmul};
 pub use adder::PipelinedAdder;
 pub use grid::SystolicGrid;
 pub use psa::{Psa, PsaConfig};
-pub use stripes::striped_matmul;

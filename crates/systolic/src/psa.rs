@@ -146,14 +146,6 @@ impl Psa {
         }
     }
 
-    /// Functional product plus the modeled cycle cost — the pair the
-    /// accelerator schedules with.
-    pub fn matmul_timed(&self, a: &Matrix, b: &Matrix) -> (Matrix, Cycles) {
-        let c = self.matmul(a, b);
-        let cyc = self.cycles(a.rows(), a.cols(), b.cols());
-        (c, cyc)
-    }
-
     /// Fabric cost of this PSA block.
     ///
     /// Per-PE costs model an LUT-heavy fp32 MAC (the thesis: "the processing
@@ -175,7 +167,7 @@ pub fn reference_same_order(a: &Matrix, b: &Matrix) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asr_tensor::{assert_close, init};
+    use asr_tensor::init;
 
     #[test]
     fn functional_is_bit_identical_to_naive() {
@@ -228,16 +220,6 @@ mod tests {
         let r = real.cycles(32, 512, 64).get() as f64 / ideal.cycles(32, 512, 64).get() as f64;
         // The drain term dilutes the pure ii ratio slightly.
         assert!(r > 10.0 && r < 12.5, "penalty ratio {}", r);
-    }
-
-    #[test]
-    fn matmul_timed_returns_both() {
-        let psa = Psa::paper_default();
-        let a = init::uniform(4, 8, -1.0, 1.0, 1);
-        let b = init::uniform(8, 6, -1.0, 1.0, 2);
-        let (c, cyc) = psa.matmul_timed(&a, &b);
-        assert_close(&c, &reference_same_order(&a, &b), 1e-6);
-        assert_eq!(cyc, psa.cycles(4, 8, 6));
     }
 
     #[test]

@@ -28,7 +28,6 @@ pub mod matrix;
 pub mod norm;
 pub mod ops;
 pub mod quant;
-pub mod quant16;
 pub mod stats;
 
 pub use approx::{assert_close, max_abs_diff, relative_close};

@@ -92,7 +92,6 @@ mod tests {
     use super::*;
     use crate::init;
     use crate::quant::QuantizedMatrix;
-    use crate::quant16::Quantized16Matrix;
 
     #[test]
     fn summary_of_known_matrix() {
@@ -128,15 +127,11 @@ mod tests {
     }
 
     #[test]
-    fn sqnr_ranks_precisions_correctly() {
+    fn int8_sqnr_is_in_band() {
         let m = init::uniform(64, 64, -1.0, 1.0, 3);
         let q8 = QuantizedMatrix::quantize(&m).dequantize();
-        let q16 = Quantized16Matrix::quantize(&m).dequantize();
         let s8 = sqnr_db(&m, &q8);
-        let s16 = sqnr_db(&m, &q16);
         assert!(s8 > 35.0 && s8 < 60.0, "int8 SQNR {}", s8);
-        assert!(s16 > 80.0, "int16 SQNR {}", s16);
-        assert!(s16 > s8 + 30.0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! FLOP and operational-intensity accounting (paper §4.2).
+//! FLOP accounting (paper §4.2).
 //!
 //! Conventions: one multiply-accumulate = 2 FLOPs; the decoder is costed at
 //! full sequence length `t = s` (the accelerator schedules the decoder stack
@@ -69,18 +69,6 @@ pub fn model_gflops(s: usize, cfg: &TransformerConfig) -> f64 {
     model_flops(s, cfg) as f64 / 1e9
 }
 
-/// The paper's operational-intensity figure (§4.2): with no operand reuse,
-/// each MAC reads two fresh f32 operands (8 bytes) and performs 2 FLOPs —
-/// exactly 0.25 FLOPs/byte.
-pub const OPERATIONAL_INTENSITY_NO_REUSE: f64 = 0.25;
-
-/// System-level operational intensity: model FLOPs over the weight bytes
-/// streamed from HBM per inference.
-pub fn system_operational_intensity(s: usize, cfg: &TransformerConfig, weight_bytes: u64) -> f64 {
-    assert!(weight_bytes > 0, "zero weight traffic");
-    model_flops(s, cfg) as f64 / weight_bytes as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,20 +106,7 @@ mod tests {
     }
 
     #[test]
-    fn no_reuse_oi_is_a_quarter() {
-        assert_eq!(OPERATIONAL_INTENSITY_NO_REUSE, 0.25);
-    }
-
-    #[test]
     fn matmul_flops_formula() {
         assert_eq!(matmul_flops(2, 3, 4), 48);
-    }
-
-    #[test]
-    fn system_oi_uses_weight_traffic() {
-        let cfg = TransformerConfig::paper_base();
-        let bytes = 252_000_000; // ~ full stack per inference
-        let oi = system_operational_intensity(32, &cfg, bytes);
-        assert!(oi > 10.0 && oi < 25.0, "system OI {}", oi);
     }
 }

@@ -9,7 +9,7 @@
 //! This facade re-exports the workspace crates:
 //!
 //! * [`tensor`] — dense f32 matrices, matmul backends, activations;
-//! * [`fpga`] — the Alveo U50 platform model (SLRs, resources, HBM, PCIe);
+//! * [`fpga`] — the Alveo U50 platform model (SLRs, resources, HBM);
 //! * [`systolic`] — systolic-array engines (cycle-accurate grid + PSA);
 //! * [`frontend`] — audio DSP, synthetic corpus, vocabulary, WER;
 //! * [`transformer`] — the ESPnet `transformer_base`-shaped model;

@@ -1,11 +1,10 @@
 //! Integration tests over the extension surface: fixed point, streaming,
-//! KV-cached decoding, checkpoints, bitstream checking, the runtime
-//! cross-check, VAD trimming, and the schedule verifier.
+//! KV-cached decoding, checkpoints, the runtime cross-check, VAD trimming,
+//! and the schedule verifier.
 
 use transformer_asr_accel::accel::arch::{simulate, Architecture};
 use transformer_asr_accel::accel::quant::{self, QuantizedBackend};
 use transformer_asr_accel::accel::{pipeline, run_plan, verify, AccelConfig, ExecPlan};
-use transformer_asr_accel::fpga::bitstream::{Bitstream, Precision, WorkloadRequirements};
 use transformer_asr_accel::frontend::audio::{synthesize_speech, Waveform, SAMPLE_RATE};
 use transformer_asr_accel::frontend::vad::{trim_silence, VadConfig};
 use transformer_asr_accel::frontend::{dataset, FbankExtractor};
@@ -73,22 +72,6 @@ fn int8_accelerator_beats_fp32_and_fits() {
     // and the int8 schedule still verifies
     let sim = simulate(&q, Architecture::A3, 32);
     assert!(verify::verify(&sim).is_empty());
-}
-
-#[test]
-fn bitstream_gatekeeps_the_host() {
-    let bs = Bitstream::paper_u50();
-    let cfg = AccelConfig::paper_default();
-    // consistent with the shipped config
-    assert_eq!(bs.built_seq_len, cfg.max_seq_len);
-    assert_eq!(bs.precision.bytes(), cfg.bytes_per_weight);
-    // a 33-step workload is rejected exactly like AccelConfig's padding check
-    let req = WorkloadRequirements {
-        device_name: cfg.device.name.clone(),
-        seq_len: 33,
-        precision: Precision::Fp32,
-    };
-    assert!(bs.check(&req).is_err());
 }
 
 #[test]

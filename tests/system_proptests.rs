@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use transformer_asr_accel::accel::arch::{simulate, Architecture};
-use transformer_asr_accel::accel::{mm, AccelConfig, SystolicBackend};
+use transformer_asr_accel::accel::{mm, mm_exec, AccelConfig, SystolicBackend};
 use transformer_asr_accel::tensor::{init, max_abs_diff, ops, MatMul};
 
 fn unpadded_cfg(s: usize) -> AccelConfig {
@@ -75,6 +75,22 @@ proptest! {
         let b = init::uniform(m, n, -1.0, 1.0, seed + 1);
         let be = SystolicBackend::paper_default();
         prop_assert_eq!(be.matmul(&a, &b), ops::matmul_naive(&a, &b));
+    }
+
+    #[test]
+    fn mm1_striping_matches_plain_matmul(
+        rows in 1usize..=32,
+        seed in 0u64..u64::MAX,
+        cols in prop::sample::select(vec![16usize, 32, 64, 128]),
+    ) {
+        // MM1 (Fig 4.3) cuts the 512-wide input into d_model / cols stripes
+        // (32, 16, 8 or 4 here) and sums the per-stripe PSA products.
+        let mut c = AccelConfig::paper_default();
+        c.psa.cols = cols;
+        let x = init::uniform(rows, c.model.d_model, -0.5, 0.5, seed);
+        let w = init::uniform(c.model.d_model, 64, -0.5, 0.5, seed.wrapping_add(1));
+        let striped = mm_exec::mm1_exec_with(&c, &c.psa_engine(), &x, &w);
+        prop_assert!(max_abs_diff(&striped, &ops::matmul_naive(&x, &w)) < 2e-3);
     }
 
     #[test]

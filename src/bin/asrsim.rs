@@ -159,6 +159,12 @@ fn parse_usize_strict(args: &[String], flag: &str, default: usize) -> Result<usi
     parse_flag_value(args, flag, default, "an unsigned integer", |v| v.parse().ok())
 }
 
+/// A count flag (beam width, steps, batch, utterances): an integer of at
+/// least 1. Zero is a bad value, not a request for one.
+fn parse_count(args: &[String], flag: &str, default: usize) -> Result<usize, CliError> {
+    parse_flag_value(args, flag, default, "an integer >= 1", |v| v.parse().ok().filter(|&n| n >= 1))
+}
+
 fn parse_f64_strict(args: &[String], flag: &str, default: f64) -> Result<f64, CliError> {
     parse_flag_value(args, flag, default, "a finite number", |v| {
         v.parse::<f64>().ok().filter(|x| x.is_finite())
@@ -289,7 +295,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "dse" => cmd_dse(),
         "quant" => cmd_quant(),
         "breakdown" => cmd_breakdown(s()?),
-        "pipeline" => cmd_pipeline(s()?, parse_usize_strict(args, "--n", 10)?),
+        "pipeline" => cmd_pipeline(s()?, parse_count(args, "--n", 10)?),
         "trace" => return cmd_trace(positional(args, "asrsim trace <out.json> [--s N]")?, s()?),
         "csv" => return cmd_csv(positional(args, "asrsim csv <fig5.2|table5.1|ii>")?),
         // `asrsim --faults <seed>` is the flag form of the `faults`
@@ -400,7 +406,7 @@ fn cmd_breakdown(s: usize) {
 
 fn cmd_pipeline(s: usize, n: usize) {
     let cfg = unpadded(s);
-    let (r, _) = pipeline::run_pipeline(&cfg, Architecture::A3, s, n.max(1));
+    let (r, _) = pipeline::run_pipeline(&cfg, Architecture::A3, s, n);
     println!("utterances           : {}", r.n);
     println!("total wall time      : {:8.2} ms", r.total_s * 1e3);
     println!("steady-state rate    : {:8.2} seq/s", r.throughput_seq_per_s);
@@ -475,7 +481,7 @@ fn cmd_faults_checkpoint(
     arch: Architecture,
     args: &[String],
 ) -> Result<(), CliError> {
-    let batch = parse_usize_strict(args, "--batch", 2)?.max(1);
+    let batch = parse_count(args, "--batch", 2)?;
     let kill = parse_str_flag(args, "--kill").unwrap_or_else(|| "LWD4".to_string());
     let s = cfg.max_seq_len;
     let policy = RecoveryPolicy::default();
@@ -583,7 +589,7 @@ fn cmd_plan(s: usize, args: &[String]) -> Result<(), CliError> {
     if has_flag(args, "--decode") {
         return cmd_plan_decode(s, arch, level, enc, args);
     }
-    let batch = parse_usize_strict(args, "--batch", 1)?.max(1);
+    let batch = parse_count(args, "--batch", 1)?;
     let mut cfg = unpadded(s);
     cfg.encoding = enc;
     cfg.validate()?;
@@ -638,9 +644,16 @@ fn cmd_plan_decode(
     enc: WeightEncoding,
     args: &[String],
 ) -> Result<(), CliError> {
-    let beam = parse_usize_strict(args, "--beam", 1)?.max(1);
-    let max_steps = parse_usize_strict(args, "--steps", 16)?.max(1);
-    let steady_step = parse_usize_strict(args, "--step", (max_steps / 2).max(1))?;
+    let beam = parse_count(args, "--beam", 1)?;
+    let max_steps = parse_count(args, "--steps", 16)?;
+    let steady_step =
+        parse_usize_strict(args, "--step", (max_steps / 2).max(1).min(max_steps - 1))?;
+    if steady_step >= max_steps {
+        return Err(CliError::BadValue(format!(
+            "--step {} must be below --steps {}",
+            steady_step, max_steps
+        )));
+    }
     let mut cfg = unpadded(s);
     cfg.encoding = enc;
     cfg.validate()?;
@@ -656,7 +669,7 @@ fn cmd_plan_decode(
         da.cold.latency_s * 1e3,
         da.cold_step_bytes
     );
-    let steady_hdr = format!("steady step (t={})", steady_step.min(max_steps - 1));
+    let steady_hdr = format!("steady step (t={})", steady_step);
     println!(
         "{:<21}: {:8.3} ms critical path, {:>12} B fetched",
         steady_hdr,
@@ -680,9 +693,9 @@ fn cmd_plan_decode(
 /// fail typed if the faulted transcript diverges or residency elides
 /// nothing. CI greps these lines.
 fn cmd_decode(args: &[String]) -> Result<(), CliError> {
-    let beam = parse_usize_strict(args, "--beam", 1)?.max(1);
-    let steps = parse_usize_strict(args, "--steps", 6)?.max(1);
-    let mem = parse_usize_strict(args, "--mem", 6)?.max(1);
+    let beam = parse_count(args, "--beam", 1)?;
+    let steps = parse_count(args, "--steps", 6)?;
+    let mem = parse_count(args, "--mem", 6)?;
     let fault_seed = parse_usize_strict(args, "--fault-seed", 9)? as u64;
     let mut cfg = transformer_asr_accel::accel::integrity::small_config();
     cfg.integrity = IntegrityLevel::DetectAndRecompute;

@@ -442,6 +442,16 @@ fn malformed_numeric_flags_are_bad_values() {
         &["pipeline", "--s", "513"],
         &["trace", "unwritten.json", "--s", "513"],
         &["report", "--s", "0"],
+        // a zero count, and a decode step past --steps
+        &["decode", "--beam", "0"],
+        &["decode", "--steps", "0"],
+        &["decode", "--mem", "0"],
+        &["plan", "--batch", "0"],
+        &["plan", "--decode", "--beam", "0"],
+        &["plan", "--decode", "--steps", "0"],
+        &["plan", "--decode", "--steps", "4", "--step", "4"],
+        &["faults", "1", "--checkpoint", "--batch", "0"],
+        &["pipeline", "--n", "0"],
     ] {
         let (code, err) = run_code(args);
         assert_eq!(code, 3, "{:?} must not fall back to the default: {}", args, err);

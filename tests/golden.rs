@@ -46,12 +46,10 @@ const REPORTS: &[(&str, &str)] = &[
     ("plan_detect_a1", "plan --s 8 --arch a1 --integrity detect"),
     ("plan_decode", "plan --decode --s 32 --beam 4 --steps 64"),
     ("plan_decode_a2", "plan --decode --arch a2 --s 32 --beam 4 --steps 64 --step 32"),
-    ("plan_decode_beam0", "plan --decode --beam 0"),
     ("plan_dense", "plan --encoding dense"),
     ("plan_int8", "plan --encoding int8"),
     ("plan_sparse", "plan --encoding sparse:4@60"),
     ("decode", "decode --beam 2 --steps 6"),
-    ("decode_beam0", "decode --beam 0"),
     // Relative to the scratch directory the invocations run in.
     ("trace", "trace golden_trace.json --s 4"),
 ];
@@ -70,6 +68,7 @@ const EXITS: &[&str] = &[
     "arch --s 513",
     "breakdown --s x",
     "pipeline --n x",
+    "pipeline --n 0",
     "pipeline --s 513",
     "trace",
     "trace /nonexistent/dir/out.json",
@@ -77,14 +76,22 @@ const EXITS: &[&str] = &[
     "plan --encoding bogus",
     "plan --arch a9",
     "plan --batch x",
+    "plan --batch 0",
+    "plan --decode --beam 0",
+    "plan --decode --steps 0",
+    "plan --decode --steps 4 --step 4",
     "plan --encoding sparse:0",
     "decode --beam abc",
     "decode --mem 99",
+    "decode --beam 0",
+    "decode --steps 0",
+    "decode --mem 0",
     "csv",
     "csv bogus",
     "faults",
     "faults x",
     "faults 0 --integrity bogus",
+    "faults 1 --checkpoint --batch 0",
     "--faults",
     "serve --checkpoint --batch 0",
     "serve --batch 0",

@@ -25,9 +25,13 @@
 //!
 //! ## Functional model
 //!
-//! `matmul` computes the exact f32 product with the same accumulation order
-//! as the hardware (sequential over `k` within a tile), so results are
-//! bit-identical to the naive reference for any operand sizes.
+//! Every output element is the hardware's sum: it starts at +0.0 and
+//! accumulates `a[i][k] · b[k][j]` over `k` in ascending order, so results
+//! are bit-identical to the naive reference for any operand sizes. The
+//! per-element order is the whole contract: `matmul` walks the product
+//! k-outer, so each weight row is read once for all product rows, and
+//! `matmul_region` walks one column tile in row waves, the way the PSA
+//! does. Both give the same bits (pinned by `psa_bitwise_matches_naive`).
 
 use asr_fpga_sim::{Cycles, ResourceVector};
 use asr_tensor::{ops, Matrix};
@@ -98,9 +102,11 @@ impl Psa {
 
     /// Functional product `a · b` with hardware-faithful accumulation order.
     ///
-    /// Tiles over output columns (width `w`) and row waves (height `b`), and
-    /// accumulates sequentially over `k` inside each tile — the same order the
-    /// PE chain applies, so this is bit-identical to the naive triple loop.
+    /// Runs k-outer over the whole product: weight row `k` is read once and
+    /// accumulated into every output row before row `k + 1`. Each output
+    /// element still sums over `k` in ascending order from +0.0, the order
+    /// the PE chain applies, so this is bit-identical to the naive triple
+    /// loop and to a loop of [`Self::matmul_region`] over the column tiles.
     pub fn matmul(&self, a: &Matrix, b: &Matrix) -> Matrix {
         assert_eq!(
             a.cols(),
@@ -111,12 +117,16 @@ impl Psa {
             b.rows(),
             b.cols()
         );
-        let l = a.rows();
-        let n = b.cols();
-        let mut out = Matrix::zeros(l, n);
-        for j0 in (0..n).step_by(self.config.cols) {
-            let je = (j0 + self.config.cols).min(n);
-            self.matmul_region(a, b, &mut out, j0, je);
+        let (l, m) = a.shape();
+        let mut out = Matrix::zeros(l, b.cols());
+        for k in 0..m {
+            let brow = b.row(k);
+            for i in 0..l {
+                let aik = a[(i, k)];
+                for (o, &bv) in out.row_mut(i).iter_mut().zip(brow) {
+                    *o += aik * bv;
+                }
+            }
         }
         out
     }
@@ -124,10 +134,12 @@ impl Psa {
     /// Compute one column tile `[j0, je)` of the product into `out`, with the
     /// hardware accumulation order (row waves of height `b`, sequential `k`).
     ///
-    /// This is the PSA's block primitive: `matmul` is exactly a loop of these
-    /// over the column tiles, and the ABFT recompute path re-runs a single
-    /// failing tile through the same code — so a recomputed tile is
-    /// bit-identical to a clean run by construction.
+    /// This is the PSA's block primitive. [`CheckedPsa`](crate::CheckedPsa)
+    /// computes its products as a loop of these over the column tiles, and
+    /// its recompute path re-runs a single failing tile through the same
+    /// code. Each element sums over `k` in the order [`Self::matmul`] uses,
+    /// so a tile, a recomputed tile and the whole-product kernel agree bit
+    /// for bit.
     pub fn matmul_region(&self, a: &Matrix, b: &Matrix, out: &mut Matrix, j0: usize, je: usize) {
         let (l, m) = a.shape();
         debug_assert!(je <= b.cols() && j0 < je, "bad tile [{}, {})", j0, je);

@@ -3,13 +3,28 @@
 #![recursion_limit = "4096"]
 
 use asr_systolic::{
-    CheckedPsa, IntegrityLevel, LaneFault, PipelinedAdder, Psa, PsaConfig, SystolicGrid,
+    CheckedPsa, IntegrityLevel, LaneFault, PipelinedAdder, Psa, PsaConfig, PsaMatmul, SystolicGrid,
 };
-use asr_tensor::{init, max_abs_diff, ops};
+use asr_tensor::{init, max_abs_diff, ops, Matrix};
 use proptest::prelude::*;
 
+/// Case count: `PROPTEST_CASES` when set (the CI deep-proptest job exports
+/// 512), else the tier-1 default. The vendored proptest does not read the
+/// environment itself, so the config expression does.
+fn env_cases(default: u32) -> ProptestConfig {
+    let cases =
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default);
+    ProptestConfig::with_cases(cases)
+}
+
+/// A matrix's entries as bit patterns: `-0.0` and `+0.0` differ, and a NaN
+/// equals itself.
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(env_cases(48))]
 
     #[test]
     fn grid_always_matches_naive(l in 1usize..7, m in 1usize..10, n in 1usize..7, seed in 0u64..500) {
@@ -21,10 +36,24 @@ proptest! {
     }
 
     #[test]
-    fn psa_bitwise_matches_naive(l in 1usize..40, m in 1usize..80, n in 1usize..80, seed in 0u64..500) {
+    fn psa_bitwise_matches_naive(
+        l in 1usize..40,
+        m in 1usize..80,
+        n in 1usize..=200,
+        w in prop::sample::select(vec![16usize, 32, 64, 128]),
+        seed in 0u64..500
+    ) {
+        // n reaches past three 64-wide tiles, and every width leaves a
+        // ragged last tile for some n.
         let a = init::uniform(l, m, -1.0, 1.0, seed);
         let b = init::uniform(m, n, -1.0, 1.0, seed + 1);
-        prop_assert_eq!(Psa::paper_default().matmul(&a, &b), ops::matmul_naive(&a, &b));
+        let psa = Psa::new(PsaConfig { cols: w, ..PsaConfig::paper_default() });
+        let whole = psa.matmul(&a, &b);
+        prop_assert_eq!(whole.shape(), (l, n));
+        prop_assert_eq!(bits(&whole), bits(&ops::matmul_naive(&a, &b)));
+        // The column-tile loop of `matmul_region` that CheckedPsa runs.
+        let tiled = PsaMatmul::matmul(&CheckedPsa::new(psa, IntegrityLevel::Off), &a, &b);
+        prop_assert_eq!(bits(&tiled), bits(&whole));
     }
 
     #[test]
@@ -97,7 +126,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(env_cases(48))]
 
     #[test]
     fn abft_detects_any_single_lane_fault(

@@ -11,10 +11,24 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// Uniform entries in `[lo, hi)` from seed.
+///
+/// Entry `i` is `rng.gen_range(lo..hi)` of the `i`-th stream word: the
+/// words are drawn in bulk and put through the same expression, 24 high
+/// bits scaled to `[0, 1)`, then `lo + u * (hi - lo)`.
 pub fn uniform(rows: usize, cols: usize, lo: f32, hi: f32, seed: u64) -> Matrix {
     assert!(lo < hi, "uniform: empty range [{}, {})", lo, hi);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    Matrix::from_fn(rows, cols, |_, _| rng.gen_range(lo..hi))
+    let (scale, span) = (1.0 / (1u32 << 24) as f32, hi - lo);
+    let mut data = vec![0.0; rows * cols];
+    let mut words = [0u32; 256];
+    for chunk in data.chunks_mut(words.len()) {
+        let words = &mut words[..chunk.len()];
+        rng.fill_u32(words);
+        for (x, &w) in chunk.iter_mut().zip(words.iter()) {
+            *x = lo + ((w >> 8) as f32 * scale) * span;
+        }
+    }
+    Matrix::from_vec(rows, cols, data)
 }
 
 /// Xavier/Glorot-uniform init: `U(-a, a)` with `a = sqrt(6 / (fan_in + fan_out))`.
@@ -42,6 +56,41 @@ pub fn normal(rows: usize, cols: usize, mean: f32, std: f32, seed: u64) -> Matri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc32::crc32;
+
+    /// The reference draw: one `gen_range` call per entry.
+    fn uniform_per_element(n: usize, lo: f32, hi: f32, seed: u64) -> Vec<f32> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        (0..n).map(|_| rng.gen_range(lo..hi)).collect()
+    }
+
+    /// CRC-32 of the entries' little-endian bit patterns.
+    fn bits_crc(m: &Matrix) -> u32 {
+        let bytes: Vec<u8> = m.as_slice().iter().flat_map(|x| x.to_bits().to_le_bytes()).collect();
+        crc32(&bytes)
+    }
+
+    #[test]
+    fn bulk_uniform_is_the_per_element_draw_bit_for_bit() {
+        // Lengths around the 64-word refill and the 256-word bulk chunk.
+        for n in [1, 63, 64, 65, 255, 256, 257, 4099] {
+            for (lo, hi, seed) in [(-1.0, 1.0, 11), (0.9, 1.1, 12), (-0.05, 0.05, 13)] {
+                let bulk = uniform(1, n, lo, hi, seed);
+                let want = uniform_per_element(n, lo, hi, seed);
+                let same =
+                    bulk.as_slice().iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "n {n}, [{lo}, {hi}), seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_matrices_keep_their_pinned_bits() {
+        assert_eq!(bits_crc(&xavier(512, 64, 7)), 0x34ff_cfd8);
+        assert_eq!(bits_crc(&xavier(512, 2048, 8)), 0xbadd_bf55);
+        assert_eq!(bits_crc(&xavier(1, 64, 9)), 0x39d1_3339);
+        assert_eq!(bits_crc(&uniform(3, 5, -1.0, 1.0, 11)), 0xd410_6e2f);
+    }
 
     #[test]
     fn uniform_is_deterministic_per_seed() {

@@ -5,6 +5,15 @@ use asr_tensor::norm::layer_norm_plain;
 use asr_tensor::{max_abs_diff, ops, Matrix};
 use proptest::prelude::*;
 
+/// Case count: `PROPTEST_CASES` when set (the CI deep-proptest job exports
+/// 512), else the tier-1 default. The vendored proptest does not read the
+/// environment itself, so the config expression does.
+fn env_cases(default: u32) -> ProptestConfig {
+    let cases =
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default);
+    ProptestConfig::with_cases(cases)
+}
+
 /// Strategy: a matrix with the given shape and entries in [-10, 10].
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(-10.0f32..10.0, rows * cols)
@@ -17,7 +26,7 @@ fn dims() -> impl Strategy<Value = (usize, usize, usize)> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(env_cases(64))]
 
     #[test]
     fn blocked_matches_naive((m, k, n) in dims(), seed in 0u64..1000) {

@@ -30,7 +30,8 @@ impl MatMul for ReferenceBackend {
     }
 }
 
-/// Rayon-parallel backend (the real CPU baseline execution path).
+/// Row-band backend over [`ops::matmul_parallel`] (the real CPU baseline
+/// execution path; sequential under the vendored `rayon` stub).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ParallelBackend;
 

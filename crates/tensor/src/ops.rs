@@ -71,7 +71,9 @@ pub fn matmul_blocked(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// Rayon-parallel matmul over row bands; the real CPU-baseline kernel.
+/// Matmul over row bands through the `rayon` API; the real CPU-baseline
+/// kernel. The vendored `rayon` stub runs the bands sequentially on the
+/// calling thread.
 pub fn matmul_parallel(a: &Matrix, b: &Matrix) -> Matrix {
     check_mm(a, b);
     let (m, k) = a.shape();

@@ -5,9 +5,9 @@
 //! tile at a time (width `w`), so the check is applied *per tile*: one extra
 //! accumulated row per tile buys detection over every element the tile
 //! produced, and a mismatch localises the error to that tile. Recompute is
-//! then a single re-run of the failing tile through [`Psa::matmul_region`],
-//! the tile primitive the normal path loops over, so a repaired tile is
-//! bit-identical to a clean run (DESIGN.md §9).
+//! then a single re-run of the failing tile through [`Psa::matmul_region`] —
+//! the same block primitive the normal path uses — so a repaired tile is
+//! bit-identical to a clean run by construction (DESIGN.md §9).
 //!
 //! The comparison tolerance is the sound worst-case bound on sequential f32
 //! accumulation: `γ_m · S_j` with `γ_m ≈ m·ε` and
@@ -153,9 +153,8 @@ impl CheckedPsa {
     /// and running the per-tile checksum check at `Detect` and above.
     ///
     /// At `Off` with no fault, and at any level on clean tiles, the output is
-    /// bit-identical to [`Psa::matmul`]: the check is a pure observer, the
-    /// recompute path re-runs the identical tile primitive, and each element
-    /// sums over `k` in the order `Psa::matmul` uses.
+    /// bit-identical to [`Psa::matmul`]: the check is a pure observer and the
+    /// recompute path re-runs the identical block primitive.
     pub fn matmul(&self, a: &Matrix, b: &Matrix) -> Matrix {
         assert_eq!(
             a.cols(),

@@ -25,13 +25,9 @@
 //!
 //! ## Functional model
 //!
-//! Every output element is the hardware's sum: it starts at +0.0 and
-//! accumulates `a[i][k] · b[k][j]` over `k` in ascending order, so results
-//! are bit-identical to the naive reference for any operand sizes. The
-//! per-element order is the whole contract: `matmul` walks the product
-//! k-outer, so each weight row is read once for all product rows, and
-//! `matmul_region` walks one column tile in row waves, the way the PSA
-//! does. Both give the same bits (pinned by `psa_bitwise_matches_naive`).
+//! `matmul` computes the exact f32 product with the same accumulation order
+//! as the hardware (sequential over `k` within a tile), so results are
+//! bit-identical to the naive reference for any operand sizes.
 
 use asr_fpga_sim::{Cycles, ResourceVector};
 use asr_tensor::{ops, Matrix};
@@ -102,11 +98,10 @@ impl Psa {
 
     /// Functional product `a · b` with hardware-faithful accumulation order.
     ///
-    /// Runs k-outer over the whole product: weight row `k` is read once and
-    /// accumulated into every output row before row `k + 1`. Each output
-    /// element still sums over `k` in ascending order from +0.0, the order
-    /// the PE chain applies, so this is bit-identical to the naive triple
-    /// loop and to a loop of [`Self::matmul_region`] over the column tiles.
+    /// One [`Self::matmul_region`] over every output column, so each weight
+    /// row is read once for all product rows. Every element accumulates
+    /// sequentially over `k` — the same order the PE chain applies, so this
+    /// is bit-identical to the naive triple loop.
     pub fn matmul(&self, a: &Matrix, b: &Matrix) -> Matrix {
         assert_eq!(
             a.cols(),
@@ -117,42 +112,29 @@ impl Psa {
             b.rows(),
             b.cols()
         );
-        let (l, m) = a.shape();
-        let mut out = Matrix::zeros(l, b.cols());
-        for k in 0..m {
-            let brow = b.row(k);
-            for i in 0..l {
-                let aik = a[(i, k)];
-                for (o, &bv) in out.row_mut(i).iter_mut().zip(brow) {
-                    *o += aik * bv;
-                }
-            }
-        }
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        self.matmul_region(a, b, &mut out, 0, b.cols());
         out
     }
 
-    /// Compute one column tile `[j0, je)` of the product into `out`, with the
-    /// hardware accumulation order (row waves of height `b`, sequential `k`).
+    /// Accumulate columns `[j0, je)` of the product into `out`, with the
+    /// hardware accumulation order (sequential `k` for every element). It
+    /// runs k-outer: weight row `k`'s slice is added into every product row
+    /// before row `k + 1` is read.
     ///
-    /// This is the PSA's block primitive. [`CheckedPsa`](crate::CheckedPsa)
-    /// computes its products as a loop of these over the column tiles, and
-    /// its recompute path re-runs a single failing tile through the same
-    /// code. Each element sums over `k` in the order [`Self::matmul`] uses,
-    /// so a tile, a recomputed tile and the whole-product kernel agree bit
-    /// for bit.
+    /// This is the PSA's block primitive: `matmul` is one call over all
+    /// columns, [`CheckedPsa`](crate::CheckedPsa) is a loop of these over
+    /// the column tiles, and the ABFT recompute path re-runs a single
+    /// failing tile through the same code — so a recomputed tile is
+    /// bit-identical to a clean run by construction.
     pub fn matmul_region(&self, a: &Matrix, b: &Matrix, out: &mut Matrix, j0: usize, je: usize) {
-        let (l, m) = a.shape();
-        debug_assert!(je <= b.cols() && j0 < je, "bad tile [{}, {})", j0, je);
-        for i0 in (0..l).step_by(self.config.rows) {
-            let ie = (i0 + self.config.rows).min(l);
-            for i in i0..ie {
-                let arow = a.row(i);
-                let orow = &mut out.row_mut(i)[j0..je];
-                for (k, &aik) in arow.iter().enumerate().take(m) {
-                    let brow = &b.row(k)[j0..je];
-                    for (o, &bv) in orow.iter_mut().zip(brow) {
-                        *o += aik * bv;
-                    }
+        debug_assert!(j0 <= je && je <= b.cols(), "bad tile [{}, {})", j0, je);
+        for k in 0..a.cols() {
+            let brow = &b.row(k)[j0..je];
+            for i in 0..a.rows() {
+                let aik = a[(i, k)];
+                for (o, &bv) in out.row_mut(i)[j0..je].iter_mut().zip(brow) {
+                    *o += aik * bv;
                 }
             }
         }

@@ -646,8 +646,7 @@ fn cmd_plan_decode(
 ) -> Result<(), CliError> {
     let beam = parse_count(args, "--beam", 1)?;
     let max_steps = parse_count(args, "--steps", 16)?;
-    let steady_step =
-        parse_usize_strict(args, "--step", (max_steps / 2).max(1).min(max_steps - 1))?;
+    let steady_step = parse_usize_strict(args, "--step", max_steps / 2)?;
     if steady_step >= max_steps {
         return Err(CliError::BadValue(format!(
             "--step {} must be below --steps {}",

@@ -46,10 +46,12 @@ const REPORTS: &[(&str, &str)] = &[
     ("plan_detect_a1", "plan --s 8 --arch a1 --integrity detect"),
     ("plan_decode", "plan --decode --s 32 --beam 4 --steps 64"),
     ("plan_decode_a2", "plan --decode --arch a2 --s 32 --beam 4 --steps 64 --step 32"),
+    ("plan_decode_beam1", "plan --decode --beam 1"),
     ("plan_dense", "plan --encoding dense"),
     ("plan_int8", "plan --encoding int8"),
     ("plan_sparse", "plan --encoding sparse:4@60"),
     ("decode", "decode --beam 2 --steps 6"),
+    ("decode_beam1", "decode --beam 1"),
     // Relative to the scratch directory the invocations run in.
     ("trace", "trace golden_trace.json --s 4"),
 ];

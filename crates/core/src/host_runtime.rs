@@ -35,7 +35,7 @@
 //! with corrupt payload ([`Runtime::payload_corrupt`]) is only caught here
 //! if the config's [`crate::config::AccelConfig::integrity`] level has the
 //! CRC checks on: the host then re-fetches the stripe (bounded by the same
-//! `max_attempts` budget) and fails typed with
+//! four-attempt budget as a retry) and fails typed with
 //! [`AccelError::CorruptWeights`] if clean bytes never arrive. A sticky PSA
 //! lane is caught by the ABFT column checksums: `Detect` fails typed
 //! ([`AccelError::CorruptCompute`], nothing can repair it), while
@@ -167,51 +167,30 @@ pub fn run_plan(cfg: &AccelConfig, plan: &ExecPlan) -> BatchRun {
     BatchRun { runtime: rt, makespan_s, utterance_finish_s, loads_issued, load_busy_s }
 }
 
-/// How the host reacts to failed, hung, and dead commands.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryPolicy {
-    /// Attempts allowed per command (including the first). Transient faults
-    /// that outlast this many attempts make the run [`AccelError::Unrecoverable`].
-    pub max_attempts: u32,
-    /// First retry backoff, seconds; doubles on each further retry
-    /// (modelled as host-side latency on the failing queue), capped at
-    /// [`max_backoff_s`](Self::max_backoff_s).
-    pub backoff_base_s: f64,
-    /// Ceiling on any single backoff pause, seconds. Without it the
-    /// doubling is unbounded and a large `backoff_base_s` (or a raised
-    /// attempt budget) can park a queue long past any serving deadline.
-    pub max_backoff_s: f64,
-    /// Per-command watchdog: hung commands are reaped after this long.
-    /// `None` leaves hangs unreaped (infinite makespan).
-    pub watchdog_s: Option<f64>,
-    /// Whether permanent faults may walk the A3 → A2 → A1 ladder (and halve
-    /// the PSA pool on SLR loss). With `false`, any permanent fault is
-    /// unrecoverable.
-    pub allow_degradation: bool,
+/// Attempts allowed per command, the first included: a transient fault
+/// that outlasts them makes the run [`AccelError::Unrecoverable`]. The same
+/// budget bounds CRC refetches of a corrupt stripe
+/// ([`crate::integrity::crc_refetch_step`]).
+pub(crate) const MAX_ATTEMPTS: u32 = 4;
+
+/// First retry backoff, seconds; it doubles on each further retry
+/// (modelled as host-side latency on the failing queue).
+const BACKOFF_BASE_S: f64 = 1e-4;
+
+/// Per-command watchdog: a hung command is reaped after this many seconds.
+const WATCHDOG_S: f64 = 0.05;
+
+/// The pause before retry number `attempts` (1-based).
+fn backoff_s(attempts: u32) -> f64 {
+    BACKOFF_BASE_S * f64::powi(2.0, attempts as i32 - 1)
 }
 
-impl RecoveryPolicy {
-    /// Worst-case seconds one command can spend backing off before its
-    /// attempt budget runs out: the capped exponential series. Serving-tier
-    /// admission charges this against the request deadline so recovery
-    /// backoff cannot silently blow past an admission-checked deadline.
-    pub fn max_total_backoff_s(&self) -> f64 {
-        (1..self.max_attempts)
-            .map(|k| (self.backoff_base_s * f64::powi(2.0, k as i32 - 1)).min(self.max_backoff_s))
-            .sum()
-    }
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            max_attempts: 4,
-            backoff_base_s: 1e-4,
-            max_backoff_s: 5e-3,
-            watchdog_s: Some(0.05),
-            allow_degradation: true,
-        }
-    }
+/// Worst-case seconds one command can spend backing off before its
+/// attempt budget runs out. Serving-tier admission charges this against
+/// the request deadline so recovery backoff cannot silently blow past an
+/// admission-checked deadline.
+pub(crate) fn max_total_backoff_s() -> f64 {
+    (1..MAX_ATTEMPTS).map(backoff_s).sum()
 }
 
 /// One recovery decision, as recorded on the timeline's fault track.
@@ -312,11 +291,12 @@ impl From<AccelError> for BatchFailure {
 
 /// The fault-tolerant plan executor: replay an [`ExecPlan`] under a
 /// [`FaultPlan`], checking every command's [`CommandStatus`]. Transient
-/// failures retry with exponential backoff against the plan node's own
-/// dependency edges; permanent engine loss drops the node's engine
-/// assignment and walks the A3 → A2 → A1 ladder (at A1 every remaining
-/// `LoadStripe` gains the serialize edge the A1 lowering would have given
-/// it); SLR loss halves the PSA pool and re-routes every remaining
+/// failures retry against the plan node's own dependency edges, four
+/// attempts per command with a 0.1 ms backoff that doubles, and a 50 ms
+/// watchdog reaps hung commands; permanent engine loss drops the node's
+/// engine assignment and walks the A3 → A2 → A1 ladder (at A1 every
+/// remaining `LoadStripe` gains the serialize edge the A1 lowering would
+/// have given it); SLR loss halves the PSA pool and re-routes every remaining
 /// `Compute` node onto the survivor; silent corruption is answered per the
 /// plan's `Verify` semantics (CRC refetch via
 /// [`crate::integrity::crc_refetch_step`], ABFT stretch or typed failure).
@@ -327,7 +307,6 @@ pub fn run_plan_with_recovery(
     cfg: &AccelConfig,
     plan: &ExecPlan,
     faults: FaultPlan,
-    policy: &RecoveryPolicy,
 ) -> std::result::Result<BatchedRun, BatchFailure> {
     let nominal_s = run_plan(cfg, plan).makespan_s;
     let (batch, s) = (plan.batch, plan.seq_len);
@@ -339,7 +318,7 @@ pub fn run_plan_with_recovery(
             as u64;
 
     let mut rt = Runtime::with_faults(cfg.device.clone(), faults);
-    rt.set_watchdog(policy.watchdog_s);
+    rt.set_watchdog(Some(WATCHDOG_S));
     rt.set_plan_tag(plan.tag());
 
     let mut engines: Vec<QueueId> =
@@ -465,7 +444,6 @@ pub fn run_plan_with_recovery(
                             corrupt,
                             plan.integrity.checks_enabled(),
                             attempts,
-                            policy.max_attempts,
                             &mut corruption,
                         ) {
                             CrcStep::Accept | CrcStep::Escape => break lw,
@@ -500,20 +478,6 @@ pub fn run_plan_with_recovery(
                         }
                     }
                     CommandStatus::Failed(cause) if cause.is_permanent() => {
-                        if !policy.allow_degradation {
-                            return Err(fail(
-                                AccelError::Unrecoverable {
-                                    phase: p.label.clone(),
-                                    label: load_label,
-                                    attempts,
-                                    at_s: rt.finish_time(lw),
-                                },
-                                finished_s,
-                                completed_phases,
-                                loaded_through,
-                                &rt,
-                            ));
-                        }
                         let t = rt.finish_time(lw);
                         engines.remove(slot);
                         attempts = 0; // degradation re-issues the command with a fresh budget
@@ -546,7 +510,7 @@ pub fn run_plan_with_recovery(
                     }
                     _ => {
                         // Transient failure or watchdog timeout: back off and retry.
-                        if attempts >= policy.max_attempts {
+                        if attempts >= MAX_ATTEMPTS {
                             return Err(fail(
                                 AccelError::Unrecoverable {
                                     phase: p.label.clone(),
@@ -560,8 +524,7 @@ pub fn run_plan_with_recovery(
                                 &rt,
                             ));
                         }
-                        let backoff = (policy.backoff_base_s * f64::powi(2.0, attempts as i32 - 1))
-                            .min(policy.max_backoff_s);
+                        let backoff = backoff_s(attempts);
                         let t = rt.finish_time(lw);
                         rt.enqueue_backoff(
                             engines[slot],
@@ -624,8 +587,8 @@ pub fn run_plan_with_recovery(
                 match rt.status(ck) {
                     CommandStatus::Completed => break ck,
                     CommandStatus::Failed(cause) if cause.is_permanent() => {
-                        if !policy.allow_degradation || dead_slr.is_some() {
-                            // Second SLR loss (or ladder disabled): nothing left.
+                        if dead_slr.is_some() {
+                            // Second SLR loss: nothing left.
                             return Err(fail(
                                 AccelError::Unrecoverable {
                                     phase: p.label.clone(),
@@ -670,7 +633,7 @@ pub fn run_plan_with_recovery(
                         );
                     }
                     _ => {
-                        if attempts >= policy.max_attempts {
+                        if attempts >= MAX_ATTEMPTS {
                             return Err(fail(
                                 AccelError::Unrecoverable {
                                     phase: p.label.clone(),
@@ -684,8 +647,7 @@ pub fn run_plan_with_recovery(
                                 &rt,
                             ));
                         }
-                        let backoff = (policy.backoff_base_s * f64::powi(2.0, attempts as i32 - 1))
-                            .min(policy.max_backoff_s);
+                        let backoff = backoff_s(attempts);
                         let t = rt.finish_time(ck);
                         rt.enqueue_backoff(
                             compute_queue,
@@ -851,7 +813,7 @@ mod tests {
         let plan = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "LWE3".into(), failing_attempts: 2 });
         let solo = lower(&cfg, Architecture::A3, 8, 1);
-        let run = run_plan_with_recovery(&cfg, &solo, plan, &RecoveryPolicy::default()).unwrap();
+        let run = run_plan_with_recovery(&cfg, &solo, plan).unwrap();
         assert_eq!(run.retries, 2);
         assert!(run.makespan_s.is_finite());
         assert!(run.makespan_s >= run.nominal_s, "faults cannot speed a run up");
@@ -865,9 +827,7 @@ mod tests {
         let plan = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "LWE3".into(), failing_attempts: 99 });
         let solo = lower(&cfg, Architecture::A3, 8, 1);
-        let err = run_plan_with_recovery(&cfg, &solo, plan, &RecoveryPolicy::default())
-            .unwrap_err()
-            .error;
+        let err = run_plan_with_recovery(&cfg, &solo, plan).unwrap_err().error;
         assert!(matches!(err, AccelError::Unrecoverable { .. }), "{}", err);
     }
 
@@ -881,7 +841,7 @@ mod tests {
         let plan = FaultPlan::none()
             .with(FaultKind::EngineDropout { queue: "maxi-1".into(), from_command: 0 });
         let solo = lower(&cfg, Architecture::A3, 4, 1);
-        let run = run_plan_with_recovery(&cfg, &solo, plan, &RecoveryPolicy::default()).unwrap();
+        let run = run_plan_with_recovery(&cfg, &solo, plan).unwrap();
         let a2 = run_plan(&cfg, &lower(&cfg, Architecture::A2, 4, 1)).makespan_s;
         assert_eq!(run.final_arch, Architecture::A2);
         assert!(
@@ -902,7 +862,7 @@ mod tests {
         let plan = FaultPlan::none()
             .with(FaultKind::EngineDropout { queue: "maxi-1".into(), from_command: 4 });
         let solo = lower(&cfg, Architecture::A3, 4, 1);
-        let run = run_plan_with_recovery(&cfg, &solo, plan, &RecoveryPolicy::default()).unwrap();
+        let run = run_plan_with_recovery(&cfg, &solo, plan).unwrap();
         let a2 = run_plan(&cfg, &lower(&cfg, Architecture::A2, 4, 1)).makespan_s;
         let a3 = run_plan(&cfg, &solo).makespan_s;
         assert_eq!(run.final_arch, Architecture::A2);
@@ -917,7 +877,7 @@ mod tests {
             .with(FaultKind::EngineDropout { queue: "maxi-0".into(), from_command: 2 })
             .with(FaultKind::EngineDropout { queue: "maxi-1".into(), from_command: 2 });
         let solo = lower(&cfg, Architecture::A3, 4, 1);
-        let run = run_plan_with_recovery(&cfg, &solo, plan, &RecoveryPolicy::default()).unwrap();
+        let run = run_plan_with_recovery(&cfg, &solo, plan).unwrap();
         assert_eq!(run.final_arch, Architecture::A1);
         // A1 without overlap is no faster than the bespoke A1 simulation
         // minus its first-fill (loose sanity bound), and certainly slower
@@ -936,7 +896,7 @@ mod tests {
         let cfg = unpadded(8);
         let plan = FaultPlan::none().with(FaultKind::SlrDropout { slr: 1, from_command: 3 });
         let solo = lower(&cfg, Architecture::A3, 8, 1);
-        let run = run_plan_with_recovery(&cfg, &solo, plan, &RecoveryPolicy::default()).unwrap();
+        let run = run_plan_with_recovery(&cfg, &solo, plan).unwrap();
         assert_eq!(run.dead_slr, Some(1));
         assert!(run.makespan_s > run.nominal_s, "halved pool must cost latency");
         // every kernel from the dropout onward runs on SLR0
@@ -945,18 +905,6 @@ mod tests {
             kernels.iter().filter(|k| !k.label.starts_with('!')).skip(3).collect();
         assert!(!relaunched.is_empty());
         assert!(relaunched.iter().all(|k| k.label.contains("@SLR0")), "all on the survivor");
-    }
-
-    #[test]
-    fn degradation_disallowed_makes_permanent_faults_fatal() {
-        let cfg = unpadded(4);
-        let plan = FaultPlan::none()
-            .with(FaultKind::EngineDropout { queue: "maxi-1".into(), from_command: 0 });
-        let policy = RecoveryPolicy { allow_degradation: false, ..RecoveryPolicy::default() };
-        let err = run_plan_with_recovery(&cfg, &lower(&cfg, Architecture::A3, 4, 1), plan, &policy)
-            .unwrap_err()
-            .error;
-        assert!(matches!(err, AccelError::Unrecoverable { .. }), "{}", err);
     }
 
     #[test]
@@ -986,9 +934,7 @@ mod tests {
                 .with(FaultKind::SlrDropout { slr: a, from_command: 0 })
                 .with(FaultKind::SlrDropout { slr: b, from_command: 2 });
             let solo = lower(&cfg, Architecture::A3, 8, 1);
-            let err = run_plan_with_recovery(&cfg, &solo, plan, &RecoveryPolicy::default())
-                .unwrap_err()
-                .error;
+            let err = run_plan_with_recovery(&cfg, &solo, plan).unwrap_err().error;
             assert!(
                 matches!(err, AccelError::Unrecoverable { .. }),
                 "slr order {}/{}: {}",
@@ -1028,13 +974,11 @@ mod tests {
         let plan = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "LWE1".into(), failing_attempts: u32::MAX });
         let solo = lower(&cfg, Architecture::A3, 8, 1);
-        let err = run_plan_with_recovery(&cfg, &solo, plan, &RecoveryPolicy::default())
-            .unwrap_err()
-            .error;
+        let err = run_plan_with_recovery(&cfg, &solo, plan).unwrap_err().error;
         match err {
             AccelError::Unrecoverable { at_s, attempts, .. } => {
                 assert!(at_s.is_finite() && at_s > 0.0, "failure time {}", at_s);
-                assert_eq!(attempts, RecoveryPolicy::default().max_attempts);
+                assert_eq!(attempts, MAX_ATTEMPTS);
             }
             other => panic!("expected Unrecoverable, got {}", other),
         }
@@ -1043,11 +987,10 @@ mod tests {
     #[test]
     fn seeded_plans_complete_on_every_architecture() {
         let cfg = unpadded(8);
-        let policy = RecoveryPolicy::default();
         for arch in [Architecture::A1, Architecture::A2, Architecture::A3] {
             let solo = lower(&cfg, arch, 8, 1);
             for seed in 0..12u64 {
-                let run = run_plan_with_recovery(&cfg, &solo, FaultPlan::seeded(seed), &policy)
+                let run = run_plan_with_recovery(&cfg, &solo, FaultPlan::seeded(seed))
                     .unwrap_or_else(|f| panic!("{} seed {}: {}", arch.name(), seed, f.error));
                 assert!(run.makespan_s.is_finite());
                 assert!(run.makespan_s >= run.nominal_s - 1e-12);
@@ -1068,7 +1011,7 @@ mod tests {
         let plan = FaultPlan::seeded_with(3, &FaultProfile::silent_only());
         assert!(plan.has_silent_faults());
         let solo = lower(&cfg, Architecture::A3, 8, 1);
-        let run = run_plan_with_recovery(&cfg, &solo, plan, &RecoveryPolicy::default()).unwrap();
+        let run = run_plan_with_recovery(&cfg, &solo, plan).unwrap();
         // Nobody asks, nobody pays: timing is exactly nominal, but the
         // corruption went straight into compute.
         assert!((run.makespan_s - run.nominal_s).abs() < 1e-12);
@@ -1088,7 +1031,7 @@ mod tests {
             failing_attempts: 2,
         });
         let solo = lower(&cfg, Architecture::A3, 8, 1);
-        let run = run_plan_with_recovery(&cfg, &solo, plan, &RecoveryPolicy::default()).unwrap();
+        let run = run_plan_with_recovery(&cfg, &solo, plan).unwrap();
         assert_eq!(run.corruption.injected, 2);
         assert_eq!(run.corruption.detected, 2);
         assert_eq!(run.corruption.refetched, 2);
@@ -1109,12 +1052,10 @@ mod tests {
             failing_attempts: u32::MAX,
         });
         let solo = lower(&cfg, Architecture::A3, 8, 1);
-        let err = run_plan_with_recovery(&cfg, &solo, plan, &RecoveryPolicy::default())
-            .unwrap_err()
-            .error;
+        let err = run_plan_with_recovery(&cfg, &solo, plan).unwrap_err().error;
         match err {
             AccelError::CorruptWeights { attempts, at_s, .. } => {
-                assert_eq!(attempts, RecoveryPolicy::default().max_attempts);
+                assert_eq!(attempts, MAX_ATTEMPTS);
                 assert!(at_s > 0.0);
             }
             other => panic!("expected CorruptWeights, got {}", other),
@@ -1127,15 +1068,12 @@ mod tests {
         let plan = || FaultPlan::none().with(FaultKind::PsaStickyLane { lane: 9, delta: 1.0 });
         let detect = unpadded_at(8, IntegrityLevel::Detect);
         let solo = lower(&detect, Architecture::A3, 8, 1);
-        let err = run_plan_with_recovery(&detect, &solo, plan(), &RecoveryPolicy::default())
-            .unwrap_err()
-            .error;
+        let err = run_plan_with_recovery(&detect, &solo, plan()).unwrap_err().error;
         assert!(matches!(err, AccelError::CorruptCompute { .. }), "{}", err);
 
         let recompute = unpadded_at(8, IntegrityLevel::DetectAndRecompute);
         let solo = lower(&recompute, Architecture::A3, 8, 1);
-        let run =
-            run_plan_with_recovery(&recompute, &solo, plan(), &RecoveryPolicy::default()).unwrap();
+        let run = run_plan_with_recovery(&recompute, &solo, plan()).unwrap();
         assert_eq!(run.corruption.recomputed, 1);
         assert_eq!(run.corruption.escaped, 0);
         assert!(run.makespan_s > run.nominal_s, "recomputed tiles must cost PSA cycles");
@@ -1156,9 +1094,7 @@ mod tests {
             let cfg = unpadded_at(8, level);
             let plan = lower(&cfg, Architecture::A3, 8, 1);
             let base = run_plan(&cfg, &plan);
-            let run =
-                run_plan_with_recovery(&cfg, &plan, FaultPlan::none(), &RecoveryPolicy::default())
-                    .unwrap();
+            let run = run_plan_with_recovery(&cfg, &plan, FaultPlan::none()).unwrap();
             assert_eq!(
                 base.runtime.timeline().spans(),
                 run.runtime.timeline().spans(),
@@ -1185,7 +1121,7 @@ mod tests {
         let solo = lower(&cfg, Architecture::A3, 8, 1);
         for seed in 0..12u64 {
             let plan = FaultPlan::seeded_with(seed, &FaultProfile::silent_only());
-            let run = run_plan_with_recovery(&cfg, &solo, plan, &RecoveryPolicy::default())
+            let run = run_plan_with_recovery(&cfg, &solo, plan)
                 .unwrap_or_else(|f| panic!("seed {}: {}", seed, f.error));
             assert!(run.corruption.injected > 0, "seed {}", seed);
             assert_eq!(run.corruption.escaped, 0, "seed {}: nothing may escape", seed);
@@ -1204,8 +1140,8 @@ mod tests {
         let cfg = unpadded(8);
         let faults = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "LWD1".into(), failing_attempts: u32::MAX });
-        let (policy, pair) = (RecoveryPolicy::default(), lower(&cfg, Architecture::A2, 8, 2));
-        let failure = run_plan_with_recovery(&cfg, &pair, faults, &policy).unwrap_err();
+        let pair = lower(&cfg, Architecture::A2, 8, 2);
+        let failure = run_plan_with_recovery(&cfg, &pair, faults).unwrap_err();
         let ckpt = failure.checkpoint.as_ref().expect("mid-run failure checkpoints");
         assert_eq!(ckpt.completed_phases, 12, "all encoder phases retired before LWD1 died");
         assert!(ckpt.loaded_phases >= ckpt.completed_phases);
@@ -1213,10 +1149,10 @@ mod tests {
 
         // Failover target: resume cross-device (no trust), clean card.
         let suffix = ExecPlan::resume(&cfg, ckpt, false).unwrap();
-        let resumed = run_plan_with_recovery(&cfg, &suffix, FaultPlan::none(), &policy).unwrap();
+        let resumed = run_plan_with_recovery(&cfg, &suffix, FaultPlan::none()).unwrap();
         assert_eq!(resumed.utterance_finish_s.len(), 2, "both utterances served, exactly once");
         assert_eq!(resumed.checkpoints, 6, "only the six decoder phases replay");
-        let full = run_plan_with_recovery(&cfg, &pair, FaultPlan::none(), &policy).unwrap();
+        let full = run_plan_with_recovery(&cfg, &pair, FaultPlan::none()).unwrap();
         assert!(resumed.loads_issued < full.loads_issued, "suffix loads strictly fewer");
         assert!(resumed.makespan_s < full.makespan_s, "suffix compute strictly cheaper");
     }
@@ -1229,15 +1165,14 @@ mod tests {
         let cfg = unpadded(8);
         let first = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "LWD1".into(), failing_attempts: u32::MAX });
-        let policy = RecoveryPolicy::default();
         let pair = lower(&cfg, Architecture::A2, 8, 2);
-        let f1 = run_plan_with_recovery(&cfg, &pair, first, &policy).unwrap_err();
+        let f1 = run_plan_with_recovery(&cfg, &pair, first).unwrap_err();
         let c1 = f1.checkpoint.unwrap();
 
         let second = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "LWD4".into(), failing_attempts: u32::MAX });
         let suffix = ExecPlan::resume(&cfg, &c1, false).unwrap();
-        let f2 = run_plan_with_recovery(&cfg, &suffix, second, &policy).unwrap_err();
+        let f2 = run_plan_with_recovery(&cfg, &suffix, second).unwrap_err();
         let c2 = f2.checkpoint.unwrap();
         assert!(
             c2.completed_phases > c1.completed_phases,
@@ -1248,7 +1183,7 @@ mod tests {
         assert_eq!(c2.remaining_lens().len() + f2.finished_s.len(), 2, "no utterance dropped");
 
         let last = ExecPlan::resume(&cfg, &c2, false).unwrap();
-        let done = run_plan_with_recovery(&cfg, &last, FaultPlan::none(), &policy).unwrap();
+        let done = run_plan_with_recovery(&cfg, &last, FaultPlan::none()).unwrap();
         assert_eq!(
             done.utterance_finish_s.len() + f2.finished_s.len() + f1.finished_s.len(),
             2,
@@ -1261,13 +1196,13 @@ mod tests {
         let cfg = unpadded(8);
         let faults = FaultPlan::none()
             .with(FaultKind::KernelHang { label: "CD2".into(), failing_attempts: u32::MAX });
-        let (policy, solo) = (RecoveryPolicy::default(), lower(&cfg, Architecture::A2, 8, 1));
-        let failure = run_plan_with_recovery(&cfg, &solo, faults, &policy).unwrap_err();
+        let solo = lower(&cfg, Architecture::A2, 8, 1);
+        let failure = run_plan_with_recovery(&cfg, &solo, faults).unwrap_err();
         let ckpt = failure.checkpoint.unwrap();
         assert!(failure.stats.timed_out > 0, "watchdog kills are recorded in the stats");
         let resume = |trust| {
             let suffix = ExecPlan::resume(&cfg, &ckpt, trust).unwrap();
-            run_plan_with_recovery(&cfg, &suffix, FaultPlan::none(), &policy).unwrap()
+            run_plan_with_recovery(&cfg, &suffix, FaultPlan::none()).unwrap()
         };
         let (same, other) = (resume(true), resume(false));
         assert!(
@@ -1281,36 +1216,11 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_capped_by_max_backoff_s() {
-        let cfg = unpadded(8);
-        let faults = || {
-            FaultPlan::none()
-                .with(FaultKind::HbmLoadError { label: "LWE3".into(), failing_attempts: 3 })
-        };
-        let slow = RecoveryPolicy {
-            backoff_base_s: 2e-3,
-            max_backoff_s: f64::INFINITY,
-            ..RecoveryPolicy::default()
-        };
-        let capped = RecoveryPolicy { max_backoff_s: 2e-3, ..slow.clone() };
-        let solo = lower(&cfg, Architecture::A3, 8, 1);
-        let a = run_plan_with_recovery(&cfg, &solo, faults(), &slow).unwrap();
-        let b = run_plan_with_recovery(&cfg, &solo, faults(), &capped).unwrap();
-        assert!(
-            b.makespan_s < a.makespan_s,
-            "capped backoff must finish sooner: {} vs {}",
-            b.makespan_s,
-            a.makespan_s
-        );
-        assert!(capped.max_total_backoff_s() < slow.max_total_backoff_s());
-    }
-
-    #[test]
     fn seeded_plans_always_complete() {
         let cfg = unpadded(8);
-        let (policy, solo) = (RecoveryPolicy::default(), lower(&cfg, Architecture::A3, 8, 1));
+        let solo = lower(&cfg, Architecture::A3, 8, 1);
         for seed in 0..24u64 {
-            let run = run_plan_with_recovery(&cfg, &solo, FaultPlan::seeded(seed), &policy)
+            let run = run_plan_with_recovery(&cfg, &solo, FaultPlan::seeded(seed))
                 .unwrap_or_else(|f| panic!("seed {}: {}", seed, f.error));
             assert!(run.makespan_s.is_finite(), "seed {}", seed);
             assert!(run.makespan_s >= run.nominal_s - 1e-12, "seed {}", seed);
@@ -1320,7 +1230,6 @@ mod tests {
     #[test]
     fn stream_chunks_after_the_first_elide_the_pinned_stripe_set() {
         let cfg = unpadded(8);
-        let policy = RecoveryPolicy::default();
         for arch in [Architecture::A2, Architecture::A3] {
             let cold = ExecPlan::lower_stream_chunk(&cfg, arch, 8, &[]).unwrap();
             assert_eq!(cold.reuse, None, "a cold first chunk has nothing to elide");
@@ -1341,8 +1250,8 @@ mod tests {
                 reuse.elided_load_bytes,
                 double_buffered
             );
-            let cold_run = run_plan_with_recovery(&cfg, &cold, FaultPlan::none(), &policy).unwrap();
-            let warm_run = run_plan_with_recovery(&cfg, &warm, FaultPlan::none(), &policy).unwrap();
+            let cold_run = run_plan_with_recovery(&cfg, &cold, FaultPlan::none()).unwrap();
+            let warm_run = run_plan_with_recovery(&cfg, &warm, FaultPlan::none()).unwrap();
             assert!(
                 warm_run.makespan_s <= cold_run.makespan_s + 1e-12,
                 "{:?}: warm {} > cold {}",
@@ -1362,17 +1271,15 @@ mod tests {
         // gets the same makespan a clean run would have.
         let cfg = unpadded(8);
         let chunk = ExecPlan::lower_stream_chunk(&cfg, Architecture::A2, 8, &[]).unwrap();
-        let policy = RecoveryPolicy { allow_degradation: false, ..RecoveryPolicy::default() };
-        let dead_engine = FaultPlan::none()
-            .with(FaultKind::EngineDropout { queue: "maxi-0".into(), from_command: 6 });
-        let fail = run_plan_with_recovery(&cfg, &chunk, dead_engine, &policy).unwrap_err();
+        // A stripe that never loads outlasts the retry budget.
+        let dead_load = FaultPlan::none()
+            .with(FaultKind::HbmLoadError { label: "LWE4".into(), failing_attempts: u32::MAX });
+        let fail = run_plan_with_recovery(&cfg, &chunk, dead_load).unwrap_err();
         assert!(fail.checkpoint.is_some(), "{}", fail.error);
         // Replay the whole chunk cold on a healthy device — the stream's
         // carryover state lives above this layer, so a full chunk replay
         // is always safe.
-        let replay =
-            run_plan_with_recovery(&cfg, &chunk, FaultPlan::none(), &RecoveryPolicy::default())
-                .unwrap();
+        let replay = run_plan_with_recovery(&cfg, &chunk, FaultPlan::none()).unwrap();
         assert_eq!(replay.retries, 0);
     }
 
@@ -1381,11 +1288,10 @@ mod tests {
     #[test]
     fn steady_decode_step_executes_faster_and_fetches_less_than_the_cold_step() {
         let cfg = unpadded(8);
-        let policy = RecoveryPolicy::default();
         let spec0 = DecodeStepSpec::greedy(0, 8, 8);
         let cold =
             ExecPlan::lower_decode_step(&cfg, Architecture::A2, spec0, &[], cfg.integrity).unwrap();
-        let cold_run = run_plan_with_recovery(&cfg, &cold, FaultPlan::none(), &policy).unwrap();
+        let cold_run = run_plan_with_recovery(&cfg, &cold, FaultPlan::none()).unwrap();
         assert!(cold_run.makespan_s > 0.0);
         let pinned = cold.decode_pinned_stripes();
         assert!(!pinned.is_empty(), "the cold step must pin its stripes");
@@ -1395,7 +1301,7 @@ mod tests {
         let steady =
             ExecPlan::lower_decode_step(&cfg, Architecture::A2, spec1, &pinned, cfg.integrity)
                 .unwrap();
-        let steady_run = run_plan_with_recovery(&cfg, &steady, FaultPlan::none(), &policy).unwrap();
+        let steady_run = run_plan_with_recovery(&cfg, &steady, FaultPlan::none()).unwrap();
         let reuse = steady.reuse.expect("steady step lowers against residents");
         assert!(reuse.elided_loads > 0, "steady step must elide pinned loads");
         assert!(
@@ -1420,7 +1326,7 @@ mod tests {
             ExecPlan::lower_decode_step(&cfg, Architecture::A2, spec, &[], cfg.integrity).unwrap();
         let faults = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "KV".into(), failing_attempts: 1 });
-        let run = run_plan_with_recovery(&cfg, &step, faults, &RecoveryPolicy::default()).unwrap();
+        let run = run_plan_with_recovery(&cfg, &step, faults).unwrap();
         assert!(run.retries >= 1, "the transient fault must be retried");
     }
 }

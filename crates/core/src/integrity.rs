@@ -28,6 +28,7 @@ use crate::arch::Architecture;
 use crate::block_exec::{encoder_forward_via_schemes_batch, encoder_forward_via_schemes_with};
 use crate::config::AccelConfig;
 use crate::error::{AccelError, Result};
+use crate::host_runtime::MAX_ATTEMPTS;
 use crate::plan::{DecodeStepSpec, ExecPlan, PhaseKind, PlanReuse, ResidentStripe};
 use asr_fpga_sim::faults::{FaultKind, FaultPlan};
 use asr_frontend::vocab::TokenId;
@@ -180,10 +181,6 @@ impl FunctionalFaults {
     }
 }
 
-/// Fetch attempts allowed per stripe (including the first), mirroring
-/// [`crate::host_runtime::RecoveryPolicy::max_attempts`].
-pub const MAX_FETCHES: u32 = 4;
-
 /// What the host should do after one CRC-checked fetch attempt — the
 /// outcome of [`crc_refetch_step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,7 +204,8 @@ pub enum CrcStep {
 /// `corrupt` is an actual CRC-32 mismatch over the fetched bytes).
 ///
 /// The helper owns the `detected`/`refetched`/`escaped` accounting and the
-/// budget decision; it deliberately does **not** count `injected` — on the
+/// budget decision (a stripe gets the host's four attempts, the first
+/// included); it deliberately does **not** count `injected` — on the
 /// functional side a stripe can be corrupted in a way the CRC still passes
 /// (two cancelling flips), so injection is the caller's observation, not a
 /// property of the check.
@@ -215,7 +213,6 @@ pub fn crc_refetch_step(
     corrupt: bool,
     checks_enabled: bool,
     attempt: u32,
-    max_attempts: u32,
     counters: &mut CorruptionCounters,
 ) -> CrcStep {
     if !checks_enabled {
@@ -230,7 +227,7 @@ pub fn crc_refetch_step(
         return CrcStep::Accept;
     }
     counters.detected += 1;
-    if attempt >= max_attempts {
+    if attempt >= MAX_ATTEMPTS {
         return CrcStep::Exhausted;
     }
     counters.refetched += 1;
@@ -269,7 +266,7 @@ fn fetch_stripe(
         // the CRC itself (a lucky pair of flips could cancel), and at Off
         // the CRC is never read — `hit` is all the host could know.
         let corrupt = if level.checks_enabled() { crc32(&bytes) != stripe.crc } else { hit };
-        match crc_refetch_step(corrupt, level.checks_enabled(), attempt, MAX_FETCHES, counters) {
+        match crc_refetch_step(corrupt, level.checks_enabled(), attempt, counters) {
             CrcStep::Accept | CrcStep::Escape => return Ok(decode_bytes(stripe, bytes)),
             CrcStep::Refetch => {}
             CrcStep::Exhausted => {
@@ -1281,7 +1278,7 @@ mod tests {
         match err {
             AccelError::CorruptWeights { label, attempts, .. } => {
                 assert_eq!(label, "W2");
-                assert_eq!(attempts, MAX_FETCHES);
+                assert_eq!(attempts, MAX_ATTEMPTS);
             }
             other => panic!("expected CorruptWeights, got {}", other),
         }

@@ -66,9 +66,7 @@ pub use config::AccelConfig;
 pub use error::AccelError;
 pub use exec::SystolicBackend;
 pub use host::HostController;
-pub use host_runtime::{
-    run_plan, run_plan_with_recovery, BatchFailure, BatchRun, BatchedRun, RecoveryPolicy,
-};
+pub use host_runtime::{run_plan, run_plan_with_recovery, BatchFailure, BatchRun, BatchedRun};
 pub use integrity::{
     functional_checkpoint_at, resume_functional_plan, run_functional_decode, run_functional_plan,
     BatchIntegrityRun, CorruptionCounters, FunctionalCheckpoint, FunctionalDecodeRun,
@@ -79,7 +77,7 @@ pub use plan::{
     PlanCheckpoint, PlanCmd, PlanCost, PlanNode, PlanResume, ResidentStripe,
 };
 pub use serve::{
-    pool_fault_plans, BatchConfig, BreakerConfig, BreakerState, Evicted, RequestOutcome,
-    RequestRecord, ServeConfig, ServePool, ServeReport,
+    pool_fault_plans, BatchConfig, BreakerState, Evicted, RequestOutcome, RequestRecord,
+    ServeConfig, ServePool, ServeReport,
 };
 pub use stream::{stream_analytics, StreamAnalytics, StreamConfig, StreamPool, StreamReport};

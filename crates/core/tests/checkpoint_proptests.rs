@@ -4,7 +4,7 @@
 //! utterance conservation across single- and double-fault failovers.
 #![recursion_limit = "1024"]
 
-use asr_accel::host_runtime::{run_plan_with_recovery, RecoveryPolicy};
+use asr_accel::host_runtime::run_plan_with_recovery;
 use asr_accel::integrity::{
     functional_checkpoint_at, resume_functional_plan, run_functional_plan, small_config,
     FunctionalFaults,
@@ -130,8 +130,7 @@ proptest! {
         let label = format!("LW{}", plan.phases[k].label);
         let kill = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label, failing_attempts: u32::MAX });
-        let policy = RecoveryPolicy::default();
-        let failure = match run_plan_with_recovery(&cfg, &plan, kill, &policy) {
+        let failure = match run_plan_with_recovery(&cfg, &plan, kill) {
             // The ladder found a rung (e.g. the label only matched a phase
             // another arch renames): no lost work, nothing to resume.
             Ok(run) => {
@@ -142,13 +141,13 @@ proptest! {
         };
         let ckpt = failure.checkpoint.as_ref().expect("mid-run failures checkpoint");
         let suffix = ExecPlan::resume(&cfg, ckpt, false).unwrap();
-        let resumed = run_plan_with_recovery(&cfg, &suffix, FaultPlan::none(), &policy).unwrap();
+        let resumed = run_plan_with_recovery(&cfg, &suffix, FaultPlan::none()).unwrap();
         prop_assert_eq!(
             ckpt.finished_utterances + resumed.utterance_finish_s.len(),
             batch,
             "every utterance served exactly once across the cut"
         );
-        let full = run_plan_with_recovery(&cfg, &plan, FaultPlan::none(), &policy).unwrap();
+        let full = run_plan_with_recovery(&cfg, &plan, FaultPlan::none()).unwrap();
         prop_assert!(resumed.loads_issued <= full.loads_issued);
         if ckpt.completed_phases > 0 {
             prop_assert!(resumed.loads_issued < full.loads_issued,
@@ -175,14 +174,13 @@ proptest! {
         let plan = ExecPlan::lower(&cfg, arch, 8, batch, cfg.integrity).unwrap();
         let n = plan.phases.len();
         let (k1, k2) = (first_pick % n, second_pick % n);
-        let policy = RecoveryPolicy::default();
         let kill = |k: usize| {
             FaultPlan::none().with(FaultKind::HbmLoadError {
                 label: format!("LW{}", plan.phases[k].label),
                 failing_attempts: u32::MAX,
             })
         };
-        let f1 = match run_plan_with_recovery(&cfg, &plan, kill(k1), &policy) {
+        let f1 = match run_plan_with_recovery(&cfg, &plan, kill(k1)) {
             Ok(run) => {
                 prop_assert_eq!(run.utterance_finish_s.len(), batch);
                 return Ok(());
@@ -191,7 +189,7 @@ proptest! {
         };
         let c1 = f1.checkpoint.as_ref().expect("first failure checkpoints");
         let suffix = ExecPlan::resume(&cfg, c1, false).unwrap();
-        match run_plan_with_recovery(&cfg, &suffix, kill(k2), &policy) {
+        match run_plan_with_recovery(&cfg, &suffix, kill(k2)) {
             // Second kill targeted the completed prefix: the suffix never
             // re-issues that load, so the resume sails through.
             Ok(run) => {
@@ -203,7 +201,7 @@ proptest! {
                     "the frontier never moves backwards");
                 prop_assert!(c2.remaining_lens().len() <= c1.remaining_lens().len());
                 let last = ExecPlan::resume(&cfg, c2, false).unwrap();
-                let done = run_plan_with_recovery(&cfg, &last, FaultPlan::none(), &policy).unwrap();
+                let done = run_plan_with_recovery(&cfg, &last, FaultPlan::none()).unwrap();
                 prop_assert_eq!(done.utterance_finish_s.len(), c2.remaining_lens().len());
             }
         }

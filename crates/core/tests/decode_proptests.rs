@@ -7,7 +7,7 @@
 //! 512); tier-1 runs use the per-block defaults.
 #![recursion_limit = "1024"]
 
-use asr_accel::host_runtime::{run_plan_with_recovery, RecoveryPolicy};
+use asr_accel::host_runtime::run_plan_with_recovery;
 use asr_accel::integrity::{run_functional_decode, small_config, FunctionalFaults};
 use asr_accel::plan::{DecodeStepSpec, ExecPlan};
 use asr_accel::{AccelConfig, Architecture};
@@ -205,11 +205,10 @@ proptest! {
         cfg.max_seq_len = 32;
         let cold_spec = DecodeStepSpec::greedy(0, mem_len, 8);
         let cold_spec = DecodeStepSpec { beam, ..cold_spec };
-        let policy = RecoveryPolicy::default();
         let cold =
             ExecPlan::lower_decode_step(&cfg, Architecture::A2, cold_spec, &[], cfg.integrity)
                 .unwrap();
-        let cold_run = run_plan_with_recovery(&cfg, &cold, FaultPlan::none(), &policy).unwrap();
+        let cold_run = run_plan_with_recovery(&cfg, &cold, FaultPlan::none()).unwrap();
         prop_assert_eq!(cold.fetched_load_bytes(), cold.scheduled_load_bytes());
 
         let spec = DecodeStepSpec { step: 1, ..cold_spec };
@@ -217,7 +216,7 @@ proptest! {
         let steady =
             ExecPlan::lower_decode_step(&cfg, Architecture::A2, spec, &pinned, cfg.integrity)
                 .unwrap();
-        let steady_run = run_plan_with_recovery(&cfg, &steady, FaultPlan::none(), &policy).unwrap();
+        let steady_run = run_plan_with_recovery(&cfg, &steady, FaultPlan::none()).unwrap();
         prop_assert!(steady.fetched_load_bytes() * 2 < steady.scheduled_load_bytes());
         prop_assert!(steady_run.makespan_s < cold_run.makespan_s);
     }

@@ -3,7 +3,7 @@
 #![recursion_limit = "1024"]
 
 use asr_accel::arch::{layer_bytes, simulate};
-use asr_accel::host_runtime::{run_plan, run_plan_with_recovery, RecoveryPolicy};
+use asr_accel::host_runtime::{run_plan, run_plan_with_recovery};
 use asr_accel::integrity::{load_model_with_faults, FunctionalFaults, StripeCorruption};
 use asr_accel::plan::ExecPlan;
 use asr_accel::schedule;
@@ -67,7 +67,7 @@ proptest! {
         let mut cfg = AccelConfig::paper_default();
         cfg.max_seq_len = s;
         let plan = solo(&cfg, Architecture::A3);
-        let run = run_plan_with_recovery(&cfg, &plan, FaultPlan::seeded(seed), &RecoveryPolicy::default())
+        let run = run_plan_with_recovery(&cfg, &plan, FaultPlan::seeded(seed))
             .unwrap_or_else(|f| panic!("seed {}: {}", seed, f.error));
         prop_assert!(run.makespan_s.is_finite(), "seed {}", seed);
         prop_assert!(
@@ -98,7 +98,7 @@ proptest! {
         let dead_engine = FaultPlan::none()
             .with(FaultKind::EngineDropout { queue: "maxi-1".into(), from_command: 0 });
         let a3_plan = solo(&cfg, Architecture::A3);
-        let run = run_plan_with_recovery(&cfg, &a3_plan, dead_engine, &RecoveryPolicy::default())
+        let run = run_plan_with_recovery(&cfg, &a3_plan, dead_engine)
             .unwrap();
         let a2 = run_plan(&cfg, &solo(&cfg, Architecture::A2)).makespan_s;
         let a3 = run_plan(&cfg, &a3_plan).makespan_s;
@@ -149,7 +149,7 @@ proptest! {
         cfg.arch = arch;
         cfg.requests = requests;
         let plan = solo(&cfg.accel, arch);
-        let solo = run_plan_with_recovery(&cfg.accel, &plan, FaultPlan::none(), &cfg.policy).unwrap();
+        let solo = run_plan_with_recovery(&cfg.accel, &plan, FaultPlan::none()).unwrap();
         let report = serve::ServePool::run(cfg).unwrap();
         prop_assert_eq!(report.completed, requests, "clean pool serves everything");
         for r in &report.records {
@@ -251,7 +251,7 @@ proptest! {
         let s = cfg.max_seq_len;
         let plan = ExecPlan::lower(&cfg, arch, s, batch, level).unwrap();
         let base = run_plan(&cfg, &plan);
-        let run = run_plan_with_recovery(&cfg, &plan, FaultPlan::none(), &RecoveryPolicy::default())
+        let run = run_plan_with_recovery(&cfg, &plan, FaultPlan::none())
             .unwrap_or_else(|f| panic!("clean plan failed: {}", f.error));
         prop_assert_eq!(base.runtime.timeline().spans(), run.runtime.timeline().spans());
         prop_assert_eq!(base.makespan_s.to_bits(), run.makespan_s.to_bits());

@@ -8,12 +8,14 @@
 //! time, and that a chunk's checkpoint is never resumed as a full eager
 //! schedule.
 
-use asr_accel::host_runtime::{run_plan, run_plan_with_recovery, RecoveryPolicy};
+use asr_accel::host_runtime::{run_plan, run_plan_with_recovery};
 use asr_accel::integrity::{
     chunk_plan, push_functional_chunk, run_functional_stream, small_config, FunctionalFaults,
 };
 use asr_accel::plan::{walk_cost, DecodeStepSpec, ExecPlan, PhaseKind};
-use asr_accel::stream::{stream_analytics, StreamConfig, StreamPool};
+use asr_accel::stream::{
+    stream_analytics, StreamConfig, StreamPool, CHUNK_STEPS, LEFT_CONTEXT, PIN_SLOTS,
+};
 use asr_accel::{AccelError, Architecture};
 use asr_fpga_sim::faults::{FaultKind, FaultPlan};
 use asr_systolic::abft::CheckedPsa;
@@ -39,7 +41,7 @@ fn table(plan: &ExecPlan) -> Vec<(String, u64, PhaseKind)> {
 /// The cold and warm chunk plans of a deployment.
 fn chunk_plans(cfg: &StreamConfig) -> (ExecPlan, ExecPlan) {
     let cold = ExecPlan::lower_stream_chunk(&cfg.accel, cfg.arch, cfg.window(), &[]).unwrap();
-    let pinned = cold.pinned_stripes(cfg.pin_slots);
+    let pinned = cold.pinned_stripes(PIN_SLOTS);
     let warm = ExecPlan::lower_stream_chunk(&cfg.accel, cfg.arch, cfg.window(), &pinned).unwrap();
     (cold, warm)
 }
@@ -83,17 +85,16 @@ fn every_chunk_consumer_lowers_the_same_encoder_phase_table() {
         // Runtime: the recovery executor runs one kernel per phase of the
         // table and loads exactly the stripes the plan does not elide. Both
         // plans pin the same stripes and schedule the same bytes.
-        let pinned = cold.pinned_stripes(cfg.pin_slots);
+        let pinned = cold.pinned_stripes(PIN_SLOTS);
         for plan in [&cold, &warm] {
-            let run =
-                run_plan_with_recovery(&cfg.accel, plan, FaultPlan::none(), &cfg.policy).unwrap();
+            let run = run_plan_with_recovery(&cfg.accel, plan, FaultPlan::none()).unwrap();
             assert_eq!(span_labels(&run, "C"), labels, "{:?}", arch);
             let fetched: Vec<String> = (0..plan.phases.len())
                 .filter(|&i| plan.load_of(i).is_some())
                 .map(|i| plan.phases[i].label.clone())
                 .collect();
             assert_eq!(span_labels(&run, "LW"), fetched, "{:?}", arch);
-            assert_eq!(plan.pinned_stripes(cfg.pin_slots), pinned, "{:?}", arch);
+            assert_eq!(plan.pinned_stripes(PIN_SLOTS), pinned, "{:?}", arch);
             assert_eq!(plan.scheduled_load_bytes(), cold.scheduled_load_bytes(), "{:?}", arch);
         }
 
@@ -120,11 +121,9 @@ fn every_chunk_consumer_lowers_the_same_encoder_phase_table() {
         assert!((report.nominal_chunk_s - nominal).abs() <= 1e-12, "{:?}", arch);
 
         // Twin: the session's chunk plan is the same table.
-        let state = StreamState::open(&StreamingConfig {
-            chunk: cfg.chunk_steps,
-            left_context: cfg.left_context,
-        })
-        .unwrap();
+        let state =
+            StreamState::open(&StreamingConfig { chunk: CHUNK_STEPS, left_context: LEFT_CONTEXT })
+                .unwrap();
         assert_eq!(table(&chunk_plan(&state, &cfg.accel, arch).unwrap()), one, "{:?}", arch);
     }
 }
@@ -230,12 +229,12 @@ fn a_chunk_checkpoint_never_resumes_into_a_full_schedule() {
     // refused typed: the phase tables differ.
     let mut cfg = asr_accel::AccelConfig::paper_default();
     cfg.max_seq_len = 8;
-    let policy = RecoveryPolicy { allow_degradation: false, ..RecoveryPolicy::default() };
-    let dead_engine = FaultPlan::none()
-        .with(FaultKind::EngineDropout { queue: "maxi-0".into(), from_command: 6 });
+    // A stripe that never loads outlasts the retry budget.
+    let dead_load = FaultPlan::none()
+        .with(FaultKind::HbmLoadError { label: "LWE4".into(), failing_attempts: u32::MAX });
     let chunk = ExecPlan::lower_stream_chunk(&cfg, Architecture::A2, 8, &[]).unwrap();
-    let fail = run_plan_with_recovery(&cfg, &chunk, dead_engine, &policy)
-        .expect_err("the dropped engine kills the chunk");
+    let fail =
+        run_plan_with_recovery(&cfg, &chunk, dead_load).expect_err("the dead load kills the chunk");
     let ckpt = fail.checkpoint.expect("a failed chunk carries its barrier checkpoint");
     assert_eq!(ckpt.phase_labels.len(), cfg.model.n_encoders);
     for trust_resident in [false, true] {

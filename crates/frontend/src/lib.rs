@@ -14,7 +14,6 @@
 //! reproduce the paper's WER measurement machinery (§5.1.1, WER ≈ 9.5 %).
 
 pub mod audio;
-pub mod cmvn;
 pub mod dataset;
 pub mod fbank;
 pub mod fft;
@@ -28,7 +27,6 @@ pub mod resample;
 pub mod stft;
 pub mod subsample;
 pub mod text;
-pub mod vad;
 pub mod vocab;
 pub mod wer;
 pub mod window;

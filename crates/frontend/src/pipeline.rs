@@ -1,39 +1,21 @@
 //! The composed host-side front end: everything §3.1 describes, as one
-//! configurable pipeline.
+//! pipeline.
 //!
-//! `raw audio → [resample to 16 kHz] → [VAD trim] → fbank → [CMVN] →
-//! conv subsampling → s × d_model encoder input`, with each optional stage
-//! toggleable. This is the object a deployment holds; the individual modules
-//! remain available for piecemeal use.
+//! `raw audio → resample to 16 kHz (when needed) → fbank → conv
+//! subsampling → s × d_model encoder input`. This is the object a
+//! deployment holds; the individual modules remain available for piecemeal
+//! use.
 
 use crate::audio::{Waveform, SAMPLE_RATE};
-use crate::cmvn::{cmvn_per_utterance, CmvnStats};
 use crate::fbank::FbankExtractor;
 use crate::resample::resample;
 use crate::subsample::Subsampler;
-use crate::vad::{trim_silence, VadConfig};
 use asr_tensor::Matrix;
-
-/// CMVN mode for the pipeline.
-#[derive(Debug, Clone)]
-pub enum CmvnMode {
-    /// No normalisation.
-    Off,
-    /// Normalise each utterance by its own statistics.
-    PerUtterance,
-    /// Normalise by externally-computed (training-corpus) statistics —
-    /// the `cmvn.ark` of the paper's Fig 5.1 log.
-    Global(CmvnStats),
-}
 
 /// The composed front end.
 pub struct FrontendPipeline {
     extractor: FbankExtractor,
     subsampler: Subsampler,
-    /// Trim leading/trailing silence before feature extraction.
-    pub vad: Option<VadConfig>,
-    /// Feature normalisation mode.
-    pub cmvn: CmvnMode,
 }
 
 /// Result of one pipeline run.
@@ -41,7 +23,7 @@ pub struct FrontendPipeline {
 pub struct PipelineOutput {
     /// Encoder input, `s × d_model`.
     pub encoder_input: Matrix,
-    /// Fbank frames extracted (after any trimming).
+    /// Fbank frames extracted.
     pub n_frames: usize,
     /// Audio seconds actually featurised.
     pub audio_seconds: f64,
@@ -54,27 +36,7 @@ impl FrontendPipeline {
         FrontendPipeline {
             extractor: FbankExtractor::paper_default(),
             subsampler: Subsampler::paper_default(d_model, seed),
-            vad: None,
-            cmvn: CmvnMode::Off,
         }
-    }
-
-    /// Enable VAD trimming.
-    pub fn with_vad(mut self) -> Self {
-        self.vad = Some(VadConfig::standard(SAMPLE_RATE));
-        self
-    }
-
-    /// Enable per-utterance CMVN.
-    pub fn with_per_utterance_cmvn(mut self) -> Self {
-        self.cmvn = CmvnMode::PerUtterance;
-        self
-    }
-
-    /// Use global (training-corpus) CMVN statistics.
-    pub fn with_global_cmvn(mut self, stats: CmvnStats) -> Self {
-        self.cmvn = CmvnMode::Global(stats);
-        self
     }
 
     /// Run the pipeline on a waveform at any sample rate.
@@ -84,20 +46,11 @@ impl FrontendPipeline {
         } else {
             resample(audio, SAMPLE_RATE)
         };
-        let trimmed = match &self.vad {
-            Some(cfg) => trim_silence(&audio_16k, cfg),
-            None => audio_16k,
-        };
-        let features = self.extractor.extract(&trimmed);
-        let normalised = match &self.cmvn {
-            CmvnMode::Off => features,
-            CmvnMode::PerUtterance => cmvn_per_utterance(&features),
-            CmvnMode::Global(stats) => stats.apply(&features),
-        };
-        let encoder_input = self.subsampler.forward(&normalised);
+        let features = self.extractor.extract(&audio_16k);
+        let encoder_input = self.subsampler.forward(&features);
         PipelineOutput {
-            n_frames: normalised.rows(),
-            audio_seconds: trimmed.duration_s(),
+            n_frames: features.rows(),
+            audio_seconds: audio_16k.duration_s(),
             encoder_input,
         }
     }
@@ -111,7 +64,6 @@ impl FrontendPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::audio::synthesize_speech;
     use crate::dataset;
 
     fn pipeline() -> FrontendPipeline {
@@ -136,47 +88,6 @@ mod tests {
         // same duration => roughly the same frame count as the 16 kHz path
         let direct = pipeline().process(&utt.audio);
         assert!((out.n_frames as i64 - direct.n_frames as i64).abs() <= 2);
-    }
-
-    #[test]
-    fn vad_shortens_padded_audio() {
-        let speech = synthesize_speech("SHORT PHRASE", 4);
-        let mut samples = vec![0.0f32; SAMPLE_RATE as usize];
-        samples.extend(&speech.samples);
-        samples.extend(vec![0.0f32; SAMPLE_RATE as usize]);
-        let padded = Waveform::new(samples, SAMPLE_RATE);
-
-        let plain = pipeline().process(&padded);
-        let with_vad = pipeline().with_vad().process(&padded);
-        assert!(
-            with_vad.n_frames + 150 < plain.n_frames,
-            "VAD trimmed {} -> {}",
-            plain.n_frames,
-            with_vad.n_frames
-        );
-        assert!(with_vad.audio_seconds < plain.audio_seconds - 1.0);
-    }
-
-    #[test]
-    fn per_utterance_cmvn_changes_features_not_shape() {
-        let utt = dataset::utterance(2.0, 9);
-        let plain = pipeline().process(&utt.audio);
-        let normed = pipeline().with_per_utterance_cmvn().process(&utt.audio);
-        assert_eq!(plain.encoder_input.shape(), normed.encoder_input.shape());
-        assert_ne!(plain.encoder_input, normed.encoder_input);
-    }
-
-    #[test]
-    fn global_cmvn_uses_training_statistics() {
-        // accumulate stats over a small "training set", apply to a new utterance
-        let extractor = FbankExtractor::paper_default();
-        let mut stats = CmvnStats::new(80);
-        for u in dataset::corpus(3, 1.0, 2.0, 11) {
-            stats.accumulate(&extractor.extract(&u.audio));
-        }
-        let utt = dataset::utterance(2.0, 12);
-        let out = pipeline().with_global_cmvn(stats).process(&utt.audio);
-        assert!(out.encoder_input.as_slice().iter().all(|v| v.is_finite()));
     }
 
     #[test]

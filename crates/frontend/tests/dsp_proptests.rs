@@ -1,10 +1,8 @@
-//! Property tests for the DSP extension modules: resampling, VAD, CMVN.
+//! Property tests for the DSP extension modules: resampling and framing.
 
 use asr_frontend::audio::Waveform;
-use asr_frontend::cmvn::cmvn_per_utterance;
 use asr_frontend::framing::FrameConfig;
 use asr_frontend::resample::resample;
-use asr_frontend::vad::{frame_decisions, VadConfig};
 use asr_tensor::init;
 use proptest::prelude::*;
 
@@ -32,29 +30,6 @@ proptest! {
         for &x in &r.samples {
             prop_assert!(x >= lo - 1e-6 && x <= hi + 1e-6);
         }
-    }
-
-    #[test]
-    fn vad_decision_count_matches_frames(len in 400usize..8000) {
-        let w = Waveform::new(vec![0.2; len], 16_000);
-        let cfg = VadConfig::standard(16_000);
-        let d = frame_decisions(&w, &cfg);
-        prop_assert_eq!(d.len(), cfg.frame.num_frames(len));
-    }
-
-    #[test]
-    fn vad_constant_loud_signal_all_active(len in 800usize..4000) {
-        let w = Waveform::new((0..len).map(|i| 0.5 * (i as f32 * 0.3).sin()).collect(), 16_000);
-        let d = frame_decisions(&w, &VadConfig::standard(16_000));
-        prop_assert!(d.iter().all(|&x| x), "steady tone should be all-active");
-    }
-
-    #[test]
-    fn cmvn_is_idempotent(seed in 0u64..200, rows in 8usize..60, cols in 2usize..12) {
-        let f = init::uniform(rows, cols, -4.0, 9.0, seed);
-        let once = cmvn_per_utterance(&f);
-        let twice = cmvn_per_utterance(&once);
-        prop_assert!(asr_tensor::max_abs_diff(&twice, &once) < 1e-3);
     }
 
     #[test]

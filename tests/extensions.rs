@@ -1,12 +1,10 @@
 //! Integration tests over the extension surface: fixed point, streaming,
-//! KV-cached decoding, checkpoints, the runtime cross-check, VAD trimming,
-//! and the schedule verifier.
+//! KV-cached decoding, checkpoints, the runtime cross-check and the
+//! schedule verifier.
 
 use transformer_asr_accel::accel::arch::{simulate, Architecture};
 use transformer_asr_accel::accel::quant::{self, QuantizedBackend};
 use transformer_asr_accel::accel::{pipeline, run_plan, verify, AccelConfig, ExecPlan};
-use transformer_asr_accel::frontend::audio::{synthesize_speech, Waveform, SAMPLE_RATE};
-use transformer_asr_accel::frontend::vad::{trim_silence, VadConfig};
 use transformer_asr_accel::frontend::{dataset, FbankExtractor};
 use transformer_asr_accel::tensor::backend::ReferenceBackend;
 use transformer_asr_accel::tensor::init;
@@ -93,29 +91,6 @@ fn all_simulated_schedules_verify_clean() {
             assert!(verify::verify(&r).is_empty(), "{:?} at s={}", arch, s);
         }
     }
-}
-
-#[test]
-fn vad_trimming_shortens_features_and_latency_class() {
-    // 2 s silence + speech + 2 s silence: trimming must cut the frame count
-    // (and with it the padded sequence-length class the accelerator runs).
-    let speech = synthesize_speech("SHORT COMMAND", 6);
-    let pad = vec![0.0f32; 2 * SAMPLE_RATE as usize];
-    let mut samples = pad.clone();
-    samples.extend(&speech.samples);
-    samples.extend(&pad);
-    let noisy = Waveform::new(samples, SAMPLE_RATE);
-
-    let ex = FbankExtractor::paper_default();
-    let full_frames = ex.extract(&noisy).rows();
-    let trimmed = trim_silence(&noisy, &VadConfig::standard(SAMPLE_RATE));
-    let trimmed_frames = ex.extract(&trimmed).rows();
-    assert!(
-        trimmed_frames + 300 < full_frames,
-        "trimming removed too little: {} -> {}",
-        full_frames,
-        trimmed_frames
-    );
 }
 
 #[test]

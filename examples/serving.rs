@@ -89,10 +89,14 @@ fn main() {
             report.p99_latency_s * 1e3,
         );
     }
-    println!("\nsolo dispatch sheds load at this rate; batch 2-4 amortizes the");
+    println!("\nsolo dispatch sheds load at this rate; batching amortizes the");
     println!("weight loads (load/utt drops with occupancy) and clears the");
-    println!("overload. Past the arrival concurrency (batch 8) extra linger");
-    println!("buys nothing and the deadline misses creep back in.");
+    println!(
+        "overload. A batch only forms while its makespan fits the {:.0} ms",
+        deadline_ms / 2.0
+    );
+    println!("per-attempt timeout (half the deadline), so max batch 8 stops");
+    println!("short of the sizes that timeout would cut.");
 
     // Third sweep: streaming recognition sessions — live microphones, not
     // utterance requests. A streams x chunk-cadence grid over a 2-card pool

@@ -396,7 +396,7 @@ pub struct DiscussionResult {
 /// §5.1.4: block latency ratio and the binding resource constraint.
 pub fn discussion() -> DiscussionResult {
     let cfg = AccelConfig::paper_default();
-    let mha = asr_accel::schedule::mha_block_cycles(&cfg, 32).get() as f64;
+    let mha = asr_accel::schedule::mha_block_cycles(&cfg, 32, 32).get() as f64;
     let ffn = asr_accel::schedule::ffn_block_cycles(&cfg, 32).get() as f64;
     let used = resources::estimate(&cfg).total();
     let (name, pct) = used.binding_constraint(&cfg.device.total_resources());

@@ -14,19 +14,26 @@ use asr_systolic::abft::PsaMatmul;
 use asr_tensor::activations::{relu_inplace, softmax_rows_inplace};
 use asr_tensor::norm::layer_norm;
 use asr_tensor::{ops, Matrix};
+use asr_transformer::attention::LayerKv;
 use asr_transformer::weights::EncoderWeights;
 
 /// One attention head computed through the MM1/MM2/MM3 schemes
-/// (the Fig 4.13 operation chain, functionally).
+/// (the Fig 4.13 operation chain, functionally), over the head's cached
+/// context keys and values followed by the rows' own. Returns the head
+/// output and the keys and values it attended over.
 fn head_via_schemes(
     cfg: &AccelConfig,
     engine: &dyn PsaMatmul,
     x: &Matrix,
+    ctx: &LayerKv,
     w: &asr_transformer::weights::AttentionWeights,
     head: usize,
-) -> Matrix {
+) -> (Matrix, Matrix, Matrix) {
     // MM1(K), B(K)
-    let k = ops::add_bias(&mm_exec::mm1_exec_with(cfg, engine, x, &w.w_k[head]), &w.b_k[head]);
+    let k = ctx.keys_then(
+        head,
+        ops::add_bias(&mm_exec::mm1_exec_with(cfg, engine, x, &w.w_k[head]), &w.b_k[head]),
+    );
     // MM1(Q), B(Q)
     let q = ops::add_bias(&mm_exec::mm1_exec_with(cfg, engine, x, &w.w_q[head]), &w.b_q[head]);
     // MM2 (padded), then Sc + Sm
@@ -35,8 +42,11 @@ fn head_via_schemes(
     scores.map_inplace(|v| v * scale);
     softmax_rows_inplace(&mut scores);
     // MM1(V), B(V), MM3 (padded)
-    let v = ops::add_bias(&mm_exec::mm1_exec_with(cfg, engine, x, &w.w_v[head]), &w.b_v[head]);
-    mm_exec::mm3_exec_with(cfg, engine, &scores, &v)
+    let v = ctx.values_then(
+        head,
+        ops::add_bias(&mm_exec::mm1_exec_with(cfg, engine, x, &w.w_v[head]), &w.b_v[head]),
+    );
+    (mm_exec::mm3_exec_with(cfg, engine, &scores, &v), k, v)
 }
 
 /// Full encoder layer through the schemes: 8 heads → concat → MM4 + B_A →
@@ -54,10 +64,33 @@ pub fn encoder_forward_via_schemes_with(
     x: &Matrix,
     w: &EncoderWeights,
 ) -> Matrix {
+    encoder_layer_via_schemes(cfg, engine, x, &LayerKv::default(), w).0
+}
+
+/// One encoder layer through the schemes over the new rows `x`, whose
+/// heads attend over the cached context `ctx` followed by the rows' own
+/// keys and values — the stream chunk's layer
+/// ([`asr_transformer::encoder::encoder_layer`] on the hardware
+/// decomposition). Returns the rows' output and the layer's keys and
+/// values over `[ctx ; x]`; an empty context is
+/// [`encoder_forward_via_schemes_with`] op for op.
+pub fn encoder_layer_via_schemes(
+    cfg: &AccelConfig,
+    engine: &dyn PsaMatmul,
+    x: &Matrix,
+    ctx: &LayerKv,
+    w: &EncoderWeights,
+) -> (Matrix, LayerKv) {
     assert_eq!(x.cols(), cfg.model.d_model, "input width mismatch");
     // the eight heads (computed concurrently on hardware; sequentially here)
-    let heads: Vec<Matrix> =
-        (0..cfg.model.n_heads).map(|h| head_via_schemes(cfg, engine, x, &w.mha, h)).collect();
+    let mut heads = Vec::with_capacity(cfg.model.n_heads);
+    let mut kv = LayerKv::default();
+    for h in 0..cfg.model.n_heads {
+        let (out, k, v) = head_via_schemes(cfg, engine, x, ctx, &w.mha, h);
+        heads.push(out);
+        kv.k.push(k);
+        kv.v.push(v);
+    }
     let refs: Vec<&Matrix> = heads.iter().collect();
     let concat = Matrix::hconcat(&refs);
 
@@ -71,7 +104,7 @@ pub fn encoder_forward_via_schemes_with(
     relu_inplace(&mut hidden);
     let ffn_out =
         ops::add_bias(&mm_exec::mm6_exec_with(cfg, engine, &hidden, &w.ffn.w2), &w.ffn.b2);
-    layer_norm(&ops::add(&x1, &ffn_out), &w.ln2.w, &w.ln2.b)
+    (layer_norm(&ops::add(&x1, &ffn_out), &w.ln2.w, &w.ln2.b), kv)
 }
 
 /// One encoder layer over a whole batch of utterances, under a single

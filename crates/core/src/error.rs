@@ -196,9 +196,10 @@ impl From<asr_transformer::streaming::StreamingError> for AccelError {
     fn from(e: asr_transformer::streaming::StreamingError) -> Self {
         use asr_transformer::streaming::StreamingError;
         match e {
-            // Corrupted carryover state is a rejected resume, same contract
-            // as a poisoned PlanCheckpoint: restart clean, never reuse.
-            StreamingError::StateCrc { .. } => {
+            // Corrupted carryover state, or one not shaped for the model,
+            // is a rejected resume, same contract as a poisoned
+            // PlanCheckpoint: restart clean, never reuse.
+            StreamingError::StateCrc { .. } | StreamingError::CarryoverShape { .. } => {
                 AccelError::CheckpointRejected { reason: e.to_string() }
             }
             _ => AccelError::InvalidStream { reason: e.to_string() },

@@ -1231,12 +1231,12 @@ mod tests {
     fn stream_chunks_after_the_first_elide_the_pinned_stripe_set() {
         let cfg = unpadded(8);
         for arch in [Architecture::A2, Architecture::A3] {
-            let cold = ExecPlan::lower_stream_chunk(&cfg, arch, 8, &[]).unwrap();
+            let cold = ExecPlan::lower_stream_chunk(&cfg, arch, 4, 4, &[]).unwrap();
             assert_eq!(cold.reuse, None, "a cold first chunk has nothing to elide");
             let pinned = cold.pinned_stripes(4);
             assert_eq!(pinned.len(), 4);
 
-            let warm = ExecPlan::lower_stream_chunk(&cfg, arch, 8, &pinned).unwrap();
+            let warm = ExecPlan::lower_stream_chunk(&cfg, arch, 4, 4, &pinned).unwrap();
             let reuse = warm.reuse.expect("warm chunk carries reuse accounting");
             assert_eq!(reuse.elided_loads, 4, "{:?}", arch);
             assert_eq!(reuse.stale, 0);
@@ -1270,7 +1270,7 @@ mod tests {
         // serving layer replays only this chunk on the failover target and
         // gets the same makespan a clean run would have.
         let cfg = unpadded(8);
-        let chunk = ExecPlan::lower_stream_chunk(&cfg, Architecture::A2, 8, &[]).unwrap();
+        let chunk = ExecPlan::lower_stream_chunk(&cfg, Architecture::A2, 4, 4, &[]).unwrap();
         // A stripe that never loads outlasts the retry budget.
         let dead_load = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "LWE4".into(), failing_attempts: u32::MAX });

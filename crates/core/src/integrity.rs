@@ -25,7 +25,7 @@
 //! when the integrity checks are off.
 
 use crate::arch::Architecture;
-use crate::block_exec::{encoder_forward_via_schemes_batch, encoder_forward_via_schemes_with};
+use crate::block_exec::{encoder_forward_via_schemes_batch, encoder_layer_via_schemes};
 use crate::config::AccelConfig;
 use crate::error::{AccelError, Result};
 use crate::host_runtime::MAX_ATTEMPTS;
@@ -507,6 +507,13 @@ fn advance_phases(
                         .into(),
                 ));
             }
+            PhaseKind::StreamContext { .. } | PhaseKind::StreamLayer { .. } => {
+                return Err(AccelError::Config(
+                    "stream-chunk phases interpret via push_functional_chunk, \
+                     not the eager plan interpreter"
+                        .into(),
+                ));
+            }
         }
     }
     Ok(())
@@ -728,24 +735,24 @@ pub fn resume_functional_plan(
 }
 
 /// The chunk plan a functional stream session executes on `arch`: its
-/// `chunk + left_context` window lowered as a stream chunk
-/// ([`ExecPlan::lower_stream_chunk`]), the same encoder phases the stream
-/// pool, the runtime and the walker lower for that window. A window the
+/// `chunk` new rows over `left_context` cached rows lowered as a stream
+/// chunk ([`ExecPlan::lower_stream_chunk`]), the same `CTX` and encoder
+/// phases the stream pool, the runtime and the walker lower. A window the
 /// bitstream cannot hold is refused typed ([`AccelError::InvalidStream`])
 /// before any chunk runs.
 pub fn chunk_plan(state: &StreamState, cfg: &AccelConfig, arch: Architecture) -> Result<ExecPlan> {
-    ExecPlan::lower_stream_chunk(cfg, arch, state.chunk + state.left_context, &[])
+    ExecPlan::lower_stream_chunk(cfg, arch, state.chunk, state.left_context, &[])
 }
 
 /// One chunk through the checked schemes: admit the chunk against the
-/// carryover state ([`StreamState::check_chunk`]: CRC, then shape),
-/// re-encode its `[ctx | chunk]` window through exactly the plan's phases
-/// (each one an encoder layer, exactly as `advance_phases` maps them), emit
-/// the chunk's rows, and roll the state forward ([`StreamState::advance`]).
-/// A plan holding any non-encoder phase is refused typed before any
-/// compute. The emitted rows are bit-identical to an offline encode of the
-/// same window — the chunk boundary is a scheduling seam, never a numeric
-/// one.
+/// carryover state ([`StreamState::check_chunk`]: CRC, then shape), run
+/// only its rows through exactly the plan's encoder phases, each layer
+/// attending over its cached context keys and values then the rows' own
+/// ([`encoder_layer_via_schemes`]), and roll the state forward
+/// ([`StreamState::advance`]). A plan that is not the session's chunk plan
+/// — `CTX`, then one stream layer per encoder layer, at the session's
+/// geometry — is refused typed before any compute. A chunk with no
+/// context is bit-identical to an offline encode of its rows.
 pub fn push_functional_chunk(
     cfg: &AccelConfig,
     plan: &ExecPlan,
@@ -754,30 +761,35 @@ pub fn push_functional_chunk(
     state: &StreamState,
     chunk: &Matrix,
 ) -> Result<(Matrix, StreamState)> {
-    state.check_chunk(chunk, cfg.model.d_model)?;
-    // The chunk plan's phases map 1:1 onto encoder layers, exactly as
-    // `advance_phases` maps them for the batch interpreter.
-    if let Some(p) = plan.phases.iter().find(|p| p.kind != PhaseKind::Encoder) {
+    state.check_chunk(chunk, &cfg.model)?;
+    let ctx = PhaseKind::StreamContext { rows: state.left_context };
+    let layer =
+        PhaseKind::StreamLayer { rows: state.chunk, keys: state.chunk + state.left_context };
+    if let Some((_, p)) =
+        plan.phases.iter().enumerate().find(|(i, p)| p.kind != if *i == 0 { ctx } else { layer })
+    {
         return Err(AccelError::Config(format!(
-            "a stream chunk runs encoder phases only, but the plan's phase {} is {:?}",
-            p.label, p.kind
+            "a stream chunk runs its CTX load then chunk encoder phases only, lowered for {} \
+             new + {} context rows, but the plan's phase {} is {:?}",
+            state.chunk, state.left_context, p.label, p.kind
         )));
     }
-    if plan.phases.len() != w.encoders.len() {
+    if plan.phases.len() != 1 + w.encoders.len() {
         return Err(AccelError::ModelMismatch(format!(
-            "chunk plan schedules {} encoder phases but the model has {} encoder layers",
+            "chunk plan schedules {} phases but the model needs CTX + {} encoder layers",
             plan.phases.len(),
             w.encoders.len()
         )));
     }
-    let window = state.window(chunk);
-    let mut x = window.clone();
-    for (p, enc) in plan.phases.iter().zip(&w.encoders) {
-        x = encoder_forward_via_schemes_with(cfg, engine, &x, enc);
-        guard_activations(&x, &format!("stream chunk {} {} output", state.chunk_idx, p.label))?;
+    let mut x = chunk.clone();
+    let mut kv = Vec::with_capacity(w.encoders.len());
+    for (l, (p, enc)) in plan.phases[1..].iter().zip(&w.encoders).enumerate() {
+        let (y, layer_kv) = encoder_layer_via_schemes(cfg, engine, &x, state.context(l), enc);
+        guard_activations(&y, &format!("stream chunk {} {} output", state.chunk_idx, p.label))?;
+        x = y;
+        kv.push(layer_kv);
     }
-    let out = x.submatrix(state.ctx.rows(), 0, chunk.rows(), x.cols());
-    Ok((out, state.advance(&window)))
+    Ok((x, state.advance(chunk.rows(), &kv)))
 }
 
 /// A functional stream driven to the end of its features.
@@ -882,8 +894,10 @@ pub fn run_functional_stream(
 /// state is rejected typed — never silently reused), reload the model from
 /// seed through the same deterministic CRC envelope, and replay **only the
 /// rows past the cut**. The emitted suffix is bit-identical to the
-/// uninterrupted stream's same rows: the raw-feature tail plus the
-/// deterministic reload is everything the encode depends on.
+/// uninterrupted stream's same rows: the carried per-layer keys and values
+/// plus the deterministic reload are everything the encode depends on. A
+/// carryover not shaped for the model (captured under another one, say)
+/// is refused typed ([`AccelError::CheckpointRejected`]).
 pub fn resume_functional_stream(
     cfg: &AccelConfig,
     model_seed: u64,
@@ -1495,6 +1509,55 @@ mod tests {
         let err = resume_functional_stream(&cfg, 5, &state, &features, &FunctionalFaults::none())
             .unwrap_err();
         assert!(matches!(err, AccelError::CheckpointRejected { .. }), "{}", err);
+    }
+
+    #[test]
+    fn the_twin_streams_what_the_transformer_streams() {
+        // Both twins run each chunk's rows through layers that attend over
+        // the carried keys and values: the scheme decomposition only
+        // reorders the sums.
+        let cfg = cfg_at(IntegrityLevel::Off);
+        let features = stream_features(9, 8);
+        let none = FunctionalFaults::none();
+        let twin = run_functional_stream(&cfg, 5, &features, 2, 3, &none).unwrap();
+        let model = Model { config: cfg.model, weights: ModelWeights::seeded(&cfg.model, 5) };
+        let stream = StreamingConfig { chunk: 2, left_context: 3 };
+        let reference = asr_transformer::streaming::encode_streaming(
+            &model,
+            &features,
+            &stream,
+            &asr_tensor::backend::ReferenceBackend,
+        )
+        .unwrap();
+        let d = asr_tensor::max_abs_diff(&twin.encoder_out, &reference);
+        assert!(d < 1e-4, "the twin's stream diverges by {}", d);
+    }
+
+    #[test]
+    fn a_carryover_from_another_model_is_rejected_typed() {
+        // A CRC-valid state captured under another model — a deeper stack,
+        // a wider d_model — resumed on this one: refused like a poisoned
+        // state, never a panic mid-chunk.
+        let cfg = cfg_at(IntegrityLevel::Off);
+        let none = FunctionalFaults::none();
+        let features = stream_features(3, 6);
+        for other in [
+            asr_transformer::TransformerConfig { n_encoders: 3, ..cfg.model },
+            asr_transformer::TransformerConfig { d_model: 64, ..cfg.model },
+        ] {
+            let mut other_cfg = cfg.clone();
+            other_cfg.model = other;
+            let prefix = init::uniform(2, other.d_model, -0.5, 0.5, 3);
+            let state =
+                run_functional_stream(&other_cfg, 5, &prefix, 2, 2, &none).unwrap().final_state;
+            let err = resume_functional_stream(&cfg, 5, &state, &features, &none).unwrap_err();
+            match err {
+                AccelError::CheckpointRejected { reason } => {
+                    assert!(reason.contains("not shaped for the model"), "{}", reason)
+                }
+                other => panic!("expected CheckpointRejected, got {}", other),
+            }
+        }
     }
 
     #[test]

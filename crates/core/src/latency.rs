@@ -46,11 +46,11 @@ pub fn breakdown(cfg: &AccelConfig, s: usize) -> LatencyBreakdown {
     };
     let rows = vec![
         row("MM1 (one projection, striped)", mm::mm1_cycles(cfg, s)),
-        row("MM2 (QK^T, padded)", mm::mm2_cycles(cfg, s)),
-        row("MM3 (scores·V, padded)", mm::mm3_cycles(cfg, s)),
-        row("attention head pass (Fig 4.13)", schedule::head_pass_cycles(cfg, s)),
+        row("MM2 (QK^T, padded)", mm::mm2_cycles(cfg, s, s)),
+        row("MM3 (scores·V, padded)", mm::mm3_cycles(cfg, s, s)),
+        row("attention head pass (Fig 4.13)", schedule::head_pass_cycles(cfg, s, s)),
         row("MM4 (W_A, pool-wide)", mm::mm4_cycles(cfg, s)),
-        row("MHA block (+Add-Norm)", schedule::mha_block_cycles(cfg, s)),
+        row("MHA block (+Add-Norm)", schedule::mha_block_cycles(cfg, s, s)),
         row("MM5 (W_1F, pool-wide)", mm::mm5_cycles(cfg, s)),
         row("MM6 (W_2F, pool-wide + ISC)", mm::mm6_cycles(cfg, s)),
         row("FFN block (+Add-Norm)", schedule::ffn_block_cycles(cfg, s)),

@@ -100,19 +100,19 @@ pub fn mm1_cycles(cfg: &AccelConfig, s: usize) -> Cycles {
         + integrity_overhead(cfg, cfg.psa.cols, dk, stripes)
 }
 
-/// Cycles of MM2 (= MM3): the small product padded to the PSA width
-/// (Fig 4.4), one pass on one PSA.
-pub fn mm2_cycles(cfg: &AccelConfig, s: usize) -> Cycles {
+/// Cycles of MM2 (= MM3) for `rows` queries over `keys` keys: the small
+/// product padded to the PSA width (Fig 4.4), one pass on one PSA.
+pub fn mm2_cycles(cfg: &AccelConfig, rows: usize, keys: usize) -> Cycles {
     let psa = cfg.psa_engine();
     let w = cfg.psa.cols;
     // both the inner dim and output width are padded up to the PSA width
-    let (m, n) = (w.max(cfg.model.d_k()), w.max(s.min(w)));
-    psa.cycles(s, m, n) + integrity_overhead(cfg, m, n, 1)
+    let (m, n) = (w.max(cfg.model.d_k()), w.max(keys.min(w)));
+    psa.cycles(rows, m, n) + integrity_overhead(cfg, m, n, 1)
 }
 
 /// Cycles of MM3 — identical shape to MM2 after padding.
-pub fn mm3_cycles(cfg: &AccelConfig, s: usize) -> Cycles {
-    mm2_cycles(cfg, s)
+pub fn mm3_cycles(cfg: &AccelConfig, rows: usize, keys: usize) -> Cycles {
+    mm2_cycles(cfg, rows, keys)
 }
 
 /// Cycles of MM4 distributed over the whole pool (Fig 4.5): each PSA takes
@@ -159,8 +159,8 @@ pub fn mm6_cycles(cfg: &AccelConfig, s: usize) -> Cycles {
 pub fn mm_cycles(kind: MmKind, cfg: &AccelConfig, s: usize) -> Cycles {
     match kind {
         MmKind::Mm1 => mm1_cycles(cfg, s),
-        MmKind::Mm2 => mm2_cycles(cfg, s),
-        MmKind::Mm3 => mm3_cycles(cfg, s),
+        MmKind::Mm2 => mm2_cycles(cfg, s, s),
+        MmKind::Mm3 => mm3_cycles(cfg, s, s),
         MmKind::Mm4 => mm4_cycles(cfg, s),
         MmKind::Mm5 => mm5_cycles(cfg, s),
         MmKind::Mm6 => mm6_cycles(cfg, s),
@@ -225,7 +225,7 @@ mod tests {
     fn mm2_mm3_equal_after_padding() {
         let c = cfg();
         for s in [4, 8, 16, 32] {
-            assert_eq!(mm2_cycles(&c, s), mm3_cycles(&c, s));
+            assert_eq!(mm2_cycles(&c, s, s), mm3_cycles(&c, s, s));
         }
     }
 

@@ -65,11 +65,28 @@ pub enum PhaseKind {
     DecoderFfn,
     /// One full decoder layer (A1/A2 granularity).
     DecoderFull,
+    /// A stream chunk's carried attention context (`CTX`): per encoder
+    /// layer, the keys and values of the `rows` left-context rows earlier
+    /// chunks computed, uploaded from the host's CRC-enveloped stream state
+    /// and written into the heads' banks. Its content changes on every
+    /// dispatch ([`PhaseKind::reloads_every_dispatch`]).
+    StreamContext {
+        /// Cached context rows per layer.
+        rows: usize,
+    },
+    /// One encoder layer of a stream chunk: only the chunk's `rows` new
+    /// rows run through it, attending over `keys` keys — the cached
+    /// context's, then their own.
+    StreamLayer {
+        /// New rows the layer computes.
+        rows: usize,
+        /// Keys each row attends over: context rows plus `rows`.
+        keys: usize,
+    },
     /// The `beam` front-token embedding rows of a decode step. The phase's
     /// label and byte count are step-invariant but its *content* is not —
-    /// the rows name different vocabulary entries every step — so this is
-    /// the one decode phase the lowering refuses to elide however well an
-    /// offered stripe CRC-matches.
+    /// the rows name different vocabulary entries every step
+    /// ([`PhaseKind::reloads_every_dispatch`]).
     DecodeEmbed {
         /// Hypotheses coalesced into the one batch-of-`beam` kernel.
         beam: usize,
@@ -115,6 +132,16 @@ impl PhaseKind {
                 | PhaseKind::DecodeLayer { .. }
                 | PhaseKind::DecodeOut { .. }
         )
+    }
+
+    /// Whether the phase's bytes change content on every dispatch while its
+    /// label and byte count stay the same: a decode step's token-embedding
+    /// rows and a stream chunk's carried context. A CRC match on such a
+    /// stripe proves nothing, so the lowering never elides its load, and
+    /// neither [`ExecPlan::pinned_stripes`] nor
+    /// [`ExecPlan::decode_pinned_stripes`] pins it.
+    pub fn reloads_every_dispatch(&self) -> bool {
+        matches!(self, PhaseKind::DecodeEmbed { .. } | PhaseKind::StreamContext { .. })
     }
 }
 
@@ -523,18 +550,20 @@ impl ExecPlan {
         PlanBuilder::new(cfg, arch).utterances(&vec![input_len; batch]).integrity(integrity).build()
     }
 
-    /// Lower one streaming chunk over a `window`-step attention window
-    /// ([`PlanBuilder::stream_chunk`]: the encoder phases only), reusing
-    /// whatever stripes the stream's previous chunk left pinned. Pass an
-    /// empty `resident` slice for a cold chunk. The walker, the stream
-    /// pool, the runtime and the functional twin all lower chunks here.
+    /// Lower one streaming chunk of `rows` new rows over `context` cached
+    /// rows ([`PlanBuilder::stream_chunk`]: the `CTX` load, then the
+    /// encoder layers over the new rows only), reusing whatever stripes
+    /// the stream's previous chunk left pinned. Pass an empty `resident`
+    /// slice for a cold chunk. The walker, the stream pool, the runtime and
+    /// the functional twin all lower chunks here.
     pub fn lower_stream_chunk(
         cfg: &AccelConfig,
         arch: Architecture,
-        window: usize,
+        rows: usize,
+        context: usize,
         resident: &[ResidentStripe],
     ) -> Result<ExecPlan> {
-        PlanBuilder::new(cfg, arch).stream_chunk(window).reuse_resident(resident).build()
+        PlanBuilder::new(cfg, arch).stream_chunk(rows, context).reuse_resident(resident).build()
     }
 
     /// Lower one autoregressive decode step, reusing whatever stripes a
@@ -675,39 +704,39 @@ impl ExecPlan {
             .sum()
     }
 
-    /// The leading `slots` phases' stripes with their schedule CRCs — what
+    /// The leading `slots` weight stripes with their schedule CRCs — what
     /// a streaming device pins in its dedicated stream weight cache after
     /// serving a chunk. The pipeline-fill loads are the ones a per-chunk
     /// plan cannot amortize, so the cache pins the *front* of the schedule;
-    /// the cycling double-buffer slots keep handling the rest. Feed the
-    /// result to [`PlanBuilder::reuse_resident`] for the stream's next
+    /// the cycling double-buffer slots keep handling the rest. A phase
+    /// whose content changes every dispatch
+    /// ([`PhaseKind::reloads_every_dispatch`]) is skipped, not pinned. Feed
+    /// the result to [`PlanBuilder::reuse_resident`] for the stream's next
     /// chunk.
     pub fn pinned_stripes(&self, slots: usize) -> Vec<ResidentStripe> {
-        self.phases
-            .iter()
-            .enumerate()
-            .take(slots)
-            .map(|(i, p)| ResidentStripe {
-                phase: i,
-                label: p.label.clone(),
-                bytes: p.bytes,
-                crc: PlanCheckpoint::stripe_crc(p, self.weight_version),
-                version: self.weight_version,
-            })
-            .collect()
+        self.resident_stripes(|_| true).take(slots).collect()
     }
 
-    /// The stripes a decode session pins resident after a step: every phase
-    /// *except* the token-embedding rows, whose content changes each step
-    /// and must always be re-fetched. Feed the result to
+    /// The stripes a decode session pins resident after a step: every
+    /// decode phase *except* the token-embedding rows, whose content
+    /// changes each step and must always be re-fetched. Feed the result to
     /// [`PlanBuilder::reuse_resident`] for the next step's lowering; on a
     /// non-decode plan this is empty (use
     /// [`pinned_stripes`](Self::pinned_stripes) there).
     pub fn decode_pinned_stripes(&self) -> Vec<ResidentStripe> {
+        self.resident_stripes(|p| p.kind.is_decode()).collect()
+    }
+
+    /// The stripes of the phases `keep` selects that a device may hold
+    /// resident, in schedule order, with their schedule CRCs.
+    fn resident_stripes<'p>(
+        &'p self,
+        keep: impl Fn(&PlanPhase) -> bool + 'p,
+    ) -> impl Iterator<Item = ResidentStripe> + 'p {
         self.phases
             .iter()
             .enumerate()
-            .filter(|(_, p)| p.kind.is_decode() && !matches!(p.kind, PhaseKind::DecodeEmbed { .. }))
+            .filter(move |(_, p)| keep(p) && !p.kind.reloads_every_dispatch())
             .map(|(i, p)| ResidentStripe {
                 phase: i,
                 label: p.label.clone(),
@@ -715,7 +744,6 @@ impl ExecPlan {
                 crc: PlanCheckpoint::stripe_crc(p, self.weight_version),
                 version: self.weight_version,
             })
-            .collect()
     }
 
     /// Bytes each HBM channel moves over the whole plan (indexable by the
@@ -745,7 +773,7 @@ pub struct PlanBuilder<'a> {
     resume: Option<(PlanCheckpoint, bool)>,
     resident: Vec<ResidentStripe>,
     decode: Option<DecodeStepSpec>,
-    stream_window: Option<usize>,
+    stream: Option<(usize, usize)>,
 }
 
 impl<'a> PlanBuilder<'a> {
@@ -760,7 +788,7 @@ impl<'a> PlanBuilder<'a> {
             resume: None,
             resident: Vec::new(),
             decode: None,
-            stream_window: None,
+            stream: None,
         }
     }
 
@@ -821,21 +849,24 @@ impl<'a> PlanBuilder<'a> {
     }
 
     /// Lower one streaming chunk instead of the eager full-sequence
-    /// schedule: a batch-of-one plan over a `window`-step attention window
-    /// (chunk plus left context) whose phase list is the encoder layers
-    /// only. A chunk's product is its encoder rows; nothing reads a decoder
-    /// pass over a partial window, so the chunk never loads or computes
-    /// one. Decoding a partial transcript would add
-    /// [`decode_step`](Self::decode_step) plans, not an eager decoder stack.
-    /// A window of zero steps or past the built sequence length is an
-    /// [`AccelError::InvalidStream`]. Combine with
+    /// schedule: a batch-of-one plan of `rows` new rows over `context`
+    /// cached rows. Its first phase, `CTX`
+    /// ([`PhaseKind::StreamContext`]), loads every encoder layer's context
+    /// keys and values (f32); then come the encoder layers
+    /// ([`PhaseKind::StreamLayer`]), which compute only the new rows and
+    /// attend over `context + rows` keys. A chunk's product is its encoder
+    /// rows; nothing reads a decoder pass over a partial window, so the
+    /// chunk never loads or computes one. Decoding a partial transcript
+    /// would add [`decode_step`](Self::decode_step) plans, not an eager
+    /// decoder stack. Zero rows, or an attention window past the built
+    /// sequence length, is an [`AccelError::InvalidStream`]. Combine with
     /// [`reuse_resident`](Self::reuse_resident) (feeding back
-    /// [`ExecPlan::pinned_stripes`]) for warm chunks; mutually exclusive with
-    /// [`utterances`](Self::utterances), [`decode_step`](Self::decode_step)
-    /// and [`resume_from`](Self::resume_from) — a failed chunk replays
-    /// whole.
-    pub fn stream_chunk(mut self, window: usize) -> Self {
-        self.stream_window = Some(window);
+    /// [`ExecPlan::pinned_stripes`]) for warm chunks; `CTX` is never
+    /// elided. Mutually exclusive with [`utterances`](Self::utterances),
+    /// [`decode_step`](Self::decode_step) and
+    /// [`resume_from`](Self::resume_from) — a failed chunk replays whole.
+    pub fn stream_chunk(mut self, rows: usize, context: usize) -> Self {
+        self.stream = Some((rows, context));
         self
     }
 
@@ -843,7 +874,7 @@ impl<'a> PlanBuilder<'a> {
     pub fn build(mut self) -> Result<ExecPlan> {
         let cfg = self.cfg;
         cfg.validate()?;
-        if let Some(window) = self.stream_window {
+        if let Some((rows, context)) = self.stream {
             for (set, other) in [
                 (!self.input_lens.is_empty(), "utterances"),
                 (self.decode.is_some(), "decode_step"),
@@ -856,20 +887,24 @@ impl<'a> PlanBuilder<'a> {
                     )));
                 }
             }
-            if window == 0 {
+            if rows == 0 {
                 return Err(AccelError::InvalidStream {
-                    reason: "chunk window must cover >= 1 encoder step".into(),
+                    reason: "a chunk must compute >= 1 new encoder step".into(),
                 });
             }
-            if window > cfg.max_seq_len {
+            if rows + context > cfg.max_seq_len {
                 return Err(AccelError::InvalidStream {
                     reason: format!(
-                        "attention window {} exceeds the built sequence length {}",
-                        window, cfg.max_seq_len
+                        "attention window {} ({} new + {} context) exceeds the built sequence \
+                         length {}",
+                        rows + context,
+                        rows,
+                        context,
+                        cfg.max_seq_len
                     ),
                 });
             }
-            self.input_lens = vec![window];
+            self.input_lens = vec![rows];
         }
         if let Some(spec) = self.decode {
             if self.resume.is_some() {
@@ -904,9 +939,9 @@ impl<'a> PlanBuilder<'a> {
         for &len in &self.input_lens {
             seq_len = seq_len.max(cfg.checked_padded_seq_len(len)?);
         }
-        let phases = match (self.decode, self.stream_window) {
+        let phases = match (self.decode, self.stream) {
             (Some(spec), _) => decode_phase_list(cfg, &spec),
-            (None, Some(_)) => encoder_phase_list(cfg),
+            (None, Some((rows, context))) => stream_chunk_phase_list(cfg, rows, context),
             (None, None) => phase_list(cfg, self.arch),
         };
         let engines = match self.arch {
@@ -963,11 +998,11 @@ impl<'a> PlanBuilder<'a> {
                         acct.stale += 1;
                         acct.stale_version += 1;
                     }
-                    // The embedding rows change content every decode step
-                    // while keeping a step-invariant label and byte count,
-                    // so a CRC match proves nothing — refuse the elision
-                    // unconditionally.
-                    Some(p) if matches!(p.kind, PhaseKind::DecodeEmbed { .. }) => {
+                    // The embedding rows and a chunk's carried context change
+                    // content every dispatch while keeping a fixed label and
+                    // byte count, so a CRC match proves nothing — refuse the
+                    // elision unconditionally.
+                    Some(p) if p.kind.reloads_every_dispatch() => {
                         acct.stale += 1;
                     }
                     Some(p)
@@ -1228,25 +1263,39 @@ fn validate_checkpoint(
     Ok((ckpt.completed_phases, trusted, ckpt.clone()))
 }
 
-/// The encoder layers `E1..E{n}`: the whole phase list of a stream chunk
-/// ([`PlanBuilder::stream_chunk`]) and the head of every eager schedule.
-/// Architecture-independent — only the decoder phases split at A3.
-fn encoder_phase_list(cfg: &AccelConfig) -> Vec<PlanPhase> {
+/// The encoder layers `E1..E{n}` as phases of `kind`: the head of every
+/// eager schedule ([`PhaseKind::Encoder`]) and the body of a stream chunk
+/// ([`PhaseKind::StreamLayer`]). Architecture-independent — only the
+/// decoder phases split at A3.
+fn encoder_phases(cfg: &AccelConfig, kind: PhaseKind) -> impl Iterator<Item = PlanPhase> + '_ {
     let bytes = layer_bytes(cfg).encoder;
-    (0..cfg.model.n_encoders)
-        .map(|i| PlanPhase {
-            label: format!("E{}", i + 1),
-            bytes,
-            kind: PhaseKind::Encoder,
-            encoding: cfg.encoding,
-        })
-        .collect()
+    (0..cfg.model.n_encoders).map(move |i| PlanPhase {
+        label: format!("E{}", i + 1),
+        bytes,
+        kind,
+        encoding: cfg.encoding,
+    })
+}
+
+/// A stream chunk's phases ([`PlanBuilder::stream_chunk`]): `CTX`, whose
+/// bytes are every encoder layer's f32 keys and values for the `context`
+/// cached rows, then the encoder layers over the `rows` new rows.
+fn stream_chunk_phase_list(cfg: &AccelConfig, rows: usize, context: usize) -> Vec<PlanPhase> {
+    let kv_values = cfg.model.n_encoders * 2 * context * cfg.model.d_model;
+    let ctx = PlanPhase {
+        label: "CTX".into(),
+        bytes: (kv_values * std::mem::size_of::<f32>()) as u64,
+        kind: PhaseKind::StreamContext { rows: context },
+        encoding: cfg.encoding,
+    };
+    let layer = PhaseKind::StreamLayer { rows, keys: context + rows };
+    std::iter::once(ctx).chain(encoder_phases(cfg, layer)).collect()
 }
 
 /// The 18-layer (24-phase at A3 granularity) schedule skeleton.
 pub fn phase_list(cfg: &AccelConfig, arch: Architecture) -> Vec<PlanPhase> {
     let bytes = layer_bytes(cfg);
-    let mut phases = encoder_phase_list(cfg);
+    let mut phases: Vec<PlanPhase> = encoder_phases(cfg, PhaseKind::Encoder).collect();
     for i in 0..cfg.model.n_decoders {
         if arch == Architecture::A3 {
             // Fig 4.11: LWi_m ∥ LWi_f on the two engines; Ci_m then Ci_f.
@@ -1325,12 +1374,18 @@ pub fn decode_phase_list(cfg: &AccelConfig, spec: &DecodeStepSpec) -> Vec<PlanPh
 }
 
 /// Seconds of compute for one phase under a (possibly degraded) config.
-/// `s` is the plan's padded sequence length; the decode kinds carry their
-/// own step geometry and ignore it.
+/// `s` is the plan's padded sequence length; the stream and decode kinds
+/// carry their own geometry and ignore it.
 pub fn phase_compute_s(cfg: &AccelConfig, kind: PhaseKind, s: usize) -> f64 {
     let clock = cfg.device.clock;
     match kind {
         PhaseKind::Encoder => clock.to_seconds(encoder::encoder_cycles(cfg, s)),
+        PhaseKind::StreamContext { rows } => {
+            clock.to_seconds(encoder::stream_context_cycles(cfg, rows))
+        }
+        PhaseKind::StreamLayer { rows, keys } => {
+            clock.to_seconds(encoder::encoder_layer_cycles(cfg, rows, keys))
+        }
         PhaseKind::DecoderMha => clock.to_seconds(decoder::decoder_mha_phase_cycles(cfg, s)),
         PhaseKind::DecoderFfn => clock.to_seconds(decoder::decoder_ffn_phase_cycles(cfg, s)),
         PhaseKind::DecoderFull => clock.to_seconds(decoder::decoder_cycles(cfg, s)),
@@ -1630,31 +1685,54 @@ mod tests {
         );
     }
 
+    /// A CRC-matching pin of phase 0 — what a device would offer if it
+    /// kept that stripe resident.
+    fn pin_of_phase_0(plan: &ExecPlan) -> ResidentStripe {
+        let p = &plan.phases[0];
+        ResidentStripe {
+            phase: 0,
+            label: p.label.clone(),
+            bytes: p.bytes,
+            crc: PlanCheckpoint::stripe_crc(p, plan.weight_version),
+            version: plan.weight_version,
+        }
+    }
+
     #[test]
-    fn embedding_rows_are_never_elided_even_when_offered() {
-        // TOK's label and bytes are step-invariant but its content is not:
-        // a pin of phase 0 must be refused, counted stale.
+    fn content_varying_phases_are_never_pinned_or_elided_even_when_offered() {
+        // TOK's and CTX's labels and bytes are dispatch-invariant but their
+        // content is not: no pinned set holds them, and a CRC-matching pin
+        // of either is refused, counted stale, and the phase still loads.
         let cfg = unpadded(8);
-        let cold = ExecPlan::lower_decode_step(
-            &cfg,
-            Architecture::A2,
-            DecodeStepSpec::greedy(0, 8, 16),
-            &[],
-            IntegrityLevel::Off,
-        )
-        .unwrap();
-        let all = cold.pinned_stripes(cold.phases.len()); // includes TOK
-        let steady = ExecPlan::lower_decode_step(
-            &cfg,
-            Architecture::A2,
-            DecodeStepSpec::greedy(3, 8, 16),
-            &all,
-            IntegrityLevel::Off,
-        )
-        .unwrap();
-        let reuse = steady.reuse.unwrap();
-        assert_eq!(reuse.stale, 1, "the TOK pin is refused");
-        assert_eq!(steady.counts().loads, 1, "TOK still loads");
+        let decode = |step: usize, resident: &[ResidentStripe]| {
+            let spec = DecodeStepSpec::greedy(step, 8, 16);
+            ExecPlan::lower_decode_step(&cfg, Architecture::A2, spec, resident, IntegrityLevel::Off)
+                .unwrap()
+        };
+        let chunk = |resident: &[ResidentStripe]| {
+            ExecPlan::lower_stream_chunk(&cfg, Architecture::A2, 4, 4, resident).unwrap()
+        };
+        let (cold_step, cold_chunk) = (decode(0, &[]), chunk(&[]));
+        assert!(cold_step.decode_pinned_stripes().iter().all(|r| r.phase != 0));
+        // Every stripe offered, phase 0's included.
+        let offer = |cold: &ExecPlan| {
+            let all = cold.pinned_stripes(cold.phases.len());
+            assert!(cold.phases[0].kind.reloads_every_dispatch(), "{}", cold.phases[0].label);
+            assert_eq!(all.len(), cold.phases.len() - 1, "{} is pinned", cold.phases[0].label);
+            std::iter::once(pin_of_phase_0(cold)).chain(all).collect::<Vec<_>>()
+        };
+        for warm in [decode(3, &offer(&cold_step)), chunk(&offer(&cold_chunk))] {
+            let (label, n) = (&warm.phases[0].label, warm.phases.len());
+            let reuse = warm.reuse.unwrap();
+            assert_eq!(
+                (reuse.stale, reuse.elided_loads),
+                (1, n - 1),
+                "the {} pin is refused",
+                label
+            );
+            assert!(warm.load_of(0).is_some(), "{} still loads", label);
+            assert_eq!(warm.counts().loads, 1, "only {} loads", label);
+        }
     }
 
     #[test]
@@ -1676,29 +1754,51 @@ mod tests {
     }
 
     #[test]
-    fn stream_chunk_lowers_the_encoder_phases_only() {
+    fn stream_chunk_lowers_ctx_then_the_encoder_layers_over_the_new_rows() {
         let cfg = unpadded(8);
         let n_enc = cfg.model.n_encoders;
         for arch in Architecture::ALL {
-            let chunk = ExecPlan::lower_stream_chunk(&cfg, arch, 6, &[]).unwrap();
-            let eager = ExecPlan::lower(&cfg, arch, 6, 1, cfg.integrity).unwrap();
-            assert_eq!(chunk.phases[..], eager.phases[..n_enc], "{:?}", arch);
-            assert!(chunk.phases.iter().all(|p| p.kind == PhaseKind::Encoder));
-            assert_eq!((chunk.batch, chunk.input_lens.clone()), (1, vec![6]));
+            let chunk = ExecPlan::lower_stream_chunk(&cfg, arch, 2, 4, &[]).unwrap();
+            let eager = ExecPlan::lower(&cfg, arch, 8, 1, cfg.integrity).unwrap();
+            let ctx = &chunk.phases[0];
+            assert_eq!(
+                (ctx.label.as_str(), ctx.kind),
+                ("CTX", PhaseKind::StreamContext { rows: 4 })
+            );
+            // 12 layers x (K, V) x 4 rows x 512 f32 values
+            assert_eq!(ctx.bytes, 196_608);
+            for (c, e) in chunk.phases[1..].iter().zip(&eager.phases[..n_enc]) {
+                assert_eq!((&c.label, c.bytes), (&e.label, e.bytes), "{:?}", arch);
+                assert_eq!(c.kind, PhaseKind::StreamLayer { rows: 2, keys: 6 });
+            }
+            assert_eq!((chunk.batch, chunk.input_lens.clone()), (1, vec![2]));
             let c = chunk.counts();
-            assert_eq!((c.loads, c.computes, c.barriers), (n_enc, n_enc, 1), "{:?}", arch);
-            // The encoder prefix prices exactly as it does inside the eager
-            // schedule: the dropped decoders only ever ran after it.
+            assert_eq!((c.loads, c.computes, c.barriers), (n_enc + 1, n_enc + 1, 1), "{:?}", arch);
+            let cost = walk_cost(&cfg, &chunk);
+            assert_eq!(cost.latency_s, cost.phase_compute_end_s[n_enc]);
+        }
+        // With no context the chunk's layers price exactly as the eager
+        // schedule's encoder prefix at s = rows: CTX moves and computes
+        // nothing, and the dropped decoders only ever ran after the prefix.
+        let cfg = unpadded(6);
+        for arch in Architecture::ALL {
+            let chunk = ExecPlan::lower_stream_chunk(&cfg, arch, 6, 0, &[]).unwrap();
+            let eager = ExecPlan::lower(&cfg, arch, 6, 1, cfg.integrity).unwrap();
+            assert_eq!(chunk.phases[0].bytes, 0);
             let (chunk_cost, eager_cost) = (walk_cost(&cfg, &chunk), walk_cost(&cfg, &eager));
-            assert_eq!(chunk_cost.phase_compute_end_s[..], eager_cost.phase_compute_end_s[..n_enc]);
-            assert_eq!(chunk_cost.latency_s, chunk_cost.phase_compute_end_s[n_enc - 1]);
+            assert_eq!(
+                chunk_cost.phase_compute_end_s[1..],
+                eager_cost.phase_compute_end_s[..n_enc],
+                "{:?}",
+                arch
+            );
         }
     }
 
     #[test]
     fn stream_chunk_rejects_bad_windows_and_other_plan_kinds() {
         let cfg = unpadded(8);
-        let chunk = || PlanBuilder::new(&cfg, Architecture::A3).stream_chunk(8);
+        let chunk = || PlanBuilder::new(&cfg, Architecture::A3).stream_chunk(4, 4);
         for (err, clash) in [
             (chunk().utterances(&[8]).build(), "utterances"),
             (chunk().decode_step(DecodeStepSpec::greedy(0, 8, 16)).build(), "decode_step"),
@@ -1716,10 +1816,10 @@ mod tests {
             }
             other => panic!("expected Config, got {:?}", other),
         }
-        for window in [0usize, 9] {
-            let err =
-                ExecPlan::lower_stream_chunk(&cfg, Architecture::A2, window, &[]).unwrap_err();
-            assert!(matches!(err, AccelError::InvalidStream { .. }), "window {}: {}", window, err);
+        for (rows, context) in [(0usize, 4usize), (5, 4), (9, 0)] {
+            let err = ExecPlan::lower_stream_chunk(&cfg, Architecture::A2, rows, context, &[])
+                .unwrap_err();
+            assert!(matches!(err, AccelError::InvalidStream { .. }), "{rows}+{context}: {err}");
         }
     }
 

@@ -13,7 +13,7 @@ use asr_fpga_sim::Cycles;
 
 /// Cycles of the decoder's combined M-MHA + MHA phase (`Ci_m` of Fig 4.11).
 pub fn decoder_mha_phase_cycles(cfg: &AccelConfig, s: usize) -> Cycles {
-    Cycles(mha_block_cycles(cfg, s).get() * 2)
+    Cycles(mha_block_cycles(cfg, s, s).get() * 2)
 }
 
 /// Cycles of the decoder's FFN phase (`Ci_f` of Fig 4.11).

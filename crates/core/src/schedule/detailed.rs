@@ -28,8 +28,8 @@ fn lay_mha_block(cfg: &AccelConfig, tl: &mut Timeline, t0: u64, tag: &str, s: us
     let dk = cfg.model.d_k();
     let d = cfg.model.d_model;
     let t1 = mm1_on_head(cfg, s);
-    let t2 = mm::mm2_cycles(cfg, s);
-    let t3 = mm::mm3_cycles(cfg, s);
+    let t2 = mm::mm2_cycles(cfg, s, s);
+    let t3 = mm::mm3_cycles(cfg, s, s);
     let t_bias = cfg.adder.cycles(s, dk);
     let scsm = schedule::elementwise_cycles(s * s);
 
@@ -152,7 +152,7 @@ pub fn encoder_timeline(cfg: &AccelConfig, s: usize) -> Timeline {
     require_head_parallel(cfg);
     let mut tl = Timeline::new();
     let t = lay_mha_block(cfg, &mut tl, 0, "mha", s);
-    debug_assert_eq!(t, schedule::mha_block_cycles(cfg, s).get());
+    debug_assert_eq!(t, schedule::mha_block_cycles(cfg, s, s).get());
     lay_ffn_block(cfg, &mut tl, t, "ffn", s);
     tl
 }

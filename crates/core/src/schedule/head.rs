@@ -31,17 +31,19 @@ pub fn mm1_on_head(cfg: &AccelConfig, s: usize) -> Cycles {
     Cycles(psa.cycles(s, cfg.psa.cols, dk).get() * passes) + cfg.adder.cycles(s, dk)
 }
 
-/// Cycles of one full head pass (all five MMs with the Fig 4.13 overlaps).
-pub fn head_pass_cycles(cfg: &AccelConfig, s: usize) -> Cycles {
-    let t1 = mm1_on_head(cfg, s);
-    let t2 = mm::mm2_cycles(cfg, s);
-    let t3 = mm::mm3_cycles(cfg, s);
-    // Scaling + softmax of the s×s score matrix overlap MM1(V); only the
-    // excess (if any) is exposed.
-    let scsm = elementwise_cycles(s * s);
+/// Cycles of one full head pass (all five MMs with the Fig 4.13 overlaps)
+/// for `rows` query rows over `keys` keys: the projections run over the
+/// rows, the score and context passes and the softmax over `rows × keys`.
+pub fn head_pass_cycles(cfg: &AccelConfig, rows: usize, keys: usize) -> Cycles {
+    let t1 = mm1_on_head(cfg, rows);
+    let t2 = mm::mm2_cycles(cfg, rows, keys);
+    let t3 = mm::mm3_cycles(cfg, rows, keys);
+    // Scaling + softmax of the rows×keys score matrix overlap MM1(V); only
+    // the excess (if any) is exposed.
+    let scsm = elementwise_cycles(rows * keys);
     let exposed_scsm = scsm.saturating_sub(t1);
     // B(V) on the adder is exposed between MM1(V) and MM3.
-    let bv = cfg.adder.cycles(s, cfg.model.d_k());
+    let bv = cfg.adder.cycles(rows, cfg.model.d_k());
     // K, Q, V projections are sequential on the head's PSAs (§4.3: "the MM1
     // operations within each attention head are executed sequentially").
     Cycles(t1.get() * 3) + t2 + exposed_scsm + bv + t3
@@ -59,7 +61,7 @@ mod tests {
     fn shipped_head_is_three_mm1_plus_small() {
         let c = cfg();
         let t1 = mm1_on_head(&c, 32);
-        let head = head_pass_cycles(&c, 32);
+        let head = head_pass_cycles(&c, 32, 32);
         // dominated by the three sequential MM1s
         assert!(head > Cycles(t1.get() * 3));
         assert!(head < Cycles(t1.get() * 3 + t1.get()));
@@ -89,15 +91,15 @@ mod tests {
     #[test]
     fn head_cycles_monotone_in_s() {
         let c = cfg();
-        assert!(head_pass_cycles(&c, 32) > head_pass_cycles(&c, 16));
-        assert!(head_pass_cycles(&c, 16) > head_pass_cycles(&c, 4));
+        assert!(head_pass_cycles(&c, 32, 32) > head_pass_cycles(&c, 16, 16));
+        assert!(head_pass_cycles(&c, 16, 16) > head_pass_cycles(&c, 4, 4));
     }
 
     #[test]
     fn head_pass_at_s32_matches_calibration() {
         // ~347 k cycles at the shipped design point (see calib.rs).
         let c = cfg();
-        let cyc = head_pass_cycles(&c, 32).get();
+        let cyc = head_pass_cycles(&c, 32, 32).get();
         assert!((cyc as f64 - 348_000.0).abs() < 10_000.0, "head pass {} cycles", cyc);
     }
 }

@@ -8,25 +8,28 @@
 //! first-class serve workload on top of the ExecPlan + checkpoint
 //! foundation:
 //!
-//! * **Chunked plans with resident-weight reuse** — every chunk lowers the
-//!   encoder phases of a batch-of-one [`crate::plan::ExecPlan`] over the
-//!   [`CHUNK_STEPS`] + [`LEFT_CONTEXT`] attention window
-//!   ([`crate::plan::ExecPlan::lower_stream_chunk`]: a chunk's product is
-//!   encoder rows, so it never runs a decoder). The first chunk a device
-//!   serves pins the leading [`PIN_SLOTS`] phases' stripes in its stream
-//!   weight cache
+//! * **Chunked plans with resident-weight reuse** — every chunk lowers a
+//!   batch-of-one [`crate::plan::ExecPlan`] of its [`CHUNK_STEPS`] new rows
+//!   over [`LEFT_CONTEXT`] cached ones
+//!   ([`crate::plan::ExecPlan::lower_stream_chunk`]): a `CTX` load of every
+//!   encoder layer's carried keys and values, then the encoder layers over
+//!   the new rows only (a chunk's product is encoder rows, so it never runs
+//!   a decoder). The first chunk a device serves pins the leading
+//!   [`PIN_SLOTS`] weight stripes in its stream weight cache
 //!   ([`crate::plan::ExecPlan::pinned_stripes`]); every later chunk offers
 //!   them back ([`crate::plan::PlanBuilder::reuse_resident`]) and elides the
 //!   CRC-matching `LoadStripe`s — FTRANS's keep-weights-resident win,
 //!   applied across the work items of a stream. The weights are shared by
 //!   every stream, so one warm device serves *all* its sessions out of
-//!   residency.
+//!   residency. `CTX` is the stream's own and changes every chunk, so every
+//!   dispatch loads it.
 //! * **Mid-stream failover** — a device that dies mid-chunk fails the
 //!   session over to a healthy card and replays **only the unfinished
 //!   chunk**: the encoder carryover state (the CRC-enveloped
 //!   [`asr_transformer::streaming::StreamState`], which the functional twin
 //!   carries too) lives above the device, so served chunks are never
-//!   re-run. The functional bit-identity of that handoff is pinned by the
+//!   re-run, and the replay loads its `CTX` from that host copy like any
+//!   other dispatch. The functional bit-identity of that handoff is pinned by the
 //!   integrity layer ([`crate::integrity::resume_functional_stream`]) and
 //!   the transformer proptests; this pool simulates its scheduling and
 //!   accounting.
@@ -63,9 +66,9 @@ use asr_fpga_sim::device::DeviceId;
 use asr_fpga_sim::faults::FaultPlan;
 use asr_tensor::WeightEncoding;
 
-/// Encoder steps per chunk.
+/// Encoder steps per chunk: the new rows a chunk computes.
 pub const CHUNK_STEPS: usize = 4;
-/// Raw-feature left-context rows carried between chunks.
+/// Left-context rows whose per-layer keys and values carry between chunks.
 pub const LEFT_CONTEXT: usize = 4;
 /// Bounded per-session chunk queue capacity (in-flight excluded).
 pub const SESSION_QUEUE: usize = 4;
@@ -77,9 +80,8 @@ pub const PIN_SLOTS: usize = 4;
 pub struct StreamConfig {
     /// Accelerator build every card is flashed with. [`StreamConfig::new`]
     /// builds it at `max_seq_len == CHUNK_STEPS + LEFT_CONTEXT` — the
-    /// streaming deployment bitstream is sized for the chunk window, not
-    /// the whole utterance, which is where the per-chunk latency win
-    /// comes from.
+    /// streaming deployment bitstream is sized for the chunk's attention
+    /// window, not the whole utterance.
     pub accel: AccelConfig,
     /// Overlap architecture the cards run.
     pub arch: Architecture,
@@ -122,8 +124,8 @@ impl StreamConfig {
         }
     }
 
-    /// The per-chunk attention window, in encoder steps: the chunk plus its
-    /// left context.
+    /// The keys a chunk's attention spans, in encoder steps: the cached left
+    /// context plus the chunk's new rows.
     pub fn window(&self) -> usize {
         CHUNK_STEPS + LEFT_CONTEXT
     }
@@ -409,12 +411,16 @@ pub struct StreamAnalytics {
     pub sustainable_streams: usize,
 }
 
-/// A deployment's cold and warm chunk plans. The warm one lowers against
-/// the stripes the cold one pins; both are device-neutral.
+/// A deployment's cold and warm chunk plans: [`CHUNK_STEPS`] new rows over
+/// [`LEFT_CONTEXT`] cached ones. The warm one lowers against the weight
+/// stripes the cold one pins; both load `CTX`, and both are
+/// device-neutral.
 fn chunk_plans(cfg: &StreamConfig) -> Result<(ExecPlan, ExecPlan)> {
-    let cold = ExecPlan::lower_stream_chunk(&cfg.accel, cfg.arch, cfg.window(), &[])?;
-    let pinned = cold.pinned_stripes(PIN_SLOTS);
-    let warm = ExecPlan::lower_stream_chunk(&cfg.accel, cfg.arch, cfg.window(), &pinned)?;
+    let lower = |resident| {
+        ExecPlan::lower_stream_chunk(&cfg.accel, cfg.arch, CHUNK_STEPS, LEFT_CONTEXT, resident)
+    };
+    let cold = lower(&[])?;
+    let warm = lower(&cold.pinned_stripes(PIN_SLOTS))?;
     Ok((cold, warm))
 }
 
@@ -981,8 +987,9 @@ mod tests {
         let warm_chunks = report.chunks_served - report.per_device.len();
         assert!(report.elided_loads > 0);
         let c = cfg(2, 0, 4);
-        let plan = ExecPlan::lower_stream_chunk(&c.accel, c.arch, c.window(), &[]).unwrap();
-        let double_buffered: u64 = plan.phases.iter().take(2).map(|p| p.bytes).sum();
+        let plan =
+            ExecPlan::lower_stream_chunk(&c.accel, c.arch, CHUNK_STEPS, LEFT_CONTEXT, &[]).unwrap();
+        let double_buffered: u64 = plan.pinned_stripes(2).iter().map(|p| p.bytes).sum();
         assert!(
             report.elided_load_bytes >= warm_chunks as u64 * double_buffered,
             "elided {} bytes < {} warm chunks x {} double-buffered bytes",

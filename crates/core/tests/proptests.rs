@@ -86,7 +86,7 @@ proptest! {
     fn encoder_is_mha_plus_ffn(cfg in valid_config()) {
         let s = cfg.max_seq_len;
         let enc = schedule::encoder_cycles(&cfg, s);
-        let sum = schedule::mha_block_cycles(&cfg, s) + schedule::ffn_block_cycles(&cfg, s);
+        let sum = schedule::mha_block_cycles(&cfg, s, s) + schedule::ffn_block_cycles(&cfg, s);
         prop_assert_eq!(enc, sum);
     }
 
@@ -132,7 +132,7 @@ proptest! {
         for kind in mm::MmKind::ALL {
             prop_assert!(mm::mm_cycles(kind, &cfg, s).get() > 0, "{:?}", kind);
         }
-        prop_assert!(mm::mm5_cycles(&cfg, s) > mm::mm2_cycles(&cfg, s));
+        prop_assert!(mm::mm5_cycles(&cfg, s) > mm::mm2_cycles(&cfg, s, s));
     }
 
     #[test]

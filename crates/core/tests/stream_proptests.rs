@@ -14,8 +14,8 @@ use asr_accel::stream::{ChunkOutcome, StreamConfig, StreamPool};
 use asr_accel::{AccelConfig, AccelError, Architecture};
 use asr_systolic::abft::IntegrityLevel;
 use asr_tensor::backend::ReferenceBackend;
-use asr_tensor::init;
-use asr_transformer::streaming::{encode_streaming, StreamState, StreamingConfig};
+use asr_tensor::{init, Matrix};
+use asr_transformer::streaming::{encode_streaming, push_chunk, StreamState, StreamingConfig};
 use asr_transformer::weights::ModelWeights;
 use asr_transformer::{Model, TransformerConfig};
 use proptest::prelude::*;
@@ -27,6 +27,12 @@ fn env_cases(default: u32) -> ProptestConfig {
     let cases =
         std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default);
     ProptestConfig::with_cases(cases)
+}
+
+/// Flip the lowest mantissa bit of a matrix's first element.
+fn flip_low_bit(m: &mut Matrix) {
+    let v = &mut m.as_mut_slice()[0];
+    *v = f32::from_bits(v.to_bits() ^ 1);
 }
 
 fn func_cfg() -> AccelConfig {
@@ -93,6 +99,46 @@ proptest! {
         prop_assert_eq!(resumed.final_state.crc, full.final_state.crc);
     }
 
+    // The transformer-level failover identity: ship the carryover state —
+    // every layer's cached keys and values — after ANY number of chunks,
+    // resume with `push_chunk`, and every later row and the final state
+    // match the uninterrupted stream bit for bit.
+    #[test]
+    fn transformer_push_chunk_resumes_bit_identically_at_any_cut(
+        model_seed in 1u64..16,
+        chunk in 1usize..=4,
+        left_context in 0usize..=6,
+        s in 1usize..=10,
+        cut_pick in 0usize..64,
+    ) {
+        let model = Model::seeded(TransformerConfig::tiny(), model_seed);
+        let features = init::uniform(s, model.config.d_model, -0.5, 0.5, model_seed ^ 0x5eed);
+        let cfg = StreamingConfig { chunk, left_context };
+        let chunk_at = |i: usize| {
+            let start = i * chunk;
+            features.submatrix(start, 0, chunk.min(s - start), features.cols())
+        };
+        let n_chunks = s.div_ceil(chunk);
+        let push = |state: &StreamState, i: usize| {
+            push_chunk(&model, state, &chunk_at(i), &ReferenceBackend).unwrap()
+        };
+        let uninterrupted = encode_streaming(&model, &features, &cfg, &ReferenceBackend).unwrap();
+        let open = StreamState::open(&cfg).unwrap();
+        let full_final = (0..n_chunks).fold(open.clone(), |st, i| push(&st, i).1);
+
+        let cut = cut_pick % (n_chunks + 1);
+        let shipped = (0..cut).fold(open, |st, i| push(&st, i).1);
+        prop_assert!(shipped.verify().is_ok());
+        let mut state = shipped.clone();
+        for i in cut..n_chunks {
+            let (rows, next) = push(&state, i);
+            let expect = uninterrupted.submatrix(i * chunk, 0, rows.rows(), rows.cols());
+            prop_assert_eq!(&rows, &expect, "chunk {} after a cut at {}", i, cut);
+            state = next;
+        }
+        prop_assert_eq!(&state, &full_final);
+    }
+
     // Chunked-vs-offline identity: a chunk that spans the whole input is
     // one attention window, so the stream must reproduce the offline batch
     // encoder bit for bit at every model seed and length.
@@ -116,12 +162,12 @@ proptest! {
     }
 
     // A poisoned carryover state must NEVER silently resume, whichever
-    // field was tampered with — cursor, chunk index, context bits, or the
-    // CRC itself.
+    // field was tampered with — cursor, chunk index, one bit of a cached
+    // key or value, or the CRC itself.
     #[test]
     fn poisoned_stream_state_never_resumes(
         model_seed in 1u64..16,
-        tamper in 0usize..4,
+        tamper in 0usize..5,
     ) {
         let cfg = func_cfg();
         let features = init::uniform(6, cfg.model.d_model, -0.5, 0.5, model_seed ^ 0x5eed);
@@ -132,7 +178,8 @@ proptest! {
         match tamper {
             0 => state.emitted_rows = state.emitted_rows.wrapping_sub(1),
             1 => state.chunk_idx += 1,
-            2 => state.ctx[(0, 0)] += 1.0,
+            2 => flip_low_bit(&mut state.kv[0].k[0]),
+            3 => flip_low_bit(state.kv.last_mut().unwrap().v.last_mut().unwrap()),
             _ => state.crc ^= 0xdead_beef,
         }
         let err = resume_functional_stream(&cfg, model_seed, &state, &features, &FunctionalFaults::none())

@@ -14,44 +14,62 @@ pub enum AttentionMask {
     Causal,
 }
 
-/// One attention head: `softmax(Q·Kᵀ / √d_k) · V` with the per-head linear
-/// projections applied first.
-///
-/// `queries_from` provides the Q projection input; `memory` provides K and V
-/// (identical for self-attention, the encoder output for cross-attention).
-#[allow(clippy::too_many_arguments)] // mirrors the head's hardware port list
-pub fn attention_head(
-    queries_from: &Matrix,
-    memory: &Matrix,
-    w_q: &Matrix,
-    b_q: &Matrix,
-    w_k: &Matrix,
-    b_k: &Matrix,
-    w_v: &Matrix,
-    b_v: &Matrix,
-    mask: AttentionMask,
-    backend: &dyn MatMul,
-) -> Matrix {
-    // MM1 projections (paper Table 4.2).
-    let q = ops::add_bias(&backend.matmul(queries_from, w_q), b_q);
-    let k = ops::add_bias(&backend.matmul(memory, w_k), b_k);
-    let v = ops::add_bias(&backend.matmul(memory, w_v), b_v);
+/// One encoder layer's self-attention keys and values: per head, one
+/// `rows × d_k` matrix of each, row `i` projected from the layer input's
+/// row `i`. A stream chunk's layers attend over the cached rows of these
+/// that earlier chunks computed ([`crate::streaming::StreamState`]); an
+/// empty value (no heads) is no context.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LayerKv {
+    /// Per-head keys.
+    pub k: Vec<Matrix>,
+    /// Per-head values.
+    pub v: Vec<Matrix>,
+}
 
-    // MM2: Q · Kᵀ, then scale (Sc) and softmax (Sm).
-    let mut scores = backend.matmul(&q, &k.transpose());
-    let scale = 1.0 / (w_q.cols() as f32).sqrt();
+impl LayerKv {
+    /// The trailing `keep` rows of every head's keys and values.
+    pub fn tail(&self, keep: usize) -> LayerKv {
+        let tail = |m: &Matrix| m.submatrix(m.rows() - keep, 0, keep, m.cols());
+        LayerKv { k: self.k.iter().map(tail).collect(), v: self.v.iter().map(tail).collect() }
+    }
+
+    /// Head `h`'s keys: the cached rows, then `new`.
+    pub fn keys_then(&self, h: usize, new: Matrix) -> Matrix {
+        after(self.k.get(h), new)
+    }
+
+    /// Head `h`'s values: the cached rows, then `new`.
+    pub fn values_then(&self, h: usize, new: Matrix) -> Matrix {
+        after(self.v.get(h), new)
+    }
+}
+
+fn after(cached: Option<&Matrix>, new: Matrix) -> Matrix {
+    match cached {
+        Some(c) => Matrix::vconcat(&[c, &new]),
+        None => new,
+    }
+}
+
+/// `softmax(Q·Kᵀ / √d_k) · V` over projected queries, keys and values: MM2,
+/// scale (Sc), softmax (Sm), MM3. The query count may differ from the key
+/// count; a causal mask needs them equal.
+fn attend(q: &Matrix, k: &Matrix, v: &Matrix, mask: AttentionMask, backend: &dyn MatMul) -> Matrix {
+    let mut scores = backend.matmul(q, &k.transpose());
+    let scale = 1.0 / (q.cols() as f32).sqrt();
     scores.map_inplace(|x| x * scale);
     if mask == AttentionMask::Causal {
         apply_causal_mask(&mut scores);
     }
     softmax_rows_inplace(&mut scores);
-
-    // MM3: attention-weighted values.
-    backend.matmul(&scores, &v)
+    backend.matmul(&scores, v)
 }
 
 /// Full multi-head attention (Eq 3.2): run every head, concatenate, project
-/// through `W_A` and add `B_A`.
+/// through `W_A` and add `B_A`. `queries_from` provides the Q projection
+/// input; `memory` provides K and V (identical for self-attention, the
+/// encoder output for cross-attention).
 pub fn multi_head_attention(
     queries_from: &Matrix,
     memory: &Matrix,
@@ -59,26 +77,36 @@ pub fn multi_head_attention(
     mask: AttentionMask,
     backend: &dyn MatMul,
 ) -> Matrix {
-    let heads: Vec<Matrix> = (0..w.w_q.len())
-        .map(|h| {
-            attention_head(
-                queries_from,
-                memory,
-                &w.w_q[h],
-                &w.b_q[h],
-                &w.w_k[h],
-                &w.b_k[h],
-                &w.w_v[h],
-                &w.b_v[h],
-                mask,
-                backend,
-            )
-        })
-        .collect();
+    attention_over_context(queries_from, memory, &LayerKv::default(), w, mask, backend).0
+}
+
+/// [`multi_head_attention`] whose keys and values are the cached `ctx` rows
+/// followed by those projected from `memory`. Returns the attention output
+/// and, per head, the keys and values it attended over. An empty `ctx` is
+/// [`multi_head_attention`] op for op.
+pub fn attention_over_context(
+    queries_from: &Matrix,
+    memory: &Matrix,
+    ctx: &LayerKv,
+    w: &AttentionWeights,
+    mask: AttentionMask,
+    backend: &dyn MatMul,
+) -> (Matrix, LayerKv) {
+    let mut kv = LayerKv::default();
+    let mut heads = Vec::with_capacity(w.w_q.len());
+    for h in 0..w.w_q.len() {
+        // MM1 projections (paper Table 4.2).
+        let q = ops::add_bias(&backend.matmul(queries_from, &w.w_q[h]), &w.b_q[h]);
+        let k = ctx.keys_then(h, ops::add_bias(&backend.matmul(memory, &w.w_k[h]), &w.b_k[h]));
+        let v = ctx.values_then(h, ops::add_bias(&backend.matmul(memory, &w.w_v[h]), &w.b_v[h]));
+        heads.push(attend(&q, &k, &v, mask, backend));
+        kv.k.push(k);
+        kv.v.push(v);
+    }
     let refs: Vec<&Matrix> = heads.iter().collect();
     let concat = Matrix::hconcat(&refs);
     // MM4 + bias.
-    ops::add_bias(&backend.matmul(&concat, &w.w_a), &w.b_a)
+    (ops::add_bias(&backend.matmul(&concat, &w.w_a), &w.b_a), kv)
 }
 
 #[cfg(test)]

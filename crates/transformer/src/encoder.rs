@@ -1,17 +1,30 @@
 //! One encoder layer: MHA → Add-Norm → FFN → Add-Norm (Fig 3.1, left stack).
 
 use crate::addnorm::add_norm;
-use crate::attention::{multi_head_attention, AttentionMask};
+use crate::attention::{attention_over_context, AttentionMask, LayerKv};
 use crate::ffn::ffn_forward;
 use crate::weights::EncoderWeights;
 use asr_tensor::{MatMul, Matrix};
 
 /// Forward pass of one encoder layer over an `s × d_model` input.
 pub fn encoder_forward(x: &Matrix, w: &EncoderWeights, backend: &dyn MatMul) -> Matrix {
-    let mha_out = multi_head_attention(x, x, &w.mha, AttentionMask::None, backend);
+    encoder_layer(x, &LayerKv::default(), w, backend).0
+}
+
+/// One encoder layer over the new rows `x`, whose self-attention spans the
+/// cached context `ctx` followed by the rows' own keys and values. Returns
+/// the rows' layer output and the layer's keys and values over
+/// `[ctx ; x]`. An empty context is [`encoder_forward`] op for op.
+pub fn encoder_layer(
+    x: &Matrix,
+    ctx: &LayerKv,
+    w: &EncoderWeights,
+    backend: &dyn MatMul,
+) -> (Matrix, LayerKv) {
+    let (mha_out, kv) = attention_over_context(x, x, ctx, &w.mha, AttentionMask::None, backend);
     let x1 = add_norm(x, &mha_out, &w.ln1);
     let ffn_out = ffn_forward(&x1, &w.ffn, backend);
-    add_norm(&x1, &ffn_out, &w.ln2)
+    (add_norm(&x1, &ffn_out, &w.ln2), kv)
 }
 
 #[cfg(test)]

@@ -16,14 +16,23 @@
 //!   device failover, say) with outputs bit-identical to the uninterrupted
 //!   stream — the serving tier's mid-stream failover rests on this. The
 //!   accelerator's functional twin carries the same `StreamState` through
-//!   its checked schemes, with the same chunk checks, window and
-//!   roll-forward.
+//!   its checked schemes, with the same chunk checks and roll-forward.
+//!
+//! A chunk computes only its new rows. The carryover is each encoder
+//! layer's self-attention keys and values for the trailing `left_context`
+//! rows, as that layer computed them when the rows were new; every layer
+//! attends over those cached rows followed by the chunk's own (Emformer's
+//! left-context K/V carry, Shi et al., ICASSP 2021). Context rows are never
+//! re-encoded.
 //!
 //! Degenerate configurations are rejected with a typed [`StreamingError`]
 //! instead of panicking; a poisoned or hand-edited `StreamState` fails its
 //! CRC check typed rather than silently corrupting the rest of the stream.
 
+use crate::attention::LayerKv;
 use crate::cache::KvCache;
+use crate::config::TransformerConfig;
+use crate::encoder::encoder_layer;
 use crate::model::Model;
 use asr_frontend::vocab::TokenId;
 use asr_tensor::{crc32, MatMul, Matrix};
@@ -81,6 +90,19 @@ pub enum StreamingError {
         /// Columns actually offered.
         got: usize,
     },
+    /// The carryover is not shaped for the model: a layer or head count,
+    /// `d_k`, or row count other than the model and the state's cursors
+    /// imply (a state captured under another model, say).
+    CarryoverShape {
+        /// Encoder layers the model has.
+        layers: usize,
+        /// Heads per layer.
+        heads: usize,
+        /// Cached rows per head: `min(left_context, emitted_rows)`.
+        rows: usize,
+        /// Columns per head, `d_k`.
+        d_k: usize,
+    },
     /// The state's CRC does not cover its contents: the carryover was
     /// corrupted (or hand-edited) after capture and must not be resumed.
     StateCrc {
@@ -102,6 +124,12 @@ impl std::fmt::Display for StreamingError {
             StreamingError::FeatureWidth { expected, got } => {
                 write!(f, "chunk features are {} wide, the model expects {}", got, expected)
             }
+            StreamingError::CarryoverShape { layers, heads, rows, d_k } => write!(
+                f,
+                "carryover is not shaped for the model: expected {} layers x {} heads of \
+                 {} x {} keys and values",
+                layers, heads, rows, d_k
+            ),
             StreamingError::StateCrc { stored, computed } => write!(
                 f,
                 "stream state failed its CRC (stored {:#010x}, computed {:#010x})",
@@ -115,9 +143,11 @@ impl std::error::Error for StreamingError {}
 
 /// The encoder's left-context carryover between chunks, CRC-enveloped so a
 /// session can move between hosts (mid-stream failover) without silently
-/// resuming from corrupted state. Holds the *raw feature* tail — the last
-/// `left_context` input rows — because that is all a chunk's attention
-/// window needs; encoded outputs already emitted never need revisiting.
+/// resuming from corrupted state. Holds, for each encoder layer and head,
+/// the keys and values of the trailing `min(left_context, emitted_rows)`
+/// rows, as that layer computed them when the rows were new — all a
+/// chunk's layers need to attend over its left context without
+/// re-encoding it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamState {
     /// Configured steps per chunk (bound into the CRC so a state cannot be
@@ -129,11 +159,12 @@ pub struct StreamState {
     pub chunk_idx: usize,
     /// Encoder rows already emitted.
     pub emitted_rows: usize,
-    /// The trailing `min(left_context, emitted_rows)` feature rows — the
-    /// next chunk's attention context. Public so tests can poison it; any
-    /// mutation invalidates [`StreamState::crc`].
-    pub ctx: Matrix,
-    /// CRC-32 over the context rows and cursors, checked on every resume.
+    /// Per encoder layer, the cached context keys and values; empty while
+    /// no context is carried. Public so tests can poison it; any mutation
+    /// invalidates [`StreamState::crc`].
+    pub kv: Vec<LayerKv>,
+    /// CRC-32 over the cursors and every key and value bit, checked on
+    /// every resume.
     pub crc: u32,
 }
 
@@ -141,25 +172,43 @@ impl StreamState {
     /// Open a fresh stream under a validated configuration.
     pub fn open(cfg: &StreamingConfig) -> Result<StreamState, StreamingError> {
         cfg.validate()?;
-        let ctx = Matrix::zeros(0, 0);
-        let crc = Self::crc_of(cfg.chunk, cfg.left_context, 0, 0, &ctx);
-        Ok(StreamState {
-            chunk: cfg.chunk,
-            left_context: cfg.left_context,
-            chunk_idx: 0,
-            emitted_rows: 0,
-            ctx,
-            crc,
-        })
+        Ok(Self::sealed(cfg.chunk, cfg.left_context, 0, 0, Vec::new()))
     }
 
-    fn crc_of(chunk: usize, left_context: usize, idx: usize, emitted: usize, ctx: &Matrix) -> u32 {
-        let mut bytes = Vec::with_capacity(8 * 5 + ctx.len() * 4);
-        for v in [chunk, left_context, idx, emitted, ctx.rows()] {
+    fn sealed(
+        chunk: usize,
+        left_context: usize,
+        chunk_idx: usize,
+        emitted_rows: usize,
+        kv: Vec<LayerKv>,
+    ) -> StreamState {
+        let crc = Self::crc_of(chunk, left_context, chunk_idx, emitted_rows, &kv);
+        StreamState { chunk, left_context, chunk_idx, emitted_rows, kv, crc }
+    }
+
+    fn crc_of(
+        chunk: usize,
+        left_context: usize,
+        idx: usize,
+        emitted: usize,
+        kv: &[LayerKv],
+    ) -> u32 {
+        let mut bytes = Vec::new();
+        for v in [chunk, left_context, idx, emitted, kv.len()] {
             bytes.extend_from_slice(&(v as u64).to_le_bytes());
         }
-        for v in ctx.as_slice() {
-            bytes.extend_from_slice(&v.to_le_bytes());
+        for layer in kv {
+            for v in [layer.k.len(), layer.v.len()] {
+                bytes.extend_from_slice(&(v as u64).to_le_bytes());
+            }
+            for m in layer.k.iter().chain(&layer.v) {
+                for v in [m.rows(), m.cols()] {
+                    bytes.extend_from_slice(&(v as u64).to_le_bytes());
+                }
+                for v in m.as_slice() {
+                    bytes.extend_from_slice(&v.to_le_bytes());
+                }
+            }
         }
         crc32(&bytes)
     }
@@ -173,7 +222,7 @@ impl StreamState {
             self.left_context,
             self.chunk_idx,
             self.emitted_rows,
-            &self.ctx,
+            &self.kv,
         );
         if computed != self.crc {
             return Err(StreamingError::StateCrc { stored: self.crc, computed });
@@ -182,8 +231,15 @@ impl StreamState {
     }
 
     /// Admit an arriving chunk before any compute: the state must pass its
-    /// CRC, and the chunk must carry `1..=chunk` rows of `d_model` features.
-    pub fn check_chunk(&self, chunk: &Matrix, d_model: usize) -> Result<(), StreamingError> {
+    /// CRC, the chunk must carry `1..=chunk` rows of `d_model` features,
+    /// and the carryover must be shaped for the model — `n_encoders`
+    /// layers of `n_heads` keys and values, each
+    /// `min(left_context, emitted_rows) × d_k`, or nothing when that is 0.
+    pub fn check_chunk(
+        &self,
+        chunk: &Matrix,
+        model: &TransformerConfig,
+    ) -> Result<(), StreamingError> {
         self.verify()?;
         if chunk.rows() == 0 {
             return Err(StreamingError::EmptyInput);
@@ -191,69 +247,77 @@ impl StreamState {
         if chunk.rows() > self.chunk {
             return Err(StreamingError::OversizedChunk { chunk: self.chunk, got: chunk.rows() });
         }
-        if chunk.cols() != d_model {
-            return Err(StreamingError::FeatureWidth { expected: d_model, got: chunk.cols() });
+        if chunk.cols() != model.d_model {
+            return Err(StreamingError::FeatureWidth {
+                expected: model.d_model,
+                got: chunk.cols(),
+            });
+        }
+        let (layers, heads, d_k) = (model.n_encoders, model.n_heads, model.d_k());
+        let rows = self.left_context.min(self.emitted_rows);
+        let shaped = if rows == 0 {
+            self.kv.is_empty()
+        } else {
+            self.kv.len() == layers
+                && self.kv.iter().all(|l| {
+                    l.k.len() == heads
+                        && l.v.len() == heads
+                        && l.k.iter().chain(&l.v).all(|m| m.shape() == (rows, d_k))
+                })
+        };
+        if !shaped {
+            return Err(StreamingError::CarryoverShape { layers, heads, rows, d_k });
         }
         Ok(())
     }
 
-    /// The chunk's attention window: the carried context rows, then the
-    /// chunk. The chunk's encoder rows are the window's rows past
-    /// `ctx.rows()`.
-    pub fn window(&self, chunk: &Matrix) -> Matrix {
-        if self.ctx.rows() == 0 {
-            chunk.clone()
-        } else {
-            Matrix::vconcat(&[&self.ctx, chunk])
-        }
+    /// Layer `layer`'s cached context: what that layer's attention spans
+    /// before the chunk's own rows (empty while none is carried).
+    pub fn context(&self, layer: usize) -> &LayerKv {
+        static NONE: LayerKv = LayerKv { k: Vec::new(), v: Vec::new() };
+        self.kv.get(layer).unwrap_or(&NONE)
     }
 
-    /// The state after this state's `window` ([`StreamState::window`]) is
-    /// encoded: the window's trailing `left_context` rows become the next
-    /// context, the cursors move one chunk on, and the CRC covers the
-    /// result.
-    pub fn advance(&self, window: &Matrix) -> StreamState {
-        let keep = self.left_context.min(window.rows());
-        let ctx = if keep == 0 {
-            Matrix::zeros(0, 0)
-        } else {
-            window.submatrix(window.rows() - keep, 0, keep, window.cols())
-        };
-        let chunk_idx = self.chunk_idx + 1;
-        let emitted_rows = self.emitted_rows + (window.rows() - self.ctx.rows());
-        let crc = Self::crc_of(self.chunk, self.left_context, chunk_idx, emitted_rows, &ctx);
-        StreamState {
-            chunk: self.chunk,
-            left_context: self.left_context,
-            chunk_idx,
-            emitted_rows,
-            ctx,
-            crc,
-        }
+    /// The state after a chunk of `rows` new rows whose layers returned
+    /// `kv` (each layer's keys and values over `[context ; chunk]`): each
+    /// layer keeps its trailing `left_context` rows, the cursors move one
+    /// chunk on, and the CRC covers the result.
+    pub fn advance(&self, rows: usize, kv: &[LayerKv]) -> StreamState {
+        let emitted_rows = self.emitted_rows + rows;
+        let keep = self.left_context.min(emitted_rows);
+        let kv = if keep == 0 { Vec::new() } else { kv.iter().map(|l| l.tail(keep)).collect() };
+        Self::sealed(self.chunk, self.left_context, self.chunk_idx + 1, emitted_rows, kv)
     }
 }
 
-/// Encode one arriving chunk under the state's carried left context,
-/// returning the chunk's encoder rows and the successor state. The rows are
-/// bit-identical to what [`encode_streaming`] produces for the same chunk
-/// of the same audio — arrival one-at-a-time changes nothing — and a state
-/// captured here resumes bit-identically anywhere (the failover guarantee).
+/// Encode one arriving chunk under the state's carried context: only the
+/// chunk's rows run through the encoder layers, each attending over its
+/// cached context keys and values then the rows' own. Returns the chunk's
+/// encoder rows and the successor state. The rows are bit-identical to
+/// what [`encode_streaming`] produces for the same chunk of the same audio
+/// — arrival one-at-a-time changes nothing — and a state captured here
+/// resumes bit-identically anywhere (the failover guarantee).
 pub fn push_chunk(
     model: &Model,
     state: &StreamState,
     chunk: &Matrix,
     backend: &dyn MatMul,
 ) -> Result<(Matrix, StreamState), StreamingError> {
-    state.check_chunk(chunk, model.config.d_model)?;
-    let window = state.window(chunk);
-    let encoded = model.encode(&window, backend);
-    let out = encoded.submatrix(state.ctx.rows(), 0, chunk.rows(), encoded.cols());
-    Ok((out, state.advance(&window)))
+    state.check_chunk(chunk, &model.config)?;
+    let mut x = chunk.clone();
+    let mut kv = Vec::with_capacity(model.weights.encoders.len());
+    for (l, enc) in model.weights.encoders.iter().enumerate() {
+        let (y, layer_kv) = encoder_layer(&x, state.context(l), enc, backend);
+        x = y;
+        kv.push(layer_kv);
+    }
+    Ok((x, state.advance(chunk.rows(), &kv)))
 }
 
-/// Encode features chunk by chunk. Each chunk attends over
-/// `[chunk_start − left_context, chunk_end)`; only the chunk's own rows are
-/// emitted. Output shape equals the offline encoder's. Implemented as a
+/// Encode features chunk by chunk. Each chunk's layers attend over the
+/// cached keys and values of rows `[chunk_start − left_context,
+/// chunk_start)` and then the chunk's own; only the chunk's rows are
+/// computed and emitted. Output shape equals the offline encoder's. Implemented as a
 /// fold over [`push_chunk`], so the batch view and the live one-chunk-at-a-
 /// time view cannot drift apart.
 pub fn encode_streaming(
@@ -536,11 +600,85 @@ mod tests {
         let state = StreamState::open(&cfg).unwrap();
         let (_, mut state) =
             push_chunk(&model, &state, &x.submatrix(0, 0, 4, x.cols()), &ReferenceBackend).unwrap();
-        state.ctx.as_mut_slice()[0] += 1.0;
+        state.kv[0].k[0].as_mut_slice()[0] += 1.0;
         assert!(matches!(state.verify(), Err(StreamingError::StateCrc { .. })));
         let err = push_chunk(&model, &state, &x.submatrix(4, 0, 4, x.cols()), &ReferenceBackend)
             .unwrap_err();
         assert!(matches!(err, StreamingError::StateCrc { .. }));
+    }
+
+    #[test]
+    fn the_carryover_is_the_trailing_rows_kv_and_the_next_chunk_attends_over_it() {
+        let (model, x) = rig();
+        let cfg = StreamingConfig { chunk: 5, left_context: 3 };
+        let open = StreamState::open(&cfg).unwrap();
+        let (_, state) =
+            push_chunk(&model, &open, &x.submatrix(0, 0, 5, x.cols()), &ReferenceBackend).unwrap();
+        assert_eq!(state.kv.len(), model.config.n_encoders);
+        // Layer 0's input is the features themselves, so its carried keys
+        // and values are the projections of feature rows 2..5.
+        let tail = x.submatrix(2, 0, 3, x.cols());
+        let a = &model.weights.encoders[0].mha;
+        for h in 0..model.config.n_heads {
+            let k =
+                asr_tensor::ops::add_bias(&ReferenceBackend.matmul(&tail, &a.w_k[h]), &a.b_k[h]);
+            let v =
+                asr_tensor::ops::add_bias(&ReferenceBackend.matmul(&tail, &a.w_v[h]), &a.b_v[h]);
+            assert_eq!((&state.context(0).k[h], &state.context(0).v[h]), (&k, &v), "head {}", h);
+        }
+        // The next chunk's rows depend on that context.
+        let next = x.submatrix(5, 0, 5, x.cols());
+        let with = push_chunk(&model, &state, &next, &ReferenceBackend).unwrap().0;
+        let without = push_chunk(&model, &open, &next, &ReferenceBackend).unwrap().0;
+        assert_ne!(with, without);
+    }
+
+    /// A hand-edited state re-sealed so it passes its CRC: what a carryover
+    /// captured under another model looks like on arrival.
+    fn resealed(mut state: StreamState) -> StreamState {
+        if let Err(StreamingError::StateCrc { computed, .. }) = state.verify() {
+            state.crc = computed;
+        }
+        state
+    }
+
+    #[test]
+    fn a_carryover_not_shaped_for_the_model_is_refused_typed() {
+        let (model, x) = rig();
+        let cfg = StreamingConfig { chunk: 4, left_context: 4 };
+        let open = StreamState::open(&cfg).unwrap();
+        let (_, state) =
+            push_chunk(&model, &open, &x.submatrix(0, 0, 4, x.cols()), &ReferenceBackend).unwrap();
+        let refused = |m: &Model, st: &StreamState| {
+            let chunk = init::uniform(4, m.config.d_model, -1.0, 1.0, 9);
+            match push_chunk(m, st, &chunk, &ReferenceBackend) {
+                Err(StreamingError::CarryoverShape { .. }) => {}
+                other => panic!("expected CarryoverShape, got {:?}", other.map(|r| r.0.shape())),
+            }
+        };
+        // Another model's carryover: a wider d_model, a deeper stack, more
+        // heads.
+        let tiny = TransformerConfig::tiny();
+        for other in [
+            TransformerConfig { d_model: 64, ..tiny },
+            TransformerConfig { n_encoders: 3, ..tiny },
+            TransformerConfig { n_heads: 8, ..tiny },
+        ] {
+            refused(&Model::seeded(other, 13), &state);
+        }
+        // This model, but a carryover its cursors do not imply: an extra
+        // cached row in one head, a missing layer, context before any row
+        // was emitted.
+        let mut extra = state.clone();
+        let v = &extra.kv[1].v[2];
+        extra.kv[1].v[2] = Matrix::vconcat(&[v, &v.submatrix(0, 0, 1, v.cols())]);
+        let mut short = state.clone();
+        short.kv.pop();
+        let mut early = open.clone();
+        early.kv = state.kv.clone();
+        for st in [extra, short, early] {
+            refused(&model, &resealed(st));
+        }
     }
 
     #[test]

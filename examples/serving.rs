@@ -116,7 +116,7 @@ fn main() {
         "p99(ms)",
         "elided%"
     );
-    for streams in [2usize, 4, 6] {
+    for streams in [4usize, 8, 12] {
         for chunk_ms in [40.0f64, 60.0, 80.0] {
             let mut cfg = StreamConfig::new(2, 1, streams, 0.060);
             cfg.chunks_per_stream = 8;

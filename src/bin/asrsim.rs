@@ -160,8 +160,9 @@ fn parse_usize_strict(args: &[String], flag: &str, default: usize) -> Result<usi
     parse_flag_value(args, flag, default, "an unsigned integer", |v| v.parse().ok())
 }
 
-/// A count flag (beam width, steps, batch, utterances, queue capacity): an
-/// integer of at least 1. Zero is a bad value, not a request for one.
+/// A count flag (beam width, steps, batch, utterances, requests, queue
+/// capacity, streams, chunks, sessions, nodes, cards per node): an integer
+/// of at least 1. Zero is a bad value, not a request for one.
 fn parse_count(args: &[String], flag: &str, default: usize) -> Result<usize, CliError> {
     parse_flag_value(args, flag, default, "an integer >= 1", |v| v.parse().ok().filter(|&n| n >= 1))
 }
@@ -756,7 +757,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     }
     let mut cfg = ServeConfig::new(devices, seed, rps, deadline_s);
     cfg.accel.integrity = level;
-    cfg.requests = parse_usize_strict(args, "--n", cfg.requests)?;
+    cfg.requests = parse_count(args, "--n", cfg.requests)?;
     cfg.queue_capacity = parse_count(args, "--queue", cfg.queue_capacity)?;
     if has_flag(args, "--batch") {
         cfg.batch.max_batch = batch;
@@ -786,19 +787,13 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
 /// behind a session-affinity router, with node-granular fault injection,
 /// cross-node checkpointed failover, and rolling weight upgrades.
 fn cmd_cluster(args: &[String]) -> Result<(), CliError> {
-    let nodes = parse_usize_strict(args, "--nodes", 2)?;
-    let devices = parse_usize_strict(args, "--devices", 1)?;
+    let nodes = parse_count(args, "--nodes", 2)?;
+    let devices = parse_count(args, "--devices", 1)?;
     let rps = parse_f64_strict(args, "--rps", 60.0)?;
     let deadline_s = parse_f64_strict(args, "--deadline-ms", 500.0)? / 1e3;
-    if nodes == 0 {
-        return Err(CliError::BadValue("--nodes must be >= 1".into()));
-    }
-    if devices == 0 {
-        return Err(CliError::BadValue("--devices must be >= 1 (cards per node)".into()));
-    }
     let mut cfg = ClusterConfig::new(nodes, devices, rps, deadline_s);
-    cfg.requests = parse_usize_strict(args, "--n", cfg.requests)?;
-    cfg.sessions = parse_usize_strict(args, "--sessions", cfg.sessions)?;
+    cfg.requests = parse_count(args, "--n", cfg.requests)?;
+    cfg.sessions = parse_count(args, "--sessions", cfg.sessions)?;
     cfg.seed = parse_usize_strict(args, "--seed", cfg.seed as usize)? as u64;
     if let Some(t) = parse_str_flag(args, "--trace") {
         cfg.trace = TrafficTrace::parse(&t).map_err(|e| CliError::BadValue(e.to_string()))?;
@@ -876,7 +871,7 @@ fn cmd_cluster(args: &[String]) -> Result<(), CliError> {
 fn cmd_stream(args: &[String]) -> Result<(), CliError> {
     let devices = parse_usize_strict(args, "--devices", 2)?;
     let seed = parse_usize_strict(args, "--faults", 0)? as u64;
-    let streams = parse_usize_strict(args, "--streams", 4)?;
+    let streams = parse_count(args, "--streams", 4)?;
     let chunk_ms = parse_f64_strict(args, "--chunk-ms", 40.0)?;
     let deadline_ms = parse_f64_strict(args, "--deadline-ms", 60.0)?;
     let jitter_ms = parse_f64_strict(args, "--jitter-ms", 0.0)?;
@@ -885,7 +880,7 @@ fn cmd_stream(args: &[String]) -> Result<(), CliError> {
     cfg.accel.integrity = level;
     cfg.chunk_interval_s = chunk_ms / 1e3;
     cfg.jitter_s = jitter_ms / 1e3;
-    cfg.chunks_per_stream = parse_usize_strict(args, "--chunks", cfg.chunks_per_stream)?;
+    cfg.chunks_per_stream = parse_count(args, "--chunks", cfg.chunks_per_stream)?;
     println!("devices              : {}", cfg.devices);
     println!("pool fault seed      : {}", cfg.fault_seed);
     println!("integrity level      : {}", level.name());

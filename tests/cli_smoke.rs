@@ -462,6 +462,11 @@ fn malformed_numeric_flags_are_bad_values() {
         &["faults", "1", "--checkpoint", "--batch", "0"],
         &["pipeline", "--n", "0"],
         &["serve", "--queue", "0"],
+        &["serve", "--n", "0"],
+        &["stream", "--streams", "0"],
+        &["stream", "--chunks", "0"],
+        &["cluster", "--n", "0"],
+        &["cluster", "--sessions", "0"],
         // a rollout that would start before time 0
         &["cluster", "--upgrade", "2", "--upgrade-at", "-1"],
     ] {

@@ -98,12 +98,17 @@ const EXITS: &[&str] = &[
     "serve --checkpoint --batch 0",
     "serve --batch 0",
     "serve --queue 0",
+    "serve --n 0",
     "serve --deadline-ms 0.001",
     "serve --deadline-ms 20",
     "serve --devices 0 --kill LWD4",
     "stream --streams x",
+    "stream --streams 0",
+    "stream --chunks 0",
     "stream --devices 0",
     "stream --deadline-ms 0.001",
+    "cluster --n 0",
+    "cluster --sessions 0",
     "cluster --nodes 1 --upgrade 2",
     "cluster --upgrade-at 0.4",
     "cluster --upgrade 2 --upgrade-at -1",

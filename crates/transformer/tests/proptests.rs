@@ -8,8 +8,17 @@ use asr_transformer::weights::{DecoderWeights, EncoderWeights, ModelWeights, Wei
 use asr_transformer::{flops, Model, TransformerConfig};
 use proptest::prelude::*;
 
+/// Case count: `PROPTEST_CASES` when set (the CI deep-proptest job exports
+/// 512), else the tier-1 default. The vendored proptest does not read the
+/// environment itself, so the config expression does.
+fn env_cases(default: u32) -> ProptestConfig {
+    let cases =
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default);
+    ProptestConfig::with_cases(cases)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(env_cases(24))]
 
     #[test]
     fn encoder_output_always_finite(seed in 0u64..500, s in 1usize..10, scale in 0.1f32..5.0) {

@@ -31,7 +31,8 @@ use std::collections::BinaryHeap;
 use crate::error::{AccelError, Result};
 use crate::plan::PlanCheckpoint;
 use crate::serve::{
-    percentile, BreakerState, Evicted, RequestOutcome, ServeConfig, ServePool, ServeReport,
+    elided_loads_line, percentile, BreakerState, Evicted, RequestOutcome, ServeConfig, ServePool,
+    ServeReport,
 };
 use crate::stream::jitter;
 use asr_fpga_sim::faults::correlated_hbm_burst;
@@ -345,6 +346,13 @@ pub struct ClusterReport {
     pub checkpoint_rejects: usize,
     /// Rejections caused by a weight-version mismatch (subset).
     pub version_rejects: usize,
+    /// `LoadStripe`s the cards' weight caches elided, summed over nodes.
+    pub elided_loads: usize,
+    /// Bytes those elisions kept off the HBM channels.
+    pub elided_load_bytes: u64,
+    /// Bytes the dispatched schedules would have streamed with nothing
+    /// resident, summed over nodes.
+    pub scheduled_load_bytes: u64,
     /// Median arrival-to-finish latency over completions, seconds.
     pub p50_latency_s: f64,
     /// 99th-percentile latency, seconds.
@@ -397,6 +405,11 @@ impl ClusterReport {
         line(format!(
             "checkpoint resume    : {} resumed, {} rejected ({} cross-version)",
             self.resumed_dispatches, self.checkpoint_rejects, self.version_rejects
+        ));
+        line(elided_loads_line(
+            self.elided_loads,
+            self.elided_load_bytes,
+            self.scheduled_load_bytes,
         ));
         line(format!(
             "latency p50 / p99    : {:.2} / {:.2} ms",
@@ -1012,6 +1025,7 @@ impl Cluster {
         let mut offered_minus = 0usize; // adoptions + hedged-adopts double-count submissions
         let (mut completed, mut shed, mut missed, mut failed, mut dropped) = (0, 0, 0, 0, 0);
         let (mut resumed, mut rejects, mut vrejects) = (0, 0, 0);
+        let (mut elided_loads, mut elided_bytes, mut scheduled_bytes) = (0, 0, 0);
         let mut evicted_total = 0usize;
         let mut latencies: Vec<f64> = Vec::new();
         let mut wall = 0.0f64;
@@ -1044,6 +1058,9 @@ impl Cluster {
                 resumed += r.resumed_dispatches;
                 rejects += r.checkpoint_rejects;
                 vrejects += r.version_rejects;
+                elided_loads += r.elided_loads;
+                elided_bytes += r.elided_load_bytes;
+                scheduled_bytes += r.scheduled_load_bytes;
                 evicted_total += r.evicted;
                 wall = wall.max(r.wall_s);
                 for rec in r.records {
@@ -1080,6 +1097,9 @@ impl Cluster {
             resumed_dispatches: resumed,
             checkpoint_rejects: rejects,
             version_rejects: vrejects,
+            elided_loads,
+            elided_load_bytes: elided_bytes,
+            scheduled_load_bytes: scheduled_bytes,
             p50_latency_s: percentile(&latencies, 0.50),
             p99_latency_s: percentile(&latencies, 0.99),
             wall_s: wall,

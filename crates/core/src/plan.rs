@@ -471,10 +471,11 @@ pub struct PlanResume {
 
 /// Resident-weight reuse accounting of a plan lowered with
 /// [`PlanBuilder::reuse_resident`]: how many of the offered stripes the
-/// lowering could elide, and how many were stale. This is the streaming
-/// tentpole's cross-chunk saving — chunk *k+1* of a stream skips the
-/// `LoadStripe`s whose CRC-matching stripes chunk *k* left pinned in the
-/// device's stream weight cache.
+/// lowering could elide, and how many were stale. This is a card's
+/// weight-cache saving ([`crate::serve`]): every dispatch after a card's
+/// first success skips the `LoadStripe`s whose CRC-matching stripes that
+/// success left pinned — a serve request, a cluster node's request, or
+/// the next chunk of a stream alike.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanReuse {
     /// Resident stripes offered to the lowering.
@@ -705,14 +706,14 @@ impl ExecPlan {
     }
 
     /// The leading `slots` weight stripes with their schedule CRCs — what
-    /// a streaming device pins in its dedicated stream weight cache after
-    /// serving a chunk. The pipeline-fill loads are the ones a per-chunk
-    /// plan cannot amortize, so the cache pins the *front* of the schedule;
-    /// the cycling double-buffer slots keep handling the rest. A phase
-    /// whose content changes every dispatch
+    /// a card pins in its weight cache after its first successful dispatch
+    /// ([`crate::serve::PIN_SLOTS`] of them). The pipeline-fill loads are
+    /// the ones a per-dispatch plan cannot hide under compute, so the cache
+    /// pins the *front* of the schedule; the cycling double-buffer slots
+    /// keep handling the rest. A phase whose content changes every dispatch
     /// ([`PhaseKind::reloads_every_dispatch`]) is skipped, not pinned. Feed
-    /// the result to [`PlanBuilder::reuse_resident`] for the stream's next
-    /// chunk.
+    /// the result to [`PlanBuilder::reuse_resident`] for the card's next
+    /// dispatch.
     pub fn pinned_stripes(&self, slots: usize) -> Vec<ResidentStripe> {
         self.resident_stripes(|_| true).take(slots).collect()
     }
@@ -821,9 +822,9 @@ impl<'a> PlanBuilder<'a> {
     /// Lower against a resident stripe set: any phase whose offered stripe
     /// CRC-matches the schedule (same phase index, label, byte count, and
     /// [`PlanCheckpoint::stripe_crc`]) keeps its weights in place and emits
-    /// **no** `LoadStripe` — the cross-chunk reuse of a streaming session,
-    /// where chunk *k* warms the device's stream weight cache for chunk
-    /// *k+1*. Stripes that do not match are *ignored* (counted stale on
+    /// **no** `LoadStripe` — a card's weight cache at work, where one
+    /// dispatch's pinned stripes serve every later request or chunk on the
+    /// card. Stripes that do not match are *ignored* (counted stale on
     /// [`PlanReuse`]) and their phases re-load and re-verify normally —
     /// a stale cache costs bandwidth, never correctness. Mutually exclusive
     /// with [`resume_from`](Self::resume_from).
@@ -1037,10 +1038,9 @@ impl<'a> PlanBuilder<'a> {
                 trusted_bytes += p.bytes;
                 None
             } else if resident_ok[i] {
-                // Stream weight cache hit: an earlier chunk of this stream
-                // left the CRC-matching stripe pinned on the device, so the
-                // fetch is elided and the phase computes straight out of the
-                // resident slot.
+                // Weight cache hit: an earlier dispatch on the card left the
+                // CRC-matching stripe pinned, so the fetch is elided and the
+                // phase computes straight out of the resident slot.
                 if let Some(acct) = reuse_acct.as_mut() {
                     acct.elided_loads += 1;
                     acct.elided_load_bytes += p.bytes;

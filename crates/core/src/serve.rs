@@ -56,7 +56,7 @@ use crate::host_runtime::{
     max_total_backoff_s, run_plan, run_plan_with_recovery, BatchFailure, BatchedRun,
 };
 use crate::integrity::CorruptionCounters;
-use crate::plan::{walk_cost, ExecPlan, PlanCheckpoint};
+use crate::plan::{walk_cost, ExecPlan, PlanBuilder, PlanCheckpoint, PlanReuse, ResidentStripe};
 use asr_fpga_sim::device::DeviceId;
 use asr_fpga_sim::faults::{FaultKind, FaultPlan};
 use asr_tensor::WeightEncoding;
@@ -154,6 +154,11 @@ impl Breaker {
     }
 }
 
+/// Leading weight stripes a card keeps resident once a dispatch succeeds
+/// on it ([`ExecPlan::pinned_stripes`]): the pipeline-fill loads a plan
+/// cannot hide under compute.
+pub const PIN_SLOTS: usize = 4;
+
 /// What one dispatch on a card does, read off the runtime's run. The
 /// simulation is deterministic, so [`Card::outcome`] memoises it: every
 /// like dispatch on a card behaves alike.
@@ -162,6 +167,10 @@ pub(crate) enum CardOutcome {
     /// The whole dispatch completes after `service_s`, utterance `u`
     /// finishing at `utt_finish_s[u]`, with run quality `quality` (the
     /// `CommandStats` success ratio: degraded/retry-heavy runs score lower).
+    /// `reuse` counts the loads the plan elided against the card's resident
+    /// stripes; `pins` are the stripes the run leaves resident if it is the
+    /// card's first success (none for a resumed suffix, which never loaded
+    /// the schedule's front).
     Ok {
         service_s: f64,
         utt_finish_s: Vec<f64>,
@@ -169,6 +178,8 @@ pub(crate) enum CardOutcome {
         corruption: CorruptionCounters,
         load_busy_s: f64,
         timed_out: usize,
+        reuse: PlanReuse,
+        pins: Rc<[ResidentStripe]>,
     },
     /// The run dies `fail_after_s` into the dispatch; utterances that
     /// already produced their last kernel (`finished_s[u]`, front of the
@@ -185,11 +196,12 @@ pub(crate) enum CardOutcome {
 }
 
 impl CardOutcome {
-    /// The outcome of a run. A run that dies — loudly (`Unrecoverable`) or
-    /// via an exhausted CRC budget (`CorruptWeights`) — fails the still
-    /// unfinished members at the recorded fault time; utterances already
-    /// past their last kernel are carried in `finished_s`.
-    pub(crate) fn of(run: std::result::Result<BatchedRun, BatchFailure>) -> Self {
+    /// The outcome of a run of `plan`. A run that dies — loudly
+    /// (`Unrecoverable`) or via an exhausted CRC budget (`CorruptWeights`)
+    /// — fails the still unfinished members at the recorded fault time;
+    /// utterances already past their last kernel are carried in
+    /// `finished_s`.
+    pub(crate) fn of(plan: &ExecPlan, run: std::result::Result<BatchedRun, BatchFailure>) -> Self {
         match run {
             Ok(run) => {
                 let stats = run.runtime.command_stats();
@@ -200,15 +212,26 @@ impl CardOutcome {
                     corruption: run.corruption,
                     load_busy_s: run.load_busy_s,
                     timed_out: stats.timed_out,
+                    reuse: plan.reuse.unwrap_or_default(),
+                    pins: match plan.resume {
+                        None => plan.pinned_stripes(PIN_SLOTS).into(),
+                        Some(_) => Rc::from([]),
+                    },
                 }
             }
-            Err(fail) => CardOutcome::Fail {
-                fail_after_s: fail.at_s,
-                finished_s: fail.finished_s,
-                checkpoint: fail.checkpoint.map(Rc::new),
-                quality: fail.stats.success_ratio(),
-                timed_out: fail.stats.timed_out,
-            },
+            Err(fail) => fail.into(),
+        }
+    }
+}
+
+impl From<BatchFailure> for CardOutcome {
+    fn from(fail: BatchFailure) -> Self {
+        CardOutcome::Fail {
+            fail_after_s: fail.at_s,
+            finished_s: fail.finished_s,
+            checkpoint: fail.checkpoint.map(Rc::new),
+            quality: fail.stats.success_ratio(),
+            timed_out: fail.stats.timed_out,
         }
     }
 }
@@ -222,12 +245,21 @@ pub(crate) struct Flight<W> {
     pub(crate) finish_s: f64,
 }
 
-/// One card of a pool, as both [`ServePool`] and the streaming pool
-/// ([`crate::stream`]) hold it: its fault plan, breaker, routing health,
-/// in-flight slot, busy time and dispatch counters, and the memo of what a
-/// dispatch on it does. `K` keys the memo; `W` is the work in flight. Each
-/// pool decides *when* a dispatch moves the health score; the card owns
-/// the three rules that move it.
+/// One card of a pool, as both [`ServePool`] (and so every cluster node)
+/// and the streaming pool ([`crate::stream`]) hold it: its fault plan,
+/// breaker, routing health, in-flight slot, busy time and dispatch
+/// counters, its weight cache, and the memo of what a dispatch on it does.
+/// `K` keys the memo; `W` is the work in flight. Each pool decides *when* a
+/// dispatch moves the health score; the card owns the three rules that
+/// move it.
+///
+/// The weight cache is FTRANS's keep-weights-resident idea at card
+/// granularity: the card's first successful dispatch of a whole plan
+/// leaves that plan's leading [`PIN_SLOTS`] stripes resident, and every
+/// later dispatch lowers against them
+/// ([`crate::plan::PlanBuilder::reuse_resident`]), eliding each load whose
+/// stripe CRC-matches. A dispatch that dies pins nothing, a resumed suffix
+/// neither pins nor elides, and a flash ([`Card::flash`]) empties the cache.
 #[derive(Debug)]
 pub(crate) struct Card<K, W> {
     pub(crate) id: DeviceId,
@@ -236,7 +268,11 @@ pub(crate) struct Card<K, W> {
     /// Routing health in [0, 1]: an EWMA over dispatch quality.
     pub(crate) health: f64,
     pub(crate) in_flight: Option<Flight<W>>,
-    outcomes: HashMap<K, CardOutcome>,
+    /// Memoised outcomes, keyed by the pool's key and whether the card
+    /// was warm.
+    outcomes: HashMap<(K, bool), CardOutcome>,
+    /// The weight cache: empty while the card is cold.
+    resident: Vec<ResidentStripe>,
     /// Requests (or chunks) dispatched to this card.
     pub(crate) served: usize,
     pub(crate) completed: usize,
@@ -256,6 +292,7 @@ impl<K: Eq + Hash, W> Card<K, W> {
             health: 1.0,
             in_flight: None,
             outcomes: HashMap::new(),
+            resident: Vec::new(),
             served: 0,
             completed: 0,
             failed: 0,
@@ -264,24 +301,46 @@ impl<K: Eq + Hash, W> Card<K, W> {
         }
     }
 
-    /// What a dispatch keyed `key` does on this card: `run` executes it
-    /// under the card's fault plan the first time, the memo answers after.
+    /// What a dispatch keyed `key` does on this card. The first time the
+    /// key meets the card cold, and again the first time it meets it warm,
+    /// `run` lowers its plan against the card's resident stripes (none
+    /// while cold) and executes it under the card's fault plan; the memo
+    /// answers after.
     pub(crate) fn outcome(
         &mut self,
         key: K,
-        run: impl FnOnce(FaultPlan) -> CardOutcome,
+        run: impl FnOnce(FaultPlan, &[ResidentStripe]) -> CardOutcome,
     ) -> CardOutcome {
-        if let Some(o) = self.outcomes.get(&key) {
-            return o.clone();
-        }
-        let o = run(self.plan.clone());
-        self.outcomes.insert(key, o.clone());
-        o
+        let warm = self.is_warm();
+        self.outcomes
+            .entry((key, warm))
+            .or_insert_with(|| run(self.plan.clone(), &self.resident))
+            .clone()
     }
 
-    /// Drop the memo: the card's fault plan or weights changed.
+    /// Whether the card's weight cache holds pinned stripes.
+    pub(crate) fn is_warm(&self) -> bool {
+        !self.resident.is_empty()
+    }
+
+    /// A dispatch succeeded on this card: the first to pin anything leaves
+    /// its `pins` resident.
+    pub(crate) fn keep_resident(&mut self, pins: &[ResidentStripe]) {
+        if self.resident.is_empty() {
+            self.resident = pins.to_vec();
+        }
+    }
+
+    /// Drop the memo: the card's fault plan changed.
     pub(crate) fn forget_outcomes(&mut self) {
         self.outcomes.clear();
+    }
+
+    /// The card was flashed to other weights: the memo and the weight
+    /// cache both go, so the next dispatch runs cold.
+    pub(crate) fn flash(&mut self) {
+        self.outcomes.clear();
+        self.resident.clear();
     }
 
     /// Put `work` on the idle card from `now` until `finish_s`. An open
@@ -325,6 +384,26 @@ impl<K: Eq + Hash, W> Card<K, W> {
     }
 }
 
+/// The share of `scheduled` load bytes a weight cache elided; 0 when
+/// nothing was scheduled.
+pub(crate) fn elided_fraction(elided_bytes: u64, scheduled_bytes: u64) -> f64 {
+    if scheduled_bytes == 0 {
+        0.0
+    } else {
+        elided_bytes as f64 / scheduled_bytes as f64
+    }
+}
+
+/// The `elided loads` line of the serve, stream and cluster reports.
+pub(crate) fn elided_loads_line(loads: usize, elided_bytes: u64, scheduled_bytes: u64) -> String {
+    format!(
+        "elided loads         : {} ({} bytes, {:.1} % of scheduled)",
+        loads,
+        elided_bytes,
+        elided_fraction(elided_bytes, scheduled_bytes) * 100.0
+    )
+}
+
 /// Nearest-rank percentile `p` (in [0, 1]) of ascending `sorted` values;
 /// 0 when there are none.
 pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
@@ -351,8 +430,9 @@ pub struct BatchConfig {
     pub max_batch: usize,
     /// How long the dispatcher may hold an underfull batch open waiting for
     /// more arrivals, measured from the queue head's arrival; 0 dispatches
-    /// immediately. Only an empty remainder of the queue lingers — if more
-    /// work is already waiting, the batch dispatches at once.
+    /// immediately. Only an empty remainder of the queue lingers, and only
+    /// on the last idle card that could start it — if more work is already
+    /// waiting, or another card is free, the batch dispatches at once.
     pub linger_s: f64,
 }
 
@@ -572,9 +652,18 @@ pub struct ServeReport {
     /// batch runs — the amortization headline (each batch pays its layer
     /// loads once, split across its members).
     pub amortized_load_s: f64,
-    /// HBM weight-load busy seconds of one fault-free solo run — the
-    /// un-amortized baseline every request would pay at batch 1.
+    /// HBM weight-load busy seconds of one fault-free solo run on a cold
+    /// card — the un-amortized baseline every request would pay at batch 1
+    /// with no weight cache.
     pub solo_load_s: f64,
+    /// `LoadStripe`s the cards' weight caches elided across successful
+    /// runs.
+    pub elided_loads: usize,
+    /// Bytes those elisions kept off the HBM channels.
+    pub elided_load_bytes: u64,
+    /// Bytes the dispatched schedules would have streamed with nothing
+    /// resident (every dispatch, failed ones included).
+    pub scheduled_load_bytes: u64,
     /// Failover dispatches that resumed a checkpointed suffix.
     pub resumed_dispatches: usize,
     /// Checkpoints rejected at validation (stale CRC or mismatch); each
@@ -646,6 +735,11 @@ impl ServeReport {
             "amortized load/utt   : {:.3} ms (solo {:.3} ms)",
             self.amortized_load_s * 1e3,
             self.solo_load_s * 1e3
+        ));
+        line(elided_loads_line(
+            self.elided_loads,
+            self.elided_load_bytes,
+            self.scheduled_load_bytes,
         ));
         line(format!(
             "checkpoint resume    : {} resumed, {} rejected",
@@ -751,9 +845,10 @@ enum MemberEnd {
 struct Batch {
     /// Batch members with their individual settle times and ends.
     members: Vec<(Request, f64, MemberEnd)>,
-    /// Run quality when the whole batch succeeded; `None` on any cancel
-    /// or failure (those score the card down instead).
-    batch_quality: Option<f64>,
+    /// Run quality, and the stripes the run leaves resident, when the
+    /// whole batch succeeded; `None` on any cancel or failure (those score
+    /// the card down instead, and pin nothing).
+    batch_success: Option<(f64, Rc<[ResidentStripe]>)>,
     /// Counters of the batch run serving this dispatch.
     run_corruption: CorruptionCounters,
     /// The frontier a failed dispatch banked — handed to the failover
@@ -765,8 +860,9 @@ struct Batch {
     fail_quality: Option<f64>,
 }
 
-/// A serving card: the pool card, its dispatch memo keyed by batch size,
-/// plus what only the serving pool counts.
+/// A serving card: the pool card, its dispatch memo keyed by batch size
+/// (and, inside the card, by whether its weight cache is warm), plus what
+/// only the serving pool counts.
 #[derive(Debug)]
 struct Device {
     card: Card<usize, Batch>,
@@ -784,11 +880,23 @@ pub struct ServePool {
     devices: Vec<Device>,
     queue: VecDeque<Request>,
     now_s: f64,
-    /// Fault-free makespan of one request — the dispatcher's service-time
-    /// expectation for certain-miss expiry.
+    /// Fault-free makespan of one request on a cold card — the
+    /// dispatcher's service-time expectation for certain-miss expiry. A
+    /// warm card is never slower, so every safety decision keeps the cold
+    /// bound.
     nominal_s: f64,
-    /// Fault-free makespan per batch size (memoised; seeded with size 1).
+    /// Fault-free cold makespan per batch size (memoised; seeded with size 1).
     nominal_batch: HashMap<usize, f64>,
+    /// Weight bytes one dispatch's schedule streams with nothing resident
+    /// (the same at every batch size: a batch loads each stripe once).
+    schedule_bytes: u64,
+    /// `LoadStripe`s the cards' weight caches elided over successful runs.
+    elided_loads: usize,
+    /// Bytes those elisions kept off the HBM channels.
+    elided_load_bytes: u64,
+    /// Bytes the dispatched schedules would have streamed with nothing
+    /// resident.
+    scheduled_load_bytes: u64,
     /// HBM weight-load busy seconds of one fault-free solo run.
     solo_load_s: f64,
     /// Load busy seconds summed over successful batch runs.
@@ -860,10 +968,8 @@ impl ServePool {
             )));
         }
         let s = cfg.accel.max_seq_len;
-        let nominal = run_plan(
-            &cfg.accel,
-            &ExecPlan::lower(&cfg.accel, cfg.arch, s, 1, cfg.accel.integrity)?,
-        );
+        let solo = ExecPlan::lower(&cfg.accel, cfg.arch, s, 1, cfg.accel.integrity)?;
+        let nominal = run_plan(&cfg.accel, &solo);
         let nominal_s = nominal.makespan_s;
         if cfg.attempt_timeout() < nominal_s {
             return Err(AccelError::Config(format!(
@@ -889,6 +995,10 @@ impl ServePool {
             now_s: 0.0,
             nominal_s,
             nominal_batch: HashMap::from([(1, nominal_s)]),
+            schedule_bytes: solo.scheduled_load_bytes(),
+            elided_loads: 0,
+            elided_load_bytes: 0,
+            scheduled_load_bytes: 0,
             solo_load_s: nominal.load_busy_s,
             load_busy_total_s: 0.0,
             ok_batch_utts: 0,
@@ -911,14 +1021,16 @@ impl ServePool {
         })
     }
 
-    /// Fault-free makespan of one request (the service-time expectation).
+    /// Fault-free makespan of one request on a cold card (the service-time
+    /// expectation; a warm card is never slower).
     pub fn nominal_s(&self) -> f64 {
         self.nominal_s
     }
 
-    /// Fault-free makespan of a size-`batch` dispatch — the projected batch
-    /// makespan a joining request's deadline is checked against. Memoised;
-    /// the underlying schedule is deterministic.
+    /// Fault-free makespan of a size-`batch` dispatch on a cold card — the
+    /// projected batch makespan a joining request's deadline is checked
+    /// against, an upper bound for a warm card. Memoised; the underlying
+    /// schedule is deterministic.
     pub fn batch_nominal_s(&mut self, batch: usize) -> f64 {
         if let Some(&t) = self.nominal_batch.get(&batch) {
             return t;
@@ -1077,8 +1189,9 @@ impl ServePool {
     /// Flash every card to weight version `v`. Only an idle, drained pool
     /// may be flashed — in-flight or queued work pins the old version, which
     /// is exactly the invariant that keeps any single dispatched batch on
-    /// one weight version. Clears the memoised dispatch outcomes (their
-    /// banked checkpoints are tagged with the old version).
+    /// one weight version. Empties every card's weight cache (its stripes
+    /// are the old version's) and clears the memoised dispatch outcomes
+    /// (their banked checkpoints are tagged with the old version).
     pub fn set_weight_version(&mut self, v: u64) -> Result<()> {
         if self.dead {
             return Err(AccelError::Config("pool is fail-stopped".into()));
@@ -1093,7 +1206,7 @@ impl ServePool {
         }
         self.cfg.accel.weight_version = v;
         for d in &mut self.devices {
-            d.card.forget_outcomes();
+            d.card.flash();
         }
         Ok(())
     }
@@ -1167,7 +1280,9 @@ impl ServePool {
             // Cut the banked frontier at the kill instant. A member already
             // carrying a checkpoint keeps it (a resumed suffix's absolute
             // frontier is at least that cut); fresh members share one new
-            // cut over the analytic barrier schedule.
+            // cut over the analytic barrier schedule of the cold plan, which
+            // a warm card is never behind, so the cut claims no work the
+            // card had not done.
             let group_ckpt: Option<Rc<PlanCheckpoint>> = if self.cfg.checkpoint
                 && unfinished.iter().any(|r| r.ckpt.is_none())
             {
@@ -1319,10 +1434,11 @@ impl ServePool {
                     fl.finish_s,
                     if hard { batch.fail_quality } else { None },
                 );
-            } else if let Some(quality) = batch.batch_quality {
+            } else if let Some((quality, pins)) = batch.batch_success {
                 let card = &mut self.devices[i].card;
                 card.breaker.on_success();
                 card.credit(quality);
+                card.keep_resident(&pins);
             }
             let size = batch.members.len();
             let device = self.devices[i].card.id;
@@ -1448,6 +1564,7 @@ impl ServePool {
             // consecutive failures and open) while healthy cards carry the
             // bulk. Ties go to the lowest index — fully deterministic.
             let mut best: Option<(usize, f64)> = None;
+            let mut idle = 0usize;
             for (i, d) in self.devices.iter().enumerate() {
                 let card = &d.card;
                 if card.in_flight.is_some()
@@ -1456,6 +1573,7 @@ impl ServePool {
                 {
                     continue;
                 }
+                idle += 1;
                 let cost = card.served as f64 / card.health;
                 best = match best {
                     Some((_, b_cost)) if b_cost <= cost => best,
@@ -1515,10 +1633,13 @@ impl ServePool {
                 size += 1;
             }
             // Linger: hold an underfull batch open while the whole queue
-            // fits in it and the head's linger window is still running.
+            // fits in it, the head's linger window is still running, and
+            // this is the last card that could start it — with another idle
+            // card able to take the next arrival, waiting buys no batching.
             if !self.draining
                 && size < max_batch
                 && size == self.queue.len()
+                && idle == 1
                 && now < head.arrival_s + self.cfg.batch.linger_s
             {
                 break;
@@ -1548,10 +1669,11 @@ impl ServePool {
             .map(|r| r.arrival_s + self.cfg.deadline_s)
             .fold(f64::NEG_INFINITY, f64::max);
         let cutoff = attempt_cutoff.min(latest_deadline);
+        self.scheduled_load_bytes += self.schedule_bytes;
         let (
             settled,
             finish_s,
-            batch_quality,
+            batch_success,
             run_corruption,
             fail_ckpt,
             fail_quality,
@@ -1564,9 +1686,13 @@ impl ServePool {
                 corruption,
                 load_busy_s,
                 timed_out,
+                reuse,
+                pins,
             } => {
                 self.load_busy_total_s += load_busy_s;
                 self.ok_batch_utts += b;
+                self.elided_loads += reuse.elided_loads;
+                self.elided_load_bytes += reuse.elided_load_bytes;
                 let mut all_ok = true;
                 let settled: Vec<(Request, f64, MemberEnd)> = members
                     .into_iter()
@@ -1586,7 +1712,15 @@ impl ServePool {
                     })
                     .collect();
                 let finish_s = (now + service_s).min(cutoff);
-                (settled, finish_s, all_ok.then_some(quality), corruption, None, None, timed_out)
+                (
+                    settled,
+                    finish_s,
+                    all_ok.then_some((quality, pins)),
+                    corruption,
+                    None,
+                    None,
+                    timed_out,
+                )
             }
             CardOutcome::Fail { fail_after_s, finished_s, checkpoint, quality, timed_out } => {
                 // A mid-batch fault: members whose last kernel already
@@ -1634,7 +1768,7 @@ impl ServePool {
             finish_s,
             Batch {
                 members: settled,
-                batch_quality,
+                batch_success,
                 run_corruption,
                 checkpoint: fail_ckpt,
                 fail_quality,
@@ -1646,26 +1780,32 @@ impl ServePool {
         d.corruption.merge(&run_corruption);
     }
 
-    /// What a size-`batch` dispatch on this card does: the batch's plan
-    /// under the card's fault plan through the recovery executor, once per
-    /// (card, batch size).
+    /// What a size-`batch` dispatch on this card does: the batch's plan,
+    /// lowered against the card's weight cache, under the card's fault plan
+    /// through the recovery executor — once per (card, batch size, warm).
     fn device_outcome(&mut self, device: usize, batch: usize) -> CardOutcome {
         let cfg = &self.cfg;
-        self.devices[device].card.outcome(batch, |faults| {
+        self.devices[device].card.outcome(batch, |faults, resident| {
             let (accel, s) = (&cfg.accel, cfg.accel.max_seq_len);
-            CardOutcome::of(match ExecPlan::lower(accel, cfg.arch, s, batch, accel.integrity) {
-                Ok(plan) => run_plan_with_recovery(accel, &plan, faults),
-                Err(e) => Err(e.into()),
-            })
+            match PlanBuilder::new(accel, cfg.arch)
+                .utterances(&vec![s; batch])
+                .integrity(accel.integrity)
+                .reuse_resident(resident)
+                .build()
+            {
+                Ok(plan) => CardOutcome::of(&plan, run_plan_with_recovery(accel, &plan, faults)),
+                Err(e) => BatchFailure::from(e).into(),
+            }
         })
     }
 
     /// What resuming `ck` on this card does — *not* memoised: each
     /// checkpoint is a distinct suffix. The resume lowers against the
     /// card's config without trusting the dead card's resident stripes
-    /// (failover is cross-device); a checkpoint that fails validation is
-    /// rejected typed and the dispatch falls back to a clean full restart,
-    /// re-paying the banked work.
+    /// (failover is cross-device) and without the card's own weight cache
+    /// (a resume and resident reuse are exclusive lowerings); a checkpoint
+    /// that fails validation is rejected typed and the dispatch falls back
+    /// to a clean full restart, re-paying the banked work.
     fn resumed_outcome(&mut self, device: usize, ck: &PlanCheckpoint) -> CardOutcome {
         // Cross-version refusal, typed and counted separately: a checkpoint
         // cut under one weight set never completes under another (plan
@@ -1679,9 +1819,10 @@ impl ServePool {
             return self.device_outcome(device, ck.remaining_lens().len());
         }
         let (accel, faults) = (&self.cfg.accel, self.devices[device].card.plan.clone());
-        let run = match ExecPlan::resume(accel, ck, false) {
-            Ok(plan) => run_plan_with_recovery(accel, &plan, faults),
-            Err(e) => Err(e.into()),
+        let plan = ExecPlan::resume(accel, ck, false);
+        let run = match &plan {
+            Ok(plan) => run_plan_with_recovery(accel, plan, faults),
+            Err(e) => Err(e.clone().into()),
         };
         match &run {
             Ok(run) => {
@@ -1704,7 +1845,10 @@ impl ServePool {
             Err(_) => {}
         }
         self.resumed_dispatches += 1;
-        CardOutcome::of(run)
+        match plan {
+            Ok(plan) => CardOutcome::of(&plan, run),
+            Err(e) => BatchFailure::from(e).into(),
+        }
     }
 
     fn finish_request(&mut self, r: Request, outcome: RequestOutcome) {
@@ -1790,6 +1934,9 @@ impl ServePool {
             max_batch: self.cfg.batch.max_batch,
             amortized_load_s,
             solo_load_s: self.solo_load_s,
+            elided_loads: self.elided_loads,
+            elided_load_bytes: self.elided_load_bytes,
+            scheduled_load_bytes: self.scheduled_load_bytes,
             resumed_dispatches: self.resumed_dispatches,
             checkpoint_rejects: self.checkpoint_rejects,
             replayed_load_bytes: self.replayed_load_bytes,
@@ -1809,6 +1956,41 @@ mod tests {
 
     fn cfg(devices: usize, seed: u64, rps: f64, deadline_s: f64) -> ServeConfig {
         ServeConfig::new(devices, seed, rps, deadline_s)
+    }
+
+    /// A size-`batch` plan as a cold card lowers it, and as a warm one
+    /// does: against the leading stripes its first dispatch pinned.
+    fn cold_and_warm(c: &ServeConfig, batch: usize) -> (ExecPlan, ExecPlan) {
+        let s = c.accel.max_seq_len;
+        let cold = ExecPlan::lower(&c.accel, c.arch, s, batch, c.accel.integrity).unwrap();
+        let warm = PlanBuilder::new(&c.accel, c.arch)
+            .utterances(&vec![s; batch])
+            .integrity(c.accel.integrity)
+            .reuse_resident(&cold.pinned_stripes(PIN_SLOTS))
+            .build()
+            .unwrap();
+        (cold, warm)
+    }
+
+    /// Fault-free `(cold, warm)` makespans of a size-`batch` dispatch.
+    fn cold_and_warm_s(c: &ServeConfig, batch: usize) -> (f64, f64) {
+        let (cold, warm) = cold_and_warm(c, batch);
+        (run_plan(&c.accel, &cold).makespan_s, run_plan(&c.accel, &warm).makespan_s)
+    }
+
+    /// Advance a pool through every event it has pending.
+    fn settle(pool: &mut ServePool) {
+        while !pool.is_idle() {
+            let t = pool.next_event_s().expect("a busy pool has a next event");
+            pool.run_until(t);
+        }
+    }
+
+    fn service_s(record: &RequestRecord) -> f64 {
+        match record.outcome {
+            RequestOutcome::Completed { service_s, .. } => service_s,
+            ref other => panic!("request {} not served: {:?}", record.id, other),
+        }
     }
 
     #[test]
@@ -2230,8 +2412,10 @@ mod tests {
     fn linger_holds_an_underfull_batch_until_it_fills_or_expires() {
         let mut c = cfg(1, 0, 10.0, 0.5);
         c.batch = BatchConfig { max_batch: 2, linger_s: 0.005 };
+        // The first dispatch finds the card cold; every later one warm.
+        let (_, warm_n1) = cold_and_warm_s(&c, 1);
+        let first_of_cold_pair = run_plan(&c.accel, &cold_and_warm(&c, 2).0).utterance_finish_s[0];
         let mut pool = ServePool::new(c).unwrap();
-        let n1 = pool.nominal_s();
         pool.submit(0.0).unwrap(); // lingers...
         pool.submit(0.002).unwrap(); // ...fills the batch: dispatch at 2 ms
         pool.submit(0.1).unwrap(); // lone: lingers the full 5 ms window
@@ -2241,8 +2425,13 @@ mod tests {
         match &report.records[0].outcome {
             RequestOutcome::Completed { latency_s, batch, .. } => {
                 assert_eq!(*batch, 2);
-                // Held 2 ms for the batch to fill, then served batched.
-                assert!(*latency_s > 0.002 + n1, "latency {}", latency_s);
+                // Held 2 ms for the batch to fill, then served batched, cold.
+                assert!(
+                    (*latency_s - (0.002 + first_of_cold_pair)).abs() < 1e-9,
+                    "latency {} vs wait+cold pair {}",
+                    latency_s,
+                    0.002 + first_of_cold_pair
+                );
             }
             other => panic!("unexpected outcome {:?}", other),
         }
@@ -2251,10 +2440,10 @@ mod tests {
                 assert_eq!(*batch, 1);
                 // Dispatched exactly when its linger window closed.
                 assert!(
-                    (*latency_s - (0.005 + n1)).abs() < 1e-9,
-                    "latency {} vs linger+nominal {}",
+                    (*latency_s - (0.005 + warm_n1)).abs() < 1e-9,
+                    "latency {} vs linger+warm nominal {}",
                     latency_s,
-                    0.005 + n1
+                    0.005 + warm_n1
                 );
             }
             other => panic!("unexpected outcome {:?}", other),
@@ -2263,10 +2452,133 @@ mod tests {
             RequestOutcome::Completed { latency_s, batch, .. } => {
                 assert_eq!(*batch, 1);
                 // Draining skips the linger: served at its arrival.
-                assert!((*latency_s - n1).abs() < 1e-9, "latency {}", latency_s);
+                assert!((*latency_s - warm_n1).abs() < 1e-9, "latency {}", latency_s);
             }
             other => panic!("unexpected outcome {:?}", other),
         }
+    }
+
+    #[test]
+    fn a_lone_request_does_not_linger_while_another_card_is_idle() {
+        // Two idle cards: holding the request for a batch-mate buys nothing
+        // while a second card could start the next arrival, so it is served
+        // at its arrival, solo, on a cold card.
+        let mut c = cfg(2, 0, 10.0, 0.5);
+        c.batch = BatchConfig { max_batch: 2, linger_s: 0.005 };
+        let (cold_n1, _) = cold_and_warm_s(&c, 1);
+        let mut pool = ServePool::new(c).unwrap();
+        pool.submit(0.0).unwrap();
+        settle(&mut pool);
+        let report = pool.drain();
+        match &report.records[0].outcome {
+            RequestOutcome::Completed { latency_s, batch, .. } => {
+                assert_eq!(*batch, 1);
+                assert_eq!(latency_s.to_bits(), cold_n1.to_bits(), "served at arrival");
+            }
+            other => panic!("unexpected outcome {:?}", other),
+        }
+    }
+
+    #[test]
+    fn warm_dispatches_price_below_cold_with_walker_equal_to_runtime() {
+        // The int8 s = 4 deployment build at A3: the cache elides E1-E4,
+        // 9.558 ms of load where a cold dispatch streams 11.945 ms.
+        let c = cfg(1, 0, 10.0, 0.5);
+        for (batch, cold_ms, warm_ms) in [(1, 11.923, 11.259), (2, 21.965, 21.368)] {
+            let (cold, warm) = cold_and_warm(&c, batch);
+            let reuse = warm.reuse.expect("the warm plan is lowered against the cache");
+            assert_eq!((reuse.offered, reuse.elided_loads, reuse.stale), (PIN_SLOTS, PIN_SLOTS, 0));
+            for (plan, ms) in [(&cold, cold_ms), (&warm, warm_ms)] {
+                let walked = walk_cost(&c.accel, plan).latency_s;
+                let ran = run_plan(&c.accel, plan).makespan_s;
+                assert!((walked - ran).abs() <= 1e-12 * ran, "walker {walked} vs runtime {ran}");
+                assert!(
+                    (ran * 1e3 - ms).abs() < 5e-4,
+                    "batch {batch}: {:.4} ms, want {ms}",
+                    ran * 1e3
+                );
+            }
+        }
+        let (cold, warm) = cold_and_warm(&c, 1);
+        let load_ms = |plan: &ExecPlan| run_plan(&c.accel, plan).load_busy_s * 1e3;
+        assert!((load_ms(&cold) - 11.945).abs() < 5e-4, "cold load {}", load_ms(&cold));
+        assert!((load_ms(&warm) - 9.558).abs() < 5e-4, "warm load {}", load_ms(&warm));
+    }
+
+    #[test]
+    fn a_cards_first_success_warms_it_and_a_flash_empties_its_cache() {
+        let c = cfg(1, 0, 10.0, 0.5);
+        let (cold_n1, warm_n1) = cold_and_warm_s(&c, 1);
+        let schedule_bytes = cold_and_warm(&c, 1).0.scheduled_load_bytes();
+        let mut pool = ServePool::new(c).unwrap();
+        pool.submit(0.0).unwrap();
+        settle(&mut pool);
+        assert!(pool.devices[0].card.is_warm(), "a success pins the leading stripes");
+        pool.submit(0.1).unwrap();
+        settle(&mut pool);
+        pool.set_weight_version(1).unwrap();
+        assert!(!pool.devices[0].card.is_warm(), "a flash empties the cache");
+        // The next dispatch lowers against nothing: no old-version stripe
+        // is offered, so none is elided and none is refused stale.
+        match pool.device_outcome(0, 1) {
+            CardOutcome::Ok { reuse, .. } => assert_eq!(reuse, PlanReuse::default()),
+            other => panic!("a clean card failed: {other:?}"),
+        }
+        pool.submit(0.2).unwrap();
+        let report = pool.drain();
+        let served: Vec<u64> = report.records.iter().map(|r| service_s(r).to_bits()).collect();
+        assert_eq!(served, [cold_n1, warm_n1, cold_n1].map(f64::to_bits));
+        assert_eq!(report.elided_loads, PIN_SLOTS, "only the warm dispatch elided");
+        assert_eq!(report.scheduled_load_bytes, 3 * schedule_bytes);
+        assert!(report.render().contains(&elided_loads_line(
+            report.elided_loads,
+            report.elided_load_bytes,
+            report.scheduled_load_bytes
+        )));
+    }
+
+    #[test]
+    fn a_card_whose_every_dispatch_dies_never_warms() {
+        // Card 0 dies at the fourth decoder load of every run, well after
+        // it streamed E1-E4; card 1 is clean. A dispatch that dies pins
+        // nothing, so card 0 only ever runs its cold plan.
+        let mut c = cfg(2, 0, 50.0, 0.5);
+        c.requests = 20;
+        let bad = FaultPlan::none()
+            .with(FaultKind::HbmLoadError { label: "LWD4".into(), failing_attempts: u32::MAX });
+        let mut pool = ServePool::with_plans(c, vec![bad, FaultPlan::none()]).unwrap();
+        for i in 0..20usize {
+            let _ = pool.submit(i as f64 / 50.0);
+        }
+        settle(&mut pool);
+        let (dead, clean) = (&pool.devices[0].card, &pool.devices[1].card);
+        assert!(dead.failed > 0 && dead.completed == 0);
+        assert!(!dead.is_warm(), "a dispatch that dies pins nothing");
+        assert!(dead.outcomes.keys().all(|&(_, warm)| !warm), "every run on it was cold");
+        assert!(clean.is_warm());
+    }
+
+    #[test]
+    fn a_resume_on_a_warm_card_elides_nothing_from_its_cache() {
+        // Two requests at once: card 0 takes the first and dies at LWD4,
+        // card 1 serves the second (cold) and is warm when the failed-over
+        // checkpoint resumes on it. The resume lowers without the cache —
+        // resumes and resident reuse are exclusive — and leaves it as it
+        // was.
+        let mut c = cfg(2, 0, 20.0, 0.5);
+        c.checkpoint = true;
+        let bad = FaultPlan::none()
+            .with(FaultKind::HbmLoadError { label: "LWD4".into(), failing_attempts: u32::MAX });
+        let mut pool = ServePool::with_plans(c, vec![bad, FaultPlan::none()]).unwrap();
+        pool.submit(0.0).unwrap();
+        pool.submit(0.0).unwrap();
+        settle(&mut pool);
+        assert!(pool.devices[1].card.is_warm());
+        let report = pool.drain();
+        assert_eq!(report.completed, 2);
+        assert_eq!(report.resumed_dispatches, 1);
+        assert_eq!(report.elided_loads, 0, "a resume elides nothing from the cache");
+        assert_eq!(report.elided_load_bytes, 0);
     }
 
     /// Completed records' batch sizes by request id (`None` if not served).

@@ -14,13 +14,13 @@
 //!   ([`crate::plan::ExecPlan::lower_stream_chunk`]): a `CTX` load of every
 //!   encoder layer's carried keys and values, then the encoder layers over
 //!   the new rows only (a chunk's product is encoder rows, so it never runs
-//!   a decoder). The first chunk a device serves pins the leading
-//!   [`PIN_SLOTS`] weight stripes in its stream weight cache
-//!   ([`crate::plan::ExecPlan::pinned_stripes`]); every later chunk offers
-//!   them back ([`crate::plan::PlanBuilder::reuse_resident`]) and elides the
+//!   a decoder). The first chunk a card serves pins the leading
+//!   [`PIN_SLOTS`] weight stripes in the card's weight cache (the one every
+//!   pool's card keeps, [`crate::serve`]); every later chunk offers them
+//!   back ([`crate::plan::PlanBuilder::reuse_resident`]) and elides the
 //!   CRC-matching `LoadStripe`s — FTRANS's keep-weights-resident win,
 //!   applied across the work items of a stream. The weights are shared by
-//!   every stream, so one warm device serves *all* its sessions out of
+//!   every stream, so one warm card serves *all* its sessions out of
 //!   residency. `CTX` is the stream's own and changes every chunk, so every
 //!   dispatch loads it.
 //! * **Mid-stream failover** — a device that dies mid-chunk fails the
@@ -55,13 +55,17 @@
 //! [`crate::serve::ServePool`].
 
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 use crate::arch::Architecture;
 use crate::config::AccelConfig;
 use crate::error::{AccelError, Result};
 use crate::host_runtime::{run_plan, run_plan_with_recovery};
-use crate::plan::{walk_cost, ExecPlan, PlanReuse};
-use crate::serve::{percentile, pool_fault_plans, BreakerState, Card, CardOutcome};
+use crate::plan::{walk_cost, ExecPlan, PlanReuse, ResidentStripe};
+use crate::serve::{
+    elided_fraction, elided_loads_line, percentile, pool_fault_plans, BreakerState, Card,
+    CardOutcome, PIN_SLOTS,
+};
 use asr_fpga_sim::device::DeviceId;
 use asr_fpga_sim::faults::FaultPlan;
 use asr_tensor::WeightEncoding;
@@ -72,8 +76,6 @@ pub const CHUNK_STEPS: usize = 4;
 pub const LEFT_CONTEXT: usize = 4;
 /// Bounded per-session chunk queue capacity (in-flight excluded).
 pub const SESSION_QUEUE: usize = 4;
-/// Leading phases pinned in a device's stream weight cache.
-pub const PIN_SLOTS: usize = 4;
 
 /// Streaming-pool configuration.
 #[derive(Debug, Clone)]
@@ -264,7 +266,7 @@ pub struct StreamDeviceReport {
     pub health: f64,
     /// Busy seconds.
     pub busy_s: f64,
-    /// Whether the card's stream weight cache was warm at drain.
+    /// Whether the card's weight cache was warm at drain.
     pub warm: bool,
 }
 
@@ -355,11 +357,10 @@ impl StreamReport {
             self.p99_chunk_latency_s * 1e3,
             self.nominal_chunk_s * 1e3
         ));
-        line(format!(
-            "elided loads         : {} ({} bytes, {:.1} % of scheduled)",
+        line(elided_loads_line(
             self.elided_loads,
             self.elided_load_bytes,
-            self.elided_fraction * 100.0
+            self.scheduled_load_bytes,
         ));
         line(format!("wall time            : {:8.2} ms", self.wall_s * 1e3));
         line(format!(
@@ -453,16 +454,17 @@ struct ArrivedChunk {
 struct ChunkWork {
     session: usize,
     chunk: ArrivedChunk,
-    ok: bool,
-    reuse: Option<PlanReuse>,
+    /// What the run elided and the stripes it leaves resident; `None` when
+    /// the card died under the chunk.
+    ok: Option<(PlanReuse, Rc<[ResidentStripe]>)>,
 }
 
-/// A streaming card: the pool card, its dispatch memo keyed by whether its
-/// stream weight cache is warm, plus what only the streaming pool tracks.
+/// A streaming card: the pool card (every chunk plan is alike, so its
+/// memo is keyed only by whether its weight cache is warm), plus what only
+/// the streaming pool tracks.
 #[derive(Debug)]
 struct StreamDevice {
-    card: Card<bool, ChunkWork>,
-    warm: bool,
+    card: Card<(), ChunkWork>,
     streams_killed: usize,
 }
 
@@ -510,8 +512,9 @@ pub struct StreamPool {
     now_s: f64,
     /// Fault-free warm chunk service time — the stale-shed bound.
     nominal_s: f64,
-    /// The chunk plan a card runs cold, and the one it runs once the
-    /// previous chunk left its stripes pinned. Lowered once, device-neutral.
+    /// The chunk plan a card runs cold, and the one it runs warm. Every
+    /// card's first success pins `cold`'s leading stripes, the set `warm`
+    /// is lowered against, so one pair serves every card.
     cold: ExecPlan,
     warm: ExecPlan,
     elided_loads: usize,
@@ -573,11 +576,7 @@ impl StreamPool {
         let devices = plans
             .into_iter()
             .enumerate()
-            .map(|(i, plan)| StreamDevice {
-                card: Card::new(i, plan),
-                warm: false,
-                streams_killed: 0,
-            })
+            .map(|(i, plan)| StreamDevice { card: Card::new(i, plan), streams_killed: 0 })
             .collect();
         let n_devices = cfg.devices;
         let sessions =
@@ -692,17 +691,15 @@ impl StreamPool {
         for d_idx in 0..self.devices.len() {
             let Some(fl) = self.devices[d_idx].card.settle(now) else { continue };
             self.last_settle_s = self.last_settle_s.max(fl.finish_s);
-            let ChunkWork { session: s_idx, chunk, ok, reuse } = fl.work;
+            let ChunkWork { session: s_idx, chunk, ok } = fl.work;
             self.sessions[s_idx].in_flight = false;
-            if ok {
-                let d = &mut self.devices[d_idx];
-                d.card.breaker.on_success();
-                d.card.completed += 1;
-                d.warm = true;
-                if let Some(r) = reuse {
-                    self.elided_loads += r.elided_loads;
-                    self.elided_load_bytes += r.elided_load_bytes;
-                }
+            if let Some((reuse, pins)) = ok {
+                let card = &mut self.devices[d_idx].card;
+                card.breaker.on_success();
+                card.completed += 1;
+                card.keep_resident(&pins);
+                self.elided_loads += reuse.elided_loads;
+                self.elided_load_bytes += reuse.elided_load_bytes;
                 let deadline = chunk.arrival_s + self.cfg.deadline_s;
                 self.records.push(ChunkRecord {
                     stream: s_idx,
@@ -851,30 +848,30 @@ impl StreamPool {
         self.sessions[s_idx].in_flight = true;
         self.sessions[s_idx].last_dispatch_s = now;
         self.sessions[s_idx].home = d_idx;
-        let warm = self.devices[d_idx].warm;
-        let cfg = &self.cfg;
-        let plan = if warm { &self.warm } else { &self.cold };
+        let (accel, cold, warm) = (&self.cfg.accel, &self.cold, &self.warm);
         let card = &mut self.devices[d_idx].card;
-        // What one chunk dispatch on this card does: the chunk plan through
-        // the fault-tolerant executor, once per (card, warm/cold).
-        let outcome = card.outcome(warm, |faults| {
-            CardOutcome::of(run_plan_with_recovery(&cfg.accel, plan, faults))
+        // What one chunk dispatch on this card does: the chunk plan for the
+        // card's weight cache through the fault-tolerant executor — once
+        // per (card, warm/cold).
+        let outcome = card.outcome((), |faults, resident| {
+            let plan = if resident.is_empty() { cold } else { warm };
+            CardOutcome::of(plan, run_plan_with_recovery(accel, plan, faults))
         });
         card.served += 1;
-        let (finish_s, ok, reuse) = match outcome {
-            CardOutcome::Ok { service_s, quality, timed_out, .. } => {
+        let (finish_s, ok) = match outcome {
+            CardOutcome::Ok { service_s, quality, timed_out, reuse, pins, .. } => {
                 card.timed_out += timed_out;
                 card.credit(quality);
-                (now + service_s, true, plan.reuse)
+                (now + service_s, Some((reuse, pins)))
             }
             CardOutcome::Fail { fail_after_s, quality, timed_out, .. } => {
                 card.timed_out += timed_out;
                 card.debit_dead_run(quality);
-                (now + fail_after_s.max(1e-9), false, None)
+                (now + fail_after_s.max(1e-9), None)
             }
         };
-        card.start(now, finish_s, ChunkWork { session: s_idx, chunk, ok, reuse });
-        self.scheduled_load_bytes += plan.scheduled_load_bytes();
+        card.start(now, finish_s, ChunkWork { session: s_idx, chunk, ok });
+        self.scheduled_load_bytes += self.cold.scheduled_load_bytes();
     }
 
     fn into_report(mut self) -> StreamReport {
@@ -924,11 +921,7 @@ impl StreamPool {
             elided_loads: self.elided_loads,
             elided_load_bytes: self.elided_load_bytes,
             scheduled_load_bytes: self.scheduled_load_bytes,
-            elided_fraction: if self.scheduled_load_bytes == 0 {
-                0.0
-            } else {
-                self.elided_load_bytes as f64 / self.scheduled_load_bytes as f64
-            },
+            elided_fraction: elided_fraction(self.elided_load_bytes, self.scheduled_load_bytes),
             nominal_chunk_s: self.nominal_s,
             wall_s: self.last_settle_s,
             per_device: self
@@ -945,7 +938,7 @@ impl StreamPool {
                     breaker_final: d.card.breaker.state,
                     health: d.card.health,
                     busy_s: d.card.busy_s,
-                    warm: d.warm,
+                    warm: d.card.is_warm(),
                 })
                 .collect(),
             records,

@@ -5,7 +5,7 @@
 use asr_accel::arch::{layer_bytes, simulate};
 use asr_accel::host_runtime::{run_plan, run_plan_with_recovery};
 use asr_accel::integrity::{load_model_with_faults, FunctionalFaults, StripeCorruption};
-use asr_accel::plan::ExecPlan;
+use asr_accel::plan::{ExecPlan, PlanBuilder};
 use asr_accel::schedule;
 use asr_accel::serve;
 use asr_accel::{AccelConfig, Architecture, CorruptionCounters};
@@ -51,6 +51,16 @@ fn any_arch() -> impl Strategy<Value = Architecture> {
 /// One utterance at the config's built length, lowered at its integrity.
 fn solo(cfg: &AccelConfig, arch: Architecture) -> ExecPlan {
     ExecPlan::lower(cfg, arch, cfg.max_seq_len, 1, cfg.integrity).unwrap()
+}
+
+/// A batch at the config's built length as a warm card lowers it: against
+/// the leading stripes a card's first dispatch pins.
+fn warm(cfg: &AccelConfig, arch: Architecture, batch: usize) -> ExecPlan {
+    PlanBuilder::new(cfg, arch)
+        .utterances(&vec![cfg.max_seq_len; batch])
+        .reuse_resident(&solo(cfg, arch).pinned_stripes(serve::PIN_SLOTS))
+        .build()
+        .unwrap()
 }
 
 proptest! {
@@ -136,8 +146,10 @@ proptest! {
 
     // The serving layer is pure orchestration: on a clean pool, every
     // completed request's *service* time must be bit-identical to what an
-    // independent run of the build's solo plan produces — queuing and
-    // routing may shift latencies but never touch the compute.
+    // independent run of the plan its card ran produces — the cold solo
+    // plan on the card's first dispatch, the plan lowered against the
+    // card's pinned stripes after. Queuing and routing may shift latencies
+    // but never touch the compute.
     #[test]
     fn clean_pool_service_times_match_independent_runs(
         devices in 1usize..=3,
@@ -148,23 +160,56 @@ proptest! {
         let mut cfg = serve::ServeConfig::new(devices, 0, rps, 2.0);
         cfg.arch = arch;
         cfg.requests = requests;
-        let plan = solo(&cfg.accel, arch);
-        let solo = run_plan_with_recovery(&cfg.accel, &plan, FaultPlan::none()).unwrap();
+        let run = |plan: &ExecPlan| {
+            run_plan_with_recovery(&cfg.accel, plan, FaultPlan::none()).unwrap().makespan_s
+        };
+        let cold_s = run(&solo(&cfg.accel, arch));
+        let warm_s = run(&warm(&cfg.accel, arch, 1));
+        prop_assert!(warm_s < cold_s, "the cache must shorten a dispatch: {warm_s} vs {cold_s}");
         let report = serve::ServePool::run(cfg).unwrap();
         prop_assert_eq!(report.completed, requests, "clean pool serves everything");
+        // Solo dispatches from one FIFO queue with nothing failing: request
+        // order is dispatch order, so a card's first record is its cold one.
+        let mut warmed = vec![false; devices];
         for r in &report.records {
             match &r.outcome {
-                serve::RequestOutcome::Completed { service_s, latency_s, .. } => {
+                serve::RequestOutcome::Completed { service_s, latency_s, device, .. } => {
+                    let card_warm = std::mem::replace(&mut warmed[device.index()], true);
+                    let want = if card_warm { warm_s } else { cold_s };
                     prop_assert_eq!(
                         service_s.to_bits(),
-                        solo.makespan_s.to_bits(),
-                        "request {} service diverged from the solo run",
-                        r.id
+                        want.to_bits(),
+                        "request {} on {} ({}) diverged from its independent run",
+                        r.id,
+                        device,
+                        if card_warm { "warm" } else { "cold" }
                     );
                     prop_assert!(*latency_s >= *service_s - 1e-15);
                 }
                 other => prop_assert!(false, "unexpected outcome {:?}", other),
             }
+        }
+        let cards_used = warmed.iter().filter(|&&w| w).count();
+        prop_assert_eq!(report.elided_loads, (requests - cards_used) * serve::PIN_SLOTS);
+    }
+
+    // The serving tier's safety decisions (admission, expiry, batch
+    // projections, the cluster's upgrade gate) price every dispatch at the
+    // cold nominal. That is sound only if a warm card is never slower: at
+    // every architecture and batch size, each utterance of the warm plan
+    // finishes no later than it does cold.
+    #[test]
+    fn a_warm_dispatch_never_outlasts_the_cold_nominal(
+        cfg in valid_config(),
+        arch in any_arch(),
+        batch in 1usize..=8,
+    ) {
+        let cold = ExecPlan::lower(&cfg, arch, cfg.max_seq_len, batch, cfg.integrity).unwrap();
+        let cold = run_plan(&cfg, &cold);
+        let warm = run_plan(&cfg, &warm(&cfg, arch, batch));
+        prop_assert!(warm.makespan_s <= cold.makespan_s, "{} > {}", warm.makespan_s, cold.makespan_s);
+        for (w, c) in warm.utterance_finish_s.iter().zip(&cold.utterance_finish_s) {
+            prop_assert!(w <= c, "utterance finishes at {} warm, {} cold", w, c);
         }
     }
 

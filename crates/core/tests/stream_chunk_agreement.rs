@@ -14,9 +14,10 @@ use asr_accel::integrity::{
     chunk_plan, push_functional_chunk, run_functional_stream, small_config, FunctionalFaults,
 };
 use asr_accel::plan::{walk_cost, DecodeStepSpec, ExecPlan, PhaseKind};
+use asr_accel::serve::PIN_SLOTS;
 use asr_accel::stream::{
     stream_analytics, ChunkOutcome, StreamConfig, StreamPool, StreamReport, CHUNK_STEPS,
-    LEFT_CONTEXT, PIN_SLOTS,
+    LEFT_CONTEXT,
 };
 use asr_accel::{AccelError, Architecture};
 use asr_fpga_sim::faults::{FaultKind, FaultPlan};

@@ -725,6 +725,25 @@ impl ServeReport {
             self.p50_latency_s * 1e3,
             self.p99_latency_s * 1e3
         ));
+        // Arrival to the dispatch that served it: latency less service
+        // (clamped at zero, where rounding leaves a dispatch at arrival a
+        // hair below it).
+        let mut waits: Vec<f64> = self
+            .records
+            .iter()
+            .filter_map(|r| match r.outcome {
+                RequestOutcome::Completed { latency_s, service_s, .. } => {
+                    Some((latency_s - service_s).max(0.0))
+                }
+                _ => None,
+            })
+            .collect();
+        waits.sort_by(f64::total_cmp);
+        line(format!(
+            "queue wait p50 / p99 : {:.2} / {:.2} ms",
+            percentile(&waits, 0.50) * 1e3,
+            percentile(&waits, 0.99) * 1e3
+        ));
         line(format!(
             "batches dispatched   : {} (mean batch {:.2}, occupancy {:.0} %)",
             self.batches,

@@ -34,6 +34,10 @@ const REPORTS: &[(&str, &str)] = &[
     ("serve_checkpoint", "serve --checkpoint --kill LWD4 --n 4 --rps 20 --deadline-ms 500"),
     ("serve_restart", "serve --kill LWD4 --n 4 --rps 20 --deadline-ms 500"),
     (
+        "serve_batched",
+        "serve --devices 2 --batch 8 --linger-ms 5 --rps 120 --deadline-ms 200 --n 200",
+    ),
+    (
         "stream_failover",
         "stream --streams 4 --devices 4 --faults 1 --chunk-ms 40 --deadline-ms 60 --chunks 8",
     ),

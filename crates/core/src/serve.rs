@@ -422,7 +422,10 @@ pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
 /// per-utterance computes back-to-back under the resident layer, so the
 /// A2/A3 prefetch cost is amortized over the whole batch. A request only
 /// joins a batch whose *projected batched makespan* still fits its deadline
-/// and the per-attempt timeout.
+/// and the per-attempt timeout, and only while the grown batch ends no
+/// later than another card could finish the rest of the queue: on a
+/// compute-bound card a batch saves only the pipeline fill, so a backlog
+/// splits across the cards by finish time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchConfig {
     /// Largest number of queued requests coalesced into one dispatch
@@ -430,9 +433,14 @@ pub struct BatchConfig {
     pub max_batch: usize,
     /// How long the dispatcher may hold an underfull batch open waiting for
     /// more arrivals, measured from the queue head's arrival; 0 dispatches
-    /// immediately. Only an empty remainder of the queue lingers, and only
-    /// on the last idle card that could start it — if more work is already
-    /// waiting, or another card is free, the batch dispatches at once.
+    /// immediately. Only an empty remainder of the queue lingers, only on
+    /// the last idle card that could start it (if more work is already
+    /// waiting, or another card is free, the batch dispatches at once), and
+    /// only if one more member saves the card the whole window:
+    /// `n(1) + n(b) - n(b+1) >= linger_s`, with `n` the fault-free cold
+    /// makespan per batch size. The int8 A3 deployment card saves 1.881 ms
+    /// at b = 1 and 1.239 ms beyond, so it does not linger at 5 ms; an A1
+    /// card saves a whole load pass (11.93 ms at int8) and does.
     pub linger_s: f64,
 }
 
@@ -1048,8 +1056,9 @@ impl ServePool {
 
     /// Fault-free makespan of a size-`batch` dispatch on a cold card — the
     /// projected batch makespan a joining request's deadline is checked
-    /// against, an upper bound for a warm card. Memoised; the underlying
-    /// schedule is deterministic.
+    /// against, an upper bound for a warm card, and the price the
+    /// dispatcher's finish-time split and linger rule compare. Memoised and
+    /// lowered on first use; the underlying schedule is deterministic.
     pub fn batch_nominal_s(&mut self, batch: usize) -> f64 {
         if let Some(&t) = self.nominal_batch.get(&batch) {
             return t;
@@ -1546,6 +1555,19 @@ impl ServePool {
         }
     }
 
+    /// The earliest time a card other than `card` whose breaker admits work
+    /// could start a dispatch: now if one is idle, else the first in-flight
+    /// finish. `None` when no other card admits work.
+    fn next_free_card_s(&self, card: usize) -> Option<f64> {
+        let now = self.now_s;
+        self.devices
+            .iter()
+            .enumerate()
+            .filter(|&(j, d)| j != card && d.card.breaker.would_admit(now))
+            .map(|(_, d)| d.card.in_flight.as_ref().map_or(now, |fl| fl.finish_s))
+            .min_by(f64::total_cmp)
+    }
+
     /// Pull work from the queue head onto the best available card.
     fn dispatch(&mut self) {
         let now = self.now_s;
@@ -1635,10 +1657,17 @@ impl ServePool {
             // when the *projected batched makespan* still fits the attempt
             // timeout and every member's deadline (batch-aware admission),
             // and a failed-over request never rides the card it excluded.
+            // It also joins only if the grown batch ends no later than
+            // another card could finish the rest of the queue, starting
+            // when that card frees up: on a compute-bound card each member
+            // adds nearly a solo run, so a backlog splits across the cards
+            // instead of queueing behind one.
             let max_batch = self.cfg.batch.max_batch;
             let attempt_cutoff = now + self.cfg.attempt_timeout();
+            let queued = self.queue.len();
+            let other_free_s = self.next_free_card_s(i);
             let mut size = 1usize;
-            while size < max_batch && size < self.queue.len() {
+            while size < max_batch && size < queued {
                 if self.queue[size].exclude == Some(i) || self.queue[size].ckpt.is_some() {
                     break;
                 }
@@ -1646,20 +1675,28 @@ impl ServePool {
                 let fits = now + projected <= attempt_cutoff
                     && (0..=size)
                         .all(|j| now + projected <= self.queue[j].arrival_s + self.cfg.deadline_s);
-                if !fits {
+                if !fits
+                    || other_free_s.is_some_and(|t| {
+                        now + projected > t + self.batch_nominal_s((queued - size).min(max_batch))
+                    })
+                {
                     break;
                 }
                 size += 1;
             }
             // Linger: hold an underfull batch open while the whole queue
-            // fits in it, the head's linger window is still running, and
-            // this is the last card that could start it — with another idle
-            // card able to take the next arrival, waiting buys no batching.
+            // fits in it, the head's linger window is still running, this
+            // is the last card that could start it — with another idle card
+            // able to take the next arrival, waiting buys no batching — and
+            // one more member would save the card at least the whole window
+            // (`n(1) + n(b) - n(b+1)`), so the wait pays for itself.
             if !self.draining
                 && size < max_batch
-                && size == self.queue.len()
+                && size == queued
                 && idle == 1
                 && now < head.arrival_s + self.cfg.batch.linger_s
+                && self.nominal_s + self.batch_nominal_s(size) - self.batch_nominal_s(size + 1)
+                    >= self.cfg.batch.linger_s
             {
                 break;
             }
@@ -2429,10 +2466,15 @@ mod tests {
 
     #[test]
     fn linger_holds_an_underfull_batch_until_it_fills_or_expires() {
+        // At A1 every load waits for the previous compute, so a second
+        // member saves a whole load pass, which repays the 5 ms window.
         let mut c = cfg(1, 0, 10.0, 0.5);
+        c.arch = Architecture::A1;
         c.batch = BatchConfig { max_batch: 2, linger_s: 0.005 };
         // The first dispatch finds the card cold; every later one warm.
-        let (_, warm_n1) = cold_and_warm_s(&c, 1);
+        let (cold_n1, warm_n1) = cold_and_warm_s(&c, 1);
+        let (cold_n2, _) = cold_and_warm_s(&c, 2);
+        assert!(2.0 * cold_n1 - cold_n2 >= c.batch.linger_s, "a batch-mate repays the linger");
         let first_of_cold_pair = run_plan(&c.accel, &cold_and_warm(&c, 2).0).utterance_finish_s[0];
         let mut pool = ServePool::new(c).unwrap();
         pool.submit(0.0).unwrap(); // lingers...
@@ -2496,6 +2538,68 @@ mod tests {
             }
             other => panic!("unexpected outcome {:?}", other),
         }
+    }
+
+    #[test]
+    fn a_compute_bound_card_does_not_linger() {
+        // The int8 A3 deployment card is compute-bound from batch 2: one
+        // more member saves n(1) + n(b) - n(b+1) of card time, 1.881 ms at
+        // b = 1 and 1.239 ms beyond, less than the 5 ms window. A lone
+        // request on the last idle card therefore starts at its arrival.
+        let mut c = cfg(2, 0, 10.0, 0.5);
+        c.batch = BatchConfig { max_batch: 8, linger_s: 0.005 };
+        let mut sizes = ServePool::new(c.clone()).unwrap();
+        let n1 = sizes.nominal_s();
+        for (b, saving_ms) in [(1, 1.881), (2, 1.239), (7, 1.239)] {
+            let saving = n1 + sizes.batch_nominal_s(b) - sizes.batch_nominal_s(b + 1);
+            assert!((saving * 1e3 - saving_ms).abs() < 5e-4, "b = {b}: {} ms", saving * 1e3);
+        }
+        let mut pool = ServePool::new(c).unwrap();
+        pool.submit(0.0).unwrap(); // card 0 busy from here
+        pool.submit(0.001).unwrap(); // card 1 is the last idle card
+        assert_eq!(pool.queue_len(), 0, "the lone request did not wait for a batch-mate");
+        let report = pool.drain();
+        match &report.records[1].outcome {
+            RequestOutcome::Completed { latency_s, batch, device, .. } => {
+                assert_eq!((*batch, *device), (1, DeviceId::new(1)));
+                assert!((latency_s - n1).abs() < 1e-12, "latency {latency_s} vs cold solo {n1}");
+            }
+            other => panic!("unexpected outcome {:?}", other),
+        }
+    }
+
+    #[test]
+    fn a_backlog_splits_by_finish_time() {
+        // Requests 0 and 1 start solo on the two cold cards at 0 and 1 ms;
+        // 2-5 queue behind them. When card 0 frees at n(1) = 11.923 ms, a
+        // pair on it still ends before card 1 (free at 1 ms + n(1)) could
+        // finish the other three, but a triple would not: card 0 takes 2-3
+        // and card 1 takes 4-5 when it frees. All six finish by 34.3 ms;
+        // on card 0 alone the four would end at 53.6-54.7 ms.
+        let mut c = cfg(2, 0, 10.0, 0.5);
+        c.batch = BatchConfig { max_batch: 8, linger_s: 0.0 };
+        let (cold_n1, _) = cold_and_warm_s(&c, 1);
+        let mut pool = ServePool::new(c).unwrap();
+        for i in 0..6 {
+            pool.submit(i as f64 * 1e-3).unwrap();
+        }
+        let report = pool.drain();
+        assert_eq!(report.completed, 6);
+        for (id, card, start_s) in
+            [(2, 0, cold_n1), (3, 0, cold_n1), (4, 1, 1e-3 + cold_n1), (5, 1, 1e-3 + cold_n1)]
+        {
+            let r = &report.records[id];
+            match r.outcome {
+                RequestOutcome::Completed { device, batch, latency_s, service_s, .. } => {
+                    assert_eq!((device, batch), (DeviceId::new(card), 2), "request {id}");
+                    let started = r.arrival_s + latency_s - service_s;
+                    assert!((started - start_s).abs() < 1e-12, "request {id} started {started}");
+                }
+                ref other => panic!("request {id}: {:?}", other),
+            }
+        }
+        let last_s = report.wall_s;
+        assert!(last_s < 0.0343, "the backlog finished at {:.3} ms", last_s * 1e3);
     }
 
     #[test]
@@ -2666,6 +2770,10 @@ mod tests {
         // batched dispatch can trigger (solo labels carry no [u1]). The
         // batch's first utterance is already finished when the run dies, so
         // only the second fails over; card 1 serves it.
+        //
+        // Card 1 starts its solo run 11 ms after card 0 does, so when card
+        // 0 frees, the pair queued behind them ends sooner batched on card
+        // 0 than split onto card 1: n(2) - n(1) is about 10.04 ms.
         let mut c = cfg(2, 0, 200.0, 1.0);
         c.batch = BatchConfig { max_batch: 2, linger_s: 0.0 };
         let plans = vec![
@@ -2676,8 +2784,8 @@ mod tests {
             FaultPlan::none(),
         ];
         let mut pool = ServePool::with_plans(c, plans).unwrap();
-        for i in 0..4usize {
-            pool.submit(i as f64 * 1e-4).unwrap();
+        for t in [0.0, 0.011, 0.0111, 0.0112] {
+            pool.submit(t).unwrap();
         }
         let report = pool.drain();
         assert_eq!(report.completed, 4, "records: {:?}", report.records);

@@ -262,6 +262,78 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Serving path: on a compute-bound card the dispatcher neither lingers nor
+// leaves a card idle while a backlog waits.
+// ---------------------------------------------------------------------------
+
+/// Whether card intervals `busy` cover `[from, to]` without a gap.
+fn covered(busy: &[(f64, f64)], from: f64, to: f64) -> bool {
+    const EPS: f64 = 1e-12;
+    let mut t = from;
+    while t < to - EPS {
+        match busy
+            .iter()
+            .filter(|&&(s, e)| s <= t + EPS && e > t + EPS)
+            .map(|&(_, e)| e)
+            .reduce(f64::max)
+        {
+            Some(e) => t = e,
+            None => return false,
+        }
+    }
+    true
+}
+
+proptest! {
+    #![proptest_config(env_cases(32))]
+
+    // The int8 A3 deployment card saves at most 1.881 ms of card time per
+    // extra batch member, so a linger of 1.9 ms or more never pays, and a
+    // backlog splits by finish time across the cards. Together: no
+    // request ever waits while some card is idle. The cards' busy
+    // intervals are rebuilt from the records alone: a dispatch starts at
+    // finish - service_s and holds its card until its last member ends.
+    #[test]
+    fn a_compute_bound_pool_never_idles_a_card_while_work_waits(
+        devices in 1usize..=3,
+        max_batch in 1usize..=8,
+        linger_ms in 1.9f64..10.0,
+        gaps_ms in prop::collection::vec(0.0f64..15.0, 1..40),
+    ) {
+        let mut c = serve::ServeConfig::new(devices, 0, 100.0, 1.0);
+        c.batch = serve::BatchConfig { max_batch, linger_s: linger_ms * 1e-3 };
+        let mut pool = serve::ServePool::new(c).unwrap();
+        let mut t = 0.0;
+        for gap in &gaps_ms {
+            t += gap * 1e-3;
+            pool.submit(t).unwrap();
+        }
+        let report = pool.drain();
+        prop_assert_eq!(report.completed, gaps_ms.len());
+        let mut busy: Vec<Vec<(f64, f64)>> = vec![Vec::new(); devices];
+        let mut waited = Vec::new();
+        for r in &report.records {
+            let serve::RequestOutcome::Completed { device, latency_s, service_s, .. } = r.outcome
+            else {
+                unreachable!("a clean pool with a 1 s deadline serves everything")
+            };
+            let finish = r.arrival_s + latency_s;
+            busy[device.index()].push((finish - service_s, finish));
+            waited.push((r.id, r.arrival_s, finish - service_s));
+        }
+        for (id, arrival, started) in waited {
+            for (card, intervals) in busy.iter().enumerate() {
+                prop_assert!(
+                    covered(intervals, arrival, started),
+                    "request {} waited {:.3} ms from {:.3} ms while card {} sat idle",
+                    id, (started - arrival) * 1e3, arrival * 1e3, card
+                );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Cycle-accounting regressions (satellite 2): hand-computed pins.
 // ---------------------------------------------------------------------------
 

@@ -167,9 +167,25 @@ fn parse_count(args: &[String], flag: &str, default: usize) -> Result<usize, Cli
     parse_flag_value(args, flag, default, "an integer >= 1", |v| v.parse().ok().filter(|&n| n >= 1))
 }
 
-fn parse_f64_strict(args: &[String], flag: &str, default: f64) -> Result<f64, CliError> {
-    parse_flag_value(args, flag, default, "a finite number", |v| {
-        v.parse::<f64>().ok().filter(|x| x.is_finite())
+/// The values a time or rate flag accepts.
+#[derive(Clone, Copy)]
+enum Range {
+    /// A finite number `> 0`: a rate, a deadline, a chunk cadence.
+    Positive,
+    /// A finite number `>= 0`, where zero means none: a linger, a jitter.
+    NonNegative,
+}
+
+/// A time or rate flag, read as a finite number in `range`. A value
+/// outside it is a bad value, like an unparsable one; a positive deadline
+/// too short for the build is left for the simulator to refuse.
+fn parse_f64_in(args: &[String], flag: &str, default: f64, range: Range) -> Result<f64, CliError> {
+    let (expects, in_range): (&str, fn(f64) -> bool) = match range {
+        Range::Positive => ("a finite number > 0", |x| x > 0.0),
+        Range::NonNegative => ("a finite number >= 0", |x| x >= 0.0),
+    };
+    parse_flag_value(args, flag, default, expects, |v| {
+        v.parse::<f64>().ok().filter(|&x| x.is_finite() && in_range(x))
     })
 }
 
@@ -738,8 +754,8 @@ fn cmd_decode(args: &[String]) -> Result<(), CliError> {
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let devices = parse_usize_strict(args, "--devices", 2)?;
     let seed = parse_usize_strict(args, "--faults", 0)? as u64;
-    let rps = parse_f64_strict(args, "--rps", 50.0)?;
-    let deadline_s = parse_f64_strict(args, "--deadline-ms", 200.0)? / 1e3;
+    let rps = parse_f64_in(args, "--rps", 50.0, Range::Positive)?;
+    let deadline_s = parse_f64_in(args, "--deadline-ms", 200.0, Range::Positive)? / 1e3;
     let level = parse_integrity_flag(args)?;
     let checkpoint = has_flag(args, "--checkpoint");
     let batch = parse_usize_strict(args, "--batch", 0)?;
@@ -762,7 +778,8 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     if has_flag(args, "--batch") {
         cfg.batch.max_batch = batch;
     }
-    cfg.batch.linger_s = parse_f64_strict(args, "--linger-ms", cfg.batch.linger_s * 1e3)? / 1e3;
+    cfg.batch.linger_s =
+        parse_f64_in(args, "--linger-ms", cfg.batch.linger_s * 1e3, Range::NonNegative)? / 1e3;
     cfg.checkpoint = checkpoint;
     let kill = parse_str_flag(args, "--kill");
     println!("devices              : {}", cfg.devices);
@@ -789,8 +806,8 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
 fn cmd_cluster(args: &[String]) -> Result<(), CliError> {
     let nodes = parse_count(args, "--nodes", 2)?;
     let devices = parse_count(args, "--devices", 1)?;
-    let rps = parse_f64_strict(args, "--rps", 60.0)?;
-    let deadline_s = parse_f64_strict(args, "--deadline-ms", 500.0)? / 1e3;
+    let rps = parse_f64_in(args, "--rps", 60.0, Range::Positive)?;
+    let deadline_s = parse_f64_in(args, "--deadline-ms", 500.0, Range::Positive)? / 1e3;
     let mut cfg = ClusterConfig::new(nodes, devices, rps, deadline_s);
     cfg.requests = parse_count(args, "--n", cfg.requests)?;
     cfg.sessions = parse_count(args, "--sessions", cfg.sessions)?;
@@ -872,9 +889,9 @@ fn cmd_stream(args: &[String]) -> Result<(), CliError> {
     let devices = parse_usize_strict(args, "--devices", 2)?;
     let seed = parse_usize_strict(args, "--faults", 0)? as u64;
     let streams = parse_count(args, "--streams", 4)?;
-    let chunk_ms = parse_f64_strict(args, "--chunk-ms", 40.0)?;
-    let deadline_ms = parse_f64_strict(args, "--deadline-ms", 60.0)?;
-    let jitter_ms = parse_f64_strict(args, "--jitter-ms", 0.0)?;
+    let chunk_ms = parse_f64_in(args, "--chunk-ms", 40.0, Range::Positive)?;
+    let deadline_ms = parse_f64_in(args, "--deadline-ms", 60.0, Range::Positive)?;
+    let jitter_ms = parse_f64_in(args, "--jitter-ms", 0.0, Range::NonNegative)?;
     let level = parse_integrity_flag(args)?;
     let mut cfg = StreamConfig::new(devices, seed, streams, deadline_ms / 1e3);
     cfg.accel.integrity = level;

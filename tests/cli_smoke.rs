@@ -469,6 +469,20 @@ fn malformed_numeric_flags_are_bad_values() {
         &["cluster", "--sessions", "0"],
         // a rollout that would start before time 0
         &["cluster", "--upgrade", "2", "--upgrade-at", "-1"],
+        // a time or rate outside its range: > 0, or >= 0 for linger and jitter
+        &["serve", "--rps", "0"],
+        &["serve", "--rps", "-5"],
+        &["serve", "--deadline-ms", "0"],
+        &["serve", "--deadline-ms", "-1"],
+        &["serve", "--linger-ms", "-1"],
+        &["stream", "--chunk-ms", "0"],
+        &["stream", "--jitter-ms", "-1"],
+        &["stream", "--deadline-ms", "0"],
+        &["stream", "--deadline-ms", "-1"],
+        &["cluster", "--rps", "0"],
+        &["cluster", "--rps", "-5"],
+        &["cluster", "--deadline-ms", "0"],
+        &["cluster", "--deadline-ms", "-1"],
     ] {
         let (code, err) = run_code(args);
         assert_eq!(code, 3, "{:?} must not fall back to the default: {}", args, err);

@@ -103,6 +103,11 @@ const EXITS: &[&str] = &[
     "serve --batch 0",
     "serve --queue 0",
     "serve --n 0",
+    "serve --rps 0",
+    "serve --rps -5",
+    "serve --deadline-ms 0",
+    "serve --deadline-ms -1",
+    "serve --linger-ms -1",
     "serve --deadline-ms 0.001",
     "serve --deadline-ms 20",
     "serve --devices 0 --kill LWD4",
@@ -110,9 +115,17 @@ const EXITS: &[&str] = &[
     "stream --streams 0",
     "stream --chunks 0",
     "stream --devices 0",
+    "stream --chunk-ms 0",
+    "stream --jitter-ms -1",
+    "stream --deadline-ms 0",
+    "stream --deadline-ms -1",
     "stream --deadline-ms 0.001",
     "cluster --n 0",
     "cluster --sessions 0",
+    "cluster --rps 0",
+    "cluster --rps -5",
+    "cluster --deadline-ms 0",
+    "cluster --deadline-ms -1",
     "cluster --nodes 1 --upgrade 2",
     "cluster --upgrade-at 0.4",
     "cluster --upgrade 2 --upgrade-at -1",

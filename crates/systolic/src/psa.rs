@@ -119,8 +119,11 @@ impl Psa {
 
     /// Accumulate columns `[j0, je)` of the product into `out`, with the
     /// hardware accumulation order (sequential `k` for every element). It
-    /// runs k-outer: weight row `k`'s slice is added into every product row
-    /// before row `k + 1` is read.
+    /// runs k-outer, four weight rows at a time: rows `k..k + 4`'s slices
+    /// are added into every product row before row `k + 4` is read, each
+    /// element taking its four terms one add at a time in ascending `k`
+    /// (`o = (((o + a0·b0) + a1·b1) + a2·b2) + a3·b3`), and the last
+    /// `a.cols() % 4` rows one at a time.
     ///
     /// This is the PSA's block primitive: `matmul` is one call over all
     /// columns, [`CheckedPsa`](crate::CheckedPsa) is a loop of these over
@@ -129,7 +132,18 @@ impl Psa {
     /// bit-identical to a clean run by construction.
     pub fn matmul_region(&self, a: &Matrix, b: &Matrix, out: &mut Matrix, j0: usize, je: usize) {
         debug_assert!(j0 <= je && je <= b.cols(), "bad tile [{}, {})", j0, je);
-        for k in 0..a.cols() {
+        let body = a.cols() - a.cols() % 4;
+        for k in (0..body).step_by(4) {
+            let [b0, b1, b2, b3] = [k, k + 1, k + 2, k + 3].map(|r| &b.row(r)[j0..je]);
+            for i in 0..a.rows() {
+                let [a0, a1, a2, a3] = [k, k + 1, k + 2, k + 3].map(|c| a[(i, c)]);
+                let terms = b0.iter().zip(b1).zip(b2).zip(b3);
+                for (o, (((&x0, &x1), &x2), &x3)) in out.row_mut(i)[j0..je].iter_mut().zip(terms) {
+                    *o = *o + a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3;
+                }
+            }
+        }
+        for k in body..a.cols() {
             let brow = &b.row(k)[j0..je];
             for i in 0..a.rows() {
                 let aik = a[(i, k)];

@@ -38,13 +38,17 @@ proptest! {
     #[test]
     fn psa_bitwise_matches_naive(
         l in 1usize..40,
-        m in 1usize..80,
+        quads in 0usize..20,
+        rem in 0usize..4,
         n in 1usize..=200,
         w in prop::sample::select(vec![16usize, 32, 64, 128]),
         seed in 0u64..500
     ) {
         // n reaches past three 64-wide tiles, and every width leaves a
-        // ragged last tile for some n.
+        // ragged last tile for some n. The inner dimension takes every
+        // residue mod 4, so the kernel's four-row body and each length of
+        // its one-row tail are pinned.
+        let m = (4 * quads + rem).max(1);
         let a = init::uniform(l, m, -1.0, 1.0, seed);
         let b = init::uniform(m, n, -1.0, 1.0, seed + 1);
         let psa = Psa::new(PsaConfig { cols: w, ..PsaConfig::paper_default() });

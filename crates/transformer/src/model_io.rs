@@ -532,6 +532,25 @@ mod tests {
     }
 
     #[test]
+    fn wire_bytes_are_pinned() {
+        // CRC-32 and length of every container the tiny seed-42 model
+        // writes. A format change fails here even when the writer and the
+        // reader change alike, which no round trip can see.
+        let cfg = TransformerConfig::tiny();
+        let w = ModelWeights::seeded(&cfg, 42);
+        let v2 = to_bytes(&cfg, &w);
+        assert_eq!((asr_tensor::crc32(&v2), v2.len()), (0x111f_0c83, 129_372));
+        for (spec, crc, len) in [
+            (WeightEncoding::Int8, 0x853f_bc15, 34_643),
+            (WeightEncoding::BlockCirculant { block: 4 }, 0xc401_66c3, 38_524),
+            (WeightEncoding::SparseTiles { tile: 4, occupancy_pct: 100 }, 0x1b34_31d8, 130_764),
+        ] {
+            let v3 = to_bytes_encoded(&cfg, &w, spec).unwrap();
+            assert_eq!((asr_tensor::crc32(&v3), v3.len()), (crc, len), "{}", spec);
+        }
+    }
+
+    #[test]
     fn bad_magic_rejected() {
         let mut buf = BytesMut::new();
         buf.put_u32_le(0xdeadbeef);

@@ -4,7 +4,6 @@
 use asr_tensor::backend::ParallelBackend;
 use asr_tensor::{init, Matrix};
 use asr_transformer::{flops, Model, TransformerConfig};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// The paper's measured CPU latencies: `(sequence length, seconds)`.
@@ -13,7 +12,7 @@ pub const PAPER_CPU_LATENCIES: [(usize, f64); 6] =
 
 /// Affine latency model of a software platform:
 /// `t = overhead + gflops / throughput`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuModel {
     /// Fixed framework/dispatch overhead, seconds.
     pub overhead_s: f64,
@@ -49,8 +48,7 @@ pub fn fit_affine(points: &[(f64, f64)]) -> (f64, f64) {
 
 /// Measure a real forward pass of `n_layers` encoder layers at sequence
 /// length `s` through [`ParallelBackend`], returning seconds. This is the
-/// honest, executable CPU baseline; the vendored `rayon` stub runs it on
-/// one thread.
+/// honest, executable CPU baseline; it runs on one thread.
 pub fn run_real_forward(cfg: &TransformerConfig, s: usize, n_layers: usize, seed: u64) -> f64 {
     let model = Model::seeded(*cfg, seed);
     let x = init::uniform(s, cfg.d_model, -1.0, 1.0, seed + 1);

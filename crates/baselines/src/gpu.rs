@@ -2,14 +2,13 @@
 //! (paper §5.1.5, Table 5.5).
 
 use asr_transformer::{flops, TransformerConfig};
-use serde::{Deserialize, Serialize};
 
 /// The paper's measured GPU latencies: `(sequence length, seconds)`.
 pub const PAPER_GPU_LATENCIES: [(usize, f64); 6] =
     [(4, 0.34), (8, 0.46), (16, 0.55), (20, 0.79), (24, 1.03), (32, 1.32)];
 
 /// Affine GPU latency model: `t = launch/framework overhead + gflops / throughput`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuModel {
     /// Kernel-launch + framework overhead, seconds.
     pub overhead_s: f64,

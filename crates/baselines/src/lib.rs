@@ -5,7 +5,7 @@
 //! baseline is an affine latency model `t = overhead + FLOPs / throughput`
 //! least-squares fitted to the paper's measured latencies (Tables 5.4 / 5.5)
 //! — the fit residuals and the fitting data are kept in the tests, so the
-//! calibration is reproducible. A *real* multithreaded CPU execution path
+//! calibration is reproducible. A *real* single-threaded CPU execution path
 //! ([`cpu::run_real_forward`]) is also provided for honest wall-clock
 //! benchmarking of the same model on this machine.
 

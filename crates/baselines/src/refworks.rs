@@ -6,10 +6,8 @@
 //! 4 heads, on 8× Quadro RTX 6000 and an Alveo U200). No code exists to
 //! port, so their printed numbers are data.
 
-use serde::{Deserialize, Serialize};
-
 /// One comparison row of Table 5.6.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefWork {
     /// Label as printed in the paper.
     pub name: &'static str,

@@ -24,10 +24,9 @@ use crate::plan::{walk_cost, ExecPlan};
 use crate::schedule::encoder;
 use asr_fpga_sim::Timeline;
 use asr_systolic::abft::IntegrityLevel;
-use serde::{Deserialize, Serialize};
 
 /// Which overlap architecture to simulate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Architecture {
     /// Sequential load→compute (Fig 4.8).
     A1,
@@ -52,7 +51,7 @@ impl Architecture {
 }
 
 /// Analytic weight footprints (f32 bytes) of the model's layer phases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerBytes {
     /// One encoder layer's full weight set.
     pub encoder: u64,

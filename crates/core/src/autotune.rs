@@ -9,10 +9,9 @@
 use crate::arch::{simulate, Architecture};
 use crate::config::AccelConfig;
 use crate::resources;
-use serde::{Deserialize, Serialize};
 
 /// One evaluated candidate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Candidate {
     /// PSA rows.
     pub psa_rows: usize,

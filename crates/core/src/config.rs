@@ -10,10 +10,9 @@ use asr_systolic::adder::PipelinedAdder;
 use asr_systolic::psa::{Psa, PsaConfig};
 use asr_tensor::WeightEncoding;
 use asr_transformer::TransformerConfig;
-use serde::{Deserialize, Serialize};
 
 /// Full accelerator configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AccelConfig {
     /// Target device.
     pub device: DeviceSpec,
@@ -41,20 +40,17 @@ pub struct AccelConfig {
     /// [`WeightEncoding::Dense`], which reproduces the paper's byte
     /// traffic exactly; every other encoding shrinks `LoadStripe` bytes
     /// through [`Self::encoded_bytes`].
-    #[serde(default)]
     pub encoding: WeightEncoding,
     /// Silent-data-corruption defense level: CRC checks on weight loads and
     /// ABFT checksums on PSA matmuls (DESIGN.md §9). Defaults to
     /// [`IntegrityLevel::Off`], which reproduces the paper's unprotected
     /// datapath bit-for-bit.
-    #[serde(default)]
     pub integrity: IntegrityLevel,
     /// Version of the weight set flashed on the device. Purely an identity
     /// tag — it never changes timing — but every lowered `LoadStripe`,
     /// resident stripe, and checkpoint carries it, so work banked under one
     /// weight set can never be silently reused under another (DESIGN.md
     /// §14 rolling upgrades).
-    #[serde(default)]
     pub weight_version: u64,
 }
 

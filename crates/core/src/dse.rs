@@ -8,10 +8,9 @@
 use crate::arch::{simulate, Architecture};
 use crate::config::AccelConfig;
 use crate::resources;
-use serde::{Deserialize, Serialize};
 
 /// One explored design point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DesignPoint {
     /// Heads computed concurrently.
     pub parallel_heads: usize,

@@ -23,10 +23,9 @@ use asr_frontend::dataset::Utterance;
 use asr_frontend::noise::{self, ErrorModel};
 use asr_frontend::{FbankExtractor, Subsampler, Vocab};
 use asr_transformer::{flops, Model};
-use serde::{Deserialize, Serialize};
 
 /// The §5.1.6 end-to-end latency/throughput/energy report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct E2eLatency {
     /// Unpadded input sequence length.
     pub input_len: usize,

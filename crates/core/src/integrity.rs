@@ -39,11 +39,10 @@ use asr_transformer::decoder::decoder_forward;
 use asr_transformer::streaming::{StreamState, StreamingConfig};
 use asr_transformer::weights::{ModelWeights, WeightStripe};
 use asr_transformer::Model;
-use serde::Serialize;
 
 /// Corruption accounting across a run: what was injected, what the defenses
 /// saw, and what got through.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CorruptionCounters {
     /// Corruption events injected (corrupted stripe fetches + corrupted
     /// PSA tiles).

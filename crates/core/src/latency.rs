@@ -6,10 +6,9 @@ use crate::config::AccelConfig;
 use crate::mm;
 use crate::schedule;
 use asr_fpga_sim::Cycles;
-use serde::{Deserialize, Serialize};
 
 /// One row of the breakdown.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BreakdownRow {
     /// Block/operation name.
     pub name: String,
@@ -22,7 +21,7 @@ pub struct BreakdownRow {
 }
 
 /// Full layer breakdown.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyBreakdown {
     /// Sequence length analysed.
     pub seq_len: usize,

@@ -14,10 +14,9 @@
 
 use crate::config::AccelConfig;
 use asr_fpga_sim::Cycles;
-use serde::{Deserialize, Serialize};
 
 /// Which of the paper's six matmul schemes an operation uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MmKind {
     /// Q/K/V linear projection.
     Mm1,

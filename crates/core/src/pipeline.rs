@@ -10,10 +10,9 @@ use crate::arch::{simulate, Architecture};
 use crate::calib;
 use crate::config::AccelConfig;
 use asr_fpga_sim::Timeline;
-use serde::{Deserialize, Serialize};
 
 /// Result of a pipelined batch run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PipelineResult {
     /// Utterances processed.
     pub n: usize,

@@ -51,7 +51,6 @@ use crate::schedule::{decoder, encoder};
 use asr_fpga_sim::Timeline;
 use asr_systolic::abft::IntegrityLevel;
 use asr_tensor::{crc32, WeightEncoding};
-use serde::{Deserialize, Serialize};
 
 /// Which compute recurrence a phase uses, so consumers (including degraded
 /// configurations mid-recovery) can re-derive the phase cost on demand.
@@ -293,7 +292,7 @@ impl PlanCounts {
 /// caller asserts same-device trust *and* the recorded CRC still matches
 /// the stripe the schedule would fetch — anything else is re-loaded and
 /// re-verified (DESIGN.md §12 trust rules).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResidentStripe {
     /// Phase index into the checkpointed schedule.
     pub phase: usize,
@@ -306,7 +305,6 @@ pub struct ResidentStripe {
     /// Weight-set version the stripe was loaded from. A stripe pinned under
     /// one version is *stale* under any other — its elision is refused
     /// typed, never silently reused (rolling upgrades, DESIGN.md §14).
-    #[serde(default)]
     pub version: u64,
 }
 
@@ -322,7 +320,7 @@ pub struct ResidentStripe {
 /// re-derives the schedule from the target device's config and rejects the
 /// checkpoint with [`AccelError::CheckpointRejected`] on any mismatch —
 /// stale stripes restart cleanly instead of being silently reused.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanCheckpoint {
     /// Overlap architecture the interrupted plan was lowered for.
     pub arch: Architecture,
@@ -356,13 +354,11 @@ pub struct PlanCheckpoint {
     /// Weight-set version the interrupted plan was lowered against. A
     /// resume on a device flashed to any other version is rejected typed —
     /// compute banked under one weight set never completes under another.
-    #[serde(default)]
     pub weight_version: u64,
     /// Stripe encoding the interrupted plan streamed its weights in. A
     /// resume under any other encoding is rejected typed — the resident
     /// bytes are simply not the target schedule's bytes. Defaults to dense
     /// for pre-encoding checkpoints.
-    #[serde(default)]
     pub encoding: WeightEncoding,
 }
 

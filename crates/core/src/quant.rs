@@ -22,7 +22,6 @@ use asr_systolic::abft::IntegrityLevel;
 use asr_systolic::quant_psa::{int8_config_from, Int8Psa};
 use asr_tensor::quant::{matmul_quantized, QuantizedMatrix};
 use asr_tensor::{MatMul, Matrix, WeightEncoding};
-use serde::{Deserialize, Serialize};
 
 /// Derive the int8 accelerator configuration from an fp32 design point.
 pub fn int8_config(base: &AccelConfig) -> AccelConfig {
@@ -50,7 +49,7 @@ impl MatMul for QuantizedBackend {
 }
 
 /// The fixed-point exploration report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QuantReport {
     /// fp32 A3 latency at the built length, ms.
     pub fp32_latency_ms: f64,

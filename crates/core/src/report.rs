@@ -8,10 +8,9 @@ use crate::energy;
 use crate::resources;
 use crate::verify;
 use asr_transformer::flops;
-use serde::{Deserialize, Serialize};
 
 /// Combined report over one configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AccelReport {
     /// Built sequence length.
     pub seq_len: usize,

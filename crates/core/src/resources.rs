@@ -11,7 +11,6 @@
 
 use crate::config::AccelConfig;
 use asr_fpga_sim::resources::{OverSubscribed, ResourceBudget, ResourceVector};
-use serde::{Deserialize, Serialize};
 
 /// Per-lane cost of one pipelined fp32 adder lane (LUT-based, no DSP).
 const ADDER_LANE: ResourceVector = ResourceVector { bram_18k: 0, dsp: 0, ff: 180, lut: 120 };
@@ -29,7 +28,7 @@ const ACT_BRAM_PER_S_PER_SLR: u64 = 3;
 const MISC: ResourceVector = ResourceVector { bram_18k: 18, dsp: 100, ff: 96_132, lut: 41_988 };
 
 /// Itemised resource estimate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ResourceEstimate {
     /// Cost of all PSA blocks.
     pub psas: ResourceVector,

@@ -398,7 +398,7 @@ impl StreamReport {
 /// the same chunk plans the runtime executes are priced by
 /// [`crate::plan::walk_cost`]. The benchmark (`perfbench/`) reports them
 /// as `stream.cold_chunk_ms` and `stream.warm_chunk_ms`.
-#[derive(Debug, Clone, Copy, serde::Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StreamAnalytics {
     /// Analytic latency of a cold chunk (nothing resident), seconds.
     pub cold_chunk_s: f64,

@@ -8,10 +8,9 @@
 
 use crate::arch::{self, simulate, Architecture};
 use crate::config::AccelConfig;
-use serde::{Deserialize, Serialize};
 
 /// One record of a sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SweepRow {
     /// Swept parameter name.
     pub param: String,

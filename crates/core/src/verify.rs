@@ -10,10 +10,9 @@
 
 use crate::arch::ArchResult;
 use asr_fpga_sim::timeline::Timeline;
-use serde::{Deserialize, Serialize};
 
 /// A violated schedule invariant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Violation {
     /// A compute span has no matching load span.
     MissingLoad {

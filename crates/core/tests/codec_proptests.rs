@@ -117,13 +117,12 @@ proptest! {
     ) {
         let cfg = asr_transformer::TransformerConfig::tiny();
         let w = ModelWeights::seeded(&cfg, seed);
-        let clean = to_bytes_encoded(&cfg, &w, spec).unwrap();
+        let mut bytes = to_bytes_encoded(&cfg, &w, spec).unwrap();
         // Records sit at the tail of the container; corrupt a byte counted
         // from the end so the flip always lands inside a record payload.
-        let mut bytes = clean.to_vec();
         let idx = bytes.len() - 1 - (back_off % (bytes.len() / 2));
         bytes[idx] ^= xor;
-        match from_bytes(bytes::Bytes::from(bytes)) {
+        match from_bytes(&bytes) {
             Err(IoError::CrcMismatch { .. })
             | Err(IoError::BadEncoding(_))
             | Err(IoError::Truncated)

@@ -1,6 +1,5 @@
 //! Kernel clock: cycle counting and cycle ↔ wall-time conversion.
 
-use serde::{Deserialize, Serialize};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
@@ -8,9 +7,7 @@ use std::ops::{Add, AddAssign, Mul, Sub};
 ///
 /// Newtype over `u64` so cycle arithmetic cannot silently mix with byte
 /// counts or nanoseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycles(pub u64);
 
 impl Cycles {
@@ -69,7 +66,7 @@ impl Sum for Cycles {
 }
 
 /// A fixed-frequency kernel clock.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Clock {
     /// Frequency in hertz.
     pub hz: f64,

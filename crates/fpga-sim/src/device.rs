@@ -3,14 +3,13 @@
 use crate::clock::Clock;
 use crate::hbm::HbmSpec;
 use crate::resources::ResourceVector;
-use serde::{Deserialize, Serialize};
 
 /// Identity of one card in a multi-device pool.
 ///
 /// The serving tier (`asr-accel::serve`) runs a pool of simulated cards and
 /// needs a stable, orderable identity to route requests, attribute health
 /// scores, and exclude a failed card from a request's failover attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DeviceId(usize);
 
 impl DeviceId {
@@ -32,7 +31,7 @@ impl std::fmt::Display for DeviceId {
 }
 
 /// Identifier of a Super Logic Region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SlrId {
     /// SLR0 — the die slice with the HBM stacks attached.
     Slr0,
@@ -79,7 +78,7 @@ impl SlrId {
 }
 
 /// A whole accelerator card.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeviceSpec {
     /// Marketing name, e.g. "Alveo U50".
     pub name: String,

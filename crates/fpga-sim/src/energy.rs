@@ -3,10 +3,8 @@
 //! The thesis reports 1.38 GFLOPs/J for the FPGA versus ~0.055 GFLOPs/J for
 //! the RTX 3080 Ti. GFLOPs/J = (workload GFLOPs) / (latency × board power).
 
-use serde::{Deserialize, Serialize};
-
 /// A platform's power envelope.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerProfile {
     /// Human-readable name.
     pub name: &'static str,

@@ -34,10 +34,8 @@
 //!   detection classes, sticky-lane deltas are far above the ABFT tolerance)
 //!   and clears within two refetch attempts.
 
-use serde::{Deserialize, Serialize};
-
 /// One fault in a plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultKind {
     /// An HBM burst read errors out: loads whose label contains `label` fail
     /// on their first `failing_attempts` attempts. The failure is detected
@@ -166,14 +164,14 @@ impl FaultKind {
 }
 
 /// A deterministic set of faults to inject into one run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     faults: Vec<FaultKind>,
 }
 
 /// Knobs for [`FaultPlan::seeded`]: expected fault counts per class over one
 /// 18-layer pass (≈ 24 loads / 24 kernels at A3 granularity).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultProfile {
     /// Probability a transient HBM load error is drawn.
     pub p_load_error: f64,

@@ -7,11 +7,10 @@
 //! inter-SLR crossing count of a placement can be audited.
 
 use crate::device::SlrId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A placed block on the floorplan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlacedBlock {
     /// Block name (e.g. `"psa-3"`).
     pub name: String,
@@ -20,7 +19,7 @@ pub struct PlacedBlock {
 }
 
 /// A directed connection between two placed blocks.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Connection {
     /// Source block name.
     pub from: String,
@@ -29,7 +28,7 @@ pub struct Connection {
 }
 
 /// A floorplan: placed blocks plus their connections.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Floorplan {
     blocks: Vec<PlacedBlock>,
     connections: Vec<Connection>,

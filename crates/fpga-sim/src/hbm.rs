@@ -12,10 +12,8 @@
 //! 300 MHz sustains far less. `asr-accel::calib` picks the value that puts the
 //! Fig 5.2 load/compute crossover at s ≈ 18.
 
-use serde::{Deserialize, Serialize};
-
 /// HBM subsystem description.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HbmSpec {
     /// Number of pseudo-channels.
     pub channels: u32,

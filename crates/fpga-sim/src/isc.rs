@@ -8,10 +8,8 @@
 //! the schedule's cross-SLR accumulations (MM6's final halves, the Add-Norm
 //! concatenation) can be charged.
 
-use serde::{Deserialize, Serialize};
-
 /// The inter-SLR AXI-stream link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IscSpec {
     /// Stream width in bytes per cycle (512-bit AXI-stream = 64 B).
     pub bytes_per_cycle: u64,

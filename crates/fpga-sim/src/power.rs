@@ -7,13 +7,12 @@
 //! energy claim is auditable rather than a single opaque constant.
 
 use crate::resources::ResourceVector;
-use serde::{Deserialize, Serialize};
 
 /// Dynamic power coefficients at the 300 MHz kernel clock.
 ///
 /// Typical UltraScale+ figures: ~8 µW per active LUT, ~2 µW per FF,
 /// ~9 mW per active DSP, ~6 mW per active BRAM at moderate toggle rates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerCoefficients {
     /// Watts per utilised LUT.
     pub w_per_lut: f64,
@@ -44,7 +43,7 @@ impl PowerCoefficients {
 }
 
 /// Itemised power estimate, watts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerBreakdown {
     /// Static leakage.
     pub static_w: f64,

@@ -5,13 +5,12 @@
 //! is first-class here: vectors add, compare against budgets, and report the
 //! utilization percentages of Table 5.2.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul};
 
 /// A bundle of the four primary FPGA fabric resources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResourceVector {
     /// 18 Kb block-RAM units.
     pub bram_18k: u64,
@@ -131,7 +130,7 @@ impl fmt::Display for ResourceVector {
 /// An allocation tracker over a fixed budget: allocations fail rather than
 /// silently over-subscribe (the "unsynthesizable design" failure mode the
 /// paper mentions when pushing DSP utilization).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ResourceBudget {
     total: ResourceVector,
     used: ResourceVector,

@@ -20,18 +20,17 @@
 use crate::device::{DeviceSpec, SlrId};
 use crate::faults::{FaultKind, FaultPlan};
 use crate::timeline::Timeline;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Timeline unit that carries zero-duration fault/recovery markers.
 pub const FAULT_UNIT: &str = "faults";
 
 /// Handle to an enqueued command's completion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Event(usize);
 
 /// Why a command failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FailureCause {
     /// Transient HBM burst error (retry may succeed).
     HbmLoad,
@@ -51,7 +50,7 @@ impl FailureCause {
 }
 
 /// Terminal state of an enqueued command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommandStatus {
     /// Ran to completion.
     Completed,
@@ -80,7 +79,7 @@ struct EventInfo {
 
 /// Aggregate [`CommandStatus`] outcomes of everything a runtime enqueued —
 /// the per-device health signal a serving tier scores cards by.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommandStats {
     /// Commands that ran to completion.
     pub completed: usize,
@@ -108,7 +107,7 @@ impl CommandStats {
 }
 
 /// An in-order command queue bound to one engine (DMA channel or kernel).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QueueId(usize);
 
 /// Command classes the fault plan discriminates on.

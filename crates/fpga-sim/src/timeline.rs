@@ -6,11 +6,10 @@
 //! time spans; the timeline computes makespan, per-unit busy time, stalls,
 //! and validates that no unit is ever double-booked.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One occupied interval on a unit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Span {
     /// Unit the span occupies (e.g. `"hbm-ch0"`, `"psa-pool"`).
     pub unit: String,
@@ -64,7 +63,7 @@ impl std::fmt::Display for TimelineError {
 impl std::error::Error for TimelineError {}
 
 /// A collection of spans with per-unit exclusivity.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Timeline {
     spans: Vec<Span>,
     /// Per-unit spans kept sorted by start for overlap checks.

@@ -2,13 +2,12 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// LibriSpeech's sample rate (16 kHz), used throughout.
 pub const SAMPLE_RATE: u32 = 16_000;
 
 /// A mono audio signal.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Waveform {
     /// Samples in `[-1, 1]`.
     pub samples: Vec<f32>,

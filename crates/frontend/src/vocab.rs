@@ -5,13 +5,11 @@
 //! character set: the 26 letters, space, apostrophe, plus `<sos>`, `<eos>`
 //! and `<unk>` specials.
 
-use serde::{Deserialize, Serialize};
-
 /// Token id type.
 pub type TokenId = usize;
 
 /// The character vocabulary.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Vocab {
     chars: Vec<char>,
 }

@@ -19,12 +19,10 @@
 use crate::psa::Psa;
 use asr_fpga_sim::Cycles;
 use asr_tensor::{MatMul, Matrix};
-use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 
 /// How much integrity checking the datapath performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-#[serde(rename_all = "kebab-case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IntegrityLevel {
     /// No checks: silent corruption propagates to the output.
     #[default]
@@ -70,7 +68,7 @@ impl IntegrityLevel {
 
 /// A sticky arithmetic fault on one PSA column lane: every output element the
 /// lane produces arrives offset by `delta`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaneFault {
     /// Column lane index within the PSA (0-based, < width).
     pub lane: usize,
@@ -79,7 +77,7 @@ pub struct LaneFault {
 }
 
 /// Counters over everything a [`CheckedPsa`] computed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AbftStats {
     /// Column tiles whose checksum was verified.
     pub checked_tiles: u64,

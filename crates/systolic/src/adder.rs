@@ -7,10 +7,9 @@
 //! costs `depth + r · ceil(c / lanes)` cycles.
 
 use asr_fpga_sim::Cycles;
-use serde::{Deserialize, Serialize};
 
 /// A fixed-width pipelined adder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelinedAdder {
     /// Parallel add lanes (64 in the shipped design: an `s × 64` adder).
     pub lanes: usize,

@@ -31,10 +31,9 @@
 
 use asr_fpga_sim::{Cycles, ResourceVector};
 use asr_tensor::{ops, Matrix};
-use serde::{Deserialize, Serialize};
 
 /// Static configuration of one PSA block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PsaConfig {
     /// Product rows computed per wave (`b` in the paper; 2 in the shipped design).
     pub rows: usize,
@@ -69,7 +68,7 @@ impl PsaConfig {
 }
 
 /// A PSA engine: functional matmul + cycle accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Psa {
     /// The block's configuration.
     pub config: PsaConfig,

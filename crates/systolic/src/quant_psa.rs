@@ -15,7 +15,6 @@ use crate::psa::PsaConfig;
 use asr_fpga_sim::{Cycles, ResourceVector};
 use asr_tensor::quant::{matmul_quantized, QuantizedMatrix};
 use asr_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Int8 PSA configuration derivation from the fp32 design point.
 pub fn int8_config_from(fp32: PsaConfig) -> PsaConfig {
@@ -29,7 +28,7 @@ pub fn int8_config_from(fp32: PsaConfig) -> PsaConfig {
 }
 
 /// An int8 PSA engine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Int8Psa {
     /// Geometry and timing (see [`int8_config_from`]).
     pub config: PsaConfig,

@@ -31,7 +31,7 @@ impl MatMul for ReferenceBackend {
 }
 
 /// Row-band backend over [`ops::matmul_parallel`] (the real CPU baseline
-/// execution path; sequential under the vendored `rayon` stub).
+/// execution path; its bands run on the calling thread).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ParallelBackend;
 

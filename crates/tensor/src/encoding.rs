@@ -28,12 +28,11 @@
 
 use crate::matrix::Matrix;
 use crate::quant::QuantizedMatrix;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Configuration-level choice of weight-stripe codec: what a design point
 /// streams over HBM and what the analytic planner prices.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum WeightEncoding {
     /// Uncompressed f32 (or f16/int8 via `bytes_per_weight`) — the paper's
     /// design, and the default everywhere.
@@ -161,7 +160,7 @@ impl fmt::Display for WeightEncoding {
 
 /// Data-level encoding record attached to one encoded stripe: everything
 /// [`decode`] needs beyond the wire bytes themselves.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StripeEncoding {
     /// f32 little-endian payload, `rows · cols · 4` bytes.
     DenseF32,
@@ -327,23 +326,20 @@ pub fn encode(m: &Matrix, spec: WeightEncoding) -> (StripeEncoding, Vec<u8>) {
 /// Decode wire bytes back into a `rows × cols` matrix under a data-level
 /// record. Lossless records reconstruct the source bit-for-bit; int8
 /// reconstructs exactly `quantize(m).dequantize()`.
+///
+/// The payload is checked against the record's geometry before the matrix
+/// is allocated, and a shape too large to allocate fails typed: a
+/// compressed record can claim far more weights than it carries.
 pub fn decode(
     enc: &StripeEncoding,
     rows: usize,
     cols: usize,
     bytes: &[u8],
 ) -> Result<Matrix, CodecError> {
+    let elems = rows.checked_mul(cols).ok_or_else(|| too_large(rows, cols))?;
     match enc {
         StripeEncoding::DenseF32 => {
-            if bytes.len() != rows * cols * 4 {
-                return Err(err(format!(
-                    "dense payload {} bytes, shape {}x{} needs {}",
-                    bytes.len(),
-                    rows,
-                    cols,
-                    rows * cols * 4
-                )));
-            }
+            expect_len("dense", bytes, elems.checked_mul(4), rows, cols)?;
             let data = bytes
                 .chunks_exact(4)
                 .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
@@ -351,32 +347,21 @@ pub fn decode(
             Ok(Matrix::from_vec(rows, cols, data))
         }
         StripeEncoding::Int8 { scale } => {
-            if bytes.len() != rows * cols {
-                return Err(err(format!(
-                    "int8 payload {} bytes, shape {}x{} needs {}",
-                    bytes.len(),
-                    rows,
-                    cols,
-                    rows * cols
-                )));
-            }
+            expect_len("int8", bytes, Some(elems), rows, cols)?;
             let data = bytes.iter().map(|&b| b as i8 as f32 * scale).collect();
             Ok(Matrix::from_vec(rows, cols, data))
         }
         StripeEncoding::BlockCirculant { block } => {
             let block = (*block).max(2);
-            let mut m = Matrix::zeros(rows, cols);
+            // Every full tile stores `block` floats instead of `block²`;
+            // edge remainders are dense.
+            let full_tiles = (rows / block) * (cols / block);
+            let floats = elems - full_tiles * block * (block - 1);
+            expect_len("block-circulant", bytes, floats.checked_mul(4), rows, cols)?;
+            let mut m = try_zeros(rows, cols)?;
             let mut off = 0usize;
-            let mut fail: Option<CodecError> = None;
             for_each_tile(rows, cols, block, |r0, c0, nr, nc| {
-                if fail.is_some() {
-                    return;
-                }
                 let need = if nr == block && nc == block { block } else { nr * nc };
-                if off + need * 4 > bytes.len() {
-                    fail = Some(err("block-circulant payload truncated"));
-                    return;
-                }
                 let vals: Vec<f32> = bytes[off..off + need * 4]
                     .chunks_exact(4)
                     .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
@@ -398,15 +383,6 @@ pub fn decode(
                     }
                 }
             });
-            if let Some(e) = fail {
-                return Err(e);
-            }
-            if off != bytes.len() {
-                return Err(err(format!(
-                    "block-circulant payload has {} trailing bytes",
-                    bytes.len() - off
-                )));
-            }
             Ok(m)
         }
         StripeEncoding::SparseTiles { tile, bitmap } => {
@@ -420,18 +396,21 @@ pub fn decode(
                     n_tiles.div_ceil(8)
                 )));
             }
-            let mut m = Matrix::zeros(rows, cols);
-            let mut off = 0usize;
-            let mut idx = 0usize;
-            let mut fail: Option<CodecError> = None;
-            for_each_tile(rows, cols, tile, |r0, c0, nr, nc| {
-                let present = bitmap[idx / 8] >> (idx % 8) & 1 == 1;
-                idx += 1;
-                if fail.is_some() || !present {
-                    return;
+            let present = |idx: usize| bitmap[idx / 8] >> (idx % 8) & 1 == 1;
+            let (mut floats, mut idx) = (0usize, 0usize);
+            for_each_tile(rows, cols, tile, |_, _, nr, nc| {
+                if present(idx) {
+                    floats += nr * nc;
                 }
-                if off + nr * nc * 4 > bytes.len() {
-                    fail = Some(err("sparse-tile payload truncated"));
+                idx += 1;
+            });
+            expect_len("sparse-tile", bytes, floats.checked_mul(4), rows, cols)?;
+            let mut m = try_zeros(rows, cols)?;
+            let (mut off, mut idx) = (0usize, 0usize);
+            for_each_tile(rows, cols, tile, |r0, c0, nr, nc| {
+                let here = present(idx);
+                idx += 1;
+                if !here {
                     return;
                 }
                 for i in 0..nr {
@@ -443,18 +422,45 @@ pub fn decode(
                 }
                 off += nr * nc * 4;
             });
-            if let Some(e) = fail {
-                return Err(e);
-            }
-            if off != bytes.len() {
-                return Err(err(format!(
-                    "sparse-tile payload has {} trailing bytes",
-                    bytes.len() - off
-                )));
-            }
             Ok(m)
         }
     }
+}
+
+fn too_large(rows: usize, cols: usize) -> CodecError {
+    err(format!("{}x{} matrix is too large to allocate", rows, cols))
+}
+
+/// Check a payload's length against what its record's geometry implies
+/// (`None`: the implied length overflows), before anything is allocated.
+fn expect_len(
+    kind: &str,
+    bytes: &[u8],
+    want: Option<usize>,
+    rows: usize,
+    cols: usize,
+) -> Result<(), CodecError> {
+    let want = want.ok_or_else(|| too_large(rows, cols))?;
+    if bytes.len() != want {
+        return Err(err(format!(
+            "{} payload {} bytes, shape {}x{} needs {}",
+            kind,
+            bytes.len(),
+            rows,
+            cols,
+            want
+        )));
+    }
+    Ok(())
+}
+
+/// A zeroed `rows × cols` matrix, or a typed error where the allocator
+/// refuses the size instead of aborting the process.
+fn try_zeros(rows: usize, cols: usize) -> Result<Matrix, CodecError> {
+    let mut data = Vec::new();
+    data.try_reserve_exact(rows * cols).map_err(|_| too_large(rows, cols))?;
+    data.resize(rows * cols, 0.0);
+    Ok(Matrix::from_vec(rows, cols, data))
 }
 
 /// Visit the `side`-sided tile grid over a `rows × cols` matrix in
@@ -473,9 +479,9 @@ fn for_each_tile(
         while c0 < cols {
             let nc = side.min(cols - c0);
             f(r0, c0, nr, nc);
-            c0 += side;
+            c0 = c0.saturating_add(side);
         }
-        r0 += side;
+        r0 = r0.saturating_add(side);
     }
 }
 
@@ -564,6 +570,19 @@ mod tests {
         let StripeEncoding::SparseTiles { tile, mut bitmap } = enc else { panic!() };
         bitmap.push(0);
         assert!(decode(&StripeEncoding::SparseTiles { tile, bitmap }, 4, 4, &bytes).is_err());
+    }
+
+    #[test]
+    fn decode_checks_the_payload_before_allocating() {
+        // 2^20 x 2^20 weights (4 TiB decoded) claimed by an empty
+        // block-circulant payload: refused from the geometry alone.
+        let bc = StripeEncoding::BlockCirculant { block: 4 };
+        assert!(decode(&bc, 1 << 20, 1 << 20, &[]).is_err());
+        // One all-zero sparse tile rightly carries no payload, but its
+        // 2^31 x 2^31 shape is more than any allocation can hold.
+        let sparse = StripeEncoding::SparseTiles { tile: 1 << 31, bitmap: vec![0] };
+        assert!(decode(&sparse, 1 << 31, 1 << 31, &[]).is_err());
+        assert!(decode(&StripeEncoding::DenseF32, usize::MAX, 2, &[]).is_err());
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!
 //! * [`ops::matmul_naive`] — the textbook triple loop, the oracle in tests;
 //! * [`ops::matmul_blocked`] — cache-blocked single-threaded kernel;
-//! * [`ops::matmul_parallel`] — row bands through the `rayon` API, used by
-//!   the CPU baseline in `asr-baselines`. The vendored `rayon` stub runs
-//!   them sequentially on the calling thread.
+//! * [`ops::matmul_parallel`] — row bands, used by the CPU baseline in
+//!   `asr-baselines`. The bands run one after another on the calling
+//!   thread.
 //!
 //! The [`backend::MatMul`] trait lets `asr-transformer` swap the reference
 //! kernels for the systolic functional units in `asr-systolic` without the

@@ -1,6 +1,5 @@
 //! Row-major dense `f32` matrix.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -8,7 +7,7 @@ use std::ops::{Index, IndexMut};
 ///
 /// All shapes in the reproduced system are small enough (≤ 2048 per side) that
 /// a flat `Vec<f32>` with explicit strides is the fastest and simplest layout.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

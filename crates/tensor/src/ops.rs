@@ -1,7 +1,6 @@
 //! Matrix arithmetic: matmul backends, adds, bias broadcast, scaling.
 
 use crate::matrix::Matrix;
-use rayon::prelude::*;
 
 /// Panic with a clear message unless `a`'s columns match `b`'s rows.
 #[inline]
@@ -71,15 +70,15 @@ pub fn matmul_blocked(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// Matmul over row bands through the `rayon` API; the real CPU-baseline
-/// kernel. The vendored `rayon` stub runs the bands sequentially on the
+/// Matmul over row bands, one output row each, skipping zero `a` entries;
+/// the real CPU-baseline kernel. The bands run one after another on the
 /// calling thread.
 pub fn matmul_parallel(a: &Matrix, b: &Matrix) -> Matrix {
     check_mm(a, b);
     let (m, k) = a.shape();
     let n = b.cols();
     let mut out = Matrix::zeros(m, n);
-    out.as_mut_slice().par_chunks_mut(n).enumerate().for_each(|(i, orow)| {
+    out.as_mut_slice().chunks_mut(n).enumerate().for_each(|(i, orow)| {
         let arow = a.row(i);
         for (p, &aip) in arow.iter().enumerate().take(k) {
             if aip == 0.0 {

@@ -9,10 +9,9 @@
 //! accumulator.
 
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// A symmetrically quantized int8 matrix with its scale.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedMatrix {
     rows: usize,
     cols: usize,

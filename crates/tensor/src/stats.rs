@@ -2,10 +2,9 @@
 //! quantization error analysis.
 
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a matrix's elements.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Element count.
     pub count: usize,

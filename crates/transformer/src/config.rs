@@ -1,9 +1,7 @@
 //! Model hyper-parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Transformer shape parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransformerConfig {
     /// Encoder layers in the stack (paper: 12).
     pub n_encoders: usize,

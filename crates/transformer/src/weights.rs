@@ -9,7 +9,6 @@
 use crate::config::TransformerConfig;
 use asr_tensor::encoding::{self, CodecError, StripeEncoding, WeightEncoding};
 use asr_tensor::{crc32, init, Matrix};
-use serde::{Deserialize, Serialize};
 
 /// One weight stripe as the HBM prefetch path sees it: the matrix's payload
 /// in its wire encoding plus the CRC-32 computed at export time **over the
@@ -107,7 +106,7 @@ impl WeightStripe {
 }
 
 /// Weights of one multi-head attention block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttentionWeights {
     /// Per-head query projections, each `d_model × d_k`.
     pub w_q: Vec<Matrix>,
@@ -197,7 +196,7 @@ impl AttentionWeights {
 }
 
 /// Weights of one feed-forward block (Eq 3.3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FfnWeights {
     /// `W_1F`, `d_model × d_ff`.
     pub w1: Matrix,
@@ -237,7 +236,7 @@ impl FfnWeights {
 }
 
 /// Layer-norm affine parameters (one `L_N` pair of Table 4.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerNormWeights {
     /// Scale, `1 × d_model`.
     pub w: Matrix,
@@ -273,7 +272,7 @@ impl LayerNormWeights {
 }
 
 /// One encoder layer: MHA + Add-Norm + FFN + Add-Norm.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncoderWeights {
     /// Self-attention block.
     pub mha: AttentionWeights,
@@ -325,7 +324,7 @@ impl EncoderWeights {
 }
 
 /// One decoder layer: masked MHA, cross MHA, FFN, each with Add-Norm.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecoderWeights {
     /// Masked self-attention.
     pub masked_mha: AttentionWeights,
@@ -402,7 +401,7 @@ impl DecoderWeights {
 }
 
 /// The whole model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelWeights {
     /// Encoder stack.
     pub encoders: Vec<EncoderWeights>,
@@ -479,7 +478,7 @@ impl ModelWeights {
 }
 
 /// One row of the Table 4.1 inventory.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InventoryRow {
     /// How many matrices of this kind the full stack reads.
     pub count: usize,

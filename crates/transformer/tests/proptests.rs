@@ -1,9 +1,10 @@
 //! Model-level property tests: causality, normalisation, FLOPs laws.
 
 use asr_tensor::backend::ReferenceBackend;
-use asr_tensor::init;
+use asr_tensor::{init, WeightEncoding};
 use asr_transformer::decoder::decoder_forward;
 use asr_transformer::encoder::encoder_forward;
+use asr_transformer::model_io::{from_bytes, to_bytes_encoded};
 use asr_transformer::weights::{DecoderWeights, EncoderWeights, ModelWeights, WeightStripe};
 use asr_transformer::{flops, Model, TransformerConfig};
 use proptest::prelude::*;
@@ -89,7 +90,7 @@ proptest! {
         let cfg = TransformerConfig::tiny();
         let w = asr_transformer::weights::ModelWeights::seeded(&cfg, seed);
         let bytes = asr_transformer::model_io::to_bytes(&cfg, &w);
-        let (cfg2, w2) = asr_transformer::model_io::from_bytes(bytes).unwrap();
+        let (cfg2, w2) = from_bytes(&bytes).unwrap();
         prop_assert_eq!(cfg, cfg2);
         prop_assert_eq!(w, w2);
     }
@@ -134,5 +135,41 @@ proptest! {
         let bi = byte_sel % stripe.bytes.len();
         stripe.bytes[bi] ^= xor;
         prop_assert!(!stripe.crc_ok(), "xor {:#04x} at byte {} of stripe {} escaped the CRC", xor, bi, si);
+    }
+
+    // `model_io::from_bytes` decodes untrusted bytes. A valid tiny v2 or v3
+    // file cut at any length, or with any header word overwritten (config,
+    // v3 descriptor, CRC count), must come back as a typed error: never
+    // `Ok`, a panic or an abort. The cut is drawn log-uniformly, so cuts
+    // inside the header come up as often as cuts deep in the records.
+    // Sparse tiles sit out: their occupancy parameter is the planner's,
+    // and a load rightly ignores it.
+    #[test]
+    fn model_io_refuses_any_cut_or_rewritten_header(
+        spec in prop::sample::select(vec![
+            WeightEncoding::Dense,
+            WeightEncoding::Int8,
+            WeightEncoding::BlockCirculant { block: 4 },
+        ]),
+        seed in 0u64..50,
+        cut_frac in 0.0f64..1.0,
+        word_sel in 0usize..12,
+        xor in 1u32..=u32::MAX,
+    ) {
+        let cfg = TransformerConfig::tiny();
+        let w = ModelWeights::seeded(&cfg, seed);
+        let file = to_bytes_encoded(&cfg, &w, spec).unwrap();
+        let cut = ((file.len() + 1) as f64).powf(cut_frac) as usize - 1;
+        prop_assert!(from_bytes(&file[..cut]).is_err(), "{} file cut to {} bytes loaded", spec, cut);
+        // v2 has 9 header words before its CRC table; v3 adds 3 descriptor words.
+        let words = if spec == WeightEncoding::Dense { 9 } else { 12 };
+        let i = 4 * (word_sel % words);
+        let word = u32::from_le_bytes([file[i], file[i + 1], file[i + 2], file[i + 3]]) ^ xor;
+        let mut bad = file;
+        bad[i..i + 4].copy_from_slice(&word.to_le_bytes());
+        prop_assert!(
+            from_bytes(&bad).is_err(),
+            "{} file with header word {} set to {:#x} loaded", spec, i / 4, word
+        );
     }
 }

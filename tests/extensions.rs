@@ -22,7 +22,7 @@ fn tiny_model() -> Model {
 fn checkpoint_roundtrip_preserves_transcriptions() {
     let model = tiny_model();
     let bytes = model_io::to_bytes(&model.config, &model.weights);
-    let (cfg2, w2) = model_io::from_bytes(bytes).unwrap();
+    let (cfg2, w2) = model_io::from_bytes(&bytes).unwrap();
     let reloaded = Model { config: cfg2, weights: w2 };
 
     let x = init::uniform(5, model.config.d_model, -1.0, 1.0, 9);

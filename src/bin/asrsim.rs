@@ -411,7 +411,7 @@ fn cmd_quant() {
 }
 
 fn cmd_breakdown(s: usize) {
-    let b = latency::breakdown(&AccelConfig::paper_default(), s.clamp(1, 32));
+    let b = latency::breakdown(&AccelConfig::paper_default(), s);
     println!("{:<36} {:>10} {:>9} {:>7}", "operation", "cycles", "ms", "% enc");
     for r in &b.rows {
         println!("{:<36} {:>10} {:>9.3} {:>6.1}%", r.name, r.cycles, r.ms, r.pct_of_encoder);

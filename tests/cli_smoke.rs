@@ -62,6 +62,17 @@ fn breakdown_subcommand() {
 }
 
 #[test]
+fn breakdown_prices_the_requested_length() {
+    // Every length `--s` accepts is priced as given, not clamped to 32.
+    let total = |s: &str| {
+        let (ok, out) = run(&["breakdown", "--s", s]);
+        assert!(ok);
+        out.lines().find(|l| l.starts_with("encoder layer total")).unwrap().to_string()
+    };
+    assert_ne!(total("32"), total("64"));
+}
+
+#[test]
 fn pipeline_subcommand() {
     let (ok, out) = run(&["pipeline", "--s", "32", "--n", "4"]);
     assert!(ok);

@@ -20,6 +20,7 @@ const REPORTS: &[(&str, &str)] = &[
     ("dse", "dse"),
     ("quant", "quant"),
     ("breakdown", "breakdown --s 32"),
+    ("breakdown_s64", "breakdown --s 64"),
     ("pipeline", "pipeline --s 32 --n 12"),
     ("csv_table5_1", "csv table5.1"),
     ("csv_fig5_2", "csv fig5.2"),

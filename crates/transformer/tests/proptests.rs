@@ -140,8 +140,9 @@ proptest! {
     // `model_io::from_bytes` decodes untrusted bytes. A valid tiny v2 or v3
     // file cut at any length, or with any header word overwritten (config,
     // v3 descriptor, CRC count), must come back as a typed error: never
-    // `Ok`, a panic or an abort. The cut is drawn log-uniformly, so cuts
-    // inside the header come up as often as cuts deep in the records.
+    // `Ok`, a panic or an abort. The cut is drawn log-uniformly, so about
+    // half the cuts fall in the header and CRC table, not all among the
+    // records.
     // Sparse tiles sit out: their occupancy parameter is the planner's,
     // and a load rightly ignores it.
     #[test]

@@ -580,9 +580,10 @@ mod tests {
 
     #[test]
     fn stripe_count_does_not_wrap() {
-        // 2^31 + 1 heads in one encoder make 6h + 19 records, which a u32
-        // wraps to 19; the 19-entry table of this 112-byte file once
-        // matched it and sent the reader to allocate 2^31 + 1 heads.
+        // 2^31 + 1 heads in one encoder make 6h + 13 = 3 * 2^32 + 19
+        // records, which a u32 wraps to 19; the 19-entry table of this
+        // 112-byte file once matched it and sent the reader to allocate
+        // 2^31 + 1 heads.
         let heads = (1 << 31) + 1;
         let mut v = words(&[MAGIC, VERSION, 1, 0, 32, heads, 64, 31, 19]);
         v.extend(words(&[0; 19]));

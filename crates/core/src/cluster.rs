@@ -31,8 +31,8 @@ use std::collections::BinaryHeap;
 use crate::error::{AccelError, Result};
 use crate::plan::PlanCheckpoint;
 use crate::serve::{
-    elided_loads_line, percentile, BreakerState, Evicted, RequestOutcome, ServeConfig, ServePool,
-    ServeReport,
+    elided_loads_line, percentile, queue_wait_line, BreakerState, Evicted, RequestOutcome,
+    ServeConfig, ServePool, ServeReport,
 };
 use crate::stream::jitter;
 use asr_fpga_sim::faults::correlated_hbm_burst;
@@ -416,6 +416,7 @@ impl ClusterReport {
             self.p50_latency_s * 1e3,
             self.p99_latency_s * 1e3
         ));
+        line(queue_wait_line(self.records.iter().map(|(_, r)| r)));
         line(format!("throughput           : {:8.2} req/s", self.throughput_rps));
         line(format!(
             "upgrade              : {} (downtime {:.2} ms)",

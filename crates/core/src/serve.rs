@@ -404,6 +404,28 @@ pub(crate) fn elided_loads_line(loads: usize, elided_bytes: u64, scheduled_bytes
     )
 }
 
+/// The `queue wait p50 / p99` line of the serve and cluster reports: each
+/// completed request's wait from arrival to the dispatch that served it,
+/// latency less service (clamped at zero, where rounding leaves a dispatch
+/// at arrival a hair below it).
+pub(crate) fn queue_wait_line<'a>(records: impl IntoIterator<Item = &'a RequestRecord>) -> String {
+    let mut waits: Vec<f64> = records
+        .into_iter()
+        .filter_map(|r| match r.outcome {
+            RequestOutcome::Completed { latency_s, service_s, .. } => {
+                Some((latency_s - service_s).max(0.0))
+            }
+            _ => None,
+        })
+        .collect();
+    waits.sort_by(f64::total_cmp);
+    format!(
+        "queue wait p50 / p99 : {:.2} / {:.2} ms",
+        percentile(&waits, 0.50) * 1e3,
+        percentile(&waits, 0.99) * 1e3
+    )
+}
+
 /// Nearest-rank percentile `p` (in [0, 1]) of ascending `sorted` values;
 /// 0 when there are none.
 pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
@@ -733,25 +755,7 @@ impl ServeReport {
             self.p50_latency_s * 1e3,
             self.p99_latency_s * 1e3
         ));
-        // Arrival to the dispatch that served it: latency less service
-        // (clamped at zero, where rounding leaves a dispatch at arrival a
-        // hair below it).
-        let mut waits: Vec<f64> = self
-            .records
-            .iter()
-            .filter_map(|r| match r.outcome {
-                RequestOutcome::Completed { latency_s, service_s, .. } => {
-                    Some((latency_s - service_s).max(0.0))
-                }
-                _ => None,
-            })
-            .collect();
-        waits.sort_by(f64::total_cmp);
-        line(format!(
-            "queue wait p50 / p99 : {:.2} / {:.2} ms",
-            percentile(&waits, 0.50) * 1e3,
-            percentile(&waits, 0.99) * 1e3
-        ));
+        line(queue_wait_line(&self.records));
         line(format!(
             "batches dispatched   : {} (mean batch {:.2}, occupancy {:.0} %)",
             self.batches,

@@ -47,6 +47,11 @@ const REPORTS: &[(&str, &str)] = &[
         "cluster_chaos",
         "cluster --nodes 3 --rps 80 --n 200 --upgrade 2 --upgrade-at 0.4 --kill-node 2@1.0",
     ),
+    (
+        "cluster_bursty",
+        "cluster --nodes 3 --rps 150 --n 2000 --sessions 1024 --trace bursty --deadline-ms 200 \
+         --upgrade 2 --upgrade-at 4 --kill-node 2@7.7",
+    ),
     ("plan_batch", "plan --s 8 --arch a3 --batch 4"),
     ("plan_detect_a1", "plan --s 8 --arch a1 --integrity detect"),
     ("plan_decode", "plan --decode --s 32 --beam 4 --steps 64"),

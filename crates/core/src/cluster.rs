@@ -9,16 +9,21 @@
 //! silent bit flip on every card), and router↔node partitions (the router
 //! times out and hedges the dispatch to another node).
 //!
-//! The router is rendezvous-hashed session affinity tempered by
-//! least-loaded spill: a session's requests stick to one node, and when
-//! that node dies only its sessions re-home — rendezvous scores are
+//! The router places by finish time: each node's pool projects when a
+//! request submitted now would start ([`ServePool::projected_start_s`]),
+//! and the router takes the earliest, ties going to the higher
+//! rendezvous-hash score of the session. A session's requests therefore
+//! stick to its affinity node unless another node would start them
+//! strictly earlier, so an idle cluster routes by affinity alone; when a
+//! node dies only its sessions re-home — rendezvous scores are
 //! per-(session, node), so the surviving assignment is stable.
 //!
 //! Cross-node failover hands the barrier-granular [`PlanCheckpoint`]s a
-//! dying node evicts ([`ServePool::fail_stop`]) to a surviving adopter:
-//! resident-stripe trust stays refused cross-device, a cross-version
-//! checkpoint is a typed rejection that downgrades to suffix replay, and
-//! utterances that finished before the kill are never lost.
+//! dying node evicts ([`ServePool::fail_stop`]) to the version-matching
+//! survivor that would start them first: resident-stripe trust stays
+//! refused cross-device, a cross-version checkpoint is a typed rejection
+//! that downgrades to suffix replay, and utterances that finished before
+//! the kill are never lost.
 //!
 //! Rolling weight upgrades drain one node at a time (flash is idle-only —
 //! [`ServePool::set_weight_version`] — so no dispatched batch ever mixes
@@ -499,10 +504,6 @@ impl Node {
     fn routable(&self) -> bool {
         !self.killed && !self.rebooting && !self.upgrading && self.pool.is_some()
     }
-
-    fn load(&self) -> usize {
-        self.pool.as_ref().map_or(usize::MAX, |p| p.queue_len() + p.in_flight())
-    }
 }
 
 #[derive(Debug)]
@@ -669,35 +670,22 @@ impl Cluster {
         self.now_s < self.nodes[node].partitioned_until
     }
 
-    /// Rendezvous-hash affinity over the candidate set, tempered by
-    /// least-loaded spill: the session sticks to its highest-scoring node
-    /// unless that node's backlog exceeds the least-loaded candidate's by
-    /// more than a node's worth of cards.
+    /// The routable candidate that would start the request first
+    /// ([`ServePool::projected_start_s`]), ties going to the higher
+    /// rendezvous-hash score: the session sticks to its affinity node (the
+    /// highest score) unless another node would start it strictly earlier,
+    /// so an idle cluster routes by affinity alone.
     fn route(&self, key: usize, excluded: &[usize]) -> Option<usize> {
-        let mut aff: Option<(usize, f64)> = None;
-        let mut least: Option<(usize, usize)> = None;
-        for (i, n) in self.nodes.iter().enumerate() {
-            if !n.routable() || excluded.contains(&i) {
-                continue;
-            }
-            let score = jitter(self.cfg.seed ^ 0xAF1F17, key, i, 1.0);
-            aff = match aff {
-                Some((_, s)) if s >= score => aff,
-                _ => Some((i, score)),
-            };
-            let load = n.load();
-            least = match least {
-                Some((_, l)) if l <= load => least,
-                _ => Some((i, load)),
-            };
-        }
-        let (a, _) = aff?;
-        let (l, l_load) = least.expect("aff implies a candidate");
-        if self.nodes[a].load() > l_load + self.cfg.serve.devices.max(2) {
-            Some(l)
-        } else {
-            Some(a)
-        }
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter(|(i, n)| n.routable() && !excluded.contains(i))
+            .filter_map(|(i, n)| {
+                let score = jitter(self.cfg.seed ^ 0xAF1F17, key, i, 1.0);
+                Some((i, n.pool.as_ref()?.projected_start_s(), score))
+            })
+            .min_by(|a, b| a.1.total_cmp(&b.1).then(b.2.total_cmp(&a.2)))
+            .map(|(i, _, _)| i)
     }
 
     fn on_arrival(&mut self, i: usize) {
@@ -815,29 +803,23 @@ impl Cluster {
 
     /// Pick the adopter for a dead node's evictions: a version-matching
     /// survivor when one exists (its checkpoints resume instead of being
-    /// version-rejected), least-loaded among matches. The whole eviction
-    /// set goes to one node so checkpoint groups stay contiguous.
+    /// version-rejected), the one among them that would start the work
+    /// first. The whole eviction set goes to one node so checkpoint groups
+    /// stay contiguous.
     fn adopt_evicted(&mut self, from: usize, evicted: Vec<Evicted>) {
         let want: Option<u64> = evicted
             .iter()
             .find_map(|e| e.ckpt.as_ref().map(|c: &std::rc::Rc<PlanCheckpoint>| c.weight_version));
-        let mut best: Option<(usize, bool, usize)> = None;
-        for (i, n) in self.nodes.iter().enumerate() {
-            if i == from || !n.routable() || self.partitioned(i) {
-                continue;
-            }
-            let matches = want.is_none_or(|v| n.version == v);
-            let load = n.load();
-            best = match best {
-                Some((_, b_match, b_load))
-                    if (b_match, std::cmp::Reverse(b_load))
-                        >= (matches, std::cmp::Reverse(load)) =>
-                {
-                    best
-                }
-                _ => Some((i, matches, load)),
-            };
-        }
+        let best = self
+            .nodes
+            .iter()
+            .enumerate()
+            .filter(|(i, n)| *i != from && n.routable() && !self.partitioned(*i))
+            .filter_map(|(i, n)| {
+                let matches = want.is_none_or(|v| n.version == v);
+                Some((i, matches, n.pool.as_ref()?.projected_start_s()))
+            })
+            .min_by(|a, b| b.1.cmp(&a.1).then(a.2.total_cmp(&b.2)));
         match best {
             Some((adopter, _, _)) => {
                 let count = evicted.len();
@@ -1233,6 +1215,26 @@ mod tests {
         clean_prefix.sort_unstable();
         fault_prefix.sort_unstable();
         assert_eq!(clean_prefix, fault_prefix, "pre-kill completions must be bit-identical");
+    }
+
+    #[test]
+    fn a_kill_on_queued_and_in_flight_work_hands_all_of_it_over() {
+        // `asrsim cluster`'s bursty chaos run (golden cluster_bursty): node
+        // 2 dies at 7.7 s with a request on its card and more queued.
+        let mut c = ClusterConfig::new(3, 1, 150.0, 0.2);
+        c.requests = 2000;
+        c.sessions = 1024;
+        c.trace = TrafficTrace::Bursty;
+        c.upgrade = Some(UpgradeConfig::new(2, 4.0));
+        c.faults = vec![NodeFault::Kill { node: 2, at_s: 7.7 }];
+        let r = Cluster::run(c).unwrap();
+        let evicted = r.per_node[2].evicted;
+        // A one-card node holds one request in flight, so a second
+        // eviction was queued.
+        assert!(evicted >= 2, "the kill evicted {evicted}");
+        assert_eq!(r.handoffs, evicted, "every eviction is adopted");
+        assert!(r.resumed_dispatches >= 1, "the in-flight request resumes its checkpoint");
+        assert_eq!(r.lost, 0);
     }
 
     #[test]

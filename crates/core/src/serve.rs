@@ -30,13 +30,15 @@
 //!   start after `last arrival + grace` are dropped and reported.
 //! * **Cluster hooks** — a pool is one *fault domain* of the
 //!   [`crate::cluster`] tier: [`ServePool::run_until`] co-simulates it with
-//!   its siblings, [`ServePool::begin_drain`]/[`ServePool::end_drain`] park
-//!   it for a rolling weight upgrade, [`ServePool::set_weight_version`]
-//!   reflashes it (idle-only — a version can never change under an
-//!   in-flight batch), [`ServePool::fail_stop`] kills the whole node and
-//!   hands the survivors' work out as [`Evicted`] requests, and
-//!   [`ServePool::adopt`] takes another node's evictees in — checkpoints
-//!   riding along, resident-stripe trust refused cross-device as always.
+//!   its siblings, [`ServePool::projected_start_s`] tells the router when
+//!   a request submitted now would start,
+//!   [`ServePool::begin_drain`]/[`ServePool::end_drain`] park it for a
+//!   rolling weight upgrade, [`ServePool::set_weight_version`] reflashes it
+//!   (idle-only — a version can never change under an in-flight batch),
+//!   [`ServePool::fail_stop`] kills the whole node and hands the survivors'
+//!   work out as [`Evicted`] requests, and [`ServePool::adopt`] takes
+//!   another node's evictees in — checkpoints riding along, resident-stripe
+//!   trust refused cross-device as always.
 //!
 //! Everything runs in *virtual* time — arrivals at `i / rps`, service times
 //! from the deterministic runtime simulation — so the same configuration
@@ -1194,6 +1196,25 @@ impl ServePool {
         self.submitted
     }
 
+    /// The earliest virtual time a request submitted now could start: each
+    /// card whose breaker admits work frees up at its in-flight finish (now
+    /// if idle), and the queue ahead takes the earliest-free card in FIFO
+    /// order for a cold nominal run each, the price every safety decision
+    /// uses. A pool with no admitting card (a dead one included) reads
+    /// infinity, never idle. The cluster router places work by this alone.
+    pub fn projected_start_s(&self) -> f64 {
+        let mut free: Vec<f64> = if self.dead {
+            Vec::new()
+        } else {
+            self.admitting_cards_free_s().map(|(_, t)| t).collect()
+        };
+        for _ in &self.queue {
+            let Some(first) = free.iter_mut().min_by(|a, b| a.total_cmp(b)) else { break };
+            *first += self.nominal_s;
+        }
+        free.into_iter().min_by(f64::total_cmp).unwrap_or(f64::INFINITY)
+    }
+
     /// Earliest strictly-future internal event, for a co-simulating router.
     pub fn next_event_s(&self) -> Option<f64> {
         if self.dead {
@@ -1559,16 +1580,24 @@ impl ServePool {
         }
     }
 
-    /// The earliest time a card other than `card` whose breaker admits work
-    /// could start a dispatch: now if one is idle, else the first in-flight
-    /// finish. `None` when no other card admits work.
-    fn next_free_card_s(&self, card: usize) -> Option<f64> {
+    /// Each card whose breaker admits work, with the time it frees up: now
+    /// if idle, else its in-flight finish.
+    fn admitting_cards_free_s(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
         let now = self.now_s;
         self.devices
             .iter()
             .enumerate()
-            .filter(|&(j, d)| j != card && d.card.breaker.would_admit(now))
-            .map(|(_, d)| d.card.in_flight.as_ref().map_or(now, |fl| fl.finish_s))
+            .filter(move |(_, d)| d.card.breaker.would_admit(now))
+            .map(move |(j, d)| (j, d.card.in_flight.as_ref().map_or(now, |fl| fl.finish_s)))
+    }
+
+    /// The earliest time a card other than `card` whose breaker admits work
+    /// could start a dispatch: now if one is idle, else the first in-flight
+    /// finish. `None` when no other card admits work.
+    fn next_free_card_s(&self, card: usize) -> Option<f64> {
+        self.admitting_cards_free_s()
+            .filter(|&(j, _)| j != card)
+            .map(|(_, t)| t)
             .min_by(f64::total_cmp)
     }
 
@@ -2604,6 +2633,77 @@ mod tests {
         }
         let last_s = report.wall_s;
         assert!(last_s < 0.0343, "the backlog finished at {:.3} ms", last_s * 1e3);
+    }
+
+    /// When each card of `pool` frees up: its in-flight finish, now if idle.
+    fn card_free_s(pool: &ServePool) -> Vec<f64> {
+        let now = pool.now_s();
+        pool.devices
+            .iter()
+            .map(|d| d.card.in_flight.as_ref().map_or(now, |fl| fl.finish_s))
+            .collect()
+    }
+
+    #[test]
+    fn an_idle_pool_projects_a_start_of_now() {
+        let mut pool = ServePool::new(cfg(2, 0, 10.0, 0.5)).unwrap();
+        assert_eq!(pool.projected_start_s(), 0.0);
+        pool.submit(0.1).unwrap();
+        settle(&mut pool);
+        pool.run_until(0.3);
+        assert_eq!(pool.projected_start_s().to_bits(), 0.3f64.to_bits());
+    }
+
+    #[test]
+    fn a_busy_card_projects_its_finish_plus_a_cold_nominal_per_queued_request() {
+        let mut pool = ServePool::new(cfg(1, 0, 10.0, 0.5)).unwrap();
+        let n = pool.nominal_s();
+        pool.submit(0.002).unwrap();
+        let mut want = card_free_s(&pool)[0];
+        assert!(want > 0.002, "the card is busy");
+        for k in 0..4 {
+            assert_eq!(pool.queue_len(), k);
+            assert_eq!(pool.projected_start_s().to_bits(), want.to_bits(), "{k} queued");
+            pool.submit(0.003 + k as f64 * 1e-3).unwrap();
+            want += n;
+        }
+    }
+
+    #[test]
+    fn two_busy_cards_take_the_queue_ahead_in_fifo_order() {
+        let mut pool = ServePool::new(cfg(2, 0, 10.0, 0.5)).unwrap();
+        let n = pool.nominal_s();
+        pool.submit(0.0).unwrap();
+        pool.submit(0.001).unwrap();
+        let (f0, f1) = (card_free_s(&pool)[0], card_free_s(&pool)[1]);
+        assert!(f0 < f1 && f1 < f0 + n);
+        // Card 0 frees first, so the queued requests alternate 0, 1, 0, 1
+        // and the next one starts where the last assignment left off.
+        for (k, want) in [f0, f1, f0 + n, f1 + n, f0 + n + n].into_iter().enumerate() {
+            assert_eq!(pool.queue_len(), k);
+            assert_eq!(pool.projected_start_s().to_bits(), want.to_bits(), "{k} queued");
+            pool.submit(0.002 + k as f64 * 1e-3).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_pool_with_no_admitting_card_never_projects_idle() {
+        // A lone card that fails every dispatch opens its breaker on the
+        // third failure: idle with an empty queue, it still starts nothing.
+        let bad = FaultPlan::none()
+            .with(FaultKind::HbmLoadError { label: "LWD4".into(), failing_attempts: u32::MAX });
+        let mut pool = ServePool::with_plans(cfg(1, 0, 10.0, 0.5), vec![bad]).unwrap();
+        for _ in 0..3 {
+            pool.submit(pool.now_s()).unwrap();
+            settle(&mut pool);
+        }
+        assert_eq!(pool.breaker_summary()[0].0, BreakerState::Open);
+        assert!(pool.is_idle());
+        assert_eq!(pool.projected_start_s(), f64::INFINITY);
+        // A fail-stopped pool admits nothing either.
+        let mut dead = ServePool::new(cfg(2, 0, 10.0, 0.5)).unwrap();
+        dead.fail_stop();
+        assert_eq!(dead.projected_start_s(), f64::INFINITY);
     }
 
     #[test]

@@ -232,6 +232,43 @@ proptest! {
         );
     }
 
+    // Finish-time routing never leaves a node idle while a request queues:
+    // with no faults and no upgrade, a request that waited found every
+    // other node busy at its arrival. Each one-card node's busy intervals
+    // are rebuilt from its completed records, one dispatch at a time.
+    #[test]
+    fn a_cluster_never_queues_a_request_while_another_node_is_idle(
+        seed in 0u64..512,
+        nodes in 2usize..5,
+        trace_pick in 0usize..3,
+        rps_per_node in 30u64..61,
+    ) {
+        let mut cfg = base(nodes, (rps_per_node * nodes as u64) as f64, seed);
+        cfg.trace = trace(trace_pick);
+        let r = Cluster::run(cfg).unwrap();
+        let mut busy: Vec<Vec<(f64, f64)>> = vec![Vec::new(); nodes];
+        let mut waited: Vec<(usize, f64, f64)> = Vec::new();
+        for (node, rec) in &r.records {
+            if let RequestOutcome::Completed { latency_s, service_s, .. } = rec.outcome {
+                let end = rec.arrival_s + latency_s;
+                busy[*node].push((end - service_s, end));
+                let wait = latency_s - service_s;
+                if wait > 1e-9 {
+                    waited.push((*node, rec.arrival_s, wait));
+                }
+            }
+        }
+        for (node, at, wait) in waited {
+            for (other, spans) in busy.iter().enumerate().filter(|(o, _)| *o != node) {
+                prop_assert!(
+                    spans.iter().any(|&(s, e)| s < at + 1e-9 && e > at + 1e-9),
+                    "a request waited {:.3} ms on node {} from {:.6} s while node {} was idle",
+                    wait * 1e3, node, at, other
+                );
+            }
+        }
+    }
+
     // A rollout gated by a dying survivor set must end settled — completed
     // when capacity returns, rolled back otherwise — and a rolled-back
     // fleet's live nodes all run the original version.

@@ -1203,11 +1203,15 @@ impl ServePool {
     /// uses. A pool with no admitting card (a dead one included) reads
     /// infinity, never idle. The cluster router places work by this alone.
     pub fn projected_start_s(&self) -> f64 {
-        let mut free: Vec<f64> = if self.dead {
-            Vec::new()
-        } else {
-            self.admitting_cards_free_s().map(|(_, t)| t).collect()
-        };
+        if self.dead {
+            return f64::INFINITY;
+        }
+        let free = self.admitting_cards_free_s().map(|(_, t)| t);
+        if self.queue.is_empty() {
+            // The common case at routing time: no queue to lay out.
+            return free.min_by(f64::total_cmp).unwrap_or(f64::INFINITY);
+        }
+        let mut free: Vec<f64> = free.collect();
         for _ in &self.queue {
             let Some(first) = free.iter_mut().min_by(|a, b| a.total_cmp(b)) else { break };
             *first += self.nominal_s;

@@ -1177,11 +1177,6 @@ impl ServePool {
         self.now_s
     }
 
-    /// Queued (not yet dispatched) requests.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Requests currently on a card.
     pub fn in_flight(&self) -> usize {
         self.devices
@@ -2594,7 +2589,7 @@ mod tests {
         let mut pool = ServePool::new(c).unwrap();
         pool.submit(0.0).unwrap(); // card 0 busy from here
         pool.submit(0.001).unwrap(); // card 1 is the last idle card
-        assert_eq!(pool.queue_len(), 0, "the lone request did not wait for a batch-mate");
+        assert_eq!(pool.queue.len(), 0, "the lone request did not wait for a batch-mate");
         let report = pool.drain();
         match &report.records[1].outcome {
             RequestOutcome::Completed { latency_s, batch, device, .. } => {
@@ -2666,7 +2661,7 @@ mod tests {
         let mut want = card_free_s(&pool)[0];
         assert!(want > 0.002, "the card is busy");
         for k in 0..4 {
-            assert_eq!(pool.queue_len(), k);
+            assert_eq!(pool.queue.len(), k);
             assert_eq!(pool.projected_start_s().to_bits(), want.to_bits(), "{k} queued");
             pool.submit(0.003 + k as f64 * 1e-3).unwrap();
             want += n;
@@ -2684,7 +2679,7 @@ mod tests {
         // Card 0 frees first, so the queued requests alternate 0, 1, 0, 1
         // and the next one starts where the last assignment left off.
         for (k, want) in [f0, f1, f0 + n, f1 + n, f0 + n + n].into_iter().enumerate() {
-            assert_eq!(pool.queue_len(), k);
+            assert_eq!(pool.queue.len(), k);
             assert_eq!(pool.projected_start_s().to_bits(), want.to_bits(), "{k} queued");
             pool.submit(0.002 + k as f64 * 1e-3).unwrap();
         }

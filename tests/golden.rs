@@ -39,6 +39,10 @@ const REPORTS: &[(&str, &str)] = &[
         "serve --devices 2 --batch 8 --linger-ms 5 --rps 120 --deadline-ms 200 --n 200",
     ),
     (
+        "serve_overload",
+        "serve --devices 3 --batch 8 --linger-ms 5 --rps 310 --deadline-ms 150 --n 300",
+    ),
+    (
         "stream_failover",
         "stream --streams 4 --devices 4 --faults 1 --chunk-ms 40 --deadline-ms 60 --chunks 8",
     ),

@@ -56,6 +56,10 @@ const REPORTS: &[(&str, &str)] = &[
         "cluster --nodes 3 --rps 150 --n 2000 --sessions 1024 --trace bursty --deadline-ms 200 \
          --upgrade 2 --upgrade-at 4 --kill-node 2@7.7",
     ),
+    (
+        "cluster_partition",
+        "cluster --nodes 3 --rps 100 --n 1000 --sessions 64 --deadline-ms 200 --partition 1@2+3",
+    ),
     ("plan_batch", "plan --s 8 --arch a3 --batch 4"),
     ("plan_detect_a1", "plan --s 8 --arch a1 --integrity detect"),
     ("plan_decode", "plan --decode --s 32 --beam 4 --steps 64"),

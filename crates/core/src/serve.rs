@@ -446,10 +446,11 @@ pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
 /// per-utterance computes back-to-back under the resident layer, so the
 /// A2/A3 prefetch cost is amortized over the whole batch. A request only
 /// joins a batch whose *projected batched makespan* still fits its deadline
-/// and the per-attempt timeout, and only while the grown batch ends no
-/// later than another card could finish the rest of the queue: on a
-/// compute-bound card a batch saves only the pipeline fill, so a backlog
-/// splits across the cards by finish time.
+/// and the per-attempt timeout. Among those sizes the dispatcher takes the
+/// one whose projected finishes, summed over the queue and the arrivals
+/// expected within one deadline, are least: on a compute-bound card a
+/// batch saves only the pipeline fill, so it forms only when enough work
+/// would otherwise wait for the card.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchConfig {
     /// Largest number of queued requests coalesced into one dispatch
@@ -937,6 +938,9 @@ pub struct ServePool {
     /// Utterances carried by those successful batch runs.
     ok_batch_utts: usize,
     last_arrival_s: f64,
+    /// The first submission's arrival: the arrival rate is measured from
+    /// here to `last_arrival_s`.
+    first_submit_s: Option<f64>,
     submitted: usize,
     failed_over: usize,
     records: Vec<(usize, RequestRecord)>,
@@ -1036,6 +1040,7 @@ impl ServePool {
             load_busy_total_s: 0.0,
             ok_batch_utts: 0,
             last_arrival_s: 0.0,
+            first_submit_s: None,
             submitted: 0,
             failed_over: 0,
             records: Vec::new(),
@@ -1062,9 +1067,9 @@ impl ServePool {
 
     /// Fault-free makespan of a size-`batch` dispatch on a cold card — the
     /// projected batch makespan a joining request's deadline is checked
-    /// against, an upper bound for a warm card, and the price the
-    /// dispatcher's finish-time split and linger rule compare. Memoised and
-    /// lowered on first use; the underlying schedule is deterministic.
+    /// against, an upper bound for a warm card, and what the dispatcher's
+    /// price and linger rule charge a batch. Memoised and lowered on first
+    /// use; the underlying schedule is deterministic.
     pub fn batch_nominal_s(&mut self, batch: usize) -> f64 {
         if let Some(&t) = self.nominal_batch.get(&batch) {
             return t;
@@ -1094,6 +1099,7 @@ impl ServePool {
         self.advance_to(arrival_s);
         let id = self.submitted;
         self.submitted += 1;
+        self.first_submit_s.get_or_insert(arrival_s);
         self.last_arrival_s = arrival_s;
         if self.queue.len() >= self.cfg.queue_capacity {
             self.finish_request(
@@ -1194,9 +1200,10 @@ impl ServePool {
     /// The earliest virtual time a request submitted now could start: each
     /// card whose breaker admits work frees up at its in-flight finish (now
     /// if idle), and the queue ahead takes the earliest-free card in FIFO
-    /// order for a cold nominal run each, the price every safety decision
-    /// uses. A pool with no admitting card (a dead one included) reads
-    /// infinity, never idle. The cluster router places work by this alone.
+    /// order for a cold nominal run each ([`lay_out_solo`]), the price every
+    /// safety decision uses. A pool with no admitting card (a dead one
+    /// included) reads infinity, never idle. The cluster router places work
+    /// by this alone.
     pub fn projected_start_s(&self) -> f64 {
         if self.dead {
             return f64::INFINITY;
@@ -1207,9 +1214,8 @@ impl ServePool {
             return free.min_by(f64::total_cmp).unwrap_or(f64::INFINITY);
         }
         let mut free: Vec<f64> = free.collect();
-        for _ in &self.queue {
-            let Some(first) = free.iter_mut().min_by(|a, b| a.total_cmp(b)) else { break };
-            *first += self.nominal_s;
+        for r in &self.queue {
+            lay_out_solo(&mut free, r.arrival_s, self.nominal_s);
         }
         free.into_iter().min_by(f64::total_cmp).unwrap_or(f64::INFINITY)
     }
@@ -1590,14 +1596,60 @@ impl ServePool {
             .map(move |(j, d)| (j, d.card.in_flight.as_ref().map_or(now, |fl| fl.finish_s)))
     }
 
-    /// The earliest time a card other than `card` whose breaker admits work
-    /// could start a dispatch: now if one is idle, else the first in-flight
-    /// finish. `None` when no other card admits work.
-    fn next_free_card_s(&self, card: usize) -> Option<f64> {
-        self.admitting_cards_free_s()
-            .filter(|&(j, _)| j != card)
-            .map(|(_, t)| t)
-            .min_by(f64::total_cmp)
+    /// Arrivals per second, measured from the pool's own submissions: the
+    /// count so far over the time from the first to the latest, that time
+    /// floored at one deadline so a start-up burst does not read as a
+    /// sustained rate.
+    fn arrival_rate(&self) -> f64 {
+        let span = self.first_submit_s.map_or(0.0, |t| self.last_arrival_s - t);
+        self.submitted as f64 / span.max(self.cfg.deadline_s)
+    }
+
+    /// The dispatch size in `1..=fit` for idle card `card` that minimises
+    /// the summed projected finish of every queued request and of the
+    /// arrivals expected within one deadline at the measured rate. Each
+    /// member of a size-`b` dispatch ends at `now + n(b)`; the rest of the
+    /// queue, then the expected arrivals, start FIFO and solo at the cold
+    /// `n(1)` on whichever admitting card frees up first
+    /// ([`lay_out_solo`]). Ties go to the smaller size.
+    fn cheapest_size(&mut self, card: usize, fit: usize) -> usize {
+        let (now, n1) = (self.now_s, self.nominal_s);
+        let free: Vec<(usize, f64)> = self.admitting_cards_free_s().collect();
+        // Per size: when each card frees up, and the summed finish so far
+        // (measured from now).
+        let mut layouts: Vec<(Vec<f64>, f64)> = Vec::with_capacity(fit);
+        for b in 1..=fit {
+            let nb = self.batch_nominal_s(b);
+            let mut cards: Vec<f64> =
+                free.iter().map(|&(j, t)| if j == card { now + nb } else { t }).collect();
+            let mut cost = b as f64 * nb;
+            for r in self.queue.iter().skip(b) {
+                cost += lay_out_solo(&mut cards, r.arrival_s, n1) - now;
+            }
+            layouts.push((cards, cost));
+        }
+        let rate = self.arrival_rate();
+        let expected = (rate * self.cfg.deadline_s).floor() as usize;
+        for k in 1..=expected {
+            let at = now + k as f64 / rate;
+            // A card free by `at` serves this arrival and every later one
+            // like any other such card. Once every size's cards agree up
+            // to that, each later arrival costs every size the same: stop.
+            for (cards, _) in &mut layouts {
+                cards.sort_by(f64::total_cmp);
+            }
+            let alike = |cards: &[f64]| {
+                cards.iter().zip(&layouts[0].0).all(|(a, b)| a.max(at) == b.max(at))
+            };
+            if layouts[1..].iter().all(|(cards, _)| alike(cards)) {
+                break;
+            }
+            for (cards, cost) in &mut layouts {
+                *cost += lay_out_solo(cards, at, n1) - now;
+            }
+        }
+        let cheapest = layouts.iter().enumerate().min_by(|a, b| a.1 .1.total_cmp(&b.1 .1));
+        cheapest.map_or(1, |(i, _)| i + 1)
     }
 
     /// Pull work from the queue head onto the best available card.
@@ -1685,37 +1737,33 @@ impl ServePool {
                 }
                 // fall through: the head is a plain full-restart request now
             }
-            // Grow the dispatch past the head: a queued request only joins
-            // when the *projected batched makespan* still fits the attempt
-            // timeout and every member's deadline (batch-aware admission),
-            // and a failed-over request never rides the card it excluded.
-            // It also joins only if the grown batch ends no later than
-            // another card could finish the rest of the queue, starting
-            // when that card frees up: on a compute-bound card each member
-            // adds nearly a solo run, so a backlog splits across the cards
-            // instead of queueing behind one.
+            // Size the dispatch past the head. A queued request can join
+            // only while the *projected batched makespan* still fits the
+            // attempt timeout and every member's deadline (batch-aware
+            // admission), and a failed-over request never rides the card it
+            // excluded. Among the sizes that pass, the dispatch takes the
+            // one with the least summed finish over the queue and the
+            // arrivals still to come: on a compute-bound card each member
+            // adds nearly a solo run, so a batch pays only when enough work
+            // would otherwise wait for the card.
             let max_batch = self.cfg.batch.max_batch;
             let attempt_cutoff = now + self.cfg.attempt_timeout();
             let queued = self.queue.len();
-            let other_free_s = self.next_free_card_s(i);
-            let mut size = 1usize;
-            while size < max_batch && size < queued {
-                if self.queue[size].exclude == Some(i) || self.queue[size].ckpt.is_some() {
+            let mut fit = 1usize;
+            while fit < max_batch && fit < queued {
+                if self.queue[fit].exclude == Some(i) || self.queue[fit].ckpt.is_some() {
                     break;
                 }
-                let projected = self.batch_nominal_s(size + 1);
+                let projected = self.batch_nominal_s(fit + 1);
                 let fits = now + projected <= attempt_cutoff
-                    && (0..=size)
+                    && (0..=fit)
                         .all(|j| now + projected <= self.queue[j].arrival_s + self.cfg.deadline_s);
-                if !fits
-                    || other_free_s.is_some_and(|t| {
-                        now + projected > t + self.batch_nominal_s((queued - size).min(max_batch))
-                    })
-                {
+                if !fits {
                     break;
                 }
-                size += 1;
+                fit += 1;
             }
+            let size = if fit > 1 { self.cheapest_size(i, fit) } else { 1 };
             // Linger: hold an underfull batch open while the whole queue
             // fits in it, the head's linger window is still running, this
             // is the last card that could start it — with another idle card
@@ -2035,6 +2083,21 @@ impl ServePool {
             version_rejects: self.version_rejects,
             evicted: self.evicted,
         }
+    }
+}
+
+/// One step of the FIFO layout behind [`ServePool::projected_start_s`] and
+/// the dispatcher's price: a request arriving at `arrival_s` starts on
+/// whichever card in `free` frees up first, no earlier than it arrives, for
+/// a cold solo run of `n1`. Moves that card's free time to the request's
+/// finish and returns it; infinity when there is no card.
+fn lay_out_solo(free: &mut [f64], arrival_s: f64, n1: f64) -> f64 {
+    match free.iter_mut().min_by(|a, b| a.total_cmp(b)) {
+        Some(first) => {
+            *first = first.max(arrival_s) + n1;
+            *first
+        }
+        None => f64::INFINITY,
     }
 }
 
@@ -2600,38 +2663,117 @@ mod tests {
         }
     }
 
+    /// When request `id` in `report` started and finished its dispatch.
+    fn started_and_finished_s(report: &ServeReport, id: usize) -> (f64, f64) {
+        let r = &report.records[id];
+        match r.outcome {
+            RequestOutcome::Completed { latency_s, service_s, .. } => {
+                let finished = r.arrival_s + latency_s;
+                (finished - service_s, finished)
+            }
+            ref other => panic!("request {id} not served: {other:?}"),
+        }
+    }
+
+    /// The card and batch size that served request `id`.
+    fn served_on(report: &ServeReport, id: usize) -> (DeviceId, usize) {
+        match report.records[id].outcome {
+            RequestOutcome::Completed { device, batch, .. } => (device, batch),
+            ref other => panic!("request {id} not served: {other:?}"),
+        }
+    }
+
     #[test]
     fn a_backlog_splits_by_finish_time() {
         // Requests 0 and 1 start solo on the two cold cards at 0 and 1 ms;
-        // 2-5 queue behind them. When card 0 frees at n(1) = 11.923 ms, a
-        // pair on it still ends before card 1 (free at 1 ms + n(1)) could
-        // finish the other three, but a triple would not: card 0 takes 2-3
-        // and card 1 takes 4-5 when it frees. All six finish by 34.3 ms;
-        // on card 0 alone the four would end at 53.6-54.7 ms.
+        // 2-5 queue behind them. On this compute-bound card a batch-mate
+        // adds 10.04 ms of card time and saves 1.88, so each card takes the
+        // next queued request solo as it frees up: cards 0, 1, 0, 1. The
+        // last ends at 35.4 ms, later than a pair on each card (34.3 ms),
+        // but the four finish about 16 ms sooner summed.
         let mut c = cfg(2, 0, 10.0, 0.5);
         c.batch = BatchConfig { max_batch: 8, linger_s: 0.0 };
-        let (cold_n1, _) = cold_and_warm_s(&c, 1);
+        let (cold_n1, warm_n1) = cold_and_warm_s(&c, 1);
+        let warm_pair = run_plan(&c.accel, &cold_and_warm(&c, 2).1).utterance_finish_s;
         let mut pool = ServePool::new(c).unwrap();
         for i in 0..6 {
             pool.submit(i as f64 * 1e-3).unwrap();
         }
         let report = pool.drain();
         assert_eq!(report.completed, 6);
-        for (id, card, start_s) in
-            [(2, 0, cold_n1), (3, 0, cold_n1), (4, 1, 1e-3 + cold_n1), (5, 1, 1e-3 + cold_n1)]
-        {
-            let r = &report.records[id];
-            match r.outcome {
-                RequestOutcome::Completed { device, batch, latency_s, service_s, .. } => {
-                    assert_eq!((device, batch), (DeviceId::new(card), 2), "request {id}");
-                    let started = r.arrival_s + latency_s - service_s;
-                    assert!((started - start_s).abs() < 1e-12, "request {id} started {started}");
-                }
-                ref other => panic!("request {id}: {:?}", other),
-            }
+        for (id, card, start_s) in [
+            (2, 0, cold_n1),
+            (3, 1, 1e-3 + cold_n1),
+            (4, 0, cold_n1 + warm_n1),
+            (5, 1, 1e-3 + cold_n1 + warm_n1),
+        ] {
+            assert_eq!(served_on(&report, id), (DeviceId::new(card), 1), "request {id}");
+            let (started, _) = started_and_finished_s(&report, id);
+            assert!((started - start_s).abs() < 1e-12, "request {id} started {started}");
         }
-        let last_s = report.wall_s;
-        assert!(last_s < 0.0343, "the backlog finished at {:.3} ms", last_s * 1e3);
+        let summed: f64 = (2..6).map(|id| started_and_finished_s(&report, id).1).sum();
+        // A warm pair on each card from the same two starts.
+        let paired: f64 = [cold_n1, 1e-3 + cold_n1]
+            .iter()
+            .flat_map(|start| warm_pair.iter().map(move |f| start + f))
+            .sum();
+        assert!(
+            summed < paired - 0.015,
+            "solo runs end {:.3} ms summed, pairs {:.3} ms",
+            summed * 1e3,
+            paired * 1e3
+        );
+    }
+
+    #[test]
+    fn a_queued_pair_splits_when_batching_would_delay_both() {
+        // Card 0 frees at n(1) = 11.92 ms with requests 2 and 3 queued;
+        // card 1 runs request 1 until 11 ms + n(1) = 22.92 ms. Batched on
+        // card 0 the pair would end at 11.92 + n(2) = 33.89 ms each, which
+        // beats card 1 finishing request 3 at 34.85 ms, so the makespan
+        // rule batched it. Summed, request 2 solo (ending at 23.85 ms) and
+        // request 3 on card 1 (34.85 ms) finish sooner: each runs solo.
+        let mut c = cfg(2, 0, 10.0, 0.5);
+        c.batch = BatchConfig { max_batch: 8, linger_s: 0.0 };
+        let (cold_n1, _) = cold_and_warm_s(&c, 1);
+        let mut pool = ServePool::new(c).unwrap();
+        for t in [0.0, 0.011, 0.0111, 0.0112] {
+            pool.submit(t).unwrap();
+        }
+        let report = pool.drain();
+        assert_eq!(report.completed, 4);
+        for (id, card, start_s) in [(2, 0, cold_n1), (3, 1, 0.011 + cold_n1)] {
+            assert_eq!(served_on(&report, id), (DeviceId::new(card), 1), "request {id}");
+            let (started, _) = started_and_finished_s(&report, id);
+            assert!((started - start_s).abs() < 1e-12, "request {id} started {started}");
+        }
+    }
+
+    #[test]
+    fn arrivals_still_to_come_make_a_queued_pair_batch() {
+        // One card and a steady stream that finds it idle each time; then
+        // two requests arrive 1 and 2 ms after the last, while it is busy.
+        // Over the queue alone the pair runs solo: batched, both members
+        // end at n(2), 8.16 ms more summed than n(1) and 2 n(1). But the
+        // batch hands the card back 1.88 ms sooner, and at 80 req/s every
+        // arrival expected within the deadline queues behind the card, so
+        // each gains that: the pair batches. At 40 req/s they find the card
+        // idle, and the pair runs solo.
+        let last_two = |rps: f64| {
+            let mut c = cfg(1, 0, rps, 0.2);
+            c.batch = BatchConfig { max_batch: 2, linger_s: 0.0 };
+            let mut pool = ServePool::new(c).unwrap();
+            let last = 39.0 / rps;
+            for t in (0..40).map(|i| i as f64 / rps).chain([last + 1e-3, last + 2e-3]) {
+                pool.submit(t).unwrap();
+            }
+            let report = pool.drain();
+            assert_eq!(report.completed, 42);
+            assert!(served_batches(&report)[..40].iter().all(|&b| b == Some(1)));
+            served_batches(&report)[40..].to_vec()
+        };
+        assert_eq!(last_two(80.0), [Some(2), Some(2)]);
+        assert_eq!(last_two(40.0), [Some(1), Some(1)]);
     }
 
     /// When each card of `pool` frees up: its in-flight finish, now if idle.
@@ -2823,8 +2965,15 @@ mod tests {
     fn request_whose_deadline_cannot_fit_the_batch_is_not_coalesced() {
         // One card, batches of up to 2. Request 0 runs solo; requests 1
         // and 2 then ride one batch of two while 3 and 4 wait behind it.
-        let probe = |deadline_s: f64| {
+        // At A1 a batch-mate shares the whole load pass, so a pair ends
+        // sooner summed than two solo runs back to back.
+        let a1 = |deadline_s: f64| {
             let mut c = cfg(1, 0, 10.0, deadline_s);
+            c.arch = Architecture::A1;
+            c
+        };
+        let probe = |deadline_s: f64| {
+            let mut c = a1(deadline_s);
             c.batch = BatchConfig { max_batch: 2, linger_s: 0.0 };
             let mut pool = ServePool::new(c).unwrap();
             for t in [0.0, 0.001, 0.002, 0.003, 0.004] {
@@ -2832,7 +2981,7 @@ mod tests {
             }
             pool.drain()
         };
-        let mut sizes = ServePool::new(cfg(1, 0, 10.0, 1.0)).unwrap();
+        let mut sizes = ServePool::new(a1(1.0)).unwrap();
         let (n1, n2) = (sizes.nominal_s(), sizes.batch_nominal_s(2));
         assert!(n2 > n1, "a second utterance must lengthen the batch");
         // Request 3 reaches the head at n1 + n2. A batch of two fits the
@@ -2854,13 +3003,20 @@ mod tests {
         // Request 0 runs solo; at its finish the pair 1+2 fits both
         // members' deadlines (from n1 + n2 - a1 on) but not the attempt
         // timeout, half the deadline (from 2 * n2 on), which would cut it.
-        let mut sizes = ServePool::new(cfg(1, 0, 10.0, 1.0)).unwrap();
+        // At A1 the pair would otherwise batch: it ends sooner summed.
+        // Request 2 arrives at 20 ms, late enough to fit solo after 1.
+        let a1 = |deadline_s: f64| {
+            let mut c = cfg(1, 0, 10.0, deadline_s);
+            c.arch = Architecture::A1;
+            c
+        };
+        let mut sizes = ServePool::new(a1(1.0)).unwrap();
         let (n1, n2) = (sizes.nominal_s(), sizes.batch_nominal_s(2));
         let deadline_s = 0.5 * ((n1 + n2 - 0.001) + 2.0 * n2);
-        let mut c = cfg(1, 0, 10.0, deadline_s);
+        let mut c = a1(deadline_s);
         c.batch = BatchConfig { max_batch: 2, linger_s: 0.0 };
         let mut pool = ServePool::new(c).unwrap();
-        for t in [0.0, 0.001, 0.002] {
+        for t in [0.0, 0.001, 0.020] {
             pool.submit(t).unwrap();
         }
         let report = pool.drain();
@@ -2874,20 +3030,22 @@ mod tests {
         // batch's first utterance is already finished when the run dies, so
         // only the second fails over; card 1 serves it.
         //
-        // Card 1 starts its solo run 11 ms after card 0 does, so when card
-        // 0 frees, the pair queued behind them ends sooner batched on card
-        // 0 than split onto card 1: n(2) - n(1) is about 10.04 ms.
+        // At int8 A1, n(1) = 22.62 ms and each batch-mate adds 10.68 ms.
+        // Card 1 starts its solo run 22 ms after card 0 does, so when card
+        // 0 frees, the pair queued behind them ends sooner summed batched
+        // on card 0 (twice n(2): 66.60 ms from then) than split (n(1) for
+        // the first, card 1's remaining 22 ms plus n(1) for the second:
+        // 67.23 ms).
         let mut c = cfg(2, 0, 200.0, 1.0);
+        c.arch = Architecture::A1;
         c.batch = BatchConfig { max_batch: 2, linger_s: 0.0 };
         let plans = vec![
-            FaultPlan::none().with(FaultKind::KernelHang {
-                label: "D6f[u1]".into(),
-                failing_attempts: u32::MAX,
-            }),
+            FaultPlan::none()
+                .with(FaultKind::KernelHang { label: "D6[u1]".into(), failing_attempts: u32::MAX }),
             FaultPlan::none(),
         ];
         let mut pool = ServePool::with_plans(c, plans).unwrap();
-        for t in [0.0, 0.011, 0.0111, 0.0112] {
+        for t in [0.0, 0.022, 0.0221, 0.0222] {
             pool.submit(t).unwrap();
         }
         let report = pool.drain();
@@ -2914,10 +3072,14 @@ mod tests {
 
     #[test]
     fn mid_batch_fault_without_failover_is_a_typed_unrecoverable() {
+        // At int8 A1 the pair queued behind request 0 ends sooner summed
+        // batched (twice n(2), 66.60 ms) than solo back to back (n(1) plus
+        // 2 n(1), 67.85 ms), so it batches.
         let mut c = cfg(1, 0, 200.0, 1.0);
+        c.arch = Architecture::A1;
         c.batch = BatchConfig { max_batch: 2, linger_s: 0.0 };
         let plans = vec![FaultPlan::none()
-            .with(FaultKind::KernelHang { label: "D6f[u1]".into(), failing_attempts: u32::MAX })];
+            .with(FaultKind::KernelHang { label: "D6[u1]".into(), failing_attempts: u32::MAX })];
         let mut pool = ServePool::with_plans(c, plans).unwrap();
         pool.submit(0.0).unwrap();
         pool.submit(1e-4).unwrap();

@@ -138,10 +138,10 @@ pub enum NodeFault {
         /// Burst seed (word/bit/attempt pattern).
         seed: u64,
     },
-    /// Router↔node link partition for `for_s`: the router keeps routing to
-    /// the node until the dispatch times out (a quarter of the request
-    /// deadline), then hedges the request to another node. Work already on
-    /// the node keeps running and completes.
+    /// Router↔node link partition for `for_s`: a dispatch to the node times
+    /// out (a quarter of the request deadline) and the router hedges the
+    /// request to another node, then holds the node out of routing until a
+    /// probe lands. Work already on the node keeps running and completes.
     Partition {
         /// Node index.
         node: usize,
@@ -487,6 +487,21 @@ impl Ord for Ev {
     }
 }
 
+/// The router's breaker on one node's link. A dispatch that times out on
+/// the link holds the node out of routing for one link timeout; then one
+/// dispatch goes through as a probe. A probe that lands ends the hold, and
+/// one that times out holds the node again.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Link {
+    /// No timeout outstanding: dispatches flow.
+    Up,
+    /// Held out of routing until `until`; the first dispatch after that is
+    /// the probe.
+    Held { until: f64 },
+    /// The probe is on the wire and has not landed.
+    Probing,
+}
+
 #[derive(Debug)]
 struct Node {
     pool: Option<ServePool>,
@@ -495,6 +510,7 @@ struct Node {
     killed: bool,
     rebooting: bool,
     partitioned_until: f64,
+    link: Link,
     upgrading: bool,
     /// Reports of prior incarnations (a dropout reboots into a new pool).
     reports: Vec<ServeReport>,
@@ -503,6 +519,16 @@ struct Node {
 impl Node {
     fn routable(&self) -> bool {
         !self.killed && !self.rebooting && !self.upgrading && self.pool.is_some()
+    }
+
+    /// Whether the router may dispatch to the node at `now` as far as its
+    /// link breaker goes.
+    fn link_admits(&self, now: f64) -> bool {
+        match self.link {
+            Link::Up => true,
+            Link::Held { until } => now >= until,
+            Link::Probing => false,
+        }
     }
 }
 
@@ -572,6 +598,7 @@ impl Cluster {
                 killed: false,
                 rebooting: false,
                 partitioned_until: 0.0,
+                link: Link::Up,
                 upgrading: false,
                 reports: Vec::new(),
             });
@@ -674,12 +701,13 @@ impl Cluster {
     /// ([`ServePool::projected_start_s`]), ties going to the higher
     /// rendezvous-hash score: the session sticks to its affinity node (the
     /// highest score) unless another node would start it strictly earlier,
-    /// so an idle cluster routes by affinity alone.
+    /// so an idle cluster routes by affinity alone. A node whose link
+    /// breaker holds it is skipped.
     fn route(&self, key: usize, excluded: &[usize]) -> Option<usize> {
         self.nodes
             .iter()
             .enumerate()
-            .filter(|(i, n)| n.routable() && !excluded.contains(i))
+            .filter(|(i, n)| n.routable() && n.link_admits(self.now_s) && !excluded.contains(i))
             .filter_map(|(i, n)| {
                 let score = jitter(self.cfg.seed ^ 0xAF1F17, key, i, 1.0);
                 Some((i, n.pool.as_ref()?.projected_start_s(), score))
@@ -694,13 +722,21 @@ impl Cluster {
         self.place(t, key, Vec::new());
     }
 
+    /// A hedge fires when its dispatch timed out on the link to the last
+    /// node it excludes (a retry after nothing was routable excludes none):
+    /// the router holds that node for one link timeout, then re-places.
     fn on_hedge(&mut self, arrival_s: f64, key: usize, excluded: Vec<usize>) {
+        if let Some(&node) = excluded.last() {
+            self.nodes[node].link = Link::Held { until: self.now_s + self.link_timeout() };
+        }
         self.place(arrival_s, key, excluded);
     }
 
     /// Route and submit one request. A partitioned target times the
     /// dispatch out after the link timeout, marks the node excluded, and
-    /// hedges; the retry arrives with its original deadline intact.
+    /// hedges; the retry arrives with its original deadline intact. A
+    /// dispatch to a held node whose hold has run out is the probe: it
+    /// lands and ends the hold, or times out and stays on the wire.
     fn place(&mut self, arrival_s: f64, key: usize, mut excluded: Vec<usize>) {
         let Some(node) = self.route(key, &excluded) else {
             // Nothing routable. If a node is mid-reboot or the whole
@@ -716,15 +752,20 @@ impl Cluster {
             }
             return;
         };
+        let probe = matches!(self.nodes[node].link, Link::Held { .. });
         if self.partitioned(node) {
             // The router cannot see the partition: the dispatch times
             // out on the wire, then hedges away from the node.
+            if probe {
+                self.nodes[node].link = Link::Probing;
+            }
             self.hedged += 1;
             excluded.push(node);
             let at = self.now_s + self.link_timeout();
             self.push(at, EvKind::Hedge { arrival_s, key, excluded });
             return;
         }
+        self.nodes[node].link = Link::Up;
         let pool = self.nodes[node].pool.as_mut().expect("routable implies a pool");
         if arrival_s >= pool.now_s() {
             // Overload is the pool's typed shed, already recorded.
@@ -1266,6 +1307,30 @@ mod tests {
         assert_eq!(r.lost, 0);
         assert_eq!(r.completed + r.shed + r.deadline_missed + r.failed + r.dropped, r.offered);
         assert!(r.completed > r.offered * 8 / 10, "most requests survive the partition");
+    }
+
+    #[test]
+    fn a_partitioned_node_is_held_out_of_routing_until_a_probe_lands() {
+        // `asrsim cluster`'s partition run (golden cluster_partition): node
+        // 1's link is down from 2 s to 5 s. A router that keeps routing to
+        // the node until each dispatch times out hedges 180 times (the
+        // affinity router before finish-time routing, 88). Holding the
+        // node after a timeout and probing it once per hold leaves a probe
+        // about every two link timeouts.
+        let mut c = ClusterConfig::new(3, 1, 100.0, 0.2);
+        c.requests = 1000;
+        c.sessions = 64;
+        c.faults = vec![NodeFault::Partition { node: 1, at_s: 2.0, for_s: 3.0 }];
+        let r = Cluster::run(c).unwrap();
+        assert!(r.hedged <= 88, "{} hedged dispatches", r.hedged);
+        assert_eq!(r.lost, 0);
+        assert!(r.p99_latency_s <= 0.06252, "p99 {:.3} ms", r.p99_latency_s * 1e3);
+        let healed = r.records.iter().filter(|(node, rec)| {
+            *node == 1
+                && rec.arrival_s > 5.0
+                && matches!(rec.outcome, RequestOutcome::Completed { .. })
+        });
+        assert!(healed.count() > 0, "node 1 must serve again once its link is back");
     }
 
     #[test]

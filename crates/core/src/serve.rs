@@ -1070,7 +1070,7 @@ impl ServePool {
     /// against, an upper bound for a warm card, and what the dispatcher's
     /// price and linger rule charge a batch. Memoised and lowered on first
     /// use; the underlying schedule is deterministic.
-    pub fn batch_nominal_s(&mut self, batch: usize) -> f64 {
+    fn batch_nominal_s(&mut self, batch: usize) -> f64 {
         if let Some(&t) = self.nominal_batch.get(&batch) {
             return t;
         }
@@ -1200,10 +1200,10 @@ impl ServePool {
     /// The earliest virtual time a request submitted now could start: each
     /// card whose breaker admits work frees up at its in-flight finish (now
     /// if idle), and the queue ahead takes the earliest-free card in FIFO
-    /// order for a cold nominal run each ([`lay_out_solo`]), the price every
-    /// safety decision uses. A pool with no admitting card (a dead one
-    /// included) reads infinity, never idle. The cluster router places work
-    /// by this alone.
+    /// order for a cold nominal run each, the price every safety decision
+    /// uses; the dispatcher lays out the queue beyond a dispatch the same
+    /// way. A pool with no admitting card (a dead one included) reads
+    /// infinity, never idle. The cluster router places work by this alone.
     pub fn projected_start_s(&self) -> f64 {
         if self.dead {
             return f64::INFINITY;

@@ -1648,8 +1648,8 @@ impl ServePool {
                 *cost += lay_out_solo(cards, at, n1) - now;
             }
         }
-        let cheapest = layouts.iter().enumerate().min_by(|a, b| a.1 .1.total_cmp(&b.1 .1));
-        cheapest.map_or(1, |(i, _)| i + 1)
+        let costs = layouts.iter().map(|&(_, cost)| cost).enumerate();
+        costs.min_by(|a, b| a.1.total_cmp(&b.1)).map_or(1, |(i, _)| i + 1)
     }
 
     /// Pull work from the queue head onto the best available card.

@@ -7,7 +7,8 @@
 //! granularity: fail-stop death, power-domain dropout (the whole node goes
 //! dark, then reboots empty), correlated HBM corruption bursts (the same
 //! silent bit flip on every card), and router↔node partitions (the router
-//! times out and hedges the dispatch to another node).
+//! times out, hedges the dispatch to another node, and holds the node out
+//! of routing until a probe lands).
 //!
 //! The router places by finish time: each node's pool projects when a
 //! request submitted now would start ([`ServePool::projected_start_s`]),

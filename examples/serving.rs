@@ -64,7 +64,9 @@ fn main() {
     // the rate is set where this 300-request burst still outruns solo
     // dispatch. The 5 ms linger is allowed but never taken: the int8 card
     // is compute-bound from batch 2, where one more member saves under
-    // 1.9 ms of card time, so batches form from the backlog alone.
+    // 1.9 ms of card time, so batches form from the backlog alone, and
+    // only where they shorten the summed finish of the queue and of the
+    // arrivals the pool expects within one deadline.
     let burst_rps = 310.0;
     println!("\ndynamic batching (clean pool, {:.0} req/s, 5 ms linger allowed):\n", burst_rps);
     println!(
@@ -97,15 +99,14 @@ fn main() {
     }
     println!("\nsolo dispatch sheds load at this rate; batching amortizes the");
     println!("weight loads (load/utt drops with occupancy) and clears the");
-    println!(
-        "overload. A batch only forms while its makespan fits the {:.0} ms",
-        deadline_ms / 2.0
-    );
-    println!("per-attempt timeout (half the deadline), so max batch 8 stops");
-    println!("short of the sizes that timeout would cut. No batch waits out");
-    println!("the linger: a batch-mate saves this compute-bound card under");
-    println!("1.9 ms, so batches form from the backlog alone, split across");
-    println!("the cards by when each would finish them.");
+    println!("overload. Every member waits for its whole batch, so a batch");
+    println!("forms only where it lowers the summed finish of the queue and");
+    println!("of the arrivals expected within one deadline, and only while");
+    println!("its makespan fits the {:.0} ms per-attempt timeout (half the", deadline_ms / 2.0);
+    println!("deadline). Batches stay small: max batch 4 and 8 dispatch");
+    println!("alike. No batch waits out the linger: a batch-mate saves this");
+    println!("compute-bound card under 1.9 ms, so batches form from the");
+    println!("backlog alone.");
 
     // Third sweep: streaming recognition sessions — live microphones, not
     // utterance requests. A streams x chunk-cadence grid over a 2-card pool

@@ -72,7 +72,7 @@ mod tests {
 
     #[test]
     fn bulk_uniform_is_the_per_element_draw_bit_for_bit() {
-        // Lengths around the 64-word refill and the 256-word bulk chunk.
+        // Lengths around the 256-word refill, which is also the bulk chunk.
         for n in [1, 63, 64, 65, 255, 256, 257, 4099] {
             for (lo, hi, seed) in [(-1.0, 1.0, 11), (0.9, 1.1, 12), (-0.05, 0.05, 13)] {
                 let bulk = uniform(1, n, lo, hi, seed);

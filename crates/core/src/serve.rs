@@ -1607,7 +1607,8 @@ impl ServePool {
 
     /// The dispatch size in `1..=fit` for idle card `card` that minimises
     /// the summed projected finish of every queued request and of the
-    /// arrivals expected within one deadline at the measured rate. Each
+    /// arrivals expected within one deadline at the measured rate (none
+    /// once the pool drains, since it takes no more submissions). Each
     /// member of a size-`b` dispatch ends at `now + n(b)`; the rest of the
     /// queue, then the expected arrivals, start FIFO and solo at the cold
     /// `n(1)` on whichever admitting card frees up first
@@ -1629,7 +1630,8 @@ impl ServePool {
             layouts.push((cards, cost));
         }
         let rate = self.arrival_rate();
-        let expected = (rate * self.cfg.deadline_s).floor() as usize;
+        let expected =
+            if self.draining { 0 } else { (rate * self.cfg.deadline_s).floor() as usize };
         for k in 1..=expected {
             let at = now + k as f64 / rate;
             // A card free by `at` serves this arrival and every later one
@@ -2749,31 +2751,46 @@ mod tests {
         }
     }
 
+    /// One card of max batch 2 takes 40 steady arrivals at `rps`, each
+    /// finding it idle, then two requests 1 and 2 ms after the last, while
+    /// it is busy. The pool runs `run_for` past the last steady arrival,
+    /// if given, then drains; returns the pair's batch sizes.
+    fn queued_pair_batches(rps: f64, run_for: Option<f64>) -> Vec<Option<usize>> {
+        let mut c = cfg(1, 0, rps, 0.2);
+        c.batch = BatchConfig { max_batch: 2, linger_s: 0.0 };
+        let mut pool = ServePool::new(c).unwrap();
+        let last = 39.0 / rps;
+        for t in (0..40).map(|i| i as f64 / rps).chain([last + 1e-3, last + 2e-3]) {
+            pool.submit(t).unwrap();
+        }
+        if let Some(dt) = run_for {
+            pool.run_until(last + dt);
+        }
+        let report = pool.drain();
+        assert_eq!(report.completed, 42);
+        assert!(served_batches(&report)[..40].iter().all(|&b| b == Some(1)));
+        served_batches(&report)[40..].to_vec()
+    }
+
     #[test]
     fn arrivals_still_to_come_make_a_queued_pair_batch() {
-        // One card and a steady stream that finds it idle each time; then
-        // two requests arrive 1 and 2 ms after the last, while it is busy.
         // Over the queue alone the pair runs solo: batched, both members
         // end at n(2), 8.16 ms more summed than n(1) and 2 n(1). But the
         // batch hands the card back 1.88 ms sooner, and at 80 req/s every
         // arrival expected within the deadline queues behind the card, so
         // each gains that: the pair batches. At 40 req/s they find the card
-        // idle, and the pair runs solo.
-        let last_two = |rps: f64| {
-            let mut c = cfg(1, 0, rps, 0.2);
-            c.batch = BatchConfig { max_batch: 2, linger_s: 0.0 };
-            let mut pool = ServePool::new(c).unwrap();
-            let last = 39.0 / rps;
-            for t in (0..40).map(|i| i as f64 / rps).chain([last + 1e-3, last + 2e-3]) {
-                pool.submit(t).unwrap();
-            }
-            let report = pool.drain();
-            assert_eq!(report.completed, 42);
-            assert!(served_batches(&report)[..40].iter().all(|&b| b == Some(1)));
-            served_batches(&report)[40..].to_vec()
-        };
-        assert_eq!(last_two(80.0), [Some(2), Some(2)]);
-        assert_eq!(last_two(40.0), [Some(1), Some(1)]);
+        // idle, and the pair runs solo. The card frees 11.92 ms after the
+        // last steady arrival, so the pair dispatches before the drain.
+        assert_eq!(queued_pair_batches(80.0, Some(0.05)), [Some(2), Some(2)]);
+        assert_eq!(queued_pair_batches(40.0, Some(0.05)), [Some(1), Some(1)]);
+    }
+
+    #[test]
+    fn a_draining_pool_prices_no_arrivals() {
+        // The same pair at 80 req/s, with the pool draining as soon as it
+        // arrives: no submission can follow, so the pair is priced over
+        // the queue alone and runs solo.
+        assert_eq!(queued_pair_batches(80.0, None), [Some(1), Some(1)]);
     }
 
     /// When each card of `pool` frees up: its in-flight finish, now if idle.

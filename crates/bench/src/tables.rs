@@ -353,7 +353,6 @@ pub fn fig5_1(seed: u64, quick: bool) -> Fig51Result {
     if quick {
         cfg.model = TransformerConfig::tiny();
         cfg.parallel_heads = 4;
-        cfg.psas_per_head = 2;
         cfg.max_seq_len = 8;
     }
     let host = HostController::new(cfg.clone()).expect("valid configuration");

@@ -64,11 +64,10 @@ pub struct LayerBytes {
 /// Compute the per-layer weight traffic from the model configuration.
 ///
 /// Weight *counts* come from the model shape; bytes on the wire come from
-/// [`AccelConfig::encoded_bytes`]. At the default dense encoding and
-/// `bytes_per_weight = 4` this matches
-/// `asr_transformer::weights::*::size_bytes` exactly; the int8 variant
-/// (`bytes_per_weight = 1` or [`asr_tensor::WeightEncoding::Int8`])
-/// quarters the traffic, and the compressed encodings shrink it further.
+/// [`AccelConfig::encoded_bytes`]. At the default dense encoding this
+/// matches `asr_transformer::weights::*::size_bytes` exactly; the int8
+/// variant ([`asr_tensor::WeightEncoding::Int8`]) quarters the traffic, and
+/// the compressed encodings shrink it further.
 pub fn layer_bytes(cfg: &AccelConfig) -> LayerBytes {
     let (d, dk, dff, h) = (
         cfg.model.d_model as u64,

@@ -36,19 +36,15 @@ pub struct SearchSpace {
     pub rows: Vec<usize>,
     /// PSA column candidates.
     pub cols: Vec<usize>,
-    /// Head-split candidates `(parallel_heads, psas_per_head)`.
-    pub splits: Vec<(usize, usize)>,
+    /// Parallel-head candidates, each sharing the whole PSA pool.
+    pub heads: Vec<usize>,
 }
 
 impl SearchSpace {
     /// The space the thesis explored (§5.1.4): PSA dims around 2×64,
     /// all four head splits.
     pub fn paper_neighbourhood() -> Self {
-        SearchSpace {
-            rows: vec![2, 4, 8],
-            cols: vec![32, 64, 128],
-            splits: vec![(8, 1), (4, 2), (2, 4), (1, 8)],
-        }
+        SearchSpace { rows: vec![2, 4, 8], cols: vec![32, 64, 128], heads: vec![8, 4, 2, 1] }
     }
 }
 
@@ -61,12 +57,11 @@ pub fn enumerate(base: &AccelConfig, space: &SearchSpace) -> Vec<Candidate> {
             if !base.model.d_model.is_multiple_of(cols) {
                 continue;
             }
-            for &(heads, per_head) in &space.splits {
+            for &heads in &space.heads {
                 let mut cfg = base.clone();
                 cfg.psa.rows = rows;
                 cfg.psa.cols = cols;
                 cfg.parallel_heads = heads;
-                cfg.psas_per_head = per_head;
                 cfg.validate().expect("valid accelerator configuration");
                 let fits = resources::check_fit(&cfg).is_ok();
                 let latency_ms = simulate(&cfg, Architecture::A3, cfg.max_seq_len).latency_s * 1e3;
@@ -74,7 +69,7 @@ pub fn enumerate(base: &AccelConfig, space: &SearchSpace) -> Vec<Candidate> {
                     psa_rows: rows,
                     psa_cols: cols,
                     parallel_heads: heads,
-                    psas_per_head: per_head,
+                    psas_per_head: cfg.psas_per_head(),
                     latency_ms,
                     lut: resources::estimate(&cfg).total().lut,
                     fits,
@@ -119,7 +114,7 @@ mod tests {
     #[test]
     fn enumeration_covers_the_space() {
         let cands = enumerate(&base(), &SearchSpace::paper_neighbourhood());
-        // 3 rows x 3 cols x 4 splits = 36 (all cols divide 512)
+        // 3 rows x 3 cols x 4 head counts = 36 (all cols divide 512)
         assert_eq!(cands.len(), 36);
         assert!(cands.iter().any(|c| c.fits));
         assert!(cands.iter().any(|c| !c.fits), "some big points must not fit");

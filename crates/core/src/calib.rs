@@ -54,15 +54,11 @@ pub const PSA_ROWS: usize = 2;
 /// PSA width.
 pub const PSA_COLS: usize = 64;
 
-/// Number of PSA blocks in the design.
-pub const N_PSAS: usize = 8;
-/// PSAs per Super Logic Region.
+/// PSAs per Super Logic Region; the design's pool of eight spans both SLRs.
 pub const PSAS_PER_SLR: usize = 4;
 
 /// HBM channels feeding the kernels under architectures A1/A2 (one per SLR).
 pub const HBM_CHANNELS_A1_A2: u32 = 2;
-/// HBM channels under architecture A3 (two per SLR, §5.1.6).
-pub const HBM_CHANNELS_A3: u32 = 4;
 
 /// Effective kernel power for the energy-efficiency figure, watts.
 pub const KERNEL_POWER_W: f64 = 34.4;
@@ -98,10 +94,5 @@ mod tests {
         // §5.1.6: 36.3 ms at s = 32.
         let t = preprocessing_latency_s(32);
         assert!((t - 36.3e-3).abs() < 0.5e-3, "preproc {} s", t);
-    }
-
-    #[test]
-    fn a3_uses_twice_the_channels() {
-        assert_eq!(HBM_CHANNELS_A3, 2 * HBM_CHANNELS_A1_A2);
     }
 }

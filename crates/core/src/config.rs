@@ -18,23 +18,18 @@ pub struct AccelConfig {
     pub device: DeviceSpec,
     /// PSA geometry and unroll penalty.
     pub psa: PsaConfig,
-    /// Total PSA blocks.
-    pub n_psas: usize,
-    /// PSAs placed on each SLR (n_psas must equal 2 × this).
+    /// PSAs placed on each of the two SLRs; the pool is twice this
+    /// ([`Self::n_psas`]).
     pub psas_per_slr: usize,
     /// The per-PSA pipelined adder.
     pub adder: PipelinedAdder,
-    /// Attention heads computed concurrently (Table 5.3 row 1 = 8).
+    /// Attention heads computed concurrently (Table 5.3 row 1 = 8); they
+    /// share the pool evenly ([`Self::psas_per_head`]).
     pub parallel_heads: usize,
-    /// PSAs assigned to each concurrent head (Table 5.3 row 1 = 1).
-    pub psas_per_head: usize,
     /// Model the accelerator serves.
     pub model: TransformerConfig,
     /// Maximum (padded) sequence length the bitstream was built for.
     pub max_seq_len: usize,
-    /// Bytes per weight streamed from HBM (4 for the f32 design; 1 for the
-    /// int8 future-work variant in [`crate::quant`]).
-    pub bytes_per_weight: u64,
     /// Weight-stripe codec the design streams over HBM
     /// ([`asr_tensor::encoding`], DESIGN.md §16). Defaults to
     /// [`WeightEncoding::Dense`], which reproduces the paper's byte
@@ -61,14 +56,11 @@ impl AccelConfig {
         AccelConfig {
             device: alveo_u50(),
             psa: calib::paper_psa(),
-            n_psas: calib::N_PSAS,
             psas_per_slr: calib::PSAS_PER_SLR,
             adder: PipelinedAdder::paper_default(),
             parallel_heads: 8,
-            psas_per_head: 1,
             model: TransformerConfig::paper_base(),
             max_seq_len: 32,
-            bytes_per_weight: 4,
             encoding: WeightEncoding::Dense,
             integrity: IntegrityLevel::Off,
             weight_version: 0,
@@ -80,20 +72,25 @@ impl AccelConfig {
         Psa::new(self.psa)
     }
 
+    /// Total PSA blocks: [`Self::psas_per_slr`] on each of the two SLRs.
+    pub fn n_psas(&self) -> usize {
+        2 * self.psas_per_slr
+    }
+
+    /// PSAs each concurrent head gets: the pool shared evenly by
+    /// [`Self::parallel_heads`] (Table 5.3 row 1 = 1).
+    pub fn psas_per_head(&self) -> usize {
+        self.n_psas() / self.parallel_heads
+    }
+
     /// Check that the configuration is internally consistent.
     ///
     /// Errors instead of panicking so the host can refuse a bad
     /// configuration (or a bad degraded reconfiguration) gracefully.
     pub fn validate(&self) -> Result<(), AccelError> {
         self.model.try_validate().map_err(AccelError::Config)?;
-        if self.n_psas < 1 {
+        if self.psas_per_slr < 1 {
             return Err(AccelError::Config("need at least one PSA".into()));
-        }
-        if self.n_psas != 2 * self.psas_per_slr {
-            return Err(AccelError::Config(format!(
-                "PSAs must split evenly across 2 SLRs: {} != 2 × {}",
-                self.n_psas, self.psas_per_slr
-            )));
         }
         if self.parallel_heads < 1 || self.parallel_heads > self.model.n_heads {
             return Err(AccelError::Config(format!(
@@ -101,10 +98,11 @@ impl AccelConfig {
                 self.parallel_heads, self.model.n_heads
             )));
         }
-        if self.parallel_heads * self.psas_per_head != self.n_psas {
+        if !self.n_psas().is_multiple_of(self.parallel_heads) {
             return Err(AccelError::Config(format!(
-                "heads × PSAs-per-head must use the whole pool: {} × {} != {}",
-                self.parallel_heads, self.psas_per_head, self.n_psas
+                "{} parallel heads cannot share the {}-PSA pool evenly",
+                self.parallel_heads,
+                self.n_psas()
             )));
         }
         if !self.model.n_heads.is_multiple_of(self.parallel_heads) {
@@ -116,12 +114,6 @@ impl AccelConfig {
         if self.max_seq_len < 1 {
             return Err(AccelError::Config("max_seq_len must be at least 1".into()));
         }
-        if !matches!(self.bytes_per_weight, 1 | 2 | 4) {
-            return Err(AccelError::Config(format!(
-                "unsupported weight precision: {} bytes",
-                self.bytes_per_weight
-            )));
-        }
         self.encoding.validate().map_err(AccelError::Config)?;
         Ok(())
     }
@@ -129,10 +121,9 @@ impl AccelConfig {
     /// HBM bytes `weights` logical weights move under this configuration's
     /// stripe encoding — the single byte-count helper every layer (the
     /// phase lists, the analytic walker, serve capacity) prices weight
-    /// traffic through instead of re-deriving
-    /// `rows × cols × bytes_per_weight` locally.
+    /// traffic through instead of re-deriving it locally.
     pub fn encoded_bytes(&self, weights: u64) -> u64 {
-        self.encoding.encoded_len(weights, self.bytes_per_weight)
+        self.encoding.encoded_len(weights)
     }
 
     /// Number of sequential head passes the MHA schedule needs.
@@ -142,23 +133,9 @@ impl AccelConfig {
 
     /// Effective sequence length after padding (the bitstream computes at the
     /// fixed built length, §5.1.5: "For a given input sequence of length i,
-    /// where i < s, the input is padded up to s").
-    ///
-    /// # Panics
-    ///
-    /// If `input_len` exceeds `max_seq_len`.
-    pub fn padded_seq_len(&self, input_len: usize) -> usize {
-        assert!(
-            input_len <= self.max_seq_len,
-            "input length {} exceeds the built sequence length {}",
-            input_len,
-            self.max_seq_len
-        );
-        self.max_seq_len
-    }
-
-    /// Non-panicking [`Self::padded_seq_len`] for fallible entry points.
-    pub fn checked_padded_seq_len(&self, input_len: usize) -> Result<usize, AccelError> {
+    /// where i < s, the input is padded up to s"). An input longer than the
+    /// built length is refused with [`AccelError::InvalidInput`].
+    pub fn padded_seq_len(&self, input_len: usize) -> Result<usize, AccelError> {
         if input_len > self.max_seq_len {
             return Err(AccelError::InvalidInput { input_len, max_seq_len: self.max_seq_len });
         }
@@ -174,7 +151,7 @@ mod tests {
     fn paper_default_is_valid() {
         let c = AccelConfig::paper_default();
         c.validate().unwrap();
-        assert_eq!(c.n_psas, 8);
+        assert_eq!(c.n_psas(), 8);
         assert_eq!(c.psas_per_slr, 4);
         assert_eq!(c.head_passes(), 1);
     }
@@ -184,27 +161,27 @@ mod tests {
         for (heads, per_head) in [(8, 1), (4, 2), (2, 4), (1, 8)] {
             let mut c = AccelConfig::paper_default();
             c.parallel_heads = heads;
-            c.psas_per_head = per_head;
             c.validate().unwrap();
+            assert_eq!(c.psas_per_head(), per_head);
             assert_eq!(c.head_passes(), 8 / heads);
         }
     }
 
     #[test]
-    fn mismatched_pool_is_a_config_error() {
+    fn a_pool_the_heads_cannot_split_is_a_config_error() {
         let mut c = AccelConfig::paper_default();
+        c.psas_per_slr = 3;
         c.parallel_heads = 4;
-        c.psas_per_head = 1;
         let err = c.validate().unwrap_err();
-        assert!(matches!(&err, AccelError::Config(msg) if msg.contains("whole pool")), "{}", err);
+        assert!(matches!(&err, AccelError::Config(msg) if msg.contains("6-PSA pool")), "{}", err);
     }
 
     #[test]
     fn checked_padding_errors_instead_of_panicking() {
         let c = AccelConfig::paper_default();
-        assert_eq!(c.checked_padded_seq_len(4).unwrap(), 32);
+        assert_eq!(c.padded_seq_len(4).unwrap(), 32);
         assert!(matches!(
-            c.checked_padded_seq_len(33),
+            c.padded_seq_len(33),
             Err(AccelError::InvalidInput { input_len: 33, max_seq_len: 32 })
         ));
     }
@@ -212,8 +189,8 @@ mod tests {
     #[test]
     fn padding_goes_to_built_length() {
         let c = AccelConfig::paper_default();
-        assert_eq!(c.padded_seq_len(4), 32);
-        assert_eq!(c.padded_seq_len(32), 32);
+        assert_eq!(c.padded_seq_len(4).unwrap(), 32);
+        assert_eq!(c.padded_seq_len(32).unwrap(), 32);
     }
 
     #[test]
@@ -236,12 +213,5 @@ mod tests {
         assert!(c.validate().is_err());
         c.encoding = WeightEncoding::BlockCirculant { block: 8 };
         c.validate().unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds the built sequence length")]
-    fn oversized_input_panics() {
-        let c = AccelConfig::paper_default();
-        let _ = c.padded_seq_len(33);
     }
 }

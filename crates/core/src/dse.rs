@@ -24,22 +24,21 @@ pub struct DesignPoint {
 
 /// Explore the Table 5.3 design points at the configuration's built length.
 pub fn explore(base: &AccelConfig) -> Vec<DesignPoint> {
-    explore_points(base, &[(8, 1), (4, 2), (2, 4), (1, 8)])
+    explore_points(base, &[8, 4, 2, 1])
 }
 
-/// Explore arbitrary `(parallel_heads, psas_per_head)` points.
-pub fn explore_points(base: &AccelConfig, points: &[(usize, usize)]) -> Vec<DesignPoint> {
-    points
+/// Explore arbitrary parallel-head counts, each sharing the whole pool.
+pub fn explore_points(base: &AccelConfig, heads: &[usize]) -> Vec<DesignPoint> {
+    heads
         .iter()
-        .map(|&(heads, per_head)| {
+        .map(|&heads| {
             let mut cfg = base.clone();
             cfg.parallel_heads = heads;
-            cfg.psas_per_head = per_head;
             cfg.validate().expect("valid accelerator configuration");
             let r = simulate(&cfg, Architecture::A3, cfg.max_seq_len);
             DesignPoint {
                 parallel_heads: heads,
-                psas_per_head: per_head,
+                psas_per_head: cfg.psas_per_head(),
                 latency_ms: r.latency_s * 1e3,
                 fits: resources::check_fit(&cfg).is_ok(),
             }

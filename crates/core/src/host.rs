@@ -193,7 +193,6 @@ mod tests {
         let mut cfg = AccelConfig::paper_default();
         cfg.model = TransformerConfig::tiny();
         cfg.parallel_heads = 4; // tiny() has 4 heads
-        cfg.psas_per_head = 2;
         cfg.max_seq_len = 8;
         let host = HostController::new(cfg.clone()).unwrap();
         let model = Model::seeded(cfg.model, 11);

@@ -1065,7 +1065,6 @@ pub fn small_config() -> AccelConfig {
     cfg.model = asr_transformer::TransformerConfig::tiny();
     cfg.psa = PsaConfig { rows: 2, cols: 16, ii: 12, fill: 8 };
     cfg.parallel_heads = 4;
-    cfg.psas_per_head = 2;
     cfg.max_seq_len = 8;
     cfg
 }

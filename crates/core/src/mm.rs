@@ -120,7 +120,7 @@ pub fn mm3_cycles(cfg: &AccelConfig, rows: usize, keys: usize) -> Cycles {
 pub fn mm4_cycles(cfg: &AccelConfig, s: usize) -> Cycles {
     let psa = cfg.psa_engine();
     let d = cfg.model.d_model;
-    let slice_m = d / cfg.n_psas;
+    let slice_m = d / cfg.n_psas();
     psa.cycles(s, slice_m, d) + cfg.adder.cycles(s, d) + integrity_overhead(cfg, slice_m, d, 1)
 }
 
@@ -144,7 +144,7 @@ pub fn mm6_cycles(cfg: &AccelConfig, s: usize) -> Cycles {
     let psa = cfg.psa_engine();
     let d = cfg.model.d_model;
     let dff = cfg.model.d_ff;
-    let inner = dff / cfg.n_psas; // 2048/8 = 256 per PSA chunk
+    let inner = dff / cfg.n_psas(); // 2048/8 = 256 per PSA chunk
     let isc = asr_fpga_sim::isc::IscSpec::u50();
     let crossing = Cycles(isc.transfer_cycles((s * d) as u64 * 4));
     psa.cycles(s, inner, d)

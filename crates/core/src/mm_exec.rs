@@ -82,7 +82,7 @@ pub fn mm4_exec_with(
     concat: &Matrix,
     w_a: &Matrix,
 ) -> Matrix {
-    let n = cfg.n_psas;
+    let n = cfg.n_psas();
     let xs = concat.split_cols(n);
     let ws = w_a.split_rows(n);
     let mut acc = Matrix::zeros(concat.rows(), w_a.cols());
@@ -129,7 +129,7 @@ pub fn mm6_exec(cfg: &AccelConfig, h: &Matrix, w2: &Matrix) -> Matrix {
 
 /// [`mm6_exec`] on an explicit PSA engine (e.g. an ABFT-checked one).
 pub fn mm6_exec_with(cfg: &AccelConfig, psa: &dyn PsaMatmul, h: &Matrix, w2: &Matrix) -> Matrix {
-    let n = cfg.n_psas;
+    let n = cfg.n_psas();
     let hs = h.split_cols(n);
     let ws = w2.split_rows(n);
     let mut slr_partials = [Matrix::zeros(h.rows(), w2.cols()), Matrix::zeros(h.rows(), w2.cols())];

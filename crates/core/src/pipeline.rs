@@ -35,9 +35,9 @@ pub fn run_pipeline(
     n: usize,
 ) -> (PipelineResult, Timeline) {
     assert!(n >= 1, "need at least one utterance");
-    let s = cfg.padded_seq_len(input_len);
-    let pre = calib::preprocessing_latency_s(s);
-    let acc = simulate(cfg, arch, input_len).latency_s;
+    let solo = simulate(cfg, arch, input_len);
+    let pre = calib::preprocessing_latency_s(solo.seq_len);
+    let acc = solo.latency_s;
 
     let mut tl = Timeline::new();
     let mut host_free = 0.0f64;

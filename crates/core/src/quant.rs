@@ -27,7 +27,6 @@ use asr_tensor::{MatMul, Matrix, WeightEncoding};
 pub fn int8_config(base: &AccelConfig) -> AccelConfig {
     let mut cfg = base.clone();
     cfg.psa = int8_config_from(base.psa);
-    cfg.bytes_per_weight = 1;
     cfg.encoding = WeightEncoding::Int8;
     cfg
 }
@@ -116,7 +115,7 @@ mod tests {
     fn int8_config_changes_ii_and_bytes() {
         let q = int8_config(&base());
         assert_eq!(q.psa.ii, 4);
-        assert_eq!(q.bytes_per_weight, 1);
+        assert_eq!(q.encoded_bytes(1000), 1000);
         q.validate().unwrap();
     }
 

@@ -58,7 +58,7 @@ pub fn estimate(cfg: &AccelConfig) -> ResourceEstimate {
 /// [`crate::quant`], which swaps the fp32 MAC fabric for integer PEs.
 pub fn estimate_with_psa_cost(cfg: &AccelConfig, psa_cost: ResourceVector) -> ResourceEstimate {
     cfg.validate().expect("valid accelerator configuration");
-    let n = cfg.n_psas as u64;
+    let n = cfg.n_psas() as u64;
     let adder = ADDER_LANE * (cfg.adder.lanes as u64) * n;
     let funcs = (SOFTMAX_UNIT + NORM_UNIT) * 2;
     let buffers = WEIGHT_BUFFER_PER_SLR * 2
@@ -140,10 +140,8 @@ mod tests {
         // The paper: pushing DSP parallelism "exerts the available FFs and
         // LUTs, making the design unsynthesizable".
         let mut c = cfg();
-        c.n_psas = 16;
         c.psas_per_slr = 8;
         c.parallel_heads = 8;
-        c.psas_per_head = 2;
         assert!(check_fit(&c).is_err());
     }
 

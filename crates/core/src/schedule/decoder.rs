@@ -79,12 +79,12 @@ pub fn decode_layer_step_cycles(
     let cross_head = mm::mm1_cycles(cfg, beam) + decode_attention_cycles(cfg, mem_len, beam);
     let heads = Cycles((self_head + cross_head).get() * passes);
     let mm4 = mm::mm4_cycles(cfg, beam);
-    let ba = cfg.adder.cycles(beam, cfg.model.d_model / cfg.n_psas);
+    let ba = cfg.adder.cycles(beam, cfg.model.d_model / cfg.n_psas());
     let mha_blocks = Cycles((mm4 + ba).get() * 2);
     let mm5 = mm::mm5_cycles(cfg, beam);
-    let b1 = cfg.adder.cycles(beam, cfg.model.d_ff / cfg.n_psas);
+    let b1 = cfg.adder.cycles(beam, cfg.model.d_ff / cfg.n_psas());
     let mm6 = mm::mm6_cycles(cfg, beam);
-    let b2 = cfg.adder.cycles(beam, cfg.model.d_model / cfg.n_psas);
+    let b2 = cfg.adder.cycles(beam, cfg.model.d_model / cfg.n_psas());
     let addnorms = Cycles(addnorm_cycles(cfg, beam).get() * 3);
     heads + mha_blocks + mm5 + b1 + mm6 + b2 + addnorms
 }

@@ -58,21 +58,21 @@ fn lay_mha_block(cfg: &AccelConfig, tl: &mut Timeline, t0: u64, tag: &str, s: us
     }
 
     // ---- MM4 across the whole pool --------------------------------------
-    let mm4_psa = cfg.psa_engine().cycles(s, d / cfg.n_psas, d);
+    let mm4_psa = cfg.psa_engine().cycles(s, d / cfg.n_psas(), d);
     let mut t = head_end;
-    for p in 0..cfg.n_psas {
+    for p in 0..cfg.n_psas() {
         span(tl, &format!("psa-{}", p), &format!("{} MM4 slice", tag), t, mm4_psa);
     }
     t += mm4_psa.get();
     // pipelined accumulation exposes one adder pass
     let acc = cfg.adder.cycles(s, d);
-    for p in 0..cfg.n_psas {
+    for p in 0..cfg.n_psas() {
         span(tl, &format!("adder-{}", p), &format!("{} MM4 acc", tag), t, acc);
     }
     t += acc.get();
     // B_A split across the adders
-    let ba = cfg.adder.cycles(s, d / cfg.n_psas);
-    for p in 0..cfg.n_psas {
+    let ba = cfg.adder.cycles(s, d / cfg.n_psas());
+    for p in 0..cfg.n_psas() {
         span(tl, &format!("adder-{}", p), &format!("{} B_A", tag), t, ba);
     }
     t += ba.get();
@@ -82,8 +82,8 @@ fn lay_mha_block(cfg: &AccelConfig, tl: &mut Timeline, t0: u64, tag: &str, s: us
 /// Lay one Add-Norm (residual add on the adders, norm on the norm unit).
 fn lay_add_norm(cfg: &AccelConfig, tl: &mut Timeline, t0: u64, tag: &str, s: usize) -> u64 {
     let d = cfg.model.d_model;
-    let an_add = cfg.adder.cycles(s, d / cfg.n_psas);
-    for p in 0..cfg.n_psas {
+    let an_add = cfg.adder.cycles(s, d / cfg.n_psas());
+    for p in 0..cfg.n_psas() {
         span(tl, &format!("adder-{}", p), &format!("{} AddNorm add", tag), t0, an_add);
     }
     let an_norm = schedule::elementwise_cycles(s * d);
@@ -96,40 +96,40 @@ fn lay_ffn_block(cfg: &AccelConfig, tl: &mut Timeline, t0: u64, tag: &str, s: us
     let d = cfg.model.d_model;
     let mut t = t0;
     let mm5_psa = cfg.psa_engine().cycles(s, d / 2, cfg.model.d_ff / cfg.psas_per_slr);
-    for p in 0..cfg.n_psas {
+    for p in 0..cfg.n_psas() {
         span(tl, &format!("psa-{}", p), &format!("{} MM5 slice", tag), t, mm5_psa);
     }
     t += mm5_psa.get();
     let acc5 = cfg.adder.cycles(s, cfg.model.d_ff / cfg.psas_per_slr);
-    for p in 0..cfg.n_psas {
+    for p in 0..cfg.n_psas() {
         span(tl, &format!("adder-{}", p), &format!("{} MM5 acc", tag), t, acc5);
     }
     t += acc5.get();
-    let b1 = cfg.adder.cycles(s, cfg.model.d_ff / cfg.n_psas);
-    for p in 0..cfg.n_psas {
+    let b1 = cfg.adder.cycles(s, cfg.model.d_ff / cfg.n_psas());
+    for p in 0..cfg.n_psas() {
         span(tl, &format!("adder-{}", p), &format!("{} B_1F", tag), t, b1);
     }
     t += b1.get();
 
-    let mm6_psa = cfg.psa_engine().cycles(s, cfg.model.d_ff / cfg.n_psas, d);
-    for p in 0..cfg.n_psas {
+    let mm6_psa = cfg.psa_engine().cycles(s, cfg.model.d_ff / cfg.n_psas(), d);
+    for p in 0..cfg.n_psas() {
         span(tl, &format!("psa-{}", p), &format!("{} MM6 slice", tag), t, mm6_psa);
     }
     t += mm6_psa.get();
     let acc6 = cfg.adder.cycles(s, d);
-    for p in 0..cfg.n_psas {
+    for p in 0..cfg.n_psas() {
         span(tl, &format!("adder-{}", p), &format!("{} MM6 acc", tag), t, acc6);
     }
     t += acc6.get();
     let crossing = Cycles(asr_fpga_sim::isc::IscSpec::u50().transfer_cycles((s * d) as u64 * 4));
     t = span(tl, "isc", &format!("{} MM6 cross-SLR", tag), t, crossing);
     let acc6b = cfg.adder.cycles(s, d);
-    for p in 0..cfg.n_psas {
+    for p in 0..cfg.n_psas() {
         span(tl, &format!("adder-{}", p), &format!("{} MM6 final acc", tag), t, acc6b);
     }
     t += acc6b.get();
-    let b2 = cfg.adder.cycles(s, d / cfg.n_psas);
-    for p in 0..cfg.n_psas {
+    let b2 = cfg.adder.cycles(s, d / cfg.n_psas());
+    for p in 0..cfg.n_psas() {
         span(tl, &format!("adder-{}", p), &format!("{} B_2F", tag), t, b2);
     }
     t += b2.get();
@@ -271,7 +271,6 @@ mod tests {
     fn serial_config_rejected() {
         let mut c = cfg();
         c.parallel_heads = 4;
-        c.psas_per_head = 2;
         let _ = encoder_timeline(&c, 8);
     }
 }

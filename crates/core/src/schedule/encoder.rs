@@ -13,7 +13,7 @@ pub fn mha_block_cycles(cfg: &AccelConfig, rows: usize, keys: usize) -> Cycles {
     let heads = Cycles(head_pass_cycles(cfg, rows, keys).get() * passes);
     let mm4 = mm::mm4_cycles(cfg, rows);
     // B_A over rows×512 split across the eight adders.
-    let ba = cfg.adder.cycles(rows, cfg.model.d_model / cfg.n_psas);
+    let ba = cfg.adder.cycles(rows, cfg.model.d_model / cfg.n_psas());
     heads + mm4 + ba + addnorm_cycles(cfg, rows)
 }
 
@@ -21,9 +21,9 @@ pub fn mha_block_cycles(cfg: &AccelConfig, rows: usize, keys: usize) -> Cycles {
 /// behind it on the element-wise unit), MM6, `B_2F`, Add-Norm.
 pub fn ffn_block_cycles(cfg: &AccelConfig, s: usize) -> Cycles {
     let mm5 = mm::mm5_cycles(cfg, s);
-    let b1 = cfg.adder.cycles(s, cfg.model.d_ff / cfg.n_psas);
+    let b1 = cfg.adder.cycles(s, cfg.model.d_ff / cfg.n_psas());
     let mm6 = mm::mm6_cycles(cfg, s);
-    let b2 = cfg.adder.cycles(s, cfg.model.d_model / cfg.n_psas);
+    let b2 = cfg.adder.cycles(s, cfg.model.d_model / cfg.n_psas());
     mm5 + b1 + mm6 + b2 + addnorm_cycles(cfg, s)
 }
 
@@ -105,7 +105,6 @@ mod tests {
         let base = encoder_cycles(&cfg(), 32);
         let mut c = cfg();
         c.parallel_heads = 1;
-        c.psas_per_head = 8;
         let serial = encoder_cycles(&c, 32);
         assert!(serial > base);
     }

@@ -13,7 +13,7 @@
 //! * `B(V)` is exposed: it uses the adder immediately before `MM3` reuses the
 //!   same PSA.
 //!
-//! With `psas_per_head > 1` (the Table 5.3 design points) the eight MM1
+//! With `psas_per_head() > 1` (the Table 5.3 design points) the eight MM1
 //! stripes spread across the head's PSAs, shortening every `MM1` by that
 //! factor while the (small) MM2/MM3 passes stay on one PSA.
 
@@ -27,7 +27,7 @@ pub fn mm1_on_head(cfg: &AccelConfig, s: usize) -> Cycles {
     let psa = cfg.psa_engine();
     let dk = cfg.model.d_k();
     let stripes = (cfg.model.d_model / cfg.psa.cols).max(1);
-    let passes = stripes.div_ceil(cfg.psas_per_head) as u64;
+    let passes = stripes.div_ceil(cfg.psas_per_head()) as u64;
     Cycles(psa.cycles(s, cfg.psa.cols, dk).get() * passes) + cfg.adder.cycles(s, dk)
 }
 
@@ -81,7 +81,6 @@ mod tests {
         let mut c = cfg();
         let base = mm1_on_head(&c, 32);
         c.parallel_heads = 2;
-        c.psas_per_head = 4;
         let quad = mm1_on_head(&c, 32);
         // 8 stripes over 4 PSAs: 2 passes instead of 8.
         let ratio = base.get() as f64 / quad.get() as f64;

@@ -30,7 +30,7 @@ pub fn elementwise_cycles(elements: usize) -> Cycles {
 /// (§4.6), then the normalisation runs on the element-wise unit.
 pub fn addnorm_cycles(cfg: &AccelConfig, s: usize) -> Cycles {
     let d = cfg.model.d_model;
-    let add = cfg.adder.cycles(s, d / cfg.n_psas.max(1));
+    let add = cfg.adder.cycles(s, d / cfg.n_psas().max(1));
     add + elementwise_cycles(s * d)
 }
 

@@ -111,7 +111,6 @@ impl StreamConfig {
     pub fn new(devices: usize, fault_seed: u64, streams: usize, deadline_s: f64) -> Self {
         let mut accel = AccelConfig::paper_default();
         accel.max_seq_len = CHUNK_STEPS + LEFT_CONTEXT;
-        accel.bytes_per_weight = 1;
         accel.encoding = WeightEncoding::Int8;
         StreamConfig {
             accel,

@@ -565,7 +565,7 @@ fn legacy_simulate_batch(
     batch: usize,
 ) -> LegacyArchResult {
     cfg.validate().expect("valid accelerator configuration");
-    let s = cfg.padded_seq_len(input_len);
+    let s = cfg.padded_seq_len(input_len).unwrap();
     let clock = cfg.device.clock;
     let phases = legacy_build_phases(cfg, s, arch);
 
@@ -647,7 +647,7 @@ fn legacy_run_batch(
         }
     };
     cfg.validate().unwrap();
-    let s = cfg.checked_padded_seq_len(input_len).unwrap();
+    let s = cfg.padded_seq_len(input_len).unwrap();
 
     let mut rt = Runtime::new(cfg.device.clone());
     if batch > 1 {

@@ -30,15 +30,14 @@ fn valid_config() -> impl Strategy<Value = AccelConfig> {
     (
         1usize..=4, // psa rows half -> 2..=8
         prop::sample::select(vec![32usize, 64, 128]),
-        prop::sample::select(vec![(8usize, 1usize), (4, 2), (2, 4), (1, 8)]),
-        2usize..=32, // built seq len
+        prop::sample::select(vec![8usize, 4, 2, 1]), // parallel heads
+        2usize..=32,                                 // built seq len
     )
-        .prop_map(|(rows_half, cols, (heads, per_head), s)| {
+        .prop_map(|(rows_half, cols, heads, s)| {
             let mut cfg = AccelConfig::paper_default();
             cfg.psa.rows = rows_half * 2;
             cfg.psa.cols = cols;
             cfg.parallel_heads = heads;
-            cfg.psas_per_head = per_head;
             cfg.max_seq_len = s;
             cfg
         })

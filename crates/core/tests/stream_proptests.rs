@@ -14,7 +14,7 @@ use asr_accel::stream::{ChunkOutcome, StreamConfig, StreamPool};
 use asr_accel::{AccelConfig, AccelError, Architecture};
 use asr_systolic::abft::IntegrityLevel;
 use asr_tensor::backend::ReferenceBackend;
-use asr_tensor::{init, Matrix};
+use asr_tensor::{init, Matrix, WeightEncoding};
 use asr_transformer::streaming::{encode_streaming, push_chunk, StreamState, StreamingConfig};
 use asr_transformer::weights::ModelWeights;
 use asr_transformer::{Model, TransformerConfig};
@@ -45,7 +45,7 @@ fn func_cfg() -> AccelConfig {
 fn timing_cfg() -> AccelConfig {
     let mut c = AccelConfig::paper_default();
     c.max_seq_len = 8;
-    c.bytes_per_weight = 1;
+    c.encoding = WeightEncoding::Int8;
     c
 }
 

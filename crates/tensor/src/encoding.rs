@@ -4,8 +4,7 @@
 //! Every layer that moves weights — `model_io` containers, the plan
 //! lowering's `LoadStripe` byte counts, the functional loader's CRC
 //! envelope — consumes this one codec instead of re-deriving
-//! `rows × cols × bytes_per_weight` dense math. Two types split the
-//! concern:
+//! `rows × cols × 4` dense math. Two types split the concern:
 //!
 //! * [`WeightEncoding`] is the *configuration-level spec* — which codec a
 //!   design point streams its weights in, plus the analytic assumptions
@@ -34,8 +33,8 @@ use std::fmt;
 /// streams over HBM and what the analytic planner prices.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum WeightEncoding {
-    /// Uncompressed f32 (or f16/int8 via `bytes_per_weight`) — the paper's
-    /// design, and the default everywhere.
+    /// Uncompressed f32, four bytes per weight — the paper's design, and the
+    /// default everywhere.
     #[default]
     Dense,
     /// Per-tensor symmetric int8: one byte per weight plus a per-stripe
@@ -87,24 +86,23 @@ impl WeightEncoding {
         b
     }
 
-    /// Analytic bytes on the wire for `weights` logical weights streamed at
-    /// `bytes_per_weight` dense bytes each — the one helper every layer
-    /// prices HBM traffic through.
+    /// Analytic bytes on the wire for `weights` logical weights — the one
+    /// helper every layer prices HBM traffic through.
     ///
     /// Dense is exact; int8 is one byte per weight (scales ride in record
     /// headers); block-circulant and sparse-tiles are the planner's
     /// aggregate model (edge-tile remainders and per-record framing are
     /// below its resolution — the functional codec carries the real
     /// per-matrix layout).
-    pub fn encoded_len(&self, weights: u64, bytes_per_weight: u64) -> u64 {
+    pub fn encoded_len(&self, weights: u64) -> u64 {
         match *self {
-            WeightEncoding::Dense => weights * bytes_per_weight,
+            WeightEncoding::Dense => 4 * weights,
             WeightEncoding::Int8 => weights,
             WeightEncoding::BlockCirculant { block } => 4 * weights.div_ceil((block as u64).max(1)),
             WeightEncoding::SparseTiles { tile, occupancy_pct } => {
                 let tile_elems = ((tile * tile) as u64).max(1);
                 let n_tiles = weights.div_ceil(tile_elems);
-                let payload = weights * bytes_per_weight * occupancy_pct as u64 / 100;
+                let payload = 4 * weights * occupancy_pct as u64 / 100;
                 payload + n_tiles.div_ceil(8)
             }
         }
@@ -588,15 +586,15 @@ mod tests {
     #[test]
     fn analytic_lengths_match_the_codec_for_exact_cases() {
         let weights = 64u64 * 64;
-        assert_eq!(WeightEncoding::Dense.encoded_len(weights, 4), weights * 4);
-        assert_eq!(WeightEncoding::Int8.encoded_len(weights, 4), weights);
+        assert_eq!(WeightEncoding::Dense.encoded_len(weights), weights * 4);
+        assert_eq!(WeightEncoding::Int8.encoded_len(weights), weights);
         assert_eq!(
-            WeightEncoding::BlockCirculant { block: 8 }.encoded_len(weights, 4),
+            WeightEncoding::BlockCirculant { block: 8 }.encoded_len(weights),
             4 * weights / 8
         );
         // Sparse at 100% occupancy: dense payload plus the bitmap.
         let spec = WeightEncoding::SparseTiles { tile: 8, occupancy_pct: 100 };
-        assert_eq!(spec.encoded_len(weights, 4), weights * 4 + (weights / 64).div_ceil(8));
+        assert_eq!(spec.encoded_len(weights), weights * 4 + (weights / 64).div_ceil(8));
     }
 
     #[test]

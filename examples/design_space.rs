@@ -57,9 +57,7 @@ fn main() {
     // The paper's point about pushing parallelism: doubling the PSA pool
     // makes the design unsynthesizable.
     let mut doubled = base.clone();
-    doubled.n_psas = 16;
     doubled.psas_per_slr = 8;
-    doubled.psas_per_head = 2;
     println!("\nDoubled PSA pool (16 PSAs):");
     match resources::check_fit(&doubled) {
         Ok(_) => println!("  unexpectedly fits"),

@@ -26,7 +26,6 @@ fn main() {
     let mut cfg = AccelConfig::paper_default();
     cfg.model = TransformerConfig::tiny();
     cfg.parallel_heads = 4;
-    cfg.psas_per_head = 2;
     cfg.max_seq_len = 32;
 
     let host = HostController::new(cfg.clone()).expect("valid configuration");

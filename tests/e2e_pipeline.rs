@@ -12,7 +12,6 @@ fn tiny_rig() -> (AccelConfig, Model, Subsampler, FbankExtractor) {
     let mut cfg = AccelConfig::paper_default();
     cfg.model = TransformerConfig::tiny();
     cfg.parallel_heads = 4;
-    cfg.psas_per_head = 2;
     cfg.max_seq_len = 16;
     let model = Model::seeded(cfg.model, 99);
     let sub = Subsampler::paper_default(cfg.model.d_model, 5);

@@ -60,11 +60,6 @@ impl HbmSpec {
         let per_channel = (bytes as f64) / (parallel_channels as f64);
         self.transfer_latency_s + per_channel / self.channel_bw_bytes_per_s
     }
-
-    /// Aggregate bandwidth of `n` channels, bytes/second.
-    pub fn aggregate_bw(&self, n: u32) -> f64 {
-        self.channel_bw_bytes_per_s * n as f64
-    }
 }
 
 #[cfg(test)]

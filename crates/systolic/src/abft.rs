@@ -142,11 +142,6 @@ impl CheckedPsa {
         *self.stats.lock().unwrap()
     }
 
-    /// Zero the counters (e.g. between layers).
-    pub fn reset_stats(&self) {
-        *self.stats.lock().unwrap() = AbftStats::default();
-    }
-
     /// Compute `a · b`, injecting the lane fault into each tile it lands in
     /// and running the per-tile checksum check at `Detect` and above.
     ///

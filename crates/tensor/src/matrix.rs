@@ -119,11 +119,6 @@ impl Matrix {
         (0..self.rows).map(|i| self[(i, j)]).collect()
     }
 
-    /// Iterate over rows as slices.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks_exact(self.cols)
-    }
-
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);

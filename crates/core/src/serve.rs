@@ -914,12 +914,13 @@ pub struct ServePool {
     devices: Vec<Device>,
     queue: VecDeque<Request>,
     now_s: f64,
-    /// Fault-free makespan of one request on a cold card — the
-    /// dispatcher's service-time expectation for certain-miss expiry. A
-    /// warm card is never slower, so every safety decision keeps the cold
-    /// bound.
+    /// Fault-free makespan of one request on a cold card, walked
+    /// ([`walk_cost`]) — the dispatcher's service-time expectation for
+    /// certain-miss expiry. A warm card is never slower, so every safety
+    /// decision keeps the cold bound.
     nominal_s: f64,
-    /// Fault-free cold makespan per batch size (memoised; seeded with size 1).
+    /// Fault-free cold makespan per batch size (memoised; seeded with size
+    /// 1, and priced through the runtime from size 2 on).
     nominal_batch: HashMap<usize, f64>,
     /// Weight bytes one dispatch's schedule streams with nothing resident
     /// (the same at every batch size: a batch loads each stripe once).
@@ -931,7 +932,7 @@ pub struct ServePool {
     /// Bytes the dispatched schedules would have streamed with nothing
     /// resident.
     scheduled_load_bytes: u64,
-    /// HBM weight-load busy seconds of one fault-free solo run.
+    /// HBM weight-load busy seconds of one fault-free solo run, walked.
     solo_load_s: f64,
     /// Load busy seconds summed over successful batch runs.
     load_busy_total_s: f64,
@@ -1006,8 +1007,8 @@ impl ServePool {
         }
         let s = cfg.accel.max_seq_len;
         let solo = ExecPlan::lower(&cfg.accel, cfg.arch, s, 1, cfg.accel.integrity)?;
-        let nominal = run_plan(&cfg.accel, &solo);
-        let nominal_s = nominal.makespan_s;
+        let nominal = walk_cost(&cfg.accel, &solo);
+        let nominal_s = nominal.latency_s;
         if cfg.attempt_timeout() < nominal_s {
             return Err(AccelError::Config(format!(
                 "deadline {:.1} ms is below twice the nominal makespan {:.1} ms: the \
@@ -1036,7 +1037,7 @@ impl ServePool {
             elided_loads: 0,
             elided_load_bytes: 0,
             scheduled_load_bytes: 0,
-            solo_load_s: nominal.load_busy_s,
+            solo_load_s: nominal.load_total_s,
             load_busy_total_s: 0.0,
             ok_batch_utts: 0,
             last_arrival_s: 0.0,
@@ -1060,7 +1061,8 @@ impl ServePool {
     }
 
     /// Fault-free makespan of one request on a cold card (the service-time
-    /// expectation; a warm card is never slower).
+    /// expectation; a warm card is never slower). The plan walker prices it
+    /// ([`walk_cost`]), bit for bit what the runtime runs at batch 1.
     pub fn nominal_s(&self) -> f64 {
         self.nominal_s
     }

@@ -60,7 +60,7 @@ use std::rc::Rc;
 use crate::arch::Architecture;
 use crate::config::AccelConfig;
 use crate::error::{AccelError, Result};
-use crate::host_runtime::{run_plan, run_plan_with_recovery};
+use crate::host_runtime::run_plan_with_recovery;
 use crate::plan::{walk_cost, ExecPlan, PlanReuse, ResidentStripe};
 use crate::serve::{
     elided_fraction, elided_loads_line, percentile, pool_fault_plans, BreakerState, Card,
@@ -509,7 +509,8 @@ pub struct StreamPool {
     devices: Vec<StreamDevice>,
     sessions: Vec<Session>,
     now_s: f64,
-    /// Fault-free warm chunk service time — the stale-shed bound.
+    /// Fault-free warm chunk service time, walked ([`walk_cost`]; bit for
+    /// bit what the runtime runs) — the stale-shed bound.
     nominal_s: f64,
     /// The chunk plan a card runs cold, and the one it runs warm. Every
     /// card's first success pins `cold`'s leading stripes, the set `warm`
@@ -561,7 +562,7 @@ impl StreamPool {
             });
         }
         let (cold, warm) = chunk_plans(&cfg)?;
-        let nominal_s = run_plan(&cfg.accel, &warm).makespan_s;
+        let nominal_s = walk_cost(&cfg.accel, &warm).latency_s;
         if nominal_s > cfg.deadline_s {
             return Err(AccelError::InvalidStream {
                 reason: format!(

@@ -6,8 +6,6 @@
 //! time spans; the timeline computes makespan, per-unit busy time, stalls,
 //! and validates that no unit is ever double-booked.
 
-use std::collections::BTreeMap;
-
 /// One occupied interval on a unit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Span {
@@ -66,8 +64,11 @@ impl std::error::Error for TimelineError {}
 #[derive(Debug, Clone, Default)]
 pub struct Timeline {
     spans: Vec<Span>,
-    /// Per-unit spans kept sorted by start for overlap checks.
-    by_unit: BTreeMap<String, Vec<usize>>,
+    /// Each unit's span indices, in insertion order, with the units in
+    /// first-use order. A schedule drives a handful of units (its load
+    /// engines, the compute unit, a fault track), so a linear scan finds a
+    /// unit without building a map keyed by owned names.
+    by_unit: Vec<(String, Vec<usize>)>,
 }
 
 /// Tolerance for treating two floats as the same instant (1 ps).
@@ -77,6 +78,11 @@ impl Timeline {
     /// Empty timeline.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The span indices of `unit`, if it holds any.
+    fn indices(&self, unit: &str) -> Option<&[usize]> {
+        self.by_unit.iter().find(|(u, _)| u == unit).map(|(_, idx)| idx.as_slice())
     }
 
     /// Add a span, enforcing unit exclusivity.
@@ -91,8 +97,9 @@ impl Timeline {
         if end < start - EPS {
             return Err(TimelineError::NegativeDuration { label });
         }
-        if let Some(indices) = self.by_unit.get(&unit) {
-            for &i in indices {
+        let slot = self.by_unit.iter().position(|(u, _)| *u == unit);
+        if let Some(slot) = slot {
+            for &i in &self.by_unit[slot].1 {
                 let s = &self.spans[i];
                 // overlap iff intervals intersect with positive measure
                 if start < s.end - EPS && s.start < end - EPS {
@@ -101,8 +108,11 @@ impl Timeline {
             }
         }
         let idx = self.spans.len();
-        self.spans.push(Span { unit: unit.clone(), label, start, end });
-        self.by_unit.entry(unit).or_default().push(idx);
+        match slot {
+            Some(slot) => self.by_unit[slot].1.push(idx),
+            None => self.by_unit.push((unit.clone(), vec![idx])),
+        }
+        self.spans.push(Span { unit, label, start, end });
         Ok(())
     }
 
@@ -112,7 +122,7 @@ impl Timeline {
     /// falls inside/behind the occupied region; gaps before the last span are
     /// not reused (schedules here are append-only, like the paper's pipelines).
     pub fn free_at(&self, unit: &str, t: f64) -> f64 {
-        match self.by_unit.get(unit) {
+        match self.indices(unit) {
             None => t,
             Some(indices) => {
                 let last_end =
@@ -130,8 +140,7 @@ impl Timeline {
     /// Spans on one unit, sorted by start time.
     pub fn unit_spans(&self, unit: &str) -> Vec<&Span> {
         let mut v: Vec<&Span> = self
-            .by_unit
-            .get(unit)
+            .indices(unit)
             .map(|idx| idx.iter().map(|&i| &self.spans[i]).collect())
             .unwrap_or_default();
         v.sort_by(|a, b| a.start.partial_cmp(&b.start).unwrap());
@@ -172,9 +181,11 @@ impl Timeline {
         }
     }
 
-    /// All unit names present.
+    /// All unit names present, sorted.
     pub fn units(&self) -> Vec<&str> {
-        self.by_unit.keys().map(|s| s.as_str()).collect()
+        let mut units: Vec<&str> = self.by_unit.iter().map(|(u, _)| u.as_str()).collect();
+        units.sort_unstable();
+        units
     }
 }
 
@@ -254,6 +265,18 @@ mod tests {
         let spans = tl.unit_spans("u");
         assert_eq!(spans[0].label, "early");
         assert_eq!(spans[1].label, "late");
+    }
+
+    #[test]
+    fn units_list_sorted_whatever_the_first_use_order() {
+        let mut tl = Timeline::new();
+        tl.push("maxi-1", "LW2", 0.0, 1.0).unwrap();
+        tl.push("kernels", "C1", 0.0, 1.0).unwrap();
+        tl.push("maxi-0", "LW1", 0.0, 1.0).unwrap();
+        tl.push("maxi-1", "LW4", 1.0, 2.0).unwrap();
+        assert_eq!(tl.units(), ["kernels", "maxi-0", "maxi-1"]);
+        assert_eq!(tl.unit_spans("maxi-1").len(), 2);
+        assert_eq!(tl.free_at("maxi-1", 0.5), 2.0);
     }
 
     #[test]

@@ -48,7 +48,9 @@ impl SearchSpace {
     }
 }
 
-/// Evaluate every candidate in the space.
+/// Evaluate every candidate in the space. A PSA width that does not divide
+/// the model's stripes, or a head count the configuration refuses, is
+/// skipped.
 pub fn enumerate(base: &AccelConfig, space: &SearchSpace) -> Vec<Candidate> {
     let mut out = Vec::new();
     for &rows in &space.rows {
@@ -62,7 +64,10 @@ pub fn enumerate(base: &AccelConfig, space: &SearchSpace) -> Vec<Candidate> {
                 cfg.psa.rows = rows;
                 cfg.psa.cols = cols;
                 cfg.parallel_heads = heads;
-                cfg.validate().expect("valid accelerator configuration");
+                // A head count the pool cannot split is no candidate either.
+                if cfg.validate().is_err() {
+                    continue;
+                }
                 let fits = resources::check_fit(&cfg).is_ok();
                 let latency_ms = simulate(&cfg, Architecture::A3, cfg.max_seq_len).latency_s * 1e3;
                 out.push(Candidate {
@@ -158,5 +163,16 @@ mod tests {
         let mut space = SearchSpace::paper_neighbourhood();
         space.cols = vec![48]; // 512 % 48 != 0
         assert!(enumerate(&base(), &space).is_empty());
+    }
+
+    #[test]
+    fn a_head_count_the_pool_cannot_split_is_skipped_not_a_panic() {
+        let mut space = SearchSpace::paper_neighbourhood();
+        space.heads = vec![3];
+        assert!(enumerate(&base(), &space).is_empty());
+        space.heads = vec![8, 3];
+        let cands = enumerate(&base(), &space);
+        assert_eq!(cands.len(), 9, "3 rows x 3 cols at 8 heads");
+        assert!(cands.iter().all(|c| c.parallel_heads == 8));
     }
 }

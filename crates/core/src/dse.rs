@@ -27,21 +27,23 @@ pub fn explore(base: &AccelConfig) -> Vec<DesignPoint> {
     explore_points(base, &[8, 4, 2, 1])
 }
 
-/// Explore arbitrary parallel-head counts, each sharing the whole pool.
+/// Explore arbitrary parallel-head counts, each sharing the whole pool. A
+/// head count the configuration refuses (one that does not split the pool
+/// evenly, say) is no design point, and is skipped.
 pub fn explore_points(base: &AccelConfig, heads: &[usize]) -> Vec<DesignPoint> {
     heads
         .iter()
-        .map(|&heads| {
+        .filter_map(|&heads| {
             let mut cfg = base.clone();
             cfg.parallel_heads = heads;
-            cfg.validate().expect("valid accelerator configuration");
+            cfg.validate().ok()?;
             let r = simulate(&cfg, Architecture::A3, cfg.max_seq_len);
-            DesignPoint {
+            Some(DesignPoint {
                 parallel_heads: heads,
                 psas_per_head: cfg.psas_per_head(),
                 latency_ms: r.latency_s * 1e3,
                 fits: resources::check_fit(&cfg).is_ok(),
-            }
+            })
         })
         .collect()
 }
@@ -119,6 +121,14 @@ mod tests {
         let points = explore(&base());
         let spread = points.last().unwrap().latency_ms / points[0].latency_ms;
         assert!(spread > 1.02 && spread < 1.2, "spread {}", spread);
+    }
+
+    #[test]
+    fn a_head_count_the_pool_cannot_split_is_skipped_not_a_panic() {
+        assert!(explore_points(&base(), &[3]).is_empty());
+        let heads: Vec<usize> =
+            explore_points(&base(), &[8, 3, 2]).iter().map(|p| p.parallel_heads).collect();
+        assert_eq!(heads, [8, 2]);
     }
 
     #[test]

@@ -801,6 +801,20 @@ mod tests {
     }
 
     #[test]
+    fn a_long_healthy_kernel_outlives_the_watchdog_timeout() {
+        // At s = 384 each encoder kernel runs past the 50 ms timeout; the
+        // watchdog must not reap it, so the unarmed executor prices the
+        // plan exactly as the walker does.
+        let cfg = unpadded(384);
+        let plan = lower(&cfg, Architecture::A3, 384, 1);
+        let walked = crate::plan::walk_cost(&cfg, &plan).latency_s;
+        let run = run_plan_with_recovery(&cfg, &plan, FaultPlan::none())
+            .unwrap_or_else(|f| panic!("{}", f.error));
+        assert_eq!(run.makespan_s.to_bits(), walked.to_bits());
+        assert_eq!(run.runtime.command_stats().timed_out, 0);
+    }
+
+    #[test]
     fn runtime_timeline_has_load_and_kernel_tracks() {
         let cfg = unpadded(8);
         let rt = run_plan(&cfg, &lower(&cfg, Architecture::A3, 8, 1)).runtime;

@@ -182,10 +182,12 @@ impl Runtime {
         self.plan_tag = tag;
     }
 
-    /// Arm (or disarm with `None`) the per-command watchdog: any command
-    /// whose effective duration exceeds the timeout is reaped at the timeout
-    /// with status [`CommandStatus::TimedOut`]. Hung kernels *require* a
-    /// watchdog to finish at all.
+    /// Arm (or disarm with `None`) the per-command watchdog. Each command's
+    /// budget is the timeout or its own nominal duration, whichever is
+    /// longer, so a healthy command is never reaped however long it runs;
+    /// a command whose effective duration exceeds its budget is reaped at
+    /// the budget with status [`CommandStatus::TimedOut`]. Hung kernels
+    /// *require* a watchdog to finish at all.
     pub fn set_watchdog(&mut self, timeout_s: Option<f64>) {
         self.watchdog_s = timeout_s;
     }
@@ -308,6 +310,7 @@ impl Runtime {
 
         let (unit, free) = self.queues[queue.0].clone();
         let start = free.max(ready);
+        let budget = self.watchdog_s.map(|w| w.max(nominal_s));
 
         let (status, duration, span_label) = match outcome {
             None => (CommandStatus::Completed, nominal_s, label.clone()),
@@ -315,22 +318,17 @@ impl Runtime {
             Some((st, FaultOverride::Partial(frac))) => {
                 (st, nominal_s * frac, format!("!{}", label))
             }
-            Some((st, FaultOverride::Hang)) => match self.watchdog_s {
+            Some((st, FaultOverride::Hang)) => match budget {
                 Some(w) => (st, w, format!("!{}", label)),
                 None => (st, f64::INFINITY, format!("!{}", label)),
             },
             Some((_, FaultOverride::Slowdown(factor))) => {
                 let slowed = nominal_s * factor;
-                match self.watchdog_s {
+                match budget {
                     Some(w) if slowed > w => (CommandStatus::TimedOut, w, format!("!{}", label)),
                     _ => (CommandStatus::Completed, slowed, format!("~{}", label)),
                 }
             }
-        };
-        // The watchdog reaps any over-long command, faulted or not.
-        let (status, duration) = match self.watchdog_s {
-            Some(w) if duration > w => (CommandStatus::TimedOut, w),
-            _ => (status, duration),
         };
         let span_label = match &self.plan_tag {
             Some(tag) => format!("{} #{}", span_label, tag),
@@ -621,6 +619,23 @@ mod tests {
         let ev2 = rt.enqueue_kernel(k, "C2", SlrId::Slr0, 1e-3, &[]);
         assert!(rt.status(ev2).is_ok());
         assert!((rt.finish_time(ev2) - 6e-3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn the_watchdog_budget_stretches_to_a_long_command() {
+        // A 50 ms watchdog, a kernel of 80 ms: healthy, it runs to
+        // completion; hung, it is reaped at its own 80 ms, not at 50 ms.
+        let plan = FaultPlan::none()
+            .with(FaultKind::KernelHang { label: "C9".into(), failing_attempts: 1 });
+        let mut rt = Runtime::with_faults(alveo_u50(), plan);
+        rt.set_watchdog(Some(0.05));
+        let k = rt.create_queue("kernels");
+        let healthy = rt.enqueue_kernel(k, "C1", SlrId::Slr0, 0.08, &[]);
+        assert_eq!(rt.status(healthy), CommandStatus::Completed);
+        assert!((rt.finish_time(healthy) - 0.08).abs() < 1e-12);
+        let hung = rt.enqueue_kernel(k, "C9", SlrId::Slr0, 0.08, &[]);
+        assert_eq!(rt.status(hung), CommandStatus::TimedOut);
+        assert!((rt.finish_time(hung) - 0.16).abs() < 1e-12, "reaped after its own 80 ms");
     }
 
     #[test]

@@ -28,6 +28,7 @@ const REPORTS: &[(&str, &str)] = &[
     ("faults_demo", "faults 0 --s 8"),
     ("faults_flag_form", "--faults 0 --s 8"),
     ("faults_a1", "faults 0 --arch a1"),
+    ("faults_long", "faults 0 --s 256"),
     ("faults_integrity_off", "faults 7 --integrity off"),
     ("faults_detect_recompute", "faults 7 --integrity detect-recompute"),
     ("faults_checkpoint", "faults 7 --checkpoint"),

@@ -66,7 +66,7 @@ pub use config::AccelConfig;
 pub use error::AccelError;
 pub use exec::SystolicBackend;
 pub use host::HostController;
-pub use host_runtime::{run_plan, run_plan_with_recovery, BatchFailure, BatchRun, BatchedRun};
+pub use host_runtime::{run_plan, run_plan_with_recovery, BatchFailure, BatchedRun};
 pub use integrity::{
     functional_checkpoint_at, resume_functional_plan, run_functional_decode, run_functional_plan,
     BatchIntegrityRun, CorruptionCounters, FunctionalCheckpoint, FunctionalDecodeRun,

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use asr_accel::arch::{layer_bytes, simulate};
-use asr_accel::host_runtime::{run_plan, BatchRun};
+use asr_accel::host_runtime::{run_plan, BatchedRun};
 use asr_accel::integrity::{run_functional_plan, small_config, FunctionalFaults};
 use asr_accel::plan::{
     phase_compute_s, phase_list, walk_cost, DecodeStepSpec, ExecPlan, PlanBuilder, PlanCheckpoint,
@@ -194,7 +194,7 @@ proptest! {
 
 /// Each phase's compute end as the runtime ran it: the end of the phase's
 /// one kernel span (`C{label} @SLR{n}`), 0 for a phase with no compute.
-fn runtime_compute_ends(plan: &ExecPlan, run: &BatchRun) -> Vec<f64> {
+fn runtime_compute_ends(plan: &ExecPlan, run: &BatchedRun) -> Vec<f64> {
     let kernels = run.runtime.timeline().unit_spans("kernels");
     plan.phases
         .iter()

@@ -84,8 +84,9 @@ use transformer_asr_accel::accel::stream::{
     StreamConfig, StreamPool, CHUNK_STEPS, LEFT_CONTEXT, SESSION_QUEUE,
 };
 use transformer_asr_accel::accel::{
-    decode_analytics, dse, latency, pipeline, quant, run_functional_decode, run_plan_with_recovery,
-    sweep, walk_cost, AccelConfig, AccelError, ExecPlan, FunctionalFaults, HostController,
+    decode_analytics, dse, latency, pipeline, quant, run_functional_decode, run_plan,
+    run_plan_with_recovery, sweep, walk_cost, AccelConfig, AccelError, ExecPlan, FunctionalFaults,
+    HostController,
 };
 use transformer_asr_accel::fpga::trace::to_chrome_trace;
 use transformer_asr_accel::fpga::{FaultKind, FaultPlan};
@@ -459,8 +460,9 @@ fn cmd_faults(seed: u64, s: usize, args: &[String]) -> Result<(), CliError> {
     }
     let exec = ExecPlan::lower(&cfg, arch, s, 1, cfg.integrity)?;
     let run = run_plan_with_recovery(&cfg, &exec, plan).map_err(|f| f.error)?;
-    let overhead = run.makespan_s / run.nominal_s - 1.0;
-    println!("nominal latency      : {:8.2} ms ({})", run.nominal_s * 1e3, run.entry_arch.name());
+    let nominal_s = run_plan(&cfg, &exec).makespan_s;
+    let overhead = run.makespan_s / nominal_s - 1.0;
+    println!("nominal latency      : {:8.2} ms ({})", nominal_s * 1e3, run.entry_arch.name());
     println!("degraded latency     : {:8.2} ms ({})", run.makespan_s * 1e3, run.final_arch.name());
     println!("fault overhead       : {:8.2} %", overhead * 100.0);
     println!("retries              : {}", run.retries);

@@ -1,10 +1,7 @@
 //! The CPU baseline: Intel Xeon E5-2640 @ 2.5 GHz, 24 threads, running the
 //! wav2vec/PyTorch software stack (paper §5.1.5, Table 5.4).
 
-use asr_tensor::backend::ParallelBackend;
-use asr_tensor::{init, Matrix};
-use asr_transformer::{flops, Model, TransformerConfig};
-use std::time::Instant;
+use asr_transformer::{flops, TransformerConfig};
 
 /// The paper's measured CPU latencies: `(sequence length, seconds)`.
 pub const PAPER_CPU_LATENCIES: [(usize, f64); 6] =
@@ -44,24 +41,6 @@ pub fn fit_affine(points: &[(f64, f64)]) -> (f64, f64) {
     assert!(sxx > 0.0, "degenerate x values");
     let b = sxy / sxx;
     (ym - b * xm, b)
-}
-
-/// Measure a real forward pass of `n_layers` encoder layers at sequence
-/// length `s` through [`ParallelBackend`], returning seconds. This is the
-/// honest, executable CPU baseline; it runs on one thread.
-pub fn run_real_forward(cfg: &TransformerConfig, s: usize, n_layers: usize, seed: u64) -> f64 {
-    let model = Model::seeded(*cfg, seed);
-    let x = init::uniform(s, cfg.d_model, -1.0, 1.0, seed + 1);
-    let backend = ParallelBackend;
-    let start = Instant::now();
-    let mut h: Matrix = x;
-    for layer in model.weights.encoders.iter().take(n_layers) {
-        h = asr_transformer::encoder::encoder_forward(&h, layer, &backend);
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    // keep the result observable so the work isn't optimised away
-    assert!(h.as_slice().iter().all(|v| v.is_finite()));
-    elapsed
 }
 
 #[cfg(test)]
@@ -131,12 +110,5 @@ mod tests {
         let (a, b) = fit_affine(&pts);
         assert!((a - 1.0).abs() < 1e-12);
         assert!((b - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn real_forward_runs_and_takes_time() {
-        let cfg = TransformerConfig::tiny();
-        let t = run_real_forward(&cfg, 8, 2, 1);
-        assert!(t > 0.0 && t < 30.0, "tiny forward took {} s", t);
     }
 }

@@ -5,9 +5,9 @@
 //! baseline is an affine latency model `t = overhead + FLOPs / throughput`
 //! least-squares fitted to the paper's measured latencies (Tables 5.4 / 5.5)
 //! — the fit residuals and the fitting data are kept in the tests, so the
-//! calibration is reproducible. A *real* single-threaded CPU execution path
-//! ([`cpu::run_real_forward`]) is also provided for honest wall-clock
-//! benchmarking of the same model on this machine.
+//! calibration is reproducible. The host wall clock of the model itself, on
+//! this machine, is perfbench's to measure (its `frontend.*` and
+//! `transformer.*` metrics).
 
 pub mod cpu;
 pub mod gpu;

@@ -30,47 +30,14 @@ impl MatMul for ReferenceBackend {
     }
 }
 
-/// Row-band backend over [`ops::matmul_parallel`] (the real CPU baseline
-/// execution path; its bands run on the calling thread).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ParallelBackend;
-
-impl MatMul for ParallelBackend {
-    fn matmul(&self, a: &Matrix, b: &Matrix) -> Matrix {
-        ops::matmul_parallel(a, b)
-    }
-    fn name(&self) -> &'static str {
-        "cpu-parallel"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx::assert_close;
-    use crate::init;
-
-    #[test]
-    fn backends_agree() {
-        let a = init::uniform(9, 33, -1.0, 1.0, 1);
-        let b = init::uniform(33, 17, -1.0, 1.0, 2);
-        let r = ReferenceBackend.matmul(&a, &b);
-        let p = ParallelBackend.matmul(&a, &b);
-        assert_close(&p, &r, 1e-4);
-    }
-
-    #[test]
-    fn names_are_distinct() {
-        assert_ne!(ReferenceBackend.name(), ParallelBackend.name());
-    }
 
     #[test]
     fn trait_object_usable() {
-        let backends: Vec<Box<dyn MatMul>> =
-            vec![Box::new(ReferenceBackend), Box::new(ParallelBackend)];
+        let backend: Box<dyn MatMul> = Box::new(ReferenceBackend);
         let a = Matrix::identity(3);
-        for b in &backends {
-            assert_eq!(b.matmul(&a, &a), a);
-        }
+        assert_eq!(backend.matmul(&a, &a), a);
     }
 }

@@ -7,13 +7,11 @@
 //! (matmul, bias add, residual add, row-wise softmax, ReLU, layer norm) plus
 //! seeded initialisation and approximate-comparison helpers used by the tests.
 //!
-//! Three matmul backends are provided:
+//! Two matmul kernels are provided, both on the calling thread:
 //!
 //! * [`ops::matmul_naive`] — the textbook triple loop, the oracle in tests;
-//! * [`ops::matmul_blocked`] — cache-blocked single-threaded kernel;
-//! * [`ops::matmul_parallel`] — row bands, used by the CPU baseline in
-//!   `asr-baselines`. The bands run one after another on the calling
-//!   thread.
+//! * [`ops::matmul_blocked`] — cache-blocked, behind
+//!   [`backend::ReferenceBackend`].
 //!
 //! The [`backend::MatMul`] trait lets `asr-transformer` swap the reference
 //! kernels for the systolic functional units in `asr-systolic` without the

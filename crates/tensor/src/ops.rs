@@ -70,29 +70,6 @@ pub fn matmul_blocked(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// Matmul over row bands, one output row each, skipping zero `a` entries;
-/// the real CPU-baseline kernel. The bands run one after another on the
-/// calling thread.
-pub fn matmul_parallel(a: &Matrix, b: &Matrix) -> Matrix {
-    check_mm(a, b);
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let mut out = Matrix::zeros(m, n);
-    out.as_mut_slice().chunks_mut(n).enumerate().for_each(|(i, orow)| {
-        let arow = a.row(i);
-        for (p, &aip) in arow.iter().enumerate().take(k) {
-            if aip == 0.0 {
-                continue;
-            }
-            let brow = b.row(p);
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += aip * bv;
-            }
-        }
-    });
-    out
-}
-
 /// Element-wise sum `a + b`.
 ///
 /// # Panics
@@ -184,15 +161,6 @@ mod tests {
             let a = seeded(m, k, 2);
             let b = seeded(k, n, 3);
             assert_close(&matmul_blocked(&a, &b), &matmul_naive(&a, &b), 1e-4);
-        }
-    }
-
-    #[test]
-    fn parallel_matches_naive() {
-        for &(m, k, n) in &[(2, 2, 2), (32, 512, 64), (64, 64, 64)] {
-            let a = seeded(m, k, 4);
-            let b = seeded(k, n, 5);
-            assert_close(&matmul_parallel(&a, &b), &matmul_naive(&a, &b), 1e-4);
         }
     }
 

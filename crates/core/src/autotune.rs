@@ -49,8 +49,8 @@ impl SearchSpace {
 }
 
 /// Evaluate every candidate in the space. A PSA width that does not divide
-/// the model's stripes, or a head count the configuration refuses, is
-/// skipped.
+/// the model's stripes, or a PSA shape or head count the configuration
+/// refuses, is skipped.
 pub fn enumerate(base: &AccelConfig, space: &SearchSpace) -> Vec<Candidate> {
     let mut out = Vec::new();
     for &rows in &space.rows {
@@ -64,7 +64,7 @@ pub fn enumerate(base: &AccelConfig, space: &SearchSpace) -> Vec<Candidate> {
                 cfg.psa.rows = rows;
                 cfg.psa.cols = cols;
                 cfg.parallel_heads = heads;
-                // A head count the pool cannot split is no candidate either.
+                // Nor is an empty PSA or a head count the pool cannot split.
                 if cfg.validate().is_err() {
                     continue;
                 }
@@ -174,5 +174,16 @@ mod tests {
         let cands = enumerate(&base(), &space);
         assert_eq!(cands.len(), 9, "3 rows x 3 cols at 8 heads");
         assert!(cands.iter().all(|c| c.parallel_heads == 8));
+    }
+
+    #[test]
+    fn a_zero_row_psa_is_skipped_not_a_panic() {
+        let mut space = SearchSpace::paper_neighbourhood();
+        space.rows = vec![0];
+        assert!(enumerate(&base(), &space).is_empty());
+        space.rows = vec![0, 2];
+        let cands = enumerate(&base(), &space);
+        assert_eq!(cands.len(), 12, "3 cols x 4 head counts at 2 rows");
+        assert!(cands.iter().all(|c| c.psa_rows == 2));
     }
 }

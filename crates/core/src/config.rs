@@ -92,6 +92,12 @@ impl AccelConfig {
         if self.psas_per_slr < 1 {
             return Err(AccelError::Config("need at least one PSA".into()));
         }
+        if self.psa.rows < 1 || self.psa.cols < 1 {
+            return Err(AccelError::Config(format!(
+                "a {}x{} PSA is empty",
+                self.psa.rows, self.psa.cols
+            )));
+        }
         if self.parallel_heads < 1 || self.parallel_heads > self.model.n_heads {
             return Err(AccelError::Config(format!(
                 "parallel_heads {} outside 1..={}",
@@ -174,6 +180,18 @@ mod tests {
         c.parallel_heads = 4;
         let err = c.validate().unwrap_err();
         assert!(matches!(&err, AccelError::Config(msg) if msg.contains("6-PSA pool")), "{}", err);
+    }
+
+    #[test]
+    fn a_zero_dimension_psa_is_a_config_error() {
+        for (rows, cols) in [(0, 64), (2, 0)] {
+            let mut c = AccelConfig::paper_default();
+            c.psa.rows = rows;
+            c.psa.cols = cols;
+            let err = c.validate().unwrap_err();
+            let want = format!("a {rows}x{cols} PSA is empty");
+            assert!(matches!(&err, AccelError::Config(msg) if *msg == want), "{}", err);
+        }
     }
 
     #[test]

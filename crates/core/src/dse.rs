@@ -50,19 +50,21 @@ pub fn explore_points(base: &AccelConfig, heads: &[usize]) -> Vec<DesignPoint> {
 
 /// Sweep PSA dimensions (rows × cols candidates), reporting latency and fit —
 /// the "we have experimented with various dimensions of the PSA block"
-/// exploration of §5.1.4.
+/// exploration of §5.1.4. A shape the configuration refuses (a zero
+/// dimension) is skipped.
 pub fn explore_psa_shapes(
     base: &AccelConfig,
     shapes: &[(usize, usize)],
 ) -> Vec<(usize, usize, f64, bool)> {
     shapes
         .iter()
-        .map(|&(rows, cols)| {
+        .filter_map(|&(rows, cols)| {
             let mut cfg = base.clone();
             cfg.psa.rows = rows;
             cfg.psa.cols = cols;
+            cfg.validate().ok()?;
             let r = simulate(&cfg, Architecture::A3, cfg.max_seq_len);
-            (rows, cols, r.latency_s * 1e3, resources::check_fit(&cfg).is_ok())
+            Some((rows, cols, r.latency_s * 1e3, resources::check_fit(&cfg).is_ok()))
         })
         .collect()
 }
@@ -129,6 +131,17 @@ mod tests {
         let heads: Vec<usize> =
             explore_points(&base(), &[8, 3, 2]).iter().map(|p| p.parallel_heads).collect();
         assert_eq!(heads, [8, 2]);
+    }
+
+    #[test]
+    fn a_zero_dimension_psa_shape_is_skipped_not_a_panic() {
+        assert!(explore_psa_shapes(&base(), &[(0, 64)]).is_empty());
+        assert!(explore_psa_shapes(&base(), &[(2, 0)]).is_empty());
+        let shapes: Vec<(usize, usize)> = explore_psa_shapes(&base(), &[(0, 64), (2, 64), (2, 0)])
+            .iter()
+            .map(|&(rows, cols, _, _)| (rows, cols))
+            .collect();
+        assert_eq!(shapes, [(2, 64)]);
     }
 
     #[test]

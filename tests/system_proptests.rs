@@ -5,6 +5,15 @@ use transformer_asr_accel::accel::arch::{simulate, Architecture};
 use transformer_asr_accel::accel::{mm, mm_exec, AccelConfig, SystolicBackend};
 use transformer_asr_accel::tensor::{init, max_abs_diff, ops, MatMul};
 
+/// Case count: `PROPTEST_CASES` when set (the CI deep-proptest job exports
+/// 512), else the tier-1 default. The vendored proptest does not read the
+/// environment itself, so the config expression does.
+fn env_cases(default: u32) -> ProptestConfig {
+    let cases =
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default);
+    ProptestConfig::with_cases(cases)
+}
+
 fn unpadded_cfg(s: usize) -> AccelConfig {
     let mut c = AccelConfig::paper_default();
     c.max_seq_len = s;
@@ -12,7 +21,7 @@ fn unpadded_cfg(s: usize) -> AccelConfig {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(env_cases(24))]
 
     #[test]
     fn architecture_ordering_holds_for_any_s(s in 1usize..48) {

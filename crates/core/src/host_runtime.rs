@@ -314,7 +314,7 @@ impl Replay<'_> {
 /// corruption is answered per the plan's `Verify` semantics (CRC refetch
 /// via [`crate::integrity::crc_refetch_step`], ABFT stretch or typed
 /// failure). Each kernel's seconds come from
-/// [`crate::plan::phase_compute_table`], rebuilt only after an SLR loss.
+/// `plan::phase_compute_table`, rebuilt only after an SLR loss.
 // The failure path is cold and consumed immediately; a boxed error
 // would just push the indirection onto every caller.
 #[allow(clippy::result_large_err)]

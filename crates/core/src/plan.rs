@@ -11,10 +11,10 @@
 //!
 //! * the **analytic cost walker** ([`walk_cost`]) prices the DAG with the
 //!   recurrence the per-architecture simulators used to hand-roll;
-//! * the **runtime executors** (`host_runtime::run_plan` and
-//!   `host_runtime::run_plan_with_recovery`) replay the commands through the
-//!   OpenCL-style [`asr_fpga_sim::runtime::Runtime`], fault-free or with the
-//!   full retry/degradation ladder;
+//! * the **runtime executor** (`host_runtime::run_plan_with_recovery`, and
+//!   `host_runtime::run_plan`, which is it with nothing armed) replays the
+//!   commands through the OpenCL-style [`asr_fpga_sim::runtime::Runtime`]
+//!   with the full retry/degradation ladder;
 //! * the **functional interpreter** (`integrity::run_functional_plan`)
 //!   executes the plan's phases on real `f32` data through the CRC envelope
 //!   and the ABFT-checked PSA.

@@ -48,8 +48,8 @@ pub enum FaultKind {
         failing_attempts: u32,
     },
     /// An HBM load runs `factor`× slower than nominal (controller refresh
-    /// storms, row-conflict pathologies). Completes successfully unless the
-    /// watchdog fires first.
+    /// storms, row-conflict pathologies). Completes successfully unless it
+    /// outlasts its watchdog budget.
     HbmStall {
         /// Substring matched against the command label.
         label: String,

@@ -14,15 +14,15 @@
 //! simulators: [`simulate`] lowers the request into one
 //! [`crate::plan::ExecPlan`] (where A1/A2/A3 differ only in the prefetch
 //! edges the lowering emits) and prices it with the analytic walker
-//! [`crate::plan::walk_cost`]. The walker builds an explicit [`Timeline`],
-//! so unit exclusivity (no double-booked load engine or PSA pool) is
-//! machine-checked, and stalls are measured rather than assumed.
+//! [`crate::plan::walk_cost`]. The walker builds an explicit
+//! [`asr_fpga_sim::Timeline`], so unit exclusivity (no double-booked load
+//! engine or PSA pool) is machine-checked, and stalls are measured rather
+//! than assumed.
 
 use crate::calib;
 use crate::config::AccelConfig;
-use crate::plan::{walk_cost, ExecPlan};
+use crate::plan::{walk_cost, ExecPlan, PlanCost};
 use crate::schedule::encoder;
-use asr_fpga_sim::Timeline;
 use asr_systolic::abft::IntegrityLevel;
 
 /// Which overlap architecture to simulate.
@@ -85,50 +85,23 @@ pub fn layer_bytes(cfg: &AccelConfig) -> LayerBytes {
     }
 }
 
-/// Result of simulating one architecture at one sequence length.
-#[derive(Debug, Clone)]
-pub struct ArchResult {
-    /// Architecture simulated.
-    pub arch: Architecture,
-    /// Padded sequence length.
-    pub seq_len: usize,
-    /// End-to-end accelerator latency (all 18 layers), seconds.
-    pub latency_s: f64,
-    /// Sum of load-phase durations, seconds.
-    pub load_total_s: f64,
-    /// Sum of compute-phase durations, seconds.
-    pub compute_total_s: f64,
-    /// Idle time on the compute unit between first and last compute, seconds.
-    pub compute_stall_s: f64,
-    /// The full span schedule (load engines + compute unit).
-    pub timeline: Timeline,
-}
-
 /// Simulate an architecture for an input of (unpadded) length `input_len`:
 /// the paper's solo run, lowered into a batch-of-one plan and priced by the
-/// analytic walker.
+/// analytic walker, whose [`PlanCost`] it returns.
 ///
-/// The input is padded to the built sequence length (§5.1.5); compute and
-/// load times are those of the padded length.
+/// The input is padded to the built sequence length (§5.1.5,
+/// `cfg.max_seq_len`); compute and load times are those of the padded
+/// length.
 ///
 /// # Panics
 ///
 /// If `input_len` exceeds `cfg.max_seq_len` or `cfg` is invalid. A caller
 /// holding unchecked input lowers with [`ExecPlan::lower`], which returns
 /// the typed error, and prices the plan with [`walk_cost`].
-pub fn simulate(cfg: &AccelConfig, arch: Architecture, input_len: usize) -> ArchResult {
+pub fn simulate(cfg: &AccelConfig, arch: Architecture, input_len: usize) -> PlanCost {
     let plan = ExecPlan::lower(cfg, arch, input_len, 1, IntegrityLevel::Off)
         .expect("input fits the built sequence length");
-    let cost = walk_cost(cfg, &plan);
-    ArchResult {
-        arch,
-        seq_len: plan.seq_len,
-        latency_s: cost.latency_s,
-        load_total_s: cost.load_total_s,
-        compute_total_s: cost.compute_total_s,
-        compute_stall_s: cost.compute_stall_s,
-        timeline: cost.timeline,
-    }
+    walk_cost(cfg, &plan)
 }
 
 /// Load time of one encoder layer's weights (Fig 5.2's "Load" series), seconds.
@@ -261,7 +234,7 @@ mod tests {
         let c = cfg(); // built for 32
         let r4 = simulate(&c, Architecture::A3, 4);
         let r32 = simulate(&c, Architecture::A3, 32);
-        assert_eq!(r4.seq_len, 32);
+        assert_eq!(r4.compute_total_s.to_bits(), r32.compute_total_s.to_bits());
         assert!((r4.latency_s - r32.latency_s).abs() < 1e-9);
     }
 

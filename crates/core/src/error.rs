@@ -4,8 +4,8 @@
 //! useless for a host runtime that must *survive* faults and degrade instead
 //! of dying. [`AccelError`] is the error type every fallible entry point
 //! ([`crate::config::AccelConfig::validate`],
-//! [`crate::plan::PlanBuilder::build`] — where lowering rejects bad batches
-//! and over-length inputs before any executor runs —
+//! the [`crate::plan::ExecPlan`] constructors — where lowering rejects bad
+//! batches and over-length inputs before any executor runs —
 //! [`crate::host_runtime::run_plan_with_recovery`], inside its
 //! [`crate::host_runtime::BatchFailure`],
 //! [`crate::host::HostController`]) returns; panics are reserved for

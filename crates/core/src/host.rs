@@ -13,12 +13,13 @@
 //!   characters, plus the calibrated noisy-channel recognition used for the
 //!   WER story (the untrained seeded model's raw decode is also returned).
 
-use crate::arch::{simulate, ArchResult, Architecture};
+use crate::arch::{simulate, Architecture};
 use crate::calib;
 use crate::config::AccelConfig;
 use crate::energy;
 use crate::error::{AccelError, Result};
 use crate::exec::SystolicBackend;
+use crate::plan::PlanCost;
 use asr_frontend::dataset::Utterance;
 use asr_frontend::noise::{self, ErrorModel};
 use asr_frontend::{FbankExtractor, Subsampler, Vocab};
@@ -84,16 +85,15 @@ impl HostController {
     }
 
     /// Simulate the accelerator schedule for an input length.
-    pub fn schedule(&self, input_len: usize) -> ArchResult {
+    pub fn schedule(&self, input_len: usize) -> PlanCost {
         simulate(&self.cfg, self.arch, input_len)
     }
 
     /// The §5.1.6 report for an input length.
     pub fn latency_report(&self, input_len: usize) -> E2eLatency {
-        let sched = self.schedule(input_len);
-        let s = sched.seq_len;
+        let acc = self.schedule(input_len).latency_s;
+        let s = self.cfg.max_seq_len;
         let pre = calib::preprocessing_latency_s(s);
-        let acc = sched.latency_s;
         E2eLatency {
             input_len,
             seq_len: s,

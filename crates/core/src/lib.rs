@@ -13,11 +13,12 @@
 //!   head schedule, encoder and decoder layer schedules;
 //! * [`arch`] — the three end-to-end load/compute overlap architectures
 //!   A1/A2/A3 (Figs 4.8–4.11) priced on a span timeline;
-//! * [`plan`] — the lowered execution-plan IR: one [`plan::PlanBuilder`]
-//!   lowering into an explicit `LoadStripe`/`Compute`/`Verify`/`Barrier`
-//!   DAG, where A1/A2/A3 are prefetch-edge policies and solo execution is a
-//!   batch of one; consumed by the analytic walker, the runtime executors,
-//!   and the functional interpreter;
+//! * [`plan`] — the lowered execution-plan IR: one constructor per plan
+//!   kind on [`plan::ExecPlan`], all over one emitter of an explicit
+//!   `LoadStripe`/`Compute`/`Verify`/`Barrier` DAG, where A1/A2/A3 are
+//!   prefetch-edge policies and solo execution is a batch of one; consumed
+//!   by the analytic walker, the runtime executors, and the functional
+//!   interpreter;
 //! * [`exec`] — the functional execution path: the real f32 model forward
 //!   pass routed through the systolic functional units
 //!   ([`exec::SystolicBackend`]), proving the dataflow is numerically faithful;
@@ -57,7 +58,7 @@ pub mod stream;
 pub mod sweep;
 pub mod verify;
 
-pub use arch::{ArchResult, Architecture};
+pub use arch::Architecture;
 pub use cluster::{
     Cluster, ClusterConfig, ClusterReport, NodeFault, NodeSummary, TrafficTrace, UpgradeConfig,
     UpgradeOutcome,
@@ -73,8 +74,8 @@ pub use integrity::{
     FunctionalFaults, UtteranceRun,
 };
 pub use plan::{
-    decode_analytics, walk_cost, DecodeAnalytics, DecodeStepSpec, ExecPlan, PlanBuilder,
-    PlanCheckpoint, PlanCmd, PlanCost, PlanNode, PlanResume, ResidentStripe,
+    decode_analytics, walk_cost, DecodeAnalytics, DecodeStepSpec, ExecPlan, PlanCheckpoint,
+    PlanCmd, PlanCost, PlanNode, PlanResume, ResidentStripe,
 };
 pub use serve::{
     pool_fault_plans, BatchConfig, BreakerState, Evicted, RequestOutcome, RequestRecord,

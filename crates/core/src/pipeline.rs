@@ -35,9 +35,8 @@ pub fn run_pipeline(
     n: usize,
 ) -> (PipelineResult, Timeline) {
     assert!(n >= 1, "need at least one utterance");
-    let solo = simulate(cfg, arch, input_len);
-    let pre = calib::preprocessing_latency_s(solo.seq_len);
-    let acc = solo.latency_s;
+    let acc = simulate(cfg, arch, input_len).latency_s;
+    let pre = calib::preprocessing_latency_s(cfg.max_seq_len);
 
     let mut tl = Timeline::new();
     let mut host_free = 0.0f64;

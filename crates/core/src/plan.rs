@@ -6,8 +6,8 @@
 //! each re-deriving the A1/A2/A3 overlap structure by hand. The paper's own
 //! framing (Figs 4.8–4.11, 4.13) says these are one program: the host lowers
 //! the 18-layer schedule into an explicit stream of load/compute commands
-//! whose *edges* encode the prefetch policy. [`PlanBuilder`] does exactly
-//! that lowering once, and every consumer walks the same [`ExecPlan`]:
+//! whose *edges* encode the prefetch policy. One private emitter does
+//! exactly that lowering, and every consumer walks the same [`ExecPlan`]:
 //!
 //! * the **analytic cost walker** ([`walk_cost`]) prices the DAG with the
 //!   recurrence the per-architecture simulators used to hand-roll;
@@ -19,9 +19,12 @@
 //!   executes the plan's phases on real `f32` data through the CRC envelope
 //!   and the ABFT-checked PSA.
 //!
-//! A caller lowers its plan — [`ExecPlan::lower`], [`ExecPlan::resume`],
-//! [`ExecPlan::lower_stream_chunk`] or [`ExecPlan::lower_decode_step`] —
-//! and hands it to a consumer; no consumer lowers one for it.
+//! A caller lowers its plan with the constructor of its kind —
+//! [`ExecPlan::lower`] or [`ExecPlan::lower_batch`] (the eager schedule),
+//! [`ExecPlan::lower_stream_chunk`], [`ExecPlan::lower_decode_step`] or
+//! [`ExecPlan::resume`] — and hands it to a consumer; no consumer lowers
+//! one for it. Each constructor checks only its own kind, then hands its
+//! batch and phase table to the emitter, so kinds cannot be combined.
 //!
 //! A1/A2/A3 are not three simulators here — they are three *edge policies*
 //! applied during lowering:
@@ -145,12 +148,12 @@ impl PhaseKind {
 }
 
 /// The shape of one autoregressive decode step lowered by
-/// [`PlanBuilder::decode_step`]. Everything that makes a phase's *bytes*
+/// [`ExecPlan::lower_decode_step`]. Everything that makes a phase's *bytes*
 /// step-varying is deliberately excluded: the self-attention cache is priced
 /// at its fixed `max_steps` allocation so every elidable phase keeps a
 /// step-invariant label, byte count, and
 /// [`PlanCheckpoint::stripe_crc`] — the precondition for cross-step
-/// [`PlanBuilder::reuse_resident`] elision.
+/// resident-stripe elision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecodeStepSpec {
     /// 0-based decode step (0 = cold: nothing resident yet).
@@ -314,7 +317,7 @@ pub struct ResidentStripe {
 /// have not signed off on. Partially-computed phases are replayed.
 ///
 /// The checkpoint is self-describing (architecture, integrity level, padded
-/// sequence length, phase table digest): [`PlanBuilder::resume_from`]
+/// sequence length, phase table digest): [`ExecPlan::resume`]
 /// re-derives the schedule from the target device's config and rejects the
 /// checkpoint with [`AccelError::CheckpointRejected`] on any mismatch —
 /// stale stripes restart cleanly instead of being silently reused.
@@ -438,7 +441,7 @@ impl PlanCheckpoint {
 }
 
 /// Resume metadata attached to a plan lowered by
-/// [`PlanBuilder::resume_from`]: where the suffix starts and how much work
+/// [`ExecPlan::resume`]: where the suffix starts and how much work
 /// the cut allowed the lowering to skip (the replay-accounting numbers the
 /// CLI surfaces).
 #[derive(Debug, Clone, PartialEq)]
@@ -465,8 +468,8 @@ pub struct PlanResume {
     pub finished_s: Vec<f64>,
 }
 
-/// Resident-weight reuse accounting of a plan lowered with
-/// [`PlanBuilder::reuse_resident`]: how many of the offered stripes the
+/// Resident-weight reuse accounting of a plan lowered against a resident
+/// stripe set: how many of the offered stripes the
 /// lowering could elide, and how many were stale. This is a card's
 /// weight-cache saving ([`crate::serve`]): every dispatch after a card's
 /// first success skips the `LoadStripe`s whose CRC-matching stripes that
@@ -492,8 +495,10 @@ pub struct PlanReuse {
 }
 
 /// A lowered, inspectable execution plan: the phase table plus the command
-/// DAG. Built by [`PlanBuilder`]; consumed by the analytic walker, the
-/// runtime executors, and the functional interpreter.
+/// DAG. Built by one constructor per plan kind ([`ExecPlan::lower`],
+/// [`ExecPlan::lower_batch`], [`ExecPlan::lower_stream_chunk`],
+/// [`ExecPlan::lower_decode_step`], [`ExecPlan::resume`]); consumed by the
+/// analytic walker, the runtime executors, and the functional interpreter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecPlan {
     /// Overlap architecture the plan was lowered for (edge policy).
@@ -519,12 +524,10 @@ pub struct ExecPlan {
     pub nodes: Vec<PlanNode>,
     /// Present when this plan is the resumed suffix of a checkpointed run.
     pub resume: Option<PlanResume>,
-    /// Present when this plan was lowered against a resident stripe set
-    /// ([`PlanBuilder::reuse_resident`] — streaming cross-chunk reuse).
+    /// Present when this plan was lowered against a non-empty resident
+    /// stripe set (a card's weight cache, a stream's or decode session's
+    /// pinned stripes).
     pub reuse: Option<PlanReuse>,
-    /// Present when this plan lowers one autoregressive decode step
-    /// ([`PlanBuilder::decode_step`]).
-    pub decode: Option<DecodeStepSpec>,
     /// Per phase, the [`PlanCmd::LoadStripe`] node id. `None` for phases
     /// before a resume cut and for trusted resident stripes.
     load_of: Vec<Option<CmdId>>,
@@ -534,9 +537,10 @@ pub struct ExecPlan {
 }
 
 impl ExecPlan {
-    /// Lower a uniform batch: `batch` utterances of the same `input_len`.
-    /// This is the shortcut most callers lower with; see [`PlanBuilder`]
-    /// for per-utterance lengths.
+    /// Lower a uniform batch: `batch` utterances of the same `input_len`,
+    /// nothing resident. This is the shortcut most callers lower with; see
+    /// [`lower_batch`](Self::lower_batch) for per-utterance lengths and a
+    /// card's resident stripes.
     pub fn lower(
         cfg: &AccelConfig,
         arch: Architecture,
@@ -544,15 +548,46 @@ impl ExecPlan {
         batch: usize,
         integrity: IntegrityLevel,
     ) -> Result<ExecPlan> {
-        PlanBuilder::new(cfg, arch).utterances(&vec![input_len; batch]).integrity(integrity).build()
+        Self::lower_batch(cfg, arch, &vec![input_len; batch], integrity, &[])
     }
 
-    /// Lower one streaming chunk of `rows` new rows over `context` cached
-    /// rows ([`PlanBuilder::stream_chunk`]: the `CTX` load, then the
-    /// encoder layers over the new rows only), reusing whatever stripes
-    /// the stream's previous chunk left pinned. Pass an empty `resident`
-    /// slice for a cold chunk. The walker, the stream pool, the runtime and
-    /// the functional twin all lower chunks here.
+    /// Lower the eager schedule for a batch of unpadded input lengths, one
+    /// per utterance, each padded to the built length (§5.1.5); an empty
+    /// batch is an [`AccelError::Config`]. Each phase whose stripe in
+    /// `resident` CRC-matches the schedule (phase, label, byte count,
+    /// [`PlanCheckpoint::stripe_crc`]) emits **no** `LoadStripe` — a card's
+    /// weight cache at work. Any other offered stripe is counted stale on
+    /// [`PlanReuse`] and its phase re-loads and re-verifies: a stale cache
+    /// costs bandwidth, never correctness. Pass an empty slice for a cold
+    /// card.
+    pub fn lower_batch(
+        cfg: &AccelConfig,
+        arch: Architecture,
+        input_lens: &[usize],
+        integrity: IntegrityLevel,
+        resident: &[ResidentStripe],
+    ) -> Result<ExecPlan> {
+        cfg.validate()?;
+        if input_lens.is_empty() {
+            return Err(AccelError::Config("batch size must be >= 1".into()));
+        }
+        let seq_len = padded_batch_len(cfg, input_lens)?;
+        let phases = phase_list(cfg, arch);
+        let held = Held::Resident(resident);
+        Ok(Self::emit(cfg, arch, integrity, input_lens.to_vec(), seq_len, phases, held))
+    }
+
+    /// Lower one streaming chunk: a batch-of-one plan of `rows` new rows
+    /// over `context` cached rows — the `CTX` load of every encoder layer's
+    /// carried keys and values ([`PhaseKind::StreamContext`]), then the
+    /// encoder layers over the new rows only ([`PhaseKind::StreamLayer`]).
+    /// A chunk's product is its encoder rows, so it never runs a decoder.
+    /// `resident` is what the stream's previous chunk left pinned (empty
+    /// for a cold chunk), elided as in [`lower_batch`](Self::lower_batch)
+    /// except that `CTX` never is. Zero rows, or an attention window past
+    /// the built sequence length, is an [`AccelError::InvalidStream`]. The
+    /// walker, the stream pool, the runtime and the functional twin all
+    /// lower chunks here.
     pub fn lower_stream_chunk(
         cfg: &AccelConfig,
         arch: Architecture,
@@ -560,12 +595,38 @@ impl ExecPlan {
         context: usize,
         resident: &[ResidentStripe],
     ) -> Result<ExecPlan> {
-        PlanBuilder::new(cfg, arch).stream_chunk(rows, context).reuse_resident(resident).build()
+        cfg.validate()?;
+        if rows == 0 {
+            return Err(AccelError::InvalidStream {
+                reason: "a chunk must compute >= 1 new encoder step".into(),
+            });
+        }
+        if rows + context > cfg.max_seq_len {
+            return Err(AccelError::InvalidStream {
+                reason: format!(
+                    "attention window {} ({} new + {} context) exceeds the built sequence \
+                     length {}",
+                    rows + context,
+                    rows,
+                    context,
+                    cfg.max_seq_len
+                ),
+            });
+        }
+        let seq_len = cfg.padded_seq_len(rows)?;
+        let phases = stream_chunk_phase_list(cfg, rows, context);
+        let held = Held::Resident(resident);
+        Ok(Self::emit(cfg, arch, cfg.integrity, vec![rows], seq_len, phases, held))
     }
 
-    /// Lower one autoregressive decode step, reusing whatever stripes a
-    /// previous step (or session warm-up) left pinned. Pass an empty
-    /// `resident` slice for the cold step.
+    /// Lower one autoregressive decode step: the per-step skeleton (token
+    /// embedding rows, K/V residency, the decoder layers, the vocabulary
+    /// projection), each phase ONE coalesced batch-of-`beam` compute, so
+    /// the plan is solo. `resident` is what a previous step left pinned
+    /// ([`decode_pinned_stripes`](Self::decode_pinned_stripes); empty for
+    /// the cold step), so steady steps fetch only the embedding rows. A
+    /// zero beam or memory, or a step outside the cache allocation, is an
+    /// [`AccelError::Config`].
     pub fn lower_decode_step(
         cfg: &AccelConfig,
         arch: Architecture,
@@ -573,11 +634,55 @@ impl ExecPlan {
         resident: &[ResidentStripe],
         integrity: IntegrityLevel,
     ) -> Result<ExecPlan> {
-        PlanBuilder::new(cfg, arch)
-            .decode_step(spec)
-            .reuse_resident(resident)
-            .integrity(integrity)
-            .build()
+        cfg.validate()?;
+        if spec.beam == 0 {
+            return Err(AccelError::Config("decode beam must be >= 1".into()));
+        }
+        if spec.mem_len == 0 {
+            return Err(AccelError::Config("decode memory must be non-empty".into()));
+        }
+        if spec.step >= spec.max_steps {
+            return Err(AccelError::Config(format!(
+                "decode step {} outside the {}-step cache allocation",
+                spec.step, spec.max_steps
+            )));
+        }
+        let seq_len = cfg.padded_seq_len(spec.mem_len)?;
+        let phases = decode_phase_list(cfg, &spec);
+        let held = Held::Resident(resident);
+        Ok(Self::emit(cfg, arch, integrity, vec![spec.mem_len], seq_len, phases, held))
+    }
+
+    /// Re-lower the uncompleted suffix a checkpoint describes, for its
+    /// remaining utterances at its architecture and integrity level.
+    /// `trust_resident` is the same-device switch: only a resume on the
+    /// device that cut the checkpoint may skip re-loading its CRC-matching
+    /// resident stripes; a failover target passes `false` and re-fetches
+    /// (and re-verifies) everything the suffix needs. A poisoned checkpoint,
+    /// or one that does not match the schedule `cfg` derives, is refused
+    /// with [`AccelError::CheckpointRejected`]: the caller's clean fallback
+    /// is a full restart, never silent reuse.
+    pub fn resume(
+        cfg: &AccelConfig,
+        ckpt: &PlanCheckpoint,
+        trust_resident: bool,
+    ) -> Result<ExecPlan> {
+        let remaining = ckpt.remaining_lens();
+        if remaining.is_empty() {
+            return Err(AccelError::CheckpointRejected {
+                reason: format!(
+                    "no utterance left to resume: {} of {} finished",
+                    ckpt.finished_utterances,
+                    ckpt.input_lens.len()
+                ),
+            });
+        }
+        cfg.validate()?;
+        let seq_len = padded_batch_len(cfg, remaining)?;
+        let phases = phase_list(cfg, ckpt.arch);
+        let trusted = validate_checkpoint(ckpt, trust_resident, cfg, seq_len, &phases)?;
+        let held = Held::Cut { ckpt, trusted };
+        Ok(Self::emit(cfg, ckpt.arch, ckpt.integrity, remaining.to_vec(), seq_len, phases, held))
     }
 
     /// Prefetch engines the plan drives (A1/A2 = 1, A3 = 2).
@@ -600,35 +705,6 @@ impl ExecPlan {
         } else {
             full_s
         }
-    }
-
-    /// Re-lower the uncompleted suffix a checkpoint describes, for the
-    /// remaining utterances. `trust_resident` is the same-device switch:
-    /// only a resume on the device that cut the checkpoint may skip
-    /// re-loading resident stripes; a failover target passes `false` and
-    /// re-fetches (and re-verifies) everything the suffix needs. A poisoned
-    /// or mismatched checkpoint is refused with
-    /// [`AccelError::CheckpointRejected`]: the caller's clean fallback is a
-    /// full restart, never silent reuse.
-    pub fn resume(
-        cfg: &AccelConfig,
-        ckpt: &PlanCheckpoint,
-        trust_resident: bool,
-    ) -> Result<ExecPlan> {
-        if ckpt.remaining_lens().is_empty() {
-            return Err(AccelError::CheckpointRejected {
-                reason: format!(
-                    "no utterance left to resume: {} of {} finished",
-                    ckpt.finished_utterances,
-                    ckpt.input_lens.len()
-                ),
-            });
-        }
-        PlanBuilder::new(cfg, ckpt.arch)
-            .utterances(ckpt.remaining_lens())
-            .integrity(ckpt.integrity)
-            .resume_from(ckpt, trust_resident)
-            .build()
     }
 
     /// First phase with work in this plan (0 unless resumed).
@@ -730,18 +806,20 @@ impl ExecPlan {
     /// the ones a per-dispatch plan cannot hide under compute, so the cache
     /// pins the *front* of the schedule; the cycling double-buffer slots
     /// keep handling the rest. A phase whose content changes every dispatch
-    /// ([`PhaseKind::reloads_every_dispatch`]) is skipped, not pinned. Feed
-    /// the result to [`PlanBuilder::reuse_resident`] for the card's next
-    /// dispatch.
+    /// ([`PhaseKind::reloads_every_dispatch`]) is skipped, not pinned. Pass
+    /// the result as the `resident` set of the card's next dispatch
+    /// ([`lower_batch`](Self::lower_batch),
+    /// [`lower_stream_chunk`](Self::lower_stream_chunk)).
     pub fn pinned_stripes(&self, slots: usize) -> Vec<ResidentStripe> {
         self.resident_stripes(|_| true).take(slots).collect()
     }
 
     /// The stripes a decode session pins resident after a step: every
     /// decode phase *except* the token-embedding rows, whose content
-    /// changes each step and must always be re-fetched. Feed the result to
-    /// [`PlanBuilder::reuse_resident`] for the next step's lowering; on a
-    /// non-decode plan this is empty (use
+    /// changes each step and must always be re-fetched. Pass the result as
+    /// the `resident` set of the next step's
+    /// [`lower_decode_step`](Self::lower_decode_step); on a non-decode plan
+    /// this is empty (use
     /// [`pinned_stripes`](Self::pinned_stripes) there).
     pub fn decode_pinned_stripes(&self) -> Vec<ResidentStripe> {
         self.resident_stripes(|p| p.kind.is_decode()).collect()
@@ -781,234 +859,59 @@ impl ExecPlan {
     }
 }
 
-/// Builds an [`ExecPlan`] from `(AccelConfig, Architecture, batch of
-/// utterance lengths, IntegrityLevel)` — the single lowering every
-/// execution path shares.
-#[derive(Debug, Clone)]
-pub struct PlanBuilder<'a> {
-    cfg: &'a AccelConfig,
-    arch: Architecture,
-    input_lens: Vec<usize>,
-    integrity: IntegrityLevel,
-    resume: Option<(PlanCheckpoint, bool)>,
-    resident: Vec<ResidentStripe>,
-    decode: Option<DecodeStepSpec>,
-    stream: Option<(usize, usize)>,
+/// The padded length a batch computes at: every utterance pads to
+/// [`AccelConfig::padded_seq_len`], so one past the built length is refused
+/// typed.
+fn padded_batch_len(cfg: &AccelConfig, input_lens: &[usize]) -> Result<usize> {
+    input_lens.iter().try_fold(0, |seq_len, &len| Ok(seq_len.max(cfg.padded_seq_len(len)?)))
 }
 
-impl<'a> PlanBuilder<'a> {
-    /// Start a lowering for one architecture. The batch defaults to empty —
-    /// add utterances before [`build`](Self::build).
-    pub fn new(cfg: &'a AccelConfig, arch: Architecture) -> Self {
-        PlanBuilder {
-            cfg,
-            arch,
-            input_lens: Vec::new(),
-            integrity: cfg.integrity,
-            resume: None,
-            resident: Vec::new(),
-            decode: None,
-            stream: None,
-        }
-    }
+/// What the device already holds when a plan is emitted.
+enum Held<'a> {
+    /// Stripes a card or session kept pinned: each one that CRC-matches its
+    /// phase elides that phase's load ([`PlanReuse`]).
+    Resident(&'a [ResidentStripe]),
+    /// A validated checkpoint's cut: phases before its compute frontier
+    /// have no work left, and the `trusted` phases' stripes stay in their
+    /// slots ([`PlanResume`]).
+    Cut { ckpt: &'a PlanCheckpoint, trusted: Vec<usize> },
+}
 
-    /// Set the batch: one entry per utterance, each an unpadded input
-    /// length. Every utterance is padded to the built sequence length, so a
-    /// mixed-length batch shares one schedule (§5.1.5).
-    pub fn utterances(mut self, input_lens: &[usize]) -> Self {
-        self.input_lens = input_lens.to_vec();
-        self
-    }
-
-    /// Override the integrity level (defaults to the config's).
-    pub fn integrity(mut self, level: IntegrityLevel) -> Self {
-        self.integrity = level;
-        self
-    }
-
-    /// Lower only the uncompleted suffix a checkpoint describes. The
-    /// builder's batch must be the checkpoint's remaining utterances;
-    /// [`build`](Self::build) validates the checkpoint against the target
-    /// device's freshly-derived schedule and rejects any divergence with a
-    /// typed [`AccelError::CheckpointRejected`] — the caller then falls
-    /// back to a clean full restart. `trust_resident` permits skipping
-    /// re-loads of CRC-matching resident stripes (same-device resume only).
-    pub fn resume_from(mut self, ckpt: &PlanCheckpoint, trust_resident: bool) -> Self {
-        self.resume = Some((ckpt.clone(), trust_resident));
-        self
-    }
-
-    /// Lower against a resident stripe set: any phase whose offered stripe
-    /// CRC-matches the schedule (same phase index, label, byte count, and
-    /// [`PlanCheckpoint::stripe_crc`]) keeps its weights in place and emits
-    /// **no** `LoadStripe` — a card's weight cache at work, where one
-    /// dispatch's pinned stripes serve every later request or chunk on the
-    /// card. Stripes that do not match are *ignored* (counted stale on
-    /// [`PlanReuse`]) and their phases re-load and re-verify normally —
-    /// a stale cache costs bandwidth, never correctness. Mutually exclusive
-    /// with [`resume_from`](Self::resume_from).
-    pub fn reuse_resident(mut self, stripes: &[ResidentStripe]) -> Self {
-        self.resident = stripes.to_vec();
-        self
-    }
-
-    /// Lower one autoregressive decode step instead of the eager
-    /// full-sequence schedule: the phase list becomes the per-step decode
-    /// skeleton (token embedding rows, K/V residency, the decoder layers,
-    /// the vocabulary projection) and every phase runs ONE coalesced
-    /// batch-of-`beam` compute — the beam rides inside the kernel, not the
-    /// utterance axis. The batch is implicitly solo; combine with
-    /// [`reuse_resident`](Self::reuse_resident) (feeding back
-    /// [`ExecPlan::decode_pinned_stripes`]) so steady-state steps fetch only
-    /// the embedding rows. Mutually exclusive with
-    /// [`resume_from`](Self::resume_from) — decode recovery replays the
-    /// step, it never resumes mid-step.
-    pub fn decode_step(mut self, spec: DecodeStepSpec) -> Self {
-        self.decode = Some(spec);
-        self
-    }
-
-    /// Lower one streaming chunk instead of the eager full-sequence
-    /// schedule: a batch-of-one plan of `rows` new rows over `context`
-    /// cached rows. Its first phase, `CTX`
-    /// ([`PhaseKind::StreamContext`]), loads every encoder layer's context
-    /// keys and values (f32); then come the encoder layers
-    /// ([`PhaseKind::StreamLayer`]), which compute only the new rows and
-    /// attend over `context + rows` keys. A chunk's product is its encoder
-    /// rows; nothing reads a decoder pass over a partial window, so the
-    /// chunk never loads or computes one. Decoding a partial transcript
-    /// would add [`decode_step`](Self::decode_step) plans, not an eager
-    /// decoder stack. Zero rows, or an attention window past the built
-    /// sequence length, is an [`AccelError::InvalidStream`]. Combine with
-    /// [`reuse_resident`](Self::reuse_resident) (feeding back
-    /// [`ExecPlan::pinned_stripes`]) for warm chunks; `CTX` is never
-    /// elided. Mutually exclusive with [`utterances`](Self::utterances),
-    /// [`decode_step`](Self::decode_step) and
-    /// [`resume_from`](Self::resume_from) — a failed chunk replays whole.
-    pub fn stream_chunk(mut self, rows: usize, context: usize) -> Self {
-        self.stream = Some((rows, context));
-        self
-    }
-
-    /// Lower the schedule into the command DAG.
-    pub fn build(mut self) -> Result<ExecPlan> {
-        let cfg = self.cfg;
-        cfg.validate()?;
-        if let Some((rows, context)) = self.stream {
-            for (set, other) in [
-                (!self.input_lens.is_empty(), "utterances"),
-                (self.decode.is_some(), "decode_step"),
-                (self.resume.is_some(), "resume_from"),
-            ] {
-                if set {
-                    return Err(AccelError::Config(format!(
-                        "stream_chunk and {} are mutually exclusive",
-                        other
-                    )));
-                }
-            }
-            if rows == 0 {
-                return Err(AccelError::InvalidStream {
-                    reason: "a chunk must compute >= 1 new encoder step".into(),
-                });
-            }
-            if rows + context > cfg.max_seq_len {
-                return Err(AccelError::InvalidStream {
-                    reason: format!(
-                        "attention window {} ({} new + {} context) exceeds the built sequence \
-                         length {}",
-                        rows + context,
-                        rows,
-                        context,
-                        cfg.max_seq_len
-                    ),
-                });
-            }
-            self.input_lens = vec![rows];
-        }
-        if let Some(spec) = self.decode {
-            if self.resume.is_some() {
-                return Err(AccelError::Config(
-                    "decode_step and resume_from are mutually exclusive".into(),
-                ));
-            }
-            if !self.input_lens.is_empty() {
-                return Err(AccelError::Config(
-                    "decode_step plans are implicitly solo; do not set utterances".into(),
-                ));
-            }
-            if spec.beam == 0 {
-                return Err(AccelError::Config("decode beam must be >= 1".into()));
-            }
-            if spec.mem_len == 0 {
-                return Err(AccelError::Config("decode memory must be non-empty".into()));
-            }
-            if spec.step >= spec.max_steps {
-                return Err(AccelError::Config(format!(
-                    "decode step {} outside the {}-step cache allocation",
-                    spec.step, spec.max_steps
-                )));
-            }
-            self.input_lens = vec![spec.mem_len];
-        }
-        let batch = self.input_lens.len();
-        if batch == 0 {
-            return Err(AccelError::Config("batch size must be >= 1".into()));
-        }
-        let mut seq_len = 0usize;
-        for &len in &self.input_lens {
-            seq_len = seq_len.max(cfg.padded_seq_len(len)?);
-        }
-        let phases = match (self.decode, self.stream) {
-            (Some(spec), _) => decode_phase_list(cfg, &spec),
-            (None, Some((rows, context))) => stream_chunk_phase_list(cfg, rows, context),
-            (None, None) => phase_list(cfg, self.arch),
-        };
-        let engines = match self.arch {
+impl ExecPlan {
+    /// Lower a batch's phase table into the command DAG: the one emitter behind
+    /// every [`ExecPlan`] constructor, each of which has already checked its
+    /// own inputs.
+    fn emit(
+        cfg: &AccelConfig,
+        arch: Architecture,
+        integrity: IntegrityLevel,
+        input_lens: Vec<usize>,
+        seq_len: usize,
+        phases: Vec<PlanPhase>,
+        held: Held<'_>,
+    ) -> ExecPlan {
+        let batch = input_lens.len();
+        let engines = match arch {
             Architecture::A3 => 2,
             _ => 1,
         };
-        let verify = self.integrity.checks_enabled();
-
-        // Resume validation: the checkpoint must describe exactly the
-        // schedule this config/architecture lowers to, and its resident
-        // stripes must still CRC-match what the schedule would fetch.
-        let resume = match &self.resume {
-            None => None,
-            Some((ckpt, trust)) => Some(validate_checkpoint(
-                ckpt,
-                *trust,
-                self.arch,
-                self.integrity,
-                seq_len,
-                &self.input_lens,
-                &phases,
-                cfg.weight_version,
-                cfg.encoding,
-            )?),
-        };
-        let (start_phase, trusted) = match &resume {
-            Some(r) => (r.0, r.1.clone()),
-            None => (0, Vec::new()),
+        let verify = integrity.checks_enabled();
+        let (start_phase, trusted, resident) = match &held {
+            Held::Resident(resident) => (0, &[][..], *resident),
+            Held::Cut { ckpt, trusted } => (ckpt.completed_phases, &trusted[..], &[][..]),
         };
 
         // Resident-reuse validation: every offered stripe either CRC-matches
         // the stripe this schedule would fetch for its phase (its load is
-        // elided) or is counted stale and re-loaded. Checkpointed resume has
-        // its own trust path; mixing the two would double-count elisions.
-        if resume.is_some() && !self.resident.is_empty() {
-            return Err(AccelError::Config(
-                "reuse_resident and resume_from are mutually exclusive".into(),
-            ));
-        }
-        let mut reuse_acct = if self.resident.is_empty() {
+        // elided) or is counted stale and re-loaded.
+        let mut reuse_acct = if resident.is_empty() {
             None
         } else {
-            Some(PlanReuse { offered: self.resident.len(), ..Default::default() })
+            Some(PlanReuse { offered: resident.len(), ..Default::default() })
         };
         let mut resident_ok = vec![false; phases.len()];
         if let Some(acct) = reuse_acct.as_mut() {
-            for r in &self.resident {
+            for r in resident {
                 match phases.get(r.phase) {
                     // A version-stale stripe is refused *before* the CRC
                     // check so the refusal is typed on the accounting: the
@@ -1077,7 +980,7 @@ impl<'a> PlanBuilder<'a> {
                 }
                 // Serialize edge (A1 only): no overlap — the load
                 // additionally waits out the previous phase's whole compute.
-                if self.arch == Architecture::A1 && i >= 1 {
+                if arch == Architecture::A1 && i >= 1 {
                     if let Some(&c) = computes_of[i - 1].last() {
                         deps.push(c);
                     }
@@ -1144,85 +1047,77 @@ impl<'a> PlanBuilder<'a> {
         }
         nodes.push(PlanNode { cmd: PlanCmd::Barrier, deps: bdeps });
 
-        let resume = resume.map(|(start, _, ckpt)| {
-            // Replayed loads: suffix stripes the interrupted run had
-            // already fetched but the target would not trust.
-            let replayed: Vec<usize> = (start..ckpt.loaded_phases.min(phases.len()))
-                .filter(|i| load_of[*i].is_some())
-                .collect();
-            PlanResume {
-                start_phase: start,
-                trusted_loads,
-                skipped_load_bytes: phases[..start].iter().map(|p| p.bytes).sum::<u64>()
-                    + trusted_bytes,
-                skipped_computes: start * batch,
-                replayed_loads: replayed.len(),
-                replayed_load_bytes: replayed.iter().map(|&i| phases[i].bytes).sum(),
-                base_finished: ckpt.finished_utterances,
-                finished_s: ckpt.finished_s.clone(),
+        let resume = match held {
+            Held::Resident(_) => None,
+            Held::Cut { ckpt, .. } => {
+                // Replayed loads: suffix stripes the interrupted run had
+                // already fetched but the target would not trust.
+                let replayed: Vec<usize> = (start_phase..ckpt.loaded_phases.min(phases.len()))
+                    .filter(|i| load_of[*i].is_some())
+                    .collect();
+                Some(PlanResume {
+                    start_phase,
+                    trusted_loads,
+                    skipped_load_bytes: phases[..start_phase].iter().map(|p| p.bytes).sum::<u64>()
+                        + trusted_bytes,
+                    skipped_computes: start_phase * batch,
+                    replayed_loads: replayed.len(),
+                    replayed_load_bytes: replayed.iter().map(|&i| phases[i].bytes).sum(),
+                    base_finished: ckpt.finished_utterances,
+                    finished_s: ckpt.finished_s.clone(),
+                })
             }
-        });
+        };
 
-        Ok(ExecPlan {
-            arch: self.arch,
+        ExecPlan {
+            arch,
             batch,
-            input_lens: self.input_lens,
+            input_lens,
             seq_len,
-            integrity: self.integrity,
+            integrity,
             weight_version: cfg.weight_version,
             encoding: cfg.encoding,
             phases,
             nodes,
             resume,
             reuse: reuse_acct,
-            decode: self.decode,
             load_of,
             computes_of,
-        })
+        }
     }
 }
 
-/// Check a checkpoint against the freshly-derived target schedule. Returns
-/// `(start_phase, trusted resident phase indices, checkpoint)` or the typed
-/// rejection that sends the caller back to a clean full restart.
-#[allow(clippy::too_many_arguments)]
+/// Check a checkpoint against the schedule the target config derives for
+/// its architecture and remaining batch (`seq_len`, `phases`). Returns the
+/// trusted resident phase indices, or the typed rejection that sends the
+/// caller back to a clean full restart.
 fn validate_checkpoint(
     ckpt: &PlanCheckpoint,
     trust_resident: bool,
-    arch: Architecture,
-    integrity: IntegrityLevel,
+    cfg: &AccelConfig,
     seq_len: usize,
-    input_lens: &[usize],
     phases: &[PlanPhase],
-    weight_version: u64,
-    encoding: WeightEncoding,
-) -> Result<(usize, Vec<usize>, PlanCheckpoint)> {
+) -> Result<Vec<usize>> {
     let reject = |reason: String| AccelError::CheckpointRejected { reason };
-    if ckpt.arch != arch {
-        return Err(reject(format!("architecture {:?} != plan {:?}", ckpt.arch, arch)));
-    }
-    if ckpt.encoding != encoding {
+    if ckpt.encoding != cfg.encoding {
         // The resident bytes were encoded under another codec: whatever
         // their CRCs say, they are not this schedule's stripes.
-        return Err(reject(format!("stripe encoding {} != target {}", ckpt.encoding, encoding)));
+        return Err(reject(format!(
+            "stripe encoding {} != target {}",
+            ckpt.encoding, cfg.encoding
+        )));
     }
-    if ckpt.weight_version != weight_version {
+    if ckpt.weight_version != cfg.weight_version {
         // Compute banked under one weight set must never complete under
         // another: a rolled or half-upgraded target refuses the resume
         // typed and the caller re-pays the suffix from scratch.
         return Err(reject(format!(
             "weight version {} != target {}",
-            ckpt.weight_version, weight_version
+            ckpt.weight_version, cfg.weight_version
         )));
-    }
-    if ckpt.integrity != integrity {
-        return Err(reject("integrity level differs from the target lowering".into()));
     }
     if ckpt.seq_len != seq_len {
         return Err(reject(format!("padded seq len {} != target {}", ckpt.seq_len, seq_len)));
-    }
-    if ckpt.remaining_lens() != input_lens {
-        return Err(reject("remaining utterances differ from the builder's batch".into()));
     }
     if ckpt.finished_s.len() != ckpt.finished_utterances {
         return Err(reject("finish times do not cover the finished prefix".into()));
@@ -1268,7 +1163,7 @@ fn validate_checkpoint(
         }
         if r.label != p.label
             || r.bytes != p.bytes
-            || r.crc != PlanCheckpoint::stripe_crc(p, weight_version)
+            || r.crc != PlanCheckpoint::stripe_crc(p, cfg.weight_version)
         {
             return Err(reject(format!(
                 "stale CRC on resident stripe {} (phase {})",
@@ -1279,7 +1174,7 @@ fn validate_checkpoint(
             trusted.push(r.phase);
         }
     }
-    Ok((ckpt.completed_phases, trusted, ckpt.clone()))
+    Ok(trusted)
 }
 
 /// The encoder layers `E1..E{n}` as phases of `kind`: the head of every
@@ -1296,7 +1191,7 @@ fn encoder_phases(cfg: &AccelConfig, kind: PhaseKind) -> impl Iterator<Item = Pl
     })
 }
 
-/// A stream chunk's phases ([`PlanBuilder::stream_chunk`]): `CTX`, whose
+/// A stream chunk's phases ([`ExecPlan::lower_stream_chunk`]): `CTX`, whose
 /// bytes are every encoder layer's f32 keys and values for the `context`
 /// cached rows, then the encoder layers over the `rows` new rows.
 fn stream_chunk_phase_list(cfg: &AccelConfig, rows: usize, context: usize) -> Vec<PlanPhase> {
@@ -1347,8 +1242,8 @@ pub fn phase_list(cfg: &AccelConfig, arch: Architecture) -> Vec<PlanPhase> {
 /// Every phase that is legal to elide across steps keeps a step-invariant
 /// label and byte count — in particular the self-attention cache is priced
 /// at its full `max_steps` allocation, not the rows filled so far — so the
-/// only per-step traffic left after [`PlanBuilder::reuse_resident`] is the
-/// embedding rows.
+/// only per-step traffic left once the previous step's
+/// [`ExecPlan::decode_pinned_stripes`] are resident is the embedding rows.
 pub fn decode_phase_list(cfg: &AccelConfig, spec: &DecodeStepSpec) -> Vec<PlanPhase> {
     let bytes = layer_bytes(cfg);
     let d = cfg.model.d_model as u64;
@@ -1683,7 +1578,7 @@ mod tests {
         assert_eq!(c.computes, n_dec + 3, "one coalesced compute per phase");
         assert_eq!(c.barriers, 1);
         assert_eq!(plan.batch, 1);
-        assert_eq!(plan.decode, Some(spec));
+        assert_eq!(plan.phases[1].kind, PhaseKind::DecodeKv { step: 0, mem_len: 8, beam: 1 });
     }
 
     #[test]
@@ -1779,12 +1674,6 @@ mod tests {
         bad(DecodeStepSpec { step: 0, mem_len: 8, beam: 0, max_steps: 16 });
         bad(DecodeStepSpec { step: 0, mem_len: 0, beam: 1, max_steps: 16 });
         bad(DecodeStepSpec { step: 16, mem_len: 8, beam: 1, max_steps: 16 });
-        // decode + utterances and decode + resume are both refused
-        assert!(PlanBuilder::new(&cfg, Architecture::A2)
-            .utterances(&[8])
-            .decode_step(DecodeStepSpec::greedy(0, 8, 16))
-            .build()
-            .is_err());
     }
 
     #[test]
@@ -1832,24 +1721,6 @@ mod tests {
     #[test]
     fn stream_chunk_rejects_bad_windows_and_other_plan_kinds() {
         let cfg = unpadded(8);
-        let chunk = || PlanBuilder::new(&cfg, Architecture::A3).stream_chunk(4, 4);
-        for (err, clash) in [
-            (chunk().utterances(&[8]).build(), "utterances"),
-            (chunk().decode_step(DecodeStepSpec::greedy(0, 8, 16)).build(), "decode_step"),
-        ] {
-            match err {
-                Err(AccelError::Config(reason)) => assert!(reason.contains(clash), "{}", reason),
-                other => panic!("{}: expected Config, got {:?}", clash, other),
-            }
-        }
-        let full = ExecPlan::lower(&cfg, Architecture::A3, 8, 1, cfg.integrity).unwrap();
-        let ckpt = PlanCheckpoint::at(&full, 1, 1, &[], 0.0);
-        match chunk().resume_from(&ckpt, false).build() {
-            Err(AccelError::Config(reason)) => {
-                assert!(reason.contains("resume_from"), "{}", reason)
-            }
-            other => panic!("expected Config, got {:?}", other),
-        }
         for (rows, context) in [(0usize, 4usize), (5, 4), (9, 0)] {
             let err = ExecPlan::lower_stream_chunk(&cfg, Architecture::A2, rows, context, &[])
                 .unwrap_err();
@@ -1906,7 +1777,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_typed_error() {
         let cfg = unpadded(8);
-        let err = PlanBuilder::new(&cfg, Architecture::A3).build().unwrap_err();
+        let err = ExecPlan::lower(&cfg, Architecture::A3, 8, 0, IntegrityLevel::Off).unwrap_err();
         assert!(matches!(err, AccelError::Config(_)), "{}", err);
     }
 
@@ -2015,13 +1886,6 @@ mod tests {
             let err = ExecPlan::resume(&cfg, &ckpt, trust).unwrap_err();
             assert!(matches!(err, AccelError::CheckpointRejected { .. }), "{}", err);
         }
-        // The builder path, handed the original batch, refuses it as well.
-        let err = PlanBuilder::new(&cfg, Architecture::A3)
-            .utterances(&[32, 32])
-            .resume_from(&ckpt, false)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, AccelError::CheckpointRejected { .. }), "{}", err);
     }
 
     #[test]
@@ -2055,11 +1919,8 @@ mod tests {
             assert_eq!(cold.reuse, None, "cold plans carry no reuse accounting");
             let pinned = cold.pinned_stripes(4);
             assert_eq!(pinned.len(), 4);
-            let warm = PlanBuilder::new(&cfg, arch)
-                .utterances(&[8])
-                .reuse_resident(&pinned)
-                .build()
-                .unwrap();
+            let warm =
+                ExecPlan::lower_batch(&cfg, arch, &[8], IntegrityLevel::Off, &pinned).unwrap();
             let reuse = warm.reuse.expect("warm plan carries reuse accounting");
             assert_eq!(reuse.offered, 4);
             assert_eq!(reuse.elided_loads, 4);
@@ -2085,11 +1946,9 @@ mod tests {
         let cold = ExecPlan::lower(&cfg, Architecture::A2, 8, 1, IntegrityLevel::Off).unwrap();
         let mut pinned = cold.pinned_stripes(3);
         pinned[1].crc ^= 0xdead_beef; // the cache entry no longer matches HBM
-        let warm = PlanBuilder::new(&cfg, Architecture::A2)
-            .utterances(&[8])
-            .reuse_resident(&pinned)
-            .build()
-            .unwrap();
+        let warm =
+            ExecPlan::lower_batch(&cfg, Architecture::A2, &[8], IntegrityLevel::Off, &pinned)
+                .unwrap();
         let reuse = warm.reuse.unwrap();
         assert_eq!(reuse.offered, 3);
         assert_eq!(reuse.elided_loads, 2);
@@ -2100,11 +1959,9 @@ mod tests {
         // A stripe naming a phase past the schedule is stale too, not a panic.
         let mut beyond = cold.pinned_stripes(1);
         beyond[0].phase = cold.phases.len() + 7;
-        let plan = PlanBuilder::new(&cfg, Architecture::A2)
-            .utterances(&[8])
-            .reuse_resident(&beyond)
-            .build()
-            .unwrap();
+        let plan =
+            ExecPlan::lower_batch(&cfg, Architecture::A2, &[8], IntegrityLevel::Off, &beyond)
+                .unwrap();
         assert_eq!(plan.reuse.unwrap().stale, 1);
         assert_eq!(plan.reuse.unwrap().elided_loads, 0);
     }
@@ -2115,12 +1972,10 @@ mod tests {
         // no fetch to check) but every compute keeps its ABFT verify.
         let cfg = unpadded(8);
         let cold = ExecPlan::lower(&cfg, Architecture::A2, 8, 1, IntegrityLevel::Detect).unwrap();
-        let warm = PlanBuilder::new(&cfg, Architecture::A2)
-            .utterances(&[8])
-            .integrity(IntegrityLevel::Detect)
-            .reuse_resident(&cold.pinned_stripes(4))
-            .build()
-            .unwrap();
+        let pinned = cold.pinned_stripes(4);
+        let warm =
+            ExecPlan::lower_batch(&cfg, Architecture::A2, &[8], IntegrityLevel::Detect, &pinned)
+                .unwrap();
         assert_eq!(warm.counts().loads, cold.counts().loads - 4);
         assert_eq!(warm.counts().verifies, cold.counts().verifies - 4);
         assert_eq!(warm.counts().computes, cold.counts().computes);
@@ -2158,11 +2013,9 @@ mod tests {
         // Stripes pinned under v0 offered to a v2 lowering: every elision
         // is refused and the refusal is typed as a version stale, not a
         // generic CRC mismatch.
-        let warm = PlanBuilder::new(&flashed, Architecture::A2)
-            .utterances(&[8])
-            .reuse_resident(&pinned)
-            .build()
-            .unwrap();
+        let warm =
+            ExecPlan::lower_batch(&flashed, Architecture::A2, &[8], IntegrityLevel::Off, &pinned)
+                .unwrap();
         let reuse = warm.reuse.unwrap();
         assert_eq!(reuse.offered, 3);
         assert_eq!(reuse.elided_loads, 0);
@@ -2173,11 +2026,9 @@ mod tests {
         }
         // Same-version stripes still elide, and the plan tags its loads.
         let v2 = warm.pinned_stripes(3);
-        let rewarm = PlanBuilder::new(&flashed, Architecture::A2)
-            .utterances(&[8])
-            .reuse_resident(&v2)
-            .build()
-            .unwrap();
+        let rewarm =
+            ExecPlan::lower_batch(&flashed, Architecture::A2, &[8], IntegrityLevel::Off, &v2)
+                .unwrap();
         assert_eq!(rewarm.reuse.unwrap().elided_loads, 3);
         assert_eq!(rewarm.reuse.unwrap().stale_version, 0);
         for n in &rewarm.nodes {
@@ -2203,11 +2054,9 @@ mod tests {
         let int8_cold =
             ExecPlan::lower(&int8, Architecture::A2, 8, 1, IntegrityLevel::Off).unwrap();
         assert_eq!(int8_cold.phases[0].bytes, cold.phases[0].bytes, "byte counts collide");
-        let warm = PlanBuilder::new(&int8, Architecture::A2)
-            .utterances(&[8])
-            .reuse_resident(&pinned)
-            .build()
-            .unwrap();
+        let warm =
+            ExecPlan::lower_batch(&int8, Architecture::A2, &[8], IntegrityLevel::Off, &pinned)
+                .unwrap();
         let reuse = warm.reuse.unwrap();
         assert_eq!(reuse.offered, 3);
         assert_eq!(reuse.elided_loads, 0, "block-circulant bytes must not satisfy int8 loads");
@@ -2324,19 +2173,5 @@ mod tests {
             }
             prev = (c, l);
         }
-    }
-
-    #[test]
-    fn reuse_and_resume_are_mutually_exclusive() {
-        let cfg = unpadded(8);
-        let full = ExecPlan::lower(&cfg, Architecture::A2, 8, 1, IntegrityLevel::Off).unwrap();
-        let ckpt = PlanCheckpoint::at(&full, 4, 5, &[], 1.0e-3);
-        let err = PlanBuilder::new(&cfg, Architecture::A2)
-            .utterances(ckpt.remaining_lens())
-            .resume_from(&ckpt, true)
-            .reuse_resident(&full.pinned_stripes(2))
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, AccelError::Config(_)), "{}", err);
     }
 }

@@ -58,7 +58,7 @@ use crate::host_runtime::{
     max_total_backoff_s, run_plan, run_plan_with_recovery, BatchFailure, BatchedRun,
 };
 use crate::integrity::CorruptionCounters;
-use crate::plan::{walk_cost, ExecPlan, PlanBuilder, PlanCheckpoint, PlanReuse, ResidentStripe};
+use crate::plan::{walk_cost, ExecPlan, PlanCheckpoint, PlanReuse, ResidentStripe};
 use asr_fpga_sim::device::DeviceId;
 use asr_fpga_sim::faults::{FaultKind, FaultPlan};
 use asr_tensor::WeightEncoding;
@@ -259,7 +259,7 @@ pub(crate) struct Flight<W> {
 /// granularity: the card's first successful dispatch of a whole plan
 /// leaves that plan's leading [`PIN_SLOTS`] stripes resident, and every
 /// later dispatch lowers against them
-/// ([`crate::plan::PlanBuilder::reuse_resident`]), eliding each load whose
+/// ([`ExecPlan::lower_batch`]), eliding each load whose
 /// stripe CRC-matches. A dispatch that dies pins nothing, a resumed suffix
 /// neither pins nor elides, and a flash ([`Card::flash`]) empties the cache.
 #[derive(Debug)]
@@ -1865,11 +1865,7 @@ impl ServePool {
         let cfg = &self.cfg;
         self.devices[device].card.outcome(batch, |faults, resident| {
             let (accel, s) = (&cfg.accel, cfg.accel.max_seq_len);
-            match PlanBuilder::new(accel, cfg.arch)
-                .utterances(&vec![s; batch])
-                .integrity(accel.integrity)
-                .reuse_resident(resident)
-                .build()
+            match ExecPlan::lower_batch(accel, cfg.arch, &vec![s; batch], accel.integrity, resident)
             {
                 Ok(plan) => CardOutcome::of(&plan, run_plan_with_recovery(accel, &plan, faults)),
                 Err(e) => BatchFailure::from(e).into(),
@@ -2053,12 +2049,10 @@ mod tests {
     fn cold_and_warm(c: &ServeConfig, batch: usize) -> (ExecPlan, ExecPlan) {
         let s = c.accel.max_seq_len;
         let cold = ExecPlan::lower(&c.accel, c.arch, s, batch, c.accel.integrity).unwrap();
-        let warm = PlanBuilder::new(&c.accel, c.arch)
-            .utterances(&vec![s; batch])
-            .integrity(c.accel.integrity)
-            .reuse_resident(&cold.pinned_stripes(PIN_SLOTS))
-            .build()
-            .unwrap();
+        let pinned = cold.pinned_stripes(PIN_SLOTS);
+        let warm =
+            ExecPlan::lower_batch(&c.accel, c.arch, &vec![s; batch], c.accel.integrity, &pinned)
+                .unwrap();
         (cold, warm)
     }
 

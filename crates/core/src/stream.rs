@@ -17,7 +17,7 @@
 //!   a decoder). The first chunk a card serves pins the leading
 //!   [`PIN_SLOTS`] weight stripes in the card's weight cache (the one every
 //!   pool's card keeps, [`crate::serve`]); every later chunk offers them
-//!   back ([`crate::plan::PlanBuilder::reuse_resident`]) and elides the
+//!   back (the `resident` argument of the chunk lowering) and elides the
 //!   CRC-matching `LoadStripe`s — FTRANS's keep-weights-resident win,
 //!   applied across the work items of a stream. The weights are shared by
 //!   every stream, so one warm card serves *all* its sessions out of
@@ -135,7 +135,7 @@ impl StreamConfig {
     /// ([`AccelError::InvalidStream`]) at pool construction — never
     /// mid-stream, never by panicking. An attention window past the built
     /// sequence length is refused by the chunk lowering
-    /// ([`crate::plan::PlanBuilder::stream_chunk`]), which the pool runs at
+    /// ([`crate::plan::ExecPlan::lower_stream_chunk`]), which the pool runs at
     /// construction too.
     pub fn validate(&self) -> Result<()> {
         self.accel.validate()?;

@@ -8,7 +8,7 @@
 //! violations. Used by tests as failure injection (hand-built broken
 //! schedules must be caught) and by the CLI as a post-simulation check.
 
-use crate::arch::ArchResult;
+use crate::plan::PlanCost;
 use asr_fpga_sim::timeline::Timeline;
 
 /// A violated schedule invariant.
@@ -48,9 +48,9 @@ fn phase_key(label: &str) -> Option<&str> {
     label.strip_prefix("LW").or_else(|| label.strip_prefix('C'))
 }
 
-/// Verify a simulated architecture result; empty vec means all invariants hold.
-pub fn verify(result: &ArchResult) -> Vec<Violation> {
-    verify_timeline(&result.timeline)
+/// Verify a priced plan's schedule; empty vec means all invariants hold.
+pub fn verify(cost: &PlanCost) -> Vec<Violation> {
+    verify_timeline(&cost.timeline)
 }
 
 /// Verify any load/compute timeline with `load-*` and `compute` units.

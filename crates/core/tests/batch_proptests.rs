@@ -13,7 +13,7 @@ use asr_accel::arch::{layer_bytes, simulate};
 use asr_accel::host_runtime::{run_plan, BatchedRun};
 use asr_accel::integrity::{run_functional_plan, small_config, FunctionalFaults};
 use asr_accel::plan::{
-    phase_compute_s, phase_list, walk_cost, DecodeStepSpec, ExecPlan, PlanBuilder, PlanCheckpoint,
+    phase_compute_s, phase_list, walk_cost, DecodeStepSpec, ExecPlan, PlanCheckpoint,
 };
 use asr_accel::{calib, schedule, serve};
 use asr_accel::{AccelConfig, Architecture, CorruptionCounters};
@@ -228,7 +228,7 @@ fn batch1_plan(
         0 => full(),
         1 => {
             let pinned = full().pinned_stripes(a % 6);
-            PlanBuilder::new(cfg, arch).utterances(&[s]).reuse_resident(&pinned).build().unwrap()
+            ExecPlan::lower_batch(cfg, arch, &[s], cfg.integrity, &pinned).unwrap()
         }
         2 => {
             let full = full();

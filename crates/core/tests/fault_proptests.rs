@@ -5,7 +5,7 @@
 use asr_accel::arch::{layer_bytes, simulate};
 use asr_accel::host_runtime::{run_plan, run_plan_with_recovery};
 use asr_accel::integrity::{load_model_with_faults, FunctionalFaults, StripeCorruption};
-use asr_accel::plan::{ExecPlan, PlanBuilder};
+use asr_accel::plan::ExecPlan;
 use asr_accel::schedule;
 use asr_accel::serve;
 use asr_accel::{AccelConfig, Architecture, CorruptionCounters};
@@ -56,11 +56,8 @@ fn solo(cfg: &AccelConfig, arch: Architecture) -> ExecPlan {
 /// A batch at the config's built length as a warm card lowers it: against
 /// the leading stripes a card's first dispatch pins.
 fn warm(cfg: &AccelConfig, arch: Architecture, batch: usize) -> ExecPlan {
-    PlanBuilder::new(cfg, arch)
-        .utterances(&vec![cfg.max_seq_len; batch])
-        .reuse_resident(&solo(cfg, arch).pinned_stripes(serve::PIN_SLOTS))
-        .build()
-        .unwrap()
+    let pinned = solo(cfg, arch).pinned_stripes(serve::PIN_SLOTS);
+    ExecPlan::lower_batch(cfg, arch, &vec![cfg.max_seq_len; batch], cfg.integrity, &pinned).unwrap()
 }
 
 proptest! {

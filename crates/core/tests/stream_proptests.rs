@@ -9,7 +9,7 @@ use asr_accel::integrity::{
     resume_functional_stream, run_functional_plan, run_functional_stream, small_config,
     FunctionalFaults,
 };
-use asr_accel::plan::{walk_cost, ExecPlan, PlanBuilder};
+use asr_accel::plan::{walk_cost, ExecPlan};
 use asr_accel::stream::{ChunkOutcome, StreamConfig, StreamPool};
 use asr_accel::{AccelConfig, AccelError, Architecture};
 use asr_systolic::abft::IntegrityLevel;
@@ -225,15 +225,14 @@ proptest! {
         let corrupt = corrupt_pick == 1;
         let cfg = timing_cfg();
         let arch = [Architecture::A1, Architecture::A2, Architecture::A3][arch_pick];
-        let cold = PlanBuilder::new(&cfg, arch).utterances(&[s]).build().unwrap();
+        let cold = ExecPlan::lower(&cfg, arch, s, 1, cfg.integrity).unwrap();
         let mut pinned = cold.pinned_stripes(slots);
         let n_pinned = pinned.len();
         let corrupted = corrupt && !pinned.is_empty();
         if corrupted {
             pinned[0].crc ^= 0xdead_beef;
         }
-        let warm =
-            PlanBuilder::new(&cfg, arch).utterances(&[s]).reuse_resident(&pinned).build().unwrap();
+        let warm = ExecPlan::lower_batch(&cfg, arch, &[s], cfg.integrity, &pinned).unwrap();
         prop_assert_eq!(warm.counts().computes, cold.counts().computes);
         if n_pinned == 0 {
             prop_assert!(warm.reuse.is_none());

@@ -109,7 +109,7 @@ pub fn beam_search(
 /// each hypothesis keeps its own self-attention cache, and every step scores
 /// ALL live hypotheses through one [`cache::step_beam`] — a single
 /// batch-of-`B` kernel per weight matmul, exactly the coalesced `Compute`
-/// shape `PlanBuilder::decode_step` lowers. `O(T)` projections per
+/// shape `ExecPlan::lower_decode_step` lowers. `O(T)` projections per
 /// hypothesis instead of the eager [`beam_search`]'s `O(T²)`.
 ///
 /// At `beam = 1` the continuation choice ties-to-last like

@@ -512,7 +512,7 @@ pub fn run_plan_with_recovery(
                     CommandStatus::Completed => break ck,
                     CommandStatus::Failed(cause) if cause.is_permanent() => {
                         let t = run.rt.finish_time(ck);
-                        let lost = |attempts| AccelError::Unrecoverable {
+                        let lost = || AccelError::Unrecoverable {
                             phase: p.label.clone(),
                             label: kernel_label.clone(),
                             attempts,
@@ -520,12 +520,11 @@ pub fn run_plan_with_recovery(
                         };
                         if dead_slr.is_some() {
                             // Second SLR loss: nothing left.
-                            return Err(run.fail(lost(attempts)));
+                            return Err(run.fail(lost()));
                         }
                         dead_slr = Some(slr.index());
+                        live_cfg = slr_degraded_config(&live_cfg).map_err(|_| run.fail(lost()))?;
                         attempts = 0; // relaunch on the survivor starts a fresh budget
-                        live_cfg =
-                            slr_degraded_config(&live_cfg).map_err(|_| run.fail(lost(attempts)))?;
                         compute_s = phase_compute_table(&live_cfg, plan);
                         let detail = format!(
                             "SLR{} lost: PSA pool halved to {}, relaunch on SLR{}",
@@ -849,6 +848,23 @@ mod tests {
                 err
             );
         }
+    }
+
+    #[test]
+    fn an_slr_loss_on_a_pool_too_small_to_halve_reports_the_kernel_attempt() {
+        // One PSA per SLR cannot be halved, so losing SLR1 under CE4 ends
+        // the run. The error counts the attempt the kernel made, as the
+        // second-SLR-loss arm does.
+        let mut cfg = unpadded(8);
+        cfg.psas_per_slr = 1;
+        cfg.parallel_heads = 2;
+        let solo = lower(&cfg, Architecture::A3, 8, 1);
+        let faults = FaultPlan::none().with(FaultKind::SlrDropout { slr: 1, from_command: 3 });
+        let err = run_plan_with_recovery(&cfg, &solo, faults).unwrap_err().error;
+        assert_eq!(
+            err.to_string(),
+            "unrecoverable fault in phase E4: 'CE4' failed after 1 attempts (14.867 ms in)"
+        );
     }
 
     #[test]

@@ -69,57 +69,6 @@ impl KvCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Encoder memory rows the cross-attention K/V currently cover.
-    pub fn memory_len(&self) -> usize {
-        self.layers.first().and_then(|l| l.cross_k.first()).map(|k| k.rows()).unwrap_or(0)
-    }
-
-    /// Extend the cross-attention K/V with newly arrived encoder memory
-    /// rows (a streaming chunk's output). The cross projections are
-    /// row-independent — `K = memory · W_k + b_k` acts on each memory row
-    /// alone — so appending the projections of the new rows is bit-identical
-    /// to rebuilding the cache from the concatenated memory, at a fraction
-    /// of the work. This is the decoder-side half of streaming: the encoder
-    /// streams chunks in, the cross cache grows, and partial decodes never
-    /// re-project memory they have already seen.
-    ///
-    /// Extending the memory also **invalidates the self-attention state**:
-    /// every cached self K/V row at layers past the first was projected from
-    /// activations that cross-attended over the *old* memory, so reusing
-    /// them against the extended memory would silently mix two decoding
-    /// contexts. The decoded-prefix state is dropped here (exactly what
-    /// [`reset_self`](Self::reset_self) does), and the next decode starts
-    /// its token loop fresh — the regression test pins that a partial
-    /// decode's rows never leak across an extension.
-    pub fn extend_memory(&mut self, model: &Model, new_rows: &Matrix, backend: &dyn MatMul) {
-        self.reset_self();
-        for (dec, layer) in model.weights.decoders.iter().zip(&mut self.layers) {
-            for hd in 0..dec.cross_mha.w_k.len() {
-                let k_new = ops::add_bias(
-                    &backend.matmul(new_rows, &dec.cross_mha.w_k[hd]),
-                    &dec.cross_mha.b_k[hd],
-                );
-                let v_new = ops::add_bias(
-                    &backend.matmul(new_rows, &dec.cross_mha.w_v[hd]),
-                    &dec.cross_mha.b_v[hd],
-                );
-                layer.cross_k[hd] = Matrix::vconcat(&[&layer.cross_k[hd], &k_new]);
-                layer.cross_v[hd] = Matrix::vconcat(&[&layer.cross_v[hd], &v_new]);
-            }
-        }
-    }
-
-    /// Drop the self-attention K/V (the decoded-prefix state) while keeping
-    /// the cross-attention K/V. A streaming partial decode starts its token
-    /// loop fresh after every chunk but keeps the accumulated memory
-    /// projections.
-    pub fn reset_self(&mut self) {
-        for layer in &mut self.layers {
-            layer.self_k.clear();
-            layer.self_v.clear();
-        }
-    }
 }
 
 /// Attention of ONE new query row against cached K/V for one head.
@@ -268,7 +217,7 @@ fn beam_decoder_layer(
 /// `i` feeds `tokens[i]` through `caches[i]` and gets back row `i` of the
 /// returned `B × vocab` logits. Every weight matmul runs once for the whole
 /// beam (one weight residency, one batch-of-`B` kernel — the shape
-/// `PlanBuilder::decode_step` lowers); weight matmuls are row-independent,
+/// `ExecPlan::lower_decode_step` lowers); weight matmuls are row-independent,
 /// so each row is bit-identical to a solo [`step`] on the same cache, which
 /// the tests pin. All caches must share the same memory projection.
 pub fn step_beam(
@@ -301,10 +250,9 @@ pub fn greedy_decode_cached(
     greedy_decode_with(model, &mut cache, max_len, backend)
 }
 
-/// Greedy decode against an existing cache (whose self-attention state must
-/// be fresh — call [`KvCache::reset_self`] when reusing one across partial
-/// decodes). Streaming callers keep one cache alive across chunks, extend
-/// its memory, and re-decode with this.
+/// Greedy decode against a freshly built cache (no decoded steps yet), so a
+/// caller can choose the backend that projects its memory — the functional
+/// twin's checked engine, say — apart from the one that steps it.
 pub fn greedy_decode_with(
     model: &Model,
     cache: &mut KvCache,
@@ -377,63 +325,6 @@ mod tests {
         assert_eq!(cache.len(), 1);
         step(&model, 5, &mut cache, &ReferenceBackend);
         assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn extend_memory_matches_full_rebuild_bit_for_bit() {
-        let (model, mem) = rig(); // 6 memory rows
-                                  // Build from the first 4 rows, extend with the last 2.
-        let head = mem.submatrix(0, 0, 4, mem.cols());
-        let tail = mem.submatrix(4, 0, 2, mem.cols());
-        let mut grown = KvCache::new(&model, &head, &ReferenceBackend);
-        grown.extend_memory(&model, &tail, &ReferenceBackend);
-        assert_eq!(grown.memory_len(), 6);
-        let full = KvCache::new(&model, &mem, &ReferenceBackend);
-        // Same decodes, token for token — the projections are bit-identical.
-        let mut grown2 = grown;
-        let mut full2 = full;
-        assert_eq!(
-            greedy_decode_with(&model, &mut grown2, 10, &ReferenceBackend),
-            greedy_decode_with(&model, &mut full2, 10, &ReferenceBackend),
-        );
-    }
-
-    #[test]
-    fn reset_self_allows_a_fresh_decode_on_the_same_memory() {
-        let (model, mem) = rig();
-        let mut cache = KvCache::new(&model, &mem, &ReferenceBackend);
-        let first = greedy_decode_with(&model, &mut cache, 10, &ReferenceBackend);
-        assert!(!cache.is_empty());
-        cache.reset_self();
-        assert!(cache.is_empty());
-        assert_eq!(cache.memory_len(), mem.rows(), "cross K/V survive the reset");
-        let second = greedy_decode_with(&model, &mut cache, 10, &ReferenceBackend);
-        assert_eq!(first, second, "same memory, same tokens");
-    }
-
-    #[test]
-    fn extend_memory_never_reuses_stale_self_rows() {
-        // Regression: a partial decode leaves self-attention rows behind;
-        // extending the memory afterwards (the mid-stream reset + extension
-        // path) must invalidate them, because rows at layers past the first
-        // were projected from activations that cross-attended over the OLD
-        // memory. Before the fix the stale rows survived and the post-
-        // extension decode silently mixed two contexts.
-        let (model, mem) = rig(); // 6 memory rows
-        let head = mem.submatrix(0, 0, 4, mem.cols());
-        let tail = mem.submatrix(4, 0, 2, mem.cols());
-        let mut cache = KvCache::new(&model, &head, &ReferenceBackend);
-        let _partial = greedy_decode_with(&model, &mut cache, 6, &ReferenceBackend);
-        assert!(!cache.is_empty(), "the partial decode left self rows behind");
-        cache.extend_memory(&model, &tail, &ReferenceBackend);
-        assert!(cache.is_empty(), "extension must drop the decoded-prefix state");
-        assert_eq!(cache.memory_len(), 6);
-        let mut fresh = KvCache::new(&model, &mem, &ReferenceBackend);
-        assert_eq!(
-            greedy_decode_with(&model, &mut cache, 10, &ReferenceBackend),
-            greedy_decode_with(&model, &mut fresh, 10, &ReferenceBackend),
-            "post-extension decode must match a from-scratch cache"
-        );
     }
 
     #[test]

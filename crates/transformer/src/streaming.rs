@@ -30,11 +30,9 @@
 //! CRC check typed rather than silently corrupting the rest of the stream.
 
 use crate::attention::LayerKv;
-use crate::cache::KvCache;
 use crate::config::TransformerConfig;
 use crate::encoder::encoder_layer;
 use crate::model::Model;
-use asr_frontend::vocab::TokenId;
 use asr_tensor::{crc32, MatMul, Matrix};
 
 /// Streaming parameters.
@@ -345,46 +343,6 @@ pub fn encode_streaming(
     Ok(out)
 }
 
-/// Run a full streaming recognition: encode chunk by chunk and emit the
-/// partial transcript after every chunk. The decoder's cross-attention K/V
-/// are *extended* with each chunk's new memory rows
-/// ([`KvCache::extend_memory`]) rather than recomputed from scratch, and
-/// each partial decode reuses them with a reset self-attention cache. The
-/// final partial is token-identical to an offline decode of the streamed
-/// memory.
-pub fn transcribe_streaming(
-    model: &Model,
-    features: &Matrix,
-    cfg: &StreamingConfig,
-    max_len: usize,
-    backend: &dyn MatMul,
-) -> Result<Vec<Vec<TokenId>>, StreamingError> {
-    cfg.validate()?;
-    let s = features.rows();
-    if s == 0 {
-        return Err(StreamingError::EmptyInput);
-    }
-    let mut state = StreamState::open(cfg)?;
-    let mut cache: Option<KvCache> = None;
-    let mut partials = Vec::new();
-    let mut start = 0usize;
-    while start < s {
-        let end = (start + cfg.chunk).min(s);
-        let chunk = features.submatrix(start, 0, end - start, features.cols());
-        let (rows, next) = push_chunk(model, &state, &chunk, backend)?;
-        match cache.as_mut() {
-            None => cache = Some(KvCache::new(model, &rows, backend)),
-            Some(c) => c.extend_memory(model, &rows, backend),
-        }
-        let c = cache.as_mut().expect("cache initialized on the first chunk");
-        c.reset_self();
-        partials.push(crate::cache::greedy_decode_with(model, c, max_len, backend));
-        state = next;
-        start = end;
-    }
-    Ok(partials)
-}
-
 /// First-emission latency advantage: the number of encoder steps that must
 /// arrive before the first output can be produced (offline: all of them;
 /// streaming: one chunk).
@@ -395,7 +353,6 @@ pub fn first_emission_steps(total_steps: usize, cfg: &StreamingConfig) -> usize 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::greedy_decode_cached;
     use crate::config::TransformerConfig;
     use asr_tensor::backend::ReferenceBackend;
     use asr_tensor::{init, max_abs_diff};
@@ -679,18 +636,5 @@ mod tests {
         for st in [extra, short, early] {
             refused(&model, &resealed(st));
         }
-    }
-
-    #[test]
-    fn streaming_partials_end_at_the_offline_transcript() {
-        let (model, x) = rig();
-        let cfg = StreamingConfig { chunk: 4, left_context: 8 };
-        let partials = transcribe_streaming(&model, &x, &cfg, 8, &ReferenceBackend).unwrap();
-        assert_eq!(partials.len(), 3, "one partial per chunk");
-        // The final partial decodes the full streamed memory; pin it against
-        // a from-scratch cached decode of the same memory.
-        let memory = encode_streaming(&model, &x, &cfg, &ReferenceBackend).unwrap();
-        let offline = greedy_decode_cached(&model, &memory, 8, &ReferenceBackend);
-        assert_eq!(*partials.last().unwrap(), offline);
     }
 }

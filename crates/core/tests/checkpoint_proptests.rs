@@ -1,18 +1,20 @@
 //! Property tests for barrier-granular plan checkpointing (DESIGN.md §12):
 //! resume-equals-straight-run bit identity at any cut, exhaustive barrier
-//! cuts, poisoned-checkpoint rejection with a clean restart path, and
-//! utterance conservation across single- and double-fault failovers.
+//! cuts, poisoned-checkpoint rejection with a clean restart path,
+//! utterance conservation across single- and double-fault failovers, and
+//! rewritten checkpoints refused typed or resumed cleanly.
 #![recursion_limit = "1024"]
 
-use asr_accel::host_runtime::run_plan_with_recovery;
+use asr_accel::host_runtime::{run_plan, run_plan_with_recovery};
 use asr_accel::integrity::{
     functional_checkpoint_at, resume_functional_plan, run_functional_plan, small_config,
     FunctionalFaults,
 };
-use asr_accel::plan::ExecPlan;
+use asr_accel::plan::{walk_cost, ExecPlan, PlanCheckpoint};
 use asr_accel::{AccelConfig, AccelError, Architecture};
 use asr_fpga_sim::{FaultKind, FaultPlan};
 use asr_systolic::abft::IntegrityLevel;
+use asr_tensor::WeightEncoding;
 use asr_transformer::weights::ModelWeights;
 use proptest::prelude::*;
 
@@ -203,6 +205,107 @@ proptest! {
                 let last = ExecPlan::resume(&cfg, c2, false).unwrap();
                 let done = run_plan_with_recovery(&cfg, &last, FaultPlan::none()).unwrap();
                 prop_assert_eq!(done.utterance_finish_s.len(), c2.remaining_lens().len());
+            }
+        }
+    }
+}
+
+/// The integrity levels a checkpoint can name.
+const LEVELS: [IntegrityLevel; 3] =
+    [IntegrityLevel::Off, IntegrityLevel::Detect, IntegrityLevel::DetectAndRecompute];
+
+/// Rewrite one field of a checkpoint — `field` picks which, `v` drives the
+/// new value — as a stale, hand-edited or foreign checkpoint would arrive.
+fn rewrite(ckpt: &mut PlanCheckpoint, field: usize, v: u64) {
+    let u = v as usize;
+    match field {
+        0 => ckpt.arch = Architecture::ALL[u % 3],
+        1 => ckpt.integrity = LEVELS[u % 3],
+        2 => ckpt.seq_len = u % 12,
+        3 => match (u % 3, ckpt.input_lens.len()) {
+            (0, _) | (_, 0) => ckpt.input_lens.push(u % 12),
+            (1, _) => drop(ckpt.input_lens.pop()),
+            (_, n) => ckpt.input_lens[u / 3 % n] = u % 12,
+        },
+        4 => {
+            let n = ckpt.phase_labels.len().max(1);
+            let label = ["E1", "D1", "D1m", "D6f", "CTX", "X"][u / n % 6];
+            match ckpt.phase_labels.get_mut(u % n) {
+                Some(l) => *l = label.into(),
+                None => ckpt.phase_labels.push(label.into()),
+            }
+        }
+        5 => match u % 2 {
+            0 => ckpt.phase_bytes.push(v),
+            _ => drop(ckpt.phase_bytes.pop()),
+        },
+        6 => ckpt.finished_utterances = u % 5,
+        7 => ckpt.finished_s = (0..u % 4).map(|k| (k + 1) as f64 * 1e-3).collect(),
+        8 => ckpt.completed_phases = u % 30,
+        9 => ckpt.loaded_phases = u % 30,
+        10 | 11 if ckpt.resident.is_empty() => ckpt.loaded_phases = u % 30,
+        10 => {
+            let n = ckpt.resident.len();
+            ckpt.resident[u % n].phase = u / n % 30;
+        }
+        11 => {
+            let n = ckpt.resident.len();
+            ckpt.resident[u % n].version = (u / n % 3) as u64;
+        }
+        12 => ckpt.weight_version = v % 3,
+        _ => {
+            ckpt.encoding = [
+                WeightEncoding::Dense,
+                WeightEncoding::Int8,
+                WeightEncoding::BlockCirculant { block: 8 },
+                WeightEncoding::SparseTiles { tile: 4, occupancy_pct: 60 },
+            ][u % 4]
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(env_cases(64))]
+
+    // A cut checkpoint with 1–3 fields rewritten — the schedule identity,
+    // the batch, the phase table, the finished prefix, a frontier, a
+    // resident stripe, the weight version or the encoding — is refused
+    // typed, or resumes into a plan that the walker and the runtime price
+    // to the same finite makespan. It never panics. `ExecPlan::resume`
+    // reads the architecture, integrity level and batch from the checkpoint
+    // itself, so this is what holds those fields to account.
+    #[test]
+    fn a_rewritten_checkpoint_is_refused_typed_or_resumes_cleanly(
+        arch in prop::sample::select(Architecture::ALL.to_vec()),
+        integrity in prop::sample::select(LEVELS.to_vec()),
+        batch in 1usize..=3,
+        (completed, ahead, finished) in (0usize..64, 0usize..3, 0usize..3),
+        edits in prop::collection::vec((0usize..14, 0u64..1 << 20), 1..=3),
+        trust in prop::sample::select(vec![false, true]),
+    ) {
+        let cfg = timing_cfg();
+        let plan = ExecPlan::lower(&cfg, arch, 8, batch, integrity).unwrap();
+        let n = plan.phases.len();
+        let completed = completed % n;
+        let finished_s: Vec<f64> =
+            (0..finished % batch).map(|k| (k + 1) as f64 * 1e-3).collect();
+        let mut ckpt =
+            PlanCheckpoint::at(&plan, completed, (completed + ahead).min(n), &finished_s, 2e-3);
+        for &(field, v) in &edits {
+            rewrite(&mut ckpt, field, v);
+        }
+        match ExecPlan::resume(&cfg, &ckpt, trust) {
+            Err(e) => prop_assert!(
+                matches!(e, AccelError::CheckpointRejected { .. } | AccelError::InvalidInput { .. }),
+                "{:?}: untyped refusal {}",
+                edits,
+                e
+            ),
+            Ok(suffix) => {
+                let walked = walk_cost(&cfg, &suffix).latency_s;
+                let ran = run_plan(&cfg, &suffix).makespan_s;
+                prop_assert!(walked.is_finite() && walked > 0.0, "{:?}: walked {}", edits, walked);
+                prop_assert!((walked - ran).abs() <= 1e-12, "{:?}: {} vs {}", edits, walked, ran);
             }
         }
     }

@@ -8,13 +8,22 @@ use asr_fpga_sim::runtime::Runtime;
 use asr_fpga_sim::timeline::Timeline;
 use proptest::prelude::*;
 
+/// Case count: `PROPTEST_CASES` when set (the CI deep-proptest job exports
+/// 512), else the tier-1 default. The vendored proptest does not read the
+/// environment itself, so the config expression does.
+fn env_cases(default: u32) -> ProptestConfig {
+    let cases =
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default);
+    ProptestConfig::with_cases(cases)
+}
+
 fn rv() -> impl Strategy<Value = ResourceVector> {
     (0u64..1000, 0u64..1000, 0u64..100_000, 0u64..100_000)
         .prop_map(|(b, d, f, l)| ResourceVector::new(b, d, f, l))
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(env_cases(48))]
 
     #[test]
     fn resource_addition_commutes_and_associates(a in rv(), b in rv(), c in rv()) {

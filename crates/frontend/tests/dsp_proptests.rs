@@ -6,8 +6,17 @@ use asr_frontend::resample::resample;
 use asr_tensor::init;
 use proptest::prelude::*;
 
+/// Case count: `PROPTEST_CASES` when set (the CI deep-proptest job exports
+/// 512), else the tier-1 default. The vendored proptest does not read the
+/// environment itself, so the config expression does.
+fn env_cases(default: u32) -> ProptestConfig {
+    let cases =
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default);
+    ProptestConfig::with_cases(cases)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(env_cases(32))]
 
     #[test]
     fn resample_preserves_duration(len in 160usize..16000, target in prop::sample::select(vec![8000u32, 11025, 22050, 44100])) {

@@ -5,8 +5,17 @@ use asr_frontend::text::normalize;
 use asr_frontend::wer::{cer, edit_distance, wer};
 use proptest::prelude::*;
 
+/// Case count: `PROPTEST_CASES` when set (the CI deep-proptest job exports
+/// 512), else the tier-1 default. The vendored proptest does not read the
+/// environment itself, so the config expression does.
+fn env_cases(default: u32) -> ProptestConfig {
+    let cases =
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default);
+    ProptestConfig::with_cases(cases)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(env_cases(48))]
 
     #[test]
     fn fft_matches_dft(exp in 1u32..7, seed in 0u64..1000) {

@@ -384,8 +384,8 @@ pub fn run_plan_with_recovery(
     // edges resolve to); retries overwrite the slot with the last attempt.
     let mut node_events: Vec<Option<Event>> = vec![None; plan.nodes.len()];
     let deps_of = |node_events: &[Option<Event>], id: usize| -> Vec<Event> {
-        let deps = &plan.nodes[id].deps;
-        deps.iter().map(|&d| node_events[d].expect("plan deps precede their node")).collect()
+        let deps = plan.nodes[id].deps.iter().flatten();
+        deps.map(|&d| node_events[d].expect("plan deps precede their node")).collect()
     };
     let mut checkpoints = 0u32;
     for (i, p) in phases.iter().enumerate() {

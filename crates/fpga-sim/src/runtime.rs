@@ -501,7 +501,7 @@ impl Runtime {
 
     /// Append a zero-duration annotation span on a named unit (used by the
     /// host to record recovery decisions next to the fault markers).
-    pub fn annotate(&mut self, unit: &str, label: impl Into<String>, t: f64) {
+    pub fn annotate(&mut self, unit: &'static str, label: impl Into<String>, t: f64) {
         self.timeline.push(unit, label.into(), t, t).expect("zero-duration markers never overlap");
     }
 }

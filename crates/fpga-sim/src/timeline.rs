@@ -6,11 +6,14 @@
 //! time spans; the timeline computes makespan, per-unit busy time, stalls,
 //! and validates that no unit is ever double-booked.
 
+use std::borrow::Cow;
+
 /// One occupied interval on a unit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Span {
-    /// Unit the span occupies (e.g. `"hbm-ch0"`, `"psa-pool"`).
-    pub unit: String,
+    /// Unit the span occupies (e.g. `"hbm-ch0"`, `"psa-pool"`). A constant
+    /// unit name is borrowed, so a schedule's spans share it uncopied.
+    pub unit: Cow<'static, str>,
     /// Label describing the work (e.g. `"LW3"`, `"C2"`).
     pub label: String,
     /// Start time, seconds.
@@ -68,7 +71,7 @@ pub struct Timeline {
     /// first-use order. A schedule drives a handful of units (its load
     /// engines, the compute unit, a fault track), so a linear scan finds a
     /// unit without building a map keyed by owned names.
-    by_unit: Vec<(String, Vec<usize>)>,
+    by_unit: Vec<(Cow<'static, str>, Vec<usize>)>,
 }
 
 /// Tolerance for treating two floats as the same instant (1 ps).
@@ -88,7 +91,7 @@ impl Timeline {
     /// Add a span, enforcing unit exclusivity.
     pub fn push(
         &mut self,
-        unit: impl Into<String>,
+        unit: impl Into<Cow<'static, str>>,
         label: impl Into<String>,
         start: f64,
         end: f64,
@@ -103,7 +106,8 @@ impl Timeline {
                 let s = &self.spans[i];
                 // overlap iff intervals intersect with positive measure
                 if start < s.end - EPS && s.start < end - EPS {
-                    return Err(TimelineError::Overlap { unit, label, existing: s.label.clone() });
+                    let (unit, existing) = (unit.into_owned(), s.label.clone());
+                    return Err(TimelineError::Overlap { unit, label, existing });
                 }
             }
         }
@@ -183,7 +187,7 @@ impl Timeline {
 
     /// All unit names present, sorted.
     pub fn units(&self) -> Vec<&str> {
-        let mut units: Vec<&str> = self.by_unit.iter().map(|(u, _)| u.as_str()).collect();
+        let mut units: Vec<&str> = self.by_unit.iter().map(|(u, _)| u.as_ref()).collect();
         units.sort_unstable();
         units
     }

@@ -25,6 +25,7 @@
 //! [`QuantizedMatrix::quantize`] + dequantize. Block-circulant is lossy in
 //! general and exact only for tiles that already are circulant.
 
+use crate::crc32::Crc32;
 use crate::matrix::Matrix;
 use crate::quant::QuantizedMatrix;
 use std::fmt;
@@ -69,21 +70,20 @@ impl WeightEncoding {
         }
     }
 
-    /// The spec's identity as digest bytes (tag + parameters), folded into
-    /// schedule-stripe CRCs so stripes of different encodings never match.
-    pub fn digest_bytes(&self) -> Vec<u8> {
-        let mut b = vec![self.tag()];
+    /// Fold the spec's identity (tag + parameters) into a CRC: schedule
+    /// stripe CRCs carry it, so stripes of different encodings never match.
+    pub fn digest_into(&self, crc: &mut Crc32) {
+        crc.update(&[self.tag()]);
         match self {
             WeightEncoding::Dense | WeightEncoding::Int8 => {}
             WeightEncoding::BlockCirculant { block } => {
-                b.extend_from_slice(&(*block as u64).to_le_bytes());
+                crc.update(&(*block as u64).to_le_bytes());
             }
             WeightEncoding::SparseTiles { tile, occupancy_pct } => {
-                b.extend_from_slice(&(*tile as u64).to_le_bytes());
-                b.extend_from_slice(&occupancy_pct.to_le_bytes());
+                crc.update(&(*tile as u64).to_le_bytes());
+                crc.update(&occupancy_pct.to_le_bytes());
             }
         }
-        b
     }
 
     /// Analytic bytes on the wire for `weights` logical weights — the one

@@ -302,6 +302,17 @@ proptest! {
                 e
             ),
             Ok(suffix) => {
+                // A finished prefix resumes only with every phase but the
+                // last computed for the whole batch.
+                let cut = suffix.resume.as_ref().expect("a resumed plan carries its cut");
+                prop_assert!(
+                    cut.base_finished == 0 || cut.start_phase + 1 >= suffix.phases.len(),
+                    "{:?}: {} finished at phase {} of {}",
+                    edits,
+                    cut.base_finished,
+                    cut.start_phase,
+                    suffix.phases.len()
+                );
                 let walked = walk_cost(&cfg, &suffix).latency_s;
                 let ran = run_plan(&cfg, &suffix).makespan_s;
                 prop_assert!(walked.is_finite() && walked > 0.0, "{:?}: walked {}", edits, walked);

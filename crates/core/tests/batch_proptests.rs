@@ -307,6 +307,99 @@ proptest! {
     }
 }
 
+/// A plan of one of [`batch1_plan`]'s five shapes at `batch`: the full
+/// schedule, the warm card's and a resumed suffix carry the whole batch,
+/// and a suffix cut at the last phase may carry a finished prefix of it;
+/// a stream chunk and a decode step are solo by kind.
+fn batch_plan(
+    cfg: &AccelConfig,
+    arch: Architecture,
+    batch: usize,
+    shape: usize,
+    (a, b, c): (usize, usize, usize),
+    trust: bool,
+) -> ExecPlan {
+    let lens = vec![cfg.max_seq_len; batch];
+    let full = || ExecPlan::lower_batch(cfg, arch, &lens, cfg.integrity, &[]).unwrap();
+    match shape {
+        0 => full(),
+        1 => {
+            let pinned = full().pinned_stripes(a % 6);
+            ExecPlan::lower_batch(cfg, arch, &lens, cfg.integrity, &pinned).unwrap()
+        }
+        2 => {
+            let full = full();
+            let phases = full.phases.len();
+            let completed = a % phases;
+            let loaded = (completed + b % 3).min(phases);
+            let finished = if completed + 1 == phases { c % batch } else { 0 };
+            let finished_s: Vec<f64> = (0..finished).map(|k| (k + 1) as f64 * 1e-3).collect();
+            let ckpt = PlanCheckpoint::at(&full, completed, loaded, &finished_s, 0.0);
+            ExecPlan::resume(cfg, &ckpt, trust).unwrap()
+        }
+        _ => batch1_plan(cfg, arch, shape, (a, b, c), trust),
+    }
+}
+
+proptest! {
+    #![proptest_config(env_cases(48))]
+
+    // The walker adds up its totals as it pushes its spans, and each reads
+    // the same bits as the timeline it returns reads back: the makespan,
+    // the load engines' and the compute unit's busy seconds and the
+    // compute stall. That holds its sums to the timeline's order and
+    // starting values, whatever the architecture, batch, stripe encoding
+    // (zero-tile skips included), integrity level, resident set, resume
+    // cut, stream window or decode step.
+    #[test]
+    fn walker_totals_are_its_own_timelines_to_the_bit(
+        arch in any_arch(),
+        batch in 1usize..=8,
+        s in prop::sample::select(vec![2usize, 4, 8, 16, 32]),
+        encoding in prop::sample::select(vec![0usize, 1, 2, 3]),
+        occupancy_pct in 0u32..=100,
+        level_idx in 0usize..3,
+        shape in 0usize..5,
+        cut in (0usize..64, 0usize..64, 0usize..64),
+        trust in prop::sample::select(vec![false, true]),
+    ) {
+        let mut cfg = unpadded(s);
+        cfg.encoding = match encoding {
+            0 => WeightEncoding::Dense,
+            1 => WeightEncoding::Int8,
+            2 => WeightEncoding::BlockCirculant { block: 4 },
+            _ => WeightEncoding::SparseTiles { tile: 4, occupancy_pct },
+        };
+        cfg.integrity = [
+            IntegrityLevel::Off,
+            IntegrityLevel::Detect,
+            IntegrityLevel::DetectAndRecompute,
+        ][level_idx];
+        let plan = batch_plan(&cfg, arch, batch, shape, cut, trust);
+        let cost = walk_cost(&cfg, &plan);
+        let tl = &cost.timeline;
+        let load_busy: f64 =
+            (0..plan.engines()).map(|e| tl.busy_time(&format!("load-{e}"))).sum();
+        let what = format!(
+            "{:?} b={} s={} {} shape {} {:?}", arch, batch, s, cfg.encoding, shape, cut
+        );
+        prop_assert_eq!(cost.latency_s.to_bits(), tl.makespan().to_bits(), "makespan, {}", what);
+        prop_assert_eq!(cost.load_total_s.to_bits(), load_busy.to_bits(), "load busy, {}", what);
+        prop_assert_eq!(
+            cost.compute_total_s.to_bits(),
+            tl.busy_time("compute").to_bits(),
+            "compute busy, {}",
+            what
+        );
+        prop_assert_eq!(
+            cost.compute_stall_s.to_bits(),
+            tl.stall_time("compute").to_bits(),
+            "compute stall, {}",
+            what
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Serving path: a batching pool attributes to each request exactly the
 // corruption accounting the solo pool reports for it.

@@ -55,15 +55,15 @@ use asr_fpga_sim::device::SlrId;
 use asr_fpga_sim::faults::{FaultKind, FaultPlan};
 use asr_fpga_sim::runtime::{CommandStats, CommandStatus, Event, QueueId, Runtime, FAULT_UNIT};
 
-/// Per-utterance kernel label: the solo stream keeps the historical
-/// `C{phase}` labels (bit-identity with every pre-batching pin), a batched
-/// stream names each utterance's slice `C{phase}[u{n}]` so fault plans can
-/// target a single utterance mid-batch.
-fn kernel_label(phase: &str, batch: usize, u: usize) -> String {
+/// Per-utterance kernel label, from the phase's compute span label
+/// `C{phase}`: the solo stream keeps it (bit-identity with every
+/// pre-batching pin), a batched stream names each utterance's slice
+/// `C{phase}[u{n}]` so fault plans can target a single utterance mid-batch.
+fn kernel_label(compute: &str, batch: usize, u: usize) -> String {
     if batch == 1 {
-        format!("C{}", phase)
+        compute.to_string()
     } else {
-        format!("C{}[u{}]", phase, u)
+        format!("{}[u{}]", compute, u)
     }
 }
 
@@ -372,7 +372,7 @@ pub fn run_plan_with_recovery(
             );
             run.record(0.0, &phases[0].label, "integrity", detail);
         } else if plan.integrity.checks_enabled() {
-            let phase = phases[0].label.clone();
+            let phase = phases[0].label.to_string();
             return Err(run.fail(AccelError::CorruptCompute { phase, tiles: sticky_lanes }));
         } else {
             corruption.escaped += sticky_lanes;
@@ -397,7 +397,7 @@ pub fn run_plan_with_recovery(
         // engine-ladder recovery. Skipped entirely when the stripe is
         // trusted resident from the checkpointed run (same-device resume).
         if let Some(lw_id) = plan.load_of(i) {
-            let load_label = format!("LW{}", p.label);
+            let load_label = p.load_label.to_string();
             let mut attempts = 0u32;
             let load_ev = loop {
                 let slot = i % engines.len();
@@ -436,7 +436,7 @@ pub fn run_plan_with_recovery(
                             CrcStep::Accept | CrcStep::Escape => break lw,
                             CrcStep::Exhausted => {
                                 return Err(run.fail(AccelError::CorruptWeights {
-                                    phase: p.label.clone(),
+                                    phase: p.label.to_string(),
                                     label: load_label,
                                     attempts,
                                     at_s: run.rt.finish_time(lw),
@@ -486,7 +486,7 @@ pub fn run_plan_with_recovery(
         // ---- compute nodes: the batch's utterances back-to-back under the
         // resident layer, each with retry / SLR-ladder recovery ----
         for (u, &ck_id) in plan.computes_of(i).iter().enumerate() {
-            let kernel_label = kernel_label(&p.label, plan.batch, u);
+            let kernel_label = kernel_label(&p.compute_label, plan.batch, u);
             let mut attempts = 0u32;
             let ck = loop {
                 // The plan's static SLR assignment, unless an SLR died:
@@ -513,7 +513,7 @@ pub fn run_plan_with_recovery(
                     CommandStatus::Failed(cause) if cause.is_permanent() => {
                         let t = run.rt.finish_time(ck);
                         let lost = || AccelError::Unrecoverable {
-                            phase: p.label.clone(),
+                            phase: p.label.to_string(),
                             label: kernel_label.clone(),
                             attempts,
                             at_s: t,

@@ -55,6 +55,7 @@ use asr_fpga_sim::Timeline;
 use asr_systolic::abft::IntegrityLevel;
 use asr_tensor::crc32::Crc32;
 use asr_tensor::WeightEncoding;
+use std::borrow::Cow;
 
 /// Which compute recurrence a phase uses, so consumers (including degraded
 /// configurations mid-recovery) can re-derive the phase cost on demand.
@@ -181,9 +182,15 @@ impl DecodeStepSpec {
 /// layer, a whole decoder layer (A1/A2), or a decoder half-phase (A3).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanPhase {
-    /// Schedule label (`"E3"`, `"D2"`, `"D2f"`) — the `LW{label}` /
-    /// `C{label}` naming every consumer emits.
-    pub label: String,
+    /// Schedule label (`"E3"`, `"D2"`, `"D2f"`). It and the two span labels
+    /// are borrowed from the name table for every phase of the paper
+    /// model's schedules, and formatted once for a deeper model's extra
+    /// layers.
+    pub label: Cow<'static, str>,
+    /// The label of the phase's load span, `LW{label}`.
+    pub load_label: Cow<'static, str>,
+    /// The label of the phase's compute span, `C{label}`.
+    pub compute_label: Cow<'static, str>,
     /// Weight bytes this phase streams from HBM — *encoded* bytes on the
     /// wire ([`AccelConfig::encoded_bytes`]), not the logical dense size.
     pub bytes: u64,
@@ -303,7 +310,7 @@ pub struct ResidentStripe {
     /// Phase index into the checkpointed schedule.
     pub phase: usize,
     /// The phase's schedule label (`"E3"`, `"D2f"`).
-    pub label: String,
+    pub label: Cow<'static, str>,
     /// Stripe bytes.
     pub bytes: u64,
     /// CRC-32 the load's verify accepted.
@@ -337,7 +344,7 @@ pub struct PlanCheckpoint {
     /// Unpadded input lengths of the interrupted batch, in batch order.
     pub input_lens: Vec<usize>,
     /// Schedule labels, one per phase — the identity of the phase table.
-    pub phase_labels: Vec<String>,
+    pub phase_labels: Vec<Cow<'static, str>>,
     /// Weight bytes per phase, parallel to `phase_labels`.
     pub phase_bytes: Vec<u64>,
     /// Leading utterances that retired their final compute before the cut;
@@ -1190,18 +1197,82 @@ fn validate_checkpoint(
     Ok(trusted)
 }
 
+/// A phase's labels: its schedule label, then the labels of its load and
+/// compute spans, `LW{label}` and `C{label}`.
+type PhaseLabels = [Cow<'static, str>; 3];
+
+/// One family of layer phases: layer `n` (1-based) is labelled
+/// `{prefix}{n}{suffix}`, and `table` holds the paper model's layers.
+struct LayerNames {
+    prefix: &'static str,
+    suffix: &'static str,
+    table: &'static [PhaseLabels],
+}
+
+impl LayerNames {
+    /// Layer `i`'s (0-based) labels: borrowed from the table, or past its
+    /// end formatted, once per phase.
+    fn of(&self, i: usize) -> PhaseLabels {
+        self.table.get(i).cloned().unwrap_or_else(|| {
+            let label = format!("{}{}{}", self.prefix, i + 1, self.suffix);
+            let (load, compute) = (["LW", &label].concat(), ["C", &label].concat());
+            [label.into(), load.into(), compute.into()]
+        })
+    }
+}
+
+/// Name-table entries, borrowed: a layer family's, one per layer number
+/// given, or one fixed label's.
+macro_rules! phase_labels {
+    ($prefix:literal $suffix:literal: $($n:literal)+) => {
+        LayerNames {
+            prefix: $prefix,
+            suffix: $suffix,
+            table: &[$(phase_labels!($prefix, $n, $suffix)),+],
+        }
+    };
+    ($($part:literal),+) => {
+        [
+            Cow::Borrowed(concat!($($part),+)),
+            Cow::Borrowed(concat!("LW", $($part),+)),
+            Cow::Borrowed(concat!("C", $($part),+)),
+        ]
+    };
+}
+
+// The name table: every label of the paper model's schedules (its 12
+// encoder layers, its 6 decoder layers whole and in halves, a stream
+// chunk's carried context and a decode step's own phases), each with its
+// span labels.
+const ENCODERS: LayerNames = phase_labels!("E" "": 1 2 3 4 5 6 7 8 9 10 11 12);
+const DECODERS: LayerNames = phase_labels!("D" "": 1 2 3 4 5 6);
+const DECODER_MHAS: LayerNames = phase_labels!("D" "m": 1 2 3 4 5 6);
+const DECODER_FFNS: LayerNames = phase_labels!("D" "f": 1 2 3 4 5 6);
+const CTX: PhaseLabels = phase_labels!("CTX");
+const TOK: PhaseLabels = phase_labels!("TOK");
+const KV: PhaseLabels = phase_labels!("KV");
+const OUT: PhaseLabels = phase_labels!("OUT");
+
+impl PlanPhase {
+    /// A phase labelled `[label, load, compute]`.
+    fn new(
+        [label, load_label, compute_label]: PhaseLabels,
+        bytes: u64,
+        kind: PhaseKind,
+        encoding: WeightEncoding,
+    ) -> PlanPhase {
+        PlanPhase { label, load_label, compute_label, bytes, kind, encoding }
+    }
+}
+
 /// The encoder layers `E1..E{n}` as phases of `kind`: the head of every
 /// eager schedule ([`PhaseKind::Encoder`]) and the body of a stream chunk
 /// ([`PhaseKind::StreamLayer`]). Architecture-independent — only the
 /// decoder phases split at A3.
 fn encoder_phases(cfg: &AccelConfig, kind: PhaseKind) -> impl Iterator<Item = PlanPhase> + '_ {
     let bytes = layer_bytes(cfg).encoder;
-    (0..cfg.model.n_encoders).map(move |i| PlanPhase {
-        label: format!("E{}", i + 1),
-        bytes,
-        kind,
-        encoding: cfg.encoding,
-    })
+    (0..cfg.model.n_encoders)
+        .map(move |i| PlanPhase::new(ENCODERS.of(i), bytes, kind, cfg.encoding))
 }
 
 /// A stream chunk's phases ([`ExecPlan::lower_stream_chunk`]): `CTX`, whose
@@ -1209,12 +1280,12 @@ fn encoder_phases(cfg: &AccelConfig, kind: PhaseKind) -> impl Iterator<Item = Pl
 /// cached rows, then the encoder layers over the `rows` new rows.
 fn stream_chunk_phase_list(cfg: &AccelConfig, rows: usize, context: usize) -> Vec<PlanPhase> {
     let kv_values = cfg.model.n_encoders * 2 * context * cfg.model.d_model;
-    let ctx = PlanPhase {
-        label: "CTX".into(),
-        bytes: (kv_values * std::mem::size_of::<f32>()) as u64,
-        kind: PhaseKind::StreamContext { rows: context },
-        encoding: cfg.encoding,
-    };
+    let ctx = PlanPhase::new(
+        CTX,
+        (kv_values * std::mem::size_of::<f32>()) as u64,
+        PhaseKind::StreamContext { rows: context },
+        cfg.encoding,
+    );
     let layer = PhaseKind::StreamLayer { rows, keys: context + rows };
     std::iter::once(ctx).chain(encoder_phases(cfg, layer)).collect()
 }
@@ -1222,29 +1293,19 @@ fn stream_chunk_phase_list(cfg: &AccelConfig, rows: usize, context: usize) -> Ve
 /// The 18-layer (24-phase at A3 granularity) schedule skeleton.
 pub fn phase_list(cfg: &AccelConfig, arch: Architecture) -> Vec<PlanPhase> {
     let bytes = layer_bytes(cfg);
-    let mut phases: Vec<PlanPhase> = encoder_phases(cfg, PhaseKind::Encoder).collect();
-    for i in 0..cfg.model.n_decoders {
+    let phase = |names, bytes, kind| PlanPhase::new(names, bytes, kind, cfg.encoding);
+    let n_dec = cfg.model.n_decoders;
+    let dec_phases = if arch == Architecture::A3 { 2 * n_dec } else { n_dec };
+    let mut phases = Vec::with_capacity(cfg.model.n_encoders + dec_phases);
+    phases.extend(encoder_phases(cfg, PhaseKind::Encoder));
+    for i in 0..n_dec {
         if arch == Architecture::A3 {
             // Fig 4.11: LWi_m ∥ LWi_f on the two engines; Ci_m then Ci_f.
-            phases.push(PlanPhase {
-                label: format!("D{}m", i + 1),
-                bytes: bytes.decoder_mha,
-                kind: PhaseKind::DecoderMha,
-                encoding: cfg.encoding,
-            });
-            phases.push(PlanPhase {
-                label: format!("D{}f", i + 1),
-                bytes: bytes.decoder_ffn,
-                kind: PhaseKind::DecoderFfn,
-                encoding: cfg.encoding,
-            });
+            phases.push(phase(DECODER_MHAS.of(i), bytes.decoder_mha, PhaseKind::DecoderMha));
+            phases.push(phase(DECODER_FFNS.of(i), bytes.decoder_ffn, PhaseKind::DecoderFfn));
         } else {
-            phases.push(PlanPhase {
-                label: format!("D{}", i + 1),
-                bytes: bytes.decoder_mha + bytes.decoder_ffn,
-                kind: PhaseKind::DecoderFull,
-                encoding: cfg.encoding,
-            });
+            let full = bytes.decoder_mha + bytes.decoder_ffn;
+            phases.push(phase(DECODERS.of(i), full, PhaseKind::DecoderFull));
         }
     }
     phases
@@ -1259,44 +1320,26 @@ pub fn phase_list(cfg: &AccelConfig, arch: Architecture) -> Vec<PlanPhase> {
 /// [`ExecPlan::decode_pinned_stripes`] are resident is the embedding rows.
 pub fn decode_phase_list(cfg: &AccelConfig, spec: &DecodeStepSpec) -> Vec<PlanPhase> {
     let bytes = layer_bytes(cfg);
+    let phase = |names, bytes, kind| PlanPhase::new(names, bytes, kind, cfg.encoding);
     let d = cfg.model.d_model as u64;
     let vocab = cfg.model.vocab_size as u64;
     let (step, mem_len, beam) = (spec.step, spec.mem_len, spec.beam);
-    let mut phases = vec![
-        PlanPhase {
-            label: "TOK".into(),
-            bytes: cfg.encoded_bytes(beam as u64 * d),
-            kind: PhaseKind::DecodeEmbed { beam },
-            encoding: cfg.encoding,
-        },
-        PlanPhase {
-            label: "KV".into(),
-            // Cross K/V for every decoder layer plus the fixed-capacity
-            // per-hypothesis self-cache allocation.
-            bytes: cfg.encoded_bytes(
-                cfg.model.n_decoders as u64
-                    * 2
-                    * d
-                    * (mem_len as u64 + beam as u64 * spec.max_steps as u64),
-            ),
-            kind: PhaseKind::DecodeKv { step, mem_len, beam },
-            encoding: cfg.encoding,
-        },
-    ];
-    for i in 0..cfg.model.n_decoders {
-        phases.push(PlanPhase {
-            label: format!("D{}", i + 1),
-            bytes: bytes.decoder_mha + bytes.decoder_ffn,
-            kind: PhaseKind::DecodeLayer { step, mem_len, beam },
-            encoding: cfg.encoding,
-        });
+    let n_dec = cfg.model.n_decoders;
+    let mut phases = Vec::with_capacity(n_dec + 3);
+    let embed = cfg.encoded_bytes(beam as u64 * d);
+    phases.push(phase(TOK, embed, PhaseKind::DecodeEmbed { beam }));
+    // Cross K/V for every decoder layer plus the fixed-capacity
+    // per-hypothesis self-cache allocation.
+    let kv = cfg.encoded_bytes(
+        n_dec as u64 * 2 * d * (mem_len as u64 + beam as u64 * spec.max_steps as u64),
+    );
+    phases.push(phase(KV, kv, PhaseKind::DecodeKv { step, mem_len, beam }));
+    for i in 0..n_dec {
+        let full = bytes.decoder_mha + bytes.decoder_ffn;
+        phases.push(phase(DECODERS.of(i), full, PhaseKind::DecodeLayer { step, mem_len, beam }));
     }
-    phases.push(PlanPhase {
-        label: "OUT".into(),
-        bytes: cfg.encoded_bytes(d * vocab + vocab),
-        kind: PhaseKind::DecodeOut { beam },
-        encoding: cfg.encoding,
-    });
+    let out = cfg.encoded_bytes(d * vocab + vocab);
+    phases.push(phase(OUT, out, PhaseKind::DecodeOut { beam }));
     phases
 }
 
@@ -1459,7 +1502,7 @@ pub fn walk_cost(cfg: &AccelConfig, plan: &ExecPlan) -> PlanCost {
                 start = start.max(partner_start);
             }
             let end = start + lt;
-            tl.push(LOAD_UNITS[engine], ["LW", &p.label].concat(), start, end).unwrap();
+            tl.push(LOAD_UNITS[engine], p.load_label.clone(), start, end).unwrap();
             latency_s = latency_s.max(end);
             load_busy[engine] += end - start;
             load_end[i] = end;
@@ -1478,7 +1521,7 @@ pub fn walk_cost(cfg: &AccelConfig, plan: &ExecPlan) -> PlanCost {
         let ct = plan.occupied_s(full_ct);
         skipped_compute_s += full_ct - ct;
         let end = cs + ct;
-        tl.push("compute", ["C", &p.label].concat(), cs, end).unwrap();
+        tl.push("compute", p.compute_label.clone(), cs, end).unwrap();
         latency_s = latency_s.max(end);
         compute_total_s += end - cs;
         if let Some(prev_end) = prev_compute_end {
@@ -1723,10 +1766,7 @@ mod tests {
             let chunk = ExecPlan::lower_stream_chunk(&cfg, arch, 2, 4, &[]).unwrap();
             let eager = ExecPlan::lower(&cfg, arch, 8, 1, cfg.integrity).unwrap();
             let ctx = &chunk.phases[0];
-            assert_eq!(
-                (ctx.label.as_str(), ctx.kind),
-                ("CTX", PhaseKind::StreamContext { rows: 4 })
-            );
+            assert_eq!((&*ctx.label, ctx.kind), ("CTX", PhaseKind::StreamContext { rows: 4 }));
             // 12 layers x (K, V) x 4 rows x 512 f32 values
             assert_eq!(ctx.bytes, 196_608);
             for (c, e) in chunk.phases[1..].iter().zip(&eager.phases[..n_enc]) {
@@ -1811,6 +1851,67 @@ mod tests {
         let a = ExecPlan::lower(&cfg, Architecture::A3, 8, 3, IntegrityLevel::Detect).unwrap();
         let b = ExecPlan::lower(&cfg, Architecture::A3, 8, 3, IntegrityLevel::Detect).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn labels_past_the_name_table_are_the_formats_they_replace() {
+        // 40 + 40 layers: every label past E12, D6, D6m and D6f is
+        // formatted, and the plan prices as a table-named one does.
+        let mut deep = unpadded(8);
+        deep.model.n_encoders = 40;
+        deep.model.n_decoders = 40;
+        for arch in [Architecture::A1, Architecture::A3] {
+            let plan = ExecPlan::lower(&deep, arch, 8, 1, IntegrityLevel::Off).unwrap();
+            let mut want: Vec<String> = (1..=40).map(|i| format!("E{}", i)).collect();
+            for i in 1..=40 {
+                match arch {
+                    Architecture::A3 => want.extend([format!("D{}m", i), format!("D{}f", i)]),
+                    _ => want.push(format!("D{}", i)),
+                }
+            }
+            assert_eq!(plan.phases.len(), want.len(), "{:?}", arch);
+            for (p, label) in plan.phases.iter().zip(&want) {
+                let got = [&*p.label, &*p.load_label, &*p.compute_label];
+                assert_eq!(got, [label.clone(), format!("LW{}", label), format!("C{}", label)]);
+            }
+            let walk = walk_cost(&deep, &plan);
+            let spans: Vec<&str> = walk.timeline.spans().iter().map(|s| &*s.label).collect();
+            let want_spans: Vec<String> =
+                want.iter().flat_map(|l| [format!("LW{}", l), format!("C{}", l)]).collect();
+            assert_eq!(spans, want_spans, "{:?}", arch);
+            let run = crate::host_runtime::run_plan(&deep, &plan);
+            assert_eq!(walk.latency_s.to_bits(), run.makespan_s.to_bits(), "{:?}", arch);
+            assert_eq!(walk.load_total_s.to_bits(), run.load_busy_s.to_bits(), "{:?}", arch);
+        }
+    }
+
+    #[test]
+    fn the_paper_and_serve_builds_borrow_every_label() {
+        let borrowed = |l: &Cow<'static, str>| matches!(l, Cow::Borrowed(_));
+        let serve = crate::serve::ServeConfig::new(2, 0, 120.0, 0.2).accel;
+        for cfg in [AccelConfig::paper_default(), serve] {
+            for arch in Architecture::ALL {
+                let s = cfg.max_seq_len;
+                let step = DecodeStepSpec::greedy(0, s, 16);
+                let plans = [
+                    ExecPlan::lower(&cfg, arch, s, 1, cfg.integrity).unwrap(),
+                    ExecPlan::lower_stream_chunk(&cfg, arch, s / 2, s / 2, &[]).unwrap(),
+                    ExecPlan::lower_decode_step(&cfg, arch, step, &[], cfg.integrity).unwrap(),
+                ];
+                for plan in &plans {
+                    for p in &plan.phases {
+                        let labels = [&p.label, &p.load_label, &p.compute_label];
+                        assert!(labels.into_iter().all(borrowed), "{:?} {}", arch, p.label);
+                    }
+                    for s in walk_cost(&cfg, plan).timeline.spans() {
+                        assert!(borrowed(&s.label), "{:?} span {}", arch, s.label);
+                    }
+                    let ckpt = PlanCheckpoint::at(plan, 1, 2, &[], 0.0);
+                    assert!(ckpt.phase_labels.iter().all(borrowed), "{:?}", arch);
+                    assert!(ckpt.resident.iter().map(|r| &r.label).all(borrowed), "{:?}", arch);
+                }
+            }
+        }
     }
 
     #[test]

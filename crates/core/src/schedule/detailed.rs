@@ -17,7 +17,7 @@ use asr_fpga_sim::{Cycles, Timeline};
 /// Charge `dur` cycles on `unit` starting at `t`, returning the end time.
 fn span(tl: &mut Timeline, unit: &str, label: &str, t: u64, dur: Cycles) -> u64 {
     let end = t + dur.get();
-    tl.push(unit.to_owned(), label, t as f64, end as f64)
+    tl.push(unit.to_owned(), label.to_owned(), t as f64, end as f64)
         .unwrap_or_else(|e| panic!("schedule conflict: {}", e));
     end
 }

@@ -38,7 +38,7 @@ fn deployment(arch: Architecture) -> StreamConfig {
 
 /// A plan's phase table: label, bytes and kind per phase.
 fn table(plan: &ExecPlan) -> Vec<(String, u64, PhaseKind)> {
-    plan.phases.iter().map(|p| (p.label.clone(), p.bytes, p.kind)).collect()
+    plan.phases.iter().map(|p| (p.label.to_string(), p.bytes, p.kind)).collect()
 }
 
 /// The cold and warm chunk plans of a deployment.
@@ -122,7 +122,7 @@ fn every_chunk_consumer_lowers_the_same_ctx_and_layer_table() {
             assert_eq!(span_labels(&run, "C"), labels, "{:?}", arch);
             let fetched: Vec<String> = (0..plan.phases.len())
                 .filter(|&i| plan.load_of(i).is_some())
-                .map(|i| plan.phases[i].label.clone())
+                .map(|i| plan.phases[i].label.to_string())
                 .collect();
             assert_eq!(fetched[0], "CTX", "{:?}", arch);
             assert_eq!(span_labels(&run, "LW"), fetched, "{:?}", arch);
@@ -215,7 +215,7 @@ fn walker_and_runtime_finish_every_chunk_phase_together() {
         // The chunk's timeline holds the CTX and encoder spans only.
         for s in w.timeline.spans() {
             assert!(
-                ["LWCTX", "CCTX"].contains(&s.label.as_str())
+                ["LWCTX", "CCTX"].contains(&&*s.label)
                     || s.label.starts_with("LWE")
                     || s.label.starts_with("CE"),
                 "{}",

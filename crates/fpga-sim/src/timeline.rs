@@ -14,8 +14,9 @@ pub struct Span {
     /// Unit the span occupies (e.g. `"hbm-ch0"`, `"psa-pool"`). A constant
     /// unit name is borrowed, so a schedule's spans share it uncopied.
     pub unit: Cow<'static, str>,
-    /// Label describing the work (e.g. `"LW3"`, `"C2"`).
-    pub label: String,
+    /// Label describing the work (e.g. `"LW3"`, `"C2"`). A label a
+    /// schedule names from a constant table is borrowed, like the unit.
+    pub label: Cow<'static, str>,
     /// Start time, seconds.
     pub start: f64,
     /// End time, seconds.
@@ -92,13 +93,13 @@ impl Timeline {
     pub fn push(
         &mut self,
         unit: impl Into<Cow<'static, str>>,
-        label: impl Into<String>,
+        label: impl Into<Cow<'static, str>>,
         start: f64,
         end: f64,
     ) -> Result<(), TimelineError> {
         let (unit, label) = (unit.into(), label.into());
         if end < start - EPS {
-            return Err(TimelineError::NegativeDuration { label });
+            return Err(TimelineError::NegativeDuration { label: label.into_owned() });
         }
         let slot = self.by_unit.iter().position(|(u, _)| *u == unit);
         if let Some(slot) = slot {
@@ -106,7 +107,8 @@ impl Timeline {
                 let s = &self.spans[i];
                 // overlap iff intervals intersect with positive measure
                 if start < s.end - EPS && s.start < end - EPS {
-                    let (unit, existing) = (unit.into_owned(), s.label.clone());
+                    let (unit, existing) = (unit.into_owned(), s.label.to_string());
+                    let label = label.into_owned();
                     return Err(TimelineError::Overlap { unit, label, existing });
                 }
             }

@@ -196,10 +196,13 @@ impl From<asr_transformer::streaming::StreamingError> for AccelError {
     fn from(e: asr_transformer::streaming::StreamingError) -> Self {
         use asr_transformer::streaming::StreamingError;
         match e {
-            // Corrupted carryover state, or one not shaped for the model,
-            // is a rejected resume, same contract as a poisoned
-            // PlanCheckpoint: restart clean, never reuse.
-            StreamingError::StateCrc { .. } | StreamingError::CarryoverShape { .. } => {
+            // Corrupted carryover state, one not shaped for the model, or
+            // one whose cursors cannot advance, is a rejected resume, same
+            // contract as a poisoned PlanCheckpoint: restart clean, never
+            // reuse.
+            StreamingError::StateCrc { .. }
+            | StreamingError::CarryoverShape { .. }
+            | StreamingError::CursorOverflow { .. } => {
                 AccelError::CheckpointRejected { reason: e.to_string() }
             }
             _ => AccelError::InvalidStream { reason: e.to_string() },

@@ -1510,6 +1510,30 @@ mod tests {
     }
 
     #[test]
+    fn a_stream_state_whose_cursors_cannot_advance_is_rejected_typed() {
+        // A chunk cursor at the top of `usize`, re-sealed with the CRC the
+        // state's own check computes: refused before any compute.
+        let cfg = cfg_at(IntegrityLevel::Off);
+        let none = FunctionalFaults::none();
+        let features = stream_features(3, 6);
+        let prefix = features.submatrix(0, 0, 2, features.cols());
+        let mut state = run_functional_stream(&cfg, 5, &prefix, 2, 2, &none).unwrap().final_state;
+        state.chunk_idx = usize::MAX;
+        if let Err(asr_transformer::streaming::StreamingError::StateCrc { computed, .. }) =
+            state.verify()
+        {
+            state.crc = computed;
+        }
+        let err = resume_functional_stream(&cfg, 5, &state, &features, &none).unwrap_err();
+        match err {
+            AccelError::CheckpointRejected { reason } => {
+                assert!(reason.contains("cursors cannot advance"), "{}", reason)
+            }
+            other => panic!("expected CheckpointRejected, got {}", other),
+        }
+    }
+
+    #[test]
     fn the_twin_streams_what_the_transformer_streams() {
         // Both twins run each chunk's rows through layers that attend over
         // the carried keys and values: the scheme decomposition only

@@ -109,6 +109,17 @@ pub enum StreamingError {
         /// CRC computed over the state actually held.
         computed: u32,
     },
+    /// The state's cursors cannot move one chunk on: `chunk_idx + 1` or
+    /// `emitted_rows + rows` does not fit a `usize` (a hand-edited state
+    /// re-sealed so it passes its CRC).
+    CursorOverflow {
+        /// Chunks the state says are already encoded.
+        chunk_idx: usize,
+        /// Rows the state says are already emitted.
+        emitted_rows: usize,
+        /// Rows the arriving chunk carries.
+        rows: usize,
+    },
 }
 
 impl std::fmt::Display for StreamingError {
@@ -132,6 +143,11 @@ impl std::fmt::Display for StreamingError {
                 f,
                 "stream state failed its CRC (stored {:#010x}, computed {:#010x})",
                 stored, computed
+            ),
+            StreamingError::CursorOverflow { chunk_idx, emitted_rows, rows } => write!(
+                f,
+                "stream cursors cannot advance: chunk {} + 1 or row {} + {} overflows",
+                chunk_idx, emitted_rows, rows
             ),
         }
     }
@@ -230,9 +246,10 @@ impl StreamState {
 
     /// Admit an arriving chunk before any compute: the state must pass its
     /// CRC, the chunk must carry `1..=chunk` rows of `d_model` features,
-    /// and the carryover must be shaped for the model — `n_encoders`
+    /// the carryover must be shaped for the model — `n_encoders`
     /// layers of `n_heads` keys and values, each
-    /// `min(left_context, emitted_rows) × d_k`, or nothing when that is 0.
+    /// `min(left_context, emitted_rows) × d_k`, or nothing when that is 0 —
+    /// and the cursors must have room to move one chunk on.
     pub fn check_chunk(
         &self,
         chunk: &Matrix,
@@ -266,6 +283,15 @@ impl StreamState {
         if !shaped {
             return Err(StreamingError::CarryoverShape { layers, heads, rows, d_k });
         }
+        if self.chunk_idx.checked_add(1).is_none()
+            || self.emitted_rows.checked_add(chunk.rows()).is_none()
+        {
+            return Err(StreamingError::CursorOverflow {
+                chunk_idx: self.chunk_idx,
+                emitted_rows: self.emitted_rows,
+                rows: chunk.rows(),
+            });
+        }
         Ok(())
     }
 
@@ -279,7 +305,9 @@ impl StreamState {
     /// The state after a chunk of `rows` new rows whose layers returned
     /// `kv` (each layer's keys and values over `[context ; chunk]`): each
     /// layer keeps its trailing `left_context` rows, the cursors move one
-    /// chunk on, and the CRC covers the result.
+    /// chunk on, and the CRC covers the result. A chunk
+    /// [`check_chunk`](Self::check_chunk) admitted always has room for the
+    /// cursors to move.
     pub fn advance(&self, rows: usize, kv: &[LayerKv]) -> StreamState {
         let emitted_rows = self.emitted_rows + rows;
         let keep = self.left_context.min(emitted_rows);
@@ -597,6 +625,31 @@ mod tests {
             state.crc = computed;
         }
         state
+    }
+
+    #[test]
+    fn a_state_whose_cursors_cannot_advance_is_refused_typed() {
+        // One 4-row chunk in, then the row or chunk cursor set to the top of
+        // `usize` and the state re-sealed: the next chunk must be refused
+        // before any compute, not wrap the cursors or overflow.
+        let (model, x) = rig();
+        let cfg = StreamingConfig { chunk: 4, left_context: 4 };
+        let open = StreamState::open(&cfg).unwrap();
+        let (_, state) =
+            push_chunk(&model, &open, &x.submatrix(0, 0, 4, x.cols()), &ReferenceBackend).unwrap();
+        let next = x.submatrix(4, 0, 4, x.cols());
+        for (chunk_idx, emitted_rows) in [(1, usize::MAX), (usize::MAX, 4), (1, usize::MAX - 3)] {
+            let forged = StreamState::sealed(4, 4, chunk_idx, emitted_rows, state.kv.clone());
+            assert_eq!(
+                push_chunk(&model, &forged, &next, &ReferenceBackend).map(|r| r.1),
+                Err(StreamingError::CursorOverflow { chunk_idx, emitted_rows, rows: 4 })
+            );
+        }
+        // The last row a cursor can reach is still admitted.
+        let edge = StreamState::sealed(4, 4, 1, usize::MAX - 4, state.kv.clone());
+        let (_, after) = push_chunk(&model, &edge, &next, &ReferenceBackend).unwrap();
+        assert_eq!((after.chunk_idx, after.emitted_rows), (2, usize::MAX));
+        after.verify().unwrap();
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Heap allocations of plan lowering and pricing, counted by a counting
-//! global allocator: lowering allocates per plan, not per DAG node, and the
-//! walker allocates per span, not per edge or per total it reads back.
+//! global allocator: lowering allocates per plan, not per DAG node or per
+//! phase label, and the walker allocates for its timeline's vectors, not
+//! per span label, per edge or per total it reads back.
 //!
 //! The counter is thread-local, because the test harness runs tests on
 //! parallel threads. CI also runs this target in the optimised build
@@ -11,8 +12,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use asr_accel::plan::{walk_cost, ExecPlan};
+use asr_accel::serve::ServePool;
 use asr_accel::{AccelConfig, Architecture, ServeConfig};
 use asr_systolic::abft::IntegrityLevel;
+use asr_transformer::TransformerConfig;
 
 /// The system allocator, counting every block it hands out (a `realloc`
 /// hands out a new one) on the calling thread.
@@ -73,7 +76,32 @@ fn configs() -> [(&'static str, AccelConfig); 2] {
     [("serve", ServeConfig::new(2, 0, 120.0, 0.2).accel), ("paper", AccelConfig::paper_default())]
 }
 
+/// The paper build with a 2 + 1-layer model: a schedule a sixth as deep.
+fn shallow() -> AccelConfig {
+    let mut cfg = AccelConfig::paper_default();
+    cfg.model = TransformerConfig::tiny();
+    cfg.parallel_heads = 4; // tiny() has 4 heads
+    cfg
+}
+
 const LEVELS: [IntegrityLevel; 2] = [IntegrityLevel::Off, IntegrityLevel::Detect];
+
+/// What lowering allocates for any eager plan whose labels the name table
+/// holds, whatever its depth, batch or checks: the batch's input lengths
+/// (twice: `lower` builds them, the plan keeps a copy), the phase table,
+/// the resident-stripe flags, and the node, load and compute tables.
+const LOWER_BLOCKS: usize = 7;
+
+/// What the walker allocates for a plan of the 18-layer schedule: the
+/// per-phase compute times and the cache of their kinds, the per-phase load
+/// and compute end times, and the timeline's span vector, unit list and
+/// per-unit span indices as they grow (36 spans at A1 and A2, 48 at A3).
+fn walk_blocks(arch: Architecture) -> usize {
+    match arch {
+        Architecture::A3 => 23,
+        _ => 20,
+    }
+}
 
 fn lower(cfg: &AccelConfig, arch: Architecture, batch: usize, level: IntegrityLevel) -> ExecPlan {
     ExecPlan::lower(cfg, arch, cfg.max_seq_len, batch, level).unwrap()
@@ -81,18 +109,17 @@ fn lower(cfg: &AccelConfig, arch: Architecture, batch: usize, level: IntegrityLe
 
 #[test]
 fn lowering_allocates_per_plan_not_per_node() {
-    for (name, cfg) in configs() {
+    for (name, cfg) in configs().into_iter().chain([("2 + 1 layers", shallow())]) {
         for arch in Architecture::ALL {
             lower(&cfg, arch, 1, IntegrityLevel::Off); // warm any one-time set-up
-            let solo = blocks(|| lower(&cfg, arch, 1, IntegrityLevel::Off)).0;
             for level in LEVELS {
                 for batch in [1usize, 8] {
                     let (n, plan) = blocks(|| lower(&cfg, arch, batch, level));
                     assert_eq!(
                         n,
-                        solo,
-                        "{name} {arch:?} batch {batch} {level:?}: {} nodes cost {n} blocks, \
-                         the solo unchecked plan {solo}",
+                        LOWER_BLOCKS,
+                        "{name} {arch:?} batch {batch} {level:?}: {} phases and {} nodes",
+                        plan.phases.len(),
                         plan.nodes.len()
                     );
                 }
@@ -112,11 +139,21 @@ fn walking_allocates_fewer_than_two_blocks_per_span() {
                     let (n, cost) = blocks(|| walk_cost(&cfg, &plan));
                     let spans = cost.timeline.spans().len();
                     assert!(
-                        n < 2 * spans,
+                        n < 2 * spans && n == walk_blocks(arch),
                         "{name} {arch:?} batch {batch} {level:?}: {n} blocks for {spans} spans"
                     );
                 }
             }
         }
     }
+}
+
+/// A serve pool's set-up lowers and walks its solo plan once; the rest of
+/// what it allocates is the pool's own per-card state.
+#[test]
+fn a_serve_pool_sets_up_in_a_fixed_number_of_blocks() {
+    let cfg = ServeConfig::new(2, 0, 120.0, 0.2);
+    ServePool::new(cfg.clone()).unwrap(); // warm any one-time set-up
+    let (n, _) = blocks(move || ServePool::new(cfg).unwrap());
+    assert_eq!(n, 33, "ServePool::new of a 2-card int8 pool");
 }

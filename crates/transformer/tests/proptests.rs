@@ -1,10 +1,11 @@
 //! Model-level property tests: causality, normalisation, FLOPs laws.
 
 use asr_tensor::backend::ReferenceBackend;
-use asr_tensor::{init, WeightEncoding};
+use asr_tensor::{init, Matrix, WeightEncoding};
 use asr_transformer::decoder::decoder_forward;
 use asr_transformer::encoder::encoder_forward;
 use asr_transformer::model_io::{from_bytes, to_bytes_encoded};
+use asr_transformer::streaming::{push_chunk, StreamState, StreamingConfig, StreamingError};
 use asr_transformer::weights::{DecoderWeights, EncoderWeights, ModelWeights, WeightStripe};
 use asr_transformer::{flops, Model, TransformerConfig};
 use proptest::prelude::*;
@@ -172,5 +173,99 @@ proptest! {
             from_bytes(&bad).is_err(),
             "{} file with header word {} set to {:#x} loaded", spec, i / 4, word
         );
+    }
+}
+
+/// Rewrite one field of a stream state. `field` picks which: `chunk`,
+/// `left_context`, `chunk_idx` or `emitted_rows`, set from `v` (small, one
+/// bit off, or at the top of `usize`, where a cursor cannot move one chunk
+/// on); one layer's head count or one head's row count, one dropped or one
+/// repeated as `v` is even or odd; or bit `v % 32` of one key or value.
+/// `at` picks the layer, keys or values, the head and the value. A
+/// carryover rewrite leaves a state that carries none as it is.
+fn rewrite(state: &mut StreamState, field: usize, at: usize, v: usize) {
+    let value = |old: usize| match v % 4 {
+        0 => v % 16,
+        1 => old ^ (1 << (v / 4 % 4)),
+        _ => usize::MAX - v / 4 % 3,
+    };
+    let layers = state.kv.len();
+    match field {
+        0 => state.chunk = value(state.chunk),
+        1 => state.left_context = value(state.left_context),
+        2 => state.chunk_idx = value(state.chunk_idx),
+        3 => state.emitted_rows = value(state.emitted_rows),
+        _ if layers == 0 => {}
+        _ => {
+            let layer = &mut state.kv[at % layers];
+            let heads = match at / layers % 2 {
+                0 => &mut layer.k,
+                _ => &mut layer.v,
+            };
+            let drop = v.is_multiple_of(2);
+            match (field, heads.len()) {
+                (_, 0) => {}
+                (4, _) if drop => {
+                    heads.pop();
+                }
+                (4, _) => heads.push(heads[0].clone()),
+                (5, n) => {
+                    let m = &mut heads[at / layers / 2 % n];
+                    *m = match (drop, m.rows()) {
+                        (_, 0) => return,
+                        (true, r) => m.submatrix(0, 0, r - 1, m.cols()),
+                        (false, _) => Matrix::vconcat(&[m, &m.submatrix(0, 0, 1, m.cols())]),
+                    };
+                }
+                (_, n) => {
+                    let values = heads[at / layers / 2 % n].as_mut_slice();
+                    if !values.is_empty() {
+                        let i = at % values.len();
+                        values[i] = f32::from_bits(values[i].to_bits() ^ (1 << (v % 32)));
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(env_cases(64))]
+
+    // ROADMAP item 8: a stream state with 1-3 fields rewritten and
+    // re-sealed with the CRC its own check computes, as any caller can, is
+    // refused typed by `push_chunk`, or moves one chunk on to a successor
+    // that passes its CRC with `chunk_idx + 1` and `emitted_rows + rows`,
+    // neither wrapped. It never panics.
+    #[test]
+    fn a_rewritten_stream_state_is_refused_typed_or_advances_exactly(
+        chunk in 1usize..5,
+        left_context in 0usize..6,
+        pushed in 1usize..4,
+        rewrites in prop::collection::vec((0usize..7, 0usize..1000, 0usize..1000), 1..4),
+        rows_sel in 0usize..1000,
+    ) {
+        let model = Model::seeded(TransformerConfig::tiny(), 13);
+        let x = init::uniform(chunk * (pushed + 1), model.config.d_model, -1.0, 1.0, 5);
+        let mut state = StreamState::open(&StreamingConfig { chunk, left_context }).unwrap();
+        for k in 0..pushed {
+            let c = x.submatrix(k * chunk, 0, chunk, x.cols());
+            state = push_chunk(&model, &state, &c, &ReferenceBackend).unwrap().1;
+        }
+        for &(field, at, v) in &rewrites {
+            rewrite(&mut state, field, at, v);
+        }
+        if let Err(StreamingError::StateCrc { computed, .. }) = state.verify() {
+            state.crc = computed;
+        }
+        let rows = 1 + rows_sel % chunk;
+        let next = x.submatrix(pushed * chunk, 0, rows, x.cols());
+        if let Ok((out, succ)) = push_chunk(&model, &state, &next, &ReferenceBackend) {
+            let what = format!("{:?} after {} chunks of {}", rewrites, pushed, chunk);
+            prop_assert!(succ.verify().is_ok(), "successor fails its CRC: {}", what);
+            prop_assert_eq!(Some(succ.chunk_idx), state.chunk_idx.checked_add(1), "{}", what);
+            prop_assert_eq!(Some(succ.emitted_rows), state.emitted_rows.checked_add(rows), "{}", what);
+            prop_assert_eq!(out.shape(), (rows, model.config.d_model), "{}", what);
+        }
     }
 }

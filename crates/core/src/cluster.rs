@@ -37,8 +37,8 @@ use std::collections::BinaryHeap;
 use crate::error::{AccelError, Result};
 use crate::plan::PlanCheckpoint;
 use crate::serve::{
-    elided_loads_line, percentile, queue_wait_line, BreakerState, Evicted, RequestOutcome,
-    ServeConfig, ServePool, ServeReport,
+    elided_loads_line, latency_p50_p99, outcome_counts, queue_wait_line, BreakerState,
+    DispatchCounters, Evicted, RequestRecord, ServeConfig, ServePool, ServeReport,
 };
 use crate::stream::jitter;
 use asr_fpga_sim::faults::correlated_hbm_burst;
@@ -374,7 +374,7 @@ pub struct ClusterReport {
     /// Per-node accounting.
     pub per_node: Vec<NodeSummary>,
     /// Every request's journey: `(node, record)` across all incarnations.
-    pub records: Vec<(usize, crate::serve::RequestRecord)>,
+    pub records: Vec<(usize, RequestRecord)>,
 }
 
 impl ClusterReport {
@@ -505,21 +505,23 @@ enum Link {
 
 #[derive(Debug)]
 struct Node {
+    /// The running pool; `None` while the node is down, for good once
+    /// `killed`, else rebooting after a power dropout.
     pool: Option<ServePool>,
     cfg: ServeConfig,
     version: u64,
     killed: bool,
-    rebooting: bool,
     partitioned_until: f64,
     link: Link,
     upgrading: bool,
-    /// Reports of prior incarnations (a dropout reboots into a new pool).
+    /// Final reports of the pools that went down here, banked at each kill
+    /// or dropout (a dropout reboots into a new pool).
     reports: Vec<ServeReport>,
 }
 
 impl Node {
     fn routable(&self) -> bool {
-        !self.killed && !self.rebooting && !self.upgrading && self.pool.is_some()
+        self.pool.is_some() && !self.upgrading
     }
 
     /// Whether the router may dispatch to the node at `now` as far as its
@@ -578,7 +580,6 @@ pub struct Cluster {
     arrivals: Vec<f64>,
     hedged: usize,
     handoffs: usize,
-    lost_unadopted: usize,
     lost_unplaced: usize,
     upgrade: Option<UpgradeRun>,
 }
@@ -597,7 +598,6 @@ impl Cluster {
                 cfg: node_cfg,
                 version: cfg.serve.accel.weight_version,
                 killed: false,
-                rebooting: false,
                 partitioned_until: 0.0,
                 link: Link::Up,
                 upgrading: false,
@@ -621,7 +621,6 @@ impl Cluster {
             arrivals,
             hedged: 0,
             handoffs: 0,
-            lost_unadopted: 0,
             lost_unplaced: 0,
             upgrade,
             cfg,
@@ -774,7 +773,7 @@ impl Cluster {
         } else {
             // A hedged retry keeps its original arrival (the deadline
             // does not reset because a link flapped).
-            let _ = pool.adopt(vec![Evicted { arrival_s, attempts: 0, ckpt: None }]);
+            pool.adopt(vec![Evicted { arrival_s, attempts: 0, ckpt: None }]);
         }
     }
 
@@ -791,10 +790,8 @@ impl Cluster {
             NodeFault::HbmBurst { node, seed, .. } => {
                 let n = &mut self.nodes[node];
                 if let Some(p) = n.pool.as_mut() {
-                    if !p.is_dead() {
-                        let burst = correlated_hbm_burst(seed, n.cfg.devices);
-                        let _ = p.inject_faults(&burst);
-                    }
+                    let burst = correlated_hbm_burst(seed, n.cfg.devices);
+                    let _ = p.inject_faults(&burst);
                 }
             }
             NodeFault::Partition { node, at_s, for_s } => {
@@ -804,26 +801,27 @@ impl Cluster {
         }
     }
 
-    /// Fail-stop a node and hand its evictions to a survivor. `revive_at`
-    /// distinguishes a power dropout (the node reboots empty) from a kill.
+    /// Fail-stop a node, bank its pool's final report and hand its
+    /// evictions to a survivor. `revive_at` distinguishes a power dropout
+    /// (the node reboots empty) from a kill. A dropout on a node that is
+    /// already down changes nothing; a kill keeps a rebooting node down.
     fn kill_node(&mut self, node: usize, revive_at: Option<f64>) {
-        let Some(pool) = self.nodes[node].pool.as_mut() else { return };
-        if pool.is_dead() {
+        let n = &mut self.nodes[node];
+        if n.killed || (n.pool.is_none() && revive_at.is_some()) {
             return;
         }
-        let evicted = pool.fail_stop();
-        match revive_at {
-            Some(at) => {
-                // The dead incarnation's accounting is banked now; the
-                // reboot starts from an empty pool.
-                let dead = self.nodes[node].pool.take().expect("checked above");
-                self.nodes[node].reports.push(dead.into_report());
-                self.nodes[node].rebooting = true;
-                self.push(at, EvKind::Revive(node));
+        n.killed = revive_at.is_none();
+        n.upgrading = false;
+        let evicted = match n.pool.take() {
+            Some(pool) => {
+                let (evicted, report) = pool.fail_stop();
+                n.reports.push(report);
+                evicted
             }
-            None => {
-                self.nodes[node].killed = true;
-            }
+            None => Vec::new(),
+        };
+        if let Some(at) = revive_at {
+            self.push(at, EvKind::Revive(node));
         }
         // A node dying mid-upgrade abandons its drain/flash slot; the
         // rollout re-evaluates with the survivors.
@@ -836,7 +834,6 @@ impl Cluster {
                 _ => {}
             }
         }
-        self.nodes[node].upgrading = false;
         if evicted.is_empty() {
             return;
         }
@@ -853,25 +850,17 @@ impl Cluster {
             .iter()
             .find_map(|e| e.ckpt.as_ref().map(|c: &std::rc::Rc<PlanCheckpoint>| c.weight_version));
         let best = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, n)| *i != from && n.routable() && !self.partitioned(*i))
+            .survivors(from)
             .filter_map(|(i, n)| {
                 let matches = want.is_none_or(|v| n.version == v);
                 Some((i, matches, n.pool.as_ref()?.projected_start_s()))
             })
             .min_by(|a, b| b.1.cmp(&a.1).then(a.2.total_cmp(&b.2)));
-        match best {
-            Some((adopter, _, _)) => {
-                let count = evicted.len();
-                let pool = self.nodes[adopter].pool.as_mut().expect("routable");
-                pool.adopt(evicted).expect("routable pool accepts adoption");
-                self.handoffs += count;
-            }
-            None => {
-                self.lost_unadopted += evicted.len();
-            }
+        // With no survivor the evictions stay lost: the report counts
+        // evictions less handoffs.
+        if let Some((adopter, _, _)) = best {
+            self.handoffs += evicted.len();
+            self.nodes[adopter].pool.as_mut().expect("routable").adopt(evicted);
         }
     }
 
@@ -885,7 +874,6 @@ impl Cluster {
         let mut pool = ServePool::new(cfg).expect("the template validated at startup");
         pool.run_until(self.now_s);
         n.pool = Some(pool);
-        n.rebooting = false;
     }
 
     // ---- rolling upgrade ----
@@ -896,10 +884,7 @@ impl Cluster {
             _ => return,
         };
         let n = &mut self.nodes[node];
-        if n.killed || n.pool.is_none() {
-            return;
-        }
-        let pool = n.pool.as_mut().expect("checked above");
+        let Some(pool) = n.pool.as_mut() else { return };
         pool.set_weight_version(target).expect("a drained node is idle");
         pool.end_drain();
         n.version = target;
@@ -909,26 +894,22 @@ impl Cluster {
         u.state = UState::Waiting;
     }
 
+    /// The nodes other than `without` that could take work now: routable
+    /// and reachable.
+    fn survivors(&self, without: usize) -> impl Iterator<Item = (usize, &Node)> + '_ {
+        let nodes = self.nodes.iter().enumerate();
+        nodes.filter(move |&(i, n)| i != without && n.routable() && !self.partitioned(i))
+    }
+
     /// Total service rate the candidate survivor set can sustain.
     fn survivor_capacity(&self, without: usize) -> f64 {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, n)| *i != without && n.routable() && !self.partitioned(*i))
+        self.survivors(without)
             .filter_map(|(_, n)| n.pool.as_ref())
             .map(|p| {
                 p.breaker_summary().iter().filter(|(s, _)| *s != BreakerState::Open).count() as f64
                     / p.nominal_s()
             })
             .sum()
-    }
-
-    fn survivor_count(&self, without: usize) -> usize {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, n)| *i != without && n.routable() && !self.partitioned(*i))
-            .count()
     }
 
     fn step_upgrade(&mut self) {
@@ -975,7 +956,7 @@ impl Cluster {
                 };
                 // The SLO gate: enough live, reachable spares, with enough
                 // admitting capacity, to absorb the pulled node's share.
-                let spares = self.survivor_count(next);
+                let spares = self.survivors(next).count();
                 let capacity = self.survivor_capacity(next);
                 let ok = spares >= MIN_LIVE_SPARES && capacity >= self.cfg.rps;
                 if ok {
@@ -1023,18 +1004,7 @@ impl Cluster {
 
     // ---- reporting ----
 
-    fn into_report(mut self) -> ClusterReport {
-        // Drain every surviving pool to completion.
-        for n in &mut self.nodes {
-            let Some(pool) = n.pool.as_mut() else { continue };
-            if !pool.is_dead() {
-                pool.begin_drain();
-                while !pool.is_idle() {
-                    let Some(t) = pool.next_event_s() else { break };
-                    pool.run_until(t);
-                }
-            }
-        }
+    fn into_report(self) -> ClusterReport {
         let upgrade_outcome = match self.upgrade.as_ref() {
             None => UpgradeOutcome::NotRequested,
             Some(u) => match u.state {
@@ -1046,68 +1016,49 @@ impl Cluster {
         };
         let upgrade_downtime_s = self.upgrade.as_ref().map_or(0.0, |u| u.downtime_s);
         let mut per_node = Vec::with_capacity(self.nodes.len());
-        let mut records: Vec<(usize, crate::serve::RequestRecord)> = Vec::new();
-        let mut offered_minus = 0usize; // adoptions + hedged-adopts double-count submissions
-        let (mut completed, mut shed, mut missed, mut failed, mut dropped) = (0, 0, 0, 0, 0);
-        let (mut resumed, mut rejects, mut vrejects) = (0, 0, 0);
-        let (mut elided_loads, mut elided_bytes, mut scheduled_bytes) = (0, 0, 0);
-        let mut evicted_total = 0usize;
-        let mut latencies: Vec<f64> = Vec::new();
+        let mut records: Vec<(usize, RequestRecord)> = Vec::new();
+        let mut counters = DispatchCounters::default();
         let mut wall = 0.0f64;
         for (i, node) in self.nodes.into_iter().enumerate() {
+            // Every surviving pool drains to completion.
             let mut reports = node.reports;
-            if let Some(pool) = node.pool {
-                reports.push(pool.into_report());
+            reports.extend(node.pool.map(ServePool::drain));
+            let (mut submitted, mut completed, mut breaker_opens) = (0, 0, 0);
+            let mut here = DispatchCounters::default();
+            for r in reports {
+                submitted += r.submitted;
+                completed += r.completed;
+                breaker_opens += r.per_device.iter().map(|d| d.card.breaker_opens).sum::<u32>();
+                here.merge(&r.counters);
+                wall = wall.max(r.wall_s);
+                records.extend(r.records.into_iter().map(|rec| (i, rec)));
             }
-            let mut summary = NodeSummary {
+            counters.merge(&here);
+            per_node.push(NodeSummary {
                 node: i,
                 version: node.version,
                 killed: node.killed,
-                submitted: 0,
-                completed: 0,
-                evicted: 0,
-                version_rejects: 0,
-                breaker_opens: 0,
-            };
-            for r in reports {
-                summary.submitted += r.submitted;
-                summary.completed += r.completed;
-                summary.evicted += r.evicted;
-                summary.version_rejects += r.version_rejects;
-                summary.breaker_opens += r.per_device.iter().map(|d| d.breaker_opens).sum::<u32>();
-                completed += r.completed;
-                shed += r.shed;
-                missed += r.deadline_missed;
-                failed += r.failed;
-                dropped += r.dropped_at_shutdown;
-                resumed += r.resumed_dispatches;
-                rejects += r.checkpoint_rejects;
-                vrejects += r.version_rejects;
-                elided_loads += r.elided_loads;
-                elided_bytes += r.elided_load_bytes;
-                scheduled_bytes += r.scheduled_load_bytes;
-                evicted_total += r.evicted;
-                wall = wall.max(r.wall_s);
-                for rec in r.records {
-                    if let RequestOutcome::Completed { latency_s, .. } = rec.outcome {
-                        latencies.push(latency_s);
-                    }
-                    records.push((i, rec));
-                }
-            }
-            per_node.push(summary);
+                submitted,
+                completed,
+                evicted: here.evicted,
+                version_rejects: here.version_rejects,
+                breaker_opens,
+            });
         }
-        offered_minus += self.handoffs;
-        let submitted_total: usize = per_node.iter().map(|n| n.submitted).sum();
+        let [completed, shed, missed, failed, dropped] =
+            outcome_counts(records.iter().map(|(_, r)| r));
+        let (p50_latency_s, p99_latency_s) = latency_p50_p99(records.iter().map(|(_, r)| r));
+        let submitted: usize = per_node.iter().map(|n| n.submitted).sum();
         // Hedged retries are submitted once, at the node that finally took
         // them, so they do not double-count. Adoptions do.
-        let offered = submitted_total - offered_minus + self.lost_unplaced;
-        let accounted = completed + shed + missed + failed + dropped;
+        let offered = submitted - self.handoffs + self.lost_unplaced;
         // Conservation: every submission ends in a terminal record or an
         // eviction; evictions end adopted (re-submitted) or lost.
-        let lost = (evicted_total - self.handoffs) + self.lost_unplaced;
-        debug_assert_eq!(accounted + evicted_total, submitted_total);
-        latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+        let lost = (counters.evicted - self.handoffs) + self.lost_unplaced;
+        debug_assert_eq!(
+            completed + shed + missed + failed + dropped + counters.evicted,
+            submitted
+        );
         ClusterReport {
             nodes: per_node.len(),
             offered,
@@ -1119,14 +1070,14 @@ impl Cluster {
             lost,
             hedged: self.hedged,
             handoffs: self.handoffs,
-            resumed_dispatches: resumed,
-            checkpoint_rejects: rejects,
-            version_rejects: vrejects,
-            elided_loads,
-            elided_load_bytes: elided_bytes,
-            scheduled_load_bytes: scheduled_bytes,
-            p50_latency_s: percentile(&latencies, 0.50),
-            p99_latency_s: percentile(&latencies, 0.99),
+            resumed_dispatches: counters.resumed_dispatches,
+            checkpoint_rejects: counters.checkpoint_rejects,
+            version_rejects: counters.version_rejects,
+            elided_loads: counters.elided_loads,
+            elided_load_bytes: counters.elided_load_bytes,
+            scheduled_load_bytes: counters.scheduled_load_bytes,
+            p50_latency_s,
+            p99_latency_s,
             wall_s: wall,
             throughput_rps: if wall > 0.0 { completed as f64 / wall } else { 0.0 },
             upgrade: upgrade_outcome,
@@ -1140,6 +1091,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::RequestOutcome;
 
     fn cfg(nodes: usize, devices: usize, rps: f64) -> ClusterConfig {
         let mut c = ClusterConfig::new(nodes, devices, rps, 0.5);

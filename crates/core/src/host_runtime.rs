@@ -394,8 +394,8 @@ pub fn run_plan_with_recovery(
             continue;
         }
         // ---- load node (once for the whole batch), with retry /
-        // engine-ladder recovery. Skipped entirely when the stripe is
-        // trusted resident from the checkpointed run (same-device resume).
+        // engine-ladder recovery. Skipped entirely when the card's weight
+        // cache holds the stripe.
         if let Some(lw_id) = plan.load_of(i) {
             let load_label = p.load_label.to_string();
             let mut attempts = 0u32;
@@ -480,7 +480,7 @@ pub fn run_plan_with_recovery(
 
             node_events[lw_id] = Some(load_ev);
         }
-        // Loaded (or trusted resident): the stripe frontier advances.
+        // Loaded (or resident): the stripe frontier advances.
         run.loaded_through = run.loaded_through.max(i + 1);
 
         // ---- compute nodes: the batch's utterances back-to-back under the
@@ -1066,8 +1066,8 @@ mod tests {
         assert!(ckpt.loaded_phases >= ckpt.completed_phases);
         assert!(failure.stats.failed > 0, "dead attempts feed the health stats");
 
-        // Failover target: resume cross-device (no trust), clean card.
-        let suffix = ExecPlan::resume(&cfg, ckpt, false).unwrap();
+        // Failover target: resume on a clean card.
+        let suffix = ExecPlan::resume(&cfg, ckpt).unwrap();
         let resumed = run_plan_with_recovery(&cfg, &suffix, FaultPlan::none()).unwrap();
         assert_eq!(resumed.utterance_finish_s.len(), 2, "both utterances served, exactly once");
         assert_eq!(resumed.checkpoints, 6, "only the six decoder phases replay");
@@ -1090,7 +1090,7 @@ mod tests {
 
         let second = FaultPlan::none()
             .with(FaultKind::HbmLoadError { label: "LWD4".into(), failing_attempts: u32::MAX });
-        let suffix = ExecPlan::resume(&cfg, &c1, false).unwrap();
+        let suffix = ExecPlan::resume(&cfg, &c1).unwrap();
         let f2 = run_plan_with_recovery(&cfg, &suffix, second).unwrap_err();
         let c2 = f2.checkpoint.unwrap();
         assert!(
@@ -1101,37 +1101,13 @@ mod tests {
         );
         assert_eq!(c2.remaining_lens().len() + f2.finished_s.len(), 2, "no utterance dropped");
 
-        let last = ExecPlan::resume(&cfg, &c2, false).unwrap();
+        let last = ExecPlan::resume(&cfg, &c2).unwrap();
         let done = run_plan_with_recovery(&cfg, &last, FaultPlan::none()).unwrap();
         assert_eq!(
             done.utterance_finish_s.len() + f2.finished_s.len() + f1.finished_s.len(),
             2,
             "every utterance served exactly once across the three attempts"
         );
-    }
-
-    #[test]
-    fn resume_on_the_same_device_trusts_the_resident_stripe() {
-        let cfg = unpadded(8);
-        let faults = FaultPlan::none()
-            .with(FaultKind::KernelHang { label: "CD2".into(), failing_attempts: u32::MAX });
-        let solo = lower(&cfg, Architecture::A2, 8, 1);
-        let failure = run_plan_with_recovery(&cfg, &solo, faults).unwrap_err();
-        let ckpt = failure.checkpoint.unwrap();
-        assert!(failure.stats.timed_out > 0, "watchdog kills are recorded in the stats");
-        let resume = |trust| {
-            let suffix = ExecPlan::resume(&cfg, &ckpt, trust).unwrap();
-            run_plan_with_recovery(&cfg, &suffix, FaultPlan::none()).unwrap()
-        };
-        let (same, other) = (resume(true), resume(false));
-        assert!(
-            same.loads_issued < other.loads_issued,
-            "same-device trust re-fetches strictly fewer stripes ({} vs {})",
-            same.loads_issued,
-            other.loads_issued
-        );
-        assert_eq!(same.utterance_finish_s.len(), 1);
-        assert_eq!(other.utterance_finish_s.len(), 1);
     }
 
     #[test]

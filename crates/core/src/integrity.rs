@@ -743,15 +743,15 @@ pub fn chunk_plan(state: &StreamState, cfg: &AccelConfig, arch: Architecture) ->
     ExecPlan::lower_stream_chunk(cfg, arch, state.chunk, state.left_context, &[])
 }
 
-/// One chunk through the checked schemes: admit the chunk against the
-/// carryover state ([`StreamState::check_chunk`]: CRC, then shape), run
-/// only its rows through exactly the plan's encoder phases, each layer
-/// attending over its cached context keys and values then the rows' own
-/// ([`encoder_layer_via_schemes`]), and roll the state forward
-/// ([`StreamState::advance`]). A plan that is not the session's chunk plan
-/// — `CTX`, then one stream layer per encoder layer, at the session's
-/// geometry — is refused typed before any compute. A chunk with no
-/// context is bit-identical to an offline encode of its rows.
+/// One chunk through the checked schemes. A plan that is not the
+/// session's chunk plan — `CTX`, then one stream layer per encoder layer,
+/// at the session's geometry — is refused typed before any compute; then
+/// [`StreamState::step`] admits the chunk against the carryover state (CRC,
+/// shape, cursors) and runs only its rows through exactly the plan's
+/// encoder phases, each layer attending over its cached context keys and
+/// values then the rows' own ([`encoder_layer_via_schemes`]), and rolls
+/// the state forward. A chunk with no context is bit-identical to an
+/// offline encode of its rows.
 pub fn push_functional_chunk(
     cfg: &AccelConfig,
     plan: &ExecPlan,
@@ -760,7 +760,6 @@ pub fn push_functional_chunk(
     state: &StreamState,
     chunk: &Matrix,
 ) -> Result<(Matrix, StreamState)> {
-    state.check_chunk(chunk, &cfg.model)?;
     let ctx = PhaseKind::StreamContext { rows: state.left_context };
     let layer =
         PhaseKind::StreamLayer { rows: state.chunk, keys: state.chunk + state.left_context };
@@ -780,15 +779,12 @@ pub fn push_functional_chunk(
             w.encoders.len()
         )));
     }
-    let mut x = chunk.clone();
-    let mut kv = Vec::with_capacity(w.encoders.len());
-    for (l, (p, enc)) in plan.phases[1..].iter().zip(&w.encoders).enumerate() {
-        let (y, layer_kv) = encoder_layer_via_schemes(cfg, engine, &x, state.context(l), enc);
+    let layers = plan.phases[1..].iter().zip(&w.encoders);
+    state.step(chunk, &cfg.model, layers, |(p, enc), x, context| {
+        let (y, kv) = encoder_layer_via_schemes(cfg, engine, x, context, enc);
         guard_activations(&y, &format!("stream chunk {} {} output", state.chunk_idx, p.label))?;
-        x = y;
-        kv.push(layer_kv);
-    }
-    Ok((x, state.advance(chunk.rows(), &kv)))
+        Ok((y, kv))
+    })
 }
 
 /// A functional stream driven to the end of its features.
@@ -1409,7 +1405,7 @@ mod tests {
         let cfg = cfg_at(IntegrityLevel::Detect);
         let full = ExecPlan::lower(&cfg, Architecture::A2, 4, 1, cfg.integrity).unwrap();
         let ckpt = crate::plan::PlanCheckpoint::at(&full, 1, 1, &[], 0.0);
-        let suffix = ExecPlan::resume(&cfg, &ckpt, false).unwrap();
+        let suffix = ExecPlan::resume(&cfg, &ckpt).unwrap();
         let err =
             run_functional_plan(&cfg, &suffix, 9, &[5], &FunctionalFaults::none()).unwrap_err();
         assert!(matches!(err, AccelError::Config(_)), "{}", err);

@@ -300,11 +300,11 @@ impl PlanCounts {
 }
 
 /// A weight stripe still resident in a device's double-buffer slots when a
-/// checkpoint was cut, with the CRC-32 the loader verified it against. A
-/// resume lowering may skip re-loading a resident stripe only when the
-/// caller asserts same-device trust *and* the recorded CRC still matches
-/// the stripe the schedule would fetch — anything else is re-loaded and
-/// re-verified (DESIGN.md §12 trust rules).
+/// checkpoint was cut, or pinned in a card's weight cache, with the CRC-32
+/// the loader verified it against. A resume re-loads and re-verifies every
+/// stripe its suffix needs, but refuses a checkpoint whose recorded CRC no
+/// longer matches the stripe the schedule would fetch; a cache lowering
+/// elides a load only over a CRC-matching stripe (DESIGN.md §12).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResidentStripe {
     /// Phase index into the checkpointed schedule.
@@ -462,15 +462,12 @@ pub struct PlanResume {
     /// First phase with nodes in this plan; phases `[0, start_phase)` have
     /// neither a load nor computes.
     pub start_phase: usize,
-    /// Suffix loads skipped because the stripe was resident and trusted.
-    pub trusted_loads: usize,
-    /// HBM bytes not re-moved: the completed-prefix loads plus any trusted
-    /// resident stripes.
+    /// HBM bytes not re-moved: the completed prefix's loads.
     pub skipped_load_bytes: u64,
     /// Compute nodes not re-executed (completed phases × remaining batch).
     pub skipped_computes: usize,
     /// Suffix loads that re-fetch a stripe the interrupted run had already
-    /// loaded (untrusted residency — the replayed-bytes number).
+    /// loaded (the replayed-bytes number).
     pub replayed_loads: usize,
     /// Bytes those replayed loads re-move.
     pub replayed_load_bytes: u64,
@@ -542,7 +539,7 @@ pub struct ExecPlan {
     /// pinned stripes).
     pub reuse: Option<PlanReuse>,
     /// Per phase, the [`PlanCmd::LoadStripe`] node id. `None` for phases
-    /// before a resume cut and for trusted resident stripes.
+    /// before a resume cut and for stripes the weight cache elides.
     load_of: Vec<Option<CmdId>>,
     /// The [`PlanCmd::Compute`] node ids, `batch` per phase in utterance
     /// order, from the start phase on (phases before a resume cut have
@@ -668,19 +665,13 @@ impl ExecPlan {
     }
 
     /// Re-lower the uncompleted suffix a checkpoint describes, for its
-    /// remaining utterances at its architecture and integrity level.
-    /// `trust_resident` is the same-device switch: only a resume on the
-    /// device that cut the checkpoint may skip re-loading its CRC-matching
-    /// resident stripes; a failover target passes `false` and re-fetches
-    /// (and re-verifies) everything the suffix needs. A poisoned checkpoint,
-    /// or one that does not match the schedule `cfg` derives, is refused
-    /// with [`AccelError::CheckpointRejected`]: the caller's clean fallback
-    /// is a full restart, never silent reuse.
-    pub fn resume(
-        cfg: &AccelConfig,
-        ckpt: &PlanCheckpoint,
-        trust_resident: bool,
-    ) -> Result<ExecPlan> {
+    /// remaining utterances at its architecture and integrity level. The
+    /// resume runs on another card than the one that cut the checkpoint,
+    /// so it re-fetches (and re-verifies) every stripe the suffix needs. A
+    /// poisoned checkpoint, or one that does not match the schedule `cfg`
+    /// derives, is refused with [`AccelError::CheckpointRejected`]: the
+    /// caller's clean fallback is a full restart, never silent reuse.
+    pub fn resume(cfg: &AccelConfig, ckpt: &PlanCheckpoint) -> Result<ExecPlan> {
         let remaining = ckpt.remaining_lens();
         if remaining.is_empty() {
             return Err(AccelError::CheckpointRejected {
@@ -694,8 +685,8 @@ impl ExecPlan {
         cfg.validate()?;
         let seq_len = padded_batch_len(cfg, remaining)?;
         let phases = phase_list(cfg, ckpt.arch);
-        let trusted = validate_checkpoint(ckpt, trust_resident, cfg, seq_len, &phases)?;
-        let held = Held::Cut { ckpt, trusted };
+        validate_checkpoint(ckpt, cfg, seq_len, &phases)?;
+        let held = Held::Cut(ckpt);
         Ok(Self::emit(cfg, ckpt.arch, ckpt.integrity, remaining.to_vec(), seq_len, phases, held))
     }
 
@@ -727,8 +718,8 @@ impl ExecPlan {
     }
 
     /// The [`PlanCmd::LoadStripe`] node of a phase, if this plan fetches
-    /// the phase's stripe (`None` before a resume cut or when the stripe is
-    /// trusted resident).
+    /// the phase's stripe (`None` before a resume cut or when the weight
+    /// cache elides it).
     pub fn load_of(&self, phase: usize) -> Option<CmdId> {
         self.load_of[phase]
     }
@@ -889,9 +880,8 @@ enum Held<'a> {
     /// phase elides that phase's load ([`PlanReuse`]).
     Resident(&'a [ResidentStripe]),
     /// A validated checkpoint's cut: phases before its compute frontier
-    /// have no work left, and the `trusted` phases' stripes stay in their
-    /// slots ([`PlanResume`]).
-    Cut { ckpt: &'a PlanCheckpoint, trusted: Vec<usize> },
+    /// have no work left ([`PlanResume`]).
+    Cut(&'a PlanCheckpoint),
 }
 
 impl ExecPlan {
@@ -913,9 +903,9 @@ impl ExecPlan {
             _ => 1,
         };
         let verify = integrity.checks_enabled();
-        let (start_phase, trusted, resident) = match &held {
-            Held::Resident(resident) => (0, &[][..], *resident),
-            Held::Cut { ckpt, trusted } => (ckpt.completed_phases, &trusted[..], &[][..]),
+        let (start_phase, resident) = match held {
+            Held::Resident(resident) => (0, resident),
+            Held::Cut(ckpt) => (ckpt.completed_phases, &[][..]),
         };
 
         // Resident-reuse validation: every offered stripe either CRC-matches
@@ -969,21 +959,13 @@ impl ExecPlan {
             phase.checked_sub(start_phase).map(|k| computes[(k + 1) * batch - 1])
         };
         let mut prev_compute: Option<CmdId> = None;
-        let mut trusted_loads = 0usize;
-        let mut trusted_bytes = 0u64;
         for (i, p) in phases.iter().enumerate() {
             if i < start_phase {
                 // Completed before the cut: the suffix has no work here.
                 load_of.push(None);
                 continue;
             }
-            let lw = if trusted.contains(&i) {
-                // Same-device resume over a CRC-trusted resident stripe:
-                // the bytes stay in their buffer slot, nothing to re-fetch.
-                trusted_loads += 1;
-                trusted_bytes += p.bytes;
-                None
-            } else if resident_ok[i] {
+            let lw = if resident_ok[i] {
                 // Weight cache hit: an earlier dispatch on the card left the
                 // CRC-matching stripe pinned, so the fetch is elided and the
                 // phase computes straight out of the resident slot.
@@ -1056,18 +1038,16 @@ impl ExecPlan {
 
         let resume = match held {
             Held::Resident(_) => None,
-            Held::Cut { ckpt, .. } => {
+            Held::Cut(ckpt) => {
                 // Replayed loads: suffix stripes the interrupted run had
-                // already fetched but the target would not trust.
+                // already fetched, which the target fetches again.
                 let (replayed_loads, replayed_load_bytes) = (start_phase
                     ..ckpt.loaded_phases.min(phases.len()))
                     .filter(|&i| load_of[i].is_some())
                     .fold((0, 0), |(n, bytes), i| (n + 1, bytes + phases[i].bytes));
                 Some(PlanResume {
                     start_phase,
-                    trusted_loads,
-                    skipped_load_bytes: phases[..start_phase].iter().map(|p| p.bytes).sum::<u64>()
-                        + trusted_bytes,
+                    skipped_load_bytes: phases[..start_phase].iter().map(|p| p.bytes).sum(),
                     skipped_computes: start_phase * batch,
                     replayed_loads,
                     replayed_load_bytes,
@@ -1096,16 +1076,14 @@ impl ExecPlan {
 }
 
 /// Check a checkpoint against the schedule the target config derives for
-/// its architecture and remaining batch (`seq_len`, `phases`). Returns the
-/// trusted resident phase indices, or the typed rejection that sends the
-/// caller back to a clean full restart.
+/// its architecture and remaining batch (`seq_len`, `phases`), or return
+/// the typed rejection that sends the caller back to a clean full restart.
 fn validate_checkpoint(
     ckpt: &PlanCheckpoint,
-    trust_resident: bool,
     cfg: &AccelConfig,
     seq_len: usize,
     phases: &[PlanPhase],
-) -> Result<Vec<usize>> {
+) -> Result<()> {
     let reject = |reason: String| AccelError::CheckpointRejected { reason };
     if ckpt.encoding != cfg.encoding {
         // The resident bytes were encoded under another codec: whatever
@@ -1166,7 +1144,6 @@ fn validate_checkpoint(
     if !ckpt.work_remains() {
         return Err(reject("nothing to resume: the checkpointed batch is complete".into()));
     }
-    let mut trusted: Vec<usize> = Vec::new();
     for r in &ckpt.resident {
         let Some(p) = phases.get(r.phase) else {
             return Err(reject(format!(
@@ -1190,11 +1167,8 @@ fn validate_checkpoint(
                 r.label, r.phase
             )));
         }
-        if trust_resident && r.phase >= ckpt.completed_phases {
-            trusted.push(r.phase);
-        }
     }
-    Ok(trusted)
+    Ok(())
 }
 
 /// A phase's labels: its schedule label, then the labels of its load and
@@ -1415,7 +1389,7 @@ pub struct PlanCost {
     /// The analytic span schedule (`load-{e}` / `compute` units).
     pub timeline: Timeline,
     /// Per phase, when its `LoadStripe` retires (0 for phases with no load
-    /// in this plan: resume prefixes and trusted residents).
+    /// in this plan: resume prefixes and elided resident stripes).
     pub phase_load_end_s: Vec<f64>,
     /// Per phase, when the *batch's last* compute retires (0 for phases
     /// before a resume cut).
@@ -1944,7 +1918,7 @@ mod tests {
         let full = ExecPlan::lower(&cfg, Architecture::A3, 8, 2, IntegrityLevel::Detect).unwrap();
         let n = full.phases.len();
         let ckpt = PlanCheckpoint::at(&full, 10, 11, &[], 1.0e-3);
-        let suffix = ExecPlan::resume(&cfg, &ckpt, false).unwrap();
+        let suffix = ExecPlan::resume(&cfg, &ckpt).unwrap();
         assert_eq!(suffix.phases.len(), n, "phase table stays whole for stable indices");
         for i in 0..10 {
             assert!(suffix.load_of(i).is_none());
@@ -1958,32 +1932,10 @@ mod tests {
         assert_eq!(r.skipped_computes, 10 * 2);
         let prefix_bytes: u64 = full.phases[..10].iter().map(|p| p.bytes).sum();
         assert_eq!(r.skipped_load_bytes, prefix_bytes);
-        // phase 10 was already loaded (loaded_phases = 11) but is not
-        // trusted cross-device: its bytes are the replayed load traffic.
+        // phase 10 was already loaded (loaded_phases = 11), and the
+        // resume fetches it again: its bytes are the replayed load traffic.
         assert_eq!(r.replayed_loads, 1);
         assert_eq!(r.replayed_load_bytes, full.phases[10].bytes);
-    }
-
-    #[test]
-    fn same_device_resume_trusts_resident_stripes() {
-        let cfg = unpadded(8);
-        let full = ExecPlan::lower(&cfg, Architecture::A2, 8, 1, IntegrityLevel::Off).unwrap();
-        let ckpt = PlanCheckpoint::at(&full, 6, 7, &[], 0.0);
-        let trusted = ExecPlan::resume(&cfg, &ckpt, true).unwrap();
-        // Phase 6's stripe is resident (loads ran one phase ahead) and
-        // trusted: no re-load, no replayed bytes.
-        assert!(trusted.load_of(6).is_none());
-        assert!(!trusted.computes_of(6).is_empty());
-        let r = trusted.resume.as_ref().unwrap();
-        assert_eq!(r.trusted_loads, 1);
-        assert_eq!(r.replayed_loads, 0);
-        let untrusted = ExecPlan::resume(&cfg, &ckpt, false).unwrap();
-        assert!(untrusted.load_of(6).is_some());
-        assert_eq!(untrusted.resume.as_ref().unwrap().replayed_loads, 1);
-        assert!(
-            r.skipped_load_bytes > untrusted.resume.as_ref().unwrap().skipped_load_bytes,
-            "trust skips strictly more bytes"
-        );
     }
 
     #[test]
@@ -1991,24 +1943,22 @@ mod tests {
         let cfg = unpadded(8);
         let full = ExecPlan::lower(&cfg, Architecture::A3, 8, 1, IntegrityLevel::Off).unwrap();
         let good = PlanCheckpoint::at(&full, 5, 6, &[], 0.0);
-        assert!(ExecPlan::resume(&cfg, &good, true).is_ok());
+        assert!(ExecPlan::resume(&cfg, &good).is_ok());
 
+        // A stale CRC on a resident stripe rejects, never silently reuses.
         let mut stale = good.clone();
         stale.resident[0].crc ^= 0xdead_beef;
-        let err = ExecPlan::resume(&cfg, &stale, true).unwrap_err();
-        assert!(matches!(err, AccelError::CheckpointRejected { .. }), "{}", err);
-        // Even without trust the stale CRC must reject, never silently reuse.
-        let err = ExecPlan::resume(&cfg, &stale, false).unwrap_err();
+        let err = ExecPlan::resume(&cfg, &stale).unwrap_err();
         assert!(matches!(err, AccelError::CheckpointRejected { .. }), "{}", err);
 
         let mut wrong_arch = good.clone();
         wrong_arch.arch = Architecture::A1;
-        assert!(ExecPlan::resume(&cfg, &wrong_arch, false).is_err());
+        assert!(ExecPlan::resume(&cfg, &wrong_arch).is_err());
 
         let mut done = good;
         done.completed_phases = full.phases.len();
         done.loaded_phases = full.phases.len();
-        let err = ExecPlan::resume(&cfg, &done, false).unwrap_err();
+        let err = ExecPlan::resume(&cfg, &done).unwrap_err();
         assert!(matches!(err, AccelError::CheckpointRejected { .. }), "{}", err);
     }
 
@@ -2023,10 +1973,8 @@ mod tests {
         ckpt.finished_utterances = 3;
         assert!(ckpt.remaining_lens().is_empty());
         assert!(!ckpt.work_remains());
-        for trust in [false, true] {
-            let err = ExecPlan::resume(&cfg, &ckpt, trust).unwrap_err();
-            assert!(matches!(err, AccelError::CheckpointRejected { .. }), "{}", err);
-        }
+        let err = ExecPlan::resume(&cfg, &ckpt).unwrap_err();
+        assert!(matches!(err, AccelError::CheckpointRejected { .. }), "{}", err);
     }
 
     #[test]
@@ -2038,15 +1986,13 @@ mod tests {
         let pair = ExecPlan::lower(&cfg, Architecture::A2, 8, 2, IntegrityLevel::Off).unwrap();
         let n = pair.phases.len();
         let ckpt = PlanCheckpoint::at(&pair, 3, 4, &[1e-3], 2e-3);
-        for trust in [false, true] {
-            let err = ExecPlan::resume(&cfg, &ckpt, trust).unwrap_err();
-            assert!(matches!(err, AccelError::CheckpointRejected { .. }), "{}", err);
-        }
+        let err = ExecPlan::resume(&cfg, &ckpt).unwrap_err();
+        assert!(matches!(err, AccelError::CheckpointRejected { .. }), "{}", err);
         // Once every phase but the last has computed for the whole batch,
         // utterance 0 may have finished: the last phase resumes for the
         // other one.
         let ckpt = PlanCheckpoint::at(&pair, n - 1, n, &[1e-3], 2e-3);
-        let suffix = ExecPlan::resume(&cfg, &ckpt, false).unwrap();
+        let suffix = ExecPlan::resume(&cfg, &ckpt).unwrap();
         assert_eq!((suffix.batch, suffix.start_phase()), (1, n - 1));
     }
 
@@ -2058,7 +2004,7 @@ mod tests {
             let mut prev = walk_cost(&cfg, &full).latency_s;
             for cut in 1..full.phases.len() {
                 let ckpt = PlanCheckpoint::at(&full, cut, cut, &[], 0.0);
-                let suffix = ExecPlan::resume(&cfg, &ckpt, false).unwrap();
+                let suffix = ExecPlan::resume(&cfg, &ckpt).unwrap();
                 let cost = walk_cost(&cfg, &suffix);
                 assert!(
                     cost.latency_s <= prev + 1e-12,
@@ -2154,7 +2100,7 @@ mod tests {
         // computed under v0 weights and must not complete under v1.
         let mut flashed = cfg.clone();
         flashed.weight_version = 1;
-        let err = ExecPlan::resume(&flashed, &ckpt, true).unwrap_err();
+        let err = ExecPlan::resume(&flashed, &ckpt).unwrap_err();
         match err {
             AccelError::CheckpointRejected { reason } => {
                 assert!(reason.contains("weight version"), "{}", reason)
@@ -2162,7 +2108,7 @@ mod tests {
             other => panic!("expected CheckpointRejected, got {}", other),
         }
         // Identical version resumes fine.
-        assert!(ExecPlan::resume(&cfg, &ckpt, true).is_ok());
+        assert!(ExecPlan::resume(&cfg, &ckpt).is_ok());
     }
 
     #[test]
@@ -2235,14 +2181,14 @@ mod tests {
         // prefix is meaningless under the new codec.
         let mut bc = cfg.clone();
         bc.encoding = WeightEncoding::BlockCirculant { block: 8 };
-        let err = ExecPlan::resume(&bc, &ckpt, true).unwrap_err();
+        let err = ExecPlan::resume(&bc, &ckpt).unwrap_err();
         match err {
             AccelError::CheckpointRejected { reason } => {
                 assert!(reason.contains("encoding"), "{}", reason)
             }
             other => panic!("expected CheckpointRejected, got {}", other),
         }
-        assert!(ExecPlan::resume(&cfg, &ckpt, true).is_ok());
+        assert!(ExecPlan::resume(&cfg, &ckpt).is_ok());
     }
 
     #[test]
@@ -2331,7 +2277,7 @@ mod tests {
             // A frontier cut at this instant must be a valid checkpoint.
             if c > 0 && c < plan.phases.len() {
                 let ck = PlanCheckpoint::at(&plan, c, l, &[], t);
-                assert!(ExecPlan::resume(&cfg, &ck, false).is_ok(), "cut at {} resumes", t);
+                assert!(ExecPlan::resume(&cfg, &ck).is_ok(), "cut at {} resumes", t);
             }
             prev = (c, l);
         }

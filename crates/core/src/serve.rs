@@ -35,10 +35,10 @@
 //!   [`ServePool::begin_drain`]/[`ServePool::end_drain`] park it for a
 //!   rolling weight upgrade, [`ServePool::set_weight_version`] reflashes it
 //!   (idle-only — a version can never change under an in-flight batch),
-//!   [`ServePool::fail_stop`] kills the whole node and hands the survivors'
-//!   work out as [`Evicted`] requests, and [`ServePool::adopt`] takes
-//!   another node's evictees in — checkpoints riding along, resident-stripe
-//!   trust refused cross-device as always.
+//!   [`ServePool::fail_stop`] consumes the pool, handing its unfinished
+//!   work out as [`Evicted`] requests with its final report, and
+//!   [`ServePool::adopt`] takes another node's evictees in — checkpoints
+//!   riding along.
 //!
 //! Everything runs in *virtual* time — arrivals at `i / rps`, service times
 //! from the deterministic runtime simulation — so the same configuration
@@ -384,6 +384,77 @@ impl<K: Eq + Hash, W> Card<K, W> {
     pub(crate) fn decay(&mut self) {
         self.health *= 0.8;
     }
+
+    /// The card's row in its pool's report.
+    pub(crate) fn report(&self) -> CardReport {
+        CardReport {
+            id: self.id,
+            served: self.served,
+            completed: self.completed,
+            failed: self.failed,
+            timed_out: self.timed_out,
+            breaker_opens: self.breaker.opens,
+            breaker_final: self.breaker.state,
+            health: self.health,
+            busy_s: self.busy_s,
+        }
+    }
+}
+
+/// One card's row in a pool report, as the card keeps it for the serve and
+/// the streaming pool alike; each pool's report adds what only it counts
+/// ([`DeviceReport`], [`crate::stream::StreamDeviceReport`]).
+#[derive(Debug, Clone)]
+pub struct CardReport {
+    /// Card identity.
+    pub id: DeviceId,
+    /// Dispatches to this card (half-open probes included).
+    pub served: usize,
+    /// Work that completed on it: requests within their deadline, chunks.
+    pub completed: usize,
+    /// Work that died on it in a hard failure.
+    pub failed: usize,
+    /// Watchdog-timeout kills across its dispatches (hang-prone cards
+    /// accumulate these and are penalized by the health EWMA).
+    pub timed_out: usize,
+    /// Times the breaker opened.
+    pub breaker_opens: u32,
+    /// Breaker state at the end of the run.
+    pub breaker_final: BreakerState,
+    /// Health score in [0, 1] at the end of the run (EWMA of per-run
+    /// command outcomes).
+    pub health: f64,
+    /// Busy seconds (service, failures, and cancelled work all occupy the
+    /// card).
+    pub busy_s: f64,
+}
+
+impl CardReport {
+    /// The per-card table header of the serve and stream reports, whose
+    /// fifth column each pool names for itself.
+    pub(crate) fn header(fifth: &str) -> String {
+        format!(
+            "{:>6} {:>7} {:>6} {:>6} {:>7} {:>15} {:>7} {:>9}",
+            "device", "served", "ok", "fail", fifth, "breaker(opens)", "health", "busy(ms)"
+        )
+    }
+
+    /// The card's line under [`CardReport::header`], `fifth` in its
+    /// column.
+    pub(crate) fn row(&self, fifth: usize) -> String {
+        format!(
+            "{:>6} {:>7} {:>6} {:>6} {:>7} {:>10}({:>3}) {:>7.3} {:>9.2}",
+            self.id.to_string(),
+            self.served,
+            self.completed,
+            self.failed,
+            fifth,
+            self.breaker_final.name(),
+            self.breaker_opens,
+            self.health,
+            self.busy_s * 1e3
+        )
+    }
 }
 
 /// The share of `scheduled` load bytes a weight cache elided; 0 when
@@ -615,30 +686,105 @@ pub struct RequestRecord {
 /// Per-card section of the serve report.
 #[derive(Debug, Clone)]
 pub struct DeviceReport {
-    /// Card identity.
-    pub id: DeviceId,
-    /// Attempts dispatched to this card (probes included).
-    pub served: usize,
-    /// Attempts that completed within deadline.
-    pub completed: usize,
-    /// Attempts that ended in a hard failure.
-    pub failed: usize,
+    /// The card's row, as both pools report it.
+    pub card: CardReport,
     /// Attempts cancelled by a timeout or the deadline.
     pub cancelled: usize,
-    /// Watchdog-timeout kills across this card's dispatches (hang-prone
-    /// cards accumulate these and are penalized by the health EWMA).
-    pub timed_out: usize,
-    /// Times the breaker opened.
-    pub breaker_opens: u32,
-    /// Breaker state at drain.
-    pub breaker_final: BreakerState,
-    /// Health score in [0, 1] at drain (EWMA of per-run command outcomes).
-    pub health: f64,
-    /// Busy seconds (service, failures, and cancelled work all occupy the card).
-    pub busy_s: f64,
     /// Silent-corruption accounting summed over this card's attempts
     /// (each successful attempt contributes its run's counters).
     pub corruption: CorruptionCounters,
+}
+
+/// What a serve pool's dispatches did, summed: its failovers and
+/// evictions, the weight cache's elisions, and the checkpoint resumes'
+/// accounting. The pool keeps one, its [`ServeReport`] carries it, and the
+/// cluster merges its nodes' into one.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct DispatchCounters {
+    /// Failover re-enqueues performed.
+    pub failed_over: usize,
+    /// Requests forced out by [`ServePool::fail_stop`] for another node to
+    /// adopt (they are not losses — the adopting pool records their fate).
+    pub evicted: usize,
+    /// `LoadStripe`s the cards' weight caches elided across successful
+    /// runs.
+    pub elided_loads: usize,
+    /// Bytes those elisions kept off the HBM channels.
+    pub elided_load_bytes: u64,
+    /// Bytes the dispatched schedules would have streamed with nothing
+    /// resident (every dispatch, failed ones included).
+    pub scheduled_load_bytes: u64,
+    /// Failover dispatches that resumed a checkpointed suffix.
+    pub resumed_dispatches: usize,
+    /// Checkpoints rejected at validation (stale CRC or mismatch); each
+    /// fell back to a clean full restart — never silent reuse.
+    pub checkpoint_rejects: usize,
+    /// Checkpoint rejects caused specifically by a weight-version mismatch
+    /// (a subset of `checkpoint_rejects`) — the typed cross-version
+    /// refusal rolling upgrades rely on.
+    pub version_rejects: usize,
+    /// `LoadStripe` bytes re-fetched that a prior attempt already loaded
+    /// (what failover-from-scratch re-pays; a resume re-pays only the
+    /// suffix stripes the dead run had loaded).
+    pub replayed_load_bytes: u64,
+    /// Attempt-seconds re-executed that a prior attempt already spent.
+    pub replayed_compute_s: f64,
+    /// `LoadStripe` bytes resumes skipped: their completed prefixes.
+    pub skipped_load_bytes: u64,
+    /// Banked attempt-seconds successful resumes did not re-execute.
+    pub skipped_compute_s: f64,
+}
+
+impl DispatchCounters {
+    /// Add `other`'s counts to these.
+    pub fn merge(&mut self, other: &DispatchCounters) {
+        self.failed_over += other.failed_over;
+        self.evicted += other.evicted;
+        self.elided_loads += other.elided_loads;
+        self.elided_load_bytes += other.elided_load_bytes;
+        self.scheduled_load_bytes += other.scheduled_load_bytes;
+        self.resumed_dispatches += other.resumed_dispatches;
+        self.checkpoint_rejects += other.checkpoint_rejects;
+        self.version_rejects += other.version_rejects;
+        self.replayed_load_bytes += other.replayed_load_bytes;
+        self.replayed_compute_s += other.replayed_compute_s;
+        self.skipped_load_bytes += other.skipped_load_bytes;
+        self.skipped_compute_s += other.skipped_compute_s;
+    }
+}
+
+/// Requests per terminal outcome, `[completed, shed, deadline missed,
+/// failed, dropped at shutdown]`: what the serve and cluster reports count.
+pub(crate) fn outcome_counts<'a>(
+    records: impl IntoIterator<Item = &'a RequestRecord>,
+) -> [usize; 5] {
+    let mut counts = [0; 5];
+    for r in records {
+        counts[match r.outcome {
+            RequestOutcome::Completed { .. } => 0,
+            RequestOutcome::Shed => 1,
+            RequestOutcome::DeadlineMissed(_) => 2,
+            RequestOutcome::Failed(_) => 3,
+            RequestOutcome::DroppedAtShutdown => 4,
+        }] += 1;
+    }
+    counts
+}
+
+/// The median and 99th-percentile arrival-to-finish latency of the
+/// completed requests, seconds.
+pub(crate) fn latency_p50_p99<'a>(
+    records: impl IntoIterator<Item = &'a RequestRecord>,
+) -> (f64, f64) {
+    let mut latencies: Vec<f64> = records
+        .into_iter()
+        .filter_map(|r| match r.outcome {
+            RequestOutcome::Completed { latency_s, .. } => Some(latency_s),
+            _ => None,
+        })
+        .collect();
+    latencies.sort_by(f64::total_cmp);
+    (percentile(&latencies, 0.50), percentile(&latencies, 0.99))
 }
 
 /// Workload-level results of a serving run.
@@ -656,8 +802,6 @@ pub struct ServeReport {
     pub failed: usize,
     /// Requests dropped by the shutdown grace window.
     pub dropped_at_shutdown: usize,
-    /// Failover re-enqueues performed.
-    pub failed_over: usize,
     /// First arrival to last completion, simulated seconds.
     pub wall_s: f64,
     /// Completed requests per simulated second.
@@ -688,38 +832,10 @@ pub struct ServeReport {
     /// card — the un-amortized baseline every request would pay at batch 1
     /// with no weight cache.
     pub solo_load_s: f64,
-    /// `LoadStripe`s the cards' weight caches elided across successful
-    /// runs.
-    pub elided_loads: usize,
-    /// Bytes those elisions kept off the HBM channels.
-    pub elided_load_bytes: u64,
-    /// Bytes the dispatched schedules would have streamed with nothing
-    /// resident (every dispatch, failed ones included).
-    pub scheduled_load_bytes: u64,
-    /// Failover dispatches that resumed a checkpointed suffix.
-    pub resumed_dispatches: usize,
-    /// Checkpoints rejected at validation (stale CRC or mismatch); each
-    /// fell back to a clean full restart — never silent reuse.
-    pub checkpoint_rejects: usize,
-    /// `LoadStripe` bytes re-fetched that a prior attempt already loaded
-    /// (what failover-from-scratch re-pays; resumes pay only untrusted
-    /// re-loads of the suffix).
-    pub replayed_load_bytes: u64,
-    /// Attempt-seconds re-executed that a prior attempt already spent.
-    pub replayed_compute_s: f64,
-    /// `LoadStripe` bytes resumes skipped (completed prefix + trusted
-    /// resident stripes).
-    pub skipped_load_bytes: u64,
-    /// Banked attempt-seconds successful resumes did not re-execute.
-    pub skipped_compute_s: f64,
     /// Weight-set version the pool's cards ended on.
     pub weight_version: u64,
-    /// Checkpoint rejects caused specifically by a weight-version mismatch
-    /// (subset of `checkpoint_rejects`).
-    pub version_rejects: usize,
-    /// Requests forced out by [`ServePool::fail_stop`] for another node to
-    /// adopt (they are not losses — the adopting pool records their fate).
-    pub evicted: usize,
+    /// What the pool's dispatches did, summed.
+    pub counters: DispatchCounters,
 }
 
 impl ServeReport {
@@ -749,7 +865,8 @@ impl ServeReport {
         line(format!("deadline missed      : {}", self.deadline_missed));
         line(format!("failed               : {}", self.failed));
         line(format!("dropped at shutdown  : {}", self.dropped_at_shutdown));
-        line(format!("failed over          : {}", self.failed_over));
+        let c = &self.counters;
+        line(format!("failed over          : {}", c.failed_over));
         line(format!("wall time            : {:8.2} ms", self.wall_s * 1e3));
         line(format!("throughput           : {:8.2} req/s", self.throughput_rps));
         line(format!(
@@ -769,33 +886,29 @@ impl ServeReport {
             self.amortized_load_s * 1e3,
             self.solo_load_s * 1e3
         ));
-        line(elided_loads_line(
-            self.elided_loads,
-            self.elided_load_bytes,
-            self.scheduled_load_bytes,
-        ));
+        line(elided_loads_line(c.elided_loads, c.elided_load_bytes, c.scheduled_load_bytes));
         line(format!(
             "checkpoint resume    : {} resumed, {} rejected",
-            self.resumed_dispatches, self.checkpoint_rejects
+            c.resumed_dispatches, c.checkpoint_rejects
         ));
-        if self.version_rejects > 0 {
+        if c.version_rejects > 0 {
             line(format!(
                 "version rejects      : {} (cross-version resume refused, v{})",
-                self.version_rejects, self.weight_version
+                c.version_rejects, self.weight_version
             ));
         }
-        if self.evicted > 0 {
-            line(format!("evicted (fail-stop)  : {}", self.evicted));
+        if c.evicted > 0 {
+            line(format!("evicted (fail-stop)  : {}", c.evicted));
         }
         line(format!(
             "replayed work        : {:.3} ms compute, {} load bytes",
-            self.replayed_compute_s * 1e3,
-            self.replayed_load_bytes
+            c.replayed_compute_s * 1e3,
+            c.replayed_load_bytes
         ));
         line(format!(
             "skipped by resume    : {:.3} ms compute, {} load bytes",
-            self.skipped_compute_s * 1e3,
-            self.skipped_load_bytes
+            c.skipped_compute_s * 1e3,
+            c.skipped_load_bytes
         ));
         if self.corruption.any_injected() {
             line(format!(
@@ -807,23 +920,9 @@ impl ServeReport {
                 self.corruption.escaped
             ));
         }
-        line(format!(
-            "{:>6} {:>7} {:>6} {:>6} {:>7} {:>15} {:>7} {:>9}",
-            "device", "served", "ok", "fail", "cancel", "breaker(opens)", "health", "busy(ms)"
-        ));
+        line(CardReport::header("cancel"));
         for d in &self.per_device {
-            line(format!(
-                "{:>6} {:>7} {:>6} {:>6} {:>7} {:>10}({:>3}) {:>7.3} {:>9.2}",
-                d.id.to_string(),
-                d.served,
-                d.completed,
-                d.failed,
-                d.cancelled,
-                d.breaker_final.name(),
-                d.breaker_opens,
-                d.health,
-                d.busy_s * 1e3
-            ));
+            line(d.card.row(d.cancelled));
         }
         out
     }
@@ -925,13 +1024,6 @@ pub struct ServePool {
     /// Weight bytes one dispatch's schedule streams with nothing resident
     /// (the same at every batch size: a batch loads each stripe once).
     schedule_bytes: u64,
-    /// `LoadStripe`s the cards' weight caches elided over successful runs.
-    elided_loads: usize,
-    /// Bytes those elisions kept off the HBM channels.
-    elided_load_bytes: u64,
-    /// Bytes the dispatched schedules would have streamed with nothing
-    /// resident.
-    scheduled_load_bytes: u64,
     /// HBM weight-load busy seconds of one fault-free solo run, walked.
     solo_load_s: f64,
     /// Load busy seconds summed over successful batch runs.
@@ -943,30 +1035,10 @@ pub struct ServePool {
     /// here to `last_arrival_s`.
     first_submit_s: Option<f64>,
     submitted: usize,
-    failed_over: usize,
     records: Vec<RequestRecord>,
     last_finish_s: f64,
     draining: bool,
-    /// Fail-stopped: the node died; the pool refuses all further work.
-    dead: bool,
-    /// Requests forced out by [`ServePool::fail_stop`].
-    evicted: usize,
-    /// Checkpoint rejects caused specifically by a weight-version mismatch
-    /// (a subset of `checkpoint_rejects`) — the typed cross-version refusal
-    /// rolling upgrades rely on.
-    version_rejects: usize,
-    /// Failover dispatches that resumed from a checkpointed suffix.
-    resumed_dispatches: usize,
-    /// Checkpoints rejected at validation; each fell back to a full restart.
-    checkpoint_rejects: usize,
-    /// `LoadStripe` bytes re-fetched that a prior attempt already loaded.
-    replayed_load_bytes: u64,
-    /// Attempt-seconds re-executed that a prior attempt already spent.
-    replayed_compute_s: f64,
-    /// `LoadStripe` bytes resumes skipped (completed prefix + trusted).
-    skipped_load_bytes: u64,
-    /// Banked attempt-seconds successful resumes did not re-execute.
-    skipped_compute_s: f64,
+    counters: DispatchCounters,
 }
 
 impl ServePool {
@@ -1034,28 +1106,16 @@ impl ServePool {
             nominal_s,
             nominal_batch: HashMap::from([(1, nominal_s)]),
             schedule_bytes: solo.scheduled_load_bytes(),
-            elided_loads: 0,
-            elided_load_bytes: 0,
-            scheduled_load_bytes: 0,
             solo_load_s: nominal.load_total_s,
             load_busy_total_s: 0.0,
             ok_batch_utts: 0,
             last_arrival_s: 0.0,
             first_submit_s: None,
             submitted: 0,
-            failed_over: 0,
             records: Vec::new(),
             last_finish_s: 0.0,
             draining: false,
-            dead: false,
-            evicted: 0,
-            version_rejects: 0,
-            resumed_dispatches: 0,
-            checkpoint_rejects: 0,
-            replayed_load_bytes: 0,
-            replayed_compute_s: 0.0,
-            skipped_load_bytes: 0,
-            skipped_compute_s: 0.0,
+            counters: DispatchCounters::default(),
             cfg,
         })
     }
@@ -1090,15 +1150,12 @@ impl ServePool {
     /// the report. A non-finite arrival is refused with
     /// [`AccelError::Config`] and not counted as submitted.
     pub fn submit(&mut self, arrival_s: f64) -> Result<()> {
-        if self.dead {
-            return Err(AccelError::Config("pool is fail-stopped".into()));
-        }
         if !arrival_s.is_finite() {
             return Err(AccelError::Config(format!(
                 "arrival time must be finite, got {arrival_s}"
             )));
         }
-        self.advance_to(arrival_s);
+        self.run_until(arrival_s);
         let id = self.submitted;
         self.submitted += 1;
         self.first_submit_s.get_or_insert(arrival_s);
@@ -1125,9 +1182,9 @@ impl ServePool {
     pub fn drain(mut self) -> ServeReport {
         self.begin_drain();
         while !self.is_idle() {
-            let next = self.next_event_time();
+            let next = self.next_event_s();
             let t = next.expect("a drainable pool always has a next event");
-            self.advance_to(t);
+            self.run_until(t);
         }
         self.into_report()
     }
@@ -1161,11 +1218,6 @@ impl ServePool {
         self.queue.is_empty() && self.devices.iter().all(|d| d.card.in_flight.is_none())
     }
 
-    /// Whether [`ServePool::fail_stop`] has killed this pool.
-    pub fn is_dead(&self) -> bool {
-        self.dead
-    }
-
     /// Current virtual time, seconds.
     pub fn now_s(&self) -> f64 {
         self.now_s
@@ -1190,12 +1242,9 @@ impl ServePool {
     /// if idle), and the queue ahead takes the earliest-free card in FIFO
     /// order for a cold nominal run each, the price every safety decision
     /// uses; the dispatcher lays out the queue beyond a dispatch the same
-    /// way. A pool with no admitting card (a dead one included) reads
-    /// infinity, never idle. The cluster router places work by this alone.
+    /// way. A pool with no admitting card reads infinity, never idle. The
+    /// cluster router places work by this alone.
     pub fn projected_start_s(&self) -> f64 {
-        if self.dead {
-            return f64::INFINITY;
-        }
         let free = self.admitting_cards_free_s().map(|(_, t)| t);
         if self.queue.is_empty() {
             // The common case at routing time: no queue to lay out.
@@ -1206,25 +1255,6 @@ impl ServePool {
             lay_out_solo(&mut free, r.arrival_s, self.nominal_s);
         }
         free.into_iter().min_by(f64::total_cmp).unwrap_or(f64::INFINITY)
-    }
-
-    /// Earliest strictly-future internal event, for a co-simulating router.
-    pub fn next_event_s(&self) -> Option<f64> {
-        if self.dead {
-            return None;
-        }
-        self.next_event_time()
-    }
-
-    /// Process every internal event up to and including `target`, then move
-    /// the clock there. Public face of the virtual-time machinery for
-    /// co-simulation; a dead pool just moves its clock.
-    pub fn run_until(&mut self, target: f64) {
-        if self.dead {
-            self.now_s = self.now_s.max(target);
-            return;
-        }
-        self.advance_to(target);
     }
 
     /// The weight-set version the pool's cards are flashed to.
@@ -1239,9 +1269,6 @@ impl ServePool {
     /// are the old version's) and clears the memoised dispatch outcomes
     /// (their banked checkpoints are tagged with the old version).
     pub fn set_weight_version(&mut self, v: u64) -> Result<()> {
-        if self.dead {
-            return Err(AccelError::Config("pool is fail-stopped".into()));
-        }
         if !self.is_idle() {
             return Err(AccelError::Config(format!(
                 "cannot flash weight version {} with {} queued and {} in flight",
@@ -1286,16 +1313,14 @@ impl ServePool {
     /// unfinished in-flight members — is evicted with its original arrival
     /// time, spent attempts, and (when checkpointing is on) a
     /// barrier-granular cut of the banked work, for a surviving node to
-    /// [`ServePool::adopt`]. The pool refuses all work afterwards.
-    pub fn fail_stop(&mut self) -> Vec<Evicted> {
+    /// [`ServePool::adopt`]. The pool is gone: it returns those evictees
+    /// with its final report.
+    pub fn fail_stop(mut self) -> (Vec<Evicted>, ServeReport) {
         let now = self.now_s;
-        self.dead = true;
-        self.draining = true;
         let mut out: Vec<Evicted> = Vec::new();
         for i in 0..self.devices.len() {
             let Some(fl) = self.devices[i].card.kill(now) else { continue };
             let batch = fl.work.members.len();
-            let device = self.devices[i].card.id;
             // Finished prefix: members whose final kernel retired at or
             // before the kill instant are served, not lost.
             let mut finished_local: Vec<f64> = Vec::new();
@@ -1304,18 +1329,7 @@ impl ServePool {
                 match end {
                     MemberEnd::Success { service_s } if t <= now + 1e-15 => {
                         finished_local.push(service_s);
-                        self.devices[i].card.completed += 1;
-                        self.finish_request(
-                            r.clone(),
-                            RequestOutcome::Completed {
-                                device,
-                                latency_s: t - r.arrival_s,
-                                service_s,
-                                batch,
-                                corruption: fl.work.run_corruption,
-                                version: self.cfg.accel.weight_version,
-                            },
-                        );
+                        self.complete(i, r, t, service_s, batch, fl.work.run_corruption);
                     }
                     _ => unfinished.push(r),
                 }
@@ -1352,15 +1366,14 @@ impl ServePool {
             };
             for r in unfinished {
                 let ckpt = r.ckpt.clone().or_else(|| group_ckpt.clone());
-                self.evicted += 1;
                 out.push(Evicted { arrival_s: r.arrival_s, attempts: r.attempts, ckpt });
             }
         }
         for r in std::mem::take(&mut self.queue) {
-            self.evicted += 1;
             out.push(Evicted { arrival_s: r.arrival_s, attempts: r.attempts, ckpt: r.ckpt });
         }
-        out
+        self.counters.evicted += out.len();
+        (out, self.into_report())
     }
 
     /// Take over requests evicted from a dead node. Each adopted request
@@ -1368,10 +1381,7 @@ impl ServePool {
     /// its node died) and its checkpoint `Rc` (group identity survives the
     /// handoff, so a whole evicted dispatch resumes together). Adoption
     /// respects the bounded queue: overflow is shed typed, like admission.
-    pub fn adopt(&mut self, evicted: Vec<Evicted>) -> Result<()> {
-        if self.dead {
-            return Err(AccelError::Config("pool is fail-stopped".into()));
-        }
+    pub fn adopt(&mut self, evicted: Vec<Evicted>) {
         for e in evicted {
             let id = self.submitted;
             self.submitted += 1;
@@ -1389,7 +1399,6 @@ impl ServePool {
             self.queue.push_back(r);
         }
         self.dispatch();
-        Ok(())
     }
 
     /// Run the configured workload end to end: `requests` arrivals at
@@ -1411,8 +1420,9 @@ impl ServePool {
     /// Earliest *strictly future* internal event: an in-flight completion,
     /// a breaker cooldown expiry that could unblock the queue, or the
     /// queued head's deadline. Events at or before `now_s` have already
-    /// been applied by the dispatch that follows every clock move.
-    fn next_event_time(&self) -> Option<f64> {
+    /// been applied by the dispatch that follows every clock move. A
+    /// co-simulating router peeks it to find the next global event.
+    pub fn next_event_s(&self) -> Option<f64> {
         let now = self.now_s;
         let mut t: Option<f64> = None;
         let mut fold = |cand: f64| {
@@ -1446,9 +1456,9 @@ impl ServePool {
 
     /// Process every internal event up to and including `target`, then move
     /// the clock there.
-    fn advance_to(&mut self, target: f64) {
+    pub fn run_until(&mut self, target: f64) {
         loop {
-            match self.next_event_time() {
+            match self.next_event_s() {
                 Some(t) if t <= target => {
                     self.now_s = t;
                     self.complete_finished();
@@ -1492,18 +1502,7 @@ impl ServePool {
             for (r, t, end) in batch.members.into_iter().rev() {
                 match end {
                     MemberEnd::Success { service_s } => {
-                        self.devices[i].card.completed += 1;
-                        self.finish_request(
-                            r.clone(),
-                            RequestOutcome::Completed {
-                                device,
-                                latency_s: t - r.arrival_s,
-                                service_s,
-                                batch: size,
-                                corruption: batch.run_corruption,
-                                version: self.cfg.accel.weight_version,
-                            },
-                        );
+                        self.complete(i, r, t, service_s, size, batch.run_corruption);
                     }
                     MemberEnd::Failure => {
                         self.devices[i].card.failed += 1;
@@ -1564,7 +1563,7 @@ impl ServePool {
             <= r.arrival_s + self.cfg.deadline_s;
         if r.exclude.is_none() && self.devices.len() > 1 && budget_left {
             r.exclude = Some(from_device);
-            self.failed_over += 1;
+            self.counters.failed_over += 1;
             self.queue.push_front(r);
         } else {
             self.finish_request(r, terminal);
@@ -1708,18 +1707,11 @@ impl ServePool {
                     group += 1;
                 }
                 if self.cfg.checkpoint && group == ck.remaining_lens().len() {
-                    let members: Vec<Request> = (0..group)
-                        .map(|_| {
-                            let mut r = self.queue.pop_front().expect("sized against the queue");
-                            r.attempts += 1;
-                            r
-                        })
-                        .collect();
-                    self.start_attempt(i, members);
+                    self.start_attempt(i, group);
                     continue;
                 }
-                self.replayed_load_bytes += ck.loaded_bytes();
-                self.replayed_compute_s += ck.captured_at_s;
+                self.counters.replayed_load_bytes += ck.loaded_bytes();
+                self.counters.replayed_compute_s += ck.captured_at_s;
                 for r in self.queue.iter_mut().take(group) {
                     r.ckpt = None;
                 }
@@ -1768,25 +1760,26 @@ impl ServePool {
             {
                 break;
             }
-            let members: Vec<Request> = (0..size)
-                .map(|_| {
-                    let mut r = self.queue.pop_front().expect("sized against the queue");
-                    r.attempts += 1;
-                    r
-                })
-                .collect();
-            self.start_attempt(i, members);
+            self.start_attempt(i, size);
         }
     }
 
-    /// Place a batch on a card and schedule how each member will end. A
+    /// Place the queue's first `b` requests on a card as one batch, each
+    /// spending an attempt, and schedule how each member will end. A
     /// completed run is treated as a failed run whose fault never comes:
     /// a member whose finish falls within both the cutoff and its deadline
     /// is served; any other member fails at the fault instant if that is
     /// within both, else is cut at its deadline or at the attempt timeout.
-    fn start_attempt(&mut self, device: usize, members: Vec<Request>) {
+    fn start_attempt(&mut self, device: usize, b: usize) {
         let now = self.now_s;
-        let b = members.len();
+        let members: Vec<Request> = self
+            .queue
+            .drain(..b)
+            .map(|mut r| {
+                r.attempts += 1;
+                r
+            })
+            .collect();
         let outcome = match members[0].ckpt.clone() {
             Some(ck) => self.resumed_outcome(device, &ck),
             None => self.device_outcome(device, b),
@@ -1797,7 +1790,7 @@ impl ServePool {
             .map(|r| r.arrival_s + self.cfg.deadline_s)
             .fold(f64::NEG_INFINITY, f64::max);
         let cutoff = attempt_cutoff.min(latest_deadline);
-        self.scheduled_load_bytes += self.schedule_bytes;
+        self.counters.scheduled_load_bytes += self.schedule_bytes;
         let mut batch = Batch {
             members: Vec::with_capacity(b),
             batch_success: None,
@@ -1818,8 +1811,8 @@ impl ServePool {
             } => {
                 self.load_busy_total_s += load_busy_s;
                 self.ok_batch_utts += b;
-                self.elided_loads += reuse.elided_loads;
-                self.elided_load_bytes += reuse.elided_load_bytes;
+                self.counters.elided_loads += reuse.elided_loads;
+                self.counters.elided_load_bytes += reuse.elided_load_bytes;
                 batch.batch_success = Some((quality, pins));
                 batch.run_corruption = corruption;
                 (now + service_s, f64::INFINITY, utt_finish_s, timed_out)
@@ -1875,9 +1868,9 @@ impl ServePool {
 
     /// What resuming `ck` on this card does — *not* memoised: each
     /// checkpoint is a distinct suffix. The resume lowers against the
-    /// card's config without trusting the dead card's resident stripes
-    /// (failover is cross-device) and without the card's own weight cache
-    /// (a resume and resident reuse are exclusive lowerings); a checkpoint
+    /// card's config, re-fetching every suffix stripe and ignoring the
+    /// card's own weight cache (a resume and resident reuse are exclusive
+    /// lowerings); a checkpoint
     /// that fails validation is rejected typed and the dispatch falls back
     /// to a clean full restart, re-paying the banked work.
     fn resumed_outcome(&mut self, device: usize, ck: &PlanCheckpoint) -> CardOutcome {
@@ -1886,14 +1879,14 @@ impl ServePool {
         // validation would reject it too; gating here types the counter the
         // rolling-upgrade invariant is audited by).
         if ck.weight_version != self.cfg.accel.weight_version {
-            self.version_rejects += 1;
-            self.checkpoint_rejects += 1;
-            self.replayed_load_bytes += ck.loaded_bytes();
-            self.replayed_compute_s += ck.captured_at_s;
+            self.counters.version_rejects += 1;
+            self.counters.checkpoint_rejects += 1;
+            self.counters.replayed_load_bytes += ck.loaded_bytes();
+            self.counters.replayed_compute_s += ck.captured_at_s;
             return self.device_outcome(device, ck.remaining_lens().len());
         }
         let (accel, faults) = (&self.cfg.accel, self.devices[device].card.plan.clone());
-        let plan = ExecPlan::resume(accel, ck, false);
+        let plan = ExecPlan::resume(accel, ck);
         let run = match &plan {
             Ok(plan) => run_plan_with_recovery(accel, plan, faults),
             Err(e) => Err(e.clone().into()),
@@ -1901,15 +1894,15 @@ impl ServePool {
         match &run {
             Ok(run) => {
                 if let Some(res) = &run.resume {
-                    self.skipped_load_bytes += res.skipped_load_bytes;
-                    self.replayed_load_bytes += res.replayed_load_bytes;
+                    self.counters.skipped_load_bytes += res.skipped_load_bytes;
+                    self.counters.replayed_load_bytes += res.replayed_load_bytes;
                 }
-                self.skipped_compute_s += ck.captured_at_s;
+                self.counters.skipped_compute_s += ck.captured_at_s;
             }
             Err(fail) if matches!(fail.error, AccelError::CheckpointRejected { .. }) => {
-                self.checkpoint_rejects += 1;
-                self.replayed_load_bytes += ck.loaded_bytes();
-                self.replayed_compute_s += ck.captured_at_s;
+                self.counters.checkpoint_rejects += 1;
+                self.counters.replayed_load_bytes += ck.loaded_bytes();
+                self.counters.replayed_compute_s += ck.captured_at_s;
                 return self.device_outcome(device, ck.remaining_lens().len());
             }
             // Double fault mid-resume: the failure banks a *newer* frontier
@@ -1918,11 +1911,35 @@ impl ServePool {
             // partitioned, never replayed from scratch or dropped.
             Err(_) => {}
         }
-        self.resumed_dispatches += 1;
+        self.counters.resumed_dispatches += 1;
         match plan {
             Ok(plan) => CardOutcome::of(&plan, run),
             Err(e) => BatchFailure::from(e).into(),
         }
+    }
+
+    /// Member `r` of a size-`batch` dispatch on card `device` finished at
+    /// `t`, `service_s` after the dispatch, under the run's `corruption`.
+    fn complete(
+        &mut self,
+        device: usize,
+        r: Request,
+        t: f64,
+        service_s: f64,
+        batch: usize,
+        corruption: CorruptionCounters,
+    ) {
+        let card = &mut self.devices[device].card;
+        card.completed += 1;
+        let outcome = RequestOutcome::Completed {
+            device: card.id,
+            latency_s: t - r.arrival_s,
+            service_s,
+            batch,
+            corruption,
+            version: self.cfg.accel.weight_version,
+        };
+        self.finish_request(r, outcome);
     }
 
     fn finish_request(&mut self, r: Request, outcome: RequestOutcome) {
@@ -1938,23 +1955,11 @@ impl ServePool {
         });
     }
 
-    pub(crate) fn into_report(mut self) -> ServeReport {
+    fn into_report(mut self) -> ServeReport {
         self.records.sort_by_key(|r| r.id);
         let records = self.records;
-        let count = |f: &dyn Fn(&RequestRecord) -> bool| records.iter().filter(|r| f(r)).count();
-        let completed = count(&|r| matches!(r.outcome, RequestOutcome::Completed { .. }));
-        let shed = count(&|r| matches!(r.outcome, RequestOutcome::Shed));
-        let deadline_missed = count(&|r| matches!(r.outcome, RequestOutcome::DeadlineMissed(_)));
-        let failed = count(&|r| matches!(r.outcome, RequestOutcome::Failed(_)));
-        let dropped = count(&|r| matches!(r.outcome, RequestOutcome::DroppedAtShutdown));
-        let mut latencies: Vec<f64> = records
-            .iter()
-            .filter_map(|r| match r.outcome {
-                RequestOutcome::Completed { latency_s, .. } => Some(latency_s),
-                _ => None,
-            })
-            .collect();
-        latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+        let [completed, shed, deadline_missed, failed, dropped] = outcome_counts(&records);
+        let (p50_latency_s, p99_latency_s) = latency_p50_p99(&records);
         let wall_s = self.last_finish_s;
         let mut corruption = CorruptionCounters::default();
         for d in &self.devices {
@@ -1975,25 +1980,16 @@ impl ServePool {
             deadline_missed,
             failed,
             dropped_at_shutdown: dropped,
-            failed_over: self.failed_over,
             wall_s,
             throughput_rps: if wall_s > 0.0 { completed as f64 / wall_s } else { 0.0 },
-            p50_latency_s: percentile(&latencies, 0.50),
-            p99_latency_s: percentile(&latencies, 0.99),
+            p50_latency_s,
+            p99_latency_s,
             per_device: self
                 .devices
                 .iter()
                 .map(|d| DeviceReport {
-                    id: d.card.id,
-                    served: d.card.served,
-                    completed: d.card.completed,
-                    failed: d.card.failed,
+                    card: d.card.report(),
                     cancelled: d.cancelled,
-                    timed_out: d.card.timed_out,
-                    breaker_opens: d.card.breaker.opens,
-                    breaker_final: d.card.breaker.state,
-                    health: d.card.health,
-                    busy_s: d.card.busy_s,
                     corruption: d.corruption,
                 })
                 .collect(),
@@ -2005,18 +2001,8 @@ impl ServePool {
             max_batch: self.cfg.batch.max_batch,
             amortized_load_s,
             solo_load_s: self.solo_load_s,
-            elided_loads: self.elided_loads,
-            elided_load_bytes: self.elided_load_bytes,
-            scheduled_load_bytes: self.scheduled_load_bytes,
-            resumed_dispatches: self.resumed_dispatches,
-            checkpoint_rejects: self.checkpoint_rejects,
-            replayed_load_bytes: self.replayed_load_bytes,
-            replayed_compute_s: self.replayed_compute_s,
-            skipped_load_bytes: self.skipped_load_bytes,
-            skipped_compute_s: self.skipped_compute_s,
             weight_version: self.cfg.accel.weight_version,
-            version_rejects: self.version_rejects,
-            evicted: self.evicted,
+            counters: self.counters,
         }
     }
 }
@@ -2082,9 +2068,9 @@ mod tests {
         let report = ServePool::run(cfg(2, 0, 40.0, 0.5)).unwrap();
         assert_eq!(report.completed, report.submitted);
         assert_eq!(report.shed + report.failed + report.deadline_missed, 0);
-        assert_eq!(report.failed_over, 0);
+        assert_eq!(report.counters.failed_over, 0);
         assert!(report.p50_latency_s > 0.0 && report.p99_latency_s >= report.p50_latency_s);
-        for d in &report.per_device {
+        for d in report.per_device.iter().map(|d| &d.card) {
             assert_eq!(d.breaker_final, BreakerState::Closed);
             assert!(d.health > 0.99, "{} health {}", d.id, d.health);
         }
@@ -2099,12 +2085,12 @@ mod tests {
             "success {:.3} with a faulty card",
             report.success_ratio()
         );
-        assert!(report.failed_over > 0, "failures must be re-routed");
-        let bad = &report.per_device[1];
+        assert!(report.counters.failed_over > 0, "failures must be re-routed");
+        let bad = &report.per_device[1].card;
         assert!(bad.breaker_opens >= 1, "the breaker must open on the faulty card");
         assert!(bad.failed > 0);
         assert_eq!(bad.completed, 0, "every attempt on the broken card fails");
-        let good = &report.per_device[0];
+        let good = &report.per_device[0].card;
         assert!(good.completed > 0);
         assert!(good.health > bad.health, "routing signal must separate the cards");
     }
@@ -2118,15 +2104,15 @@ mod tests {
         assert_eq!(a.shed, b.shed);
         assert_eq!(a.deadline_missed, b.deadline_missed);
         assert_eq!(a.failed, b.failed);
-        assert_eq!(a.failed_over, b.failed_over);
+        assert_eq!(a.counters.failed_over, b.counters.failed_over);
         assert_eq!(a.wall_s.to_bits(), b.wall_s.to_bits());
         assert_eq!(a.p99_latency_s.to_bits(), b.p99_latency_s.to_bits());
         for (x, y) in a.per_device.iter().zip(&b.per_device) {
             assert_eq!(
-                (x.served, x.completed, x.failed, x.cancelled),
-                (y.served, y.completed, y.failed, y.cancelled)
+                (x.card.served, x.card.completed, x.card.failed, x.cancelled),
+                (y.card.served, y.card.completed, y.card.failed, y.cancelled)
             );
-            assert_eq!(x.breaker_opens, y.breaker_opens);
+            assert_eq!(x.card.breaker_opens, y.card.breaker_opens);
         }
     }
 
@@ -2150,24 +2136,27 @@ mod tests {
         };
         let off = run(false);
         let on = run(true);
-        assert_eq!(off.resumed_dispatches, 0);
-        assert!(off.replayed_load_bytes > 0, "restart-from-scratch re-pays the banked loads");
-        assert!(off.replayed_compute_s > 0.0);
-        assert!(on.resumed_dispatches > 0, "checkpointed failover must resume");
-        assert_eq!(on.checkpoint_rejects, 0);
+        assert_eq!(off.counters.resumed_dispatches, 0);
         assert!(
-            on.replayed_load_bytes < off.replayed_load_bytes,
+            off.counters.replayed_load_bytes > 0,
+            "restart-from-scratch re-pays the banked loads"
+        );
+        assert!(off.counters.replayed_compute_s > 0.0);
+        assert!(on.counters.resumed_dispatches > 0, "checkpointed failover must resume");
+        assert_eq!(on.counters.checkpoint_rejects, 0);
+        assert!(
+            on.counters.replayed_load_bytes < off.counters.replayed_load_bytes,
             "resume must replay strictly fewer LoadStripe bytes ({} vs {})",
-            on.replayed_load_bytes,
-            off.replayed_load_bytes
+            on.counters.replayed_load_bytes,
+            off.counters.replayed_load_bytes
         );
         assert!(
-            on.replayed_compute_s < off.replayed_compute_s,
+            on.counters.replayed_compute_s < off.counters.replayed_compute_s,
             "resume must replay strictly fewer compute seconds ({} vs {})",
-            on.replayed_compute_s,
-            off.replayed_compute_s
+            on.counters.replayed_compute_s,
+            off.counters.replayed_compute_s
         );
-        assert!(on.skipped_load_bytes > 0, "the skipped prefix is the benefit");
+        assert!(on.counters.skipped_load_bytes > 0, "the skipped prefix is the benefit");
         assert_eq!(on.completed, on.submitted, "every request still served");
         assert_eq!(off.completed, off.submitted);
     }
@@ -2187,8 +2176,8 @@ mod tests {
             let _ = pool.submit(i as f64 / 50.0);
         }
         let report = pool.drain();
-        let hangy = &report.per_device[0];
-        let clean = &report.per_device[1];
+        let hangy = &report.per_device[0].card;
+        let clean = &report.per_device[1].card;
         assert!(hangy.timed_out > 0, "watchdog kills must be recorded");
         assert_eq!(clean.timed_out, 0);
         assert!(
@@ -2279,7 +2268,7 @@ mod tests {
         assert!(report.deadline_missed > 0);
         assert_eq!(report.completed + report.deadline_missed + report.shed, report.submitted);
         // expiry is decided at dispatch, so missed requests never occupied a card
-        let served: usize = report.per_device.iter().map(|d| d.served).sum();
+        let served: usize = report.per_device.iter().map(|d| d.card.served).sum();
         assert_eq!(served, report.completed);
     }
 
@@ -2305,7 +2294,7 @@ mod tests {
         let report = ServePool::run(c).unwrap();
         assert_eq!(report.completed, 0);
         assert_eq!(report.failed + report.deadline_missed + report.shed, report.submitted);
-        assert!(report.per_device[0].breaker_opens >= 1);
+        assert!(report.per_device[0].card.breaker_opens >= 1);
         for r in &report.records {
             match &r.outcome {
                 RequestOutcome::Failed(e) => {
@@ -2348,11 +2337,11 @@ mod tests {
             "success {:.3} with a corrupt card",
             report.success_ratio()
         );
-        assert!(report.failed_over > 0, "integrity failures must be re-routed");
-        let bad = &report.per_device[1];
+        assert!(report.counters.failed_over > 0, "integrity failures must be re-routed");
+        let bad = &report.per_device[1].card;
         assert!(bad.breaker_opens >= 1, "repeated integrity failures must open the breaker");
         assert_eq!(bad.completed, 0, "no attempt on the corrupt card may complete");
-        assert!(report.per_device[0].completed > 0);
+        assert!(report.per_device[0].card.completed > 0);
     }
 
     #[test]
@@ -2789,10 +2778,6 @@ mod tests {
         assert_eq!(pool.breaker_summary()[0].0, BreakerState::Open);
         assert!(pool.is_idle());
         assert_eq!(pool.projected_start_s(), f64::INFINITY);
-        // A fail-stopped pool admits nothing either.
-        let mut dead = ServePool::new(cfg(2, 0, 10.0, 0.5)).unwrap();
-        dead.fail_stop();
-        assert_eq!(dead.projected_start_s(), f64::INFINITY);
     }
 
     #[test]
@@ -2844,12 +2829,12 @@ mod tests {
         let report = pool.drain();
         let served: Vec<u64> = report.records.iter().map(|r| service_s(r).to_bits()).collect();
         assert_eq!(served, [cold_n1, warm_n1, cold_n1].map(f64::to_bits));
-        assert_eq!(report.elided_loads, PIN_SLOTS, "only the warm dispatch elided");
-        assert_eq!(report.scheduled_load_bytes, 3 * schedule_bytes);
+        assert_eq!(report.counters.elided_loads, PIN_SLOTS, "only the warm dispatch elided");
+        assert_eq!(report.counters.scheduled_load_bytes, 3 * schedule_bytes);
         assert!(report.render().contains(&elided_loads_line(
-            report.elided_loads,
-            report.elided_load_bytes,
-            report.scheduled_load_bytes
+            report.counters.elided_loads,
+            report.counters.elided_load_bytes,
+            report.counters.scheduled_load_bytes
         )));
     }
 
@@ -2892,9 +2877,9 @@ mod tests {
         assert!(pool.devices[1].card.is_warm());
         let report = pool.drain();
         assert_eq!(report.completed, 2);
-        assert_eq!(report.resumed_dispatches, 1);
-        assert_eq!(report.elided_loads, 0, "a resume elides nothing from the cache");
-        assert_eq!(report.elided_load_bytes, 0);
+        assert_eq!(report.counters.resumed_dispatches, 1);
+        assert_eq!(report.counters.elided_loads, 0, "a resume elides nothing from the cache");
+        assert_eq!(report.counters.elided_load_bytes, 0);
     }
 
     /// Completed records' batch sizes by request id (`None` if not served).
@@ -2998,7 +2983,7 @@ mod tests {
         }
         let report = pool.drain();
         assert_eq!(report.completed, 4, "records: {:?}", report.records);
-        assert_eq!(report.failed_over, 1);
+        assert_eq!(report.counters.failed_over, 1);
         // Request 2 rode the front of the faulty batch and still completed.
         match &report.records[2].outcome {
             RequestOutcome::Completed { batch, .. } => assert_eq!(*batch, 2),
@@ -3015,7 +3000,7 @@ mod tests {
         }
         assert!(report.records[3].failed_over);
         assert_eq!(report.records[3].attempts, 2);
-        assert_eq!(report.per_device[0].failed, 1);
+        assert_eq!(report.per_device[0].card.failed, 1);
     }
 
     #[test]
@@ -3037,7 +3022,7 @@ mod tests {
         // survives it; only the hung utterance fails, typed.
         assert_eq!(report.completed, 2);
         assert_eq!(report.failed, 1);
-        assert_eq!(report.failed_over, 0, "one card: nowhere to fail over");
+        assert_eq!(report.counters.failed_over, 0, "one card: nowhere to fail over");
         match &report.records[2].outcome {
             RequestOutcome::Failed(e) => {
                 assert!(matches!(e, AccelError::Unrecoverable { .. }), "{}", e)
@@ -3072,14 +3057,14 @@ mod tests {
             let _ = pool.submit(i as f64 / 20.0);
         }
         let mut t = 0.0;
-        while !(pool.resumed_dispatches > 0 && pool.in_flight() > 0) {
+        while !(pool.counters.resumed_dispatches > 0 && pool.in_flight() > 0) {
             t += 1e-3;
             assert!(t < 10.0, "a checkpointed failover must go in flight");
             pool.run_until(t);
         }
         let report = pool.drain();
-        assert!(report.resumed_dispatches > 0);
-        assert_eq!(report.checkpoint_rejects, 0);
+        assert!(report.counters.resumed_dispatches > 0);
+        assert_eq!(report.counters.checkpoint_rejects, 0);
         assert_eq!(report.completed, report.submitted, "drain must finish the resumed suffix");
     }
 
@@ -3099,7 +3084,7 @@ mod tests {
             let _ = pool.submit(i as f64 / 400.0);
         }
         let report = pool.drain();
-        let bad_card = &report.per_device[0];
+        let bad_card = &report.per_device[0].card;
         assert!(
             bad_card.breaker_opens >= 2,
             "cooldown must expire mid-drain and the probe re-trip: {} opens",
@@ -3122,19 +3107,12 @@ mod tests {
             let _ = a.submit(i as f64 / 100.0);
         }
         a.run_until(0.03);
-        let evicted = a.fail_stop();
-        assert!(a.is_dead());
+        let (evicted, ra) = a.fail_stop();
         assert!(!evicted.is_empty(), "a mid-backlog kill must evict something");
-        assert!(a.submit(1.0).is_err(), "a dead pool refuses work");
-        let ra = {
-            let a_evicted = evicted.len();
-            let r = a.into_report();
-            assert_eq!(r.evicted, a_evicted);
-            r
-        };
+        assert_eq!(ra.counters.evicted, evicted.len());
         let mut b = ServePool::new(cfg(1, 0, 100.0, 2.0)).unwrap();
         b.run_until(0.03);
-        b.adopt(evicted).unwrap();
+        b.adopt(evicted);
         let rb = b.drain();
         assert_eq!(
             ra.completed + rb.completed,
@@ -3176,10 +3154,13 @@ mod tests {
         let ck = PlanCheckpoint::at(&plan, completed, loaded, &[], cost.latency_s * 0.5);
         assert!(ck.work_remains());
         let now = pool.now_s();
-        pool.adopt(vec![Evicted { arrival_s: now, attempts: 1, ckpt: Some(Rc::new(ck)) }]).unwrap();
+        pool.adopt(vec![Evicted { arrival_s: now, attempts: 1, ckpt: Some(Rc::new(ck)) }]);
         let report = pool.drain();
-        assert_eq!(report.version_rejects, 1, "cross-version resume must be refused typed");
-        assert_eq!(report.checkpoint_rejects, 1);
+        assert_eq!(
+            report.counters.version_rejects, 1,
+            "cross-version resume must be refused typed"
+        );
+        assert_eq!(report.counters.checkpoint_rejects, 1);
         assert_eq!(report.completed, report.submitted, "the refusal downgrades, not drops");
         assert!(report.render().contains("version rejects"));
     }

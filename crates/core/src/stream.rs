@@ -63,8 +63,8 @@ use crate::error::{AccelError, Result};
 use crate::host_runtime::run_plan_with_recovery;
 use crate::plan::{walk_cost, ExecPlan, PlanReuse, ResidentStripe};
 use crate::serve::{
-    elided_fraction, elided_loads_line, percentile, pool_fault_plans, BreakerState, Card,
-    CardOutcome, PIN_SLOTS,
+    elided_fraction, elided_loads_line, percentile, pool_fault_plans, Card, CardOutcome,
+    CardReport, PIN_SLOTS,
 };
 use asr_fpga_sim::device::DeviceId;
 use asr_fpga_sim::faults::FaultPlan;
@@ -244,27 +244,10 @@ pub struct ChunkRecord {
 /// Per-card section of the stream report.
 #[derive(Debug, Clone)]
 pub struct StreamDeviceReport {
-    /// Card identity.
-    pub id: DeviceId,
-    /// Chunks dispatched to this card.
-    pub served: usize,
-    /// Chunks that completed.
-    pub completed: usize,
-    /// Chunk attempts that died on this card (each one failed a stream
-    /// over to another card, or dropped it).
-    pub failed: usize,
-    /// Watchdog-timeout kills across this card's dispatches.
-    pub timed_out: usize,
+    /// The card's row, as both pools report it.
+    pub card: CardReport,
     /// Sessions whose final failed attempt died here.
     pub streams_killed: usize,
-    /// Times the breaker opened.
-    pub breaker_opens: u32,
-    /// Breaker state at drain.
-    pub breaker_final: BreakerState,
-    /// Health score in [0, 1] at drain.
-    pub health: f64,
-    /// Busy seconds.
-    pub busy_s: f64,
     /// Whether the card's weight cache was warm at drain.
     pub warm: bool,
 }
@@ -290,9 +273,10 @@ pub struct StreamReport {
     pub late: usize,
     /// Mid-stream failovers performed (device death → healthy card).
     pub failovers: usize,
-    /// Chunk dispatches that were replays of an unfinished chunk — the
-    /// failover accounting: this must equal `failovers` (only the
-    /// unfinished chunk is ever replayed, never the stream).
+    /// Chunk dispatches that were replays of an unfinished chunk, counted
+    /// as they dispatch. Each failover queues its chunk for one, and a
+    /// replay is never shed stale, so this equals `failovers`: only the
+    /// unfinished chunk is ever replayed, never the stream.
     pub chunks_replayed: usize,
     /// Median arrival-to-finish latency over served chunks, seconds.
     pub p50_chunk_latency_s: f64,
@@ -362,32 +346,10 @@ impl StreamReport {
             self.scheduled_load_bytes,
         ));
         line(format!("wall time            : {:8.2} ms", self.wall_s * 1e3));
-        line(format!(
-            "{:>6} {:>7} {:>6} {:>6} {:>7} {:>15} {:>7} {:>9} {:>5}",
-            "device",
-            "served",
-            "ok",
-            "fail",
-            "killed",
-            "breaker(opens)",
-            "health",
-            "busy(ms)",
-            "warm"
-        ));
+        line(format!("{} {:>5}", CardReport::header("killed"), "warm"));
         for d in &self.per_device {
-            line(format!(
-                "{:>6} {:>7} {:>6} {:>6} {:>7} {:>10}({:>3}) {:>7.3} {:>9.2} {:>5}",
-                d.id.to_string(),
-                d.served,
-                d.completed,
-                d.failed,
-                d.streams_killed,
-                d.breaker_final.name(),
-                d.breaker_opens,
-                d.health,
-                d.busy_s * 1e3,
-                if d.warm { "yes" } else { "no" }
-            ));
+            let warm = if d.warm { "yes" } else { "no" };
+            line(format!("{} {:>5}", d.card.row(d.streams_killed), warm));
         }
         out
     }
@@ -727,7 +689,6 @@ impl StreamPool {
             let cards = self.devices.len();
             if cards > 1 && (chunk.attempts as usize) < cards {
                 self.failovers += 1;
-                self.chunks_replayed += 1;
                 self.sessions[s_idx].exclude = Some(d_idx);
                 self.sessions[s_idx].queue.push_front(chunk);
             } else {
@@ -844,6 +805,9 @@ impl StreamPool {
     fn start_chunk(&mut self, s_idx: usize, d_idx: usize) {
         let now = self.now_s;
         let mut chunk = self.sessions[s_idx].queue.pop_front().expect("ready head");
+        if chunk.attempts > 0 {
+            self.chunks_replayed += 1;
+        }
         chunk.attempts += 1;
         self.sessions[s_idx].in_flight = true;
         self.sessions[s_idx].last_dispatch_s = now;
@@ -928,16 +892,8 @@ impl StreamPool {
                 .devices
                 .iter()
                 .map(|d| StreamDeviceReport {
-                    id: d.card.id,
-                    served: d.card.served,
-                    completed: d.card.completed,
-                    failed: d.card.failed,
-                    timed_out: d.card.timed_out,
+                    card: d.card.report(),
                     streams_killed: d.streams_killed,
-                    breaker_opens: d.card.breaker.opens,
-                    breaker_final: d.card.breaker.state,
-                    health: d.card.health,
-                    busy_s: d.card.busy_s,
                     warm: d.card.is_warm(),
                 })
                 .collect(),
@@ -949,6 +905,7 @@ impl StreamPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::BreakerState;
     use asr_fpga_sim::faults::FaultKind;
 
     fn cfg(devices: usize, seed: u64, streams: usize) -> StreamConfig {
@@ -968,8 +925,8 @@ mod tests {
         assert_eq!(report.failovers, 0);
         assert!(report.p99_chunk_latency_s >= report.p50_chunk_latency_s);
         for d in &report.per_device {
-            assert!(d.warm, "{} never warmed its stream cache", d.id);
-            assert_eq!(d.breaker_final, BreakerState::Closed);
+            assert!(d.warm, "{} never warmed its stream cache", d.card.id);
+            assert_eq!(d.card.breaker_final, BreakerState::Closed);
         }
     }
 
@@ -1009,13 +966,12 @@ mod tests {
         // interrupted chunk replays.
         assert_eq!(report.failovers, 1);
         assert_eq!(report.chunks_served, report.chunks_total);
-        let bad = &report.per_device[1];
-        assert_eq!(bad.completed, 0);
-        assert!(bad.failed > 0);
+        let (bad, good) = (&report.per_device[1], &report.per_device[0]);
+        assert_eq!(bad.card.completed, 0);
+        assert!(bad.card.failed > 0);
         assert!(!bad.warm);
-        let good = &report.per_device[0];
-        assert!(good.completed > 0 && good.warm);
-        assert!(good.health > bad.health);
+        assert!(good.card.completed > 0 && good.warm);
+        assert!(good.card.health > bad.card.health);
         assert!(report.elided_loads > 0, "failover must not disable resident reuse");
     }
 
@@ -1133,6 +1089,29 @@ mod tests {
         assert_eq!(report.chunks_served, 0);
         assert!(report.per_device.iter().map(|d| d.streams_killed).sum::<usize>() >= 2);
         assert_eq!(report.deadline_miss_rate, 1.0, "a dropped chunk missed its deadline");
+    }
+
+    #[test]
+    fn a_chunk_that_fails_over_twice_is_replayed_twice() {
+        // Cards 0 and 1 fail every load; the lone stream's one chunk dies
+        // on its home card 0, then on card 1, and is served by card 2. The
+        // deadline is the warm nominal itself, so each replay is already
+        // stale when it dispatches: only the replay exemption serves it.
+        let mut c = cfg(3, 0, 1);
+        c.chunks_per_stream = 1;
+        c.deadline_s = stream_analytics(&c).unwrap().warm_chunk_s;
+        let broken = FaultPlan::none()
+            .with(FaultKind::HbmLoadError { label: "LW".into(), failing_attempts: u32::MAX });
+        let plans = vec![broken.clone(), broken, FaultPlan::none()];
+        let report = StreamPool::run_with(c, vec![vec![0.0]], plans).unwrap();
+        assert_eq!((report.failovers, report.chunks_replayed), (2, 2));
+        let rec = &report.records[0];
+        assert_eq!(rec.attempts, 3);
+        assert!(
+            matches!(rec.outcome, ChunkOutcome::Served { device, late: true, .. } if device == DeviceId::new(2)),
+            "{:?}",
+            rec.outcome
+        );
     }
 
     #[test]

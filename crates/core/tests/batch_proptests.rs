@@ -212,15 +212,13 @@ fn runtime_compute_ends(plan: &ExecPlan, run: &BatchedRun) -> Vec<f64> {
 /// A batch-1 plan of one of five shapes: the full schedule, the full
 /// schedule over a warm card's pinned stripes, a checkpoint's resumed
 /// suffix, a stream chunk, or a decode step. `a`, `b` and `c` pick each
-/// shape's pin count, cut, window or step, folded into range; `trust`
-/// lets the resume trust its resident stripes and runs the chunk or the
-/// decode step warm.
+/// shape's pin count, cut, window or step, folded into range, and whether
+/// the chunk or the decode step runs warm.
 fn batch1_plan(
     cfg: &AccelConfig,
     arch: Architecture,
     shape: usize,
     (a, b, c): (usize, usize, usize),
-    trust: bool,
 ) -> ExecPlan {
     let s = cfg.max_seq_len;
     let full = || ExecPlan::lower(cfg, arch, s, 1, cfg.integrity).unwrap();
@@ -236,13 +234,14 @@ fn batch1_plan(
             let completed = a % phases;
             let loaded = (completed + b % 3).min(phases);
             let ckpt = PlanCheckpoint::at(&full, completed, loaded, &[], 0.0);
-            ExecPlan::resume(cfg, &ckpt, trust).unwrap()
+            ExecPlan::resume(cfg, &ckpt).unwrap()
         }
         3 => {
             let rows = 1 + a % s;
             let context = b % (s - rows + 1);
             let cold = ExecPlan::lower_stream_chunk(cfg, arch, rows, context, &[]).unwrap();
-            let resident = if trust { cold.pinned_stripes(serve::PIN_SLOTS) } else { Vec::new() };
+            let warm = c % 2 == 1;
+            let resident = if warm { cold.pinned_stripes(serve::PIN_SLOTS) } else { Vec::new() };
             ExecPlan::lower_stream_chunk(cfg, arch, rows, context, &resident).unwrap()
         }
         _ => {
@@ -255,7 +254,8 @@ fn batch1_plan(
             };
             let level = cfg.integrity;
             let cold = ExecPlan::lower_decode_step(cfg, arch, spec, &[], level).unwrap();
-            let resident = if trust { cold.decode_pinned_stripes() } else { Vec::new() };
+            let warm = a / 16 % 2 == 1;
+            let resident = if warm { cold.decode_pinned_stripes() } else { Vec::new() };
             ExecPlan::lower_decode_step(cfg, arch, spec, &resident, level).unwrap()
         }
     }
@@ -278,7 +278,6 @@ proptest! {
         level_idx in 0usize..3,
         shape in 0usize..5,
         cut in (0usize..64, 0usize..64, 0usize..64),
-        trust in prop::sample::select(vec![false, true]),
     ) {
         let mut cfg = unpadded(s);
         cfg.encoding = match encoding {
@@ -292,7 +291,7 @@ proptest! {
             IntegrityLevel::Detect,
             IntegrityLevel::DetectAndRecompute,
         ][level_idx];
-        let plan = batch1_plan(&cfg, arch, shape, cut, trust);
+        let plan = batch1_plan(&cfg, arch, shape, cut);
         let walk = walk_cost(&cfg, &plan);
         let run = run_plan(&cfg, &plan);
         let what = format!("{:?} s={} {} shape {} {:?}", arch, s, cfg.encoding, shape, cut);
@@ -317,7 +316,6 @@ fn batch_plan(
     batch: usize,
     shape: usize,
     (a, b, c): (usize, usize, usize),
-    trust: bool,
 ) -> ExecPlan {
     let lens = vec![cfg.max_seq_len; batch];
     let full = || ExecPlan::lower_batch(cfg, arch, &lens, cfg.integrity, &[]).unwrap();
@@ -335,9 +333,9 @@ fn batch_plan(
             let finished = if completed + 1 == phases { c % batch } else { 0 };
             let finished_s: Vec<f64> = (0..finished).map(|k| (k + 1) as f64 * 1e-3).collect();
             let ckpt = PlanCheckpoint::at(&full, completed, loaded, &finished_s, 0.0);
-            ExecPlan::resume(cfg, &ckpt, trust).unwrap()
+            ExecPlan::resume(cfg, &ckpt).unwrap()
         }
-        _ => batch1_plan(cfg, arch, shape, (a, b, c), trust),
+        _ => batch1_plan(cfg, arch, shape, (a, b, c)),
     }
 }
 
@@ -361,7 +359,6 @@ proptest! {
         level_idx in 0usize..3,
         shape in 0usize..5,
         cut in (0usize..64, 0usize..64, 0usize..64),
-        trust in prop::sample::select(vec![false, true]),
     ) {
         let mut cfg = unpadded(s);
         cfg.encoding = match encoding {
@@ -375,7 +372,7 @@ proptest! {
             IntegrityLevel::Detect,
             IntegrityLevel::DetectAndRecompute,
         ][level_idx];
-        let plan = batch_plan(&cfg, arch, batch, shape, cut, trust);
+        let plan = batch_plan(&cfg, arch, batch, shape, cut);
         let cost = walk_cost(&cfg, &plan);
         let tl = &cost.timeline;
         let load_busy: f64 =

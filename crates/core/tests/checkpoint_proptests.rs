@@ -142,7 +142,7 @@ proptest! {
             Err(f) => f,
         };
         let ckpt = failure.checkpoint.as_ref().expect("mid-run failures checkpoint");
-        let suffix = ExecPlan::resume(&cfg, ckpt, false).unwrap();
+        let suffix = ExecPlan::resume(&cfg, ckpt).unwrap();
         let resumed = run_plan_with_recovery(&cfg, &suffix, FaultPlan::none()).unwrap();
         prop_assert_eq!(
             ckpt.finished_utterances + resumed.utterance_finish_s.len(),
@@ -190,7 +190,7 @@ proptest! {
             Err(f) => f,
         };
         let c1 = f1.checkpoint.as_ref().expect("first failure checkpoints");
-        let suffix = ExecPlan::resume(&cfg, c1, false).unwrap();
+        let suffix = ExecPlan::resume(&cfg, c1).unwrap();
         match run_plan_with_recovery(&cfg, &suffix, kill(k2)) {
             // Second kill targeted the completed prefix: the suffix never
             // re-issues that load, so the resume sails through.
@@ -202,7 +202,7 @@ proptest! {
                 prop_assert!(c2.completed_phases >= c1.completed_phases,
                     "the frontier never moves backwards");
                 prop_assert!(c2.remaining_lens().len() <= c1.remaining_lens().len());
-                let last = ExecPlan::resume(&cfg, c2, false).unwrap();
+                let last = ExecPlan::resume(&cfg, c2).unwrap();
                 let done = run_plan_with_recovery(&cfg, &last, FaultPlan::none()).unwrap();
                 prop_assert_eq!(done.utterance_finish_s.len(), c2.remaining_lens().len());
             }
@@ -281,7 +281,6 @@ proptest! {
         batch in 1usize..=3,
         (completed, ahead, finished) in (0usize..64, 0usize..3, 0usize..3),
         edits in prop::collection::vec((0usize..14, 0u64..1 << 20), 1..=3),
-        trust in prop::sample::select(vec![false, true]),
     ) {
         let cfg = timing_cfg();
         let plan = ExecPlan::lower(&cfg, arch, 8, batch, integrity).unwrap();
@@ -294,7 +293,7 @@ proptest! {
         for &(field, v) in &edits {
             rewrite(&mut ckpt, field, v);
         }
-        match ExecPlan::resume(&cfg, &ckpt, trust) {
+        match ExecPlan::resume(&cfg, &ckpt) {
             Err(e) => prop_assert!(
                 matches!(e, AccelError::CheckpointRejected { .. } | AccelError::InvalidInput { .. }),
                 "{:?}: untyped refusal {}",

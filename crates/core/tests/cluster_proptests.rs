@@ -2,8 +2,9 @@
 //! finished utterances for a node kill at ANY virtual time — including
 //! mid-rolling-upgrade — a pre-kill completion prefix bit-identical to the
 //! fault-free run, no dispatched batch ever mixing weight versions, typed
-//! (never silent) cross-version checkpoint refusal, and rollouts that
-//! either complete or roll back cleanly.
+//! (never silent) cross-version checkpoint refusal, rollouts that either
+//! complete or roll back cleanly, and every request accounted for through
+//! power dropouts and kills that land on rebooting nodes.
 #![recursion_limit = "1024"]
 
 use asr_accel::cluster::{
@@ -37,6 +38,45 @@ fn trace(pick: usize) -> TrafficTrace {
         1 => TrafficTrace::Diurnal,
         _ => TrafficTrace::Bursty,
     }
+}
+
+/// The node-state timeline the cluster runs `faults` (kills and power
+/// dropouts only) to: the faults fire in time order, ties in list order and
+/// before any reboot due at the same instant; a dropout on a node that is
+/// down does nothing, and a kill keeps a node down for good, a rebooting
+/// one included. Returns which nodes end killed, and whether a node ever
+/// went down while no other node was up — the one case in which the
+/// cluster may lose work, since nothing can adopt what it evicts.
+fn went_down_alone(nodes: usize, faults: &[NodeFault]) -> (Vec<bool>, bool) {
+    let mut order: Vec<(f64, &NodeFault)> = faults
+        .iter()
+        .map(|f| match f {
+            NodeFault::Kill { at_s, .. } | NodeFault::PowerDropout { at_s, .. } => (*at_s, f),
+            other => panic!("only kills and dropouts are modelled, got {other:?}"),
+        })
+        .collect();
+    order.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut killed = vec![false; nodes];
+    let mut reboot_at: Vec<Option<f64>> = vec![None; nodes];
+    let mut alone = false;
+    for (t, fault) in order {
+        for r in &mut reboot_at {
+            *r = r.filter(|&at| at >= t);
+        }
+        let up = |m: usize| !killed[m] && reboot_at[m].is_none();
+        let (node, revive) = match *fault {
+            NodeFault::Kill { node, .. } => (node, None),
+            NodeFault::PowerDropout { node, at_s, outage_s } => (node, Some(at_s + outage_s)),
+            _ => unreachable!(),
+        };
+        if killed[node] || (!up(node) && revive.is_some()) {
+            continue;
+        }
+        alone |= up(node) && !(0..nodes).any(|m| m != node && up(m));
+        killed[node] = revive.is_none();
+        reboot_at[node] = revive;
+    }
+    (killed, alone)
 }
 
 /// Completion stamps of the run, `(finish_bits, arrival_bits)`, sorted —
@@ -230,6 +270,56 @@ proptest! {
             r.completed + r.shed + r.deadline_missed + r.failed + r.dropped,
             r.offered
         );
+    }
+
+    // Power dropouts and a kill, each on any node at any time, so the kill
+    // can land on a rebooting node (one case in three aims it at the first
+    // dropout's outage). Every offered request ends in exactly one terminal
+    // record or is lost, each node's submissions are its records plus its
+    // evictions, a killed node stays down, and nothing is lost unless a
+    // node went down while no other node was up.
+    #[test]
+    fn dropouts_and_a_kill_conserve_every_request(
+        seed in 0u64..512,
+        nodes in 2usize..5,
+        dropouts in prop::collection::vec((0usize..4, 10u64..2500, 50u64..1500), 1..=2),
+        (kill_node, kill_ms, aim) in (0usize..4, 10u64..2500, 0usize..3),
+    ) {
+        let mut cfg = base(nodes, 70.0, seed);
+        cfg.faults = dropouts
+            .iter()
+            .map(|&(node, at_ms, outage_ms)| NodeFault::PowerDropout {
+                node: node % nodes,
+                at_s: at_ms as f64 / 1e3,
+                outage_s: outage_ms as f64 / 1e3,
+            })
+            .collect();
+        let (first, at_ms, outage_ms) = dropouts[0];
+        cfg.faults.push(match aim {
+            0 => NodeFault::Kill {
+                node: first % nodes,
+                at_s: (at_ms + outage_ms / 2) as f64 / 1e3,
+            },
+            _ => NodeFault::Kill { node: kill_node % nodes, at_s: kill_ms as f64 / 1e3 },
+        });
+        let (killed, alone) = went_down_alone(nodes, &cfg.faults);
+        let requests = cfg.requests;
+        let r = Cluster::run(cfg.clone()).unwrap();
+        let what = format!("{:?}", cfg.faults);
+        prop_assert_eq!(r.offered, requests, "{}", what);
+        prop_assert_eq!(
+            r.completed + r.shed + r.deadline_missed + r.failed + r.dropped + r.lost,
+            r.offered,
+            "{}", what
+        );
+        for n in &r.per_node {
+            let records = r.records.iter().filter(|(node, _)| *node == n.node).count();
+            prop_assert_eq!(n.submitted, records + n.evicted, "node {}: {}", n.node, what);
+            prop_assert_eq!(n.killed, killed[n.node], "node {}: {}", n.node, what);
+        }
+        if !alone {
+            prop_assert_eq!(r.lost, 0, "a node went down while another was up: {}", what);
+        }
     }
 
     // Finish-time routing never leaves a node idle while a request queues:

@@ -188,7 +188,7 @@ proptest! {
             }
         }
         let cards_used = warmed.iter().filter(|&&w| w).count();
-        prop_assert_eq!(report.elided_loads, (requests - cards_used) * serve::PIN_SLOTS);
+        prop_assert_eq!(report.counters.elided_loads, (requests - cards_used) * serve::PIN_SLOTS);
     }
 
     // The serving tier's safety decisions (admission, expiry, batch

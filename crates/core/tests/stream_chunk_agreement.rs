@@ -80,9 +80,9 @@ fn assert_pool_ledger(report: &StreamReport, cold: &ExecPlan, warm: &ExecPlan) {
     assert!(pinned.iter().all(|r| r.phase != 0), "CTX is pinned");
     assert_eq!(reuse.elided_load_bytes, pinned.iter().map(|r| r.bytes).sum::<u64>());
     assert!(cold.load_of(0).is_some() && warm.load_of(0).is_some(), "a plan skips CTX");
-    let dispatches: usize = report.per_device.iter().map(|d| d.served).sum();
-    let completed: usize = report.per_device.iter().map(|d| d.completed).sum();
-    let cold_completions = report.per_device.iter().filter(|d| d.completed > 0).count();
+    let dispatches: usize = report.per_device.iter().map(|d| d.card.served).sum();
+    let completed: usize = report.per_device.iter().map(|d| d.card.completed).sum();
+    let cold_completions = report.per_device.iter().filter(|d| d.card.completed > 0).count();
     assert_eq!(report.scheduled_load_bytes, dispatches as u64 * cold.scheduled_load_bytes());
     assert_eq!(
         report.elided_load_bytes,
@@ -158,7 +158,7 @@ fn a_failed_over_chunk_replays_with_its_ctx_load() {
     assert_eq!((report.failovers, report.chunks_replayed), (1, 1));
     let replayed = report.records.iter().find(|r| r.attempts == 2).expect("one replay");
     assert!(matches!(replayed.outcome, ChunkOutcome::Served { .. }), "{:?}", replayed.outcome);
-    let dispatches: usize = report.per_device.iter().map(|d| d.served).sum();
+    let dispatches: usize = report.per_device.iter().map(|d| d.card.served).sum();
     assert_eq!(dispatches, report.chunks_total + 1, "one dispatch died and replayed");
     assert_pool_ledger(&report, &cold, &warm);
 }
@@ -289,13 +289,11 @@ fn a_chunk_checkpoint_never_resumes_into_a_full_schedule() {
         run_plan_with_recovery(&cfg, &chunk, dead_load).expect_err("the dead load kills the chunk");
     let ckpt = fail.checkpoint.expect("a failed chunk carries its barrier checkpoint");
     assert_eq!(ckpt.phase_labels.len(), 1 + cfg.model.n_encoders);
-    for trust_resident in [false, true] {
-        match ExecPlan::resume(&cfg, &ckpt, trust_resident) {
-            Err(AccelError::CheckpointRejected { reason }) => {
-                assert!(reason.contains("phase table"), "{}", reason)
-            }
-            other => panic!("expected CheckpointRejected, got {:?}", other.map(|p| p.phases.len())),
+    match ExecPlan::resume(&cfg, &ckpt) {
+        Err(AccelError::CheckpointRejected { reason }) => {
+            assert!(reason.contains("phase table"), "{}", reason)
         }
+        other => panic!("expected CheckpointRejected, got {:?}", other.map(|p| p.phases.len())),
     }
 
     // The pool replays the whole chunk instead: one failover, one replay.

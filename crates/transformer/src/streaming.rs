@@ -244,17 +244,43 @@ impl StreamState {
         Ok(())
     }
 
+    /// Encode one arriving chunk and roll the state forward: the one public
+    /// way a stream moves on. The chunk is admitted before any compute —
+    /// the state passes its CRC, the chunk carries `1..=chunk` rows of
+    /// `d_model` features, the carryover is shaped for `model` and the
+    /// cursors have room to move one chunk on — or refused with the typed
+    /// error. Then `layer` runs each item of `layers` in turn over the
+    /// rows so far (the chunk's own, first), attending over that layer's
+    /// cached context keys and values, and returns its output rows with its
+    /// keys and values over `[context ; rows]`. Returns the last layer's
+    /// rows and the successor state, which keeps each layer's trailing
+    /// `left_context` rows, has its cursors one chunk on and is sealed
+    /// under its CRC.
+    pub fn step<L, E: From<StreamingError>>(
+        &self,
+        chunk: &Matrix,
+        model: &TransformerConfig,
+        layers: impl IntoIterator<Item = L>,
+        mut layer: impl FnMut(L, &Matrix, &LayerKv) -> Result<(Matrix, LayerKv), E>,
+    ) -> Result<(Matrix, StreamState), E> {
+        self.check_chunk(chunk, model)?;
+        let mut x = chunk.clone();
+        let mut kv = Vec::with_capacity(model.n_encoders);
+        for (l, item) in layers.into_iter().enumerate() {
+            let (y, layer_kv) = layer(item, &x, self.context(l))?;
+            x = y;
+            kv.push(layer_kv);
+        }
+        Ok((x, self.advance(chunk.rows(), &kv)))
+    }
+
     /// Admit an arriving chunk before any compute: the state must pass its
     /// CRC, the chunk must carry `1..=chunk` rows of `d_model` features,
     /// the carryover must be shaped for the model — `n_encoders`
     /// layers of `n_heads` keys and values, each
     /// `min(left_context, emitted_rows) × d_k`, or nothing when that is 0 —
     /// and the cursors must have room to move one chunk on.
-    pub fn check_chunk(
-        &self,
-        chunk: &Matrix,
-        model: &TransformerConfig,
-    ) -> Result<(), StreamingError> {
+    fn check_chunk(&self, chunk: &Matrix, model: &TransformerConfig) -> Result<(), StreamingError> {
         self.verify()?;
         if chunk.rows() == 0 {
             return Err(StreamingError::EmptyInput);
@@ -297,7 +323,7 @@ impl StreamState {
 
     /// Layer `layer`'s cached context: what that layer's attention spans
     /// before the chunk's own rows (empty while none is carried).
-    pub fn context(&self, layer: usize) -> &LayerKv {
+    fn context(&self, layer: usize) -> &LayerKv {
         static NONE: LayerKv = LayerKv { k: Vec::new(), v: Vec::new() };
         self.kv.get(layer).unwrap_or(&NONE)
     }
@@ -308,7 +334,7 @@ impl StreamState {
     /// chunk on, and the CRC covers the result. A chunk
     /// [`check_chunk`](Self::check_chunk) admitted always has room for the
     /// cursors to move.
-    pub fn advance(&self, rows: usize, kv: &[LayerKv]) -> StreamState {
+    fn advance(&self, rows: usize, kv: &[LayerKv]) -> StreamState {
         let emitted_rows = self.emitted_rows + rows;
         let keep = self.left_context.min(emitted_rows);
         let kv = if keep == 0 { Vec::new() } else { kv.iter().map(|l| l.tail(keep)).collect() };
@@ -316,7 +342,8 @@ impl StreamState {
     }
 }
 
-/// Encode one arriving chunk under the state's carried context: only the
+/// Encode one arriving chunk under the state's carried context
+/// ([`StreamState::step`] over the model's encoder layers): only the
 /// chunk's rows run through the encoder layers, each attending over its
 /// cached context keys and values then the rows' own. Returns the chunk's
 /// encoder rows and the successor state. The rows are bit-identical to
@@ -329,15 +356,9 @@ pub fn push_chunk(
     chunk: &Matrix,
     backend: &dyn MatMul,
 ) -> Result<(Matrix, StreamState), StreamingError> {
-    state.check_chunk(chunk, &model.config)?;
-    let mut x = chunk.clone();
-    let mut kv = Vec::with_capacity(model.weights.encoders.len());
-    for (l, enc) in model.weights.encoders.iter().enumerate() {
-        let (y, layer_kv) = encoder_layer(&x, state.context(l), enc, backend);
-        x = y;
-        kv.push(layer_kv);
-    }
-    Ok((x, state.advance(chunk.rows(), &kv)))
+    state.step(chunk, &model.config, &model.weights.encoders, |enc, x, context| {
+        Ok(encoder_layer(x, context, enc, backend))
+    })
 }
 
 /// Encode features chunk by chunk. Each chunk's layers attend over the

@@ -35,7 +35,7 @@ fn main() {
         let report = ServePool::run(cfg).expect("serve config is valid");
         let broken =
             if seed == 0 { "-".to_string() } else { format!("dev{}", (seed as usize) % devices) };
-        let opens: u32 = report.per_device.iter().map(|d| d.breaker_opens).sum();
+        let opens: u32 = report.per_device.iter().map(|d| d.card.breaker_opens).sum();
         println!(
             "{:>4} {:>6} {:>8.1} {:>6} {:>7} {:>8} {:>8} {:>9.2} {:>9.2}",
             seed,
@@ -43,7 +43,7 @@ fn main() {
             report.success_ratio() * 100.0,
             report.shed,
             report.deadline_missed,
-            report.failed_over,
+            report.counters.failed_over,
             opens,
             report.p50_latency_s * 1e3,
             report.p99_latency_s * 1e3,

@@ -492,8 +492,8 @@ fn cmd_faults(seed: u64, s: usize, args: &[String]) -> Result<(), CliError> {
 
 /// `asrsim faults <seed> --checkpoint`: kill a batched run with a persistent
 /// load fault, show the barrier-granular checkpoint the failure carries, then
-/// resume the uncompleted suffix on a clean spare (cross-device, so resident
-/// stripes are not trusted) and compare against paying for a full restart.
+/// resume the uncompleted suffix on a clean spare (which re-loads every
+/// suffix stripe) and compare against paying for a full restart.
 fn cmd_faults_checkpoint(
     seed: u64,
     cfg: &AccelConfig,
@@ -556,9 +556,9 @@ fn cmd_faults_checkpoint(
         ckpt.captured_at_s * 1e3,
         ckpt.loaded_bytes()
     );
-    // Fail over to a clean spare. Cross-device, so the double-buffer
-    // residency of the dead card is not trusted: suffix stripes re-load.
-    let resumed = ExecPlan::resume(cfg, &ckpt, false).and_then(|suffix| {
+    // Fail over to a clean spare: the dead card's double-buffer residency
+    // stays behind, so suffix stripes re-load.
+    let resumed = ExecPlan::resume(cfg, &ckpt).and_then(|suffix| {
         run_plan_with_recovery(cfg, &suffix, FaultPlan::none()).map_err(|f| f.error)
     });
     match resumed {
@@ -570,8 +570,8 @@ fn cmd_faults_checkpoint(
             );
             println!("  suffix makespan    : {:8.2} ms", run.makespan_s * 1e3);
             println!(
-                "  skipped by resume  : {} computes, {} load bytes ({} trusted resident loads)",
-                res.skipped_computes, res.skipped_load_bytes, res.trusted_loads
+                "  skipped by resume  : {} computes, {} load bytes",
+                res.skipped_computes, res.skipped_load_bytes
             );
             println!(
                 "  replayed by resume : {} loads, {} bytes",

@@ -184,35 +184,3 @@ fn exit_codes_match_their_golden_file() {
         panic!("exit codes differ from golden:\n{diff}");
     }
 }
-
-/// CI's "Typed CLI exit codes" step checks a subset of `EXITS`. Every
-/// `expect CODE ARGS` line there must name an invocation pinned here, with
-/// the code `exit_codes.txt` records for it, so the two lists cannot drift.
-#[test]
-fn ci_exit_code_checks_are_pinned_by_the_golden_list() {
-    let ci = Path::new(env!("CARGO_MANIFEST_DIR")).join(".github/workflows/ci.yml");
-    let ci = std::fs::read_to_string(&ci).unwrap_or_else(|e| panic!("{}: {e}", ci.display()));
-    let golden = std::fs::read_to_string(golden_path("exit_codes")).expect("exit_codes.txt");
-    let golden: Vec<&str> = golden.lines().collect();
-    let mut checked = 0;
-    for line in ci.lines() {
-        let mut words = line.split_whitespace();
-        if words.next() != Some("expect") {
-            continue;
-        }
-        let Some(code) = words.next().filter(|w| w.parse::<u8>().is_ok()) else {
-            continue;
-        };
-        let args = words.collect::<Vec<_>>().join(" ");
-        assert!(EXITS.contains(&args.as_str()), "CI checks `asrsim {args}`, which EXITS lacks");
-        let header = format!("$ asrsim {args}");
-        let at = golden.iter().position(|l| *l == header).expect("EXITS entries are in the file");
-        assert_eq!(
-            golden.get(at + 1).copied(),
-            Some(format!("exit {code}").as_str()),
-            "CI expects `asrsim {args}` to exit {code}"
-        );
-        checked += 1;
-    }
-    assert!(checked > 0, "no `expect CODE ARGS` line found in ci.yml");
-}

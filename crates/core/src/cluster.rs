@@ -452,13 +452,14 @@ impl ClusterReport {
 
 // ---- internal machinery ----
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 enum EvKind {
     Arrival(usize),
     Hedge { arrival_s: f64, key: usize, excluded: Vec<usize> },
     Fault(usize),
     Revive(usize),
     FlashDone(usize),
+    Orphaned { from: usize, evicted: Vec<Evicted> },
     Tick,
 }
 
@@ -678,6 +679,7 @@ impl Cluster {
                 EvKind::Fault(i) => self.on_fault(i),
                 EvKind::Revive(n) => self.on_revive(n),
                 EvKind::FlashDone(n) => self.on_flash_done(n),
+                EvKind::Orphaned { from, evicted } => self.adopt_evicted(from, evicted),
                 EvKind::Tick => {}
             }
             self.step_upgrade();
@@ -824,14 +826,18 @@ impl Cluster {
             self.push(at, EvKind::Revive(node));
         }
         // A node dying mid-upgrade abandons its drain/flash slot; the
-        // rollout re-evaluates with the survivors.
+        // rollout re-evaluates with the survivors. A kill takes the node off
+        // the queue; a dropout keeps its place, or gives a cut drain or
+        // flash back the queue's front, so the node upgrades once it is back.
         if let Some(u) = self.upgrade.as_mut() {
-            u.queue.retain(|&q| q != node);
-            match u.state {
-                UState::Draining(n) | UState::Flashing(n) if n == node => {
-                    u.state = UState::Waiting;
-                }
-                _ => {}
+            let cut = matches!(u.state, UState::Draining(n) | UState::Flashing(n) if n == node);
+            if cut {
+                u.state = UState::Waiting;
+            }
+            if revive_at.is_none() {
+                u.queue.retain(|&q| q != node);
+            } else if cut {
+                u.queue.insert(0, node);
             }
         }
         if evicted.is_empty() {
@@ -844,7 +850,10 @@ impl Cluster {
     /// survivor when one exists (its checkpoints resume instead of being
     /// version-rejected), the one among them that would start the work
     /// first. The whole eviction set goes to one node so checkpoint groups
-    /// stay contiguous.
+    /// stay contiguous. With no survivor now but another node still to come
+    /// back (draining, flashing, rebooting or cut off), the set tries again
+    /// a link timeout later, as an arrival with nowhere to go does; with
+    /// none, it is lost.
     fn adopt_evicted(&mut self, from: usize, evicted: Vec<Evicted>) {
         let want: Option<u64> = evicted
             .iter()
@@ -856,11 +865,14 @@ impl Cluster {
                 Some((i, matches, n.pool.as_ref()?.projected_start_s()))
             })
             .min_by(|a, b| b.1.cmp(&a.1).then(a.2.total_cmp(&b.2)));
-        // With no survivor the evictions stay lost: the report counts
-        // evictions less handoffs.
+        // Lost evictions are what the report counts as evictions less
+        // handoffs.
         if let Some((adopter, _, _)) = best {
             self.handoffs += evicted.len();
             self.nodes[adopter].pool.as_mut().expect("routable").adopt(evicted);
+        } else if self.nodes.iter().enumerate().any(|(i, n)| i != from && !n.killed) {
+            let at = self.now_s + self.link_timeout();
+            self.push(at, EvKind::Orphaned { from, evicted });
         }
     }
 
@@ -946,21 +958,30 @@ impl Cluster {
                 // Skip nodes already at the target (or gone).
                 let target = u.target();
                 u.queue.retain(|&q| !self.nodes[q].killed && self.nodes[q].version != target);
-                let Some(&next) = u.queue.first() else {
+                if u.queue.is_empty() {
                     u.state = UState::Settled(if u.rolling_back {
                         UpgradeOutcome::RolledBack
                     } else {
                         UpgradeOutcome::Completed
                     });
                     return;
+                }
+                // The first queued node that is up: one rebooting after a
+                // power dropout keeps its place, and its revival wakes the
+                // rollout if nothing else is queued. Its outage is the
+                // dropout's, not the rollout's, so it is not downtime.
+                let Some(pos) = u.queue.iter().position(|&q| self.nodes[q].pool.is_some()) else {
+                    u.state = UState::Waiting;
+                    return;
                 };
+                let next = u.queue[pos];
                 // The SLO gate: enough live, reachable spares, with enough
                 // admitting capacity, to absorb the pulled node's share.
                 let spares = self.survivors(next).count();
                 let capacity = self.survivor_capacity(next);
                 let ok = spares >= MIN_LIVE_SPARES && capacity >= self.cfg.rps;
                 if ok {
-                    u.queue.remove(0);
+                    u.queue.remove(pos);
                     u.state = UState::Draining(next);
                     u.drain_started_s = now;
                     let n = &mut self.nodes[next];
@@ -1248,6 +1269,22 @@ mod tests {
             .map(|(_, rec)| rec.arrival_s)
             .fold(0.0f64, f64::max);
         assert!(last_on_0 > 0.8, "the rebooted node must serve post-outage arrivals");
+    }
+
+    #[test]
+    fn evictions_with_no_survivor_wait_for_a_rebooting_node() {
+        // Node 0 dies with a backlog while node 1 reboots: nothing can
+        // adopt the evictions then, so they retry until node 1 is back.
+        let mut c = cfg(2, 1, 150.0);
+        c.faults = vec![
+            NodeFault::PowerDropout { node: 1, at_s: 0.5, outage_s: 0.1 },
+            NodeFault::Kill { node: 0, at_s: 0.55 },
+        ];
+        let r = Cluster::run(c).unwrap();
+        assert!(r.per_node[0].evicted > 0, "the kill must land on a backlog");
+        let evicted: usize = r.per_node.iter().map(|n| n.evicted).sum();
+        assert_eq!((r.lost, r.handoffs), (0, evicted));
+        assert_eq!(r.completed + r.shed + r.deadline_missed + r.failed + r.dropped, r.offered);
     }
 
     #[test]

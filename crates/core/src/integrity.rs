@@ -583,8 +583,7 @@ fn functional_prelude(
     let clean = ModelWeights::seeded(&cfg.model, model_seed);
     let w = load_model_with_faults_encoded(&clean, cfg.encoding, faults, level, &mut counters)?;
     let engine = CheckedPsa::with_fault(cfg.psa_engine(), level, faults.lane);
-    let input_len = plan.input_lens.iter().copied().max().unwrap_or(1);
-    let s = plan.seq_len.min(input_len.max(1));
+    let s = functional_rows(plan);
     let xs: Vec<Matrix> = input_seeds
         .iter()
         .map(|&seed| init::uniform(s, cfg.model.d_model, -0.5, 0.5, seed))
@@ -593,12 +592,18 @@ fn functional_prelude(
     Ok((w, engine, (cursor, counters)))
 }
 
+/// Rows of each utterance's encoder activations: the built length, cut to
+/// the batch's longest input.
+fn functional_rows(plan: &ExecPlan) -> usize {
+    let input_len = plan.input_lens.iter().copied().max().unwrap_or(1);
+    plan.seq_len.min(input_len.max(1))
+}
+
 /// Decoder token-prefix length: the first `steps` embedding rows stand in
 /// for a decoded token prefix (the functional path needs data, not a beam
 /// search).
 fn functional_steps(cfg: &AccelConfig, plan: &ExecPlan) -> usize {
-    let input_len = plan.input_lens.iter().copied().max().unwrap_or(1);
-    plan.seq_len.min(input_len.max(1)).min(cfg.model.vocab_size)
+    functional_rows(plan).min(cfg.model.vocab_size)
 }
 
 /// Shared teardown: materialize per-utterance outputs and fold the ABFT
@@ -685,6 +690,12 @@ pub fn functional_checkpoint_at(
 /// `plan` is the *full* plan the checkpoint was cut from. The returned
 /// counters are suffix-scoped (one model reload + the replayed phases);
 /// fold in `ckpt.counters` for whole-run accounting.
+///
+/// A checkpoint whose state the plan's prefix could not have left is
+/// refused typed before any phase runs, whatever its CRC: layer cursors
+/// that are not the prefix's encoder and decoder phase counts, activations
+/// of another shape than the plan's, or decoder activations present before
+/// the first decoder phase (or not one per utterance after it).
 pub fn resume_functional_plan(
     cfg: &AccelConfig,
     plan: &ExecPlan,
@@ -693,23 +704,52 @@ pub fn resume_functional_plan(
     faults: &FunctionalFaults,
 ) -> Result<BatchIntegrityRun> {
     ckpt.verify()?;
-    if ckpt.completed_phases > plan.phases.len() {
-        return Err(AccelError::CheckpointRejected {
-            reason: format!(
-                "frontier {} past the plan's {} phases",
-                ckpt.completed_phases,
-                plan.phases.len()
-            ),
-        });
-    }
+    let reject = |reason: String| Err(AccelError::CheckpointRejected { reason });
+    let Some(done) = plan.phases.get(..ckpt.completed_phases) else {
+        return reject(format!(
+            "frontier {} past the plan's {} phases",
+            ckpt.completed_phases,
+            plan.phases.len()
+        ));
+    };
     if ckpt.xs.len() != plan.batch {
-        return Err(AccelError::CheckpointRejected {
-            reason: format!(
-                "checkpoint holds {} utterances but the plan batches {}",
-                ckpt.xs.len(),
-                plan.batch
-            ),
-        });
+        return reject(format!(
+            "checkpoint holds {} utterances but the plan batches {}",
+            ckpt.xs.len(),
+            plan.batch
+        ));
+    }
+    let ran = |kind: PhaseKind| done.iter().filter(|p| p.kind == kind).count();
+    let (encoders, decoders) = (ran(PhaseKind::Encoder), ran(PhaseKind::DecoderFull));
+    if (ckpt.enc_idx, ckpt.dec_idx) != (encoders, decoders) {
+        return reject(format!(
+            "cursors at encoder {} and decoder {}, but the {} phases before the frontier \
+             hold {} encoder and {} decoder phases",
+            ckpt.enc_idx, ckpt.dec_idx, ckpt.completed_phases, encoders, decoders
+        ));
+    }
+    let ys_len = if decoders == 0 { 0 } else { plan.batch };
+    if ckpt.ys.len() != ys_len {
+        return reject(format!(
+            "{} decoder activations after {} decoder phases of a batch of {}",
+            ckpt.ys.len(),
+            decoders,
+            plan.batch
+        ));
+    }
+    let (d_model, steps) = (cfg.model.d_model, functional_steps(cfg, plan));
+    let shapes = [("encoder", &ckpt.xs, functional_rows(plan)), ("decoder", &ckpt.ys, steps)];
+    for (what, ms, rows) in shapes {
+        if let Some(m) = ms.iter().find(|m| (m.rows(), m.cols()) != (rows, d_model)) {
+            return reject(format!(
+                "{} activations of {} x {}, not the plan's {} x {}",
+                what,
+                m.rows(),
+                m.cols(),
+                rows,
+                d_model
+            ));
+        }
     }
     let (w, engine, (_fresh, counters)) =
         functional_prelude(cfg, plan, ckpt.model_seed, input_seeds, faults)?;
@@ -720,7 +760,6 @@ pub fn resume_functional_plan(
         enc_idx: ckpt.enc_idx,
         dec_idx: ckpt.dec_idx,
     };
-    let steps = functional_steps(cfg, plan);
     advance_phases(
         cfg,
         plan,
@@ -1398,6 +1437,36 @@ mod tests {
         }
         // The clean full restart path stays open.
         run_functional_plan(&cfg, &plan, 9, &seeds, &FunctionalFaults::none()).unwrap();
+    }
+
+    /// A batch-1 A2 checkpoint cut after the first phase, rewritten by
+    /// `edit` and re-sealed with the CRC of what it now holds, so only the
+    /// resume's own checks stand between it and the interpreter.
+    fn resume_rewritten(edit: impl FnOnce(&mut FunctionalCheckpoint)) -> Result<BatchIntegrityRun> {
+        let cfg = cfg_at(IntegrityLevel::Detect);
+        let seeds = [5u64];
+        let plan = ExecPlan::lower(&cfg, Architecture::A2, 4, 1, cfg.integrity).unwrap();
+        let none = FunctionalFaults::none();
+        let mut ckpt = functional_checkpoint_at(&cfg, &plan, 9, &seeds, &none, 1).unwrap();
+        edit(&mut ckpt);
+        let c = &ckpt;
+        ckpt.state_crc =
+            FunctionalCheckpoint::crc_of(&c.xs, &c.ys, c.completed_phases, c.enc_idx, c.dec_idx);
+        resume_functional_plan(&cfg, &plan, &ckpt, &seeds, &none)
+    }
+
+    #[test]
+    fn a_resealed_checkpoint_with_a_foreign_cursor_is_refused_typed() {
+        let err = resume_rewritten(|c| c.enc_idx = 99).unwrap_err();
+        assert!(matches!(err, AccelError::CheckpointRejected { .. }), "{}", err);
+        assert!(err.to_string().contains("cursors at encoder 99"), "{}", err);
+    }
+
+    #[test]
+    fn a_resealed_checkpoint_with_narrow_activations_is_refused_typed() {
+        let err = resume_rewritten(|c| c.xs[0] = Matrix::zeros(3, 5)).unwrap_err();
+        assert!(matches!(err, AccelError::CheckpointRejected { .. }), "{}", err);
+        assert!(err.to_string().contains("encoder activations of 3 x 5"), "{}", err);
     }
 
     #[test]

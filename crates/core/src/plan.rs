@@ -559,7 +559,7 @@ impl ExecPlan {
         batch: usize,
         integrity: IntegrityLevel,
     ) -> Result<ExecPlan> {
-        Self::lower_batch(cfg, arch, &vec![input_len; batch], integrity, &[])
+        Self::lower_lens(cfg, arch, vec![input_len; batch], integrity, &[])
     }
 
     /// Lower the eager schedule for a batch of unpadded input lengths, one
@@ -578,14 +578,26 @@ impl ExecPlan {
         integrity: IntegrityLevel,
         resident: &[ResidentStripe],
     ) -> Result<ExecPlan> {
+        Self::lower_lens(cfg, arch, input_lens.to_vec(), integrity, resident)
+    }
+
+    /// [`lower_batch`](Self::lower_batch) on input lengths the plan keeps:
+    /// [`lower`](Self::lower) builds its uniform batch straight into them.
+    fn lower_lens(
+        cfg: &AccelConfig,
+        arch: Architecture,
+        input_lens: Vec<usize>,
+        integrity: IntegrityLevel,
+        resident: &[ResidentStripe],
+    ) -> Result<ExecPlan> {
         cfg.validate()?;
         if input_lens.is_empty() {
             return Err(AccelError::Config("batch size must be >= 1".into()));
         }
-        let seq_len = padded_batch_len(cfg, input_lens)?;
+        let seq_len = padded_batch_len(cfg, &input_lens)?;
         let phases = phase_list(cfg, arch);
         let held = Held::Resident(resident);
-        Ok(Self::emit(cfg, arch, integrity, input_lens.to_vec(), seq_len, phases, held))
+        Ok(Self::emit(cfg, arch, integrity, input_lens, seq_len, phases, held))
     }
 
     /// Lower one streaming chunk: a batch-of-one plan of `rows` new rows
@@ -910,14 +922,14 @@ impl ExecPlan {
 
         // Resident-reuse validation: every offered stripe either CRC-matches
         // the stripe this schedule would fetch for its phase (its load is
-        // elided) or is counted stale and re-loaded.
-        let mut reuse_acct = if resident.is_empty() {
-            None
-        } else {
-            Some(PlanReuse { offered: resident.len(), ..Default::default() })
-        };
-        let mut resident_ok = vec![false; phases.len()];
-        if let Some(acct) = reuse_acct.as_mut() {
+        // elided) or is counted stale and re-loaded. With none offered there
+        // is nothing to flag, so the flags stay unallocated.
+        let mut reuse_acct = None;
+        let mut resident_ok = Vec::new();
+        if !resident.is_empty() {
+            let acct =
+                reuse_acct.insert(PlanReuse { offered: resident.len(), ..Default::default() });
+            resident_ok = vec![false; phases.len()];
             for r in resident {
                 match phases.get(r.phase) {
                     // A version-stale stripe is refused *before* the CRC
@@ -965,7 +977,7 @@ impl ExecPlan {
                 load_of.push(None);
                 continue;
             }
-            let lw = if resident_ok[i] {
+            let lw = if resident_ok.get(i) == Some(&true) {
                 // Weight cache hit: an earlier dispatch on the card left the
                 // CRC-matching stripe pinned, so the fetch is elided and the
                 // phase computes straight out of the resident slot.
@@ -1440,7 +1452,8 @@ pub fn walk_cost(cfg: &AccelConfig, plan: &ExecPlan) -> PlanCost {
     let load_time = |bytes: u64| cfg.device.hbm.read_time_s(bytes, channels_per_engine);
     let compute_s = phase_compute_table(cfg, plan);
 
-    let mut tl = Timeline::new();
+    // A phase pushes at most one load span and one compute span.
+    let mut tl = Timeline::with_capacity(2 * plan.phases.len());
     let mut engine_free = [0.0f64; LOAD_UNITS.len()];
     let mut load_end = vec![0.0f64; plan.phases.len()];
     let mut compute_end = vec![0.0f64; plan.phases.len()];

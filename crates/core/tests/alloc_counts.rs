@@ -13,7 +13,7 @@ use std::cell::Cell;
 
 use asr_accel::plan::{walk_cost, ExecPlan};
 use asr_accel::serve::ServePool;
-use asr_accel::{AccelConfig, Architecture, ServeConfig};
+use asr_accel::{stream_analytics, AccelConfig, Architecture, ServeConfig, StreamConfig};
 use asr_systolic::abft::IntegrityLevel;
 use asr_transformer::TransformerConfig;
 
@@ -87,21 +87,17 @@ fn shallow() -> AccelConfig {
 const LEVELS: [IntegrityLevel; 2] = [IntegrityLevel::Off, IntegrityLevel::Detect];
 
 /// What lowering allocates for any eager plan whose labels the name table
-/// holds, whatever its depth, batch or checks: the batch's input lengths
-/// (twice: `lower` builds them, the plan keeps a copy), the phase table,
-/// the resident-stripe flags, and the node, load and compute tables.
-const LOWER_BLOCKS: usize = 7;
+/// holds, whatever its depth, batch or checks: 5 blocks — the batch's input
+/// lengths (built once, kept by the plan), the phase table, and the node,
+/// load and compute tables. With no stripes offered there are no
+/// resident-stripe flags to allocate.
+const LOWER_BLOCKS: usize = 5;
 
-/// What the walker allocates for a plan of the 18-layer schedule: the
-/// per-phase compute times and the cache of their kinds, the per-phase load
-/// and compute end times, and the timeline's span vector, unit list and
-/// per-unit span indices as they grow (36 spans at A1 and A2, 48 at A3).
-fn walk_blocks(arch: Architecture) -> usize {
-    match arch {
-        Architecture::A3 => 23,
-        _ => 20,
-    }
-}
+/// What the walker allocates for any plan at any architecture: 6 blocks —
+/// the per-phase compute times and the cache of their kinds, the per-phase
+/// load and compute end times, and the timeline's span vector (sized up
+/// front: a phase pushes at most two spans) and unit list.
+const WALK_BLOCKS: usize = 6;
 
 fn lower(cfg: &AccelConfig, arch: Architecture, batch: usize, level: IntegrityLevel) -> ExecPlan {
     ExecPlan::lower(cfg, arch, cfg.max_seq_len, batch, level).unwrap()
@@ -139,7 +135,7 @@ fn walking_allocates_fewer_than_two_blocks_per_span() {
                     let (n, cost) = blocks(|| walk_cost(&cfg, &plan));
                     let spans = cost.timeline.spans().len();
                     assert!(
-                        n < 2 * spans && n == walk_blocks(arch),
+                        n < 2 * spans && n == WALK_BLOCKS,
                         "{name} {arch:?} batch {batch} {level:?}: {n} blocks for {spans} spans"
                     );
                 }
@@ -149,11 +145,24 @@ fn walking_allocates_fewer_than_two_blocks_per_span() {
 }
 
 /// A serve pool's set-up lowers and walks its solo plan once; the rest of
-/// what it allocates is the pool's own per-card state.
+/// what it allocates is the pool's own per-card state: 14 blocks, 5 to
+/// lower, 6 to walk and 3 for the pool.
 #[test]
 fn a_serve_pool_sets_up_in_a_fixed_number_of_blocks() {
     let cfg = ServeConfig::new(2, 0, 120.0, 0.2);
     ServePool::new(cfg.clone()).unwrap(); // warm any one-time set-up
     let (n, _) = blocks(move || ServePool::new(cfg).unwrap());
-    assert_eq!(n, 33, "ServePool::new of a 2-card int8 pool");
+    assert_eq!(n, 14, "ServePool::new of a 2-card int8 pool");
+}
+
+/// A stream pool's set-up prices one cold and one warm chunk plan: 24
+/// blocks for the build the benchmark times — the cold lowering's 5, the
+/// stripes it pins, the warm lowering's 5 plus its resident-stripe flags,
+/// and two walks of 6.
+#[test]
+fn stream_analytics_prices_its_two_chunk_plans_in_a_fixed_number_of_blocks() {
+    let cfg = StreamConfig::new(4, 1, 4, 0.060);
+    stream_analytics(&cfg).unwrap(); // warm any one-time set-up
+    let (n, _) = blocks(|| stream_analytics(&cfg).unwrap());
+    assert_eq!(n, 24, "stream_analytics of the 4-card int8 stream build");
 }

@@ -2,19 +2,19 @@
 //! resume-equals-straight-run bit identity at any cut, exhaustive barrier
 //! cuts, poisoned-checkpoint rejection with a clean restart path,
 //! utterance conservation across single- and double-fault failovers, and
-//! rewritten checkpoints refused typed or resumed cleanly.
+//! rewritten (and re-sealed) checkpoints refused typed or resumed cleanly.
 #![recursion_limit = "1024"]
 
 use asr_accel::host_runtime::{run_plan, run_plan_with_recovery};
 use asr_accel::integrity::{
     functional_checkpoint_at, resume_functional_plan, run_functional_plan, small_config,
-    FunctionalFaults,
+    FunctionalCheckpoint, FunctionalFaults,
 };
 use asr_accel::plan::{walk_cost, ExecPlan, PlanCheckpoint};
 use asr_accel::{AccelConfig, AccelError, Architecture};
 use asr_fpga_sim::{FaultKind, FaultPlan};
 use asr_systolic::abft::IntegrityLevel;
-use asr_tensor::WeightEncoding;
+use asr_tensor::{Matrix, WeightEncoding};
 use asr_transformer::weights::ModelWeights;
 use proptest::prelude::*;
 
@@ -317,6 +317,96 @@ proptest! {
                 prop_assert!(walked.is_finite() && walked > 0.0, "{:?}: walked {}", edits, walked);
                 prop_assert!((walked - ran).abs() <= 1e-12, "{:?}: {} vs {}", edits, walked, ran);
             }
+        }
+    }
+}
+
+/// Rewrite one field of a functional checkpoint — `field` picks which, `v`
+/// drives the new value: the frontier, a layer cursor, the model seed, the
+/// count or the shape of the encoder (`xs`) or decoder (`ys`) activations,
+/// or one activation bit.
+fn rewrite_functional(ckpt: &mut FunctionalCheckpoint, field: usize, v: u64, d_model: usize) {
+    let u = v as usize;
+    let widths = [d_model, d_model / 2, 5, 2 * d_model];
+    match field {
+        0 => ckpt.completed_phases = u % 12,
+        1 => ckpt.enc_idx = u % 8,
+        2 => ckpt.dec_idx = u % 8,
+        3 => ckpt.model_seed = v,
+        4 | 5 => {
+            let ms = if field == 4 { &mut ckpt.xs } else { &mut ckpt.ys };
+            match (u % 2, ms.len()) {
+                (0, _) | (_, 0) => ms.push(Matrix::zeros(u / 2 % 5, d_model)),
+                _ => drop(ms.pop()),
+            }
+        }
+        6 | 7 => {
+            let ms = if field == 6 { &mut ckpt.xs } else { &mut ckpt.ys };
+            let m = Matrix::zeros(u % 5, widths[u / 5 % 4]);
+            match ms.len() {
+                0 => ms.push(m),
+                n => ms[u / 20 % n] = m,
+            }
+        }
+        _ => {
+            let mut ms: Vec<&mut Matrix> = ckpt.xs.iter_mut().chain(&mut ckpt.ys).collect();
+            let n = ms.len();
+            if n > 0 {
+                let xs = ms[u % n].as_mut_slice();
+                if !xs.is_empty() {
+                    let i = u / n % xs.len();
+                    xs[i] = f32::from_bits(xs[i].to_bits() ^ (1 << ((v >> 40) % 32)));
+                }
+            }
+        }
+    }
+}
+
+/// Re-seal a rewritten functional checkpoint with the CRC its refusal
+/// reports it now computes to, as a forged checkpoint would arrive.
+fn reseal(ckpt: &mut FunctionalCheckpoint) {
+    if let Err(AccelError::CheckpointRejected { reason }) = ckpt.verify() {
+        let hex = reason.rsplit("computed 0x").next().unwrap().trim_end_matches(')');
+        ckpt.state_crc = u32::from_str_radix(hex, 16).unwrap();
+    }
+    ckpt.verify().unwrap();
+}
+
+proptest! {
+    #![proptest_config(env_cases(32))]
+
+    // A cut functional checkpoint with 1–3 fields rewritten and re-sealed —
+    // so its CRC vouches for the rewrite — is refused typed or resumes to
+    // completion; a cursor, count or shape no prefix of the plan leaves
+    // never reaches the interpreter, so the resume never panics.
+    #[test]
+    fn a_resealed_functional_checkpoint_is_refused_typed_or_resumes(
+        batch in 1usize..=2,
+        cut_pick in 0usize..64,
+        edits in prop::collection::vec((0usize..9, 0u64..1 << 46), 1..=3),
+    ) {
+        let mut cfg = func_cfg();
+        cfg.integrity = IntegrityLevel::Detect;
+        let seeds = &[41u64, 42][..batch];
+        let plan = ExecPlan::lower(&cfg, Architecture::A2, 4, batch, cfg.integrity).unwrap();
+        let cut = cut_pick % (plan.phases.len() + 1);
+        let none = FunctionalFaults::none();
+        let mut ckpt = functional_checkpoint_at(&cfg, &plan, 9, seeds, &none, cut).unwrap();
+        for &(field, v) in &edits {
+            rewrite_functional(&mut ckpt, field, v, cfg.model.d_model);
+        }
+        reseal(&mut ckpt);
+        match resume_functional_plan(&cfg, &plan, &ckpt, seeds, &none) {
+            Ok(run) => prop_assert_eq!(run.utterances.len(), batch),
+            Err(e) => prop_assert!(
+                matches!(
+                    e,
+                    AccelError::CheckpointRejected { .. } | AccelError::CorruptActivations { .. }
+                ),
+                "{:?}: untyped refusal {}",
+                edits,
+                e
+            ),
         }
     }
 }

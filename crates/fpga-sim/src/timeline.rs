@@ -68,11 +68,11 @@ impl std::error::Error for TimelineError {}
 #[derive(Debug, Clone, Default)]
 pub struct Timeline {
     spans: Vec<Span>,
-    /// Each unit's span indices, in insertion order, with the units in
-    /// first-use order. A schedule drives a handful of units (its load
-    /// engines, the compute unit, a fault track), so a linear scan finds a
-    /// unit without building a map keyed by owned names.
-    by_unit: Vec<(Cow<'static, str>, Vec<usize>)>,
+    /// Each unit's latest span end, with the units in first-use order. A
+    /// schedule drives a handful of units (its load engines, the compute
+    /// unit, a fault track), so a linear scan finds a unit without building
+    /// a map keyed by owned names.
+    by_unit: Vec<(Cow<'static, str>, f64)>,
 }
 
 /// Tolerance for treating two floats as the same instant (1 ps).
@@ -84,12 +84,18 @@ impl Timeline {
         Self::default()
     }
 
-    /// The span indices of `unit`, if it holds any.
-    fn indices(&self, unit: &str) -> Option<&[usize]> {
-        self.by_unit.iter().find(|(u, _)| u == unit).map(|(_, idx)| idx.as_slice())
+    /// Empty timeline with room for `spans` spans before its span vector
+    /// grows.
+    pub fn with_capacity(spans: usize) -> Self {
+        Timeline { spans: Vec::with_capacity(spans), by_unit: Vec::new() }
     }
 
     /// Add a span, enforcing unit exclusivity.
+    ///
+    /// Every earlier span on the unit ends at or before the unit's latest
+    /// end, so a span starting at or after that end, less the 1 ps
+    /// tolerance, overlaps none of them: only a span starting before it
+    /// scans the unit's spans, in insertion order, for the one it overlaps.
     pub fn push(
         &mut self,
         unit: impl Into<Cow<'static, str>>,
@@ -101,10 +107,14 @@ impl Timeline {
         if end < start - EPS {
             return Err(TimelineError::NegativeDuration { label: label.into_owned() });
         }
-        let slot = self.by_unit.iter().position(|(u, _)| *u == unit);
-        if let Some(slot) = slot {
-            for &i in &self.by_unit[slot].1 {
-                let s = &self.spans[i];
+        let slot = self.by_unit.iter().position(|(u, _)| *u == unit).unwrap_or_else(|| {
+            self.by_unit.push((unit.clone(), f64::NEG_INFINITY));
+            self.by_unit.len() - 1
+        });
+        let last_end = &mut self.by_unit[slot].1;
+        let starts_before_last_end = start < *last_end - EPS;
+        if starts_before_last_end {
+            for s in self.spans.iter().filter(|s| s.unit == unit) {
                 // overlap iff intervals intersect with positive measure
                 if start < s.end - EPS && s.start < end - EPS {
                     let (unit, existing) = (unit.into_owned(), s.label.to_string());
@@ -113,11 +123,7 @@ impl Timeline {
                 }
             }
         }
-        let idx = self.spans.len();
-        match slot {
-            Some(slot) => self.by_unit[slot].1.push(idx),
-            None => self.by_unit.push((unit.clone(), vec![idx])),
-        }
+        *last_end = last_end.max(end);
         self.spans.push(Span { unit, label, start, end });
         Ok(())
     }
@@ -128,13 +134,9 @@ impl Timeline {
     /// falls inside/behind the occupied region; gaps before the last span are
     /// not reused (schedules here are append-only, like the paper's pipelines).
     pub fn free_at(&self, unit: &str, t: f64) -> f64 {
-        match self.indices(unit) {
+        match self.by_unit.iter().find(|(u, _)| u == unit) {
             None => t,
-            Some(indices) => {
-                let last_end =
-                    indices.iter().map(|&i| self.spans[i].end).fold(f64::NEG_INFINITY, f64::max);
-                t.max(last_end)
-            }
+            Some(&(_, last_end)) => t.max(last_end),
         }
     }
 
@@ -145,10 +147,7 @@ impl Timeline {
 
     /// Spans on one unit, sorted by start time.
     pub fn unit_spans(&self, unit: &str) -> Vec<&Span> {
-        let mut v: Vec<&Span> = self
-            .indices(unit)
-            .map(|idx| idx.iter().map(|&i| &self.spans[i]).collect())
-            .unwrap_or_default();
+        let mut v: Vec<&Span> = self.spans.iter().filter(|s| s.unit == unit).collect();
         v.sort_by(|a, b| a.start.partial_cmp(&b.start).unwrap());
         v
     }

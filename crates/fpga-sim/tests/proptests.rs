@@ -5,7 +5,7 @@ use asr_fpga_sim::device::{alveo_u50, SlrId};
 use asr_fpga_sim::hbm::HbmSpec;
 use asr_fpga_sim::resources::ResourceVector;
 use asr_fpga_sim::runtime::Runtime;
-use asr_fpga_sim::timeline::Timeline;
+use asr_fpga_sim::timeline::{Span, Timeline, TimelineError};
 use proptest::prelude::*;
 
 /// Case count: `PROPTEST_CASES` when set (the CI deep-proptest job exports
@@ -106,5 +106,194 @@ proptest! {
         rt.enqueue_kernel(q0, "a", SlrId::Slr0, d1, &[]);
         rt.enqueue_kernel(q1, "b", SlrId::Slr1, d2, &[]);
         prop_assert!((rt.finish() - d1.max(d2)).abs() < 1e-12);
+    }
+}
+
+/// The linear-scan timeline that per-unit latest ends replaced: `push`,
+/// `free_at` and `unit_spans` copied verbatim (each push scans every earlier
+/// span of its unit), with the queries built on them. The reference the
+/// booking property holds [`Timeline`] to.
+mod linear {
+    use super::{Span, TimelineError};
+    use std::borrow::Cow;
+
+    const EPS: f64 = 1e-12;
+
+    #[derive(Default)]
+    pub struct Timeline {
+        spans: Vec<Span>,
+        by_unit: Vec<(Cow<'static, str>, Vec<usize>)>,
+    }
+
+    impl Timeline {
+        fn indices(&self, unit: &str) -> Option<&[usize]> {
+            self.by_unit.iter().find(|(u, _)| u == unit).map(|(_, idx)| idx.as_slice())
+        }
+
+        pub fn push(
+            &mut self,
+            unit: impl Into<Cow<'static, str>>,
+            label: impl Into<Cow<'static, str>>,
+            start: f64,
+            end: f64,
+        ) -> Result<(), TimelineError> {
+            let (unit, label) = (unit.into(), label.into());
+            if end < start - EPS {
+                return Err(TimelineError::NegativeDuration { label: label.into_owned() });
+            }
+            let slot = self.by_unit.iter().position(|(u, _)| *u == unit);
+            if let Some(slot) = slot {
+                for &i in &self.by_unit[slot].1 {
+                    let s = &self.spans[i];
+                    // overlap iff intervals intersect with positive measure
+                    if start < s.end - EPS && s.start < end - EPS {
+                        let (unit, existing) = (unit.into_owned(), s.label.to_string());
+                        let label = label.into_owned();
+                        return Err(TimelineError::Overlap { unit, label, existing });
+                    }
+                }
+            }
+            let idx = self.spans.len();
+            match slot {
+                Some(slot) => self.by_unit[slot].1.push(idx),
+                None => self.by_unit.push((unit.clone(), vec![idx])),
+            }
+            self.spans.push(Span { unit, label, start, end });
+            Ok(())
+        }
+
+        pub fn free_at(&self, unit: &str, t: f64) -> f64 {
+            match self.indices(unit) {
+                None => t,
+                Some(indices) => {
+                    let last_end = indices
+                        .iter()
+                        .map(|&i| self.spans[i].end)
+                        .fold(f64::NEG_INFINITY, f64::max);
+                    t.max(last_end)
+                }
+            }
+        }
+
+        pub fn spans(&self) -> &[Span] {
+            &self.spans
+        }
+
+        pub fn unit_spans(&self, unit: &str) -> Vec<&Span> {
+            let mut v: Vec<&Span> = self
+                .indices(unit)
+                .map(|idx| idx.iter().map(|&i| &self.spans[i]).collect())
+                .unwrap_or_default();
+            v.sort_by(|a, b| a.start.partial_cmp(&b.start).unwrap());
+            v
+        }
+
+        pub fn busy_time(&self, unit: &str) -> f64 {
+            self.unit_spans(unit).iter().map(|s| s.duration()).sum()
+        }
+
+        pub fn stall_time(&self, unit: &str) -> f64 {
+            let spans = self.unit_spans(unit);
+            if spans.len() < 2 {
+                return 0.0;
+            }
+            let mut stall = 0.0;
+            for w in spans.windows(2) {
+                stall += (w[1].start - w[0].end).max(0.0);
+            }
+            stall
+        }
+
+        pub fn units(&self) -> Vec<&str> {
+            let mut units: Vec<&str> = self.by_unit.iter().map(|(u, _)| u.as_ref()).collect();
+            units.sort_unstable();
+            units
+        }
+    }
+}
+
+/// The units a drawn sequence books, and one it never does.
+const UNITS: [&str; 4] = ["load-0", "compute", "load-1", "absent"];
+/// Grid of the drawn bounds, seconds: coarse, so bounds coincide.
+const GRID: f64 = 1e-3;
+/// Offsets of a bound from its grid point, seconds: within and across the
+/// timeline's 1 ps tolerance on either side.
+const SHIFTS: [f64; 9] = [0.0, 0.5e-12, -0.5e-12, 1e-12, -1e-12, 1.5e-12, -1.5e-12, 2e-12, -2e-12];
+
+/// A span's fields, its bounds as bits, so NaN bounds compare too.
+fn bits(s: &Span) -> (String, String, u64, u64) {
+    (s.unit.to_string(), s.label.to_string(), s.start.to_bits(), s.end.to_bits())
+}
+
+/// One drawn push: unit, grid start and offset, then a length in grid steps
+/// with the end's offset (a length of 4 or more is instead a duration a
+/// shift below zero), and a NaN pick (0: start, 1: end, else none).
+type Push = (usize, u32, usize, u32, usize, usize);
+
+fn bounds(&(_, k, shift, len, end_shift, nan): &Push) -> (f64, f64) {
+    let start = k as f64 * GRID + SHIFTS[shift];
+    let end = match len {
+        0..=3 => (k + len) as f64 * GRID + SHIFTS[end_shift],
+        _ => start - SHIFTS[end_shift].abs(),
+    };
+    match nan {
+        0 => (f64::NAN, end),
+        1 => (start, f64::NAN),
+        _ => (start, end),
+    }
+}
+
+proptest! {
+    #![proptest_config(env_cases(128))]
+
+    // Booking each unit's latest end answers every push and every query
+    // exactly as scanning the unit's spans did: the same `Ok` or the same
+    // error, its labels included, and the same bits from every query, for
+    // bounds on and a fraction of a picosecond around a coarse grid, zero
+    // and slightly negative durations, pushes out of start order and NaN
+    // bounds. A unit holding a NaN start is not sorted (both sorts unwrap
+    // the comparison and panic), so its sorted queries are skipped.
+    #[test]
+    fn booked_latest_ends_answer_as_the_linear_scan_did(
+        units in 2usize..=3,
+        pushes in proptest::collection::vec(
+            (0usize..3, 0u32..6, 0usize..9, 0u32..6, 0usize..9, 0usize..12),
+            1..32,
+        ),
+    ) {
+        let (mut tl, mut reference) = (Timeline::new(), linear::Timeline::default());
+        for (i, push) in pushes.iter().enumerate() {
+            let unit = UNITS[push.0 % units];
+            let (start, end) = bounds(push);
+            let label = format!("s{i}");
+            prop_assert_eq!(
+                tl.push(unit, label.clone(), start, end),
+                reference.push(unit, label, start, end),
+                "push {} of {:?}", i, pushes
+            );
+            let spans: Vec<_> = tl.spans().iter().map(bits).collect();
+            let want: Vec<_> = reference.spans().iter().map(bits).collect();
+            prop_assert_eq!(spans, want);
+            prop_assert_eq!(tl.units(), reference.units());
+            for unit in UNITS {
+                for t in [0.0, 2.5 * GRID, 9.0 * GRID, f64::NAN] {
+                    prop_assert_eq!(
+                        tl.free_at(unit, t).to_bits(),
+                        reference.free_at(unit, t).to_bits()
+                    );
+                }
+                if reference.spans().iter().any(|s| s.unit == unit && s.start.is_nan()) {
+                    continue;
+                }
+                let spans: Vec<_> = tl.unit_spans(unit).into_iter().map(bits).collect();
+                let want: Vec<_> = reference.unit_spans(unit).into_iter().map(bits).collect();
+                prop_assert_eq!(spans, want);
+                prop_assert_eq!(tl.busy_time(unit).to_bits(), reference.busy_time(unit).to_bits());
+                prop_assert_eq!(
+                    tl.stall_time(unit).to_bits(),
+                    reference.stall_time(unit).to_bits()
+                );
+            }
+        }
     }
 }

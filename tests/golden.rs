@@ -61,6 +61,10 @@ const REPORTS: &[(&str, &str)] = &[
         "cluster_partition",
         "cluster --nodes 3 --rps 100 --n 1000 --sessions 64 --deadline-ms 200 --partition 1@2+3",
     ),
+    (
+        "cluster_dropout_upgrade",
+        "cluster --nodes 3 --rps 80 --n 200 --upgrade 2 --upgrade-at 0.4 --dropout 1@0.41+0.2",
+    ),
     ("plan_batch", "plan --s 8 --arch a3 --batch 4"),
     ("plan_detect_a1", "plan --s 8 --arch a1 --integrity detect"),
     ("plan_decode", "plan --decode --s 32 --beam 4 --steps 64"),

@@ -146,8 +146,9 @@ pub fn table5_2_rows() -> Vec<(&'static str, u64, u64)> {
 // ---------------------------------------------------------------- Table 5.3
 
 /// Table 5.3: the head-parallelism design-space exploration at s = 32.
-pub fn table5_3_rows() -> Vec<dse::DesignPoint> {
-    dse::explore(&AccelConfig::paper_default())
+pub fn table5_3_rows() -> Vec<dse::Candidate> {
+    let base = AccelConfig::paper_default();
+    dse::enumerate(&base, &dse::SearchSpace::table_5_3(&base))
 }
 
 // ---------------------------------------------------------- Tables 5.4, 5.5

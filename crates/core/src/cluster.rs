@@ -989,8 +989,9 @@ impl Cluster {
                     if let Some(p) = n.pool.as_mut() {
                         p.begin_drain();
                     }
-                    let at = now + self.tick_s();
-                    self.push(at, EvKind::Tick);
+                    // An idle node flashes at once; a busy one wakes the
+                    // rollout at its pool's next event.
+                    self.step_upgrade_inner(u, now);
                 } else {
                     let since = match u.state {
                         UState::Paused { since } => since,
@@ -1378,6 +1379,21 @@ mod tests {
             }
         }
         assert!(upgraded_cards > 0, "some card must serve on both sides of its flash");
+    }
+
+    #[test]
+    fn a_rollout_after_the_last_arrival_flashes_each_idle_node_at_once() {
+        // 200 requests at 80 rps arrive by 2.5 s, so every node the rollout
+        // pulls from 3 s on is idle: each is out of service for its 5 ms
+        // flash alone, not for a tick's wait before it.
+        let mut c = ClusterConfig::new(3, 1, 80.0, 0.5);
+        c.requests = 200;
+        c.upgrade = Some(UpgradeConfig::new(2, 3.0));
+        let r = Cluster::run(c).unwrap();
+        assert_eq!(r.upgrade, UpgradeOutcome::Completed);
+        assert!(r.per_node.iter().all(|n| n.version == 2), "fleet must end on v2");
+        let downtime_ms = r.upgrade_downtime_s * 1e3;
+        assert!((downtime_ms - 15.0).abs() < 1e-9, "downtime {downtime_ms} ms");
     }
 
     #[test]

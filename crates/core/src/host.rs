@@ -38,8 +38,10 @@ pub struct E2eLatency {
     pub accelerator_s: f64,
     /// End-to-end latency, seconds.
     pub total_s: f64,
-    /// Steady-state throughput, sequences/second (accelerator-bound: host
-    /// preprocessing pipelines with the accelerator).
+    /// Steady-state throughput, sequences/second: host preprocessing of
+    /// utterance `k + 1` overlaps the accelerator's work on utterance `k`,
+    /// so the slower of the two stages sets the rate (the accelerator, on
+    /// the paper build).
     pub throughput_seq_per_s: f64,
     /// Model work at the padded length, GFLOPs.
     pub gflops: f64,
@@ -66,27 +68,26 @@ pub struct E2eResult {
     pub recognized_text: String,
 }
 
-/// The top-level controller.
+/// The top-level controller. It schedules with architecture A3, the shipped
+/// design.
 #[derive(Debug, Clone)]
 pub struct HostController {
     /// Accelerator configuration.
     pub cfg: AccelConfig,
-    /// Overlap architecture used for scheduling (the shipped design uses A3).
-    pub arch: Architecture,
 }
 
 impl HostController {
-    /// Controller over a configuration, scheduling with architecture A3.
+    /// Controller over a configuration.
     ///
     /// Fails with [`AccelError::Config`] on an inconsistent configuration.
     pub fn new(cfg: AccelConfig) -> Result<Self> {
         cfg.validate()?;
-        Ok(Self { cfg, arch: Architecture::A3 })
+        Ok(Self { cfg })
     }
 
     /// Simulate the accelerator schedule for an input length.
     pub fn schedule(&self, input_len: usize) -> PlanCost {
-        simulate(&self.cfg, self.arch, input_len)
+        simulate(&self.cfg, Architecture::A3, input_len)
     }
 
     /// The §5.1.6 report for an input length.
@@ -100,7 +101,7 @@ impl HostController {
             preprocessing_s: pre,
             accelerator_s: acc,
             total_s: pre + acc,
-            throughput_seq_per_s: 1.0 / acc,
+            throughput_seq_per_s: 1.0 / pre.max(acc),
             gflops: flops::model_gflops(s, &self.cfg.model),
             gflops_per_s: energy::accelerator_gflops_per_s(&self.cfg, s, acc),
             gflops_per_joule: energy::accelerator_gflops_per_joule(&self.cfg, s, acc),
@@ -177,6 +178,37 @@ mod tests {
             r.throughput_seq_per_s
         );
         assert!((r.gflops - 4.0).abs() < 0.2);
+    }
+
+    #[test]
+    fn the_accelerator_sets_the_rate_at_every_paper_size() {
+        // The host stage is never the bottleneck on the paper build: the
+        // accelerator takes at least 2.3x the preprocessing time (its
+        // smallest margin is at s = 18, near Fig 5.2's load/compute
+        // crossover), so the rate is 1 / accelerator to the bit.
+        for s in 1..=512 {
+            let mut cfg = AccelConfig::paper_default();
+            cfg.max_seq_len = s;
+            let r = HostController::new(cfg).unwrap().latency_report(s);
+            assert!(
+                r.accelerator_s > 2.3 * r.preprocessing_s,
+                "s = {s}: accelerator {} s, preprocessing {} s",
+                r.accelerator_s,
+                r.preprocessing_s
+            );
+            assert_eq!(r.throughput_seq_per_s.to_bits(), (1.0 / r.accelerator_s).to_bits());
+        }
+    }
+
+    #[test]
+    fn a_host_bound_build_reports_the_host_rate() {
+        // The small build's accelerator takes 0.095 ms at s = 8, its host
+        // 11.168 ms: the host stage sets the rate, about 89.5 seq/s.
+        let cfg = crate::integrity::small_config();
+        let r = HostController::new(cfg).unwrap().latency_report(8);
+        assert!(r.preprocessing_s > 100.0 * r.accelerator_s);
+        assert_eq!(r.throughput_seq_per_s.to_bits(), (1.0 / r.preprocessing_s).to_bits());
+        assert!((r.throughput_seq_per_s - 89.5).abs() < 0.1, "{} seq/s", r.throughput_seq_per_s);
     }
 
     #[test]

@@ -25,14 +25,14 @@
 //! * [`host`] — the top-level controller (Fig 4.12): per-layer prefetch,
 //!   E2E latency/throughput/energy report (§5.1.6);
 //! * [`resources`] — the design-level resource estimator (Table 5.2);
-//! * [`dse`] — design-space exploration over heads × PSAs-per-head (Table 5.3);
+//! * [`dse`] — design-space exploration: Table 5.3's heads × PSAs-per-head,
+//!   the PSA-shape sweep and the §6.2 auto-tuner over one enumerator;
 //! * [`energy`] — GFLOPs/s and GFLOPs/J accounting (Table 5.6, §5.1.6);
 //! * [`integrity`] — the silent-data-corruption defense (DESIGN.md §9):
 //!   CRC-enveloped weight loads, ABFT-checked PSA matmuls, localized
 //!   recompute, and always-on activation guards.
 
 pub mod arch;
-pub mod autotune;
 pub mod block_exec;
 pub mod calib;
 pub mod cluster;
@@ -47,7 +47,6 @@ pub mod integrity;
 pub mod latency;
 pub mod mm;
 pub mod mm_exec;
-pub mod pipeline;
 pub mod plan;
 pub mod quant;
 pub mod report;

@@ -38,6 +38,11 @@ pub enum TimelineError {
         /// Offending label.
         label: String,
     },
+    /// The start or the end is NaN.
+    NanBound {
+        /// Offending label.
+        label: String,
+    },
     /// The span overlaps an existing span on the same unit.
     Overlap {
         /// Unit that was double-booked.
@@ -55,6 +60,7 @@ impl std::fmt::Display for TimelineError {
             TimelineError::NegativeDuration { label } => {
                 write!(f, "span '{}' has negative duration", label)
             }
+            TimelineError::NanBound { label } => write!(f, "span '{}' has a NaN bound", label),
             TimelineError::Overlap { unit, label, existing } => {
                 write!(f, "unit '{}': span '{}' overlaps existing '{}'", unit, label, existing)
             }
@@ -90,7 +96,8 @@ impl Timeline {
         Timeline { spans: Vec::with_capacity(spans), by_unit: Vec::new() }
     }
 
-    /// Add a span, enforcing unit exclusivity.
+    /// Add a span, enforcing unit exclusivity. A NaN bound is refused; an
+    /// infinite end is not (a hang nothing watches ends at +∞).
     ///
     /// Every earlier span on the unit ends at or before the unit's latest
     /// end, so a span starting at or after that end, less the 1 ps
@@ -104,6 +111,9 @@ impl Timeline {
         end: f64,
     ) -> Result<(), TimelineError> {
         let (unit, label) = (unit.into(), label.into());
+        if start.is_nan() || end.is_nan() {
+            return Err(TimelineError::NanBound { label: label.into_owned() });
+        }
         if end < start - EPS {
             return Err(TimelineError::NegativeDuration { label: label.into_owned() });
         }
@@ -232,6 +242,23 @@ mod tests {
             tl.push("u", "bad", 2.0, 1.0),
             Err(TimelineError::NegativeDuration { .. })
         ));
+    }
+
+    #[test]
+    fn a_nan_bound_is_refused_and_the_queries_stay_finite() {
+        let mut tl = Timeline::new();
+        tl.push("u", "a", 0.0, 1.0).unwrap();
+        let nan_start = tl.push("u", "b", f64::NAN, 2.0);
+        assert_eq!(nan_start, Err(TimelineError::NanBound { label: "b".into() }));
+        let nan_end = tl.push("u", "c", 1.0, f64::NAN);
+        assert_eq!(nan_end, Err(TimelineError::NanBound { label: "c".into() }));
+        assert_eq!(tl.unit_spans("u").len(), 1);
+        assert_eq!(tl.busy_time("u"), 1.0);
+        assert_eq!(tl.stall_time("u"), 0.0);
+        assert_eq!(tl.utilization("u"), 1.0);
+        // An unwatched hang ends at +∞, and is booked.
+        tl.push("u", "hang", 1.0, f64::INFINITY).unwrap();
+        assert_eq!(tl.makespan(), f64::INFINITY);
     }
 
     #[test]

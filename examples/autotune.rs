@@ -6,7 +6,7 @@
 //! cargo run --release --example autotune
 //! ```
 
-use transformer_asr_accel::accel::autotune::{best, enumerate, pareto_front, SearchSpace};
+use transformer_asr_accel::accel::dse::{best, enumerate, pareto_front, SearchSpace};
 use transformer_asr_accel::accel::AccelConfig;
 
 fn main() {

@@ -5,7 +5,8 @@
 //! cargo run --release --example design_space
 //! ```
 
-use transformer_asr_accel::accel::{dse, resources, AccelConfig};
+use transformer_asr_accel::accel::dse::{self, SearchSpace};
+use transformer_asr_accel::accel::{resources, AccelConfig};
 use transformer_asr_accel::systolic::psa::{Psa, PsaConfig};
 
 fn main() {
@@ -16,7 +17,7 @@ fn main() {
         "{:>14} {:>14} {:>12} {:>6}",
         "parallel heads", "PSAs per head", "latency(ms)", "fits"
     );
-    for p in dse::explore(&base) {
+    for p in dse::enumerate(&base, &SearchSpace::table_5_3(&base)) {
         println!(
             "{:>14} {:>14} {:>12.2} {:>6}",
             p.parallel_heads,
@@ -29,8 +30,9 @@ fn main() {
     println!("\nPSA shape sweep (rows × cols):");
     println!("{:>8} {:>12} {:>6}", "shape", "latency(ms)", "fits");
     let shapes = [(2usize, 64usize), (2, 32), (2, 128), (4, 64), (4, 32), (8, 64), (4, 128)];
-    for (rows, cols, ms, fits) in dse::explore_psa_shapes(&base, &shapes) {
-        println!("{:>5}x{:<3} {:>11.2} {:>6}", rows, cols, ms, if fits { "yes" } else { "NO" });
+    for c in dse::enumerate(&base, &SearchSpace::psa_shapes(&base, &shapes)) {
+        let fits = if c.fits { "yes" } else { "NO" };
+        println!("{:>5}x{:<3} {:>11.2} {:>6}", c.psa_rows, c.psa_cols, c.latency_ms, fits);
     }
 
     println!("\nUnroll penalty (II) sweep, one MM1 stripe (32x64 by 64x64):");

@@ -84,9 +84,8 @@ use transformer_asr_accel::accel::stream::{
     StreamConfig, StreamPool, CHUNK_STEPS, LEFT_CONTEXT, SESSION_QUEUE,
 };
 use transformer_asr_accel::accel::{
-    decode_analytics, dse, latency, pipeline, quant, run_functional_decode, run_plan,
-    run_plan_with_recovery, sweep, walk_cost, AccelConfig, AccelError, ExecPlan, FunctionalFaults,
-    HostController,
+    decode_analytics, dse, latency, quant, run_functional_decode, run_plan, run_plan_with_recovery,
+    sweep, walk_cost, AccelConfig, AccelError, ExecPlan, FunctionalFaults, HostController,
 };
 use transformer_asr_accel::fpga::trace::to_chrome_trace;
 use transformer_asr_accel::fpga::{FaultKind, FaultPlan};
@@ -384,8 +383,9 @@ fn cmd_arch(s: usize) {
 }
 
 fn cmd_dse() {
+    let base = AccelConfig::paper_default();
     println!("{:>6} {:>10} {:>12} {:>6}", "heads", "psas/head", "latency(ms)", "fits");
-    for p in dse::explore(&AccelConfig::paper_default()) {
+    for p in dse::enumerate(&base, &dse::SearchSpace::table_5_3(&base)) {
         println!(
             "{:>6} {:>10} {:>12.2} {:>6}",
             p.parallel_heads,
@@ -423,14 +423,19 @@ fn cmd_breakdown(s: usize) {
     );
 }
 
+/// `n` utterances through the host → accelerator pipeline, read off the
+/// §5.1.6 report: after the first utterance's end to end, one finishes
+/// every period, the slower stage's latency.
 fn cmd_pipeline(s: usize, n: usize) {
-    let cfg = unpadded(s);
-    let (r, _) = pipeline::run_pipeline(&cfg, Architecture::A3, s, n);
-    println!("utterances           : {}", r.n);
-    println!("total wall time      : {:8.2} ms", r.total_s * 1e3);
-    println!("steady-state rate    : {:8.2} seq/s", r.throughput_seq_per_s);
-    println!("host busy            : {:8.2} ms", r.host_busy_s * 1e3);
-    println!("accelerator busy     : {:8.2} ms", r.accel_busy_s * 1e3);
+    let host = HostController::new(unpadded(s)).expect("paper default config is valid");
+    let r = host.latency_report(s);
+    let period = 1.0 / r.throughput_seq_per_s;
+    let rate = if n > 1 { r.throughput_seq_per_s } else { 1.0 / r.total_s };
+    println!("utterances           : {}", n);
+    println!("total wall time      : {:8.2} ms", (r.total_s + (n - 1) as f64 * period) * 1e3);
+    println!("steady-state rate    : {:8.2} seq/s", rate);
+    println!("host busy            : {:8.2} ms", n as f64 * r.preprocessing_s * 1e3);
+    println!("accelerator busy     : {:8.2} ms", n as f64 * r.accelerator_s * 1e3);
 }
 
 fn cmd_trace(path: &str, s: usize) -> Result<(), CliError> {

@@ -4,7 +4,7 @@
 
 use transformer_asr_accel::accel::arch::{simulate, Architecture};
 use transformer_asr_accel::accel::quant::{self, QuantizedBackend};
-use transformer_asr_accel::accel::{pipeline, run_plan, verify, AccelConfig, ExecPlan};
+use transformer_asr_accel::accel::{run_plan, verify, AccelConfig, ExecPlan, HostController};
 use transformer_asr_accel::frontend::{dataset, FbankExtractor};
 use transformer_asr_accel::tensor::backend::ReferenceBackend;
 use transformer_asr_accel::tensor::init;
@@ -109,6 +109,7 @@ fn streaming_first_chunk_is_causal_end_to_end() {
 
 #[test]
 fn pipelined_throughput_reported_in_section_5_1_6_band() {
-    let (r, _) = pipeline::run_pipeline(&AccelConfig::paper_default(), Architecture::A3, 32, 12);
+    let host = HostController::new(AccelConfig::paper_default()).unwrap();
+    let r = host.latency_report(32);
     assert!((r.throughput_seq_per_s - 11.42).abs() < 0.4, "{} seq/s", r.throughput_seq_per_s);
 }
